@@ -12,6 +12,21 @@ above it; each intermediate class solves
 whose larger root is the attracting one, and the top class takes the
 remaining mass.  Enumerating both roots at every level instead gives
 every stationary point, which is how the brute-force cross-check works.
+
+Linearization uses the cumulative coordinates P_j = f_1 + ... + f_j,
+with P_0 = 0 and P_n = rho.  In them the dynamics read
+
+    dP_j/dt = eta0 rho [rho P_j (rho - P_j)
+                        - (1 - rho) (P_j - P_{j-1}) (rho - P_{j-1})],
+
+for j = 1 .. n-1, and dP_n/dt = 0.  At fixed density P_j responds only
+to P_{j-1} and P_j, so the Jacobian restricted to the zero-sum
+hyperplane is lower bidiagonal in these coordinates and its eigenvalues
+are the diagonal entries
+
+    lambda_j = eta0 rho [rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1})],
+
+exactly, at any state.  The full spectrum adds the conserved-mass mode 0.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ import numpy as np
 
 from .dynamics import _rhs_batch
 from .errors import ConsistencyError
-from .lattice import ModelParams, build_game_table
+from .lattice import ModelParams
 
 __all__ = [
     "STABLE",
@@ -107,9 +122,10 @@ class EquilibriumCandidate:
 class StabilityReport:
     """Linearization summary at a stationary point.
 
-    verdict reflects the spectrum restricted to the zero-sum hyperplane;
-    the conserved-mass direction always contributes one zero eigenvalue
-    to the full spectrum and is reported separately.
+    verdict reflects the spectrum restricted to the zero-sum hyperplane,
+    which is real and exact (see stability_report); the conserved-mass
+    direction always contributes one zero eigenvalue to the full
+    spectrum, at zero_mode_index of eigen_real_parts.
     """
 
     verdict: str
@@ -224,19 +240,31 @@ def equilibrium_recursive(n: int, rho: float) -> EquilibriumResult:
                              branch_data=tuple(records))
 
 
-def _table_density_derivative(n: int) -> np.ndarray:
-    """Entrywise d/d rho of the game table; entries are +-1 constants."""
-    D = np.zeros((n, n, n))
-    for h in range(1, n + 1):
-        for k in range(1, n + 1):
-            if h <= k:
-                if h != n:
-                    D[h - 1, k - 1, h - 1] = 1.0
-                    D[h - 1, k - 1, h] = -1.0
-            else:
-                D[h - 1, k - 1, k - 1] = 1.0
-                D[h - 1, k - 1, h - 1] = -1.0
-    return D
+def _cumulative_partials(f: np.ndarray, params: ModelParams):
+    """Partial derivatives of the cumulative-form right-hand side.
+
+    Returns (rho, lam, sub, d_rho) for the state f, where entry j-1 of
+    each vector belongs to dP_j/dt, j = 1 .. n-1: lam holds the diagonal
+    d/dP_j (the hyperplane eigenvalues), sub the d/dP_{j-1} (unused for
+    j = 1, where P_0 = 0 is fixed) and d_rho the d/dP_n, the response to
+    the density itself.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.size != params.n:
+        raise ValueError(f"state has {f.size} classes, params expect {params.n}")
+    rho = float(f.sum())
+    P = np.cumsum(f[:-1])
+    P_prev = np.concatenate(([0.0], P[:-1]))
+    step = P - P_prev
+    rate = params.eta0 * rho
+    lam = rate * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - P_prev))
+    sub = rate * (1.0 - rho) * (rho + P - 2.0 * P_prev)
+    d_rho = params.eta0 * (
+        rho * P * (3.0 * rho - 2.0 * P)
+        - (1.0 - 2.0 * rho) * step * (rho - P_prev)
+        - rho * (1.0 - rho) * step
+    )
+    return rho, lam, sub, d_rho
 
 
 def jacobian(f: np.ndarray, rho: float, params: ModelParams) -> np.ndarray:
@@ -245,7 +273,9 @@ def jacobian(f: np.ndarray, rho: float, params: ModelParams) -> np.ndarray:
     The density is treated as a function of the state, so the derivative
     includes the response of the encounter rate and of the game table to
     mass moving between classes.  Mass conservation makes every column
-    sum to zero up to roundoff.
+    sum to zero up to roundoff.  Built in O(n^2) from the cumulative
+    form: with L the lower-triangular matrix of ones (P = L f), J is
+    L^-1 J_P L, where J_P is bidiagonal plus the density column.
 
     Args:
         f: state vector; its sum must match rho to within 1e-9.
@@ -255,94 +285,49 @@ def jacobian(f: np.ndarray, rho: float, params: ModelParams) -> np.ndarray:
     Returns:
         n x n matrix J with J[j, i] = d rhs_j / d f_i.
     """
-    f = np.asarray(f, dtype=float)
-    n = f.size
-    if n != params.n:
-        raise ValueError(f"state has {n} classes, params expect {params.n}")
-    s = float(f.sum())
+    s, lam, sub, d_rho = _cumulative_partials(f, params)
     if abs(s - rho) > 1e-9:
         raise ValueError(f"declared density {rho} does not match sum(f)={s!r}")
-    A = build_game_table(n, min(max(s, 0.0), 1.0)).A
-    D = _table_density_derivative(n)
-    G = np.einsum("hkj,h,k->j", A, f, f)
-    M1 = np.einsum("ikj,k->ji", A, f)
-    M2 = np.einsum("hij,h->ji", A, f)
-    W = np.einsum("hkj,h,k->j", D, f, f)
-    Q = G - s * f
-    eye = np.eye(n)
-    J = params.eta0 * (
-        Q[:, None] + s * (M1 + M2 + (W - f)[:, None] - s * eye)
+    n = params.n
+    # row j of J_P L: entry i sums J_P[j, k] over k >= i
+    JL = np.zeros((n, n))
+    JL[:-1] = (
+        d_rho[:, None]
+        + lam[:, None] * np.tri(n - 1, n)
+        + sub[:, None] * np.tri(n - 1, n, k=-1)
     )
-    return J
-
-
-def _helmert_basis(n: int) -> np.ndarray:
-    """Orthonormal rows spanning the zero-sum hyperplane."""
-    H = np.zeros((n - 1, n))
-    for i in range(1, n):
-        H[i - 1, :i] = 1.0
-        H[i - 1, i] = -float(i)
-        H[i - 1] /= math.sqrt(i * (i + 1.0))
-    return H
+    return np.diff(JL, axis=0, prepend=0.0)
 
 
 def stability_report(
     f: np.ndarray, params: ModelParams, eig_tol: float = _EIG_TOL
 ) -> StabilityReport:
-    """Classify a stationary state by its linearization.
+    """Classify a state by its linearization, in O(n).
 
-    The verdict is read off the spectrum restricted to the zero-sum
-    hyperplane, the directions that keep the density fixed: stable means
-    every real part is below -eig_tol, unstable means some real part
-    exceeds +eig_tol, marginal covers the rest.  A nilpotent restricted
-    Jacobian (which happens exactly at the critical density, where the
-    whole hyperplane spectrum collapses to zero) is reported as marginal
-    regardless of the scattered eigenvalues the solver returns for it.
+    The hyperplane spectrum is read off the cumulative form (module
+    docstring): the Jacobian restricted to the zero-sum hyperplane, the
+    directions that keep the density fixed, is lower bidiagonal in
+    P_j = f_1 + ... + f_j, so its eigenvalues are exactly
+
+        lambda_j = eta0 rho [rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1})],
+
+    j = 1 .. n-1, and the full spectrum adds the mass mode 0.  No
+    eigenvalue solver runs, so the defective free-phase eigenvalue
+    eta0 rho^2 (2 rho - 1) of multiplicity n-1 is not scattered.
+
+    Stable means every lambda_j is below -eig_tol, unstable means some
+    lambda_j exceeds +eig_tol, marginal covers the rest.  At the critical
+    density every lambda_j is exactly zero while the bidiagonal is not,
+    so the restricted Jacobian is nilpotent; that is flagged and marginal.
     An all-zero state has a frozen linearization (the encounter rate
     vanishes), which is flagged instead of classified.
     """
-    f = np.asarray(f, dtype=float)
-    n = f.size
-    s = float(f.sum())
-    J = jacobian(f, s, params)
-    eigvals, eigvecs = np.linalg.eig(J)
-    order = np.argsort(-eigvals.real, kind="stable")
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    re = eigvals.real
-
-    # conserved-mass mode: a near-zero eigenvalue whose eigenvector has
-    # mass (nonzero component sum); at degenerate points several
-    # eigenvalues sit near zero and the sum criterion picks the right one
-    mags = np.abs(eigvals)
-    near = np.flatnonzero(mags <= max(eig_tol, 10.0 * mags.min()))
-    sums = np.abs(eigvecs[:, near].sum(axis=0))
-    zero_mode = int(near[int(np.argmax(sums))])
-
+    s, lam, _, _ = _cumulative_partials(f, params)
+    hyper = np.sort(lam)[::-1]
+    zero_mode = int(np.count_nonzero(hyper > 0.0))
     degenerate = s <= _TINY
-    if not degenerate and sums.max() <= 1e-10:
-        raise ConsistencyError(
-            "no near-zero eigenvalue carries the conserved-mass direction"
-        )
-
-    H = _helmert_basis(n)
-    R = H @ J @ H.T
-    hyper = np.linalg.eigvals(R).real
-    hyper = np.sort(hyper)[::-1]
-
-    # at the critical density the restricted Jacobian is nilpotent: every
-    # hyperplane eigenvalue is exactly zero, but the matrix is not, and
-    # solvers then scatter the spectrum by ~norm * eps^(1/(n-1)), far
-    # beyond eig_tol.  Detect that case structurally: a nilpotent m x m
-    # matrix has R^m = 0, while any spectrum of genuine size lambda keeps
-    # ||R^m|| >= |lambda|^m well above rounding.
-    norm = float(np.linalg.norm(R, 2))
-    nilpotent = norm == 0.0
-    if not nilpotent and n >= 2:
-        power = float(np.linalg.norm(np.linalg.matrix_power(R, n - 1), 2))
-        nilpotent = power <= 1e-8 * norm ** (n - 1)
-
-    if degenerate or nilpotent:
+    nilpotent = not degenerate and not hyper.any()
+    if degenerate:
         verdict = MARGINAL
     elif np.all(hyper < -eig_tol):
         verdict = STABLE
@@ -352,11 +337,11 @@ def stability_report(
         verdict = MARGINAL
     return StabilityReport(
         verdict=verdict,
-        eigen_real_parts=tuple(float(x) for x in re),
+        eigen_real_parts=tuple(float(x) for x in np.insert(hyper, zero_mode, 0.0)),
         zero_mode_index=zero_mode,
         hyperplane_real_parts=tuple(float(x) for x in hyper),
         degenerate_zero_density=degenerate,
-        nilpotent_hyperplane=bool(nilpotent and not degenerate),
+        nilpotent_hyperplane=nilpotent,
     )
 
 
@@ -396,16 +381,13 @@ def _bruteforce_levels(n: int, rho: float):
                 continue
             try:
                 B, C = _quadratic_terms(rho, head)
+                r_plus, delta = _larger_root(B, C, rho)
             except ConsistencyError:
                 continue
-            delta = B * B + 4.0 * rho * C
-            if delta < 0.0:
-                continue
             if C == 0.0:
-                r_minus, r_plus = sorted((0.0, B / rho))
+                r_minus = min(0.0, B / rho)
             else:
                 sq = math.sqrt(delta)
-                r_plus = (B + sq) / (2.0 * rho) if B >= 0.0 else 2.0 * C / (sq - B)
                 r_minus = (B - sq) / (2.0 * rho) if B <= 0.0 else -2.0 * C / (sq + B)
             if abs(r_plus - r_minus) <= 1e-14:
                 pairs = [(max(r_plus, 0.0), "double")]

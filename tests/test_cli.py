@@ -87,6 +87,14 @@ class TestEquilibrium:
         assert payload["u"] == 100.0
         assert payload["q"] == 5000.0
 
+    def test_free_phase_stable_at_large_n(self, capsys):
+        # the free-phase hyperplane eigenvalue is defective with
+        # multiplicity n-1; a general eigensolver scattered it across zero
+        code, out, _ = run_cli(capsys, "equilibrium", "--n", "200", "--rho", "0.3")
+        assert code == 0
+        assert "stable=yes" in out
+        assert "verdict=stable" in out
+
 
 class TestDiagram:
     def test_writes_all_formats(self, capsys, tmp_path):

@@ -1,7 +1,11 @@
 """Closed-form steady states, their Jacobian, and stability verdicts."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from kinetic_traffic import (
     CRITICAL_DENSITY,
@@ -13,6 +17,7 @@ from kinetic_traffic import (
     ConsistencyError,
     KineticState,
     ModelParams,
+    build_game_table,
     classify_stability,
     equilibrium_bruteforce,
     equilibrium_f1,
@@ -29,6 +34,70 @@ from kinetic_traffic import (
 # B = -1/4, C = 3/32, delta = 11/32, and the top class is the remainder
 F2_EXPECTED = 0.22420131331861914  # (sqrt(22) - 2) / 12
 F3_EXPECTED = 0.025798686681380856
+
+HALF_DOWN = math.nextafter(0.5, 0.0)
+HALF_UP = math.nextafter(0.5, 1.0)
+
+
+def _table_density_derivative(n):
+    """Entrywise d/d rho of the game table; entries are +-1 constants."""
+    D = np.zeros((n, n, n))
+    for h in range(1, n + 1):
+        for k in range(1, n + 1):
+            if h <= k:
+                if h != n:
+                    D[h - 1, k - 1, h - 1] = 1.0
+                    D[h - 1, k - 1, h] = -1.0
+            else:
+                D[h - 1, k - 1, k - 1] = 1.0
+                D[h - 1, k - 1, h - 1] = -1.0
+    return D
+
+
+def _dense_jacobian(f, params):
+    """Jacobian contracted from the dense n^3 game table and its derivative."""
+    n = f.size
+    s = float(f.sum())
+    A = build_game_table(n, min(max(s, 0.0), 1.0)).A
+    G = np.einsum("hkj,h,k->j", A, f, f)
+    M1 = np.einsum("ikj,k->ji", A, f)
+    M2 = np.einsum("hij,h->ji", A, f)
+    W = np.einsum("hkj,h,k->j", _table_density_derivative(n), f, f)
+    return params.eta0 * (
+        (G - s * f)[:, None] + s * (M1 + M2 + (W - f)[:, None] - s * np.eye(n))
+    )
+
+
+def _helmert_basis(n):
+    """Orthonormal rows spanning the zero-sum hyperplane."""
+    H = np.zeros((n - 1, n))
+    for i in range(1, n):
+        H[i - 1, :i] = 1.0
+        H[i - 1, i] = -float(i)
+        H[i - 1] /= math.sqrt(i * (i + 1.0))
+    return H
+
+
+def _cumulative_block(J):
+    """L J L^-1 restricted to the hyperplane, L the cumulative-sum matrix.
+
+    A zero-sum perturbation leaves P_n = rho fixed, so the hyperplane is
+    spanned by the first n-1 cumulative coordinates.
+    """
+    n = J.shape[0]
+    L = np.tri(n)
+    return (L @ J @ np.linalg.inv(L))[:-1, :-1]
+
+
+@st.composite
+def states(draw, n_max):
+    """(f, params): a state of 2..n_max classes at a density in [0, 1]."""
+    n = draw(st.integers(2, n_max))
+    rho = draw(st.sampled_from([0.0, HALF_DOWN, 0.5, HALF_UP, 1.0]) | st.floats(0.0, 1.0))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    f = w * (rho / w.sum()) if w.sum() > 0.0 else np.full(n, rho / n)
+    eta0 = draw(st.sampled_from([1.0, 0.37, 2.5]))
+    return f, ModelParams(n=n, eta0=eta0)
 
 
 class TestSlowestClass:
@@ -191,6 +260,25 @@ class TestJacobian:
                 J = jacobian(f, float(f.sum()), p)
                 assert np.abs(J.sum(axis=0)).max() <= 1e-13
 
+    @given(states(n_max=40))
+    def test_matches_dense_table_jacobian(self, case):
+        f, p = case
+        J = jacobian(f, float(f.sum()), p)
+        assert np.abs(J - _dense_jacobian(f, p)).max() <= 1e-14 * p.eta0
+
+    @given(states(n_max=40))
+    def test_cumulative_form_is_lower_bidiagonal(self, case):
+        # the structure the O(n) stability report rests on, checked on the
+        # dense-table Jacobian: in P_j = f_1 + ... + f_j the hyperplane
+        # block is lower bidiagonal with diagonal lambda_j
+        f, p = case
+        block = _cumulative_block(_dense_jacobian(f, p))
+        off = np.triu(block, 1) + np.tril(block, -2)
+        assert np.abs(off).max(initial=0.0) <= 1e-14 * p.eta0
+        lam = np.sort(np.diag(block))[::-1]
+        rep = stability_report(f, p)
+        assert np.abs(lam - rep.hyperplane_real_parts).max() <= 1e-14 * p.eta0
+
     def test_density_argument_must_match(self):
         with pytest.raises(ValueError):
             jacobian(np.array([0.1, 0.2]), 0.5, ModelParams(n=2))
@@ -232,6 +320,58 @@ class TestStability:
             want = -(0.3**2) * 0.4
             assert abs(lam - want) <= 5e-4, f"n={n}: {lam} vs {want}"
             assert lam < 0.0
+
+    def test_verdicts_at_large_n(self):
+        # the free-phase hyperplane eigenvalue is defective with multiplicity
+        # n-1: a general eigensolver scattered it and called many of these
+        # stable densities unstable or marginal at n >= 20
+        for n in (20, 50, 200):
+            p = ModelParams(n=n)
+            for rho in [k / 100 for k in range(1, 100) if k != 50]:
+                rep = stability_report(equilibrium_recursive(n, rho).f_inf, p)
+                assert rep.verdict == STABLE, f"n={n} rho={rho}: {rep.verdict}"
+                want = -p.eta0 * rho**2 * abs(2.0 * rho - 1.0)
+                lam = max(rep.hyperplane_real_parts)
+                assert abs(lam - want) <= 1e-14 * abs(want), f"n={n} rho={rho}"
+
+    @given(states(n_max=8))
+    def test_rates_match_restricted_eigenvalues(self, case):
+        # eigenvalues of a nonsymmetric matrix carry a rounding error that
+        # grows like (norm / separation)^(n-2) for this bidiagonal form
+        f, p = case
+        n = p.n
+        H = _helmert_basis(n)
+        R = H @ _dense_jacobian(f, p) @ H.T
+        want = np.sort(np.linalg.eigvals(R).real)[::-1]
+        lam = np.array(stability_report(f, p).hyperplane_real_parts)
+        sep = float((-np.diff(lam)).min(initial=np.inf))
+        norm = float(np.linalg.norm(R, 2))
+        tol = 1e-14 * max(1.0, norm / sep) ** (n - 2) if sep > 0.0 else np.inf
+        assume(tol <= 1e-6)
+        assert np.abs(lam - want).max() <= tol
+
+    def test_edge_densities(self):
+        for n in (2, 3, 6, 8):
+            p = ModelParams(n=n)
+            for rho in (0.0, HALF_DOWN, 0.5, HALF_UP, 1.0):
+                f = equilibrium_recursive(n, rho).f_inf
+                rep = stability_report(f, p)
+                lam = np.sort(np.diag(_cumulative_block(_dense_jacobian(f, p))))[::-1]
+                assert np.abs(lam - rep.hyperplane_real_parts).max() <= 1e-15
+                assert rep.degenerate_zero_density == (rho == 0.0)
+                assert rep.nilpotent_hyperplane == (rho == 0.5)
+                assert rep.eigen_real_parts[rep.zero_mode_index] == 0.0
+                if rho == 1.0:
+                    assert rep.verdict == STABLE
+                    assert rep.hyperplane_real_parts == (-p.eta0,) * (n - 1)
+                else:
+                    assert rep.verdict == MARGINAL, f"n={n} rho={rho!r}"
+                if rho == 0.5:
+                    # the dense restricted Jacobian is nonzero but nilpotent
+                    H = _helmert_basis(n)
+                    R = H @ _dense_jacobian(f, p) @ H.T
+                    assert np.abs(np.linalg.matrix_power(R, n - 1)).max() <= 1e-15
+                    assert n == 2 or np.abs(R).max() > 0.01
 
     def test_critical_density_is_marginal_by_nilpotency(self):
         # the restricted Jacobian at rho=1/2 is nilpotent: nonzero matrix,
