@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,15 +184,7 @@ def sweep(
         points=points,
     )
     u_tol = INTEGRATE_U_TOL if method == METHOD_INTEGRATE else U_TOL
-    sigma = detect_sigma(diagram, u_tol)
-    return Diagram(
-        n=diagram.n,
-        method=method,
-        units=UNITS_DIMENSIONLESS,
-        sigma=sigma,
-        q_max=q_max,
-        points=points,
-    )
+    return replace(diagram, sigma=detect_sigma(diagram, u_tol))
 
 
 def detect_sigma(diagram: Diagram, u_tol: float = U_TOL) -> float:

@@ -74,7 +74,8 @@ CRITICAL_DENSITY = 0.5
 BRUTEFORCE_MAX_N = 12
 
 _TINY = 1e-12
-_EIG_TOL = 1e-9
+# a rate lambda_j within this of zero counts as neither decaying nor growing
+_RATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -299,9 +300,7 @@ def jacobian(f: np.ndarray, rho: float, params: ModelParams) -> np.ndarray:
     return np.diff(JL, axis=0, prepend=0.0)
 
 
-def stability_report(
-    f: np.ndarray, params: ModelParams, eig_tol: float = _EIG_TOL
-) -> StabilityReport:
+def stability_report(f: np.ndarray, params: ModelParams) -> StabilityReport:
     """Classify a state by its linearization, in O(n).
 
     The hyperplane spectrum is read off the cumulative form (module
@@ -315,8 +314,8 @@ def stability_report(
     eigenvalue solver runs, so the defective free-phase eigenvalue
     eta0 rho^2 (2 rho - 1) of multiplicity n-1 is not scattered.
 
-    Stable means every lambda_j is below -eig_tol, unstable means some
-    lambda_j exceeds +eig_tol, marginal covers the rest.  At the critical
+    Stable means every lambda_j is below -1e-9, unstable means some
+    lambda_j exceeds +1e-9, marginal covers the rest.  At the critical
     density every lambda_j is exactly zero while the bidiagonal is not,
     so the restricted Jacobian is nilpotent; that is flagged and marginal.
     An all-zero state has a frozen linearization (the encounter rate
@@ -329,9 +328,9 @@ def stability_report(
     nilpotent = not degenerate and not hyper.any()
     if degenerate:
         verdict = MARGINAL
-    elif np.all(hyper < -eig_tol):
+    elif np.all(hyper < -_RATE_TOL):
         verdict = STABLE
-    elif np.any(hyper > eig_tol):
+    elif np.any(hyper > _RATE_TOL):
         verdict = UNSTABLE
     else:
         verdict = MARGINAL
@@ -345,11 +344,9 @@ def stability_report(
     )
 
 
-def classify_stability(
-    eq: EquilibriumResult, params: ModelParams, eig_tol: float = _EIG_TOL
-) -> StabilityReport:
+def classify_stability(eq: EquilibriumResult, params: ModelParams) -> StabilityReport:
     """Stability report for a closed-form equilibrium."""
-    return stability_report(eq.f_inf, params, eig_tol=eig_tol)
+    return stability_report(eq.f_inf, params)
 
 
 def is_attracting(verdict: str, from_larger_roots: bool) -> bool:

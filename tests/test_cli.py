@@ -1,12 +1,14 @@
 """Command line behavior: plumbing, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import kinetic_traffic
 from kinetic_traffic import GameTable, build_game_table
 from kinetic_traffic.cli import main
 from kinetic_traffic.verify import run_suite
@@ -203,10 +205,14 @@ class TestExitCodes:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child imports the package these tests import, installed or not
+        src = os.path.dirname(os.path.dirname(kinetic_traffic.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "kinetic_traffic", "equilibrium",
              "--n", "2", "--rho", "0.8"],
             capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "f_inf=0.6 0.2" in proc.stdout

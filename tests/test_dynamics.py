@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kinetic_traffic import (
+    ConsistencyError,
     IntegrationConfig,
     KineticState,
     ModelParams,
@@ -20,6 +21,7 @@ from kinetic_traffic import (
     run_trajectory,
     step,
 )
+from kinetic_traffic import dynamics
 
 
 def dense_rhs(f: np.ndarray, eta0: float = 1.0) -> np.ndarray:
@@ -132,6 +134,19 @@ class TestStepper:
         after = step(st, 0.01, p)
         assert abs(after.rho - st.rho) <= 1e-15
 
+    def test_steps_match_integrate_to_steady(self):
+        # step is the single loop run for one step, so walking k steps
+        # lands bit for bit where a k-step integration does
+        p = ModelParams(n=5)
+        st = random_state(5, 0.8, seed=9)
+        walked = st
+        for k in range(1, 26):
+            walked = step(walked, 0.04, p)
+            config = IntegrationConfig(dt=0.04, t_final=0.04 * k)
+            final, _, steps = integrate_to_steady(st, p, config)
+            assert steps == k
+            assert np.all(walked.f == final.f), f"step {k}"
+
     def test_step_rejects_bad_dt(self):
         st = random_state(3, 0.5, seed=1)
         with pytest.raises(ValueError):
@@ -219,6 +234,21 @@ class TestIntegration:
         tail = rhs(KineticState(samples[-1]), p)
         assert np.abs(tail).sum() <= 1e-10
 
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("t_final", [10.0, 500.0])
+    def test_trajectory_ends_where_integration_ends(self, stride, t_final):
+        # t_final=10 stops after 200 steps and t_final=500 turns steady
+        # after 2461; both end mid-stride for stride 7
+        p = ModelParams(n=6)
+        st = random_state(6, 0.7, seed=11)
+        config = IntegrationConfig(dt=0.05, t_final=t_final, record_stride=stride)
+        times, samples, converged = run_trajectory(st, p, config)
+        final, conv, steps = integrate_to_steady(st, p, config)
+        assert converged == conv == (t_final == 500.0)
+        assert np.all(samples[-1] == final.f)
+        assert times[-1] == final.t
+        assert len(times) == 1 + -(-steps // stride)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IntegrationConfig(dt=0.0)
@@ -228,6 +258,42 @@ class TestIntegration:
             IntegrationConfig(steady_tol=-1e-9)
         with pytest.raises(ValueError):
             IntegrationConfig(record_stride=0)
+
+
+class TestConservationPolicy:
+    """Every entry point runs the same per-step density drift check."""
+
+    @pytest.fixture
+    def rhs_calls(self, monkeypatch):
+        # a vector field that creates 1e-9 of mass per class and unit time
+        calls = []
+        exact = dynamics._rhs_batch
+
+        def leaky(F, eta0):
+            calls.append(F.shape[0])
+            return exact(F, eta0) + 1e-9
+
+        monkeypatch.setattr(dynamics, "_rhs_batch", leaky)
+        return calls
+
+    def test_batch_raises_on_first_leaky_step(self, rhs_calls):
+        # the first step drifts by 4e-11: over the per-step bound of
+        # 1e-13, although under 1e-13 times the 1000-step budget
+        F0 = random_state_batch(4, 0.7, 3, seed=2)
+        config = IntegrationConfig(dt=0.01, t_final=10.0)
+        with pytest.raises(ConsistencyError):
+            integrate_batch(F0, ModelParams(n=4), config)
+        assert len(rhs_calls) == 4
+
+    def test_trajectory_raises(self, rhs_calls):
+        st = random_state(4, 0.7, seed=2)
+        with pytest.raises(ConsistencyError):
+            run_trajectory(st, ModelParams(n=4), IntegrationConfig(dt=0.01, t_final=1.0))
+
+    def test_step_raises(self, rhs_calls):
+        st = random_state(4, 0.7, seed=2)
+        with pytest.raises(ConsistencyError):
+            step(st, 0.01, ModelParams(n=4))
 
 
 class TestObservables:
