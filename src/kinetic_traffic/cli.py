@@ -176,7 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate one initial state to steady flow")
     _add_model_args(p)
     p.add_argument("--t-final", type=float, default=200.0, help="time horizon (default 200)")
-    p.add_argument("--dt", type=float, default=0.01, help="step size (default 0.01)")
+    p.add_argument(
+        "--dt",
+        type=float,
+        default=0.01,
+        help="first trial step and sample spacing; later steps are error-controlled "
+        "(default 0.01)",
+    )
     p.add_argument(
         "--seed",
         type=int,
@@ -218,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="horizon per point for --method integrate (default 4000)",
     )
     p.add_argument(
-        "--dt", type=float, default=0.02, help="step size for --method integrate (default 0.02)"
+        "--dt",
+        type=float,
+        default=0.02,
+        help="first trial step for --method integrate; later steps are error-controlled "
+        "(default 0.02)",
     )
     p.add_argument(
         "--units",

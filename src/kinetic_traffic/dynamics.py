@@ -13,22 +13,33 @@ classes k and h), the double sum collapses to running prefix and suffix
 sums of f.  The stepper below evaluates that closed form in O(n) per state
 and never builds the n^3 table.
 
-Time integration uses the classical fourth-order Runge-Kutta rule with a
-fixed step.  After each step, components that dip below zero by at most
-1e-12 are clamped back to zero and the clamped mass is returned to the
-largest component, which keeps the density bit-for-bit meaningful; a dip
-below -1e-12 aborts the run as a genuine failure.
+Time integration uses the Dormand-Prince 5(4) embedded pair (Dormand &
+Prince 1980) with a PI step-size controller (Gustafsson 1991; Hairer,
+Norsett & Wanner, Solving ODEs I, section II.4).  Every row carries its
+own time and step size, so a row's result never depends on which other
+rows share its batch.  A step is accepted when its embedded error
+estimate, in the RMS norm weighted by 1e-12 + 1e-8 |f|, is at most one;
+a rejected step does not advance its row.  The last stage of an accepted
+step is the derivative at its end point and serves as the next step's
+first stage and as the steady-state test.  Trajectory samples come from
+the pair's fourth-order continuous extension, so the sample spacing does
+not limit the step size.
+
+After each accepted step, and at every sample, components that dip below
+zero by at most 1e-12 are clamped back to zero and the clamped mass is
+returned to the largest component, which keeps the density bit-for-bit
+meaningful; a dip below -1e-12 aborts the run as a genuine failure.
 
 One stepping loop, _integrate_batch, serves every entry point: step,
 integrate_to_steady, integrate_batch, run_trajectory (through a recorder
 callback) and continuity_gap.  It applies one conservation policy: a
-row's density may move by at most 1e-13 in a single step, checked
-against the previous step's row sums, or the run raises ConsistencyError.
-The measured per-step drift is below 1e-15.
+row's density may move by at most 1e-13 in a single accepted step,
+checked against the row sum before the step, or the run raises
+ConsistencyError.  The measured per-step drift is below 1e-15.
 
 The loop takes a batch of states as the rows of a matrix.  Rows evolve
-independently, and a row that reaches steady state is frozen, so results
-never depend on how a batch was assembled.
+independently through elementwise arithmetic in a fixed order, and a row
+leaves the working array once it is steady or has reached the horizon.
 """
 
 from __future__ import annotations
@@ -64,6 +75,51 @@ DEFAULT_SEED = 1729
 # positivity policy thresholds
 _CLAMP_TOL = 1e-12
 _DRIFT_TOL = 1e-13
+
+# error control: a step is accepted when the RMS over its row of
+# error / (_ATOL + _RTOL |f|) is at most one; trajectory samples then stay
+# within 1e-9 of a fine fixed-step solution
+_RTOL = 1e-8
+_ATOL = 1e-12
+
+# a step may not exceed _STAB / max_j |lambda_j|, with lambda_j the exact
+# eigenvalues of the linearization: inside the pair's real stability
+# interval (-3.31, 0), so the fastest mode is damped (by 0.57 per step at
+# worst) instead of sitting undamped at the edge, where the error control
+# alone parks it at a distance from steady state set by the tolerance
+_STAB = 3.0
+
+# PI controller (Hairer, Norsett & Wanner's DOPRI5 defaults): safety
+# factor, step growth between 1/5 and 10 per step, and exponents
+_SAFE = 0.9
+_FAC_MIN = 0.2
+_FAC_MAX = 10.0
+_BETA = 0.04
+_ALPHA = 0.2 - 0.75 * _BETA
+
+# Dormand-Prince 5(4): stage rows a_ij (the last row is the fifth-order
+# solution, whose derivative is the first stage of the next step), the
+# error weights b_i - bhat_i and the dense-output weights
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (
+    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
+)
+_D = (
+    -12715105075 / 11282082432,
+    0.0,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
+)
 
 
 @dataclass(frozen=True)
@@ -112,14 +168,16 @@ class Observables:
 
 @dataclass
 class IntegrationConfig:
-    """Fixed-step integrator settings.
+    """Integrator settings.
 
     Attributes:
-        dt: time step.
+        dt: first trial step of every row, and the spacing of trajectory
+            samples; later steps are chosen by the error control.
         t_final: horizon; integration stops here even if not steady.
         steady_tol: 1-norm of the derivative below which a state counts
             as steady.
-        record_stride: step interval between recorded trajectory samples.
+        record_stride: trajectory samples are taken every record_stride
+            multiples of dt.
     """
 
     dt: float = 0.01
@@ -137,17 +195,22 @@ class IntegrationConfig:
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
 
-    def step_budget(self) -> int:
-        return math.ceil(self.t_final / self.dt - 1e-9)
-
 
 @dataclass
 class BatchStats:
-    """Worst-case integrity monitors accumulated over a batched run."""
+    """Integrity monitors and work counts accumulated over a batched run.
+
+    rhs_evals counts row evaluations of the vector field, accepted and
+    rejected count row steps; each is the sum of what the rows would
+    count on their own.
+    """
 
     min_preclamp: float = 0.0
     max_drift: float = 0.0
     max_clamp_delta: float = 0.0
+    rhs_evals: int = 0
+    accepted: int = 0
+    rejected: int = 0
 
 
 def _rhs_batch(F: np.ndarray, eta0: float) -> np.ndarray:
@@ -174,21 +237,53 @@ def _rhs_batch(F: np.ndarray, eta0: float) -> np.ndarray:
     return (eta0 * s) * (G - s * F)
 
 
-def _rk4_step_batch(F: np.ndarray, dt: float, eta0: float, k1: np.ndarray) -> np.ndarray:
-    k2 = _rhs_batch(F + (0.5 * dt) * k1, eta0)
-    k3 = _rhs_batch(F + (0.5 * dt) * k2, eta0)
-    k4 = _rhs_batch(F + dt * k3, eta0)
-    return F + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _dp_step(F, h, k1, eta0):
+    """One Dormand-Prince attempt from every row of F with steps h (a column).
+
+    Returns the fifth-order solution Y and the seven stages K; K[6] is the
+    derivative at Y.
+    """
+    K = [k1]
+    for row in _A:
+        Y = F + h * sum(a * k for a, k in zip(row, K) if a)
+        K.append(_rhs_batch(Y, eta0))
+    return Y, K
 
 
-def _clamp_batch(F: np.ndarray, stats: BatchStats | None) -> np.ndarray:
+def _stable_step(F, eta0):
+    """Per-row step bound _STAB / max_j |lambda_j| from the exact spectrum.
+
+    In cumulative coordinates P_j = f_1 + ... + f_j the linearization is
+    lower bidiagonal at any state, so its hyperplane eigenvalues are
+    lambda_j = eta0 rho [rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1})]
+    (see the equilibrium module); the mass mode is 0.
+    """
+    P = np.cumsum(F[:, :-1], axis=1)
+    rho = F.sum(axis=1, keepdims=True)
+    lam = rho * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - (P - F[:, :-1])))
+    with np.errstate(divide="ignore"):
+        return _STAB / (eta0 * np.abs(lam).max(axis=1))
+
+
+def _dense(F, Y, K, h, theta):
+    """Fourth-order continuous extension of the steps F -> Y at fractions theta."""
+    dy = Y - F
+    b = h * K[0] - dy
+    c = dy - h * K[6] - b
+    d = h * sum(w * k for w, k in zip(_D, K) if w)
+    return F + theta * (dy + (1.0 - theta) * (b + theta * (c + (1.0 - theta) * d)))
+
+
+def _clamp_batch(F: np.ndarray, stats: BatchStats) -> np.ndarray:
     """Apply the positivity policy row by row.
+
+    Returns F itself when no component is negative.
 
     Raises:
         IntegrationDivergedError: if any component is below -1e-12.
     """
     m = float(F.min())
-    if stats is not None and m < stats.min_preclamp:
+    if m < stats.min_preclamp:
         stats.min_preclamp = m
     if m >= 0.0:
         return F
@@ -202,10 +297,9 @@ def _clamp_batch(F: np.ndarray, stats: BatchStats | None) -> np.ndarray:
     rows = np.arange(F.shape[0])
     top = Fc.argmax(axis=1)
     Fc[rows, top] += deficit  # absorb so the row sum is unchanged
-    if stats is not None:
-        delta = max(-m, float(-deficit.min()))
-        if delta > stats.max_clamp_delta:
-            stats.max_clamp_delta = delta
+    delta = max(-m, float(-deficit.min()))
+    if delta > stats.max_clamp_delta:
+        stats.max_clamp_delta = delta
     return Fc
 
 
@@ -214,54 +308,123 @@ def _integrate_batch(
     eta0: float,
     config: IntegrationConfig,
     stats: BatchStats | None = None,
-    record: Callable[[int, np.ndarray], None] | None = None,
+    record: Callable | None = None,
 ):
-    """March every row of F0 until steady, t_final or the step budget.
+    """March every row of F0 until it is steady or reaches t_final.
 
-    A row whose derivative 1-norm falls below steady_tol is frozen in
-    place.  After every record_stride-th step, record(i, F) receives the
-    step count i and the current rows.  Returns (F, converged,
-    steps_taken) where converged is a boolean row mask and steps_taken
-    counts the steps each row actually advanced before freezing.
+    A row leaves the working array once the 1-norm of its derivative is
+    below steady_tol, or once its last step, cut to end exactly on
+    t_final, is accepted.  After each pass that accepts steps,
+    record(rows, t, h, dense) receives the original indices of the rows
+    that advanced, their times before the step and the step sizes;
+    dense(sel, ts), valid during the call only, returns the clamped
+    continuous extension of the rows at positions sel at times ts within
+    their steps.
+
+    Returns (F, converged, steps, t, D): the final rows, a boolean mask of
+    rows whose final derivative is below steady_tol, the accepted steps
+    per row, the time each row stopped at, and the derivative at F.
 
     Raises:
         ConsistencyError: if a row's density moves by more than 1e-13 in
             one step.
+        IntegrationDivergedError: on non-finite values, a step size too
+            small to advance time, or a dip below the clamp window.
     """
     F = np.array(F0, dtype=float)
     if F.ndim != 2:
         raise ValueError("batch must be a 2-D array of row states")
-    rows = F.shape[0]
-    active = np.ones(rows, dtype=bool)
-    steps_taken = np.zeros(rows, dtype=int)
-    dt = config.dt
-    s_ref = s_prev = F.sum(axis=1)
-    for i in range(1, config.step_budget() + 1):
-        k1 = _rhs_batch(F, eta0)
-        active &= np.abs(k1).sum(axis=1) >= config.steady_tol
-        if not active.any():
+    stats = BatchStats() if stats is None else stats
+    m, n = F.shape
+    t_final, steady_tol = config.t_final, config.steady_tol
+    F_out, D_out = np.empty_like(F), np.empty_like(F)
+    conv_out = np.zeros(m, dtype=bool)
+    steps_out = np.zeros(m, dtype=int)
+    t_out = np.zeros(m)
+
+    # working set: original row index, state, first stage, time, trial
+    # step, previous error, whether the last attempt was rejected, steps
+    # and row sum
+    rows = np.arange(m)
+    k1 = _rhs_batch(F, eta0)
+    stats.rhs_evals += m
+    t = np.zeros(m)
+    h = np.full(m, float(config.dt))
+    err_prev = np.full(m, 1e-4)
+    rejected = np.zeros(m, dtype=bool)
+    steps = np.zeros(m, dtype=int)
+    s_ref = F.sum(axis=1)
+    s = s_ref.copy()
+    steady = leave = np.abs(k1).sum(axis=1) < steady_tol
+    while True:
+        if leave.any():
+            done = rows[leave]
+            F_out[done], D_out[done] = F[leave], k1[leave]
+            t_out[done], steps_out[done] = t[leave], steps[leave]
+            conv_out[done] = steady[leave]
+            keep = ~leave
+            rows, F, k1, t, h, err_prev, rejected, steps, s = (
+                x[keep] for x in (rows, F, k1, t, h, err_prev, rejected, steps, s)
+            )
+        if not rows.size:
             break
-        Fnew = _clamp_batch(_rk4_step_batch(F, dt, eta0, k1), stats)
-        F = np.where(active[:, None], Fnew, F)
-        steps_taken += active
-        s_now = F.sum(axis=1)
-        drift = np.abs(s_now - s_prev).max()
-        if not math.isfinite(drift):
+        h = np.minimum(h, _stable_step(F, eta0))
+        last = t + h >= t_final
+        hs = np.where(last, t_final - t, h)
+        Y, K = _dp_step(F, hs[:, None], k1, eta0)
+        stats.rhs_evals += 6 * rows.size
+        E = hs[:, None] * sum(e * k for e, k in zip(_E, K) if e)
+        scale = _ATOL + _RTOL * np.maximum(np.abs(F), np.abs(Y))
+        err = np.sqrt(np.square(E / scale).sum(axis=1) / n)
+        if not np.isfinite(err).all():
             raise IntegrationDivergedError("non-finite values in trajectory")
-        if drift > _DRIFT_TOL:
-            raise ConsistencyError(f"density drift {drift!r} in a single step")
-        s_prev = s_now
-        if stats is not None:
-            total = np.abs(s_now - s_ref).max()
+        ok = err <= 1.0
+
+        # PI step-size control (plain I control after a rejection); a step
+        # right after a rejection may not grow
+        grow = err**_ALPHA
+        fac = np.where(ok, grow / err_prev**_BETA, grow) / _SAFE
+        h = hs / np.clip(fac, 1.0 / _FAC_MAX, 1.0 / _FAC_MIN)
+        h = np.where(ok & rejected, np.minimum(h, hs), h)
+        if np.any((t + h == t) & ~ok):
+            raise IntegrationDivergedError("step size too small to advance time")
+        rejected = ~ok
+
+        a = np.flatnonzero(ok)
+        stats.accepted += a.size
+        stats.rejected += rows.size - a.size
+        if a.size:
+            Ya = Y[a]
+            Fa = _clamp_batch(Ya, stats)
+            ka = K[6][a]
+            if Fa is not Ya:
+                # the clamp moved these rows: their last stage is stale
+                touched = np.flatnonzero((Fa != Ya).any(axis=1))
+                ka[touched] = _rhs_batch(Fa[touched], eta0)
+                stats.rhs_evals += touched.size
+            sa = Fa.sum(axis=1)
+            drift = float(np.abs(sa - s[a]).max())
+            if drift > _DRIFT_TOL:
+                raise ConsistencyError(f"density drift {drift!r} in a single step")
+            total = float(np.abs(sa - s_ref[rows[a]]).max())
             if total > stats.max_drift:
                 stats.max_drift = total
-        if record is not None and i % config.record_stride == 0:
-            record(i, F)
-    else:
-        # budget exhausted: final residual decides who converged
-        resid = np.abs(_rhs_batch(F, eta0)).sum(axis=1)
-        active &= resid >= config.steady_tol
-    return F, ~active, steps_taken
+            if record is not None:
+
+                def dense(sel, ts):
+                    r = a[sel]
+                    theta = ((ts - t[r]) / hs[r])[:, None]
+                    Fr = _dense(F[r], Y[r], [k[r] for k in K], hs[r][:, None], theta)
+                    return _clamp_batch(Fr, stats)
+
+                record(rows[a], t[a], hs[a], dense)
+            F[a], k1[a], s[a] = Fa, ka, sa
+            t[a] = np.where(last[a], t_final, t[a] + hs[a])
+            err_prev[a] = np.maximum(err[a], 1e-4)
+            steps[a] += 1
+        steady = np.abs(k1).sum(axis=1) < steady_tol
+        leave = steady | (ok & last)
+    return F_out, conv_out, steps_out, t_out, D_out
 
 
 def rhs(state: KineticState, params: ModelParams) -> np.ndarray:
@@ -281,7 +444,11 @@ def rhs(state: KineticState, params: ModelParams) -> np.ndarray:
 
 
 def step(state: KineticState, dt: float, params: ModelParams) -> KineticState:
-    """Advance one Runge-Kutta step under the positivity and drift policies."""
+    """Advance by dt under the error control, positivity and drift policies.
+
+    This is one Dormand-Prince step, or several if the error control
+    rejects a step of dt.
+    """
     config = IntegrationConfig(dt=dt, t_final=dt, steady_tol=0.0)
     return integrate_to_steady(state, params, config)[0]
 
@@ -299,14 +466,13 @@ def integrate_to_steady(
         config: stepper settings; defaults to IntegrationConfig().
 
     Returns:
-        (final state, converged flag, steps taken).
+        (final state, converged flag, accepted steps).
     """
     config = config or IntegrationConfig()
     if state.n != params.n:
         raise ValueError(f"state has {state.n} classes, params expect {params.n}")
-    F, conv, steps = _integrate_batch(state.f[None, :], params.eta0, config)
-    k = int(steps[0])
-    return KineticState(f=F[0], t=state.t + k * config.dt), bool(conv[0]), k
+    F, conv, steps, t, _ = _integrate_batch(state.f[None, :], params.eta0, config)
+    return KineticState(f=F[0], t=state.t + t[0]), bool(conv[0]), int(steps[0])
 
 
 def integrate_batch(
@@ -317,11 +483,12 @@ def integrate_batch(
     """Batched variant of integrate_to_steady over the rows of F0.
 
     Returns:
-        (final rows, converged mask, per-row steps, integrity stats).
+        (final rows, converged mask, accepted steps per row, integrity
+        stats and work counts).
     """
     config = config or IntegrationConfig()
     stats = BatchStats()
-    F, conv, steps = _integrate_batch(np.asarray(F0, float), params.eta0, config, stats)
+    F, conv, steps, _, _ = _integrate_batch(np.asarray(F0, float), params.eta0, config, stats)
     return F, conv, steps, stats
 
 
@@ -330,7 +497,11 @@ def run_trajectory(
     params: ModelParams,
     config: IntegrationConfig | None = None,
 ):
-    """Integrate to the horizon recording samples every record_stride steps.
+    """Integrate to the horizon, sampling every record_stride multiples of dt.
+
+    The samples lie at state.t + i * dt for the multiples i of
+    record_stride and come from the continuous extension of the step that
+    contains them.
 
     Returns:
         (times, samples, converged) where samples[i] is the state at
@@ -340,18 +511,34 @@ def run_trajectory(
     config = config or IntegrationConfig()
     if state.n != params.n:
         raise ValueError(f"state has {state.n} classes, params expect {params.n}")
-    times = [state.t]
-    samples = [state.f]
+    stride, dt = config.record_stride, config.dt
+    times = [np.zeros(1)]
+    samples = [state.f[None, :]]
+    k_next = 1
 
-    def record(i, F):
-        times.append(state.t + i * config.dt)
-        samples.append(F[0].copy())
+    def record(rows, t, h, dense):
+        nonlocal k_next
+        end = t[0] + h[0]
+        k = np.arange(k_next, int(end / (stride * dt)) + 2)
+        ts = (k * stride) * dt
+        ts = ts[ts <= end]
+        if ts.size:
+            times.append(ts)
+            samples.append(dense(np.zeros(ts.size, dtype=int), ts))
+            k_next += ts.size
 
-    F, conv, steps = _integrate_batch(state.f[None, :], params.eta0, config, record=record)
-    taken = int(steps[0])
-    if taken % config.record_stride != 0:
-        record(taken, F)
-    return np.array(times), np.array(samples), bool(conv[0])
+    F, conv, _, t_end, _ = _integrate_batch(
+        state.f[None, :], params.eta0, config, record=record
+    )
+    times = np.concatenate(times)
+    samples = np.concatenate(samples)
+    # the final state replaces a sample taken at its time, else follows
+    if times[-1] == t_end[0]:
+        samples[-1] = F[0]
+    else:
+        times = np.append(times, t_end[0])
+        samples = np.vstack([samples, F])
+    return state.t + times, samples, bool(conv[0])
 
 
 def observables(state: KineticState, lattice: SpeedLattice) -> Observables:
@@ -388,7 +575,7 @@ def continuity_gap(
         f0, g0: initial states with equal density (within 1e-12).
         t: comparison time, positive.
         params: model constants.
-        config: optional stepper settings; dt is adjusted to land on t.
+        config: optional stepper settings; dt is the first trial step.
 
     Returns:
         (gap, bound).
@@ -403,12 +590,9 @@ def continuity_gap(
     if not t > 0:
         raise ValueError(f"comparison time must be positive, got {t}")
     config = config or IntegrationConfig()
-    nsteps = max(1, round(t / config.dt))
-    dt = t / nsteps
-    run = IntegrationConfig(dt=dt, t_final=t, steady_tol=0.0)
+    run = IntegrationConfig(dt=config.dt, t_final=t, steady_tol=0.0)
     pair = np.vstack([f0.f, g0.f])
-    F, _, _ = _integrate_batch(pair, params.eta0, run)
-    D = _rhs_batch(F, params.eta0)
+    F, _, _, _, D = _integrate_batch(pair, params.eta0, run)
     gap = float(np.abs(F[1] - F[0]).sum() + np.abs(D[1] - D[0]).sum())
     eta0 = params.eta0
     bound = (1.0 + 3.0 * eta0) * math.exp(3.0 * eta0 * t) * float(

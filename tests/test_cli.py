@@ -129,6 +129,12 @@ class TestDiagram:
         run_cli(capsys, "diagram", "--n", "3", "--rho-steps", "31",
                 "--jobs", "2", "--out-json", str(b))
         assert a.read_bytes() == b.read_bytes()
+        # relaxed sweeps too: every row keeps its own step sizes
+        relax = ("diagram", "--n", "6", "--method", "integrate", "--rho-steps", "51",
+                 "--dt", "0.05", "--t-final", "2000")
+        run_cli(capsys, *relax, "--out-json", str(a))
+        run_cli(capsys, *relax, "--jobs", "2", "--out-json", str(b))
+        assert a.read_bytes() == b.read_bytes()
 
     def test_physical_units_capacity(self, capsys, tmp_path):
         out_file = tmp_path / "d.json"

@@ -95,7 +95,8 @@ def states(draw, n_max):
     n = draw(st.integers(2, n_max))
     rho = draw(st.sampled_from([0.0, HALF_DOWN, 0.5, HALF_UP, 1.0]) | st.floats(0.0, 1.0))
     w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
-    f = w * (rho / w.sum()) if w.sum() > 0.0 else np.full(n, rho / n)
+    # a subnormal weight sum would overflow rho / w.sum() to inf
+    f = w * (rho / w.sum()) if w.sum() >= np.finfo(float).tiny else np.full(n, rho / n)
     eta0 = draw(st.sampled_from([1.0, 0.37, 2.5]))
     return f, ModelParams(n=n, eta0=eta0)
 
