@@ -66,7 +66,6 @@ from .lattice import (
     SpeedLattice,
     build_game_table,
     build_lattice,
-    interaction_rate,
 )
 from .verify import CheckResult, run_suite
 
@@ -122,7 +121,6 @@ __all__ = [
     "SpeedLattice",
     "build_game_table",
     "build_lattice",
-    "interaction_rate",
     "CheckResult",
     "run_suite",
 ]

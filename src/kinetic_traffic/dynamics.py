@@ -1,17 +1,21 @@
 """Relaxation dynamics of the class populations.
 
 The state of the homogeneous road is the vector f = (f_1, ..., f_n) of
-densities per speed class.  Binary interactions redistribute mass between
-classes while the total density rho = sum_j f_j stays constant:
+densities per speed class.  Binary interactions at rate eta0 rho move
+vehicles between classes by the game table A[h][k][j] of the lattice
+module and conserve the density rho = sum_j f_j.  A vehicle moves one
+class up or down to its partner's class, so in the cumulative sums
+P_j = f_1 + ... + f_j (P_0 = 0, P_n = rho) the gain-minus-loss sum over
+the table collapses to a two-term stencil,
 
-    df_j/dt = eta(rho) * ( sum_{h,k} A[h][k][j](rho) f_h f_k - rho f_j ).
+    dP_j/dt = eta0 rho [rho P_j (rho - P_j) - (1 - rho) f_j (rho - P_{j-1})],
 
-The gain term counts interactions that land a vehicle in class j, the loss
-term counts interactions that remove one.  Because every (h, k) row of the
-game table has at most two nonzero entries (at classes h and h+1, or at
-classes k and h), the double sum collapses to running prefix and suffix
-sums of f.  The stepper below evaluates that closed form in O(n) per state
-and never builds the n^3 table.
+j = 1 .. n-1: faster vehicles braking into the classes up to j, and
+class j accelerating out of them.  df_j/dt is its difference with
+dP_0/dt = dP_n/dt = 0, from one running sum per state, in O(n).  The
+same sums give the exact eigenvalues of the linearization (see the
+equilibrium module), which bound the step size.  The state stays in f,
+because f = diff(P) would lose relative accuracy in small classes.
 
 Time integration uses the Dormand-Prince 5(4) embedded pair (Dormand &
 Prince 1980) with a PI step-size controller (Gustafsson 1991; Hairer,
@@ -213,28 +217,34 @@ class BatchStats:
     rejected: int = 0
 
 
-def _rhs_batch(F: np.ndarray, eta0: float) -> np.ndarray:
-    """Interaction gain minus loss for each row of F, times eta(rho).
+def _cumulative(F: np.ndarray):
+    """Density and cumulative sums along the last axis of F, from one cumsum.
 
-    F has shape (m, n).  The j-th gain splits into the slower-or-equal
-    encounters of class j itself, the acceleration inflow from class j-1,
-    and the braking inflow of faster vehicles meeting class j; suffix sums
-    T and prefix sums P of each row provide all of them.
+    Returns (rho, P, P_prev): rho = P_n, kept as an axis of length one,
+    and entry j-1 of P and P_prev holds P_j and P_{j-1}, j = 1 .. n-1.
     """
-    T = np.flip(np.cumsum(np.flip(F, -1), -1), -1)  # T[:, j-1] = f_j + ... + f_n
-    s = T[:, :1]                                    # row density, same rounding as T
-    om = 1.0 - s
-    P = s - T                                       # P[:, j-1] = f_1 + ... + f_{j-1}
-    z = np.zeros_like(s)
-    Tnext = np.concatenate([T[:, 1:], z], axis=1)
-    Fprev = np.concatenate([z, F[:, :-1]], axis=1)
-    Tprev = np.concatenate([z, T[:, :-1]], axis=1)
-    G = s * F * (T + Tnext) + om * (Fprev * Tprev + F * P)
-    # class n never accelerates: its self-encounters keep probability one
-    G[:, -1] = F[:, -1] * F[:, -1] + om[:, 0] * (
-        Fprev[:, -1] * Tprev[:, -1] + F[:, -1] * P[:, -1]
+    C = np.zeros(F.shape[:-1] + (F.shape[-1] + 1,))
+    np.cumsum(F, axis=-1, out=C[..., 1:])
+    return C[..., -1:], C[..., 1:-1], C[..., :-2]
+
+
+def _rates(eta0, rho, P, P_prev):
+    """Eigenvalues lambda_j: the diagonal of the bidiagonal cumulative Jacobian."""
+    return eta0 * rho * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - P_prev))
+
+
+def _rhs_batch(F: np.ndarray, eta0: float) -> np.ndarray:
+    """Interaction gain minus loss for each row of F, shape (m, n).
+
+    Evaluates the cumulative stencil dP_j/dt for j = 1 .. n-1 and
+    differences it with dP_0/dt = dP_n/dt = 0.
+    """
+    rho, P, P_prev = _cumulative(F)
+    dP = np.zeros((F.shape[0], F.shape[1] + 1))
+    dP[:, 1:-1] = eta0 * rho * (
+        rho * P * (rho - P) - (1.0 - rho) * F[:, :-1] * (rho - P_prev)
     )
-    return (eta0 * s) * (G - s * F)
+    return np.diff(dP, axis=1)
 
 
 def _dp_step(F, h, k1, eta0):
@@ -251,18 +261,10 @@ def _dp_step(F, h, k1, eta0):
 
 
 def _stable_step(F, eta0):
-    """Per-row step bound _STAB / max_j |lambda_j| from the exact spectrum.
-
-    In cumulative coordinates P_j = f_1 + ... + f_j the linearization is
-    lower bidiagonal at any state, so its hyperplane eigenvalues are
-    lambda_j = eta0 rho [rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1})]
-    (see the equilibrium module); the mass mode is 0.
-    """
-    P = np.cumsum(F[:, :-1], axis=1)
-    rho = F.sum(axis=1, keepdims=True)
-    lam = rho * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - (P - F[:, :-1])))
+    """Per-row step bound _STAB / max_j |lambda_j|; the mass mode is 0."""
+    lam = _rates(eta0, *_cumulative(F))
     with np.errstate(divide="ignore"):
-        return _STAB / (eta0 * np.abs(lam).max(axis=1))
+        return _STAB / np.abs(lam).max(axis=1)
 
 
 def _dense(F, Y, K, h, theta):
@@ -436,7 +438,7 @@ def rhs(state: KineticState, params: ModelParams) -> np.ndarray:
 
     Returns:
         Vector df/dt; its entries sum to zero up to roundoff because the
-        game table is row-stochastic.
+        cumulative stencil telescopes.
     """
     if state.n != params.n:
         raise ValueError(f"state has {state.n} classes, params expect {params.n}")

@@ -16,17 +16,23 @@ every stationary point, which is how the brute-force cross-check works.
 Linearization uses the cumulative coordinates P_j = f_1 + ... + f_j,
 with P_0 = 0 and P_n = rho.  In them the dynamics read
 
-    dP_j/dt = eta0 rho [rho P_j (rho - P_j)
-                        - (1 - rho) (P_j - P_{j-1}) (rho - P_{j-1})],
+    dP_j/dt = eta0 rho [rho P_j (rho - P_j) - (1 - rho) f_j (rho - P_{j-1})],
 
-for j = 1 .. n-1, and dP_n/dt = 0.  At fixed density P_j responds only
-to P_{j-1} and P_j, so the Jacobian restricted to the zero-sum
-hyperplane is lower bidiagonal in these coordinates and its eigenvalues
-are the diagonal entries
+with f_j = P_j - P_{j-1}, for j = 1 .. n-1, and dP_n/dt = 0.  At fixed
+density P_j responds only to P_{j-1} and P_j, so the Jacobian restricted
+to the zero-sum hyperplane is lower bidiagonal in these coordinates and
+its eigenvalues are the diagonal entries
 
     lambda_j = eta0 rho [rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1})],
 
 exactly, at any state.  The full spectrum adds the conserved-mass mode 0.
+The vector field, the step bound of the integrator and the partial
+derivatives below all take P from one helper in the dynamics module.
+
+The level quadratic alone stays in f coordinates.  Solved for P_j from
+P_{j-1}, it would return f_j as the difference P_j - P_{j-1}, which
+cancels when the classes are small: the residual at n = 200 grows from
+about 4e-16 to 4e-14 and about a quarter of the printed fluxes change.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _rhs_batch
+from .dynamics import _cumulative, _rates, _rhs_batch
 from .errors import ConsistencyError
 from .lattice import ModelParams
 
@@ -253,17 +259,14 @@ def _cumulative_partials(f: np.ndarray, params: ModelParams):
     f = np.asarray(f, dtype=float)
     if f.size != params.n:
         raise ValueError(f"state has {f.size} classes, params expect {params.n}")
-    rho = float(f.sum())
-    P = np.cumsum(f[:-1])
-    P_prev = np.concatenate(([0.0], P[:-1]))
-    step = P - P_prev
-    rate = params.eta0 * rho
-    lam = rate * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - P_prev))
-    sub = rate * (1.0 - rho) * (rho + P - 2.0 * P_prev)
+    rho, P, P_prev = _cumulative(f)
+    rho, fj = float(rho[0]), f[:-1]
+    lam = _rates(params.eta0, rho, P, P_prev)
+    sub = params.eta0 * rho * (1.0 - rho) * (rho + P - 2.0 * P_prev)
     d_rho = params.eta0 * (
         rho * P * (3.0 * rho - 2.0 * P)
-        - (1.0 - 2.0 * rho) * step * (rho - P_prev)
-        - rho * (1.0 - rho) * step
+        - (1.0 - 2.0 * rho) * fj * (rho - P_prev)
+        - rho * (1.0 - rho) * fj
     )
     return rho, lam, sub, d_rho
 

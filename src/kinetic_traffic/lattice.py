@@ -32,7 +32,6 @@ __all__ = [
     "SpeedLattice",
     "GameTable",
     "build_lattice",
-    "interaction_rate",
     "build_game_table",
 ]
 
@@ -126,21 +125,6 @@ def build_lattice(n: int) -> SpeedLattice:
         raise ValueError(f"need at least two speed classes, got n={n}")
     speeds = np.arange(n, dtype=float) / (n - 1)
     return SpeedLattice(n=int(n), speeds=speeds)
-
-
-def interaction_rate(rho: float, params: ModelParams) -> float:
-    """Encounter rate eta(rho) = eta0 * rho.
-
-    Args:
-        rho: normalized density in [0, 1].
-        params: model constants supplying eta0.
-
-    Returns:
-        The nonnegative interaction rate; zero on an empty road.
-    """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"density {rho} outside [0, 1]")
-    return params.eta0 * rho
 
 
 def build_game_table(n: int, rho: float) -> GameTable:

@@ -7,8 +7,9 @@ Check 5 is expected to fail honestly at densities 0.1, 0.3, and 0.5:
 the slowest relaxation rate is eta0 * rho^2 * |2 rho - 1|, which makes
 the required 1e-6 approach unreachable by t = 200 at low densities, and
 at the critical density the decay is algebraic (~1/t) rather than
-exponential.  The criterion is kept as stated instead of being weakened;
-the analysis lives in the project notes.
+exponential.  The criterion is kept as stated instead of being weakened.
+Its report line puts the exact n = 2 errors, from the logistic solution
+of the first class, next to the measured ones.
 """
 
 import time
@@ -140,7 +141,7 @@ def test_04_unique_stable_equilibrium():
     assert ok
 
 
-def test_05_attractivity_by_t200(attractivity_runs):
+def test_05_attractivity_by_t200(attractivity_runs, exact_p1):
     """Random starts reach the closed-form equilibrium by t=200 (1-norm 1e-6)."""
     t0 = time.time()
     worst_by_rho = {rho: 0.0 for rho in ATTRACT_DENSITIES}
@@ -150,9 +151,20 @@ def test_05_attractivity_by_t200(attractivity_runs):
             block = errs[i * ATTRACT_SAMPLES : (i + 1) * ATTRACT_SAMPLES]
             worst_by_rho[rho] = max(worst_by_rho[rho], float(block.max()))
     detail = " ".join(f"rho={r}:{e:.2e}" for r, e in worst_by_rho.items())
+    # the n = 2 starts have an exact solution, whose 1-norm error at t = 200
+    # is 2 |P_1(200) - f_1 at equilibrium|; runs that turn steady stop
+    # earlier, with a residual below the steady tolerance
+    run = attractivity_runs[2]
+    at_n2 = []
+    for i, rho in enumerate(ATTRACT_DENSITIES):
+        rows = slice(i * ATTRACT_SAMPLES, (i + 1) * ATTRACT_SAMPLES)
+        measured = np.abs(run["F"][rows] - run["targets"][rows]).sum(axis=1).max()
+        p1 = exact_p1(run["F0"][rows, 0], rho, 1.0, ATTRACT_T)
+        exact = 2.0 * np.abs(p1 - run["targets"][rows, 0]).max()
+        at_n2.append(f"rho={rho}:{measured:.2e}/{exact:.2e}")
     ok = max(worst_by_rho.values()) <= 1e-6
-    report(5, "attractivity by t=200 (1-norm tol 1e-6)",
-           ok, f"{detail} in {time.time()-t0:.1f}s")
+    report(5, "attractivity by t=200 (1-norm tol 1e-6)", ok,
+           f"{detail}; n=2 measured/exact {' '.join(at_n2)} in {time.time()-t0:.1f}s")
     assert ok, (
         "equilibrium not reached within 1e-6 by t=200 at slow densities; "
         f"worst 1-norm errors: {detail}"

@@ -8,7 +8,6 @@ from kinetic_traffic import (
     ModelParams,
     build_game_table,
     build_lattice,
-    interaction_rate,
 )
 
 
@@ -64,21 +63,6 @@ class TestModelParams:
             ModelParams(n=3, v_max=-1.0)
         with pytest.raises(ValueError):
             ModelParams(n=3, eta0=0.0)
-
-
-class TestInteractionRate:
-    def test_linear_in_density(self):
-        p = ModelParams(n=3, eta0=2.5)
-        assert interaction_rate(0.0, p) == 0.0
-        assert interaction_rate(0.4, p) == 1.0
-        assert interaction_rate(1.0, p) == 2.5
-
-    def test_density_domain(self):
-        p = ModelParams(n=3)
-        with pytest.raises(ValueError):
-            interaction_rate(-0.1, p)
-        with pytest.raises(ValueError):
-            interaction_rate(1.1, p)
 
 
 class TestGameTable:
