@@ -45,10 +45,8 @@ from .equilibrium import (
     EquilibriumCandidate,
     EquilibriumResult,
     StabilityReport,
-    classify_stability,
     equilibrium_bruteforce,
     equilibrium_f1,
-    equilibrium_quadratic,
     equilibrium_recursive,
     is_attracting,
     jacobian,
@@ -104,10 +102,8 @@ __all__ = [
     "EquilibriumCandidate",
     "EquilibriumResult",
     "StabilityReport",
-    "classify_stability",
     "equilibrium_bruteforce",
     "equilibrium_f1",
-    "equilibrium_quadratic",
     "equilibrium_recursive",
     "is_attracting",
     "jacobian",

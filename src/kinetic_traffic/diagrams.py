@@ -9,12 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import IntegrationConfig, integrate_batch
-from .equilibrium import (
-    CRITICAL_DENSITY,
-    PHASE_CONGESTED,
-    PHASE_FREE,
-    equilibrium_recursive,
-)
+from .equilibrium import CRITICAL_DENSITY, _closed_form, _phase
 from .errors import MalformedDiagramError
 from .lattice import ModelParams, build_lattice
 
@@ -94,30 +89,20 @@ def build_grid(steps: int = 201) -> np.ndarray:
     return np.unique(np.concatenate([grid, [CRITICAL_DENSITY]]))
 
 
-def _phase_of(rho: float) -> str:
-    return PHASE_FREE if rho <= CRITICAL_DENSITY else PHASE_CONGESTED
-
-
 def _sweep_chunk(args) -> list[tuple[float, float, float, str, bool]]:
     # module-level so process pools can pickle it
     n, rhos, method, eta0, config = args
+    if method == METHOD_RECURSIVE:
+        F, conv = _closed_form(n, rhos)[0], np.ones(rhos.size, dtype=bool)
+    else:
+        F0 = np.outer(rhos, np.full(n, 1.0 / n))
+        F, conv, _, _ = integrate_batch(F0, ModelParams(n=n, eta0=eta0), config)
     speeds = build_lattice(n).speeds
     rows = []
-    if method == METHOD_RECURSIVE:
-        for r in rhos:
-            f = equilibrium_recursive(n, float(r)).f_inf
-            q = float(speeds @ f)
-            u = q / r if r > 0 else 1.0
-            rows.append((float(r), q, u, _phase_of(float(r)), True))
-        return rows
-    F0 = np.outer(rhos, np.full(n, 1.0 / n))
-    params = ModelParams(n=n, eta0=eta0)
-    F, conv, _, _ = integrate_batch(F0, params, config)
-    Q = F @ speeds
-    for i, r in enumerate(rhos):
-        q = float(Q[i])
-        u = q / r if r > 0 else 1.0
-        rows.append((float(r), q, u, _phase_of(float(r)), bool(conv[i])))
+    # a per-row dot, as in observables: a matrix product rounds differently
+    for r, f, cv in zip(rhos.tolist(), F, conv.tolist()):
+        q = float(speeds @ f)
+        rows.append((r, q, q / r if r > 0 else 1.0, _phase(r), cv))
     return rows
 
 
@@ -134,10 +119,13 @@ def sweep(
     Args:
         n: number of speed classes.
         grid: densities to sample; defaults to build_grid().
-        method: "recursive" evaluates the closed form, "integrate" relaxes
-            a uniform split at each density until steady.  Points whose
-            derivative never drops below the steady tolerance are kept but
-            marked converged=False.
+        method: "recursive" evaluates the closed form, running its level
+            recursion class by class over all densities at once;
+            "integrate" relaxes a uniform split at each density until
+            steady, all densities in one batch.  Points whose derivative
+            never drops below the steady tolerance are kept but marked
+            converged=False.  Either way the flux of each point is the
+            dot product of the speeds with its state.
         params: model constants; defaults to ModelParams(n).
         config: stepper settings for the integrate method.
         jobs: number of worker processes; the grid is split into

@@ -10,8 +10,11 @@ above it; each intermediate class solves
     C = (1 - rho) * f_{j-1} * (rho - (f_1 + ... + f_{j-2})),
 
 whose larger root is the attracting one, and the top class takes the
-remaining mass.  Enumerating both roots at every level instead gives
-every stationary point, which is how the brute-force cross-check works.
+remaining mass.  The recursion runs level by level over a whole vector
+of densities at once, a single density being a batch of one; each row
+gets the arithmetic it would get alone, bit for bit.  Enumerating both
+roots at every level instead gives every stationary point, which is how
+the brute-force cross-check works.
 
 Linearization uses the cumulative coordinates P_j = f_1 + ... + f_j,
 with P_0 = 0 and P_n = rho.  In them the dynamics read
@@ -59,12 +62,10 @@ __all__ = [
     "EquilibriumCandidate",
     "StabilityReport",
     "equilibrium_f1",
-    "equilibrium_quadratic",
     "equilibrium_recursive",
     "equilibrium_bruteforce",
     "jacobian",
     "stability_report",
-    "classify_stability",
 ]
 
 STABLE = "stable"
@@ -150,61 +151,71 @@ def equilibrium_f1(rho: float) -> float:
     return 0.0 if rho <= CRITICAL_DENSITY else 2.0 * rho - 1.0
 
 
-def _quadratic_terms(rho: float, prefix: np.ndarray) -> tuple[float, float]:
-    S = float(prefix.sum())
-    B = (1.0 - 3.0 * rho) * S + rho * (2.0 * rho - 1.0)
-    C = (1.0 - rho) * float(prefix[-1]) * (rho - (S - float(prefix[-1])))
-    if C < 0.0:
-        if C < -_TINY:
-            raise ConsistencyError(
-                f"negative constant term {C!r} in the level quadratic; "
-                "the prefix is not a valid equilibrium head"
-            )
-        C = 0.0
-    return B, C
+def _phase(rho: float) -> str:
+    return PHASE_FREE if rho <= CRITICAL_DENSITY else PHASE_CONGESTED
 
 
-def _larger_root(B: float, C: float, rho: float) -> tuple[float, float]:
-    """Larger root of -rho f^2 + B f + C = 0 and the discriminant."""
-    delta = B * B + 4.0 * rho * C
-    if delta < 0.0:
-        raise ConsistencyError(
-            f"negative discriminant {delta!r}; no real stationary branch"
-        )
-    if C == 0.0:
-        return max(0.0, B / rho), delta
-    if B >= 0.0:
-        return (B + math.sqrt(delta)) / (2.0 * rho), delta
-    # avoid cancellation between B and sqrt(delta)
-    return 2.0 * C / (math.sqrt(delta) - B), delta
+def _density_terms(rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The factors of the level quadratic that depend on the density only."""
+    return rho, 1.0 - 3.0 * rho, rho * (2.0 * rho - 1.0), 1.0 - rho, 4.0 * rho, 2.0 * rho
 
 
-def equilibrium_quadratic(
-    j: int, rho: float, prefix: np.ndarray
-) -> tuple[float, float]:
-    """Stationary value of class j given the classes below it.
+def _level(head: np.ndarray, terms: tuple[np.ndarray, ...]):
+    """Larger root of -rho f^2 + B f + C = 0 for the class above head.
 
-    Args:
-        j: class index, 2-based through n-1.
-        rho: total density, in (0, 1].
-        prefix: stationary values of classes 1 .. j-1.
-
-    Returns:
-        (f_j, delta): the larger quadratic root and its discriminant.
+    head holds classes 1 .. j-1, one density per row; terms comes from
+    _density_terms.  Returns (root, B, C, delta) per row.  Every root
+    case is evaluated on every row, so call under np.errstate.
     """
-    if j < 2:
-        raise ValueError(f"the level quadratic starts at class 2, got j={j}")
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"density {rho} outside (0, 1]")
-    prefix = np.asarray(prefix, dtype=float)
-    if prefix.ndim != 1 or prefix.size != j - 1:
-        raise ValueError(f"prefix for class {j} must hold {j - 1} values")
-    if prefix.min() < -_TINY:
-        raise ValueError(f"negative prefix entry {prefix.min()!r}")
-    if prefix.sum() > rho + _TINY:
-        raise ValueError("prefix mass exceeds the total density")
-    B, C = _quadratic_terms(rho, prefix)
-    return _larger_root(B, C, rho)
+    rho, b_slope, b_const, c_scale, four_rho, two_rho = terms
+    S = head.sum(axis=1)
+    last = head[:, -1]
+    B = b_slope * S + b_const
+    C = c_scale * last * (rho - (S - last))
+    if C.min() < -_TINY:
+        raise ConsistencyError(
+            f"negative constant term {C.min()!r} in the level quadratic; "
+            "the prefix is not a valid equilibrium head"
+        )
+    C = np.where(C < 0.0, 0.0, C)
+    # with C >= 0 the discriminant is never negative
+    delta = B * B + four_rho * C
+    sq = np.sqrt(delta)
+    flat = B / rho
+    # the last case avoids cancellation between B and sqrt(delta)
+    root = np.where(
+        C == 0.0,
+        np.where(flat > 0.0, flat, 0.0),
+        np.where(B >= 0.0, (B + sq) / two_rho, 2.0 * C / (sq - B)),
+    )
+    return root, B, C, delta
+
+
+def _closed_form(n: int, rho: np.ndarray):
+    """Closed-form stationary states, one row per density of the vector rho.
+
+    Runs the level recursion once per class over all rows.  Returns
+    (F, B, C, delta): F is (m, n), and column j-2 of B, C and delta
+    holds the coefficients of level j = 2 .. n-1.  A row at rho = 0
+    comes out all zero.
+    """
+    m = rho.size
+    F = np.zeros((m, n))
+    B, C, delta = (np.zeros((m, n - 2)) for _ in range(3))
+    terms = _density_terms(rho)
+    F[:, 0] = np.where(rho <= CRITICAL_DENSITY, 0.0, 2.0 * rho - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(2, n):
+            F[:, j - 1], B[:, j - 2], C[:, j - 2], delta[:, j - 2] = _level(
+                F[:, : j - 1], terms
+            )
+    tail = rho - F[:, : n - 1].sum(axis=1)
+    if tail.min() < -_TINY:
+        raise ConsistencyError(
+            f"top class would need mass {tail.min()!r}; recursion inconsistent"
+        )
+    F[:, n - 1] = np.where(tail > 0.0, tail, 0.0)
+    return F, B, C, delta
 
 
 def equilibrium_recursive(n: int, rho: float) -> EquilibriumResult:
@@ -221,29 +232,18 @@ def equilibrium_recursive(n: int, rho: float) -> EquilibriumResult:
         raise ValueError(f"density {rho} outside [0, 1]")
     n = int(n)
     rho = float(rho)
-    phase = PHASE_FREE if rho <= CRITICAL_DENSITY else PHASE_CONGESTED
+    F, B, C, delta = _closed_form(n, np.array([rho]))
+    roots = F[0].tolist()
     if rho == 0.0:
-        records = tuple(BranchRecord(j=j, rule="empty", root=0.0) for j in range(1, n + 1))
-        return EquilibriumResult(n=n, rho=rho, f_inf=np.zeros(n), phase=phase,
-                                 branch_data=records)
-    f = np.zeros(n)
-    records: list[BranchRecord] = []
-    f[0] = equilibrium_f1(rho)
-    records.append(BranchRecord(j=1, rule=phase, root=f[0]))
-    for j in range(2, n):
-        B, C = _quadratic_terms(rho, f[: j - 1])
-        root, delta = _larger_root(B, C, rho)
-        f[j - 1] = root
-        records.append(BranchRecord(j=j, rule="quadratic", root=root,
-                                    delta=delta, b=B, c=C))
-    tail = rho - float(f[: n - 1].sum())
-    if tail < -_TINY:
-        raise ConsistencyError(
-            f"top class would need mass {tail!r}; recursion inconsistent"
-        )
-    f[n - 1] = max(0.0, tail)
-    records.append(BranchRecord(j=n, rule="remainder", root=f[n - 1]))
-    return EquilibriumResult(n=n, rho=rho, f_inf=f, phase=phase,
+        records = [BranchRecord(j=j, rule="empty", root=0.0) for j in range(1, n + 1)]
+    else:
+        records = [BranchRecord(j=1, rule=_phase(rho), root=roots[0])]
+        records += [
+            BranchRecord(j=j, rule="quadratic", root=roots[j - 1], delta=d, b=b, c=c)
+            for j, b, c, d in zip(range(2, n), B[0].tolist(), C[0].tolist(), delta[0].tolist())
+        ]
+        records.append(BranchRecord(j=n, rule="remainder", root=roots[n - 1]))
+    return EquilibriumResult(n=n, rho=rho, f_inf=F[0], phase=_phase(rho),
                              branch_data=tuple(records))
 
 
@@ -347,11 +347,6 @@ def stability_report(f: np.ndarray, params: ModelParams) -> StabilityReport:
     )
 
 
-def classify_stability(eq: EquilibriumResult, params: ModelParams) -> StabilityReport:
-    """Stability report for a closed-form equilibrium."""
-    return stability_report(eq.f_inf, params)
-
-
 def is_attracting(verdict: str, from_larger_roots: bool) -> bool:
     """Resolve a linearization verdict into an attractivity flag.
 
@@ -374,14 +369,15 @@ def _bruteforce_levels(n: int, rho: float):
         f1_branches.append((lo, "larger" if lo > hi else "smaller"))
         f1_branches.append((hi, "larger" if hi > lo else "smaller"))
     stack = [(np.array([v]), (label,)) for v, label in f1_branches if v >= -_TINY]
+    terms = _density_terms(np.array([rho]))
     for j in range(2, n):
         nxt = []
         for head, labels in stack:
             if head.sum() > rho + _TINY:
                 continue
             try:
-                B, C = _quadratic_terms(rho, head)
-                r_plus, delta = _larger_root(B, C, rho)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    r_plus, B, C, delta = (float(x[0]) for x in _level(head[None, :], terms))
             except ConsistencyError:
                 continue
             if C == 0.0:

@@ -80,12 +80,6 @@ class SpeedLattice:
     def __post_init__(self):
         self.speeds.setflags(write=False)
 
-    def speed(self, j: int) -> float:
-        """Speed of class j, indexed 1 through n."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"class index {j} outside 1..{self.n}")
-        return float(self.speeds[j - 1])
-
 
 @dataclass(frozen=True)
 class GameTable:
@@ -103,13 +97,6 @@ class GameTable:
 
     def __post_init__(self):
         self.A.setflags(write=False)
-
-    def prob(self, h: int, k: int, j: int) -> float:
-        """Transition probability for 1-based class indices (h, k, j)."""
-        for name, idx in (("h", h), ("k", k), ("j", j)):
-            if not 1 <= idx <= self.n:
-                raise ValueError(f"index {name}={idx} outside 1..{self.n}")
-        return float(self.A[h - 1, k - 1, j - 1])
 
 
 def build_lattice(n: int) -> SpeedLattice:

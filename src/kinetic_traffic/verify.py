@@ -32,6 +32,7 @@ from .dynamics import (
 )
 from .equilibrium import (
     BRUTEFORCE_MAX_N,
+    _closed_form,
     equilibrium_bruteforce,
     equilibrium_recursive,
     is_attracting,
@@ -166,12 +167,7 @@ def _check_attractivity(n_max: int) -> CheckResult:
             return CheckResult(
                 "attractivity", False, f"{int((~conv).sum())} runs never went steady at n={n}"
             )
-        targets = np.concatenate(
-            [
-                np.tile(equilibrium_recursive(n, rho).f_inf, (samples, 1))
-                for rho in VERIFY_DENSITIES
-            ]
-        )
+        targets = np.repeat(_closed_form(n, np.array(VERIFY_DENSITIES))[0], samples, axis=0)
         err = float(np.abs(F - targets).max())
         worst = max(worst, err)
         if err > _ATTRACT_TOL:

@@ -6,9 +6,13 @@ per-example deadline, so the suite stays deterministic and its time
 bounded.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from kinetic_traffic import ConsistencyError
 
 settings.register_profile(
     "tier1", derandomize=True, max_examples=60, deadline=None, database=None
@@ -33,3 +37,47 @@ def logistic_p1(p0, rho, eta0, t):
 @pytest.fixture(scope="session")
 def exact_p1():
     return logistic_p1
+
+
+def scalar_closed_form(n, rho, tiny=1e-12):
+    """The closed form one density and one class at a time, in Python floats.
+
+    A reference for the batch recursion, which must reproduce it bit for
+    bit.  Returns (f, levels): levels holds (B, C, delta) for j = 2 .. n-1,
+    and is empty on the empty road, which short-circuits to zeros.
+    """
+    f = np.zeros(n)
+    if rho == 0.0:
+        return f, []
+    f[0] = 0.0 if rho <= 0.5 else 2.0 * rho - 1.0
+    levels = []
+    for j in range(2, n):
+        prefix = f[: j - 1]
+        S = float(prefix.sum())
+        B = (1.0 - 3.0 * rho) * S + rho * (2.0 * rho - 1.0)
+        C = (1.0 - rho) * float(prefix[-1]) * (rho - (S - float(prefix[-1])))
+        if C < 0.0:
+            if C < -tiny:
+                raise ConsistencyError(f"negative constant term {C!r}")
+            C = 0.0
+        delta = B * B + 4.0 * rho * C
+        if delta < 0.0:
+            raise ConsistencyError(f"negative discriminant {delta!r}")
+        if C == 0.0:
+            root = max(0.0, B / rho)
+        elif B >= 0.0:
+            root = (B + math.sqrt(delta)) / (2.0 * rho)
+        else:
+            root = 2.0 * C / (math.sqrt(delta) - B)
+        f[j - 1] = root
+        levels.append((B, C, delta))
+    tail = rho - float(f[: n - 1].sum())
+    if tail < -tiny:
+        raise ConsistencyError(f"top class would need mass {tail!r}")
+    f[n - 1] = max(0.0, tail)
+    return f, levels
+
+
+@pytest.fixture(scope="session")
+def closed_form_oracle():
+    return scalar_closed_form

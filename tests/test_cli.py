@@ -1,9 +1,12 @@
 """Command line behavior: plumbing, exit codes, determinism."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,3 +225,17 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "f_inf=0.6 0.2" in proc.stdout
+
+
+class TestBenchmarkTracer:
+    def test_every_traced_name_exists(self):
+        # perfbench --trace rebinds these names; one that no longer exists
+        # would make every traced run fail at startup
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.TARGETS
+        for module, attr, *_ in tracer.TARGETS:
+            mod = importlib.import_module(f"kinetic_traffic.{module}")
+            assert callable(getattr(mod, attr, None)), f"{module}.{attr} is gone"

@@ -69,8 +69,9 @@ class TestRecursiveSweep:
         lat = build_lattice(5)
         d = sweep(5, build_grid(31))
         for p in d.points:
-            f = equilibrium_recursive(5, p.rho).f_inf
-            assert abs(p.q - float(lat.speeds @ f)) <= 1e-15
+            q = float(lat.speeds @ equilibrium_recursive(5, p.rho).f_inf)
+            assert p.q == q
+            assert p.u == (q / p.rho if p.rho > 0 else 1.0)
 
     def test_congested_flux_decreases(self):
         d = sweep(3, build_grid(101))

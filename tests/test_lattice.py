@@ -25,17 +25,11 @@ class TestSpeedLattice:
             assert np.allclose(gaps, 1.0 / (n - 1), atol=1e-15)
 
     def test_one_based_lookup(self):
+        # class j travels at speeds[j - 1]
         lat = build_lattice(5)
-        assert lat.speed(1) == 0.0
-        assert lat.speed(3) == 0.5
-        assert lat.speed(5) == 1.0
-
-    def test_speed_index_out_of_range(self):
-        lat = build_lattice(3)
-        with pytest.raises(ValueError):
-            lat.speed(0)
-        with pytest.raises(ValueError):
-            lat.speed(4)
+        assert lat.speeds[1 - 1] == 0.0
+        assert lat.speeds[3 - 1] == 0.5
+        assert lat.speeds[5 - 1] == 1.0
 
     def test_speeds_are_read_only(self):
         lat = build_lattice(4)
@@ -99,11 +93,11 @@ class TestGameTable:
         tab = build_game_table(n, rho)
         for h in range(1, n):
             for k in range(h, n + 1):
-                assert tab.prob(h, k, h) == rho
-                assert tab.prob(h, k, h + 1) == 1.0 - rho
+                assert tab.A[h - 1, k - 1, h - 1] == rho
+                assert tab.A[h - 1, k - 1, h] == 1.0 - rho
                 for j in range(1, n + 1):
                     if j not in (h, h + 1):
-                        assert tab.prob(h, k, j) == 0.0
+                        assert tab.A[h - 1, k - 1, j - 1] == 0.0
 
     def test_faster_candidate_brakes_or_keeps_speed(self):
         # interacting with a slower vehicle: drop to its class with
@@ -112,23 +106,25 @@ class TestGameTable:
         tab = build_game_table(n, rho)
         for h in range(2, n + 1):
             for k in range(1, h):
-                assert tab.prob(h, k, k) == rho
-                assert tab.prob(h, k, h) == 1.0 - rho
+                assert tab.A[h - 1, k - 1, k - 1] == rho
+                assert tab.A[h - 1, k - 1, h - 1] == 1.0 - rho
 
     def test_top_speed_pair_is_frozen(self):
         for n in (2, 3, 5):
             tab = build_game_table(n, 0.8)
-            assert tab.prob(n, n, n) == 1.0
+            assert tab.A[n - 1, n - 1, n - 1] == 1.0
 
     def test_empty_road_always_accelerates(self):
         tab = build_game_table(3, 0.0)
-        assert tab.prob(1, 2, 2) == 1.0
-        assert tab.prob(1, 2, 1) == 0.0
+        # A[h-1, k-1, j-1]: class 1 meeting class 2 ends in class 2
+        assert tab.A[0, 1, 1] == 1.0
+        assert tab.A[0, 1, 0] == 0.0
 
     def test_jammed_road_never_accelerates(self):
         tab = build_game_table(3, 1.0)
-        assert tab.prob(1, 2, 1) == 1.0
-        assert tab.prob(2, 1, 1) == 1.0
+        # A[h-1, k-1, j-1]: class 1 stays put, class 2 drops to class 1
+        assert tab.A[0, 1, 0] == 1.0
+        assert tab.A[1, 0, 0] == 1.0
 
     def test_table_is_read_only(self):
         tab = build_game_table(3, 0.4)
