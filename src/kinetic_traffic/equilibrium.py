@@ -16,6 +16,21 @@ gets the arithmetic it would get alone, bit for bit.  Enumerating both
 roots at every level instead gives every stationary point, which is how
 the brute-force cross-check works.
 
+A zero class is absorbing.  With f_{j-1} = 0 the constant term C
+vanishes and the root is max(0, B / rho), which is 0 because B <= 0 for
+any density in [0, 1]: in the congested phase the head holds at least
+f_1 = 2 rho - 1, which exceeds rho (2 rho - 1) / (3 rho - 1), so B < 0;
+in the free phase the head is all zero and B = rho (2 rho - 1) <= 0.
+So once a class is zero, every class above it up to the top one is
+zero too.  At n = 200 the non-zero classes below the top end by class
+28 on the 2001-point grid and by class 32 just above 1/2, so at least
+167 of the 198 levels give zero.  The recursion therefore runs level by
+level only until a class is +0.0 in every row.  The levels above it
+share one head, so their prefix sums, taken exactly as the loop takes
+them, are stacked and the level arithmetic runs once over the stack;
+levels are kept up to and including the first root that is not +0.0,
+and the loop resumes after it, so the output is the loop's bit for bit.
+
 Linearization uses the cumulative coordinates P_j = f_1 + ... + f_j,
 with P_0 = 0 and P_n = rho.  In them the dynamics read
 
@@ -81,6 +96,8 @@ CRITICAL_DENSITY = 0.5
 BRUTEFORCE_MAX_N = 12
 
 _TINY = 1e-12
+# elements in one stacked block of _zero_tail, which bounds its temporaries
+_STACK_ELEMS = 8192
 # a rate lambda_j within this of zero counts as neither decaying nor growing
 _RATE_TOL = 1e-9
 
@@ -160,16 +177,16 @@ def _density_terms(rho: np.ndarray) -> tuple[np.ndarray, ...]:
     return rho, 1.0 - 3.0 * rho, rho * (2.0 * rho - 1.0), 1.0 - rho, 4.0 * rho, 2.0 * rho
 
 
-def _level(head: np.ndarray, terms: tuple[np.ndarray, ...]):
-    """Larger root of -rho f^2 + B f + C = 0 for the class above head.
+def _level(S: np.ndarray, last: np.ndarray | float, terms: tuple[np.ndarray, ...]):
+    """Larger root of -rho f^2 + B f + C = 0 for the class above a head.
 
-    head holds classes 1 .. j-1, one density per row; terms comes from
-    _density_terms.  Returns (root, B, C, delta) per row.  Every root
-    case is evaluated on every row, so call under np.errstate.
+    S is the sum of the head, classes 1 .. j-1, and last its class j-1;
+    terms comes from _density_terms and is broadcast against S, so S may
+    hold one density per row or a stack of levels with one density per
+    column.  Returns (root, B, C, delta) in the shape of S.  Every root
+    case is evaluated everywhere, so call under np.errstate.
     """
     rho, b_slope, b_const, c_scale, four_rho, two_rho = terms
-    S = head.sum(axis=1)
-    last = head[:, -1]
     B = b_slope * S + b_const
     C = c_scale * last * (rho - (S - last))
     if C.min() < -_TINY:
@@ -191,24 +208,65 @@ def _level(head: np.ndarray, terms: tuple[np.ndarray, ...]):
     return root, B, C, delta
 
 
+def _zero_tail(
+    F: np.ndarray, coeffs: tuple[np.ndarray, ...], j: int, terms: tuple[np.ndarray, ...]
+) -> int:
+    """Levels j, j+1, ... of _closed_form in stacked passes, after a +0.0 class.
+
+    Class j-1 is +0.0 in every row, so level j has C = 0, and the levels
+    above it see the same head for as long as their classes stay +0.0.
+    Each pass takes the per-level prefix sums F[:, :k-1].sum(axis=1), the
+    loop's own, stacks them as a (levels, rows) block with last = 0 and
+    runs _level once over the block.  Levels are accepted up to and
+    including the first whose root is not +0.0 in some row; the levels
+    above it assumed a zero head and are dropped.  coeffs holds the B, C
+    and delta arrays of _closed_form.  Returns the first level not
+    accepted, n when the tail is done.
+    """
+    m, n = F.shape
+    # bounds the stacked temporaries, so a wide batch takes several passes
+    width = max(1, _STACK_ELEMS // m)
+    while j < n:
+        stop = min(n, j + width)
+        S = np.stack([F[:, : k - 1].sum(axis=1) for k in range(j, stop)])
+        root, *level_coeffs = _level(S, 0.0, terms)
+        # +0.0 is the one float whose bits are all zero
+        nonzero = root.view(np.int64).any(axis=1)
+        done = not nonzero.any()
+        accepted = stop - j if done else int(nonzero.argmax()) + 1
+        F[:, j - 1 : j - 1 + accepted] = root[:accepted].T
+        for dst, src in zip(coeffs, level_coeffs):
+            dst[:, j - 2 : j - 2 + accepted] = src[:accepted].T
+        j += accepted
+        if not done:
+            break
+    return j
+
+
 def _closed_form(n: int, rho: np.ndarray):
     """Closed-form stationary states, one row per density of the vector rho.
 
-    Runs the level recursion once per class over all rows.  Returns
-    (F, B, C, delta): F is (m, n), and column j-2 of B, C and delta
-    holds the coefficients of level j = 2 .. n-1.  A row at rho = 0
-    comes out all zero.
+    Runs the level recursion once per class over all rows, until a class
+    is +0.0 in every row; _zero_tail then takes the levels above it in
+    stacked passes.  Returns (F, B, C, delta): F is (m, n), and column
+    j-2 of B, C and delta holds the coefficients of level j = 2 .. n-1.
+    A row at rho = 0 comes out all zero.
     """
     m = rho.size
     F = np.zeros((m, n))
     B, C, delta = (np.zeros((m, n - 2)) for _ in range(3))
     terms = _density_terms(rho)
     F[:, 0] = np.where(rho <= CRITICAL_DENSITY, 0.0, 2.0 * rho - 1.0)
+    j = 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(2, n):
-            F[:, j - 1], B[:, j - 2], C[:, j - 2], delta[:, j - 2] = _level(
-                F[:, : j - 1], terms
+        while j < n:
+            root, B[:, j - 2], C[:, j - 2], delta[:, j - 2] = _level(
+                F[:, : j - 1].sum(axis=1), F[:, j - 2], terms
             )
+            F[:, j - 1] = root
+            j += 1
+            if not np.count_nonzero(root.view(np.int64)):
+                j = _zero_tail(F, (B, C, delta), j, terms)
     tail = rho - F[:, : n - 1].sum(axis=1)
     if tail.min() < -_TINY:
         raise ConsistencyError(
@@ -373,11 +431,12 @@ def _bruteforce_levels(n: int, rho: float):
     for j in range(2, n):
         nxt = []
         for head, labels in stack:
-            if head.sum() > rho + _TINY:
+            S = head.sum()
+            if S > rho + _TINY:
                 continue
             try:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    r_plus, B, C, delta = (float(x[0]) for x in _level(head[None, :], terms))
+                    r_plus, B, C, delta = (float(x[0]) for x in _level(S, head[-1], terms))
             except ConsistencyError:
                 continue
             if C == 0.0:

@@ -35,30 +35,48 @@ def fmt15(x: float) -> str:
     return "%.15g" % x
 
 
-def _json_value(value) -> str:
+def _json_value(value, keys: dict[str, str]) -> str:
+    """One JSON value; keys caches the encoded str keys of one document.
+
+    The exact scalar types dispatch on type(); containers, subclasses
+    and numpy scalars take the isinstance rules below.  NaN and
+    infinities become null.
+    """
+    t = type(value)
+    if t is float:
+        return "%.15g" % value if math.isfinite(value) else "null"
+    if t is str:
+        return json.dumps(value)
+    if t is int:
+        return str(value)
+    if t is bool:
+        return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x) or math.isinf(x):
-            return "null"
-        return fmt15(x)
+        return _json_value(float(value), keys)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in value.items())
-        return "{" + inner + "}"
+        parts = []
+        for k, v in value.items():
+            if type(k) is str:
+                key = keys.get(k)
+                if key is None:
+                    key = keys[k] = json.dumps(k)
+            else:
+                key = json.dumps(k)
+            parts.append(f"{key}: {_json_value(v, keys)}")
+        return "{" + ", ".join(parts) + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        return "[" + ", ".join([_json_value(v, keys) for v in value]) + "]"
+    raise TypeError(f"cannot serialize {t.__name__}")
 
 
 def to_json(value) -> str:
-    return _json_value(value) + "\n"
+    return _json_value(value, {}) + "\n"
 
 
 def trajectory_csv(times: np.ndarray, samples: np.ndarray, lattice: SpeedLattice) -> str:

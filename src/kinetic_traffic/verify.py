@@ -34,7 +34,6 @@ from .equilibrium import (
     BRUTEFORCE_MAX_N,
     _closed_form,
     equilibrium_bruteforce,
-    equilibrium_recursive,
     is_attracting,
 )
 from .lattice import GameTable, ModelParams, build_game_table
@@ -123,7 +122,8 @@ def _check_continuity(n_max: int) -> CheckResult:
 def _check_uniqueness(n_max: int) -> CheckResult:
     for n in range(2, min(n_max, BRUTEFORCE_MAX_N) + 1):
         params = ModelParams(n=n)
-        for rho in VERIFY_DENSITIES:
+        closed_forms = _closed_form(n, np.array(VERIFY_DENSITIES))[0]
+        for rho, closed in zip(VERIFY_DENSITIES, closed_forms):
             candidates = equilibrium_bruteforce(n, rho, params)
             attracting = [
                 c for c in candidates if is_attracting(c.verdict, c.from_larger_roots)
@@ -134,7 +134,6 @@ def _check_uniqueness(n_max: int) -> CheckResult:
                     False,
                     f"{len(attracting)} attracting equilibria at n={n}, rho={rho:g}",
                 )
-            closed = equilibrium_recursive(n, rho).f_inf
             err = float(np.abs(attracting[0].f - closed).max())
             if err > _MATCH_TOL:
                 return CheckResult(

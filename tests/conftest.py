@@ -6,6 +6,7 @@ per-example deadline, so the suite stays deterministic and its time
 bounded.
 """
 
+import json
 import math
 
 import numpy as np
@@ -39,6 +40,29 @@ def exact_p1():
     return logistic_p1
 
 
+def scalar_level(rho, S, last, tiny=1e-12):
+    """One level of the closed form in Python floats: (root, B, C, delta).
+
+    S is the sum of the head, classes 1 .. j-1, and last its class j-1.
+    """
+    B = (1.0 - 3.0 * rho) * S + rho * (2.0 * rho - 1.0)
+    C = (1.0 - rho) * last * (rho - (S - last))
+    if C < 0.0:
+        if C < -tiny:
+            raise ConsistencyError(f"negative constant term {C!r}")
+        C = 0.0
+    delta = B * B + 4.0 * rho * C
+    if delta < 0.0:
+        raise ConsistencyError(f"negative discriminant {delta!r}")
+    if C == 0.0:
+        root = max(0.0, B / rho)
+    elif B >= 0.0:
+        root = (B + math.sqrt(delta)) / (2.0 * rho)
+    else:
+        root = 2.0 * C / (math.sqrt(delta) - B)
+    return root, B, C, delta
+
+
 def scalar_closed_form(n, rho, tiny=1e-12):
     """The closed form one density and one class at a time, in Python floats.
 
@@ -53,22 +77,7 @@ def scalar_closed_form(n, rho, tiny=1e-12):
     levels = []
     for j in range(2, n):
         prefix = f[: j - 1]
-        S = float(prefix.sum())
-        B = (1.0 - 3.0 * rho) * S + rho * (2.0 * rho - 1.0)
-        C = (1.0 - rho) * float(prefix[-1]) * (rho - (S - float(prefix[-1])))
-        if C < 0.0:
-            if C < -tiny:
-                raise ConsistencyError(f"negative constant term {C!r}")
-            C = 0.0
-        delta = B * B + 4.0 * rho * C
-        if delta < 0.0:
-            raise ConsistencyError(f"negative discriminant {delta!r}")
-        if C == 0.0:
-            root = max(0.0, B / rho)
-        elif B >= 0.0:
-            root = (B + math.sqrt(delta)) / (2.0 * rho)
-        else:
-            root = 2.0 * C / (math.sqrt(delta) - B)
+        root, B, C, delta = scalar_level(rho, float(prefix.sum()), float(prefix[-1]), tiny)
         f[j - 1] = root
         levels.append((B, C, delta))
     tail = rho - float(f[: n - 1].sum())
@@ -81,3 +90,36 @@ def scalar_closed_form(n, rho, tiny=1e-12):
 @pytest.fixture(scope="session")
 def closed_form_oracle():
     return scalar_closed_form
+
+
+@pytest.fixture(scope="session")
+def level_oracle():
+    return scalar_level
+
+
+def json_value(value) -> str:
+    """The JSON writer's encoding as a plain isinstance chain, the reference."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if math.isnan(x) or math.isinf(x):
+            return "null"
+        return "%.15g" % x
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        inner = ", ".join(f"{json.dumps(k)}: {json_value(v)}" for k, v in value.items())
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(json_value(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+@pytest.fixture(scope="session")
+def json_oracle():
+    return json_value

@@ -1,11 +1,16 @@
 """Diagram sweeps, critical-density detection, and the text writers."""
 
+import enum
 import json
 import warnings
 import xml.etree.ElementTree as ET
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kinetic_traffic import (
     METHOD_INTEGRATE,
@@ -220,6 +225,43 @@ class TestDiagramValidation:
                     points=(DiagramPoint(0.5, 0.5, 1.0, "free", True),))
 
 
+class _Level(enum.IntEnum):
+    LOW = 3
+
+
+class _Meters(float):
+    pass
+
+
+# leaves whose encoding is easy to get wrong: non-finite floats (null),
+# the signed zero, the smallest subnormal, numpy scalars, bool next to
+# int, subclasses of int, float and str, and non-ASCII text; np.bool_,
+# which both writers refuse, comes in through the bool arrays
+_JSON_EDGES = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+               np.float64(-0.0), np.float64("nan"), np.float32(0.1), np.int64(-(2**63)),
+               np.uint8(255), True, False, 1, 0, _Level.LOW, _Meters(2.5),
+               np.str_("é"), "é ü 漢 \u2028 \x00"]
+_json_leaves = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.floats().map(np.float64) | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.sampled_from(_JSON_EDGES)
+)
+_json_arrays = hnp.arrays(
+    st.sampled_from([np.float64, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=1, max_dims=2, max_side=4),
+)
+_json_documents = st.recursive(
+    _json_leaves | _json_arrays,
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(st.text() | st.integers() | st.booleans(), kids, max_size=4)
+        | st.dictionaries(st.text(), kids, max_size=4).map(OrderedDict)
+    ),
+    max_leaves=20,
+)
+
+
 class TestFormatting:
     def test_fifteen_significant_digits(self):
         assert fmt15(0.5) == "0.5"
@@ -243,6 +285,20 @@ class TestFormatting:
     def test_json_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             to_json({"bad": {1, 2}})
+
+    @given(_json_documents)
+    @example({"é": _JSON_EDGES, 1: [True, 1], "f": np.array([[0.5, np.nan], [-0.0, 5e-324]])})
+    @example([{"a": 1, "b": -0.0}, {"a": np.inf, "b": (np.int64(2), "ü")}, {1: 0}, {True: 0}])
+    def test_json_writer_matches_the_isinstance_chain(self, json_oracle, doc):
+        # the writer dispatches on type() and caches keys; byte for byte it
+        # must be the plain isinstance chain, errors included
+        try:
+            want = json_oracle(doc) + "\n"
+        except TypeError:
+            with pytest.raises(TypeError):
+                to_json(doc)
+            return
+        assert to_json(doc) == want
 
 
 class TestWriters:

@@ -28,7 +28,7 @@ from kinetic_traffic import (
     stability_report,
 )
 from kinetic_traffic.dynamics import _rhs_batch
-from kinetic_traffic.equilibrium import _closed_form, _density_terms, _level
+from kinetic_traffic.equilibrium import _closed_form, _density_terms, _level, _zero_tail
 
 # worked three-class example at rho = 3/4: the slowest class holds
 # 2*rho - 1 = 1/2, the middle class solves the level quadratic with
@@ -238,8 +238,31 @@ class TestRecursion:
     def test_level_rejects_an_inconsistent_head(self):
         # a head heavier than the density makes the constant term negative
         terms = _density_terms(np.array([0.7, 0.7]))
+        head = np.array([[0.4, 0.2], [0.8, 0.1]])
         with pytest.raises(ConsistencyError):
-            _level(np.array([[0.4, 0.2], [0.8, 0.1]]), terms)
+            _level(head.sum(axis=1), head[:, -1], terms)
+
+    def test_level_root_for_either_sign_of_b(self, level_oracle):
+        # no head reached from a density in [0, 1] gives B >= 0 with C > 0,
+        # so hand-built (rho, S, last) exercise that root case, including
+        # B = +0.0 exactly, next to the B < 0 case the recursion takes
+        cases = [(0.9, 0.1, 0.05), (0.2, 0.5, 0.4), (0.25, 0.5, 0.4),
+                 (0.9, 0.85, 0.05), (0.6, 0.3, 0.1)]
+        rho, S, last = (np.array(col) for col in zip(*cases))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root, B, C, delta = _level(S, last, _density_terms(rho))
+        assert (B > 0.0).sum() == 2 and (B == 0.0).sum() == 1 and (B < 0.0).sum() == 2
+        assert (C > 0.0).all()
+        eps = np.finfo(float).eps
+        for i, (r, s, l) in enumerate(cases):
+            want = level_oracle(r, s, l)
+            got = (root[i], B[i], C[i], delta[i])
+            assert _bits(got) == _bits(want), f"case {cases[i]}"
+            x, b, c = float(root[i]), float(B[i]), float(C[i])
+            # the roots multiply to -C / rho < 0, so the larger one is positive
+            assert x > 0.0 > -c / (r * x)
+            scale = max(r * x * x, abs(b * x), c)
+            assert abs(-r * x * x + b * x + c) <= 4 * eps * scale, f"case {cases[i]}"
 
     @given(n=st.integers(2, 200), rhos=density_batches())
     @example(n=2, rhos=EDGE_BATCH)
@@ -257,6 +280,69 @@ class TestRecursion:
                 assert _bits(B[i]) == _bits(want_B)
                 assert _bits(C[i]) == _bits(want_C)
                 assert _bits(delta[i]) == _bits(want_delta)
+
+    @given(n=st.integers(2, 300), rho=st.floats(0.0, 1.0))
+    @example(n=200, rho=HALF_DOWN)
+    @example(n=200, rho=HALF_UP)
+    @example(n=200, rho=0.5000001)
+    @example(n=200, rho=0.51)
+    @example(n=200, rho=0.5095)  # the deepest non-zero class, 28, on build_grid(2001)
+    @example(n=200, rho=0.5000000000000006)  # 32 non-zero classes below the top
+    @example(n=200, rho=0.0)
+    @example(n=200, rho=5e-324)
+    @example(n=200, rho=1e-300)
+    @example(n=200, rho=1.0)
+    @example(n=300, rho=0.51)
+    def test_single_density_matches_the_scalar_recursion(self, closed_form_oracle, n, rho):
+        # one row, which density_batches never draws: the recursion stacks
+        # the levels above the first +0.0 class, and n above 130 takes
+        # prefix sums longer than numpy's 128-element pairwise block
+        eq = equilibrium_recursive(n, rho)
+        f, levels = closed_form_oracle(n, rho)
+        assert _bits(eq.f_inf) == _bits(f), f"n={n} rho={rho!r}"
+        assert _bits([rec.root for rec in eq.branch_data]) == _bits(f)
+        quads = [(rec.b, rec.c, rec.delta) for rec in eq.branch_data if rec.rule == "quadratic"]
+        assert _bits(quads) == _bits(levels)
+
+    def test_zero_tail_stops_at_a_positive_root(self):
+        # a hand-built head, not reachable from the phase rule: class 2 is
+        # +0.0 in both rows, but row 0 holds too little below it, so B > 0
+        # and level 3 has the positive root B / rho; row 1 stays zero
+        n, rho = 8, np.array([0.7, 0.7])
+        terms = _density_terms(rho)
+        F = np.zeros((2, n))
+        F[:, 0] = [0.1, 0.4]
+        coeffs = tuple(np.zeros((2, n - 2)) for _ in range(3))
+        want_F, want_coeffs = F.copy(), tuple(c.copy() for c in coeffs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            j = _zero_tail(F, coeffs, 3, terms)
+            root, *level_coeffs = _level(want_F[:, :2].sum(axis=1), want_F[:, 1], terms)
+        want_F[:, 2] = root
+        for dst, src in zip(want_coeffs, level_coeffs):
+            dst[:, 1] = src
+        assert j == 4
+        assert root[0] > 0.0 and root[1] == 0.0
+        assert _bits(F) == _bits(want_F)
+        for got, want in zip(coeffs, want_coeffs):
+            assert _bits(got) == _bits(want)
+
+    def test_zero_tail_matches_level_by_level(self):
+        # a wide batch takes several bounded blocks; each level equals
+        # _level applied one at a time on the loop's prefix sums
+        n = 60
+        rho = np.tile(np.array([0.0, 0.2, 0.5, HALF_UP, 0.6, 0.75, 0.9, 1.0]), 500)
+        F, B, C, delta = _closed_form(n, rho)
+        want_F = np.zeros_like(F)
+        want_F[:, 0] = F[:, 0]
+        terms = _density_terms(rho)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(2, n):
+                root, b, c, d = _level(want_F[:, : j - 1].sum(axis=1), want_F[:, j - 2], terms)
+                want_F[:, j - 1] = root
+                assert _bits(B[:, j - 2]) == _bits(b), f"level {j}"
+                assert _bits(C[:, j - 2]) == _bits(c), f"level {j}"
+                assert _bits(delta[:, j - 2]) == _bits(d), f"level {j}"
+        assert _bits(F[:, :-1]) == _bits(want_F[:, :-1])
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
