@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import IntegrationConfig, integrate_batch
+from .dynamics import IntegrationConfig, _flux, integrate_batch
 from .equilibrium import CRITICAL_DENSITY, _closed_form, _phase
 from .errors import MalformedDiagramError
 from .lattice import ModelParams, build_lattice
@@ -97,13 +96,11 @@ def _sweep_chunk(args) -> list[tuple[float, float, float, str, bool]]:
     else:
         F0 = np.outer(rhos, np.full(n, 1.0 / n))
         F, conv, _, _ = integrate_batch(F0, ModelParams(n=n, eta0=eta0), config)
-    speeds = build_lattice(n).speeds
-    rows = []
-    # a per-row dot, as in observables: a matrix product rounds differently
-    for r, f, cv in zip(rhos.tolist(), F, conv.tolist()):
-        q = float(speeds @ f)
-        rows.append((r, q, q / r if r > 0 else 1.0, _phase(r), cv))
-    return rows
+    flux = _flux(F, build_lattice(n).speeds)
+    return [
+        (r, q, q / r if r > 0 else 1.0, _phase(r), cv)
+        for r, q, cv in zip(rhos.tolist(), flux.tolist(), conv.tolist())
+    ]
 
 
 def sweep(
@@ -152,6 +149,8 @@ def sweep(
     chunks = np.array_split(grid, jobs) if jobs > 1 else [grid]
     tasks = [(int(n), chunk, method, params.eta0, config) for chunk in chunks if chunk.size]
     if jobs > 1:
+        # imported here: the pool machinery is about 20 ms of the CLI's start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows_lists = list(pool.map(_sweep_chunk, tasks))
     else:

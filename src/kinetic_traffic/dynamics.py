@@ -224,7 +224,7 @@ def _cumulative(F: np.ndarray):
     and entry j-1 of P and P_prev holds P_j and P_{j-1}, j = 1 .. n-1.
     """
     C = np.zeros(F.shape[:-1] + (F.shape[-1] + 1,))
-    np.cumsum(F, axis=-1, out=C[..., 1:])
+    F.cumsum(axis=-1, out=C[..., 1:])
     return C[..., -1:], C[..., 1:-1], C[..., :-2]
 
 
@@ -244,7 +244,7 @@ def _rhs_batch(F: np.ndarray, eta0: float) -> np.ndarray:
     dP[:, 1:-1] = eta0 * rho * (
         rho * P * (rho - P) - (1.0 - rho) * F[:, :-1] * (rho - P_prev)
     )
-    return np.diff(dP, axis=1)
+    return dP[:, 1:] - dP[:, :-1]
 
 
 def _dp_step(F, h, k1, eta0):
@@ -396,19 +396,25 @@ def _integrate_batch(
         stats.accepted += a.size
         stats.rejected += rows.size - a.size
         if a.size:
-            Ya = Y[a]
+            # the common pass accepts every row and takes whole arrays
+            # instead of gathering and scattering them
+            whole = a.size == rows.size
+            pick = (lambda x: x) if whole else (lambda x: x[a])
+            Ya = pick(Y)
             Fa = _clamp_batch(Ya, stats)
-            ka = K[6][a]
+            ka = pick(K[6])
             if Fa is not Ya:
-                # the clamp moved these rows: their last stage is stale
+                # the clamp moved these rows: their last stage is stale (and
+                # is renewed on a copy, since the dense output reads K[6])
                 touched = np.flatnonzero((Fa != Ya).any(axis=1))
+                ka = ka.copy()
                 ka[touched] = _rhs_batch(Fa[touched], eta0)
                 stats.rhs_evals += touched.size
             sa = Fa.sum(axis=1)
-            drift = float(np.abs(sa - s[a]).max())
+            drift = float(np.abs(sa - pick(s)).max())
             if drift > _DRIFT_TOL:
                 raise ConsistencyError(f"density drift {drift!r} in a single step")
-            total = float(np.abs(sa - s_ref[rows[a]]).max())
+            total = float(np.abs(sa - s_ref[pick(rows)]).max())
             if total > stats.max_drift:
                 stats.max_drift = total
             if record is not None:
@@ -419,11 +425,14 @@ def _integrate_batch(
                     Fr = _dense(F[r], Y[r], [k[r] for k in K], hs[r][:, None], theta)
                     return _clamp_batch(Fr, stats)
 
-                record(rows[a], t[a], hs[a], dense)
-            F[a], k1[a], s[a] = Fa, ka, sa
-            t[a] = np.where(last[a], t_final, t[a] + hs[a])
-            err_prev[a] = np.maximum(err[a], 1e-4)
-            steps[a] += 1
+                record(pick(rows), pick(t), pick(hs), dense)
+            new = (Fa, ka, sa, np.where(pick(last), t_final, pick(t) + pick(hs)),
+                   np.maximum(pick(err), 1e-4), pick(steps) + 1)
+            if whole:
+                F, k1, s, t, err_prev, steps = new
+            else:
+                for x, v in zip((F, k1, s, t, err_prev, steps), new):
+                    x[a] = v
         steady = np.abs(k1).sum(axis=1) < steady_tol
         leave = steady | (ok & last)
     return F_out, conv_out, steps_out, t_out, D_out
@@ -543,6 +552,15 @@ def run_trajectory(
     return state.t + times, samples, bool(conv[0])
 
 
+def _flux(F: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """Flux sum_j v_j f_j of every row of F, by (1, n) @ (n, 1) products.
+
+    Each runs the dot kernel of the 1-D speeds @ f, so the flux is that
+    dot's bit for bit; an (m, n) @ (n,) product rounds differently.
+    """
+    return np.matmul(F[:, None, :], speeds)[:, 0]
+
+
 def observables(state: KineticState, lattice: SpeedLattice) -> Observables:
     """Density, flux q = sum_j v_j f_j and mean speed u = q / rho.
 
@@ -552,7 +570,7 @@ def observables(state: KineticState, lattice: SpeedLattice) -> Observables:
     if state.n != lattice.n:
         raise ValueError(f"state has {state.n} classes, lattice has {lattice.n}")
     r = state.rho
-    q = float(lattice.speeds @ state.f)
+    q = float(_flux(state.f[None, :], lattice.speeds)[0])
     u = q / r if r > 0.0 else 1.0
     return Observables(rho=r, q=q, u=u)
 

@@ -3,7 +3,9 @@
 Every float is rendered with repr-stable 15 significant digits so that
 repeated runs with identical inputs produce byte-identical files.  The
 JSON writer is hand-rolled for that reason: json.dumps would use repr,
-which switches digit counts from value to value.
+which switches digit counts from value to value.  The trajectory table
+takes the flux of all its rows at once (dynamics._flux, the one flux
+rule) and formats a block of rows with each % call.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from .diagrams import Diagram
+from .dynamics import _flux
 from .lattice import SpeedLattice
 
 __all__ = [
@@ -25,6 +28,10 @@ __all__ = [
     "equilibrium_json",
     "diagram_svg",
 ]
+
+# trajectory rows per % call; one call for the whole table would hold
+# every row's floats at once
+_CSV_BLOCK = 1024
 
 
 def fmt15(x: float) -> str:
@@ -86,16 +93,16 @@ def trajectory_csv(times: np.ndarray, samples: np.ndarray, lattice: SpeedLattice
         raise ValueError("samples must be (m, n) for the given lattice")
     if samples.shape[0] != times.shape[0]:
         raise ValueError("times and samples disagree on sample count")
-    header = "t," + ",".join(f"f_{j}" for j in range(1, n + 1)) + ",rho,q,u"
-    lines = [header]
+    rho = samples.sum(axis=1)
+    q = _flux(samples, lattice.speeds)
+    u = np.divide(q, rho, out=np.ones_like(q), where=rho > 0)
+    table = np.column_stack([times, samples, rho, q, u])
     row = ",".join(["%.15g"] * (n + 4))
-    # the row sums equal f.sum() bit for bit; the flux stays a per-row dot,
-    # because a matrix product rounds differently
-    for t, f, rho in zip(times.tolist(), samples, samples.sum(axis=1).tolist()):
-        q = float(lattice.speeds @ f)
-        u = q / rho if rho > 0 else 1.0
-        lines.append(row % (t, *f.tolist(), rho, q, u))
-    return "\n".join(lines) + "\n"
+    parts = ["t," + ",".join(f"f_{j}" for j in range(1, n + 1)) + ",rho,q,u"]
+    for i in range(0, len(table), _CSV_BLOCK):
+        block = table[i : i + _CSV_BLOCK]
+        parts.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
+    return "\n".join(parts) + "\n"
 
 
 def diagram_csv(diagram: Diagram) -> str:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import settings
 
 from kinetic_traffic import ConsistencyError
+from kinetic_traffic.dynamics import _A
 
 settings.register_profile(
     "tier1", derandomize=True, max_examples=60, deadline=None, database=None
@@ -123,3 +124,52 @@ def json_value(value) -> str:
 @pytest.fixture(scope="session")
 def json_oracle():
     return json_value
+
+
+def rhs_batch_reference(F, eta0):
+    """The cumulative stencil with a zero-padded cumsum and np.diff, the reference."""
+    C = np.zeros((F.shape[0], F.shape[1] + 1))
+    np.cumsum(F, axis=-1, out=C[:, 1:])
+    rho, P, P_prev = C[:, -1:], C[:, 1:-1], C[:, :-2]
+    dP = np.zeros((F.shape[0], F.shape[1] + 1))
+    dP[:, 1:-1] = eta0 * rho * (
+        rho * P * (rho - P) - (1.0 - rho) * F[:, :-1] * (rho - P_prev)
+    )
+    return np.diff(dP, axis=1)
+
+
+def dp_step_reference(F, h, k1, eta0):
+    """One Dormand-Prince attempt on the reference vector field."""
+    K = [k1]
+    for row in _A:
+        Y = F + h * sum(a * k for a, k in zip(row, K) if a)
+        K.append(rhs_batch_reference(Y, eta0))
+    return Y, K
+
+
+@pytest.fixture(scope="session")
+def rhs_batch_oracle():
+    return rhs_batch_reference
+
+
+@pytest.fixture(scope="session")
+def dp_step_oracle():
+    return dp_step_reference
+
+
+def trajectory_csv_reference(times, samples, lattice):
+    """The trajectory table one row and one per-row dot at a time, the reference."""
+    n = lattice.n
+    header = "t," + ",".join(f"f_{j}" for j in range(1, n + 1)) + ",rho,q,u"
+    lines = [header]
+    row = ",".join(["%.15g"] * (n + 4))
+    for t, f, rho in zip(times.tolist(), samples, samples.sum(axis=1).tolist()):
+        q = float(lattice.speeds @ f)
+        u = q / rho if rho > 0 else 1.0
+        lines.append(row % (t, *f.tolist(), rho, q, u))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def trajectory_csv_oracle():
+    return trajectory_csv_reference

@@ -227,6 +227,21 @@ class TestConsoleEntry:
         assert "f_inf=0.6 0.2" in proc.stdout
 
 
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # diagram --jobs > 1 imports the pool when it needs it
+        src = os.path.dirname(os.path.dirname(kinetic_traffic.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, kinetic_traffic.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestBenchmarkTracer:
     def test_every_traced_name_exists(self):
         # perfbench --trace rebinds these names; one that no longer exists

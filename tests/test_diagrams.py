@@ -8,7 +8,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -31,6 +31,7 @@ from kinetic_traffic.serialize import (
     diagram_csv,
     diagram_json,
     diagram_svg,
+    _CSV_BLOCK,
     fmt15,
     to_json,
     trajectory_csv,
@@ -341,6 +342,33 @@ class TestWriters:
             trajectory_csv(times, samples[:, :2], lat)
         with pytest.raises(ValueError):
             trajectory_csv(times[:1], samples, lat)
+
+    @given(
+        st.integers(2, 40),
+        st.sampled_from([1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]),
+        st.booleans(),
+        st.integers(0, 2**30),
+    )
+    @example(2, 1, False, 0)
+    @example(40, _CSV_BLOCK + 1, True, 1)
+    @settings(max_examples=20)  # each example formats up to 45,000 floats twice
+    def test_trajectory_csv_matches_the_row_by_row_writer(
+        self, trajectory_csv_oracle, n, m, fortran, seed
+    ):
+        rng = np.random.default_rng(seed)
+        samples = rng.random((m, n)) * (10.0 ** rng.uniform(-300.0, 0.0, (m, 1))) / n
+        samples[rng.random((m, n)) < 0.1] = 0.0
+        samples[rng.random((m, n)) < 0.05] = 5e-324
+        samples[rng.random((m, n)) < 0.05] = 1e-310
+        samples[rng.integers(m)] = 0.0  # an empty road: rho = 0, u = 1
+        samples[rng.integers(m)] = 5e-324  # subnormal classes only
+        if fortran:
+            samples = np.asfortranarray(samples)
+        times = np.cumsum(rng.exponential(0.01, m)) - 0.01
+        lat = build_lattice(n)
+        text = trajectory_csv(times, samples, lat)
+        assert text == trajectory_csv_oracle(times, samples, lat)
+        assert text.count("\n") == m + 1
 
     def test_svg_is_wellformed_with_two_curves(self):
         d = sweep(3, build_grid(26))

@@ -449,6 +449,90 @@ class TestPairProperties:
         assert stats.max_drift <= 1e-13 * max(1, int(steps[0]))
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPass:
+    """One Dormand-Prince pass, and the loop's two ways of taking it."""
+
+    @given(
+        st.integers(2, 200),
+        st.lists(DENSITIES, min_size=1, max_size=60),
+        st.floats(0.1, 10.0),
+        st.integers(0, 2**30),
+    )
+    @example(2, [0.0], 1.0, 0)
+    @example(200, [0.0, HALF_DOWN, 0.5, HALF_UP, 1.0] * 12, 1.0, 1)
+    def test_one_pass_matches_the_reference(
+        self, rhs_batch_oracle, dp_step_oracle, n, rhos, eta0, seed
+    ):
+        rng = np.random.default_rng(seed)
+        F = np.concatenate(
+            [random_state_batch(n, r, 1, seed=seed + i) for i, r in enumerate(rhos)]
+        )
+        F[rng.random(F.shape) < 0.2] = 0.0
+        h = rng.uniform(1e-3, 4.0, (F.shape[0], 1))
+        k1 = dynamics._rhs_batch(F, eta0)
+        assert same_bits(k1, rhs_batch_oracle(F, eta0))
+        Y, K = dynamics._dp_step(F, h, k1, eta0)
+        Y_ref, K_ref = dp_step_oracle(F, h, k1, eta0)
+        assert same_bits(Y, Y_ref)
+        assert len(K) == len(K_ref) == 7
+        assert all(same_bits(k, k_ref) for k, k_ref in zip(K, K_ref))
+
+    def test_mixed_passes_equal_rows_alone(self, monkeypatch):
+        # a first trial step of 4 is rejected by some rows and not others,
+        # so the loop takes whole passes and passes that gather rows; the
+        # first row starts inside the clamp window, so its first accepted
+        # step is clamped in a gathering pass here and a whole pass alone
+        n, rhos = 6, [0.02, 0.3, HALF_DOWN, HALF_UP, 0.7, 0.95, 1.0]
+        F0 = np.concatenate(
+            [random_state_batch(n, r, 1, seed=20 + i) for i, r in enumerate(rhos)]
+        )
+        F0[0, -1] += F0[0, 0] + 5e-13
+        F0[0, 0] = -5e-13
+        config = IntegrationConfig(dt=4.0, t_final=60.0)
+        stats = [BatchStats()]
+        rejected_before = []
+        exact = dynamics._dp_step
+
+        def marked(*args):
+            rejected_before.append(stats[-1].rejected)
+            return exact(*args)
+
+        monkeypatch.setattr(dynamics, "_dp_step", marked)
+
+        def run(F):
+            # the loop's outputs, its stats, the midpoint of every accepted
+            # step from the dense output, and which passes gathered rows
+            stats.append(BatchStats())
+            mid = [[] for _ in F]
+            gathered = []
+
+            def record(rows, t, h, dense):
+                gathered.append(stats[-1].rejected > rejected_before[-1])
+                for r, f in zip(rows, dense(np.arange(rows.size), t + h / 2)):
+                    mid[r].append(f)
+
+            out = dynamics._integrate_batch(F, 1.0, config, stats[-1], record)
+            return out, stats[-1], [np.array(x) for x in mid], gathered
+
+        batch, batch_stats, batch_mid, gathered = run(F0)
+        assert any(gathered) and not all(gathered)
+        assert batch_stats.max_clamp_delta > 0.0
+        counts = np.zeros(3, dtype=int)
+        for i in range(len(rhos)):
+            alone, alone_stats, alone_mid, _ = run(F0[i : i + 1])
+            for x, x_alone in zip(batch, alone):
+                assert same_bits(x[i : i + 1], x_alone), f"row {i} diverged from batch"
+            assert same_bits(batch_mid[i], alone_mid[0])
+            counts += (alone_stats.rhs_evals, alone_stats.accepted, alone_stats.rejected)
+        assert tuple(counts) == (
+            batch_stats.rhs_evals, batch_stats.accepted, batch_stats.rejected
+        )
+
+
 class TestOracle:
     @pytest.mark.parametrize("n, rho, seed", [(3, 0.3, 1), (5, 0.7, 2), (8, 0.9, 3)])
     def test_trajectory_matches_fine_rk4(self, n, rho, seed):
@@ -525,6 +609,31 @@ class TestObservables:
         obs = observables(KineticState(np.zeros(4)), lat)
         assert obs.q == 0.0
         assert obs.u == 1.0
+
+
+    @given(
+        st.integers(2, 300),
+        st.integers(1, 2001),
+        st.sampled_from(["C", "F", "strided"]),
+        st.integers(0, 2**30),
+    )
+    @example(300, 2001, "F", 0)
+    @example(2, 1, "strided", 1)
+    def test_batched_flux_is_the_per_row_dot(self, n, m, layout, seed):
+        rng = np.random.default_rng(seed)
+        F = rng.random((m, n)) * 10.0 ** rng.uniform(-300.0, 5.0, (m, 1))
+        F[rng.random((m, n)) < 0.1] = 0.0
+        F[rng.random((m, n)) < 0.05] = 5e-324
+        F[rng.random((m, n)) < 0.05] = 1e-300
+        if layout == "F":
+            F = np.asfortranarray(F)
+        elif layout == "strided":
+            wide = np.zeros((2 * m, 2 * n + 1))
+            wide[::2, 1::2] = F
+            F = wide[::2, 1::2]
+        speeds = build_lattice(n).speeds
+        q = dynamics._flux(F, speeds)
+        assert same_bits(q, np.array([speeds @ f for f in F]))
 
 
 class TestContinuity:
