@@ -85,10 +85,12 @@ def build_grid(steps: int = 201) -> np.ndarray:
     if steps < 2:
         raise ValueError(f"grid needs at least 2 points, got {steps}")
     grid = np.linspace(0.0, 1.0, steps)
-    return np.unique(np.concatenate([grid, [CRITICAL_DENSITY]]))
+    # not np.unique, whose first call imports numpy.ma (about 15 ms)
+    i = int(np.searchsorted(grid, CRITICAL_DENSITY))
+    return grid if grid[i] == CRITICAL_DENSITY else np.insert(grid, i, CRITICAL_DENSITY)
 
 
-def _sweep_chunk(args) -> list[tuple[float, float, float, str, bool]]:
+def _sweep_chunk(args) -> list[DiagramPoint]:
     # module-level so process pools can pickle it
     n, rhos, method, eta0, config = args
     if method == METHOD_RECURSIVE:
@@ -98,7 +100,7 @@ def _sweep_chunk(args) -> list[tuple[float, float, float, str, bool]]:
         F, conv, _, _ = integrate_batch(F0, ModelParams(n=n, eta0=eta0), config)
     flux = _flux(F, build_lattice(n).speeds)
     return [
-        (r, q, q / r if r > 0 else 1.0, _phase(r), cv)
+        DiagramPoint(rho=r, q=q, u=q / r if r > 0 else 1.0, phase=_phase(r), converged=cv)
         for r, q, cv in zip(rhos.tolist(), flux.tolist(), conv.tolist())
     ]
 
@@ -152,14 +154,10 @@ def sweep(
         # imported here: the pool machinery is about 20 ms of the CLI's start
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows_lists = list(pool.map(_sweep_chunk, tasks))
+            chunk_points = list(pool.map(_sweep_chunk, tasks))
     else:
-        rows_lists = [_sweep_chunk(t) for t in tasks]
-    points = tuple(
-        DiagramPoint(rho=r, q=q, u=u, phase=ph, converged=cv)
-        for rows in rows_lists
-        for (r, q, u, ph, cv) in rows
-    )
+        chunk_points = [_sweep_chunk(t) for t in tasks]
+    points = tuple(p for chunk in chunk_points for p in chunk)
     good = [p.q for p in points if p.converged]
     q_max = max(good) if good else float("nan")
     diagram = Diagram(

@@ -319,9 +319,9 @@ def _integrate_batch(
     t_final, is accepted.  After each pass that accepts steps,
     record(rows, t, h, dense) receives the original indices of the rows
     that advanced, their times before the step and the step sizes;
-    dense(sel, ts), valid during the call only, returns the clamped
-    continuous extension of the rows at positions sel at times ts within
-    their steps.
+    dense(sel, ts) returns the clamped continuous extension of the rows at
+    positions sel at times ts within their steps.  All four are valid
+    during the call only.
 
     Returns (F, converged, steps, t, D): the final rows, a boolean mask of
     rows whose final derivative is below steady_tol, the accepted steps
@@ -396,13 +396,11 @@ def _integrate_batch(
         stats.accepted += a.size
         stats.rejected += rows.size - a.size
         if a.size:
-            # the common pass accepts every row and takes whole arrays
-            # instead of gathering and scattering them
-            whole = a.size == rows.size
-            pick = (lambda x: x) if whole else (lambda x: x[a])
-            Ya = pick(Y)
+            # a pass that accepts every row takes views, not gathered copies
+            acc = slice(None) if a.size == rows.size else a
+            Ya = Y[acc]
             Fa = _clamp_batch(Ya, stats)
-            ka = pick(K[6])
+            ka = K[6][acc]
             if Fa is not Ya:
                 # the clamp moved these rows: their last stage is stale (and
                 # is renewed on a copy, since the dense output reads K[6])
@@ -411,10 +409,10 @@ def _integrate_batch(
                 ka[touched] = _rhs_batch(Fa[touched], eta0)
                 stats.rhs_evals += touched.size
             sa = Fa.sum(axis=1)
-            drift = float(np.abs(sa - pick(s)).max())
+            drift = float(np.abs(sa - s[acc]).max())
             if drift > _DRIFT_TOL:
                 raise ConsistencyError(f"density drift {drift!r} in a single step")
-            total = float(np.abs(sa - s_ref[pick(rows)]).max())
+            total = float(np.abs(sa - s_ref[rows[acc]]).max())
             if total > stats.max_drift:
                 stats.max_drift = total
             if record is not None:
@@ -425,14 +423,11 @@ def _integrate_batch(
                     Fr = _dense(F[r], Y[r], [k[r] for k in K], hs[r][:, None], theta)
                     return _clamp_batch(Fr, stats)
 
-                record(pick(rows), pick(t), pick(hs), dense)
-            new = (Fa, ka, sa, np.where(pick(last), t_final, pick(t) + pick(hs)),
-                   np.maximum(pick(err), 1e-4), pick(steps) + 1)
-            if whole:
-                F, k1, s, t, err_prev, steps = new
-            else:
-                for x, v in zip((F, k1, s, t, err_prev, steps), new):
-                    x[a] = v
+                record(rows[acc], t[acc], hs[acc], dense)
+            F[acc], k1[acc], s[acc] = Fa, ka, sa
+            t[acc] = np.where(last[acc], t_final, t[acc] + hs[acc])
+            err_prev[acc] = np.maximum(err[acc], 1e-4)
+            steps[acc] += 1
         steady = np.abs(k1).sum(axis=1) < steady_tol
         leave = steady | (ok & last)
     return F_out, conv_out, steps_out, t_out, D_out
@@ -553,10 +548,10 @@ def run_trajectory(
 
 
 def _flux(F: np.ndarray, speeds: np.ndarray) -> np.ndarray:
-    """Flux sum_j v_j f_j of every row of F, by (1, n) @ (n, 1) products.
+    """Flux sum_j v_j f_j of every row of F, bit for bit the row's speeds @ f.
 
-    Each runs the dot kernel of the 1-D speeds @ f, so the flux is that
-    dot's bit for bit; an (m, n) @ (n,) product rounds differently.
+    Each row is a (1, n) @ (n,) product, which runs the same dot kernel as
+    the 1-D speeds @ f; an (m, n) @ (n,) product rounds differently.
     """
     return np.matmul(F[:, None, :], speeds)[:, 0]
 
@@ -570,7 +565,7 @@ def observables(state: KineticState, lattice: SpeedLattice) -> Observables:
     if state.n != lattice.n:
         raise ValueError(f"state has {state.n} classes, lattice has {lattice.n}")
     r = state.rho
-    q = float(_flux(state.f[None, :], lattice.speeds)[0])
+    q = float(lattice.speeds @ state.f)
     u = q / r if r > 0.0 else 1.0
     return Observables(rho=r, q=q, u=u)
 

@@ -29,8 +29,7 @@ __all__ = [
     "diagram_svg",
 ]
 
-# trajectory rows per % call; one call for the whole table would hold
-# every row's floats at once
+# trajectory rows per % call, which bounds the floats held as objects at once
 _CSV_BLOCK = 1024
 
 

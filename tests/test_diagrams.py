@@ -2,6 +2,9 @@
 
 import enum
 import json
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from collections import OrderedDict
@@ -12,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import kinetic_traffic
 from kinetic_traffic import (
     METHOD_INTEGRATE,
     METHOD_RECURSIVE,
@@ -55,6 +59,28 @@ class TestGrid:
     def test_too_small(self):
         with pytest.raises(ValueError):
             build_grid(1)
+
+    def test_equals_the_sorted_union_with_one_half(self):
+        # linspace hits 1/2 exactly at some odd step counts and misses it
+        # by an ulp at others; either way the grid is the sorted union
+        for steps in range(2, 3002):
+            grid = np.linspace(0.0, 1.0, steps)
+            want = np.unique(np.concatenate([grid, [0.5]]))
+            assert build_grid(steps).tobytes() == want.tobytes(), steps
+
+    def test_does_not_load_numpy_ma(self):
+        # np.unique would import numpy.ma on its first call
+        src = os.path.dirname(os.path.dirname(kinetic_traffic.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from kinetic_traffic.diagrams import build_grid; "
+             "build_grid(20); build_grid(51); print('numpy.ma' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestRecursiveSweep:
