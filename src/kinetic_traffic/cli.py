@@ -103,31 +103,13 @@ def _cmd_equilibrium(args) -> int:
     scale_rho, scale_v = 1.0, 1.0
     if args.units == UNITS_PHYSICAL:
         scale_rho, scale_v = params.rho_max, params.v_max
-    payload = {
-        "n": eq.n,
-        "rho": eq.rho * scale_rho,
-        "f_inf": [x * scale_rho for x in eq.f_inf],
-        "q": obs.q * scale_rho * scale_v,
-        "u": obs.u * scale_v,
-        "phase": eq.phase,
-        "stable": stable,
-        "branch_data": [
-            {
-                "j": b.j,
-                "rule": b.rule,
-                "root": b.root,
-                "delta": b.delta,
-                "b": b.b,
-                "c": b.c,
-            }
-            for b in eq.branch_data
-        ],
-    }
-    print(f"n={eq.n} rho={fmt15(payload['rho'])} phase={eq.phase} stable={'yes' if stable else 'no'}")
-    print("f_inf=" + " ".join(fmt15(float(x)) for x in payload["f_inf"]))
-    print(f"q={fmt15(payload['q'])} u={fmt15(payload['u'])} verdict={report.verdict}")
+    q, u = obs.q * scale_rho * scale_v, obs.u * scale_v
+    f_inf = (eq.f_inf * scale_rho).tolist()
+    print(f"n={eq.n} rho={fmt15(eq.rho * scale_rho)} phase={eq.phase} stable={'yes' if stable else 'no'}")
+    print("f_inf=" + " ".join(["%.15g"] * len(f_inf)) % tuple(f_inf))
+    print(f"q={fmt15(q)} u={fmt15(u)} verdict={report.verdict}")
     if args.out_json:
-        _write(args.out_json, equilibrium_json(payload))
+        _write(args.out_json, equilibrium_json(eq, scale_rho, q, u, stable))
         print(f"wrote {args.out_json}")
     return EXIT_OK
 

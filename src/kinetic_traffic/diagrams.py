@@ -72,9 +72,6 @@ class Diagram:
         if any(b <= a for a, b in zip(r, r[1:])):
             raise ValueError("grid densities must be strictly increasing")
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(p, name) for p in self.points])
-
 
 def build_grid(steps: int = 201) -> np.ndarray:
     """Uniform density grid on [0, 1] with the critical point inserted.

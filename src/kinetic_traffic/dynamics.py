@@ -386,13 +386,13 @@ def _integrate_batch(
         # right after a rejection may not grow
         grow = err**_ALPHA
         fac = np.where(ok, grow / err_prev**_BETA, grow) / _SAFE
-        h = hs / np.clip(fac, 1.0 / _FAC_MAX, 1.0 / _FAC_MIN)
+        h = hs / np.minimum(np.maximum(fac, 1.0 / _FAC_MAX), 1.0 / _FAC_MIN)
         h = np.where(ok & rejected, np.minimum(h, hs), h)
-        if np.any((t + h == t) & ~ok):
+        if ((t + h == t) & ~ok).any():
             raise IntegrationDivergedError("step size too small to advance time")
         rejected = ~ok
 
-        a = np.flatnonzero(ok)
+        a = ok.nonzero()[0]
         stats.accepted += a.size
         stats.rejected += rows.size - a.size
         if a.size:

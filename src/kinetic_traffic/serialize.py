@@ -1,22 +1,29 @@
 """Deterministic text output: CSV, JSON, and SVG writers.
 
-Every float is rendered with repr-stable 15 significant digits so that
-repeated runs with identical inputs produce byte-identical files.  The
-JSON writer is hand-rolled for that reason: json.dumps would use repr,
-which switches digit counts from value to value.  The trajectory table
-takes the flux of all its rows at once (dynamics._flux, the one flux
-rule) and formats a block of rows with each % call.
+Every float is rendered with 15 significant digits (%.15g), so repeated
+runs with identical inputs produce byte-identical files; JSON writes a
+number that is not finite as null (_json_numbers, the one rule).  Each
+document's layout is written once as a template and its numbers are
+filled in by one % per block of records: json.dumps would use repr,
+which switches digit counts from value to value.  Distinct strings
+(phases, rules) are encoded once per document and enter a template
+with every % doubled.  The trajectory table takes the flux of all its
+rows at once (dynamics._flux, the one flux rule), and the SVG maps each
+panel's ticks and points with numpy.  to_json encodes a general
+document one value at a time.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from .diagrams import Diagram
 from .dynamics import _flux
+from .equilibrium import EquilibriumResult
 from .lattice import SpeedLattice
 
 __all__ = [
@@ -29,8 +36,11 @@ __all__ = [
     "diagram_svg",
 ]
 
-# trajectory rows per % call, which bounds the floats held as objects at once
+# records per % call, which bounds the floats held as objects at once
 _CSV_BLOCK = 1024
+
+_NUMBERS = attrgetter("rho", "q", "u")
+_KEY = attrgetter("phase", "converged")
 
 
 def fmt15(x: float) -> str:
@@ -41,48 +51,53 @@ def fmt15(x: float) -> str:
     return "%.15g" % x
 
 
-def _json_value(value, keys: dict[str, str]) -> str:
-    """One JSON value; keys caches the encoded str keys of one document.
+def _json_numbers(values) -> list[str]:
+    """Each value as a JSON number: %.15g, or null when it is not finite.
 
-    The exact scalar types dispatch on type(); containers, subclasses
-    and numpy scalars take the isinstance rules below.  NaN and
-    infinities become null.
+    %.15g spells a finite value with digits, '.', 'e', '+' and '-' only,
+    so in a text of numbers and commas every n or i belongs to nan, inf
+    or -inf.  A whole document is no such text: the key f_inf holds inf.
     """
-    t = type(value)
-    if t is float:
-        return "%.15g" % value if math.isfinite(value) else "null"
-    if t is str:
-        return json.dumps(value)
-    if t is int:
-        return str(value)
-    if t is bool:
-        return "true" if value else "false"
+    text = ("%.15g," * len(values)) % tuple(values)
+    if "n" in text:
+        text = text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+    return text.split(",")[:-1]
+
+
+def _json_value(value) -> str:
     if value is None:
         return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _json_value(float(value), keys)
+        return _json_numbers((float(value),))[0]
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
-        parts = []
-        for k, v in value.items():
-            if type(k) is str:
-                key = keys.get(k)
-                if key is None:
-                    key = keys[k] = json.dumps(k)
-            else:
-                key = json.dumps(k)
-            parts.append(f"{key}: {_json_value(v, keys)}")
-        return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ", ".join([_json_value(v, keys) for v in value]) + "]"
-    raise TypeError(f"cannot serialize {t.__name__}")
+        return "[" + ", ".join([_json_value(v) for v in value]) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def to_json(value) -> str:
-    return _json_value(value, {}) + "\n"
+    return _json_value(value) + "\n"
+
+
+def _records(templates: dict, keys: list, numbers: list, sep: str) -> str:
+    """The template of each key in turn, filled from numbers in blocks of _CSV_BLOCK.
+
+    Every template takes the same count of numbers.
+    """
+    width = len(numbers) // len(keys)
+    parts = []
+    for i in range(0, len(keys), _CSV_BLOCK):
+        block = keys[i : i + _CSV_BLOCK]
+        values = numbers[i * width : (i + len(block)) * width]
+        parts.append(sep.join([templates[k] for k in block]) % tuple(values))
+    return sep.join(parts)
 
 
 def trajectory_csv(times: np.ndarray, samples: np.ndarray, lattice: SpeedLattice) -> str:
@@ -104,35 +119,60 @@ def trajectory_csv(times: np.ndarray, samples: np.ndarray, lattice: SpeedLattice
     return "\n".join(parts) + "\n"
 
 
+def _points(diagram: Diagram) -> tuple[list, list]:
+    """rho, q and u of every point in one flat list, and each point's (phase, converged)."""
+    return list(chain.from_iterable(map(_NUMBERS, diagram.points))), list(map(_KEY, diagram.points))
+
+
 def diagram_csv(diagram: Diagram) -> str:
-    lines = ["rho,q,u,phase"]
-    for p in diagram.points:
-        lines.append(f"{fmt15(p.rho)},{fmt15(p.q)},{fmt15(p.u)},{p.phase}")
-    return "\n".join(lines) + "\n"
+    numbers, keys = _points(diagram)
+    templates = {k: "%.15g,%.15g,%.15g," + f"{k[0]}".replace("%", "%%") for k in set(keys)}
+    return "rho,q,u,phase\n" + _records(templates, keys, numbers, "\n") + "\n"
 
 
 def diagram_json(diagram: Diagram) -> str:
-    payload = {
-        "n": diagram.n,
-        "method": diagram.method,
-        "sigma": diagram.sigma,
-        "q_max": diagram.q_max,
-        "points": [
-            {
-                "rho": p.rho,
-                "q": p.q,
-                "u": p.u,
-                "phase": p.phase,
-                "converged": p.converged,
-            }
-            for p in diagram.points
-        ],
+    numbers, keys = _points(diagram)
+    templates = {
+        (phase, conv): '{"rho": %s, "q": %s, "u": %s, "phase": '
+        + json.dumps(phase).replace("%", "%%")
+        + (', "converged": true}' if conv else ', "converged": false}')
+        for phase, conv in set(keys)
     }
-    return to_json(payload)
+    sigma, q_max = _json_numbers((diagram.sigma, diagram.q_max))
+    points = _records(templates, keys, _json_numbers(numbers), ", ")
+    return '{"n": %d, "method": %s, "sigma": %s, "q_max": %s, "points": [%s]}\n' % (
+        diagram.n, json.dumps(diagram.method), sigma, q_max, points
+    )
 
 
-def equilibrium_json(payload: dict) -> str:
-    return to_json(payload)
+def _branch_template(rule: str, quadratic: bool) -> str:
+    tail = '"delta": %s, "b": %s, "c": %s}' if quadratic else '"delta": null, "b": null, "c": null}'
+    return '{"j": %s, "rule": ' + json.dumps(rule).replace("%", "%%") + ', "root": %s, ' + tail
+
+
+def equilibrium_json(
+    eq: EquilibriumResult, scale_rho: float, q: float, u: float, stable: bool
+) -> str:
+    """The equilibrium record, with rho and f_inf times scale_rho.
+
+    q and u are written as given.  branch_data keeps the dimensionless
+    roots; quadratic levels carry delta, b and c, the other rules null.
+    The level index j, an int below 10**15, goes through %.15g with the
+    numbers, which writes it as str does.
+    """
+    numbers, keys = [], []
+    for b in eq.branch_data:
+        quadratic = b.rule == "quadratic"
+        numbers += (b.j, b.root, b.delta, b.b, b.c) if quadratic else (b.j, b.root)
+        keys.append((b.rule, quadratic))
+    templates = {k: _branch_template(*k) for k in set(keys)}
+    rho, q, u = _json_numbers((eq.rho * scale_rho, q, u))
+    f_inf = ", ".join(_json_numbers((eq.f_inf * scale_rho).tolist()))
+    branches = ", ".join([templates[k] for k in keys]) % tuple(_json_numbers(numbers))
+    return (
+        '{"n": %d, "rho": %s, "f_inf": [%s], "q": %s, "u": %s, "phase": %s, '
+        '"stable": %s, "branch_data": [%s]}\n'
+    ) % (eq.n, rho, f_inf, q, u, json.dumps(eq.phase), "true" if stable else "false", branches)
 
 
 # -- SVG ---------------------------------------------------------------
@@ -140,88 +180,65 @@ def equilibrium_json(payload: dict) -> str:
 _W, _H = 640, 420
 _MARGIN = 54
 _PANEL_GAP = 46
+_LEFT, _RIGHT = _MARGIN, _W - 18
 
-
-def _fmt_coord(x: float) -> str:
-    return "%.2f" % x
+_TICK = (
+    '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#444"/>\n'
+    '<text x="%.2f" y="%.2f" font-size="11" text-anchor="middle">%.3g</text>\n'
+    f'<line x1="{_LEFT - 5}" y1="%.2f" x2="{_LEFT}" y2="%.2f" stroke="#444"/>\n'
+    f'<text x="{_LEFT - 8}" y="%.2f" font-size="11" text-anchor="end">%.3g</text>'
+)
+_PANEL = (
+    f'<rect x="{_LEFT}" y="%.2f" width="{_RIGHT - _LEFT}" height="%.2f" fill="none" '
+    'stroke="#444"/>\n%s\n'
+    '<polyline points="%s" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>\n'
+    '<text x="%.2f" y="%.2f" font-size="12" text-anchor="middle">%s</text>\n'
+    '<text x="16" y="%.2f" font-size="12" text-anchor="middle" '
+    'transform="rotate(-90 16 %.2f)">%s</text>'
+)
 
 
 def _panel(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    top: float,
-    height: float,
-    x_label: str,
-    y_label: str,
-) -> list[str]:
-    left, right = _MARGIN, _W - 18
+    xs: np.ndarray, ys: np.ndarray, top: float, height: float, x_label: str, y_label: str
+) -> str:
     bottom = top + height
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo = 0.0
     y_hi = float(ys.max()) if ys.size and ys.max() > 0 else 1.0
     y_hi *= 1.05
     span_x = x_hi - x_lo if x_hi > x_lo else 1.0
-
-    def sx(x: float) -> float:
-        return left + (x - x_lo) / span_x * (right - left)
-
-    def sy(y: float) -> float:
-        return bottom - (y - y_lo) / (y_hi - y_lo) * height
-
-    out = [
-        f'<rect x="{left}" y="{_fmt_coord(top)}" width="{right - left}" '
-        f'height="{_fmt_coord(height)}" fill="none" stroke="#444"/>'
-    ]
-    for i in range(5):
-        xv = x_lo + span_x * i / 4
-        yv = y_lo + (y_hi - y_lo) * i / 4
-        xp, yp = sx(xv), sy(yv)
-        out.append(
-            f'<line x1="{_fmt_coord(xp)}" y1="{_fmt_coord(bottom)}" '
-            f'x2="{_fmt_coord(xp)}" y2="{_fmt_coord(bottom + 5)}" stroke="#444"/>'
-        )
-        out.append(
-            f'<text x="{_fmt_coord(xp)}" y="{_fmt_coord(bottom + 18)}" '
-            f'font-size="11" text-anchor="middle">{"%.3g" % xv}</text>'
-        )
-        out.append(
-            f'<line x1="{left - 5}" y1="{_fmt_coord(yp)}" '
-            f'x2="{left}" y2="{_fmt_coord(yp)}" stroke="#444"/>'
-        )
-        out.append(
-            f'<text x="{left - 8}" y="{_fmt_coord(yp + 4)}" '
-            f'font-size="11" text-anchor="end">{"%.3g" % yv}</text>'
-        )
-    pts = " ".join(f"{_fmt_coord(sx(float(x)))},{_fmt_coord(sy(float(y)))}" for x, y in zip(xs, ys))
-    out.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
-    out.append(
-        f'<text x="{_fmt_coord((left + right) / 2)}" y="{_fmt_coord(bottom + 34)}" '
-        f'font-size="12" text-anchor="middle">{x_label}</text>'
+    i = np.arange(5)
+    # five ticks, then the points: one mapping per axis, in the operation
+    # order of the scalar one and as silent on non-finite values
+    with np.errstate(all="ignore"):
+        xv, yv = x_lo + span_x * i / 4, y_lo + (y_hi - y_lo) * i / 4
+        px = _LEFT + (np.concatenate((xv, xs)) - x_lo) / span_x * (_RIGHT - _LEFT)
+        py = bottom - (np.concatenate((yv, ys)) - y_lo) / (y_hi - y_lo) * height
+    ticks = "\n".join(
+        _TICK % (xp, bottom, xp, bottom + 5, xp, bottom + 18, x, yp, yp, yp + 4, y)
+        for xp, x, yp, y in zip(px[:5].tolist(), xv.tolist(), py[:5].tolist(), yv.tolist())
     )
-    out.append(
-        f'<text x="16" y="{_fmt_coord(top + height / 2)}" font-size="12" '
-        f'text-anchor="middle" transform="rotate(-90 16 {_fmt_coord(top + height / 2)})">'
-        f"{y_label}</text>"
+    xy = np.column_stack((px[5:], py[5:]))
+    pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+    mid = top + height / 2
+    return _PANEL % (
+        top, height, ticks, pts, (_LEFT + _RIGHT) / 2, bottom + 34, x_label, mid, mid, y_label
     )
-    return out
 
 
 def diagram_svg(diagram: Diagram) -> str:
     """Two stacked panels: flux over density and mean speed over density."""
-    xs = diagram.column("rho")
+    xs, qs, us = np.array(_points(diagram)[0], dtype=float).reshape(-1, 3).T
     if diagram.units == "physical":
         labels = ("density [veh/km]", "flux [veh/h]", "mean speed [km/h]")
     else:
         labels = ("density", "flux", "mean speed")
     panel_h = (_H - 2 * _MARGIN - _PANEL_GAP) / 2
-    parts = [
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-    ]
-    parts += _panel(xs, diagram.column("q"), _MARGIN / 2, panel_h, labels[0], labels[1])
-    parts += _panel(
-        xs, diagram.column("u"), _MARGIN / 2 + panel_h + _PANEL_GAP, panel_h, labels[0], labels[2]
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        _panel(xs, qs, _MARGIN / 2, panel_h, labels[0], labels[1]),
+        _panel(xs, us, _MARGIN / 2 + panel_h + _PANEL_GAP, panel_h, labels[0], labels[2]),
+        "</svg>\n",
+    ])

@@ -173,3 +173,144 @@ def trajectory_csv_reference(times, samples, lattice):
 @pytest.fixture(scope="session")
 def trajectory_csv_oracle():
     return trajectory_csv_reference
+
+
+def diagram_csv_reference(diagram):
+    """The diagram table one point and one value at a time, the reference."""
+    lines = ["rho,q,u,phase"]
+    for p in diagram.points:
+        lines.append(f"{'%.15g' % p.rho},{'%.15g' % p.q},{'%.15g' % p.u},{p.phase}")
+    return "\n".join(lines) + "\n"
+
+
+def diagram_json_reference(diagram):
+    """The diagram document through the per-value JSON encoder, the reference."""
+    payload = {
+        "n": diagram.n,
+        "method": diagram.method,
+        "sigma": diagram.sigma,
+        "q_max": diagram.q_max,
+        "points": [
+            {"rho": p.rho, "q": p.q, "u": p.u, "phase": p.phase, "converged": p.converged}
+            for p in diagram.points
+        ],
+    }
+    return json_value(payload) + "\n"
+
+
+def _svg_panel_reference(xs, ys, top, height, x_label, y_label):
+    left, right = 54, 640 - 18
+    bottom = top + height
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo = 0.0
+    y_hi = float(ys.max()) if ys.size and ys.max() > 0 else 1.0
+    y_hi *= 1.05
+    span_x = x_hi - x_lo if x_hi > x_lo else 1.0
+
+    def sx(x):
+        return left + (x - x_lo) / span_x * (right - left)
+
+    def sy(y):
+        return bottom - (y - y_lo) / (y_hi - y_lo) * height
+
+    def c(x):
+        return "%.2f" % x
+
+    out = [
+        f'<rect x="{left}" y="{c(top)}" width="{right - left}" '
+        f'height="{c(height)}" fill="none" stroke="#444"/>'
+    ]
+    for i in range(5):
+        xv = x_lo + span_x * i / 4
+        yv = y_lo + (y_hi - y_lo) * i / 4
+        xp, yp = sx(xv), sy(yv)
+        out.append(
+            f'<line x1="{c(xp)}" y1="{c(bottom)}" '
+            f'x2="{c(xp)}" y2="{c(bottom + 5)}" stroke="#444"/>'
+        )
+        out.append(
+            f'<text x="{c(xp)}" y="{c(bottom + 18)}" '
+            f'font-size="11" text-anchor="middle">{"%.3g" % xv}</text>'
+        )
+        out.append(
+            f'<line x1="{left - 5}" y1="{c(yp)}" '
+            f'x2="{left}" y2="{c(yp)}" stroke="#444"/>'
+        )
+        out.append(
+            f'<text x="{left - 8}" y="{c(yp + 4)}" '
+            f'font-size="11" text-anchor="end">{"%.3g" % yv}</text>'
+        )
+    pts = " ".join(f"{c(sx(float(x)))},{c(sy(float(y)))}" for x, y in zip(xs, ys))
+    out.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
+    out.append(
+        f'<text x="{c((left + right) / 2)}" y="{c(bottom + 34)}" '
+        f'font-size="12" text-anchor="middle">{x_label}</text>'
+    )
+    out.append(
+        f'<text x="16" y="{c(top + height / 2)}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 16 {c(top + height / 2)})">{y_label}</text>'
+    )
+    return out
+
+
+def diagram_svg_reference(diagram):
+    """The two-panel SVG, one point and one closure call at a time, the reference."""
+    W, H, margin, gap = 640, 420, 54, 46
+
+    def column(name):
+        return np.array([getattr(p, name) for p in diagram.points])
+
+    xs = column("rho")
+    if diagram.units == "physical":
+        labels = ("density [veh/km]", "flux [veh/h]", "mean speed [km/h]")
+    else:
+        labels = ("density", "flux", "mean speed")
+    panel_h = (H - 2 * margin - gap) / 2
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" viewBox="0 0 {W} {H}">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+    ]
+    parts += _svg_panel_reference(xs, column("q"), margin / 2, panel_h, labels[0], labels[1])
+    parts += _svg_panel_reference(
+        xs, column("u"), margin / 2 + panel_h + gap, panel_h, labels[0], labels[2]
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def equilibrium_json_reference(eq, scale_rho, q, u, stable):
+    """The equilibrium record as one dict per level, per-value encoded, the reference."""
+    payload = {
+        "n": eq.n,
+        "rho": eq.rho * scale_rho,
+        "f_inf": [x * scale_rho for x in eq.f_inf],
+        "q": q,
+        "u": u,
+        "phase": eq.phase,
+        "stable": stable,
+        "branch_data": [
+            {"j": b.j, "rule": b.rule, "root": b.root, "delta": b.delta, "b": b.b, "c": b.c}
+            for b in eq.branch_data
+        ],
+    }
+    return json_value(payload) + "\n"
+
+
+@pytest.fixture(scope="session")
+def diagram_csv_oracle():
+    return diagram_csv_reference
+
+
+@pytest.fixture(scope="session")
+def diagram_json_oracle():
+    return diagram_json_reference
+
+
+@pytest.fixture(scope="session")
+def diagram_svg_oracle():
+    return diagram_svg_reference
+
+
+@pytest.fixture(scope="session")
+def equilibrium_json_oracle():
+    return equilibrium_json_reference

@@ -1,20 +1,40 @@
 """Command line behavior: plumbing, exit codes, determinism."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import kinetic_traffic
-from kinetic_traffic import GameTable, build_game_table
+from kinetic_traffic import (
+    GameTable,
+    KineticState,
+    ModelParams,
+    build_game_table,
+    build_lattice,
+    equilibrium_recursive,
+    is_attracting,
+    observables,
+    stability_report,
+)
 from kinetic_traffic.cli import main
 from kinetic_traffic.verify import run_suite
+
+
+_EDGE_DENSITIES = [0.0, 5e-324, 1e-300, math.nextafter(0.5, 0.0), 0.5,
+                   math.nextafter(0.5, 1.0), 1.0]
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +111,42 @@ class TestEquilibrium:
         assert payload["rho"] == 50.0
         assert payload["u"] == 100.0
         assert payload["q"] == 5000.0
+
+    @given(n=st.integers(2, 300), rho=st.floats(0.0, 1.0), physical=st.booleans())
+    @example(n=2, rho=_EDGE_DENSITIES[0], physical=False)
+    @example(n=300, rho=_EDGE_DENSITIES[0], physical=True)
+    @example(n=200, rho=_EDGE_DENSITIES[1], physical=False)
+    @example(n=3, rho=_EDGE_DENSITIES[1], physical=True)
+    @example(n=300, rho=_EDGE_DENSITIES[2], physical=False)
+    @example(n=2, rho=_EDGE_DENSITIES[2], physical=True)
+    @example(n=200, rho=_EDGE_DENSITIES[3], physical=False)
+    @example(n=300, rho=_EDGE_DENSITIES[3], physical=True)
+    @example(n=2, rho=_EDGE_DENSITIES[4], physical=False)
+    @example(n=200, rho=_EDGE_DENSITIES[4], physical=True)
+    @example(n=300, rho=_EDGE_DENSITIES[5], physical=False)
+    @example(n=200, rho=_EDGE_DENSITIES[5], physical=True)
+    @example(n=3, rho=_EDGE_DENSITIES[6], physical=False)
+    @example(n=300, rho=_EDGE_DENSITIES[6], physical=True)
+    def test_record_matches_the_per_value_writer(self, equilibrium_json_oracle, n, rho, physical):
+        # the whole command in process: its JSON file and its f_inf line
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "eq.json")
+            argv = ["equilibrium", "--n", str(n), "--rho", repr(rho), "--out-json", path]
+            if physical:
+                argv += ["--units", "physical"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            text = Path(path).read_bytes().decode()
+        params = ModelParams(n=n)
+        eq = equilibrium_recursive(n, rho)
+        stable = is_attracting(stability_report(eq.f_inf, params).verdict, from_larger_roots=True)
+        obs = observables(KineticState(eq.f_inf), build_lattice(n))
+        scale_rho, scale_v = (params.rho_max, params.v_max) if physical else (1.0, 1.0)
+        q, u = obs.q * scale_rho * scale_v, obs.u * scale_v
+        assert text == equilibrium_json_oracle(eq, scale_rho, q, u, stable)
+        line = "f_inf=" + " ".join("%.15g" % float(x * scale_rho) for x in eq.f_inf)
+        assert line in out.getvalue().splitlines()
 
     def test_free_phase_stable_at_large_n(self, capsys):
         # the free-phase hyperplane eigenvalue is defective with

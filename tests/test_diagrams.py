@@ -1,5 +1,6 @@
 """Diagram sweeps, critical-density detection, and the text writers."""
 
+import dataclasses
 import enum
 import json
 import os
@@ -35,6 +36,7 @@ from kinetic_traffic.serialize import (
     diagram_csv,
     diagram_json,
     diagram_svg,
+    equilibrium_json,
     _CSV_BLOCK,
     fmt15,
     to_json,
@@ -289,6 +291,31 @@ _json_documents = st.recursive(
 )
 
 
+_DIAGRAM_EDGES = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324, 0.5]
+_diagram_values = st.floats() | st.sampled_from(_DIAGRAM_EDGES)
+_phases = st.text() | st.sampled_from(
+    ["free", "congested", "100%", "%s", "%%d", "%(x)s", 'say "hi"', "é ü 漢", "\u2028"]
+)
+
+
+@st.composite
+def _hand_built_diagrams(draw):
+    rhos = sorted(draw(st.lists(st.floats(allow_nan=False), min_size=2, max_size=30, unique=True)))
+    points = tuple(
+        DiagramPoint(rho, draw(_diagram_values), draw(_diagram_values), draw(_phases),
+                     draw(st.booleans()))
+        for rho in rhos
+    )
+    return Diagram(
+        n=draw(st.integers()),
+        method=draw(_phases),
+        units=draw(st.sampled_from(["dimensionless", "physical"])),
+        sigma=draw(_diagram_values),
+        q_max=draw(_diagram_values),
+        points=points,
+    )
+
+
 class TestFormatting:
     def test_fifteen_significant_digits(self):
         assert fmt15(0.5) == "0.5"
@@ -395,6 +422,73 @@ class TestWriters:
         text = trajectory_csv(times, samples, lat)
         assert text == trajectory_csv_oracle(times, samples, lat)
         assert text.count("\n") == m + 1
+
+    @staticmethod
+    def _assert_writers_match(d, csv_oracle, json_oracle, svg_oracle):
+        # the SVG's numpy mappings stay as silent as the scalar ones
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert diagram_csv(d) == csv_oracle(d)
+            assert diagram_json(d) == json_oracle(d)
+            assert diagram_svg(d) == svg_oracle(d)
+
+    @given(n=st.integers(2, 200), size=st.integers(2, 2001), physical=st.booleans())
+    @example(n=2, size=2, physical=False)
+    @example(n=6, size=_CSV_BLOCK - 1, physical=False)
+    @example(n=40, size=_CSV_BLOCK, physical=True)
+    @example(n=200, size=_CSV_BLOCK + 1, physical=False)
+    @example(n=40, size=2001, physical=True)
+    @settings(max_examples=15)  # a sweep and three writers twice, up to 2,001 points
+    def test_sweep_writers_match_the_per_point_writers(
+        self, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle, n, size, physical
+    ):
+        grid = np.linspace(0.0, 1.0, size)
+        grid[np.abs(grid - 0.5).argmin()] = 0.5  # a free phase to delimit, same size
+        d = sweep(n, grid)
+        if physical:
+            d = rescale_dimensional(d, ModelParams(n=n))
+        self._assert_writers_match(d, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle)
+
+    def test_integrate_sweep_writers_match_the_per_point_writers(
+        self, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle
+    ):
+        config = IntegrationConfig(dt=0.05, t_final=2000.0)
+        d = sweep(6, build_grid(51), METHOD_INTEGRATE, config=config)
+        assert 0 < sum(not p.converged for p in d.points) < len(d.points)
+        for doc in (d, rescale_dimensional(d, ModelParams(n=6))):
+            self._assert_writers_match(
+                doc, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle
+            )
+
+    @given(_hand_built_diagrams())
+    @example(Diagram(n=2, method="recursive", units="dimensionless", sigma=float("nan"),
+                     q_max=float("nan"), points=(
+                         DiagramPoint(-0.0, float("nan"), float("inf"), "50% free", True),
+                         DiagramPoint(5e-324, -float("inf"), -0.0, 'a "%s" é', False),
+                         DiagramPoint(float("nan"), 5e-324, float("nan"), "%(x)s %%", True))))
+    @example(Diagram(n=3, method="%d", units="physical", sigma=float("inf"), q_max=-0.0,
+                     points=(DiagramPoint(-float("inf"), 1e308, -1e308, "漢\u2028", False),
+                             DiagramPoint(float("inf"), -1e308, 1e308, "\x00%", False))))
+    def test_hand_built_writers_match_the_per_point_writers(
+        self, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle, d
+    ):
+        # non-finite values, signed zeros, subnormals and phases holding %,
+        # quotes and non-ASCII text
+        self._assert_writers_match(d, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle)
+
+    def test_equilibrium_json_takes_any_strings_and_numbers(self, equilibrium_json_oracle):
+        eq = equilibrium_recursive(5, 0.7)
+        odd = dataclasses.replace(
+            eq,
+            phase='%s "é"',
+            branch_data=tuple(
+                b if b.rule == "quadratic" else dataclasses.replace(b, rule=b.rule + " 50%")
+                for b in eq.branch_data
+            ),
+        )
+        for q, u in ((float("nan"), -float("inf")), (-0.0, 5e-324)):
+            want = equilibrium_json_oracle(odd, 200.0, q, u, False)
+            assert equilibrium_json(odd, 200.0, q, u, False) == want
 
     def test_svg_is_wellformed_with_two_curves(self):
         d = sweep(3, build_grid(26))

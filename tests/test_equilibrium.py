@@ -28,7 +28,13 @@ from kinetic_traffic import (
     stability_report,
 )
 from kinetic_traffic.dynamics import _rhs_batch
-from kinetic_traffic.equilibrium import _closed_form, _density_terms, _level, _zero_tail
+from kinetic_traffic.equilibrium import (
+    _RATE_TOL,
+    _closed_form,
+    _density_terms,
+    _level,
+    _zero_tail,
+)
 
 # worked three-class example at rho = 3/4: the slowest class holds
 # 2*rho - 1 = 1/2, the middle class solves the level quadratic with
@@ -457,6 +463,43 @@ class TestStability:
                 want = -p.eta0 * rho**2 * abs(2.0 * rho - 1.0)
                 lam = max(rep.hyperplane_real_parts)
                 assert abs(lam - want) <= 1e-14 * abs(want), f"n={n} rho={rho}"
+
+    @given(
+        n=st.integers(2, 200),
+        # anywhere, and close to the two densities where the slowest rate vanishes
+        rho=st.floats(0.0, 1.0) | st.floats(0.0, 3e-4) | st.floats(0.5 - 5e-8, 0.5 + 5e-8),
+        eta0=st.floats(0.5, 3.0),
+    )
+    # the edges of the two regions, at eta0 = 1: rate 1e-10 near rho = 1e-5
+    # and 1/2 +- 2e-10, rate 1e-8 near rho = 1e-4 and 1/2 +- 2e-8
+    @example(n=2, rho=1e-5, eta0=1.0)
+    @example(n=200, rho=1.001e-4, eta0=1.0)
+    @example(n=6, rho=0.5 - 1.9e-10, eta0=1.0)
+    @example(n=200, rho=0.5 + 1.9e-10, eta0=1.0)
+    @example(n=2, rho=0.5 - 2.1e-8, eta0=1.0)
+    @example(n=200, rho=0.5 + 2.1e-8, eta0=1.0)
+    # inside the band: the rate is still checked
+    @example(n=6, rho=1e-4, eta0=1.0)
+    @example(n=200, rho=0.5 - 1e-9, eta0=1.0)
+    @example(n=2, rho=0.5 + 1e-9, eta0=1.0)
+    @example(n=6, rho=0.5 + 2e-9, eta0=1.0)
+    @example(n=200, rho=HALF_DOWN, eta0=1.0)
+    @example(n=200, rho=HALF_UP, eta0=1.0)
+    @example(n=200, rho=0.0, eta0=1.0)
+    @example(n=200, rho=5e-324, eta0=1.0)
+    @example(n=200, rho=1.0, eta0=3.0)
+    def test_top_rate_decides_the_verdict(self, n, rho, eta0):
+        # the top hyperplane rate of the closed form is -eta0 rho^2 |2 rho - 1|
+        # to roundoff; the verdict is stable where that rate is 10 times the
+        # tolerance and marginal below a tenth of it, and never unstable
+        rep = stability_report(equilibrium_recursive(n, rho).f_inf, ModelParams(n=n, eta0=eta0))
+        rate = eta0 * rho * rho * abs(2.0 * rho - 1.0)
+        assert abs(rep.hyperplane_real_parts[0] + rate) <= 2e-15 * eta0 * rho * rho
+        assert rep.verdict != UNSTABLE
+        if rate > 10.0 * _RATE_TOL:
+            assert rep.verdict == STABLE
+        elif rate < _RATE_TOL / 10.0:
+            assert rep.verdict == MARGINAL
 
     @given(states(n_max=8))
     def test_rates_match_restricted_eigenvalues(self, case):
