@@ -91,7 +91,7 @@ def _sweep_chunk(args) -> list[DiagramPoint]:
     # module-level so process pools can pickle it
     n, rhos, method, eta0, config = args
     if method == METHOD_RECURSIVE:
-        F, conv = _closed_form(n, rhos)[0], np.ones(rhos.size, dtype=bool)
+        F, conv = _closed_form(n, rhos), np.ones(rhos.size, dtype=bool)
     else:
         F0 = np.outer(rhos, np.full(n, 1.0 / n))
         F, conv, _, _ = integrate_batch(F0, ModelParams(n=n, eta0=eta0), config)
@@ -138,7 +138,7 @@ def sweep(
     grid = build_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a vector of at least 2 densities")
-    if grid.min() < 0.0 or grid.max() > 1.0:
+    if not np.isfinite(grid).all() or grid.min() < 0.0 or grid.max() > 1.0:
         raise ValueError("grid densities must lie in [0, 1]")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid densities must be strictly increasing")

@@ -190,10 +190,10 @@ class IntegrationConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.t_final > 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (self.t_final > 0 and math.isfinite(self.t_final)):
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
         if not self.steady_tol >= 0:
             raise ValueError("steady_tol must be nonnegative")
         if self.record_stride < 1:

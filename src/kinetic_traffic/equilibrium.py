@@ -24,12 +24,23 @@ in the free phase the head is all zero and B = rho (2 rho - 1) <= 0.
 So once a class is zero, every class above it up to the top one is
 zero too.  At n = 200 the non-zero classes below the top end by class
 28 on the 2001-point grid and by class 32 just above 1/2, so at least
-167 of the 198 levels give zero.  The recursion therefore runs level by
-level only until a class is +0.0 in every row.  The levels above it
-share one head, so their prefix sums, taken exactly as the loop takes
-them, are stacked and the level arithmetic runs once over the stack;
-levels are kept up to and including the first root that is not +0.0,
-and the loop resumes after it, so the output is the loop's bit for bit.
+167 of the 198 levels give zero.
+
+The loop stops at a class that is +0.0 in every row when one sign bound
+shows, row by row, that every level above gives +0.0 in floating point
+too.  Let S be the head's sum and S_lo = S (1 - 4 n u), u = 2^-53.  A
+computed sum of k <= n non-negative terms is within gamma_k = k u /
+(1 - k u) of the exact sum, in any order, and appended zeros keep the
+exact sum, so every later prefix sum S' is at least S (1 - gamma_n) /
+(1 + gamma_n) = S (1 - 2 n u) >= S_lo (sums below 2^-1021 are exact).
+Rounding is monotone, so with b_slope = 1 - 3 rho < 0 every later
+B = fl(fl(b_slope S') + b_const) is at most the checked
+fl(fl(b_slope S_lo) + b_const); with S = 0 the head is exactly 0 and B
+is b_const, rho (2 rho - 1) <= 0 in the free rows.  Above a +0.0 class
+C is +-0, so the root is +0.0 exactly when B <= 0, and C passes the
+consistency check.  So the loop stops once every row has
+b_slope S_lo + b_const <= 0 with b_slope < 0 or S = 0, and otherwise
+runs one more level; either way F is the plain loop's bit for bit.
 
 Linearization uses the cumulative coordinates P_j = f_1 + ... + f_j,
 with P_0 = 0 and P_n = rho.  In them the dynamics read
@@ -96,8 +107,6 @@ CRITICAL_DENSITY = 0.5
 BRUTEFORCE_MAX_N = 12
 
 _TINY = 1e-12
-# elements in one stacked block of _zero_tail, which bounds its temporaries
-_STACK_ELEMS = 8192
 # a rate lambda_j within this of zero counts as neither decaying nor growing
 _RATE_TOL = 1e-9
 
@@ -208,72 +217,43 @@ def _level(S: np.ndarray, last: np.ndarray | float, terms: tuple[np.ndarray, ...
     return root, B, C, delta
 
 
-def _zero_tail(
-    F: np.ndarray, coeffs: tuple[np.ndarray, ...], j: int, terms: tuple[np.ndarray, ...]
-) -> int:
-    """Levels j, j+1, ... of _closed_form in stacked passes, after a +0.0 class.
-
-    Class j-1 is +0.0 in every row, so level j has C = 0, and the levels
-    above it see the same head for as long as their classes stay +0.0.
-    Each pass takes the per-level prefix sums F[:, :k-1].sum(axis=1), the
-    loop's own, stacks them as a (levels, rows) block with last = 0 and
-    runs _level once over the block.  Levels are accepted up to and
-    including the first whose root is not +0.0 in some row; the levels
-    above it assumed a zero head and are dropped.  coeffs holds the B, C
-    and delta arrays of _closed_form.  Returns the first level not
-    accepted, n when the tail is done.
-    """
-    m, n = F.shape
-    # bounds the stacked temporaries, so a wide batch takes several passes
-    width = max(1, _STACK_ELEMS // m)
-    while j < n:
-        stop = min(n, j + width)
-        S = np.stack([F[:, : k - 1].sum(axis=1) for k in range(j, stop)])
-        root, *level_coeffs = _level(S, 0.0, terms)
-        # +0.0 is the one float whose bits are all zero
-        nonzero = root.view(np.int64).any(axis=1)
-        done = not nonzero.any()
-        accepted = stop - j if done else int(nonzero.argmax()) + 1
-        F[:, j - 1 : j - 1 + accepted] = root[:accepted].T
-        for dst, src in zip(coeffs, level_coeffs):
-            dst[:, j - 2 : j - 2 + accepted] = src[:accepted].T
-        j += accepted
-        if not done:
-            break
-    return j
+def _sum_floor(S: np.ndarray, n: int) -> np.ndarray:
+    """S_lo of the module docstring: below any sum of S's terms with zeros, n in all."""
+    return S * (1.0 - 4 * n * 2.0**-53)
 
 
-def _closed_form(n: int, rho: np.ndarray):
+def _fill_levels(F: np.ndarray, j: int, terms: tuple[np.ndarray, ...]) -> None:
+    """Classes j .. n-1 of F from its first j-1, up to the sign bound's exit."""
+    n = F.shape[1]
+    _, b_slope, b_const = terms[:3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(j, n):
+            S = F[:, : k - 1].sum(axis=1)
+            # +0.0 is the one float whose bits are all zero
+            if not np.count_nonzero(F[:, k - 2].view(np.int64)) and np.all(
+                (b_slope * _sum_floor(S, n) + b_const <= 0.0) & ((b_slope < 0.0) | (S == 0.0))
+            ):
+                return
+            F[:, k - 1] = _level(S, F[:, k - 2], terms)[0]
+
+
+def _closed_form(n: int, rho: np.ndarray) -> np.ndarray:
     """Closed-form stationary states, one row per density of the vector rho.
 
-    Runs the level recursion once per class over all rows, until a class
-    is +0.0 in every row; _zero_tail then takes the levels above it in
-    stacked passes.  Returns (F, B, C, delta): F is (m, n), and column
-    j-2 of B, C and delta holds the coefficients of level j = 2 .. n-1.
-    A row at rho = 0 comes out all zero.
+    Returns F, (m, n): the stopped class by the phase rule, the level
+    recursion up to class n-1 (_fill_levels) and the top class as the
+    remainder.  A row at rho = 0 comes out all zero.
     """
-    m = rho.size
-    F = np.zeros((m, n))
-    B, C, delta = (np.zeros((m, n - 2)) for _ in range(3))
-    terms = _density_terms(rho)
+    F = np.zeros((rho.size, n))
     F[:, 0] = np.where(rho <= CRITICAL_DENSITY, 0.0, 2.0 * rho - 1.0)
-    j = 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while j < n:
-            root, B[:, j - 2], C[:, j - 2], delta[:, j - 2] = _level(
-                F[:, : j - 1].sum(axis=1), F[:, j - 2], terms
-            )
-            F[:, j - 1] = root
-            j += 1
-            if not np.count_nonzero(root.view(np.int64)):
-                j = _zero_tail(F, (B, C, delta), j, terms)
+    _fill_levels(F, 2, _density_terms(rho))
     tail = rho - F[:, : n - 1].sum(axis=1)
     if tail.min() < -_TINY:
         raise ConsistencyError(
             f"top class would need mass {tail.min()!r}; recursion inconsistent"
         )
     F[:, n - 1] = np.where(tail > 0.0, tail, 0.0)
-    return F, B, C, delta
+    return F
 
 
 def equilibrium_recursive(n: int, rho: float) -> EquilibriumResult:
@@ -290,16 +270,22 @@ def equilibrium_recursive(n: int, rho: float) -> EquilibriumResult:
         raise ValueError(f"density {rho} outside [0, 1]")
     n = int(n)
     rho = float(rho)
-    F, B, C, delta = _closed_form(n, np.array([rho]))
+    F = _closed_form(n, np.array([rho]))
     roots = F[0].tolist()
     if rho == 0.0:
         records = [BranchRecord(j=j, rule="empty", root=0.0) for j in range(1, n + 1)]
     else:
         records = [BranchRecord(j=1, rule=_phase(rho), root=roots[0])]
-        records += [
-            BranchRecord(j=j, rule="quadratic", root=roots[j - 1], delta=d, b=b, c=c)
-            for j, b, c, d in zip(range(2, n), B[0].tolist(), C[0].tolist(), delta[0].tolist())
-        ]
+        if n > 2:
+            # the loop's own prefix sums, so the coefficients carry its bits
+            S = np.stack([F[:, : k - 1].sum(axis=1) for k in range(2, n)])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                _, B, C, delta = (x[:, 0].tolist() for x in _level(
+                    S, F[:, : n - 2].T, _density_terms(np.array([rho]))))
+            records += [
+                BranchRecord(j=j, rule="quadratic", root=roots[j - 1], delta=d, b=b, c=c)
+                for j, b, c, d in zip(range(2, n), B, C, delta)
+            ]
         records.append(BranchRecord(j=n, rule="remainder", root=roots[n - 1]))
     return EquilibriumResult(n=n, rho=rho, f_inf=F[0], phase=_phase(rho),
                              branch_data=tuple(records))

@@ -120,7 +120,7 @@ def _check_continuity(n_max: int) -> CheckResult:
 def _check_uniqueness(n_max: int) -> CheckResult:
     for n in range(2, min(n_max, BRUTEFORCE_MAX_N) + 1):
         params = ModelParams(n=n)
-        closed_forms = _closed_form(n, np.array(VERIFY_DENSITIES))[0]
+        closed_forms = _closed_form(n, np.array(VERIFY_DENSITIES))
         for rho, closed in zip(VERIFY_DENSITIES, closed_forms):
             candidates = equilibrium_bruteforce(n, rho, params)
             attracting = [
@@ -164,7 +164,7 @@ def _check_attractivity(n_max: int) -> CheckResult:
             return CheckResult(
                 "attractivity", False, f"{int((~conv).sum())} runs never went steady at n={n}"
             )
-        targets = np.repeat(_closed_form(n, np.array(VERIFY_DENSITIES))[0], samples, axis=0)
+        targets = np.repeat(_closed_form(n, np.array(VERIFY_DENSITIES)), samples, axis=0)
         err = float(np.abs(F - targets).max())
         worst = max(worst, err)
         if err > _ATTRACT_TOL:

@@ -238,6 +238,12 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "equilibrium", "--n", "3", "--rho", "1.5")
         assert code == 1
 
+        code, _, err = run_cli(
+            capsys, "simulate", "--n", "4", "--rho", "0.6", "--t-final", "inf"
+        )
+        assert code == 1
+        assert "invalid input" in err
+
     def test_argparse_errors_use_usage_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

@@ -247,6 +247,11 @@ class TestDiagramValidation:
             Diagram(n=2, method="recursive", units="dimensionless",
                     sigma=0.5, q_max=0.5, points=pts)
 
+    def test_sweep_needs_finite_densities(self):
+        # a NaN passed every range and order check and came out a point
+        with pytest.raises(ValueError):
+            sweep(6, np.array([0.1, np.nan, 0.7]))
+
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             Diagram(n=2, method="recursive", units="dimensionless",

@@ -338,6 +338,17 @@ class TestIntegration:
             IntegrationConfig(steady_tol=-1e-9)
         with pytest.raises(ValueError):
             IntegrationConfig(record_stride=0)
+        # an endless horizon never returned: the step loop ran forever
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                IntegrationConfig(dt=bad)
+            with pytest.raises(ValueError):
+                IntegrationConfig(t_final=bad)
+        state = random_state(4, 0.6)
+        with pytest.raises(ValueError):
+            step(state, math.inf, ModelParams(n=4))
+        with pytest.raises(ValueError):
+            continuity_gap(state, state, math.inf, ModelParams(n=4))
 
 
 class TestConservationPolicy:

@@ -32,8 +32,9 @@ from kinetic_traffic.equilibrium import (
     _RATE_TOL,
     _closed_form,
     _density_terms,
+    _fill_levels,
     _level,
-    _zero_tail,
+    _sum_floor,
 )
 
 # worked three-class example at rho = 3/4: the slowest class holds
@@ -163,7 +164,7 @@ class TestRecursion:
         # n = 6 on, at rho = 0.865)
         rhos = np.concatenate([build_grid(2001), [HALF_DOWN, HALF_UP, 1e-100]])
         for n in (2, 3, 4, 6, 9, 17, 40, 100, 200):
-            resid = np.abs(_rhs_batch(_closed_form(n, rhos)[0], 1.0)).sum(axis=1)
+            resid = np.abs(_rhs_batch(_closed_form(n, rhos), 1.0)).sum(axis=1)
             scaled = resid[rhos > 0] / rhos[rhos > 0] ** 2
             assert resid[rhos == 0].max() == 0.0
             assert scaled.max() <= 1e-15, f"n={n}: scaled residual {scaled.max()}"
@@ -277,15 +278,10 @@ class TestRecursion:
     def test_rows_match_the_scalar_recursion(self, closed_form_oracle, n, rhos):
         # the batch runs each level over all rows; row by row it must give
         # the one-density recursion bit for bit, whatever its neighbours
-        F, B, C, delta = _closed_form(n, rhos)
+        F = _closed_form(n, rhos)
         for i, rho in enumerate(rhos):
-            f, levels = closed_form_oracle(n, float(rho))
+            f, _ = closed_form_oracle(n, float(rho))
             assert _bits(F[i]) == _bits(f), f"n={n} rho={rho!r}"
-            if levels:
-                want_B, want_C, want_delta = zip(*levels)
-                assert _bits(B[i]) == _bits(want_B)
-                assert _bits(C[i]) == _bits(want_C)
-                assert _bits(delta[i]) == _bits(want_delta)
 
     @given(n=st.integers(2, 300), rho=st.floats(0.0, 1.0))
     @example(n=200, rho=HALF_DOWN)
@@ -299,10 +295,14 @@ class TestRecursion:
     @example(n=200, rho=1e-300)
     @example(n=200, rho=1.0)
     @example(n=300, rho=0.51)
+    @example(n=400, rho=0.51)
+    @example(n=2, rho=0.0)
+    @example(n=2, rho=0.7)
     def test_single_density_matches_the_scalar_recursion(self, closed_form_oracle, n, rho):
-        # one row, which density_batches never draws: the recursion stacks
-        # the levels above the first +0.0 class, and n above 130 takes
-        # prefix sums longer than numpy's 128-element pairwise block
+        # one row, which density_batches never draws: the record takes the
+        # coefficients of every level, the ones the loop skipped included,
+        # from one stack of prefix sums, and n above 130 takes prefix sums
+        # longer than numpy's 128-element pairwise block
         eq = equilibrium_recursive(n, rho)
         f, levels = closed_form_oracle(n, rho)
         assert _bits(eq.f_inf) == _bits(f), f"n={n} rho={rho!r}"
@@ -310,44 +310,61 @@ class TestRecursion:
         quads = [(rec.b, rec.c, rec.delta) for rec in eq.branch_data if rec.rule == "quadratic"]
         assert _bits(quads) == _bits(levels)
 
-    def test_zero_tail_stops_at_a_positive_root(self):
+    @given(
+        head=st.lists(
+            st.floats(0.0, 1.0) | st.floats(0.0, 2.2250738585072014e-308),
+            min_size=1, max_size=300,
+        ),
+        zeros=st.integers(0, 150),
+    )
+    @example(head=[1.0] * 129, zeros=0)
+    @example(head=[5e-324, 0.3, 2e-308, 0.1], zeros=150)
+    def test_sum_floor_bounds_every_later_prefix_sum(self, head, zeros):
+        # the bound behind the early exit: summed with any number of zeros
+        # appended, up to n terms, a non-negative head never sums below
+        # the floor of its own sum, nor does its exact sum
+        n = len(head) + zeros
+        row = np.zeros((1, n))
+        row[0, : len(head)] = head
+        floor = _sum_floor(row[:, : len(head)].sum(axis=1), n)[0]
+        assert math.fsum(head) >= floor
+        for k in range(len(head), n + 1):
+            assert row[:, :k].sum(axis=1)[0] >= floor, f"{k} terms"
+
+    def test_declined_bound_runs_the_next_level(self):
         # a hand-built head, not reachable from the phase rule: class 2 is
-        # +0.0 in both rows, but row 0 holds too little below it, so B > 0
-        # and level 3 has the positive root B / rho; row 1 stays zero
+        # +0.0 in both rows, but row 0 holds too little below it, so B > 0,
+        # the bound declines and level 3 takes the positive root B / rho;
+        # row 1 alone would stop there, and the loop runs on level by level
         n, rho = 8, np.array([0.7, 0.7])
         terms = _density_terms(rho)
         F = np.zeros((2, n))
         F[:, 0] = [0.1, 0.4]
-        coeffs = tuple(np.zeros((2, n - 2)) for _ in range(3))
-        want_F, want_coeffs = F.copy(), tuple(c.copy() for c in coeffs)
+        want = F.copy()
+        _fill_levels(F, 3, terms)
         with np.errstate(divide="ignore", invalid="ignore"):
-            j = _zero_tail(F, coeffs, 3, terms)
-            root, *level_coeffs = _level(want_F[:, :2].sum(axis=1), want_F[:, 1], terms)
-        want_F[:, 2] = root
-        for dst, src in zip(want_coeffs, level_coeffs):
-            dst[:, 1] = src
-        assert j == 4
-        assert root[0] > 0.0 and root[1] == 0.0
-        assert _bits(F) == _bits(want_F)
-        for got, want in zip(coeffs, want_coeffs):
-            assert _bits(got) == _bits(want)
+            B = _level(want[:, :2].sum(axis=1), want[:, 1], terms)[1]
+            for j in range(3, n):
+                want[:, j - 1] = _level(want[:, : j - 1].sum(axis=1), want[:, j - 2], terms)[0]
+        assert B[0] > 0.0 >= B[1]
+        assert F[0, 2] == B[0] / 0.7 and F[1, 2] == 0.0
+        assert (F[0, 3:-1] > 0.0).all()
+        assert _bits(F) == _bits(want)
 
-    def test_zero_tail_matches_level_by_level(self):
-        # a wide batch takes several bounded blocks; each level equals
-        # _level applied one at a time on the loop's prefix sums
+    def test_early_exit_matches_level_by_level(self):
+        # a wide batch that stops early: every class equals _level applied
+        # one level at a time on the loop's prefix sums, with no exit
         n = 60
         rho = np.tile(np.array([0.0, 0.2, 0.5, HALF_UP, 0.6, 0.75, 0.9, 1.0]), 500)
-        F, B, C, delta = _closed_form(n, rho)
+        F = _closed_form(n, rho)
         want_F = np.zeros_like(F)
         want_F[:, 0] = F[:, 0]
         terms = _density_terms(rho)
         with np.errstate(divide="ignore", invalid="ignore"):
             for j in range(2, n):
-                root, b, c, d = _level(want_F[:, : j - 1].sum(axis=1), want_F[:, j - 2], terms)
-                want_F[:, j - 1] = root
-                assert _bits(B[:, j - 2]) == _bits(b), f"level {j}"
-                assert _bits(C[:, j - 2]) == _bits(c), f"level {j}"
-                assert _bits(delta[:, j - 2]) == _bits(d), f"level {j}"
+                want_F[:, j - 1] = _level(
+                    want_F[:, : j - 1].sum(axis=1), want_F[:, j - 2], terms
+                )[0]
         assert _bits(F[:, :-1]) == _bits(want_F[:, :-1])
 
     def test_rejects_bad_arguments(self):
@@ -457,7 +474,7 @@ class TestStability:
         rhos = np.array([k / 100 for k in range(1, 100) if k != 50])
         for n in (20, 50, 200):
             p = ModelParams(n=n)
-            for rho, f in zip(rhos.tolist(), _closed_form(n, rhos)[0]):
+            for rho, f in zip(rhos.tolist(), _closed_form(n, rhos)):
                 rep = stability_report(f, p)
                 assert rep.verdict == STABLE, f"n={n} rho={rho}: {rep.verdict}"
                 want = -p.eta0 * rho**2 * abs(2.0 * rho - 1.0)
