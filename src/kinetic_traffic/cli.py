@@ -34,6 +34,7 @@ from .lattice import ModelParams, build_lattice
 from .serialize import (
     diagram_csv,
     diagram_json,
+    diagram_numbers,
     diagram_svg,
     equilibrium_json,
     fmt15,
@@ -121,23 +122,25 @@ def _cmd_diagram(args) -> int:
     if args.method == METHOD_INTEGRATE:
         config = IntegrationConfig(dt=args.dt, t_final=args.t_final)
     diagram = sweep(args.n, grid, args.method, params, config, jobs=args.jobs)
-    flagged = sum(1 for p in diagram.points if not p.converged)
+    flagged = int(np.count_nonzero(~diagram.converged))
     if args.units == UNITS_PHYSICAL:
         diagram = rescale_dimensional(diagram, params)
     print(
         f"n={diagram.n} method={diagram.method} units={diagram.units} "
-        f"points={len(diagram.points)}"
+        f"points={diagram.rho.size}"
     )
     print(f"sigma={fmt15(diagram.sigma)} q_max={fmt15(diagram.q_max)}")
     if flagged:
         print(f"unconverged points: {flagged} (kept, marked in the JSON output)")
-    for opt, writer in (
-        (args.out_csv, diagram_csv),
-        (args.out_json, diagram_json),
-        (args.out_svg, diagram_svg),
+    # one %.15g pass serves both text writers
+    numbers = diagram_numbers(diagram) if args.out_csv or args.out_json else None
+    for opt, write in (
+        (args.out_csv, lambda: diagram_csv(diagram, numbers)),
+        (args.out_json, lambda: diagram_json(diagram, numbers)),
+        (args.out_svg, lambda: diagram_svg(diagram)),
     ):
         if opt:
-            _write(opt, writer(diagram))
+            _write(opt, write())
             print(f"wrote {opt}")
     return EXIT_OK
 

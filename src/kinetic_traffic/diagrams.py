@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import IntegrationConfig, _flux, integrate_batch
-from .equilibrium import CRITICAL_DENSITY, _closed_form, _phase
+from .equilibrium import CRITICAL_DENSITY, PHASE_CONGESTED, PHASE_FREE, _closed_form
 from .errors import MalformedDiagramError
 from .lattice import ModelParams, build_lattice
 
@@ -58,19 +58,43 @@ class DiagramPoint:
 
 @dataclass(frozen=True)
 class Diagram:
+    """Observables over a density grid, one column per quantity.
+
+    rho, q, u (float) and converged (bool) hold one entry per grid point,
+    in grid order, and phase one string each; all are stored as read-only
+    copies.  points is a view that nothing in the package reads.
+    """
+
     n: int
     method: str
     units: str
     sigma: float
     q_max: float
-    points: tuple[DiagramPoint, ...]
+    rho: np.ndarray = field(repr=False)
+    q: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
+    phase: tuple[str, ...] = field(repr=False)
+    converged: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        r = [p.rho for p in self.points]
-        if len(r) < 2:
+        for name, dtype in (("rho", float), ("q", float), ("u", float), ("converged", bool)):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+            getattr(self, name).setflags(write=False)
+        object.__setattr__(self, "phase", tuple(self.phase))
+        r = self.rho
+        if r.ndim != 1 or r.size < 2:
             raise ValueError("a diagram needs at least two grid points")
-        if any(b <= a for a, b in zip(r, r[1:])):
+        if any(len(c) != r.size for c in (self.q, self.u, self.phase, self.converged)):
+            raise ValueError("diagram columns differ in length")
+        # a nan compares false either way, so it passes, as it always has
+        if np.any(r[1:] <= r[:-1]):
             raise ValueError("grid densities must be strictly increasing")
+
+    @property
+    def points(self) -> tuple[DiagramPoint, ...]:
+        """The columns as one DiagramPoint per grid point, built on each access."""
+        return tuple(map(DiagramPoint, self.rho.tolist(), self.q.tolist(), self.u.tolist(),
+                         self.phase, self.converged.tolist()))
 
 
 def build_grid(steps: int = 201) -> np.ndarray:
@@ -87,19 +111,15 @@ def build_grid(steps: int = 201) -> np.ndarray:
     return grid if grid[i] == CRITICAL_DENSITY else np.insert(grid, i, CRITICAL_DENSITY)
 
 
-def _sweep_chunk(args) -> list[DiagramPoint]:
-    # module-level so process pools can pickle it
+def _sweep_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """(flux, converged) over a chunk of the grid; module-level so process pools can pickle it."""
     n, rhos, method, eta0, config = args
     if method == METHOD_RECURSIVE:
         F, conv = _closed_form(n, rhos), np.ones(rhos.size, dtype=bool)
     else:
         F0 = np.outer(rhos, np.full(n, 1.0 / n))
         F, conv, _, _ = integrate_batch(F0, ModelParams(n=n, eta0=eta0), config)
-    flux = _flux(F, build_lattice(n).speeds)
-    return [
-        DiagramPoint(rho=r, q=q, u=q / r if r > 0 else 1.0, phase=_phase(r), converged=cv)
-        for r, q, cv in zip(rhos.tolist(), flux.tolist(), conv.tolist())
-    ]
+    return _flux(F, build_lattice(n).speeds), conv
 
 
 def sweep(
@@ -151,22 +171,36 @@ def sweep(
         # imported here: the pool machinery is about 20 ms of the CLI's start
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk_points = list(pool.map(_sweep_chunk, tasks))
+            chunk_columns = list(pool.map(_sweep_chunk, tasks))
     else:
-        chunk_points = [_sweep_chunk(t) for t in tasks]
-    points = tuple(p for chunk in chunk_points for p in chunk)
-    good = [p.q for p in points if p.converged]
-    q_max = max(good) if good else float("nan")
-    diagram = Diagram(
-        n=int(n),
-        method=method,
-        units=UNITS_DIMENSIONLESS,
-        sigma=float("nan"),
-        q_max=q_max,
-        points=points,
-    )
+        chunk_columns = [_sweep_chunk(t) for t in tasks]
+    q, converged = (np.concatenate(c) for c in zip(*chunk_columns))
+    u = np.divide(q, grid, out=np.ones_like(q), where=grid > 0.0)
+    good = q[converged]
     u_tol = INTEGRATE_U_TOL if method == METHOD_INTEGRATE else U_TOL
-    return replace(diagram, sigma=detect_sigma(diagram, u_tol))
+    # the grid is increasing, so the free points come first
+    free = int(np.searchsorted(grid, CRITICAL_DENSITY, side="right"))
+    return Diagram(
+        n=int(n), method=method, units=UNITS_DIMENSIONLESS,
+        sigma=_free_end(grid, u, converged, u_tol),
+        q_max=float(good.max()) if good.size else float("nan"),
+        rho=grid, q=q, u=u, converged=converged,
+        phase=(PHASE_FREE,) * free + (PHASE_CONGESTED,) * (grid.size - free),
+    )
+
+
+def _free_end(rho: np.ndarray, u: np.ndarray, converged: np.ndarray, u_tol: float) -> float:
+    """detect_sigma on the columns, which sweep calls before its Diagram exists."""
+    free = rho[converged & (rho > 0.0) & (u >= 1.0 - u_tol)]
+    if not free.size:
+        raise MalformedDiagramError(
+            "no converged point with positive density moves at full speed; "
+            "there is no free phase to delimit"
+        )
+    sigma = float(free.max())
+    if sigma >= rho[-1]:
+        warnings.warn("free phase spans the whole density range", stacklevel=3)
+    return sigma
 
 
 def detect_sigma(diagram: Diagram, u_tol: float = U_TOL) -> float:
@@ -178,20 +212,7 @@ def detect_sigma(diagram: Diagram, u_tol: float = U_TOL) -> float:
     """
     if diagram.units != UNITS_DIMENSIONLESS:
         raise ValueError("sigma detection expects a dimensionless diagram")
-    free = [
-        p.rho
-        for p in diagram.points
-        if p.converged and p.rho > 0.0 and p.u >= 1.0 - u_tol
-    ]
-    if not free:
-        raise MalformedDiagramError(
-            "no converged point with positive density moves at full speed; "
-            "there is no free phase to delimit"
-        )
-    sigma = max(free)
-    if sigma >= diagram.points[-1].rho:
-        warnings.warn("free phase spans the whole density range", stacklevel=2)
-    return float(sigma)
+    return _free_end(diagram.rho, diagram.u, diagram.converged, u_tol)
 
 
 def rescale_dimensional(diagram: Diagram, params: ModelParams) -> Diagram:
@@ -199,21 +220,7 @@ def rescale_dimensional(diagram: Diagram, params: ModelParams) -> Diagram:
     if diagram.units != UNITS_DIMENSIONLESS:
         raise ValueError("diagram is already in physical units")
     rm, vm = params.rho_max, params.v_max
-    points = tuple(
-        DiagramPoint(
-            rho=p.rho * rm,
-            q=p.q * rm * vm,
-            u=p.u * vm,
-            phase=p.phase,
-            converged=p.converged,
-        )
-        for p in diagram.points
-    )
-    return Diagram(
-        n=diagram.n,
-        method=diagram.method,
-        units=UNITS_PHYSICAL,
-        sigma=diagram.sigma * rm,
-        q_max=diagram.q_max * rm * vm,
-        points=points,
+    return replace(
+        diagram, units=UNITS_PHYSICAL, sigma=diagram.sigma * rm, q_max=diagram.q_max * rm * vm,
+        rho=diagram.rho * rm, q=diagram.q * rm * vm, u=diagram.u * vm,
     )

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -130,14 +131,35 @@ class BranchRecord:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
+    """Closed-form state at one density, with its level coefficients as rows.
+
+    b, c and delta belong to the level quadratics of classes 2 .. n-1; on
+    the empty road (rho = 0) no level is solved and the rows are empty.
+    branch_data is a view that nothing in the package reads.
+    """
+
     n: int
     rho: float
     f_inf: np.ndarray = field(repr=False)
     phase: str
-    branch_data: tuple[BranchRecord, ...]
+    b: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
+    delta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.f_inf.setflags(write=False)
+        for a in (self.f_inf, self.b, self.c, self.delta):
+            a.setflags(write=False)
+
+    @property
+    def branch_data(self) -> tuple[BranchRecord, ...]:
+        """The rows as one BranchRecord per class, built on each access."""
+        roots = self.f_inf.tolist()
+        if self.rho == 0.0:
+            return tuple(BranchRecord(j, "empty", r) for j, r in enumerate(roots, 1))
+        levels = map(BranchRecord, range(2, self.n), repeat("quadratic"), roots[1:-1],
+                     self.delta.tolist(), self.b.tolist(), self.c.tolist())
+        return (BranchRecord(1, self.phase, roots[0]), *levels,
+                BranchRecord(self.n, "remainder", roots[-1]))
 
 
 @dataclass(frozen=True)
@@ -175,10 +197,6 @@ def equilibrium_f1(rho: float) -> float:
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"density {rho} outside [0, 1]")
     return 0.0 if rho <= CRITICAL_DENSITY else 2.0 * rho - 1.0
-
-
-def _phase(rho: float) -> str:
-    return PHASE_FREE if rho <= CRITICAL_DENSITY else PHASE_CONGESTED
 
 
 def _density_terms(rho: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -271,24 +289,15 @@ def equilibrium_recursive(n: int, rho: float) -> EquilibriumResult:
     n = int(n)
     rho = float(rho)
     F = _closed_form(n, np.array([rho]))
-    roots = F[0].tolist()
-    if rho == 0.0:
-        records = [BranchRecord(j=j, rule="empty", root=0.0) for j in range(1, n + 1)]
-    else:
-        records = [BranchRecord(j=1, rule=_phase(rho), root=roots[0])]
-        if n > 2:
-            # the loop's own prefix sums, so the coefficients carry its bits
-            S = np.stack([F[:, : k - 1].sum(axis=1) for k in range(2, n)])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                _, B, C, delta = (x[:, 0].tolist() for x in _level(
-                    S, F[:, : n - 2].T, _density_terms(np.array([rho]))))
-            records += [
-                BranchRecord(j=j, rule="quadratic", root=roots[j - 1], delta=d, b=b, c=c)
-                for j, b, c, d in zip(range(2, n), B, C, delta)
-            ]
-        records.append(BranchRecord(j=n, rule="remainder", root=roots[n - 1]))
-    return EquilibriumResult(n=n, rho=rho, f_inf=F[0], phase=_phase(rho),
-                             branch_data=tuple(records))
+    B = C = delta = np.empty(0)
+    if rho > 0.0 and n > 2:
+        # the loop's own prefix sums, so the coefficients carry its bits
+        S = np.stack([F[:, : k - 1].sum(axis=1) for k in range(2, n)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, B, C, delta = (x[:, 0] for x in _level(
+                S, F[:, : n - 2].T, _density_terms(np.array([rho]))))
+    phase = PHASE_FREE if rho <= CRITICAL_DENSITY else PHASE_CONGESTED
+    return EquilibriumResult(n=n, rho=rho, f_inf=F[0], phase=phase, b=B, c=C, delta=delta)
 
 
 def _cumulative_partials(f: np.ndarray, params: ModelParams):

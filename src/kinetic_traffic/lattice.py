@@ -57,12 +57,11 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValueError(f"need at least two speed classes, got n={self.n}")
-        if not self.rho_max > 0:
-            raise ValueError(f"rho_max must be positive, got {self.rho_max}")
-        if not self.v_max > 0:
-            raise ValueError(f"v_max must be positive, got {self.v_max}")
-        if not self.eta0 > 0:
-            raise ValueError(f"eta0 must be positive, got {self.eta0}")
+        for name in ("rho_max", "v_max", "eta0"):
+            value = getattr(self, name)
+            # also false for nan
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

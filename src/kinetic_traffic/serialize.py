@@ -8,7 +8,9 @@ filled in by one % per block of records: json.dumps would use repr,
 which switches digit counts from value to value.  Distinct strings
 (phases, rules) are encoded once per document and enter a template
 with every % doubled.  The trajectory table takes the flux of all its
-rows at once (dynamics._flux, the one flux rule), and the SVG maps each
+rows at once (dynamics._flux, the one flux rule).  The diagram writers
+read the Diagram's columns: the CSV and the JSON can share one
+formatting of their numbers (diagram_numbers), and the SVG maps each
 panel's ticks and points with numpy.  to_json encodes a general
 document one value at a time.
 """
@@ -16,8 +18,6 @@ document one value at a time.
 from __future__ import annotations
 
 import json
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "fmt15",
     "to_json",
     "trajectory_csv",
+    "diagram_numbers",
     "diagram_csv",
     "diagram_json",
     "equilibrium_json",
@@ -38,9 +39,6 @@ __all__ = [
 
 # records per % call, which bounds the floats held as objects at once
 _CSV_BLOCK = 1024
-
-_NUMBERS = attrgetter("rho", "q", "u")
-_KEY = attrgetter("phase", "converged")
 
 
 def fmt15(x: float) -> str:
@@ -51,14 +49,18 @@ def fmt15(x: float) -> str:
     return "%.15g" % x
 
 
-def _json_numbers(values) -> list[str]:
-    """Each value as a JSON number: %.15g, or null when it is not finite.
+def _fmt_all(values) -> str:
+    """Each value with %.15g and a comma after it, in one %."""
+    return ("%.15g," * len(values)) % tuple(values)
+
+
+def _json_numbers(text: str) -> list[str]:
+    """The numbers of a _fmt_all text as JSON: null where one is not finite.
 
     %.15g spells a finite value with digits, '.', 'e', '+' and '-' only,
     so in a text of numbers and commas every n or i belongs to nan, inf
     or -inf.  A whole document is no such text: the key f_inf holds inf.
     """
-    text = ("%.15g," * len(values)) % tuple(values)
     if "n" in text:
         text = text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
     return text.split(",")[:-1]
@@ -72,7 +74,7 @@ def _json_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _json_numbers((float(value),))[0]
+        return _json_numbers(_fmt_all((float(value),)))[0]
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -119,35 +121,35 @@ def trajectory_csv(times: np.ndarray, samples: np.ndarray, lattice: SpeedLattice
     return "\n".join(parts) + "\n"
 
 
-def _points(diagram: Diagram) -> tuple[list, list]:
-    """rho, q and u of every point in one flat list, and each point's (phase, converged)."""
-    return list(chain.from_iterable(map(_NUMBERS, diagram.points))), list(map(_KEY, diagram.points))
+def diagram_numbers(diagram: Diagram) -> str:
+    """rho, q and u of every point as _fmt_all writes them, point by point.
+
+    diagram_csv and diagram_json take it as numbers, so both can share one.
+    """
+    return _fmt_all(np.column_stack((diagram.rho, diagram.q, diagram.u)).ravel().tolist())
 
 
-def diagram_csv(diagram: Diagram) -> str:
-    numbers, keys = _points(diagram)
-    templates = {k: "%.15g,%.15g,%.15g," + f"{k[0]}".replace("%", "%%") for k in set(keys)}
-    return "rho,q,u,phase\n" + _records(templates, keys, numbers, "\n") + "\n"
+def diagram_csv(diagram: Diagram, numbers: str | None = None) -> str:
+    numbers = diagram_numbers(diagram) if numbers is None else numbers
+    templates = {p: "%s,%s,%s," + p.replace("%", "%%") for p in set(diagram.phase)}
+    rows = _records(templates, diagram.phase, numbers.split(",")[:-1], "\n")
+    return "rho,q,u,phase\n" + rows + "\n"
 
 
-def diagram_json(diagram: Diagram) -> str:
-    numbers, keys = _points(diagram)
+def diagram_json(diagram: Diagram, numbers: str | None = None) -> str:
+    numbers = diagram_numbers(diagram) if numbers is None else numbers
+    keys = list(zip(diagram.phase, diagram.converged.tolist()))
     templates = {
         (phase, conv): '{"rho": %s, "q": %s, "u": %s, "phase": '
         + json.dumps(phase).replace("%", "%%")
         + (', "converged": true}' if conv else ', "converged": false}')
         for phase, conv in set(keys)
     }
-    sigma, q_max = _json_numbers((diagram.sigma, diagram.q_max))
+    sigma, q_max = _json_numbers(_fmt_all((diagram.sigma, diagram.q_max)))
     points = _records(templates, keys, _json_numbers(numbers), ", ")
     return '{"n": %d, "method": %s, "sigma": %s, "q_max": %s, "points": [%s]}\n' % (
         diagram.n, json.dumps(diagram.method), sigma, q_max, points
     )
-
-
-def _branch_template(rule: str, quadratic: bool) -> str:
-    tail = '"delta": %s, "b": %s, "c": %s}' if quadratic else '"delta": null, "b": null, "c": null}'
-    return '{"j": %s, "rule": ' + json.dumps(rule).replace("%", "%%") + ', "root": %s, ' + tail
 
 
 def equilibrium_json(
@@ -156,19 +158,25 @@ def equilibrium_json(
     """The equilibrium record, with rho and f_inf times scale_rho.
 
     q and u are written as given.  branch_data keeps the dimensionless
-    roots; quadratic levels carry delta, b and c, the other rules null.
-    The level index j, an int below 10**15, goes through %.15g with the
-    numbers, which writes it as str does.
+    roots; each level is one row of j, root, delta, b and c, with nan,
+    written null, for the coefficients of the levels that are not
+    quadratic.  The level index j, an int below 10**15, goes through %.15g
+    as a float, which writes it as str writes the int.
     """
-    numbers, keys = [], []
-    for b in eq.branch_data:
-        quadratic = b.rule == "quadratic"
-        numbers += (b.j, b.root, b.delta, b.b, b.c) if quadratic else (b.j, b.root)
-        keys.append((b.rule, quadratic))
-    templates = {k: _branch_template(*k) for k in set(keys)}
-    rho, q, u = _json_numbers((eq.rho * scale_rho, q, u))
-    f_inf = ", ".join(_json_numbers((eq.f_inf * scale_rho).tolist()))
-    branches = ", ".join([templates[k] for k in keys]) % tuple(_json_numbers(numbers))
+    n = eq.n
+    rules = ["empty"] * n if eq.rho == 0.0 else [eq.phase] + ["quadratic"] * (n - 2) + ["remainder"]
+    levels = np.full((n, 5), np.nan)
+    levels[:, :2] = np.column_stack((np.arange(1, n + 1), eq.f_inf))
+    levels[1 : 1 + eq.b.size, 2:] = np.column_stack((eq.delta, eq.b, eq.c))
+    templates = {
+        r: '{"j": %s, "rule": ' + json.dumps(r).replace("%", "%%")
+        + ', "root": %s, "delta": %s, "b": %s, "c": %s}'
+        for r in set(rules)
+    }
+    branches = ", ".join([templates[r] for r in rules]) % tuple(
+        _json_numbers(_fmt_all(levels.ravel().tolist())))
+    rho, q, u = _json_numbers(_fmt_all((eq.rho * scale_rho, q, u)))
+    f_inf = ", ".join(_json_numbers(_fmt_all((eq.f_inf * scale_rho).tolist())))
     return (
         '{"n": %d, "rho": %s, "f_inf": [%s], "q": %s, "u": %s, "phase": %s, '
         '"stable": %s, "branch_data": [%s]}\n'
@@ -228,7 +236,6 @@ def _panel(
 
 def diagram_svg(diagram: Diagram) -> str:
     """Two stacked panels: flux over density and mean speed over density."""
-    xs, qs, us = np.array(_points(diagram)[0], dtype=float).reshape(-1, 3).T
     if diagram.units == "physical":
         labels = ("density [veh/km]", "flux [veh/h]", "mean speed [km/h]")
     else:
@@ -238,7 +245,8 @@ def diagram_svg(diagram: Diagram) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        _panel(xs, qs, _MARGIN / 2, panel_h, labels[0], labels[1]),
-        _panel(xs, us, _MARGIN / 2 + panel_h + _PANEL_GAP, panel_h, labels[0], labels[2]),
+        _panel(diagram.rho, diagram.q, _MARGIN / 2, panel_h, labels[0], labels[1]),
+        _panel(diagram.rho, diagram.u, _MARGIN / 2 + panel_h + _PANEL_GAP, panel_h,
+               labels[0], labels[2]),
         "</svg>\n",
     ])

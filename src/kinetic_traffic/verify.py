@@ -57,33 +57,25 @@ class CheckResult:
     detail: str
 
 
-def _check_stochasticity(n_max: int, table_builder: TableBuilder) -> CheckResult:
+def _check_stochasticity(n_max: int, table_builder: TableBuilder) -> tuple[bool, str]:
     rng = np.random.default_rng(DEFAULT_SEED)
     for n in range(2, n_max + 1):
         densities = [0.0, 0.25, 0.5, 0.75, 1.0] + list(rng.uniform(0, 1, 8))
         for rho in densities:
             A = table_builder(n, float(rho)).A
             if A.min() < 0.0 or A.max() > 1.0:
-                return CheckResult(
-                    "stochasticity", False, f"entry outside [0, 1] at n={n}, rho={rho:g}"
-                )
+                return False, f"entry outside [0, 1] at n={n}, rho={rho:g}"
             sums = A.sum(axis=2)
             dev = float(np.abs(sums - 1.0).max())
             if dev != 0.0:
-                return CheckResult(
-                    "stochasticity",
-                    False,
-                    f"row sum off by {dev:.3e} at n={n}, rho={rho:g}",
-                )
+                return False, f"row sum off by {dev:.3e} at n={n}, rho={rho:g}"
             support = np.count_nonzero(A, axis=2)
             if support.max() > 2:
-                return CheckResult(
-                    "stochasticity", False, f"row with >2 outcomes at n={n}, rho={rho:g}"
-                )
-    return CheckResult("stochasticity", True, "max row-sum deviation 0")
+                return False, f"row with >2 outcomes at n={n}, rho={rho:g}"
+    return True, "max row-sum deviation 0"
 
 
-def _check_conservation(n_max: int) -> CheckResult:
+def _check_conservation(n_max: int) -> tuple[bool, str]:
     config = IntegrationConfig(dt=0.02, t_final=60.0)
     worst = 0.0
     for n in range(2, n_max + 1):
@@ -93,13 +85,11 @@ def _check_conservation(n_max: int) -> CheckResult:
         _, _, _, stats = integrate_batch(F0, ModelParams(n=n), config)
         worst = max(worst, stats.max_drift)
         if stats.max_drift > 1e-12:
-            return CheckResult(
-                "conservation", False, f"density drifted by {stats.max_drift:.3e} at n={n}"
-            )
-    return CheckResult("conservation", True, f"max density drift {worst:.3e}")
+            return False, f"density drifted by {stats.max_drift:.3e} at n={n}"
+    return True, f"max density drift {worst:.3e}"
 
 
-def _check_continuity(n_max: int) -> CheckResult:
+def _check_continuity(n_max: int) -> tuple[bool, str]:
     t = 5.0
     for n in range(2, n_max + 1):
         for rho in VERIFY_DENSITIES:
@@ -109,15 +99,11 @@ def _check_continuity(n_max: int) -> CheckResult:
                     KineticState(pairs[i]), KineticState(pairs[i + 1]), t, ModelParams(n=n)
                 )
                 if gap > bound:
-                    return CheckResult(
-                        "continuity",
-                        False,
-                        f"gap {gap:.3e} exceeds bound {bound:.3e} at n={n}, rho={rho:g}",
-                    )
-    return CheckResult("continuity", True, f"all sampled pairs within the growth bound up to t={t:g}")
+                    return False, f"gap {gap:.3e} exceeds bound {bound:.3e} at n={n}, rho={rho:g}"
+    return True, f"all sampled pairs within the growth bound up to t={t:g}"
 
 
-def _check_uniqueness(n_max: int) -> CheckResult:
+def _check_uniqueness(n_max: int) -> tuple[bool, str]:
     for n in range(2, min(n_max, BRUTEFORCE_MAX_N) + 1):
         params = ModelParams(n=n)
         closed_forms = _closed_form(n, np.array(VERIFY_DENSITIES))
@@ -127,25 +113,15 @@ def _check_uniqueness(n_max: int) -> CheckResult:
                 c for c in candidates if is_attracting(c.verdict, c.from_larger_roots)
             ]
             if len(attracting) != 1:
-                return CheckResult(
-                    "uniqueness",
-                    False,
-                    f"{len(attracting)} attracting equilibria at n={n}, rho={rho:g}",
-                )
+                return False, f"{len(attracting)} attracting equilibria at n={n}, rho={rho:g}"
             err = float(np.abs(attracting[0].f - closed).max())
             if err > _MATCH_TOL:
-                return CheckResult(
-                    "uniqueness",
-                    False,
-                    f"attracting equilibrium off the closed form by {err:.3e} "
-                    f"at n={n}, rho={rho:g}",
-                )
-    return CheckResult(
-        "uniqueness", True, f"one attracting equilibrium per density, matching within {_MATCH_TOL:g}"
-    )
+                return False, (f"attracting equilibrium off the closed form by {err:.3e} "
+                               f"at n={n}, rho={rho:g}")
+    return True, f"one attracting equilibrium per density, matching within {_MATCH_TOL:g}"
 
 
-def _check_attractivity(n_max: int) -> CheckResult:
+def _check_attractivity(n_max: int) -> tuple[bool, str]:
     # slowest relaxation rate among these densities is about 0.024, so a
     # horizon of 1500 leaves ~36 decay factors, ample for the tolerance;
     # converged runs freeze early and cost nothing
@@ -161,43 +137,38 @@ def _check_attractivity(n_max: int) -> CheckResult:
         )
         F, conv, _, _ = integrate_batch(F0, ModelParams(n=n), config)
         if not conv.all():
-            return CheckResult(
-                "attractivity", False, f"{int((~conv).sum())} runs never went steady at n={n}"
-            )
+            return False, f"{int((~conv).sum())} runs never went steady at n={n}"
         targets = np.repeat(_closed_form(n, np.array(VERIFY_DENSITIES)), samples, axis=0)
         err = float(np.abs(F - targets).max())
         worst = max(worst, err)
         if err > _ATTRACT_TOL:
-            return CheckResult(
-                "attractivity", False, f"final state off by {err:.3e} at n={n}"
-            )
-    return CheckResult("attractivity", True, f"max distance to equilibrium {worst:.3e}")
+            return False, f"final state off by {err:.3e} at n={n}"
+    return True, f"max distance to equilibrium {worst:.3e}"
 
 
-def _check_sigma(n_max: int) -> CheckResult:
+def _check_sigma(n_max: int) -> tuple[bool, str]:
     grid = build_grid(101)
     spacing = 1.0 / 100.0
     for n in range(2, n_max + 1):
         d = sweep(n, grid, METHOD_RECURSIVE)
         if abs(d.sigma - 0.5) > spacing / 2:
-            return CheckResult(
-                "sigma", False, f"detected sigma {d.sigma:g} at n={n}, expected 0.5"
-            )
-    return CheckResult("sigma", True, "critical density 0.5 recovered for every n")
+            return False, f"detected sigma {d.sigma:g} at n={n}, expected 0.5"
+    return True, "critical density 0.5 recovered for every n"
 
 
 def run_suite(n_max: int = 6, table_builder: TableBuilder = build_game_table) -> list[CheckResult]:
     """Run every invariant group for n = 2 .. n_max.
 
-    Returns one CheckResult per group, in a fixed order.
+    Returns one CheckResult per group, in a fixed order.  Each _check_
+    function returns (passed, detail) and stops at its first failure.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     return [
-        _check_stochasticity(n_max, table_builder),
-        _check_conservation(n_max),
-        _check_continuity(n_max),
-        _check_uniqueness(n_max),
-        _check_attractivity(n_max),
-        _check_sigma(n_max),
+        CheckResult("stochasticity", *_check_stochasticity(n_max, table_builder)),
+        CheckResult("conservation", *_check_conservation(n_max)),
+        CheckResult("continuity", *_check_continuity(n_max)),
+        CheckResult("uniqueness", *_check_uniqueness(n_max)),
+        CheckResult("attractivity", *_check_attractivity(n_max)),
+        CheckResult("sigma", *_check_sigma(n_max)),
     ]

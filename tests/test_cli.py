@@ -23,11 +23,13 @@ from kinetic_traffic import (
     KineticState,
     ModelParams,
     build_game_table,
+    build_grid,
     build_lattice,
     equilibrium_recursive,
     is_attracting,
     observables,
     stability_report,
+    sweep,
 )
 from kinetic_traffic.cli import main
 from kinetic_traffic.verify import run_suite
@@ -208,6 +210,44 @@ class TestDiagram:
         assert payload["q_max"] == 10000.0
 
 
+class TestColumnarResults:
+    def test_commands_build_no_record_per_point_or_level(
+        self, monkeypatch, tmp_path, diagram_csv_oracle, diagram_json_oracle,
+        diagram_svg_oracle, equilibrium_json_oracle,
+    ):
+        # diagram and equilibrium write from columns; building a DiagramPoint
+        # per grid point or a BranchRecord per level fails the command
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a per-point or per-level record")
+
+        monkeypatch.setattr("kinetic_traffic.diagrams.DiagramPoint", refuse)
+        monkeypatch.setattr("kinetic_traffic.equilibrium.BranchRecord", refuse)
+        out = {name: str(tmp_path / name) for name in ("d.csv", "d.json", "d.svg")}
+        densities = (0.0, 0.3, 0.73)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["diagram", "--n", "40", "--rho-steps", "2001", "--out-csv", out["d.csv"],
+                         "--out-json", out["d.json"], "--out-svg", out["d.svg"]]) == 0
+            for i, rho in enumerate(densities):
+                argv = ["equilibrium", "--n", "200", "--rho", repr(rho),
+                        "--out-json", str(tmp_path / f"eq{i}.json")]
+                assert main(argv) == 0
+        monkeypatch.undo()
+
+        d = sweep(40, build_grid(2001))
+        for name, oracle in (("d.csv", diagram_csv_oracle), ("d.json", diagram_json_oracle),
+                             ("d.svg", diagram_svg_oracle)):
+            assert Path(out[name]).read_bytes().decode() == oracle(d), name
+        params, lattice = ModelParams(n=200), build_lattice(200)
+        for i, rho in enumerate(densities):
+            eq = equilibrium_recursive(200, rho)
+            verdict = stability_report(eq.f_inf, params).verdict
+            obs = observables(KineticState(eq.f_inf), lattice)
+            want = equilibrium_json_oracle(
+                eq, 1.0, obs.q, obs.u, is_attracting(verdict, from_larger_roots=True)
+            )
+            assert (tmp_path / f"eq{i}.json").read_bytes().decode() == want, rho
+
+
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n-max", "2")
@@ -243,6 +283,17 @@ class TestExitCodes:
         )
         assert code == 1
         assert "invalid input" in err
+
+        # infinite rates used to print verdict=stable, or fail numerically
+        for argv in (
+            ("equilibrium", "--n", "3", "--rho", "0.6", "--eta0", "inf"),
+            ("simulate", "--n", "3", "--rho", "0.6", "--eta0", "inf", "--t-final", "1"),
+            ("diagram", "--n", "3", "--rho-steps", "11", "--eta0", "nan"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert "invalid input" in err and "eta0" in err
+            assert out == ""
 
     def test_argparse_errors_use_usage_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

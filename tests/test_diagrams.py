@@ -21,7 +21,6 @@ from kinetic_traffic import (
     METHOD_INTEGRATE,
     METHOD_RECURSIVE,
     Diagram,
-    DiagramPoint,
     IntegrationConfig,
     MalformedDiagramError,
     ModelParams,
@@ -114,11 +113,19 @@ class TestRecursiveSweep:
         assert d.points[-1].q == 0.0
 
     def test_jobs_do_not_change_results(self):
-        grid = build_grid(33)
-        one = sweep(4, grid, jobs=1)
-        three = sweep(4, grid, jobs=3)
-        for a, b in zip(one.points, three.points):
-            assert a == b
+        # the chunks come back pickled and must join in grid order, bit for bit
+        grid = build_grid(51)
+        config = IntegrationConfig(dt=0.05, t_final=2000.0)
+        for method in (METHOD_RECURSIVE, METHOD_INTEGRATE):
+            one = sweep(6, grid, method, config=config)
+            if method == METHOD_INTEGRATE:
+                assert 0 < np.count_nonzero(~one.converged) < grid.size
+            for jobs in (2, 3):
+                other = sweep(6, grid, method, config=config, jobs=jobs)
+                for name in ("rho", "q", "u", "converged"):
+                    want = getattr(one, name).tobytes()
+                    assert getattr(other, name).tobytes() == want, (method, jobs, name)
+                assert (other.phase, other.sigma, other.q_max) == (one.phase, one.sigma, one.q_max)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -160,12 +167,17 @@ class TestIntegrateSweep:
         assert d.sigma == 0.45
 
 
+def _columns(rows):
+    """Diagram's column arguments from (rho, q, u, phase, converged) rows."""
+    rho, q, u, phase, converged = zip(*rows)
+    return {"rho": rho, "q": q, "u": u, "phase": phase, "converged": converged}
+
+
 class TestDetectSigma:
     def _diagram(self, rows):
-        pts = tuple(DiagramPoint(*row) for row in rows)
         return Diagram(
             n=2, method=METHOD_RECURSIVE, units="dimensionless",
-            sigma=float("nan"), q_max=1.0, points=pts,
+            sigma=float("nan"), q_max=1.0, **_columns(rows),
         )
 
     def test_picks_last_full_speed_density(self):
@@ -239,13 +251,31 @@ class TestRescale:
 
 class TestDiagramValidation:
     def test_needs_increasing_grid(self):
-        pts = (
-            DiagramPoint(0.5, 0.5, 1.0, "free", True),
-            DiagramPoint(0.2, 0.2, 1.0, "free", True),
-        )
         with pytest.raises(ValueError):
             Diagram(n=2, method="recursive", units="dimensionless",
-                    sigma=0.5, q_max=0.5, points=pts)
+                    sigma=0.5, q_max=0.5, rho=[0.5, 0.2], q=[0.5, 0.2], u=[1.0, 1.0],
+                    phase=["free", "free"], converged=[True, True])
+        # a nan compares false either way, so the order check lets it through
+        d = Diagram(n=2, method="recursive", units="dimensionless",
+                    sigma=0.5, q_max=0.5, rho=[5e-324, float("nan")], q=[0.0, 0.0],
+                    u=[1.0, 1.0], phase=["free", "free"], converged=[True, True])
+        assert np.isnan(d.rho[1])
+
+    def test_columns_must_agree_in_length(self):
+        with pytest.raises(ValueError):
+            Diagram(n=2, method="recursive", units="dimensionless",
+                    sigma=0.5, q_max=0.5, rho=[0.2, 0.5], q=[0.2, 0.5], u=[1.0, 1.0],
+                    phase=["free"], converged=[True, True])
+
+    def test_columns_are_read_only_copies(self):
+        rho = np.array([0.2, 0.5])
+        d = Diagram(n=2, method="recursive", units="dimensionless",
+                    sigma=0.5, q_max=0.5, rho=rho, q=[0.2, 0.5], u=[1.0, 1.0],
+                    phase=["free", "free"], converged=[True, True])
+        rho[0] = 0.3
+        assert d.rho[0] == 0.2
+        with pytest.raises(ValueError):
+            d.q[0] = 1.0
 
     def test_sweep_needs_finite_densities(self):
         # a NaN passed every range and order check and came out a point
@@ -256,7 +286,7 @@ class TestDiagramValidation:
         with pytest.raises(ValueError):
             Diagram(n=2, method="recursive", units="dimensionless",
                     sigma=0.5, q_max=0.5,
-                    points=(DiagramPoint(0.5, 0.5, 1.0, "free", True),))
+                    rho=[0.5], q=[0.5], u=[1.0], phase=["free"], converged=[True])
 
 
 class _Level(enum.IntEnum):
@@ -306,18 +336,17 @@ _phases = st.text() | st.sampled_from(
 @st.composite
 def _hand_built_diagrams(draw):
     rhos = sorted(draw(st.lists(st.floats(allow_nan=False), min_size=2, max_size=30, unique=True)))
-    points = tuple(
-        DiagramPoint(rho, draw(_diagram_values), draw(_diagram_values), draw(_phases),
-                     draw(st.booleans()))
+    rows = [
+        (rho, draw(_diagram_values), draw(_diagram_values), draw(_phases), draw(st.booleans()))
         for rho in rhos
-    )
+    ]
     return Diagram(
         n=draw(st.integers()),
         method=draw(_phases),
         units=draw(st.sampled_from(["dimensionless", "physical"])),
         sigma=draw(_diagram_values),
         q_max=draw(_diagram_values),
-        points=points,
+        **_columns(rows),
     )
 
 
@@ -459,7 +488,7 @@ class TestWriters:
     ):
         config = IntegrationConfig(dt=0.05, t_final=2000.0)
         d = sweep(6, build_grid(51), METHOD_INTEGRATE, config=config)
-        assert 0 < sum(not p.converged for p in d.points) < len(d.points)
+        assert 0 < np.count_nonzero(~d.converged) < d.rho.size
         for doc in (d, rescale_dimensional(d, ModelParams(n=6))):
             self._assert_writers_match(
                 doc, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle
@@ -467,13 +496,15 @@ class TestWriters:
 
     @given(_hand_built_diagrams())
     @example(Diagram(n=2, method="recursive", units="dimensionless", sigma=float("nan"),
-                     q_max=float("nan"), points=(
-                         DiagramPoint(-0.0, float("nan"), float("inf"), "50% free", True),
-                         DiagramPoint(5e-324, -float("inf"), -0.0, 'a "%s" é', False),
-                         DiagramPoint(float("nan"), 5e-324, float("nan"), "%(x)s %%", True))))
+                     q_max=float("nan"),
+                     rho=[-0.0, 5e-324, float("nan")],
+                     q=[float("nan"), -float("inf"), 5e-324],
+                     u=[float("inf"), -0.0, float("nan")],
+                     phase=["50% free", 'a "%s" é', "%(x)s %%"],
+                     converged=[True, False, True]))
     @example(Diagram(n=3, method="%d", units="physical", sigma=float("inf"), q_max=-0.0,
-                     points=(DiagramPoint(-float("inf"), 1e308, -1e308, "漢\u2028", False),
-                             DiagramPoint(float("inf"), -1e308, 1e308, "\x00%", False))))
+                     rho=[-float("inf"), float("inf")], q=[1e308, -1e308], u=[-1e308, 1e308],
+                     phase=["漢\u2028", "\x00%"], converged=[False, False]))
     def test_hand_built_writers_match_the_per_point_writers(
         self, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle, d
     ):
@@ -482,18 +513,13 @@ class TestWriters:
         self._assert_writers_match(d, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle)
 
     def test_equilibrium_json_takes_any_strings_and_numbers(self, equilibrium_json_oracle):
-        eq = equilibrium_recursive(5, 0.7)
-        odd = dataclasses.replace(
-            eq,
-            phase='%s "é"',
-            branch_data=tuple(
-                b if b.rule == "quadratic" else dataclasses.replace(b, rule=b.rule + " 50%")
-                for b in eq.branch_data
-            ),
-        )
-        for q, u in ((float("nan"), -float("inf")), (-0.0, 5e-324)):
-            want = equilibrium_json_oracle(odd, 200.0, q, u, False)
-            assert equilibrium_json(odd, 200.0, q, u, False) == want
+        # the phase names the record and the rule of class 1; the other
+        # rules are fixed words
+        for n, rho in ((5, 0.7), (5, 0.0), (2, 0.3)):
+            odd = dataclasses.replace(equilibrium_recursive(n, rho), phase='%s "é" 50%')
+            for q, u in ((float("nan"), -float("inf")), (-0.0, 5e-324)):
+                want = equilibrium_json_oracle(odd, 200.0, q, u, False)
+                assert equilibrium_json(odd, 200.0, q, u, False) == want
 
     def test_svg_is_wellformed_with_two_curves(self):
         d = sweep(3, build_grid(26))

@@ -57,6 +57,10 @@ class TestModelParams:
             ModelParams(n=3, v_max=-1.0)
         with pytest.raises(ValueError):
             ModelParams(n=3, eta0=0.0)
+        for name in ("rho_max", "v_max", "eta0"):
+            for value in (float("inf"), float("nan"), -float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    ModelParams(n=3, **{name: value})
 
 
 class TestGameTable:
