@@ -56,7 +56,7 @@ class DiagramPoint:
     converged: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diagram:
     """Observables over a density grid, one column per quantity.
 

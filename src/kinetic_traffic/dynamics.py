@@ -126,7 +126,7 @@ _D = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KineticState:
     """Class populations at one instant.
 

@@ -129,7 +129,7 @@ class BranchRecord:
     c: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumResult:
     """Closed-form state at one density, with its level coefficients as rows.
 
@@ -162,7 +162,7 @@ class EquilibriumResult:
                 BranchRecord(self.n, "remainder", roots[-1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumCandidate:
     """One admissible stationary point found by enumeration."""
 

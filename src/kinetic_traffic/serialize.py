@@ -3,21 +3,61 @@
 Every float is rendered with 15 significant digits (%.15g), so repeated
 runs with identical inputs produce byte-identical files; JSON writes a
 number that is not finite as null (_json_numbers, the one rule).  Each
-document's layout is written once as a template and its numbers are
-filled in by one % per block of records: json.dumps would use repr,
-which switches digit counts from value to value.  Distinct strings
-(phases, rules) are encoded once per document and enter a template
-with every % doubled.  The trajectory table takes the flux of all its
-rows at once (dynamics._flux, the one flux rule).  The diagram writers
-read the Diagram's columns: the CSV and the JSON can share one
-formatting of their numbers (diagram_numbers), and the SVG maps each
-panel's ticks and points with numpy.  to_json encodes a general
-document one value at a time.
+closed-form document's layout is written once as a template and its
+numbers are filled in by one % per block of records: json.dumps would
+use repr, which switches digit counts from value to value.  Distinct
+strings (phases, rules) are encoded once per document and enter a
+template with every % doubled.  The diagram writers read the Diagram's
+columns: the CSV and the JSON can share one formatting of their numbers
+(diagram_numbers), and the SVG maps each panel's ticks and points with
+numpy.  to_json encodes a general document one value at a time.
+
+The trajectory table takes the flux of all its rows at once
+(dynamics._flux, the one flux rule) and is written by _rows15, a %.15g
+over float64 arrays that is % byte for byte: % stays the reference for
+every value the array path does not certify.
+
+Digits.  For a = |v| and an exponent estimate x = floor(log10 a), %.15g
+prints N = round(t), t = a 10**k, k = 14 - x, rounding half to even, if
+t lies in [10**14, 10**15 - 1/2); a t in [10**14 - 1/20, 10**14) has
+exponent x - 1, but its 16th digit carries it to N = 10**14 at exponent
+x as well.  _pattern15 takes t as whole + frac in float64, u = 2**-53:
+
+- 10**k = hi + lo + d, hi and lo the roundings of 10**k and of the rest,
+  so |lo| <= u 10**k and |d| <= u**2 10**k (_pow10_pairs, from exact
+  integers).
+- a hi = p + e exactly: Dekker's two-product, exact when no product
+  overflows or underflows, as none can for a in [1e-99, 1e100).
+- whole = floor(p) and p - whole are exact, and frac is (p - whole) +
+  (e + a lo), with a lo and each sum rounded.
+- For t < 2**50: a lo is rounded by at most u**2 t, e + a lo by 2 u**2 t,
+  d adds u**2 t and the last sum, of terms below 1.3, 1.3 u.  As
+  4 u**2 t <= u / 2, |whole + frac - t| < 2 u.  For t < 10**16, the most
+  an estimate off by one gives, the same terms stay below 1/100.
+
+So a value is certified when the computed whole + frac lies in [10**14,
+10**15 - 1), which puts t in [10**14 - 1/20, 10**15 - 1/2) and catches
+every estimate off by one, and |frac - 1/2| > _TIE, four times the
+bound, so no half-integer lies between whole + frac and t.  As
+|e + a lo| < 1/4, frac lies in (-1/4, 5/4) and N = whole + (frac >
+1/2).  Every exact tie m + 1/2 (only values from 10**14 on can be one)
+and every value that is NaN, infinite, subnormal or outside [1e-99,
+1e100) is left to %; zeros are written as 0 and -0.
+
+Text.  A certified value's text follows from its sign, exponent and
+digit count, its key (_template), with %g's exponent form below 10**-4
+and from 10**15.  _rows15 sorts a block's values by key, fills each
+key's slice of fixed 24-byte slots from one template and its digit runs
+(dense slice copies), formats the values left to % into their slots,
+puts the slots in table order with one scatter and deletes the NUL
+padding.  Blocks of _TABLE_BLOCK values bound the transient arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 
 import numpy as np
 
@@ -39,6 +79,14 @@ __all__ = [
 
 # records per % call, which bounds the floats held as objects at once
 _CSV_BLOCK = 1024
+# values per _rows15 call, which bounds its transient arrays to a few MB
+_TABLE_BLOCK = 1 << 15
+
+# the certified %.15g of _rows15, derived in the module docstring
+_X_LO, _X_HI = -99, 99  # the exponents it takes
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
+_TIE = 2.0**-50  # the window around a rounding tie: four times the error bound
+_SLOT = 24  # bytes per value: -d.dddddddddddddde-ddd and its separator fit
 
 
 def fmt15(x: float) -> str:
@@ -47,6 +95,136 @@ def fmt15(x: float) -> str:
     Non-finite values come out as nan, inf and -inf.
     """
     return "%.15g" % x
+
+
+def _pow10_pairs():
+    """10**(14 - x) for x = _X_HI .. _X_LO: hi, its Dekker halves top + low, and lo.
+
+    hi is 10**k rounded to float64 and lo the rest rounded, both from
+    exact integers, which Python divides and converts with one rounding.
+    """
+    hi, lo = [], []
+    for k in range(14 - _X_HI, 15 - _X_LO):
+        if k >= 0:
+            h = float(10**k)
+            lo.append(float(10**k - int(h)))
+        else:
+            h = 1 / 10**-k
+            num, den = h.as_integer_ratio()
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+        hi.append(h)
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    top = c - (c - hi)
+    return hi, top, hi - top, np.array(lo)
+
+
+def _quad_tables():
+    """The ASCII digits of 0 .. 9999 as one uint32 each, and their trailing zeros."""
+    ascii_ = np.arange(48, 58, dtype=np.uint8)
+    digits = np.stack(np.meshgrid(ascii_, ascii_, ascii_, ascii_, indexing="ij"), -1)
+    z = digits.reshape(10000, 4) == 48
+    zeros = z[:, 3] * (1 + z[:, 2] * (1 + z[:, 1] * (1 + z[:, 0].astype(np.uint8))))
+    return digits.reshape(10000, 4).view(np.uint32).ravel(), zeros
+
+
+_P_HI, _P_TOP, _P_LOW, _P_LO = _pow10_pairs()
+_QUAD, _QUAD_ZEROS = _quad_tables()
+
+
+def _pattern15(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The certified %.15g digits of float64 values and their text patterns.
+
+    Returns (key, digits): key is 4 pattern + 2 sign bit, int16, where
+    pattern 0 leaves the value to %, 1 is a zero, and 2 + 16 (x - _X_LO)
+    + d has exponent x and d significant digits; digits holds '0' and
+    then the 15 digits as 16 ASCII bytes per value.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-99) & (a < 1e100)
+    a = np.where(fast, a, 1.0)
+    x = np.clip(np.floor(np.log10(a)), _X_LO, _X_HI)
+    i = (_X_HI - x).astype(np.intp)
+    top, low = _P_TOP[i], _P_LOW[i]
+    p = a * _P_HI[i]
+    c = _SPLIT * a
+    a_top = c - (c - a)
+    a_low = a - a_top
+    e = ((a_top * top - p) + a_top * low + a_low * top) + a_low * low
+    whole = np.floor(p)
+    frac = (p - whole) + (e + a * _P_LO[i])
+    t = whole + frac
+    ok = fast & (t >= 1e14) & (t < 1e15 - 1) & (np.abs(frac - 0.5) > _TIE)
+    t = whole + (frac > 0.5)
+    # four 4-digit quads, the first below 1000
+    hi = np.floor(t / 1e8)
+    lo = t - hi * 1e8
+    q0, q2 = np.floor(hi / 1e4), np.floor(lo / 1e4)
+    quads = [q.astype(np.intp) for q in (q0, hi - q0 * 1e4, q2, lo - q2 * 1e4)]
+    digits = np.empty((v.size, 4), np.uint32)
+    for j, q in enumerate(quads):
+        digits[:, j] = _QUAD[q]
+    q0, q1, q2, q3 = quads
+    zeros = _QUAD_ZEROS[q3] + (q3 == 0) * (
+        _QUAD_ZEROS[q2] + (q2 == 0) * (_QUAD_ZEROS[q1] + (q1 == 0) * _QUAD_ZEROS[q0]))
+    key = (x.astype(np.int16) - _X_LO) * 16 + (17 - zeros)
+    key = (np.where(ok, key, v == 0) * 2 + np.signbit(v)) * 2
+    return key, digits.view(np.uint8).reshape(-1, 16)
+
+
+@functools.cache
+def _template(key: int) -> tuple[np.void, tuple]:
+    """The text of a _rows15 key as a _SLOT-byte slot, and its digit runs.
+
+    The slot holds '#' where the digits go, and each run is (start,
+    stop, first digit).
+    """
+    x, d = divmod((key >> 2) - 2, 16)
+    x += _X_LO
+    if key >> 2 == 1:
+        body = "0"
+    elif x < -4 or x >= 15:
+        body = "#" + "." * (d > 1) + "#" * (d - 1) + "e%+03d" % x
+    elif x < 0:
+        body = "0." + "0" * (-x - 1) + "#" * d
+    else:
+        body = "#" * (x + 1) + "." * (d > x + 1) + "#" * (d - x - 1)
+    text = "-" * (key >> 1 & 1) + body + ",\n"[key & 1]
+    runs, first = [], 1
+    for r in re.finditer("#+", text):
+        runs.append((r.start(), r.end(), first))
+        first += r.end() - r.start()
+    return np.frombuffer(text.encode().ljust(_SLOT, b"\0"), f"V{_SLOT}")[0], tuple(runs)
+
+
+def _rows15(block: np.ndarray) -> str:
+    """("%.15g," * (w - 1) + "%.15g\n") % row for each row of a (rows, w) float64 block.
+
+    The key's last bit marks the last column, whose separator is the
+    newline.
+    """
+    v = block.ravel()
+    key, digits = _pattern15(v)
+    key.reshape(block.shape)[:, -1] += 1
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    digits = digits.view("V16")[order, 0].view(np.uint8).reshape(-1, 16)
+    text = np.empty((key.size, _SLOT), np.uint8)
+    slots = text.view(f"V{_SLOT}")[:, 0]
+    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), key.size]
+    for b0, b1 in zip(cuts[:-1], cuts[1:]):
+        k = int(key[b0])
+        if k < 4:
+            fmt = "%.15g" + ",\n"[k & 1]
+            texts = [fmt % x for x in v[order[b0:b1]].tolist()]
+            slots[b0:b1] = np.array(texts, f"S{_SLOT}").view(f"V{_SLOT}")
+            continue
+        slots[b0:b1], runs = _template(k)
+        for start, stop, first in runs:
+            text[b0:b1, start:stop] = digits[b0:b1, first : first + stop - start]
+    out = np.empty_like(text)
+    out.view(f"V{_SLOT}")[order, 0] = slots
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _fmt_all(values) -> str:
@@ -113,12 +291,10 @@ def trajectory_csv(times: np.ndarray, samples: np.ndarray, lattice: SpeedLattice
     q = _flux(samples, lattice.speeds)
     u = np.divide(q, rho, out=np.ones_like(q), where=rho > 0)
     table = np.column_stack([times, samples, rho, q, u])
-    row = ",".join(["%.15g"] * (n + 4))
-    parts = ["t," + ",".join(f"f_{j}" for j in range(1, n + 1)) + ",rho,q,u"]
-    for i in range(0, len(table), _CSV_BLOCK):
-        block = table[i : i + _CSV_BLOCK]
-        parts.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
-    return "\n".join(parts) + "\n"
+    rows = max(1, _TABLE_BLOCK // (n + 4))
+    parts = ["t," + ",".join(f"f_{j}" for j in range(1, n + 1)) + ",rho,q,u\n"]
+    parts += [_rows15(table[i : i + rows]) for i in range(0, len(table), rows)]
+    return "".join(parts)
 
 
 def diagram_numbers(diagram: Diagram) -> str:

@@ -31,12 +31,17 @@ from kinetic_traffic import (
     rescale_dimensional,
     sweep,
 )
+from kinetic_traffic import serialize
+from kinetic_traffic.dynamics import random_state, run_trajectory
 from kinetic_traffic.serialize import (
     diagram_csv,
     diagram_json,
     diagram_svg,
     equilibrium_json,
     _CSV_BLOCK,
+    _TABLE_BLOCK,
+    _pattern15,
+    _rows15,
     fmt15,
     to_json,
     trajectory_csv,
@@ -350,6 +355,27 @@ def _hand_built_diagrams(draw):
     )
 
 
+def _from_bits(bits: int) -> float:
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+def _around(x: float) -> list[float]:
+    """x and its two neighbours on either side."""
+    down, up = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
+    return [float(np.nextafter(down, -np.inf)), float(down), x, float(up), float(np.nextafter(up, np.inf))]
+
+
+# powers of ten +- 1 and 2 ulp through both ends of the fast exponent range
+_POWERS_OF_TEN = [y for k in range(-102, 103) for y in _around(float(f"1e{k}"))]
+_raw_floats = st.floats() | st.integers(0, 2**64 - 1).map(_from_bits)
+
+
+def _percent_rows(block: np.ndarray) -> str:
+    """The %.15g rows of a block by %, the oracle for _rows15."""
+    rows, width = block.shape
+    return (("%.15g," * (width - 1) + "%.15g\n") * rows) % tuple(block.ravel().tolist())
+
+
 class TestFormatting:
     def test_fifteen_significant_digits(self):
         assert fmt15(0.5) == "0.5"
@@ -369,6 +395,24 @@ class TestFormatting:
         assert s == '{"a": true, "b": false, "c": [1, 0.25], "d": "x"}\n'.replace(
             "false", "null"
         ) or json.loads(s) == {"a": True, "b": None, "c": [1, 0.25], "d": "x"}
+
+    @given(st.integers(1, 12), st.lists(_raw_floats, min_size=1, max_size=300))
+    @example(4, [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308])
+    @example(5, _POWERS_OF_TEN)
+    @example(3, [9.99999999999999e-14, 9.999999999999995e14, 1e15, -1e15, 999999999999999.4])
+    @example(2, [1e14 + 0.5, 1e14 + 1.5, 123456789012344.5, 123456789012345.5, 1e15 - 0.5])
+    @example(1, [float("nan"), -float("nan"), float("inf"), -float("inf"), 0.07, 316.34])
+    def test_rows15_matches_percent(self, width, values):
+        # every draw, NaN, infinities and subnormals included, is either
+        # certified or left to %, and the text is %'s byte for byte
+        block = np.resize(np.array(values), (-(-len(values) // width), width))
+        assert _rows15(block) == _percent_rows(block)
+
+    def test_exact_ties_are_left_to_percent(self):
+        k = np.arange(10**14, 10**15, 10**14 // 7 + 3, dtype=np.int64)
+        ties = k.astype(np.float64) + 0.5
+        assert (_pattern15(ties)[0] < 4).all()
+        assert _rows15(ties[:, None]) == _percent_rows(ties[:, None])
 
     def test_json_rejects_unknown_types(self):
         with pytest.raises(TypeError):
@@ -438,6 +482,8 @@ class TestWriters:
     )
     @example(2, 1, False, 0)
     @example(40, _CSV_BLOCK + 1, True, 1)
+    @example(6, _TABLE_BLOCK // 10, False, 2)
+    @example(6, _TABLE_BLOCK // 10 + 1, False, 3)
     @settings(max_examples=20)  # each example formats up to 45,000 floats twice
     def test_trajectory_csv_matches_the_row_by_row_writer(
         self, trajectory_csv_oracle, n, m, fortran, seed
@@ -456,6 +502,33 @@ class TestWriters:
         text = trajectory_csv(times, samples, lat)
         assert text == trajectory_csv_oracle(times, samples, lat)
         assert text.count("\n") == m + 1
+
+    def test_trajectory_csv_splices_percent_where_nothing_is_certified(
+        self, trajectory_csv_oracle, monkeypatch
+    ):
+        rng = np.random.default_rng(4)
+        samples = rng.random((700, 5)) * 10.0 ** rng.integers(-120, 2, (700, 1)) / 5
+        samples[rng.random((700, 5)) < 0.1] = 0.0
+        samples[rng.random((700, 5)) < 0.05] = 5e-324
+        times = np.arange(700) * 0.01
+        lat = build_lattice(5)
+        monkeypatch.setattr(serialize, "_TIE", 1.0)  # no fraction is 1 away from 1/2
+        key = _pattern15(np.column_stack([times, samples]).ravel())[0]
+        assert (key < 8).all()  # only the zeros keep a template
+        assert trajectory_csv(times, samples, lat) == trajectory_csv_oracle(times, samples, lat)
+
+    def test_fast_path_certifies_the_simulate_table(self, monkeypatch):
+        # simulate --n 6 --rho 0.6 --t-final 500 --dt 0.01 --seed 11: the
+        # bytes would not change if the fast path fell back, only the time
+        times, samples, _ = run_trajectory(
+            random_state(6, 0.6, seed=11), ModelParams(n=6), IntegrationConfig(dt=0.01, t_final=500.0)
+        )
+        blocks = []
+        monkeypatch.setattr(serialize, "_rows15", lambda b: blocks.append(b.copy()) or "")
+        trajectory_csv(times, samples, build_lattice(6))
+        key = _pattern15(np.concatenate([b.ravel() for b in blocks]))[0]
+        assert key.size == 10 * len(times) > 300_000
+        assert (key >= 4).mean() >= 0.99
 
     @staticmethod
     def _assert_writers_match(d, csv_oracle, json_oracle, svg_oracle):

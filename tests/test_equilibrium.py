@@ -26,6 +26,7 @@ from kinetic_traffic import (
     jacobian,
     rhs,
     stability_report,
+    sweep,
 )
 from kinetic_traffic.dynamics import _rhs_batch
 from kinetic_traffic.equilibrium import (
@@ -638,3 +639,18 @@ class TestBruteForce:
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
             equilibrium_bruteforce(13, 0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: KineticState(np.array([0.25, 0.25])),
+    lambda: sweep(3, build_grid(11)),
+    lambda: equilibrium_recursive(4, 0.7),
+    lambda: equilibrium_bruteforce(3, 0.7)[0],
+], ids=["KineticState", "Diagram", "EquilibriumResult", "EquilibriumCandidate"])
+def test_array_records_compare_and_hash_by_identity(build):
+    # each holds ndarray fields, so field-wise == would ask numpy for the
+    # truth value of an array
+    a, b = build(), build()
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert len({a, b, a}) == 2
