@@ -25,9 +25,11 @@ rows share its batch.  A step is accepted when its embedded error
 estimate, in the RMS norm weighted by 1e-12 + 1e-8 |f|, is at most one;
 a rejected step does not advance its row.  The last stage of an accepted
 step is the derivative at its end point and serves as the next step's
-first stage and as the steady-state test.  Trajectory samples come from
-the pair's fourth-order continuous extension, so the sample spacing does
-not limit the step size.
+first stage and as the steady-state test.  The seven stages of a pass
+are one (7, m, n) array, and each weighted stage sum is one product and
+one reduce along the stage axis, which adds in stage order from +0.0.
+Trajectory samples come from the pair's fourth-order continuous
+extension, so the sample spacing does not limit the step size.
 
 After each accepted step, and at every sample, components that dip below
 zero by at most 1e-12 are clamped back to zero and the clamped mass is
@@ -35,11 +37,17 @@ returned to the largest component, which keeps the density bit-for-bit
 meaningful; a dip below -1e-12 aborts the run as a genuine failure.
 
 One stepping loop, _integrate_batch, serves every entry point: step,
-integrate_to_steady, integrate_batch, run_trajectory (through a recorder
-callback) and continuity_gap.  It applies one conservation policy: a
-row's density may move by at most 1e-13 in a single accepted step,
-checked against the row sum before the step, or the run raises
-ConsistencyError.  The measured per-step drift is below 1e-15.
+integrate_to_steady, integrate_batch, run_trajectory and continuity_gap.
+The loop hands each accepted step (its time, size, start, end and
+stages) to a recorder callback; run_trajectory keeps them and evaluates
+the samples of all steps in one batch after the loop, so a sample below
+the clamp window raises when the loop has ended.  continuity_gap steps
+its pair, and verify's continuity group all pairs of one n, in one
+batch.  The loop applies one conservation policy: a row's density may
+move by at most 1e-13 in a single accepted step, checked against the row
+sum before the step, or the run raises ConsistencyError.  The measured
+per-step drift is below 1e-15.  It raises its own errors on non-finite
+values and runs with numpy's floating-point warnings off.
 
 The loop takes a batch of states as the rows of a matrix.  Rows evolve
 independently through elementwise arithmetic in a fixed order, and a row
@@ -124,6 +132,18 @@ _D = (
     -1453857185 / 822651844,
     69997945 / 29380423,
 )
+
+
+def _weights(w):
+    """The nonzero weights of w as a (k, 1, 1) column, and the stages they take."""
+    idx = [i for i, c in enumerate(w) if c]
+    stages = slice(len(idx)) if idx == list(range(len(idx))) else np.array(idx)
+    return np.array([w[i] for i in idx])[:, None, None], stages
+
+
+_A_W = tuple(_weights(row) for row in _A)
+_E_W = _weights(_E)
+_D_W = _weights(_D)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,41 +259,70 @@ def _rhs_batch(F: np.ndarray, eta0: float) -> np.ndarray:
     Evaluates the cumulative stencil dP_j/dt for j = 1 .. n-1 and
     differences it with dP_0/dt = dP_n/dt = 0.
     """
-    rho, P, P_prev = _cumulative(F)
-    dP = np.zeros((F.shape[0], F.shape[1] + 1))
-    dP[:, 1:-1] = eta0 * rho * (
-        rho * P * (rho - P) - (1.0 - rho) * F[:, :-1] * (rho - P_prev)
+    m, n = F.shape
+    # the cumsum of _cumulative, kept whole: R[:, j-1] = rho - P_{j-1},
+    # j = 1 .. n, serves both terms of the stencil
+    C = np.zeros((m, n + 1))
+    F.cumsum(axis=-1, out=C[:, 1:])
+    rho = C[:, -1:]
+    R = rho - C[:, :-1]
+    dP = np.zeros((m, n + 1))
+    np.multiply(
+        eta0 * rho,
+        rho * C[:, 1:-1] * R[:, 1:] - (1.0 - rho) * F[:, :-1] * R[:, :-1],
+        out=dP[:, 1:-1],
     )
     return dP[:, 1:] - dP[:, :-1]
+
+
+def _combine(weights, K):
+    """Weighted sum of the stages K, shape (7, m, n), with weights from _weights.
+
+    One product and one reduce along the stage axis, which adds in stage
+    order from +0.0: bit for bit sum(w * k for w, k in zip(row, K) if w).
+    """
+    w, stages = weights
+    return np.add.reduce(w * K[stages], axis=0, initial=0.0)
 
 
 def _dp_step(F, h, k1, eta0):
     """One Dormand-Prince attempt from every row of F with steps h (a column).
 
-    Returns the fifth-order solution Y and the seven stages K; K[6] is the
-    derivative at Y.
+    Returns the fifth-order solution Y and the seven stages K, shape
+    (7, m, n); K[6] is the derivative at Y.
     """
-    K = [k1]
-    for row in _A:
-        Y = F + h * sum(a * k for a, k in zip(row, K) if a)
-        K.append(_rhs_batch(Y, eta0))
+    K = np.empty((7,) + F.shape)
+    K[0] = k1
+    for i, w in enumerate(_A_W, 1):
+        Y = F + h * _combine(w, K)
+        K[i] = _rhs_batch(Y, eta0)
     return Y, K
 
 
 def _stable_step(F, eta0):
     """Per-row step bound _STAB / max_j |lambda_j|; the mass mode is 0."""
     lam = _rates(eta0, *_cumulative(F))
-    with np.errstate(divide="ignore"):
-        return _STAB / np.abs(lam).max(axis=1)
+    return _STAB / np.abs(lam).max(axis=1)
 
 
-def _dense(F, Y, K, h, theta):
-    """Fourth-order continuous extension of the steps F -> Y at fractions theta."""
+def _dense(F, Y, K, h, at, theta):
+    """Fourth-order continuous extension of the steps F -> Y.
+
+    Sample i lies in step at[i], at the fraction theta[i] of it (theta is
+    a column).  The coefficients are formed once per step and gathered per sample, then
+    F + theta (dy + (1 - theta) (b + theta (c + (1 - theta) d))) is
+    evaluated from the inside out in the buffer of d, one operation at a
+    time in the order of the nested expression.
+    """
     dy = Y - F
     b = h * K[0] - dy
     c = dy - h * K[6] - b
-    d = h * sum(w * k for w, k in zip(_D, K) if w)
-    return F + theta * (dy + (1.0 - theta) * (b + theta * (c + (1.0 - theta) * d)))
+    d = h * _combine(_D_W, K)
+    F, dy, b, c, x = (v.take(at, axis=0) for v in (F, dy, b, c, d))
+    omt = 1.0 - theta
+    for w, v in ((omt, c), (theta, b), (omt, dy), (theta, F)):
+        np.add(v, np.multiply(w, x, out=x), out=x)
+    return x
 
 
 def _clamp_batch(F: np.ndarray, stats: BatchStats) -> np.ndarray:
@@ -305,6 +354,9 @@ def _clamp_batch(F: np.ndarray, stats: BatchStats) -> np.ndarray:
     return Fc
 
 
+# the loop raises its own errors on non-finite values, so numpy's warnings
+# would only precede them on stderr
+@np.errstate(all="ignore")
 def _integrate_batch(
     F0: np.ndarray,
     eta0: float,
@@ -317,11 +369,11 @@ def _integrate_batch(
     A row leaves the working array once the 1-norm of its derivative is
     below steady_tol, or once its last step, cut to end exactly on
     t_final, is accepted.  After each pass that accepts steps,
-    record(rows, t, h, dense) receives the original indices of the rows
-    that advanced, their times before the step and the step sizes;
-    dense(sel, ts) returns the clamped continuous extension of the rows at
-    positions sel at times ts within their steps.  All four are valid
-    during the call only.
+    record(rows, t, h, F, Y, K) receives copies, the hook's to keep, of
+    what _dense needs to evaluate those steps: the original indices of
+    the rows that advanced, their times before the step, the step sizes,
+    the states before the step, the unclamped fifth-order solutions and
+    the seven stages, shape (7, rows, n).
 
     Returns (F, converged, steps, t, D): the final rows, a boolean mask of
     rows whose final derivative is below steady_tol, the accepted steps
@@ -375,7 +427,7 @@ def _integrate_batch(
         hs = np.where(last, t_final - t, h)
         Y, K = _dp_step(F, hs[:, None], k1, eta0)
         stats.rhs_evals += 6 * rows.size
-        E = hs[:, None] * sum(e * k for e, k in zip(_E, K) if e)
+        E = hs[:, None] * _combine(_E_W, K)
         scale = _ATOL + _RTOL * np.maximum(np.abs(F), np.abs(Y))
         err = np.sqrt(np.square(E / scale).sum(axis=1) / n)
         if not np.isfinite(err).all():
@@ -416,14 +468,7 @@ def _integrate_batch(
             if total > stats.max_drift:
                 stats.max_drift = total
             if record is not None:
-
-                def dense(sel, ts):
-                    r = a[sel]
-                    theta = ((ts - t[r]) / hs[r])[:, None]
-                    Fr = _dense(F[r], Y[r], [k[r] for k in K], hs[r][:, None], theta)
-                    return _clamp_batch(Fr, stats)
-
-                record(rows[acc], t[acc], hs[acc], dense)
+                record(rows[a], t[a], hs[a], F[a], Y[a], K[:, a])
             F[acc], k1[acc], s[acc] = Fa, ka, sa
             t[acc] = np.where(last[acc], t_final, t[acc] + hs[acc])
             err_prev[acc] = np.maximum(err[acc], 1e-4)
@@ -506,8 +551,10 @@ def run_trajectory(
     """Integrate to the horizon, sampling every record_stride multiples of dt.
 
     The samples lie at state.t + i * dt for the multiples i of
-    record_stride and come from the continuous extension of the step that
-    contains them.
+    record_stride and come from the clamped continuous extension of the
+    step that contains them, evaluated for all steps at once after the
+    loop.  So a sample below the clamp window raises
+    IntegrationDivergedError when the loop has ended, not at its step.
 
     Returns:
         (times, samples, converged) where samples[i] is the state at
@@ -518,26 +565,24 @@ def run_trajectory(
     if state.n != params.n:
         raise ValueError(f"state has {state.n} classes, params expect {params.n}")
     stride, dt = config.record_stride, config.dt
-    times = [np.zeros(1)]
-    samples = [state.f[None, :]]
-    k_next = 1
-
-    def record(rows, t, h, dense):
-        nonlocal k_next
-        end = t[0] + h[0]
-        k = np.arange(k_next, int(end / (stride * dt)) + 2)
-        ts = (k * stride) * dt
-        ts = ts[ts <= end]
-        if ts.size:
-            times.append(ts)
-            samples.append(dense(np.zeros(ts.size, dtype=int), ts))
-            k_next += ts.size
-
+    taken = []
     F, conv, _, t_end, _ = _integrate_batch(
-        state.f[None, :], params.eta0, config, record=record
+        state.f[None, :], params.eta0, config, record=lambda *step: taken.append(step)
     )
-    times = np.concatenate(times)
-    samples = np.concatenate(samples)
+    times, samples = np.zeros(1), state.f[None, :].copy()
+    if taken:
+        steps = list(zip(*taken))
+        t, h, F0, Y = (np.concatenate(x) for x in steps[1:5])
+        K = np.concatenate(steps[5], axis=1)
+        # sample i * stride * dt belongs to the first step that ends at or after it
+        ends = t + h
+        k = np.arange(1, int(ends[-1] / (stride * dt)) + 2)
+        ts = (k * stride) * dt
+        ts = ts[ts <= ends[-1]]
+        at = np.searchsorted(ends, ts)
+        theta = ((ts - t[at]) / h[at])[:, None]
+        inner = _clamp_batch(_dense(F0, Y, K, h[:, None], at, theta), BatchStats())
+        times, samples = np.concatenate([times, ts]), np.concatenate([samples, inner])
     # the final state replaces a sample taken at its time, else follows
     if times[-1] == t_end[0]:
         samples[-1] = F[0]
@@ -597,23 +642,34 @@ def continuity_gap(
     """
     if f0.n != g0.n:
         raise ValueError("states must have the same number of classes")
-    if abs(f0.rho - g0.rho) > 1e-12:
+    gap, bound = _continuity_gaps(f0.f[None, :], g0.f[None, :], t, params, config)
+    return float(gap[0]), float(bound[0])
+
+
+def _continuity_gaps(F0, G0, t, params, config=None):
+    """continuity_gap for the pairs (F0[i], G0[i]), stepped as one batch.
+
+    Rows never interact, so each pair's (gap, bound) is bit for bit its
+    one-pair value.  Returns the gaps and the bounds as arrays.
+    """
+    rf, rg = F0.sum(axis=1), G0.sum(axis=1)
+    bad = np.flatnonzero(np.abs(rf - rg) > 1e-12)
+    if bad.size:
+        i = bad[0]
         raise ValueError(
-            f"density mismatch: {f0.rho!r} vs {g0.rho!r}; the estimate "
+            f"density mismatch: {float(rf[i])!r} vs {float(rg[i])!r}; the estimate "
             "applies to equal-density pairs"
         )
     if not t > 0:
         raise ValueError(f"comparison time must be positive, got {t}")
     config = config or IntegrationConfig()
     run = IntegrationConfig(dt=config.dt, t_final=t, steady_tol=0.0)
-    pair = np.vstack([f0.f, g0.f])
-    F, _, _, _, D = _integrate_batch(pair, params.eta0, run)
-    gap = float(np.abs(F[1] - F[0]).sum() + np.abs(D[1] - D[0]).sum())
+    F, _, _, _, D = _integrate_batch(np.concatenate([F0, G0]), params.eta0, run)
+    f, g = slice(len(F0)), slice(len(F0), None)
+    gap = np.abs(F[g] - F[f]).sum(axis=1) + np.abs(D[g] - D[f]).sum(axis=1)
     eta0 = params.eta0
-    bound = (1.0 + 3.0 * eta0) * math.exp(3.0 * eta0 * t) * float(
-        np.abs(g0.f - f0.f).sum()
-    )
-    return gap, bound
+    growth = (1.0 + 3.0 * eta0) * math.exp(3.0 * eta0 * t)
+    return gap, growth * np.abs(G0 - F0).sum(axis=1)
 
 
 def random_state(n: int, rho: float, seed: int = DEFAULT_SEED) -> KineticState:

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from kinetic_traffic import ConsistencyError
-from kinetic_traffic.dynamics import _A
+from kinetic_traffic import BatchStats, ConsistencyError, IntegrationConfig
+from kinetic_traffic.dynamics import _A, _D, _clamp_batch, _integrate_batch
 
 settings.register_profile(
     "tier1", derandomize=True, max_examples=60, deadline=None, database=None
@@ -138,13 +138,71 @@ def rhs_batch_reference(F, eta0):
     return np.diff(dP, axis=1)
 
 
+def combine_reference(weights, K):
+    """A weighted sum of stages, one Python-level product and sum per stage."""
+    return sum(w * k for w, k in zip(weights, K) if w)
+
+
 def dp_step_reference(F, h, k1, eta0):
     """One Dormand-Prince attempt on the reference vector field."""
     K = [k1]
     for row in _A:
-        Y = F + h * sum(a * k for a, k in zip(row, K) if a)
+        Y = F + h * combine_reference(row, K)
         K.append(rhs_batch_reference(Y, eta0))
     return Y, K
+
+
+def dense_reference(F, Y, K, h, theta):
+    """The continuous extension of the steps F -> Y at fractions theta, as a list sum."""
+    dy = Y - F
+    b = h * K[0] - dy
+    c = dy - h * K[6] - b
+    d = h * combine_reference(_D, K)
+    return F + theta * (dy + (1.0 - theta) * (b + theta * (c + (1.0 - theta) * d)))
+
+
+def trajectory_reference(state, params, config):
+    """run_trajectory with the samples of each accepted step evaluated at that step.
+
+    Each step's samples go through the continuous extension and the clamp
+    as soon as the loop hands the step over, as the loop once did itself.
+    """
+    stride, dt = config.record_stride, config.dt
+    times, samples = [np.zeros(1)], [state.f[None, :]]
+    k_next = 1
+
+    def record(rows, t, h, F, Y, K):
+        nonlocal k_next
+        end = t[0] + h[0]
+        k = np.arange(k_next, int(end / (stride * dt)) + 2)
+        ts = (k * stride) * dt
+        ts = ts[ts <= end]
+        if ts.size:
+            theta = ((ts - t[0]) / h[0])[:, None]
+            at = np.zeros(ts.size, dtype=int)
+            Fr = dense_reference(F[at], Y[at], [stage[at] for stage in K], h[at][:, None], theta)
+            times.append(ts)
+            samples.append(_clamp_batch(Fr, BatchStats()))
+            k_next += ts.size
+
+    F, conv, _, t_end, _ = _integrate_batch(state.f[None, :], params.eta0, config, record=record)
+    times, samples = np.concatenate(times), np.concatenate(samples)
+    if times[-1] == t_end[0]:
+        samples[-1] = F[0]
+    else:
+        times = np.append(times, t_end[0])
+        samples = np.vstack([samples, F])
+    return state.t + times, samples, bool(conv[0])
+
+
+def continuity_gap_reference(f0, g0, t, params, config=None):
+    """The growth estimate of one pair, stepped as a two-row batch with 1-D sums."""
+    run = IntegrationConfig(dt=(config or IntegrationConfig()).dt, t_final=t, steady_tol=0.0)
+    F, _, _, _, D = _integrate_batch(np.vstack([f0.f, g0.f]), params.eta0, run)
+    gap = float(np.abs(F[1] - F[0]).sum() + np.abs(D[1] - D[0]).sum())
+    eta0 = params.eta0
+    bound = (1.0 + 3.0 * eta0) * math.exp(3.0 * eta0 * t) * float(np.abs(g0.f - f0.f).sum())
+    return gap, bound
 
 
 @pytest.fixture(scope="session")
@@ -153,8 +211,28 @@ def rhs_batch_oracle():
 
 
 @pytest.fixture(scope="session")
+def combine_oracle():
+    return combine_reference
+
+
+@pytest.fixture(scope="session")
 def dp_step_oracle():
     return dp_step_reference
+
+
+@pytest.fixture(scope="session")
+def dense_oracle():
+    return dense_reference
+
+
+@pytest.fixture(scope="session")
+def trajectory_oracle():
+    return trajectory_reference
+
+
+@pytest.fixture(scope="session")
+def continuity_gap_oracle():
+    return continuity_gap_reference
 
 
 def trajectory_csv_reference(times, samples, lattice):

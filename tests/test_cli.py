@@ -315,6 +315,20 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_numerical_failure_is_the_only_stderr_output(self):
+        # overflowing rates drive the stepper to non-finite values; numpy's
+        # overflow and invalid-value warnings used to come first on stderr
+        src = os.path.dirname(os.path.dirname(kinetic_traffic.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kinetic_traffic", "simulate",
+             "--n", "3", "--rho", "0.5", "--eta0", "1e308", "--t-final", "1"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "kinetic-traffic: numerical failure: non-finite values in trajectory\n"
+
     def test_io_failure_code(self, capsys, tmp_path):
         target = tmp_path / "missing" / "d.csv"
         code, _, err = run_cli(

@@ -11,6 +11,7 @@ from kinetic_traffic import (
     BatchStats,
     ConsistencyError,
     IntegrationConfig,
+    IntegrationDivergedError,
     KineticState,
     ModelParams,
     build_game_table,
@@ -209,7 +210,8 @@ class TestStepper:
         config = IntegrationConfig(dt=0.04, t_final=6.0, steady_tol=0.0)
         taken = []
         F, _, steps, t, _ = dynamics._integrate_batch(
-            st.f[None, :], p.eta0, config, record=lambda rows, t, h, dense: taken.append(h[0])
+            st.f[None, :], p.eta0, config,
+            record=lambda rows, t, h, F, Y, K: taken.append(h[0]),
         )
         assert len(taken) == steps[0] > 5
         walked = st
@@ -329,6 +331,41 @@ class TestIntegration:
         want = np.concatenate([[st.t], inner[inner < final.t], [final.t]])
         assert np.array_equal(times, want)
 
+    @pytest.mark.parametrize(
+        "n, rho, stride, t_final",
+        [(2, 0.3, 1, 20.0), (3, 0.5, 7, 50.0), (6, 0.6, 1, 500.0), (6, 0.7, 3, 10.0),
+         (12, 0.9, 2, 40.0), (40, 0.2, 5, 30.0)],
+    )
+    def test_samples_match_the_per_step_oracle(self, trajectory_oracle, n, rho, stride, t_final):
+        p = ModelParams(n=n)
+        start = KineticState(random_state(n, rho, seed=n).f, t=1.5)
+        config = IntegrationConfig(dt=0.01 * n, t_final=t_final, record_stride=stride)
+        times, samples, converged = run_trajectory(start, p, config)
+        want_times, want, want_converged = trajectory_oracle(start, p, config)
+        assert same_bits(times, want_times)
+        assert same_bits(samples, want)
+        assert converged == want_converged
+
+    def test_clamped_samples_match_the_per_step_oracle(self, trajectory_oracle):
+        # class 1 starts inside the clamp window and stays negative through
+        # the first step, so its samples there are clamped to zero
+        f = random_state(5, 0.4, seed=3).f.copy()
+        f[-1] += f[0] + 5e-13
+        f[0] = -5e-13
+        p, start = ModelParams(n=5), KineticState(f)
+        config = IntegrationConfig(dt=0.01, t_final=5.0)
+        times, samples, _ = run_trajectory(start, p, config)
+        want_times, want, _ = trajectory_oracle(start, p, config)
+        assert same_bits(times, want_times) and same_bits(samples, want)
+        assert samples[1, 0] == 0.0
+
+    def test_a_sample_below_the_clamp_window_raises_after_the_loop(self, monkeypatch):
+        exact = dynamics._dense
+        monkeypatch.setattr(dynamics, "_dense", lambda *args: exact(*args) - 1.0)
+        config = IntegrationConfig(dt=0.1, t_final=2.0)
+        with pytest.raises(IntegrationDivergedError):
+            run_trajectory(random_state(4, 0.6, seed=1), ModelParams(n=4), config)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IntegrationConfig(dt=0.0)
@@ -418,6 +455,14 @@ class TestWorkCounts:
         step(random_state(5, 0.8, seed=9), 0.01, ModelParams(n=5))
         assert rhs_rows == [1] * 7
 
+    def test_trajectory_start_work_counts(self):
+        # simulate --n 6 --rho 0.6 --seed 11 --dt 0.01 --t-final 500; a
+        # restructure that changes the stepping work fails here
+        start = random_state(6, 0.6, seed=11)
+        config = IntegrationConfig(dt=0.01, t_final=500.0)
+        stats = integrate_batch(start.f[None, :], ModelParams(n=6), config)[3]
+        assert (stats.rhs_evals, stats.accepted, stats.rejected) == (1045, 174, 0)
+
     def test_counters_repeat_exactly(self):
         # a first trial step of 4 is rejected, so every counter moves
         p = ModelParams(n=6)
@@ -492,6 +537,20 @@ class TestPass:
         assert len(K) == len(K_ref) == 7
         assert all(same_bits(k, k_ref) for k, k_ref in zip(K, K_ref))
 
+    @given(st.integers(1, 60), st.integers(2, 40), st.integers(0, 2**30))
+    @example(1, 2, 0)
+    def test_stage_sums_match_the_python_sum(self, combine_oracle, m, n, seed):
+        # signed zeros included: a stage column of -0.0 sums to +0.0
+        rng = np.random.default_rng(seed)
+        K = rng.standard_normal((7, m, n)) * 10.0 ** rng.uniform(-300.0, 300.0, (7, m, 1))
+        K[rng.random(K.shape) < 0.2] = 0.0
+        K[rng.random(K.shape) < 0.2] = -0.0
+        K[:, 0, 0] = -0.0
+        tables = (*dynamics._A, dynamics._E, dynamics._D)
+        stacked = (*dynamics._A_W, dynamics._E_W, dynamics._D_W)
+        for weights, w in zip(tables, stacked):
+            assert same_bits(dynamics._combine(w, K), combine_oracle(weights, K))
+
     def test_mixed_passes_equal_rows_alone(self, monkeypatch):
         # a first trial step of 4 is rejected by some rows and not others,
         # so the loop takes whole passes and passes that gather rows; the
@@ -521,9 +580,12 @@ class TestPass:
             mid = [[] for _ in F]
             gathered = []
 
-            def record(rows, t, h, dense):
+            def record(rows, t, h, F, Y, K):
                 gathered.append(stats[-1].rejected > rejected_before[-1])
-                for r, f in zip(rows, dense(np.arange(rows.size), t + h / 2)):
+                theta = ((t + h / 2 - t) / h)[:, None]
+                at = np.arange(rows.size)
+                dense = dynamics._dense(F, Y, K, h[:, None], at, theta)
+                for r, f in zip(rows, dynamics._clamp_batch(dense, stats[-1])):
                     mid[r].append(f)
 
             out = dynamics._integrate_batch(F, 1.0, config, stats[-1], record)
@@ -649,17 +711,33 @@ class TestObservables:
 
 class TestContinuity:
     def test_gap_respects_growth_bound(self):
+        # the 25 pairs, drawn as one pair at a time, stepped once per t
         rng = np.random.default_rng(17)
         p = ModelParams(n=4)
+        rhos, pairs = [], []
         for _ in range(25):
-            rho = float(rng.uniform(0.05, 0.95))
-            s = int(rng.integers(1 << 30))
-            pair = random_state_batch(4, rho, 2, seed=s)
-            for t in (0.5, 1.0, 2.0):
-                gap, bound = continuity_gap(
-                    KineticState(pair[0]), KineticState(pair[1]), t, p
-                )
-                assert gap <= bound, f"rho={rho} t={t}: {gap} > {bound}"
+            rhos.append(float(rng.uniform(0.05, 0.95)))
+            pairs.append(random_state_batch(4, rhos[-1], 2, seed=int(rng.integers(1 << 30))))
+        pairs = np.array(pairs)
+        for t in (0.5, 1.0, 2.0):
+            gaps, bounds = dynamics._continuity_gaps(pairs[:, 0], pairs[:, 1], t, p)
+            for rho, gap, bound in zip(rhos, gaps, bounds):
+                assert gap <= bound, f"n=4 rho={rho} t={t}: {gap} > {bound}"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 40])
+    def test_batched_core_matches_one_pair_calls(self, continuity_gap_oracle, n):
+        p = ModelParams(n=n)
+        starts = np.concatenate(
+            [random_state_batch(n, rho, 4, seed=50 + n) for rho in (0.05, 0.3, 0.5, 0.7, 0.95)]
+        )
+        F0, G0 = starts[0::2], starts[1::2]
+        for t in (0.5, 1.0, 2.0, 5.0):
+            gaps, bounds = dynamics._continuity_gaps(F0, G0, t, p)
+            for i, (f, g) in enumerate(zip(F0, G0)):
+                pair = (KineticState(f), KineticState(g), t, p)
+                one = np.array(continuity_gap(*pair))
+                assert same_bits(np.array([gaps[i], bounds[i]]), one), f"n={n} t={t} pair {i}"
+                assert same_bits(one, np.array(continuity_gap_oracle(*pair)))
 
     def test_gap_shrinks_in_time(self):
         # trajectories contract toward the shared equilibrium, so the
@@ -675,6 +753,10 @@ class TestContinuity:
         b = KineticState(np.array([0.2, 0.3]))
         with pytest.raises(ValueError):
             continuity_gap(a, b, 1.0, ModelParams(n=2))
+        # one unequal pair among equal ones fails the whole batch
+        F0, G0 = np.array([[0.2, 0.2], [0.2, 0.2]]), np.array([[0.3, 0.1], [0.2, 0.3]])
+        with pytest.raises(ValueError, match="density mismatch"):
+            dynamics._continuity_gaps(F0, G0, 1.0, ModelParams(n=2))
 
     def test_nonpositive_time_rejected(self):
         a = KineticState(np.array([0.2, 0.2]))
