@@ -42,6 +42,19 @@ consistency check.  So the loop stops once every row has
 b_slope S_lo + b_const <= 0 with b_slope < 0 or S = 0, and otherwise
 runs one more level; either way F is the plain loop's bit for bit.
 
+The one-density record keeps B, C and delta of every level, the ones
+past the exit included, so it takes the n - 2 prefix sums of its row
+again, and they must carry the loop's bits.  numpy's sum of a float
+array starts from +0.0 and adds all its elements with its pairwise sum,
+whose blocking decides the last bits.  So a cumsum gives other bits, and
+so does a reduceat over the row itself, which starts each segment from
+its first element and pairwise-adds only the rest.  A reduceat segment
+[0.0, a[:L]] starts from +0.0 and pairwise-adds all of a[:L], as .sum
+does, so one reduceat over [0.0, a] whose segments all start at index 0
+(_prefix_sums) gives every level's sum bit for bit, with O(n) extra
+memory.  This rests on numpy's reduction order, so a test pins it
+against the per-level sums on the installed numpy.
+
 Linearization uses the cumulative coordinates P_j = f_1 + ... + f_j,
 with P_0 = 0 and P_n = rho.  In them the dynamics read
 
@@ -209,9 +222,9 @@ def _level(S: np.ndarray, last: np.ndarray | float, terms: tuple[np.ndarray, ...
 
     S is the sum of the head, classes 1 .. j-1, and last its class j-1;
     terms comes from _density_terms and is broadcast against S, so S may
-    hold one density per row or a stack of levels with one density per
-    column.  Returns (root, B, C, delta) in the shape of S.  Every root
-    case is evaluated everywhere, so call under np.errstate.
+    hold one density per row or the levels of one density.  Returns
+    (root, B, C, delta) in the shape of S.  Every root case is evaluated
+    everywhere, so call under np.errstate.
     """
     rho, b_slope, b_const, c_scale, four_rho, two_rho = terms
     B = b_slope * S + b_const
@@ -238,6 +251,19 @@ def _level(S: np.ndarray, last: np.ndarray | float, terms: tuple[np.ndarray, ...
 def _sum_floor(S: np.ndarray, n: int) -> np.ndarray:
     """S_lo of the module docstring: below any sum of S's terms with zeros, n in all."""
     return S * (1.0 - 4 * n * 2.0**-53)
+
+
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """a[:L].sum() for L = 1 .. a.size, bit for bit, from one np.add.reduceat.
+
+    Each segment of [0.0, a] from index 0 to L + 1 is [0.0, a[:L]]; the
+    starts 0, 2, 0, 3, .., 0 lay them over one array, and the single
+    elements between them, where the start falls back to 0, are dropped.
+    See the module docstring for why every segment has the bits of .sum.
+    """
+    starts = np.zeros(2 * a.size - 1, dtype=np.intp)
+    starts[1::2] = np.arange(2, a.size + 1)
+    return np.add.reduceat(np.concatenate(([0.0], a)), starts)[::2]
 
 
 def _fill_levels(F: np.ndarray, j: int, terms: tuple[np.ndarray, ...]) -> None:
@@ -291,11 +317,10 @@ def equilibrium_recursive(n: int, rho: float) -> EquilibriumResult:
     F = _closed_form(n, np.array([rho]))
     B = C = delta = np.empty(0)
     if rho > 0.0 and n > 2:
-        # the loop's own prefix sums, so the coefficients carry its bits
-        S = np.stack([F[:, : k - 1].sum(axis=1) for k in range(2, n)])
+        # the loop's prefix sums, bit for bit, so the coefficients carry its bits
+        S = _prefix_sums(F[0, : n - 2])
         with np.errstate(divide="ignore", invalid="ignore"):
-            _, B, C, delta = (x[:, 0] for x in _level(
-                S, F[:, : n - 2].T, _density_terms(np.array([rho]))))
+            _, B, C, delta = _level(S, F[0, : n - 2], _density_terms(np.array([rho])))
     phase = PHASE_FREE if rho <= CRITICAL_DENSITY else PHASE_CONGESTED
     return EquilibriumResult(n=n, rho=rho, f_inf=F[0], phase=phase, b=B, c=C, delta=delta)
 
@@ -392,9 +417,9 @@ def stability_report(f: np.ndarray, params: ModelParams) -> StabilityReport:
         verdict = MARGINAL
     return StabilityReport(
         verdict=verdict,
-        eigen_real_parts=tuple(float(x) for x in np.insert(hyper, zero_mode, 0.0)),
+        eigen_real_parts=tuple(np.insert(hyper, zero_mode, 0.0).tolist()),
         zero_mode_index=zero_mode,
-        hyperplane_real_parts=tuple(float(x) for x in hyper),
+        hyperplane_real_parts=tuple(hyper.tolist()),
         degenerate_zero_density=degenerate,
         nilpotent_hyperplane=nilpotent,
     )

@@ -88,9 +88,23 @@ def scalar_closed_form(n, rho, tiny=1e-12):
     return f, levels
 
 
+def level_sums_reference(F):
+    """The prefix sums of levels 2 .. n-1 with one .sum per level, the reference.
+
+    Row k-2 holds the sums of classes 1 .. k-1 of every row of F, taken
+    as the level loop takes them.
+    """
+    return np.stack([F[:, : k - 1].sum(axis=1) for k in range(2, F.shape[1])])
+
+
 @pytest.fixture(scope="session")
 def closed_form_oracle():
     return scalar_closed_form
+
+
+@pytest.fixture(scope="session")
+def level_sums_oracle():
+    return level_sums_reference
 
 
 @pytest.fixture(scope="session")

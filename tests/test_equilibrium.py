@@ -1,6 +1,7 @@
 """Closed-form steady states, their Jacobian, and stability verdicts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from kinetic_traffic.equilibrium import (
     _density_terms,
     _fill_levels,
     _level,
+    _prefix_sums,
     _sum_floor,
 )
 
@@ -123,6 +125,14 @@ def density_batches(draw):
 
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
+
+
+def _ragged_row(size):
+    """size non-negative values over many binades, a zero and a subnormal among them."""
+    row = [((i * 0.6180339887498949) % 1.0) * 2.0 ** -(i % 60) for i in range(size)]
+    row[size // 2] = 0.0
+    row[size // 3] = 5e-324
+    return row
 
 
 class TestSlowestClass:
@@ -331,6 +341,59 @@ class TestRecursion:
         assert math.fsum(head) >= floor
         for k in range(len(head), n + 1):
             assert row[:, :k].sum(axis=1)[0] >= floor, f"{k} terms"
+
+    @given(
+        row=st.lists(
+            st.floats(0.0, 1.0) | st.floats(0.0, 2.2250738585072014e-308) | st.just(0.0),
+            min_size=1, max_size=600,
+        ),
+    )
+    # numpy's pairwise sum adds fewer than 8 terms in sequence, up to 128
+    # in eight partial sums, and splits longer runs in two; 8192 is its
+    # default buffer size, where a reduction could be cut into pieces
+    @example(row=_ragged_row(1))
+    @example(row=_ragged_row(7))
+    @example(row=_ragged_row(8))
+    @example(row=_ragged_row(9))
+    @example(row=_ragged_row(127))
+    @example(row=_ragged_row(128))
+    @example(row=_ragged_row(129))
+    @example(row=_ragged_row(255))
+    @example(row=_ragged_row(256))
+    @example(row=_ragged_row(257))
+    @example(row=_ragged_row(513))
+    @example(row=_ragged_row(8191))
+    @example(row=_ragged_row(8192))
+    @example(row=_ragged_row(8193))
+    def test_prefix_sums_match_every_sum(self, row):
+        # the record's level sums come from one reduceat; each must have
+        # the bits of the .sum the level loop takes of the same prefix
+        a = np.array(row)
+        got = _prefix_sums(a)
+        assert got.shape == a.shape
+        want = [a[:L].sum() for L in range(1, a.size + 1)]
+        assert _bits(got) == _bits(want), f"length {a.size}"
+
+    def test_large_record_matches_the_level_sums_in_bounded_memory(self, level_sums_oracle):
+        # n = 5000 just above the critical density: 4998 level sums, each
+        # as the loop takes it, with O(n) extra memory, where a gathered
+        # triangle of the n^2 / 2 prefixes would take about 100 MB
+        n, rho = 5000, 0.51
+        tracemalloc.start()
+        try:
+            eq = equilibrium_recursive(n, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak} bytes"  # about 26 arrays of n floats
+        F = eq.f_inf[None, :]
+        S = level_sums_oracle(F)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, B, C, delta = (x[:, 0] for x in _level(
+                S, F[:, : n - 2].T, _density_terms(np.array([rho]))))
+        assert _bits(eq.b) == _bits(B)
+        assert _bits(eq.c) == _bits(C)
+        assert _bits(eq.delta) == _bits(delta)
 
     def test_declined_bound_runs_the_next_level(self):
         # a hand-built head, not reachable from the phase rule: class 2 is
