@@ -27,13 +27,10 @@ from .dynamics import (
     Observables,
     continuity_gap,
     integrate_batch,
-    integrate_to_steady,
     observables,
     random_state,
     random_state_batch,
-    rhs,
     run_trajectory,
-    step,
 )
 from .equilibrium import (
     CRITICAL_DENSITY,
@@ -46,7 +43,6 @@ from .equilibrium import (
     EquilibriumResult,
     StabilityReport,
     equilibrium_bruteforce,
-    equilibrium_f1,
     equilibrium_recursive,
     is_attracting,
     jacobian,
@@ -86,13 +82,10 @@ __all__ = [
     "Observables",
     "continuity_gap",
     "integrate_batch",
-    "integrate_to_steady",
     "observables",
     "random_state",
     "random_state_batch",
-    "rhs",
     "run_trajectory",
-    "step",
     "CRITICAL_DENSITY",
     "MARGINAL",
     "PHASE_CONGESTED",
@@ -103,7 +96,6 @@ __all__ = [
     "EquilibriumResult",
     "StabilityReport",
     "equilibrium_bruteforce",
-    "equilibrium_f1",
     "equilibrium_recursive",
     "is_attracting",
     "jacobian",

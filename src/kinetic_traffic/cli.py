@@ -222,7 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="dimensionless",
         help="rescale to veh/km and km/h",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="grid chunks, run in worker processes, at most one per CPU (default 1)",
+    )
     p.add_argument("--out-csv", help="write the diagram table as CSV")
     p.add_argument("--out-json", help="write the diagram with metadata as JSON")
     p.add_argument("--out-svg", help="write flux and speed panels as SVG")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -62,7 +63,8 @@ class Diagram:
 
     rho, q, u (float) and converged (bool) hold one entry per grid point,
     in grid order, and phase one string each; all are stored as read-only
-    copies.  points is a view that nothing in the package reads.
+    copies.  points is a view that nothing in the package reads; the
+    benchmark tracer (perfbench/tracer.py) counts sweep points with it.
     """
 
     n: int
@@ -144,8 +146,9 @@ def sweep(
             dot product of the speeds with its state.
         params: model constants; defaults to ModelParams(n).
         config: stepper settings for the integrate method.
-        jobs: number of worker processes; the grid is split into
-            contiguous chunks, so results do not depend on jobs.
+        jobs: number of contiguous chunks the grid is split into, each
+            run in a worker process, so results do not depend on jobs;
+            at most one process per chunk and per CPU is started.
 
     Returns:
         Diagram over the grid with the detected critical density.
@@ -170,7 +173,8 @@ def sweep(
     if jobs > 1:
         # imported here: the pool machinery is about 20 ms of the CLI's start
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the executor starts all its workers at once
+        with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
             chunk_columns = list(pool.map(_sweep_chunk, tasks))
     else:
         chunk_columns = [_sweep_chunk(t) for t in tasks]

@@ -36,8 +36,8 @@ zero by at most 1e-12 are clamped back to zero and the clamped mass is
 returned to the largest component, which keeps the density bit-for-bit
 meaningful; a dip below -1e-12 aborts the run as a genuine failure.
 
-One stepping loop, _integrate_batch, serves every entry point: step,
-integrate_to_steady, integrate_batch, run_trajectory and continuity_gap.
+One stepping loop, _integrate_batch, serves every entry point:
+integrate_batch, run_trajectory and continuity_gap.
 The loop hands each accepted step (its time, size, start, end and
 stages) to a recorder callback; run_trajectory keeps them and evaluates
 the samples of all steps in one batch after the loop, so a sample below
@@ -71,9 +71,6 @@ __all__ = [
     "IntegrationConfig",
     "BatchStats",
     "DEFAULT_SEED",
-    "rhs",
-    "step",
-    "integrate_to_steady",
     "integrate_batch",
     "run_trajectory",
     "observables",
@@ -386,8 +383,6 @@ def _integrate_batch(
             small to advance time, or a dip below the clamp window.
     """
     F = np.array(F0, dtype=float)
-    if F.ndim != 2:
-        raise ValueError("batch must be a 2-D array of row states")
     stats = BatchStats() if stats is None else stats
     m, n = F.shape
     t_final, steady_tol = config.t_final, config.steady_tol
@@ -478,52 +473,9 @@ def _integrate_batch(
     return F_out, conv_out, steps_out, t_out, D_out
 
 
-def rhs(state: KineticState, params: ModelParams) -> np.ndarray:
-    """Time derivative of the class populations.
-
-    Args:
-        state: current populations.
-        params: model constants (eta0 enters as an overall rate).
-
-    Returns:
-        Vector df/dt; its entries sum to zero up to roundoff because the
-        cumulative stencil telescopes.
-    """
-    if state.n != params.n:
-        raise ValueError(f"state has {state.n} classes, params expect {params.n}")
-    return _rhs_batch(state.f[None, :], params.eta0)[0]
-
-
-def step(state: KineticState, dt: float, params: ModelParams) -> KineticState:
-    """Advance by dt under the error control, positivity and drift policies.
-
-    This is one Dormand-Prince step, or several if the error control
-    rejects a step of dt.
-    """
-    config = IntegrationConfig(dt=dt, t_final=dt, steady_tol=0.0)
-    return integrate_to_steady(state, params, config)[0]
-
-
-def integrate_to_steady(
-    state: KineticState,
-    params: ModelParams,
-    config: IntegrationConfig | None = None,
-) -> tuple[KineticState, bool, int]:
-    """Integrate until the derivative is negligible or the horizon ends.
-
-    Args:
-        state: initial populations.
-        params: model constants.
-        config: stepper settings; defaults to IntegrationConfig().
-
-    Returns:
-        (final state, converged flag, accepted steps).
-    """
-    config = config or IntegrationConfig()
-    if state.n != params.n:
-        raise ValueError(f"state has {state.n} classes, params expect {params.n}")
-    F, conv, steps, t, _ = _integrate_batch(state.f[None, :], params.eta0, config)
-    return KineticState(f=F[0], t=state.t + t[0]), bool(conv[0]), int(steps[0])
+def _check_classes(n: int, params: ModelParams) -> None:
+    if n != params.n:
+        raise ValueError(f"state has {n} classes, params expect {params.n}")
 
 
 def integrate_batch(
@@ -531,15 +483,21 @@ def integrate_batch(
     params: ModelParams,
     config: IntegrationConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, BatchStats]:
-    """Batched variant of integrate_to_steady over the rows of F0.
+    """Integrate every row of F0, shape (m, n), until it is steady or the horizon ends.
+
+    A single state is a batch of one row.
 
     Returns:
         (final rows, converged mask, accepted steps per row, integrity
         stats and work counts).
     """
+    F0 = np.asarray(F0, float)
+    if F0.ndim != 2:
+        raise ValueError("batch must be a 2-D array of row states")
+    _check_classes(F0.shape[1], params)
     config = config or IntegrationConfig()
     stats = BatchStats()
-    F, conv, steps, _, _ = _integrate_batch(np.asarray(F0, float), params.eta0, config, stats)
+    F, conv, steps, _, _ = _integrate_batch(F0, params.eta0, config, stats)
     return F, conv, steps, stats
 
 
@@ -562,12 +520,11 @@ def run_trajectory(
         final state the last.  Stops early once steady.
     """
     config = config or IntegrationConfig()
-    if state.n != params.n:
-        raise ValueError(f"state has {state.n} classes, params expect {params.n}")
+    _check_classes(state.n, params)
     stride, dt = config.record_stride, config.dt
     taken = []
     F, conv, _, t_end, _ = _integrate_batch(
-        state.f[None, :], params.eta0, config, record=lambda *step: taken.append(step)
+        state.f[None, :], params.eta0, config, record=lambda *s: taken.append(s)
     )
     times, samples = np.zeros(1), state.f[None, :].copy()
     if taken:
@@ -642,6 +599,7 @@ def continuity_gap(
     """
     if f0.n != g0.n:
         raise ValueError("states must have the same number of classes")
+    _check_classes(f0.n, params)
     gap, bound = _continuity_gaps(f0.f[None, :], g0.f[None, :], t, params, config)
     return float(gap[0]), float(bound[0])
 

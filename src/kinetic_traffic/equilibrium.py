@@ -81,11 +81,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
-from .dynamics import _cumulative, _rates, _rhs_batch
+from .dynamics import _check_classes, _cumulative, _rates, _rhs_batch
 from .errors import ConsistencyError
 from .lattice import ModelParams
 
@@ -97,11 +96,9 @@ __all__ = [
     "PHASE_CONGESTED",
     "CRITICAL_DENSITY",
     "BRUTEFORCE_MAX_N",
-    "BranchRecord",
     "EquilibriumResult",
     "EquilibriumCandidate",
     "StabilityReport",
-    "equilibrium_f1",
     "equilibrium_recursive",
     "equilibrium_bruteforce",
     "jacobian",
@@ -125,30 +122,12 @@ _TINY = 1e-12
 _RATE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BranchRecord:
-    """How one component of an equilibrium vector was produced.
-
-    rule is one of "empty", "free", "congested", "quadratic" or
-    "remainder"; delta and the coefficients b, c are set on quadratic
-    levels only.
-    """
-
-    j: int
-    rule: str
-    root: float
-    delta: float | None = None
-    b: float | None = None
-    c: float | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class EquilibriumResult:
     """Closed-form state at one density, with its level coefficients as rows.
 
     b, c and delta belong to the level quadratics of classes 2 .. n-1; on
     the empty road (rho = 0) no level is solved and the rows are empty.
-    branch_data is a view that nothing in the package reads.
     """
 
     n: int
@@ -162,17 +141,6 @@ class EquilibriumResult:
     def __post_init__(self):
         for a in (self.f_inf, self.b, self.c, self.delta):
             a.setflags(write=False)
-
-    @property
-    def branch_data(self) -> tuple[BranchRecord, ...]:
-        """The rows as one BranchRecord per class, built on each access."""
-        roots = self.f_inf.tolist()
-        if self.rho == 0.0:
-            return tuple(BranchRecord(j, "empty", r) for j, r in enumerate(roots, 1))
-        levels = map(BranchRecord, range(2, self.n), repeat("quadratic"), roots[1:-1],
-                     self.delta.tolist(), self.b.tolist(), self.c.tolist())
-        return (BranchRecord(1, self.phase, roots[0]), *levels,
-                BranchRecord(self.n, "remainder", roots[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,13 +171,6 @@ class StabilityReport:
     hyperplane_real_parts: tuple[float, ...]
     degenerate_zero_density: bool = False
     nilpotent_hyperplane: bool = False
-
-
-def equilibrium_f1(rho: float) -> float:
-    """Stationary share of stopped vehicles."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"density {rho} outside [0, 1]")
-    return 0.0 if rho <= CRITICAL_DENSITY else 2.0 * rho - 1.0
 
 
 def _density_terms(rho: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -335,8 +296,7 @@ def _cumulative_partials(f: np.ndarray, params: ModelParams):
     the density itself.
     """
     f = np.asarray(f, dtype=float)
-    if f.size != params.n:
-        raise ValueError(f"state has {f.size} classes, params expect {params.n}")
+    _check_classes(f.size, params)
     rho, P, P_prev = _cumulative(f)
     rho, fj = float(rho[0]), f[:-1]
     lam = _rates(params.eta0, rho, P, P_prev)

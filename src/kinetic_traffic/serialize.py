@@ -10,7 +10,7 @@ strings (phases, rules) are encoded once per document and enter a
 template with every % doubled.  The diagram writers read the Diagram's
 columns: the CSV and the JSON can share one formatting of their numbers
 (diagram_numbers), and the SVG maps each panel's ticks and points with
-numpy.  to_json encodes a general document one value at a time.
+numpy.
 
 The trajectory table takes the flux of all its rows at once
 (dynamics._flux, the one flux rule) and is written by _rows15, a %.15g
@@ -68,7 +68,6 @@ from .lattice import SpeedLattice
 
 __all__ = [
     "fmt15",
-    "to_json",
     "trajectory_csv",
     "diagram_numbers",
     "diagram_csv",
@@ -244,28 +243,6 @@ def _json_numbers(text: str) -> list[str]:
     return text.split(",")[:-1]
 
 
-def _json_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _json_numbers(_fmt_all((float(value),)))[0]
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ", ".join([_json_value(v) for v in value]) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def to_json(value) -> str:
-    return _json_value(value) + "\n"
-
-
 def _records(templates: dict, keys: list, numbers: list, sep: str) -> str:
     """The template of each key in turn, filled from numbers in blocks of _CSV_BLOCK.
 
@@ -334,9 +311,11 @@ def equilibrium_json(
     """The equilibrium record, with rho and f_inf times scale_rho.
 
     q and u are written as given.  branch_data keeps the dimensionless
-    roots; each level is one row of j, root, delta, b and c, with nan,
-    written null, for the coefficients of the levels that are not
-    quadratic.  The level index j, an int below 10**15, goes through %.15g
+    roots; each level is one row of j, rule, root, delta, b and c.  The
+    rule is "empty" for every class on the empty road; otherwise class 1
+    takes the phase, classes 2 .. n-1 "quadratic" and class n
+    "remainder".  The coefficients of the levels that are not quadratic
+    are nan, written null.  The level index j, an int below 10**15, goes through %.15g
     as a float, which writes it as str writes the int.
     """
     n = eq.n

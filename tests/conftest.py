@@ -113,7 +113,7 @@ def level_oracle():
 
 
 def json_value(value) -> str:
-    """The JSON writer's encoding as a plain isinstance chain, the reference."""
+    """A document as the JSON writers encode it, one value at a time, the reference."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -133,11 +133,6 @@ def json_value(value) -> str:
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(json_value(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-@pytest.fixture(scope="session")
-def json_oracle():
-    return json_value
 
 
 def rhs_batch_reference(F, eta0):
@@ -371,7 +366,20 @@ def diagram_svg_reference(diagram):
 
 
 def equilibrium_json_reference(eq, scale_rho, q, u, stable):
-    """The equilibrium record as one dict per level, per-value encoded, the reference."""
+    """The equilibrium record as one dict per level, per-value encoded, the reference.
+
+    The levels come from the result's columns: on the empty road every
+    class has rule "empty", else class 1 takes the phase, classes
+    2 .. n-1 are "quadratic", with their coefficients, and class n is
+    the "remainder"; a level that is not quadratic has no coefficients.
+    """
+    none = [(None, None, None)]
+    if eq.rho == 0.0:
+        rules, coefficients = ["empty"] * eq.n, none * eq.n
+    else:
+        rules = [eq.phase] + ["quadratic"] * (eq.n - 2) + ["remainder"]
+        levels = zip(eq.delta.tolist(), eq.b.tolist(), eq.c.tolist())
+        coefficients = none + list(levels) + none
     payload = {
         "n": eq.n,
         "rho": eq.rho * scale_rho,
@@ -381,8 +389,10 @@ def equilibrium_json_reference(eq, scale_rho, q, u, stable):
         "phase": eq.phase,
         "stable": stable,
         "branch_data": [
-            {"j": b.j, "rule": b.rule, "root": b.root, "delta": b.delta, "b": b.b, "c": b.c}
-            for b in eq.branch_data
+            {"j": j, "rule": rule, "root": root, "delta": delta, "b": b, "c": c}
+            for j, (rule, root, (delta, b, c)) in enumerate(
+                zip(rules, eq.f_inf.tolist(), coefficients, strict=True), 1
+            )
         ],
     }
     return json_value(payload) + "\n"

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -216,12 +217,11 @@ class TestColumnarResults:
         diagram_svg_oracle, equilibrium_json_oracle,
     ):
         # diagram and equilibrium write from columns; building a DiagramPoint
-        # per grid point or a BranchRecord per level fails the command
+        # per grid point fails the command
         def refuse(*args, **kwargs):
-            raise AssertionError("built a per-point or per-level record")
+            raise AssertionError("built a per-point record")
 
         monkeypatch.setattr("kinetic_traffic.diagrams.DiagramPoint", refuse)
-        monkeypatch.setattr("kinetic_traffic.equilibrium.BranchRecord", refuse)
         out = {name: str(tmp_path / name) for name in ("d.csv", "d.json", "d.svg")}
         densities = (0.0, 0.3, 0.73)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -370,14 +370,34 @@ class TestConsoleEntry:
 
 
 class TestBenchmarkTracer:
-    def test_every_traced_name_exists(self):
-        # perfbench --trace rebinds these names; one that no longer exists
-        # would make every traced run fail at startup
+    @staticmethod
+    def load_tracer():
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
+        return tracer
+
+    def test_every_traced_name_exists(self):
+        # perfbench --trace rebinds these names; one that no longer exists
+        # would make every traced run fail at startup
+        tracer = self.load_tracer()
         assert tracer.TARGETS
         for module, attr, *_ in tracer.TARGETS:
             mod = importlib.import_module(f"kinetic_traffic.{module}")
             assert callable(getattr(mod, attr, None)), f"{module}.{attr} is gone"
+
+    def test_sweep_points_and_every_exported_name_resolve(self):
+        # the tracer counts a sweep's points through Diagram.points, and an
+        # API cut must leave no name in an __all__ behind
+        d = sweep(3, build_grid(11))  # 0.5 is on this grid: 11 points
+        assert len(d.points) == 11
+        counts = {"diagrams.sweep.points": 0}
+        self.load_tracer()._sweep_counts(counts, (), {}, d)
+        assert counts["diagrams.sweep.points"] == 11
+        names = [m.name for m in pkgutil.iter_modules(kinetic_traffic.__path__)]
+        modules = [importlib.import_module(f"kinetic_traffic.{m}") for m in names
+                   if m != "__main__"]
+        for mod in (kinetic_traffic, *modules):
+            for name in getattr(mod, "__all__", ()):
+                assert hasattr(mod, name), f"{mod.__name__}.{name} is gone"

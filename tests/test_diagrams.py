@@ -1,20 +1,17 @@
 """Diagram sweeps, critical-density detection, and the text writers."""
 
 import dataclasses
-import enum
 import json
 import os
 import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import kinetic_traffic
 from kinetic_traffic import (
@@ -43,7 +40,6 @@ from kinetic_traffic.serialize import (
     _pattern15,
     _rows15,
     fmt15,
-    to_json,
     trajectory_csv,
 )
 
@@ -131,6 +127,37 @@ class TestRecursiveSweep:
                     want = getattr(one, name).tobytes()
                     assert getattr(other, name).tobytes() == want, (method, jobs, name)
                 assert (other.phase, other.sigma, other.q_max) == (one.phase, one.sigma, one.q_max)
+
+    def test_pool_starts_at_most_one_worker_per_chunk_and_cpu(self, monkeypatch):
+        # an executor that maps in this process and records its size, so
+        # no worker starts: the real one forks all max_workers at once
+        import concurrent.futures
+
+        sizes = []
+
+        class Serial:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
+        grid = build_grid(11)  # 11 points, so at most 11 chunks
+        one = sweep(3, grid)
+        for cpus, want in ((4, [2, 4, 4]), (64, [2, 5, 11]), (None, [1, 1, 1])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            for jobs in (2, 5, 10**4):
+                other = sweep(3, grid, jobs=jobs)
+                assert other.q.tobytes() == one.q.tobytes(), (cpus, jobs)
+            assert sizes == want, cpus
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -294,43 +321,6 @@ class TestDiagramValidation:
                     rho=[0.5], q=[0.5], u=[1.0], phase=["free"], converged=[True])
 
 
-class _Level(enum.IntEnum):
-    LOW = 3
-
-
-class _Meters(float):
-    pass
-
-
-# leaves whose encoding is easy to get wrong: non-finite floats (null),
-# the signed zero, the smallest subnormal, numpy scalars, bool next to
-# int, subclasses of int, float and str, and non-ASCII text; np.bool_,
-# which both writers refuse, comes in through the bool arrays
-_JSON_EDGES = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
-               np.float64(-0.0), np.float64("nan"), np.float32(0.1), np.int64(-(2**63)),
-               np.uint8(255), True, False, 1, 0, _Level.LOW, _Meters(2.5),
-               np.str_("é"), "é ü 漢 \u2028 \x00"]
-_json_leaves = (
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-    | st.floats().map(np.float64) | st.integers(-(2**63), 2**63 - 1).map(np.int64)
-    | st.sampled_from(_JSON_EDGES)
-)
-_json_arrays = hnp.arrays(
-    st.sampled_from([np.float64, np.int64, np.bool_]),
-    hnp.array_shapes(min_dims=1, max_dims=2, max_side=4),
-)
-_json_documents = st.recursive(
-    _json_leaves | _json_arrays,
-    lambda kids: (
-        st.lists(kids, max_size=4)
-        | st.lists(kids, max_size=4).map(tuple)
-        | st.dictionaries(st.text() | st.integers() | st.booleans(), kids, max_size=4)
-        | st.dictionaries(st.text(), kids, max_size=4).map(OrderedDict)
-    ),
-    max_leaves=20,
-)
-
-
 _DIAGRAM_EDGES = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324, 0.5]
 _diagram_values = st.floats() | st.sampled_from(_DIAGRAM_EDGES)
 _phases = st.text() | st.sampled_from(
@@ -390,12 +380,6 @@ class TestFormatting:
             back = float(fmt15(x))
             assert abs(back - x) <= 5e-15 * abs(x)
 
-    def test_json_values(self):
-        s = to_json({"a": True, "b": None, "c": [1, 0.25], "d": "x"})
-        assert s == '{"a": true, "b": false, "c": [1, 0.25], "d": "x"}\n'.replace(
-            "false", "null"
-        ) or json.loads(s) == {"a": True, "b": None, "c": [1, 0.25], "d": "x"}
-
     @given(st.integers(1, 12), st.lists(_raw_floats, min_size=1, max_size=300))
     @example(4, [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308])
     @example(5, _POWERS_OF_TEN)
@@ -413,24 +397,6 @@ class TestFormatting:
         ties = k.astype(np.float64) + 0.5
         assert (_pattern15(ties)[0] < 4).all()
         assert _rows15(ties[:, None]) == _percent_rows(ties[:, None])
-
-    def test_json_rejects_unknown_types(self):
-        with pytest.raises(TypeError):
-            to_json({"bad": {1, 2}})
-
-    @given(_json_documents)
-    @example({"é": _JSON_EDGES, 1: [True, 1], "f": np.array([[0.5, np.nan], [-0.0, 5e-324]])})
-    @example([{"a": 1, "b": -0.0}, {"a": np.inf, "b": (np.int64(2), "ü")}, {1: 0}, {True: 0}])
-    def test_json_writer_matches_the_isinstance_chain(self, json_oracle, doc):
-        # the writer dispatches on type() and caches keys; byte for byte it
-        # must be the plain isinstance chain, errors included
-        try:
-            want = json_oracle(doc) + "\n"
-        except TypeError:
-            with pytest.raises(TypeError):
-                to_json(doc)
-            return
-        assert to_json(doc) == want
 
 
 class TestWriters:

@@ -19,15 +19,13 @@ from kinetic_traffic import (
     continuity_gap,
     equilibrium_recursive,
     integrate_batch,
-    integrate_to_steady,
     observables,
     random_state,
     random_state_batch,
-    rhs,
     run_trajectory,
-    step,
 )
 from kinetic_traffic import dynamics
+from kinetic_traffic.dynamics import _rhs_batch
 
 
 def dense_rhs(f: np.ndarray, eta0: float = 1.0) -> np.ndarray:
@@ -67,6 +65,16 @@ def rk4_oracle(f: np.ndarray, h: float, per_sample: int, samples: int) -> np.nda
     return np.array(out)
 
 
+def one_step(state, dt, params):
+    """The row integrate_batch reaches from state at t = dt.
+
+    That is one step of dt under the error control, or several if the
+    control rejects dt.
+    """
+    config = IntegrationConfig(dt=dt, t_final=dt, steady_tol=0.0)
+    return integrate_batch(state.f[None, :], params, config)[0][0]
+
+
 HALF_DOWN, HALF_UP = math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
 EDGES = [0.0, HALF_DOWN, 0.5, HALF_UP, 1.0]
 
@@ -78,8 +86,7 @@ class TestVectorField:
     def test_hand_value_two_classes(self):
         # worked by hand: rho=0.7, eta=0.7, gain=(0.168, 0.322),
         # loss=rho*f=(0.14, 0.35), rhs=0.7*(gain-loss)
-        f = KineticState(np.array([0.2, 0.5]))
-        out = rhs(f, ModelParams(n=2))
+        out = _rhs_batch(np.array([[0.2, 0.5]]), ModelParams(n=2).eta0)[0]
         assert abs(out[0] - 0.0196) <= 1e-15
         assert abs(out[1] + 0.0196) <= 1e-15
 
@@ -101,7 +108,7 @@ class TestVectorField:
                 cuts = np.sort(rng.integers(0, 1 << 20, n - 1)) / (1 << 20)
                 cases.append(rho * np.diff(cuts, prepend=0.0, append=1.0))
         for f in cases:
-            got = rhs(KineticState(f), ModelParams(n=f.size))
+            got = _rhs_batch(f[None, :], ModelParams(n=f.size).eta0)[0]
             want = dense_rhs(f)
             tol = 5e-15 if f.size <= 7 else 1e-15
             assert np.abs(got - want).max() <= tol, f"n={f.size} rho={f.sum()!r}"
@@ -112,7 +119,7 @@ class TestVectorField:
             p = ModelParams(n=n)
             for _ in range(20):
                 f = random_state(n, float(rng.uniform(0, 1)), seed=int(rng.integers(1 << 30)))
-                assert abs(rhs(f, p).sum()) <= 1e-15
+                assert abs(_rhs_batch(f.f[None, :], p.eta0)[0].sum()) <= 1e-15
         # the stencil telescopes: at n = 200 the row sums measure at most
         # 5.6e-17 over these states
         densities = [*np.linspace(0.0, 1.0, 21), *EDGES]
@@ -122,18 +129,27 @@ class TestVectorField:
         assert np.abs(dynamics._rhs_batch(F, 1.0).sum(axis=1)).max() <= 2e-16
 
     def test_vanishes_on_empty_road(self):
-        out = rhs(KineticState(np.zeros(4)), ModelParams(n=4))
+        out = _rhs_batch(np.zeros((1, 4)), ModelParams(n=4).eta0)[0]
         assert np.all(out == 0.0)
 
     def test_scales_with_eta0(self):
-        f = KineticState(np.array([0.1, 0.2, 0.3]))
-        base = rhs(f, ModelParams(n=3, eta0=1.0))
-        fast = rhs(f, ModelParams(n=3, eta0=3.0))
+        f = np.array([[0.1, 0.2, 0.3]])
+        base = _rhs_batch(f, ModelParams(n=3, eta0=1.0).eta0)[0]
+        fast = _rhs_batch(f, ModelParams(n=3, eta0=3.0).eta0)[0]
         assert np.abs(fast - 3.0 * base).max() <= 1e-15
 
     def test_class_count_mismatch(self):
-        with pytest.raises(ValueError):
-            rhs(KineticState(np.array([0.1, 0.2])), ModelParams(n=3))
+        # the field takes any width; every entry point checks it against params
+        state, p = KineticState(np.array([0.1, 0.2])), ModelParams(n=3)
+        for call in (
+            lambda: integrate_batch(state.f[None, :], p),
+            lambda: run_trajectory(state, p),
+            lambda: continuity_gap(state, state, 1.0, p),
+        ):
+            with pytest.raises(ValueError, match="2 classes, params expect 3"):
+                call()
+        with pytest.raises(ValueError, match="2-D"):
+            integrate_batch(state.f, ModelParams(n=2))
 
 
 class TestKineticState:
@@ -198,11 +214,11 @@ class TestStepper:
     def test_step_preserves_mass(self):
         p = ModelParams(n=5)
         st = random_state(5, 0.8, seed=9)
-        after = step(st, 0.01, p)
-        assert abs(after.rho - st.rho) <= 1e-15
+        after = one_step(st, 0.01, p)
+        assert abs(after.sum() - st.rho) <= 1e-15
 
     def test_steps_match_integrate_to_steady(self):
-        # step is the single loop run to t = dt, so walking the loop's own
+        # a step is the single loop run to t = dt, so walking the loop's own
         # accepted step sizes takes one accepted step per call and lands
         # bit for bit where the loop lands
         p = ModelParams(n=5)
@@ -214,20 +230,20 @@ class TestStepper:
             record=lambda rows, t, h, F, Y, K: taken.append(h[0]),
         )
         assert len(taken) == steps[0] > 5
-        walked = st
+        walked, t_walked = st.f[None, :], 0.0
         for h in taken:
-            one_step = IntegrationConfig(dt=h, t_final=h, steady_tol=0.0)
-            one, _, k = integrate_to_steady(walked, p, one_step)
-            assert k == 1
-            assert np.all(step(walked, h, p).f == one.f)
-            walked = one
-        assert np.all(walked.f == F[0])
-        assert abs(walked.t - t[0]) <= 1e-12
+            config = IntegrationConfig(dt=h, t_final=h, steady_tol=0.0)
+            one, _, k, t_one, _ = dynamics._integrate_batch(walked, p.eta0, config)
+            assert k[0] == 1
+            assert np.all(one_step(KineticState(walked[0]), h, p) == one[0])
+            walked, t_walked = one, t_walked + t_one[0]
+        assert np.all(walked[0] == F[0])
+        assert abs(t_walked - t[0]) <= 1e-12
 
     def test_step_rejects_bad_dt(self):
         st = random_state(3, 0.5, seed=1)
         with pytest.raises(ValueError):
-            step(st, 0.0, ModelParams(n=3))
+            one_step(st, 0.0, ModelParams(n=3))
 
 
 class TestIntegration:
@@ -235,12 +251,10 @@ class TestIntegration:
         # congested densities relax at rate ~ rho^2 (2 rho - 1), well
         # within the default horizon
         for n, rho in ((2, 0.8), (4, 0.75), (6, 0.9)):
-            final, converged, steps = integrate_to_steady(
-                KineticState(np.full(n, rho / n)), ModelParams(n=n)
-            )
-            assert converged, f"n={n} rho={rho} not steady by default horizon"
-            assert steps > 0
-            err = np.abs(final.f - equilibrium_recursive(n, rho).f_inf).max()
+            F, converged, steps, _ = integrate_batch(np.full((1, n), rho / n), ModelParams(n=n))
+            assert converged[0], f"n={n} rho={rho} not steady by default horizon"
+            assert steps[0] > 0
+            err = np.abs(F[0] - equilibrium_recursive(n, rho).f_inf).max()
             assert err <= 1e-7, f"n={n} rho={rho} err={err}"
 
     def test_relaxes_in_free_phase(self):
@@ -248,21 +262,17 @@ class TestIntegration:
         # must stretch to several hundred
         rho = 1.0 / 3.0
         config = IntegrationConfig(dt=0.02, t_final=800.0)
-        final, converged, _ = integrate_to_steady(
-            KineticState(np.full(3, rho / 3)), ModelParams(n=3), config
-        )
-        assert converged
-        err = np.abs(final.f - equilibrium_recursive(3, rho).f_inf).max()
+        F, converged, _, _ = integrate_batch(np.full((1, 3), rho / 3), ModelParams(n=3), config)
+        assert converged[0]
+        err = np.abs(F[0] - equilibrium_recursive(3, rho).f_inf).max()
         assert err <= 1e-7, f"free phase err={err}"
 
     def test_already_steady_input_returns_immediately(self):
         eq = equilibrium_recursive(3, 0.8).f_inf
-        final, converged, steps = integrate_to_steady(
-            KineticState(eq), ModelParams(n=3)
-        )
-        assert converged
-        assert steps == 0
-        assert np.all(final.f == eq)
+        F, converged, steps, _ = integrate_batch(eq[None, :], ModelParams(n=3))
+        assert converged[0]
+        assert steps[0] == 0
+        assert np.all(F[0] == eq)
 
     def test_batch_rows_are_independent(self):
         # integrating a state alone and inside a batch must agree bit for
@@ -308,7 +318,7 @@ class TestIntegration:
         times, samples, converged = run_trajectory(st, p, config)
         assert converged
         assert times[-1] < 500.0
-        tail = rhs(KineticState(samples[-1]), p)
+        tail = _rhs_batch(samples[-1:], p.eta0)[0]
         assert np.abs(tail).sum() <= 1e-10
 
     @pytest.mark.parametrize("stride", [1, 7])
@@ -320,15 +330,16 @@ class TestIntegration:
         st = KineticState(random_state(6, 0.7, seed=11).f, t=3.0)
         config = IntegrationConfig(dt=0.05, t_final=t_final, record_stride=stride)
         times, samples, converged = run_trajectory(st, p, config)
-        final, conv, _ = integrate_to_steady(st, p, config)
-        assert converged == conv == (t_final == 500.0)
-        assert np.all(samples[-1] == final.f)
+        F, conv, _, t, _ = dynamics._integrate_batch(st.f[None, :], p.eta0, config)
+        t_end = st.t + t[0]
+        assert converged == conv[0] == (t_final == 500.0)
+        assert np.all(samples[-1] == F[0])
         assert np.all(samples[0] == st.f)
         # samples sit at t0 + i dt for the multiples i of the stride before
         # the end, which follows as the last sample
-        i = np.arange(stride, round((final.t - st.t) / 0.05) + stride, stride)
+        i = np.arange(stride, round((t_end - st.t) / 0.05) + stride, stride)
         inner = st.t + i * 0.05
-        want = np.concatenate([[st.t], inner[inner < final.t], [final.t]])
+        want = np.concatenate([[st.t], inner[inner < t_end], [t_end]])
         assert np.array_equal(times, want)
 
     @pytest.mark.parametrize(
@@ -383,7 +394,7 @@ class TestIntegration:
                 IntegrationConfig(t_final=bad)
         state = random_state(4, 0.6)
         with pytest.raises(ValueError):
-            step(state, math.inf, ModelParams(n=4))
+            one_step(state, math.inf, ModelParams(n=4))
         with pytest.raises(ValueError):
             continuity_gap(state, state, math.inf, ModelParams(n=4))
 
@@ -422,7 +433,7 @@ class TestConservationPolicy:
     def test_step_raises(self, rhs_calls):
         st = random_state(4, 0.7, seed=2)
         with pytest.raises(ConsistencyError):
-            step(st, 0.01, ModelParams(n=4))
+            one_step(st, 0.01, ModelParams(n=4))
 
 
 class TestWorkCounts:
@@ -452,7 +463,7 @@ class TestWorkCounts:
 
     def test_step_evaluates_seven_stages(self, rhs_rows):
         # the first stage, six more, and no separate residual
-        step(random_state(5, 0.8, seed=9), 0.01, ModelParams(n=5))
+        one_step(random_state(5, 0.8, seed=9), 0.01, ModelParams(n=5))
         assert rhs_rows == [1] * 7
 
     def test_trajectory_start_work_counts(self):

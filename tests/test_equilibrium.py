@@ -21,11 +21,9 @@ from kinetic_traffic import (
     build_game_table,
     build_grid,
     equilibrium_bruteforce,
-    equilibrium_f1,
     equilibrium_recursive,
     is_attracting,
     jacobian,
-    rhs,
     stability_report,
     sweep,
 )
@@ -136,16 +134,22 @@ def _ragged_row(size):
 
 
 class TestSlowestClass:
+    """The phase rule for the stopped class, as the closed form applies it."""
+
+    @staticmethod
+    def f1(rho):
+        return _closed_form(3, np.array([rho]))[0, 0]
+
     def test_piecewise_formula(self):
-        assert equilibrium_f1(0.0) == 0.0
-        assert equilibrium_f1(0.3) == 0.0
-        assert equilibrium_f1(0.5) == 0.0
-        assert abs(equilibrium_f1(0.75) - 0.5) <= 1e-16
-        assert abs(equilibrium_f1(1.0) - 1.0) <= 1e-16
+        assert self.f1(0.0) == 0.0
+        assert self.f1(0.3) == 0.0
+        assert self.f1(0.5) == 0.0
+        assert abs(self.f1(0.75) - 0.5) <= 1e-16
+        assert abs(self.f1(1.0) - 1.0) <= 1e-16
 
     def test_continuous_at_critical_density(self):
-        below = equilibrium_f1(0.5 - 1e-12)
-        above = equilibrium_f1(0.5 + 1e-12)
+        below = self.f1(0.5 - 1e-12)
+        above = self.f1(0.5 + 1e-12)
         assert abs(above - below) <= 3e-12
 
 
@@ -156,11 +160,11 @@ class TestRecursion:
         assert abs(eq.f_inf[1] - F2_EXPECTED) <= 1e-15
         assert abs(eq.f_inf[2] - F3_EXPECTED) <= 1e-15
         assert eq.phase == PHASE_CONGESTED
-        mid = eq.branch_data[1]
-        assert mid.rule == "quadratic"
-        assert abs(mid.b + 0.25) <= 1e-16
-        assert abs(mid.c - 0.09375) <= 1e-16
-        assert abs(mid.delta - 0.34375) <= 1e-15
+        # the one quadratic level, class 2
+        assert eq.b.size == eq.c.size == eq.delta.size == 1
+        assert abs(eq.b[0] + 0.25) <= 1e-16
+        assert abs(eq.c[0] - 0.09375) <= 1e-16
+        assert abs(eq.delta[0] - 0.34375) <= 1e-15
 
     def test_vanishing_residual_everywhere(self):
         """The recursion output must annihilate the vector field."""
@@ -168,7 +172,7 @@ class TestRecursion:
             p = ModelParams(n=n)
             for rho in np.linspace(0.0, 1.0, 41):
                 eq = equilibrium_recursive(n, float(rho))
-                resid = np.abs(rhs(KineticState(eq.f_inf), p)).sum()
+                resid = np.abs(_rhs_batch(eq.f_inf[None, :], p.eta0)).sum()
                 assert resid <= 1e-12, f"n={n} rho={rho}: residual {resid}"
         # scaled by rho^2 the residual stays at roundoff for every n: the
         # worst measured, over n = 2..40, 50, 100, 150 and 200, is 6.7e-16 (from
@@ -198,7 +202,8 @@ class TestRecursion:
     def test_empty_road(self):
         eq = equilibrium_recursive(4, 0.0)
         assert np.all(eq.f_inf == 0.0)
-        assert eq.branch_data[0].rule == "empty"
+        # no level is solved on the empty road
+        assert eq.b.size == eq.c.size == eq.delta.size == 0
 
     def test_full_jam(self):
         eq = equilibrium_recursive(5, 1.0)
@@ -209,20 +214,18 @@ class TestRecursion:
         for n in (3, 5, 8):
             for rho in np.concatenate([np.linspace(0.51, 1.0, 25), [0.501]]):
                 eq = equilibrium_recursive(n, float(rho))
-                for rec in eq.branch_data:
-                    if rec.rule == "quadratic":
-                        assert rec.delta > 0.0, f"n={n} rho={rho} j={rec.j}"
+                assert eq.delta.size == n - 2
+                for j, delta in enumerate(eq.delta, 2):
+                    assert delta > 0.0, f"n={n} rho={rho} j={j}"
 
     def test_discriminant_collapses_at_critical_density(self):
         # B and C both vanish at rho = 1/2, so delta = B^2 + 4 rho C is
         # exactly zero, not merely small
         eq = equilibrium_recursive(5, 0.5)
-        quads = [rec for rec in eq.branch_data if rec.rule == "quadratic"]
-        assert quads, "expected quadratic levels at the critical density"
-        for rec in quads:
-            assert rec.b == 0.0
-            assert rec.c == 0.0
-            assert rec.delta == 0.0
+        assert eq.delta.size == 3, "expected quadratic levels at the critical density"
+        assert np.all(eq.b == 0.0)
+        assert np.all(eq.c == 0.0)
+        assert np.all(eq.delta == 0.0)
 
     def test_takes_the_larger_root(self):
         rng = np.random.default_rng(8)
@@ -230,12 +233,10 @@ class TestRecursion:
             n = int(rng.integers(3, 9))
             rho = float(rng.uniform(0.55, 0.99))
             eq = equilibrium_recursive(n, rho)
-            for rec in eq.branch_data:
-                if rec.rule != "quadratic":
-                    continue
-                other = (rec.b - np.sqrt(rec.delta)) / (2.0 * rho)
-                assert rec.root >= other - 1e-15
-                value = -rho * rec.root**2 + rec.b * rec.root + rec.c
+            for root, b, c, delta in zip(eq.f_inf[1:-1], eq.b, eq.c, eq.delta, strict=True):
+                other = (b - np.sqrt(delta)) / (2.0 * rho)
+                assert root >= other - 1e-15
+                value = -rho * root**2 + b * root + c
                 assert abs(value) <= 1e-14, f"root misses quadratic by {value}"
 
     def test_branches_continuous_across_critical_density(self):
@@ -317,9 +318,7 @@ class TestRecursion:
         eq = equilibrium_recursive(n, rho)
         f, levels = closed_form_oracle(n, rho)
         assert _bits(eq.f_inf) == _bits(f), f"n={n} rho={rho!r}"
-        assert _bits([rec.root for rec in eq.branch_data]) == _bits(f)
-        quads = [(rec.b, rec.c, rec.delta) for rec in eq.branch_data if rec.rule == "quadratic"]
-        assert _bits(quads) == _bits(levels)
+        assert _bits(np.column_stack((eq.b, eq.c, eq.delta))) == _bits(levels)
 
     @given(
         head=st.lists(
@@ -456,8 +455,8 @@ class TestJacobian:
                     fp[j] += h
                     fm[j] -= h
                     col = (
-                        rhs(KineticState(fp), p) - rhs(KineticState(fm), p)
-                    ) / (2 * h)
+                        _rhs_batch(fp[None, :], p.eta0) - _rhs_batch(fm[None, :], p.eta0)
+                    )[0] / (2 * h)
                     assert np.abs(J[:, j] - col).max() <= 1e-6
 
     def test_columns_sum_to_zero(self):
