@@ -52,6 +52,21 @@ values and runs with numpy's floating-point warnings off.
 The loop takes a batch of states as the rows of a matrix.  Rows evolve
 independently through elementwise arithmetic in a fixed order, and a row
 leaves the working array once it is steady or has reached the horizon.
+The step bound of a state comes from the running sums of its derivative's
+evaluation.  A pass in which every row accepts keeps its new arrays whole;
+only a pass with rejections gathers and scatters rows.
+
+The working arrays (states, stages, the sums and stencil of _rhs_batch)
+are class-major: column j of an (m, n) array, class j of every row, is
+one contiguous run of m values.  A batch has few classes and up to a
+few dozen rows, so numpy's per-loop cost dominates, and class-major an
+elementwise operation or a class slice runs over runs of m instead of m
+runs of n.  Boolean row indexing returns row-major arrays, so rows are
+dropped by taking columns of the transposed array.  Entry and exit stay
+row-major, and every row sum (density, drift, steady-state and error
+norms, clamp deficit) is taken from a row-major copy: numpy sums a
+contiguous row pairwise, a class-major row one class at a time, and
+from n = 8 on the two round differently.
 """
 
 from __future__ import annotations
@@ -141,6 +156,10 @@ def _weights(w):
 _A_W = tuple(_weights(row) for row in _A)
 _E_W = _weights(_E)
 _D_W = _weights(_D)
+
+# values per block of the dense output (64 KiB per buffer), so the gathered
+# coefficients stay in cache instead of filling fresh memory
+_DENSE_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,20 +269,22 @@ def _rates(eta0, rho, P, P_prev):
     return eta0 * rho * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - P_prev))
 
 
-def _rhs_batch(F: np.ndarray, eta0: float) -> np.ndarray:
+def _rhs_batch(F: np.ndarray, eta0: float, *, cum: np.ndarray | None = None) -> np.ndarray:
     """Interaction gain minus loss for each row of F, shape (m, n).
 
     Evaluates the cumulative stencil dP_j/dt for j = 1 .. n-1 and
-    differences it with dP_0/dt = dP_n/dt = 0.
+    differences it with dP_0/dt = dP_n/dt = 0.  The buffers and the result
+    are class-major.  cum, if given, is an (m, n + 1) array with a zero
+    first column that receives the running sums: cum[:, j] = P_j.
     """
     m, n = F.shape
     # the cumsum of _cumulative, kept whole: R[:, j-1] = rho - P_{j-1},
     # j = 1 .. n, serves both terms of the stencil
-    C = np.zeros((m, n + 1))
+    C = np.zeros((n + 1, m)).T if cum is None else cum
     F.cumsum(axis=-1, out=C[:, 1:])
     rho = C[:, -1:]
     R = rho - C[:, :-1]
-    dP = np.zeros((m, n + 1))
+    dP = np.zeros((n + 1, m)).T
     np.multiply(
         eta0 * rho,
         rho * C[:, 1:-1] * R[:, 1:] - (1.0 - rho) * F[:, :-1] * R[:, :-1],
@@ -285,20 +306,26 @@ def _combine(weights, K):
 def _dp_step(F, h, k1, eta0):
     """One Dormand-Prince attempt from every row of F with steps h (a column).
 
-    Returns the fifth-order solution Y and the seven stages K, shape
-    (7, m, n); K[6] is the derivative at Y.
+    Returns the fifth-order solution Y, the seven stages K, shape
+    (7, m, n), and the running sums of Y as _rhs_batch's cum receives
+    them; K[6] is the derivative at Y.  K and the sums are class-major.
     """
-    K = np.empty((7,) + F.shape)
+    m, n = F.shape
+    K = np.empty((7, n, m)).transpose(0, 2, 1)
+    C = np.zeros((n + 1, m)).T
     K[0] = k1
     for i, w in enumerate(_A_W, 1):
         Y = F + h * _combine(w, K)
-        K[i] = _rhs_batch(Y, eta0)
-    return Y, K
+        K[i] = _rhs_batch(Y, eta0, cum=C)
+    return Y, K, C
 
 
-def _stable_step(F, eta0):
-    """Per-row step bound _STAB / max_j |lambda_j|; the mass mode is 0."""
-    lam = _rates(eta0, *_cumulative(F))
+def _stable_step(eta0, C):
+    """Per-row step bound _STAB / max_j |lambda_j| from the sums C of _rhs_batch's cum.
+
+    The mass mode is 0.
+    """
+    lam = _rates(eta0, C[:, -1:], C[:, 1:-1], C[:, :-2])
     return _STAB / np.abs(lam).max(axis=1)
 
 
@@ -306,19 +333,29 @@ def _dense(F, Y, K, h, at, theta):
     """Fourth-order continuous extension of the steps F -> Y.
 
     Sample i lies in step at[i], at the fraction theta[i] of it (theta is
-    a column).  The coefficients are formed once per step and gathered per sample, then
-    F + theta (dy + (1 - theta) (b + theta (c + (1 - theta) d))) is
-    evaluated from the inside out in the buffer of d, one operation at a
-    time in the order of the nested expression.
+    a column).  The coefficients are formed once per step and gathered per
+    sample, _DENSE_BLOCK values at a time into one reused buffer.  Each
+    block of F + theta (dy + (1 - theta) (b + theta (c + (1 - theta) d)))
+    is evaluated from the inside out in its rows of the returned array,
+    one operation at a time in the order of the nested expression.
     """
     dy = Y - F
     b = h * K[0] - dy
     c = dy - h * K[6] - b
     d = h * _combine(_D_W, K)
-    F, dy, b, c, x = (v.take(at, axis=0) for v in (F, dy, b, c, d))
-    omt = 1.0 - theta
-    for w, v in ((omt, c), (theta, b), (omt, dy), (theta, F)):
-        np.add(v, np.multiply(w, x, out=x), out=x)
+    x = np.empty((at.size, F.shape[1]))
+    size = max(1, _DENSE_BLOCK // F.shape[1])
+    buf = np.empty((min(size, at.size), F.shape[1]))
+    for lo in range(0, at.size, size):
+        i, w, out = at[lo : lo + size], theta[lo : lo + size], x[lo : lo + size]
+        g = buf[: i.size]
+        # at holds valid step indices; "clip" lets take write into out
+        # directly, where "raise" would go through a temporary
+        d.take(i, axis=0, out=out, mode="clip")
+        omt = 1.0 - w
+        for wt, v in ((omt, c), (w, b), (omt, dy), (w, F)):
+            v.take(i, axis=0, out=g, mode="clip")
+            np.add(g, np.multiply(wt, out, out=out), out=out)
     return x
 
 
@@ -340,7 +377,7 @@ def _clamp_batch(F: np.ndarray, stats: BatchStats) -> np.ndarray:
             f"class population fell to {m!r}, below the -1e-12 clamp window"
         )
     neg = F < 0.0
-    deficit = np.where(neg, F, 0.0).sum(axis=1)  # <= 0 per row
+    deficit = np.where(neg, F, 0.0).copy(order="C").sum(axis=1)  # <= 0 per row
     Fc = np.where(neg, 0.0, F)
     rows = np.arange(F.shape[0])
     top = Fc.argmax(axis=1)
@@ -382,80 +419,92 @@ def _integrate_batch(
         IntegrationDivergedError: on non-finite values, a step size too
             small to advance time, or a dip below the clamp window.
     """
-    F = np.array(F0, dtype=float)
+    # working arrays are class-major (see the module docstring); every row
+    # sum is taken from a row-major copy
+    F = np.array(F0, dtype=float, order="F")
     stats = BatchStats() if stats is None else stats
     m, n = F.shape
     t_final, steady_tol = config.t_final, config.steady_tol
-    F_out, D_out = np.empty_like(F), np.empty_like(F)
+    F_out, D_out = np.empty((m, n)), np.empty((m, n))
     conv_out = np.zeros(m, dtype=bool)
     steps_out = np.zeros(m, dtype=int)
     t_out = np.zeros(m)
 
-    # working set: original row index, state, first stage, time, trial
-    # step, previous error, whether the last attempt was rejected, steps
-    # and row sum
+    # working set: original row index, state, first stage, step bound,
+    # time, trial step, previous error, whether the last attempt was
+    # rejected, steps and row sum
     rows = np.arange(m)
-    k1 = _rhs_batch(F, eta0)
+    C = np.zeros((n + 1, m)).T
+    k1 = _rhs_batch(F, eta0, cum=C)
+    bound = _stable_step(eta0, C)
     stats.rhs_evals += m
     t = np.zeros(m)
     h = np.full(m, float(config.dt))
     err_prev = np.full(m, 1e-4)
     rejected = np.zeros(m, dtype=bool)
     steps = np.zeros(m, dtype=int)
-    s_ref = F.sum(axis=1)
+    s_ref = F.copy(order="C").sum(axis=1)
     s = s_ref.copy()
-    steady = leave = np.abs(k1).sum(axis=1) < steady_tol
+    steady = leave = np.abs(k1, order="C").sum(axis=1) < steady_tol
     while True:
         if leave.any():
             done = rows[leave]
             F_out[done], D_out[done] = F[leave], k1[leave]
             t_out[done], steps_out[done] = t[leave], steps[leave]
             conv_out[done] = steady[leave]
-            keep = ~leave
-            rows, F, k1, t, h, err_prev, rejected, steps, s = (
-                x[keep] for x in (rows, F, k1, t, h, err_prev, rejected, steps, s)
+            keep = (~leave).nonzero()[0]
+            rows, bound, t, h, err_prev, rejected, steps, s = (
+                x[keep] for x in (rows, bound, t, h, err_prev, rejected, steps, s)
             )
+            # columns of the transposed base, so the rows stay class-major
+            F, k1 = (x.T.take(keep, axis=1).T for x in (F, k1))
         if not rows.size:
             break
-        h = np.minimum(h, _stable_step(F, eta0))
+        h = np.minimum(h, bound)
         last = t + h >= t_final
         hs = np.where(last, t_final - t, h)
-        Y, K = _dp_step(F, hs[:, None], k1, eta0)
+        Y, K, C = _dp_step(F, hs[:, None], k1, eta0)
         stats.rhs_evals += 6 * rows.size
         E = hs[:, None] * _combine(_E_W, K)
         scale = _ATOL + _RTOL * np.maximum(np.abs(F), np.abs(Y))
-        err = np.sqrt(np.square(E / scale).sum(axis=1) / n)
+        err = np.sqrt(np.square(E / scale, order="C").sum(axis=1) / n)
         if not np.isfinite(err).all():
             raise IntegrationDivergedError("non-finite values in trajectory")
         ok = err <= 1.0
+        accepted = int(np.count_nonzero(ok))
+        whole = accepted == rows.size
+        stats.accepted += accepted
+        stats.rejected += rows.size - accepted
 
         # PI step-size control (plain I control after a rejection); a step
         # right after a rejection may not grow
         grow = err**_ALPHA
-        fac = np.where(ok, grow / err_prev**_BETA, grow) / _SAFE
+        pi = grow / err_prev**_BETA
+        fac = (pi if whole else np.where(ok, pi, grow)) / _SAFE
         h = hs / np.minimum(np.maximum(fac, 1.0 / _FAC_MAX), 1.0 / _FAC_MIN)
-        h = np.where(ok & rejected, np.minimum(h, hs), h)
-        if ((t + h == t) & ~ok).any():
+        h = np.where(rejected if whole else ok & rejected, np.minimum(h, hs), h)
+        if not whole and ((t + h == t) & ~ok).any():
             raise IntegrationDivergedError("step size too small to advance time")
         rejected = ~ok
 
-        a = ok.nonzero()[0]
-        stats.accepted += a.size
-        stats.rejected += rows.size - a.size
-        if a.size:
+        if accepted:
             # a pass that accepts every row takes views, not gathered copies
-            acc = slice(None) if a.size == rows.size else a
+            acc = slice(None) if whole else ok.nonzero()[0]
             Ya = Y[acc]
             Fa = _clamp_batch(Ya, stats)
             ka = K[6][acc]
+            ba = _stable_step(eta0, C[acc])
             if Fa is not Ya:
-                # the clamp moved these rows: their last stage is stale (and
-                # is renewed on a copy, since the dense output reads K[6])
+                # the clamp moved these rows: their last stage and bound are
+                # stale (the stage is renewed on a copy, since the dense
+                # output reads K[6])
                 touched = np.flatnonzero((Fa != Ya).any(axis=1))
+                Ct = np.zeros((touched.size, n + 1))
                 ka = ka.copy()
-                ka[touched] = _rhs_batch(Fa[touched], eta0)
+                ka[touched] = _rhs_batch(Fa[touched], eta0, cum=Ct)
+                ba[touched] = _stable_step(eta0, Ct)
                 stats.rhs_evals += touched.size
-            sa = Fa.sum(axis=1)
+            sa = Fa.copy(order="C").sum(axis=1)
             drift = float(np.abs(sa - s[acc]).max())
             if drift > _DRIFT_TOL:
                 raise ConsistencyError(f"density drift {drift!r} in a single step")
@@ -463,12 +512,19 @@ def _integrate_batch(
             if total > stats.max_drift:
                 stats.max_drift = total
             if record is not None:
+                a = ok.nonzero()[0]
                 record(rows[a], t[a], hs[a], F[a], Y[a], K[:, a])
-            F[acc], k1[acc], s[acc] = Fa, ka, sa
-            t[acc] = np.where(last[acc], t_final, t[acc] + hs[acc])
-            err_prev[acc] = np.maximum(err[acc], 1e-4)
+            if whole:
+                # every row advanced: the new arrays replace the old ones
+                F, k1, bound, s = Fa, ka, ba, sa
+                t = np.where(last, t_final, t + hs)
+                err_prev = np.maximum(err, 1e-4)
+            else:
+                F[acc], k1[acc], bound[acc], s[acc] = Fa, ka, ba, sa
+                t[acc] = np.where(last[acc], t_final, t[acc] + hs[acc])
+                err_prev[acc] = np.maximum(err[acc], 1e-4)
             steps[acc] += 1
-        steady = np.abs(k1).sum(axis=1) < steady_tol
+        steady = np.abs(k1, order="C").sum(axis=1) < steady_tol
         leave = steady | (ok & last)
     return F_out, conv_out, steps_out, t_out, D_out
 

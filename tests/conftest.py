@@ -13,8 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from kinetic_traffic import BatchStats, ConsistencyError, IntegrationConfig
-from kinetic_traffic.dynamics import _A, _D, _clamp_batch, _integrate_batch
+from kinetic_traffic import (
+    BatchStats,
+    ConsistencyError,
+    IntegrationConfig,
+    IntegrationDivergedError,
+)
+from kinetic_traffic import dynamics
+from kinetic_traffic.dynamics import _A, _D, _E, _clamp_batch, _integrate_batch
 
 settings.register_profile(
     "tier1", derandomize=True, max_examples=60, deadline=None, database=None
@@ -161,6 +167,121 @@ def dp_step_reference(F, h, k1, eta0):
     return Y, K
 
 
+def stable_step_reference(F, eta0):
+    """The step bound from a fresh cumsum of every row of F, the reference."""
+    C = np.zeros((F.shape[0], F.shape[1] + 1))
+    np.cumsum(F, axis=1, out=C[:, 1:])
+    rho, P, P_prev = C[:, -1:], C[:, 1:-1], C[:, :-2]
+    lam = eta0 * rho * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - P_prev))
+    return dynamics._STAB / np.abs(lam).max(axis=1)
+
+
+def clamp_reference(F, stats):
+    """The positivity policy on row-major rows, the reference."""
+    m = float(F.min())
+    if m < stats.min_preclamp:
+        stats.min_preclamp = m
+    if m >= 0.0:
+        return F
+    if m < -dynamics._CLAMP_TOL or not math.isfinite(m):
+        raise IntegrationDivergedError(f"class population fell to {m!r}")
+    neg = F < 0.0
+    deficit = np.where(neg, F, 0.0).sum(axis=1)
+    Fc = np.where(neg, 0.0, F)
+    Fc[np.arange(F.shape[0]), Fc.argmax(axis=1)] += deficit
+    delta = max(-m, float(-deficit.min()))
+    if delta > stats.max_clamp_delta:
+        stats.max_clamp_delta = delta
+    return Fc
+
+
+@np.errstate(all="ignore")
+def integrate_batch_reference(F0, eta0, config, stats=None, record=None):
+    """The stepping loop in row-major memory, the reference.
+
+    Every pass scatters its accepted rows into the working arrays and
+    takes the step bound from a fresh cumsum of each state.  Built on the
+    reference field, pass and stage sums; returns what _integrate_batch
+    returns and hands record what it hands.
+    """
+    d = dynamics
+    F = np.array(F0, dtype=float)
+    stats = BatchStats() if stats is None else stats
+    m, n = F.shape
+    t_final, steady_tol = config.t_final, config.steady_tol
+    F_out, D_out = np.empty_like(F), np.empty_like(F)
+    conv_out = np.zeros(m, dtype=bool)
+    steps_out = np.zeros(m, dtype=int)
+    t_out = np.zeros(m)
+    rows = np.arange(m)
+    k1 = rhs_batch_reference(F, eta0)
+    stats.rhs_evals += m
+    t = np.zeros(m)
+    h = np.full(m, float(config.dt))
+    err_prev = np.full(m, 1e-4)
+    rejected = np.zeros(m, dtype=bool)
+    steps = np.zeros(m, dtype=int)
+    s_ref = F.sum(axis=1)
+    s = s_ref.copy()
+    steady = leave = np.abs(k1).sum(axis=1) < steady_tol
+    while True:
+        if leave.any():
+            done = rows[leave]
+            F_out[done], D_out[done] = F[leave], k1[leave]
+            t_out[done], steps_out[done] = t[leave], steps[leave]
+            conv_out[done] = steady[leave]
+            keep = ~leave
+            rows, F, k1, t, h, err_prev, rejected, steps, s = (
+                x[keep] for x in (rows, F, k1, t, h, err_prev, rejected, steps, s)
+            )
+        if not rows.size:
+            break
+        h = np.minimum(h, stable_step_reference(F, eta0))
+        last = t + h >= t_final
+        hs = np.where(last, t_final - t, h)
+        Y, K = dp_step_reference(F, hs[:, None], k1, eta0)
+        K = np.stack(K)
+        stats.rhs_evals += 6 * rows.size
+        E = hs[:, None] * combine_reference(_E, K)
+        scale = d._ATOL + d._RTOL * np.maximum(np.abs(F), np.abs(Y))
+        err = np.sqrt(np.square(E / scale).sum(axis=1) / n)
+        if not np.isfinite(err).all():
+            raise IntegrationDivergedError("non-finite values in trajectory")
+        ok = err <= 1.0
+        grow = err**d._ALPHA
+        fac = np.where(ok, grow / err_prev**d._BETA, grow) / d._SAFE
+        h = hs / np.minimum(np.maximum(fac, 1.0 / d._FAC_MAX), 1.0 / d._FAC_MIN)
+        h = np.where(ok & rejected, np.minimum(h, hs), h)
+        if ((t + h == t) & ~ok).any():
+            raise IntegrationDivergedError("step size too small to advance time")
+        rejected = ~ok
+        a = ok.nonzero()[0]
+        stats.accepted += a.size
+        stats.rejected += rows.size - a.size
+        if a.size:
+            Ya = Y[a]
+            Fa = clamp_reference(Ya, stats)
+            ka = K[6][a]
+            if Fa is not Ya:
+                touched = np.flatnonzero((Fa != Ya).any(axis=1))
+                ka[touched] = rhs_batch_reference(Fa[touched], eta0)
+                stats.rhs_evals += touched.size
+            sa = Fa.sum(axis=1)
+            drift = float(np.abs(sa - s[a]).max())
+            if drift > d._DRIFT_TOL:
+                raise ConsistencyError(f"density drift {drift!r} in a single step")
+            stats.max_drift = max(stats.max_drift, float(np.abs(sa - s_ref[rows[a]]).max()))
+            if record is not None:
+                record(rows[a], t[a], hs[a], F[a], Y[a], K[:, a])
+            F[a], k1[a], s[a] = Fa, ka, sa
+            t[a] = np.where(last[a], t_final, t[a] + hs[a])
+            err_prev[a] = np.maximum(err[a], 1e-4)
+            steps[a] += 1
+        steady = np.abs(k1).sum(axis=1) < steady_tol
+        leave = steady | (ok & last)
+    return F_out, conv_out, steps_out, t_out, D_out
+
+
 def dense_reference(F, Y, K, h, theta):
     """The continuous extension of the steps F -> Y at fractions theta, as a list sum."""
     dy = Y - F
@@ -227,6 +348,11 @@ def combine_oracle():
 @pytest.fixture(scope="session")
 def dp_step_oracle():
     return dp_step_reference
+
+
+@pytest.fixture(scope="session")
+def integrate_batch_oracle():
+    return integrate_batch_reference
 
 
 @pytest.fixture(scope="session")

@@ -19,14 +19,12 @@ import pytest
 
 from kinetic_traffic import (
     DEFAULT_SEED,
-    MARGINAL,
     STABLE,
     UNSTABLE,
     IntegrationConfig,
     METHOD_INTEGRATE,
     ModelParams,
     build_grid,
-    build_lattice,
     equilibrium_bruteforce,
     equilibrium_recursive,
     integrate_batch,

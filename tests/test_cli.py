@@ -13,7 +13,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st

@@ -191,7 +191,7 @@ class TestStepper:
         """
         F = random_state(4, 0.6, seed=5).f[None, :]
         for _ in range(round(2.0 / h)):
-            Y, K = dynamics._dp_step(F, h, dynamics._rhs_batch(F, 1.0), 1.0)
+            Y, K, _ = dynamics._dp_step(F, h, dynamics._rhs_batch(F, 1.0), 1.0)
             F = Y - h * sum(e * k for e, k in zip(dynamics._E, K)) if embedded else Y
         return F[0]
 
@@ -408,9 +408,9 @@ class TestConservationPolicy:
         calls = []
         exact = dynamics._rhs_batch
 
-        def leaky(F, eta0):
+        def leaky(F, eta0, **buffers):
             calls.append(F.shape[0])
-            return exact(F, eta0) + 1e-9
+            return exact(F, eta0, **buffers) + 1e-9
 
         monkeypatch.setattr(dynamics, "_rhs_batch", leaky)
         return calls
@@ -443,9 +443,9 @@ class TestWorkCounts:
         rows = []
         exact = dynamics._rhs_batch
 
-        def counted(F, eta0):
+        def counted(F, eta0, **buffers):
             rows.append(F.shape[0])
-            return exact(F, eta0)
+            return exact(F, eta0, **buffers)
 
         monkeypatch.setattr(dynamics, "_rhs_batch", counted)
         return rows
@@ -483,6 +483,25 @@ class TestWorkCounts:
         again = integrate_batch(F0, p, config)[3]
         assert first == again
         assert first.rhs_evals > 0 and first.accepted > 0 and first.rejected > 0
+
+    def test_stages_stay_class_major_as_rows_leave(self, monkeypatch):
+        # rows converge at different times and passes gather rejected rows,
+        # and every stage still runs on class-major rows
+        layouts = []
+        exact = dynamics._rhs_batch
+
+        def seen(F, eta0, **buffers):
+            layouts.append((F.shape[0], F.flags.f_contiguous))
+            return exact(F, eta0, **buffers)
+
+        monkeypatch.setattr(dynamics, "_rhs_batch", seen)
+        rhos = (0.3, 0.5, 0.7, 0.9, 0.95)
+        F0 = np.concatenate([random_state_batch(6, r, 1, seed=i) for i, r in enumerate(rhos)])
+        config = IntegrationConfig(dt=4.0, t_final=100.0)
+        conv = integrate_batch(F0, ModelParams(n=6), config)[1]
+        assert conv.any() and not conv.all()
+        assert len({m for m, _ in layouts}) > 2
+        assert all(f_major for _, f_major in layouts)
 
 
 class TestPairProperties:
@@ -542,11 +561,13 @@ class TestPass:
         h = rng.uniform(1e-3, 4.0, (F.shape[0], 1))
         k1 = dynamics._rhs_batch(F, eta0)
         assert same_bits(k1, rhs_batch_oracle(F, eta0))
-        Y, K = dynamics._dp_step(F, h, k1, eta0)
+        Y, K, C = dynamics._dp_step(F, h, k1, eta0)
         Y_ref, K_ref = dp_step_oracle(F, h, k1, eta0)
         assert same_bits(Y, Y_ref)
         assert len(K) == len(K_ref) == 7
         assert all(same_bits(k, k_ref) for k, k_ref in zip(K, K_ref))
+        # the running sums the step bound reads are the cumsum of Y
+        assert same_bits(C[:, 1:], np.cumsum(Y_ref, axis=1)) and not C[:, 0].any()
 
     @given(st.integers(1, 60), st.integers(2, 40), st.integers(0, 2**30))
     @example(1, 2, 0)
@@ -561,6 +582,70 @@ class TestPass:
         stacked = (*dynamics._A_W, dynamics._E_W, dynamics._D_W)
         for weights, w in zip(tables, stacked):
             assert same_bits(dynamics._combine(w, K), combine_oracle(weights, K))
+
+    @given(
+        st.integers(2, 40),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        st.floats(0.01, 1.0),
+        st.floats(0.5, 2.0),
+        st.floats(1.0, 20.0),
+        st.booleans(),
+        st.integers(0, 2**30),
+    )
+    # a first trial step of 4 is rejected by some rows and not others, so
+    # passes gather rows; n = 8 and 9 are where a row sum's bits depend on
+    # the memory it runs over
+    @example(2, [0.02, *EDGES, 0.3, 0.7, 0.95], 4.0, 1.0, 60.0, True, 0)
+    @example(7, [0.02, *EDGES, 0.3, 0.7, 0.95], 4.0, 1.7, 60.0, True, 1)
+    @example(8, [0.02, *EDGES, 0.3, 0.7, 0.95], 4.0, 1.0, 60.0, True, 2)
+    @example(9, [0.02, *EDGES, 0.3, 0.7, 0.95], 4.0, 1.7, 60.0, True, 3)
+    @example(200, [0.02, *EDGES[1:]] + EDGES * 11, 4.0, 1.0, 10.0, True, 4)
+    @example(8, [0.6], 0.01, 1.0, 400.0, False, 5)
+    def test_loop_matches_the_row_major_reference(
+        self, integrate_batch_oracle, n, rhos, dt, eta0, t_final, clamp, seed
+    ):
+        F0 = np.concatenate(
+            [random_state_batch(n, r, 1, seed=seed + i) for i, r in enumerate(rhos)]
+        )
+        if clamp:
+            # the first row starts inside the clamp window
+            F0[0, -1] += F0[0, 0] + 5e-13
+            F0[0, 0] = -5e-13
+        config = IntegrationConfig(dt=dt, t_final=t_final)
+        runs = []
+        for loop in (dynamics._integrate_batch, integrate_batch_oracle):
+            stats, steps = BatchStats(), []
+            out = loop(F0, eta0, config, stats, lambda *step: steps.append(step))
+            runs.append((out, stats, steps))
+        (out, stats, steps), (want, want_stats, want_steps) = runs
+        assert all(same_bits(x, y) for x, y in zip(out, want, strict=True))
+        assert repr(stats) == repr(want_stats)
+        assert len(steps) == len(want_steps)
+        for step, want_step in zip(steps, want_steps):
+            assert all(same_bits(x, y) for x, y in zip(step, want_step, strict=True))
+
+    @given(
+        st.integers(2, 40),
+        st.integers(1, 30),
+        st.integers(1, 3000),
+        st.integers(0, 2**30),
+    )
+    # one sample short of a block, a whole block, and one sample over
+    @example(6, 5, dynamics._DENSE_BLOCK // 6 - 1, 0)
+    @example(6, 5, dynamics._DENSE_BLOCK // 6, 1)
+    @example(6, 5, dynamics._DENSE_BLOCK // 6 + 1, 2)
+    def test_dense_output_matches_the_reference_across_blocks(
+        self, dense_oracle, n, steps, samples, seed
+    ):
+        rng = np.random.default_rng(seed)
+        F, Y = rng.random((2, steps, n))
+        K = rng.standard_normal((7, steps, n))
+        h = rng.uniform(1e-3, 4.0, (steps, 1))
+        at = np.sort(rng.integers(0, steps, samples))
+        theta = rng.random((samples, 1))
+        got = dynamics._dense(F, Y, K, h, at, theta)
+        want = dense_oracle(F[at], Y[at], [k[at] for k in K], h[at], theta)
+        assert same_bits(got, want)
 
     def test_mixed_passes_equal_rows_alone(self, monkeypatch):
         # a first trial step of 4 is rejected by some rows and not others,

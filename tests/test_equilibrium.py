@@ -9,7 +9,6 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from kinetic_traffic import (
-    CRITICAL_DENSITY,
     MARGINAL,
     PHASE_CONGESTED,
     PHASE_FREE,
