@@ -38,6 +38,7 @@ from .serialize import (
     diagram_svg,
     equilibrium_json,
     fmt15,
+    texts15,
     trajectory_csv,
 )
 from .verify import run_suite
@@ -105,9 +106,9 @@ def _cmd_equilibrium(args) -> int:
     if args.units == UNITS_PHYSICAL:
         scale_rho, scale_v = params.rho_max, params.v_max
     q, u = obs.q * scale_rho * scale_v, obs.u * scale_v
-    f_inf = (eq.f_inf * scale_rho).tolist()
+    f_inf, _ = texts15(eq.f_inf * scale_rho)
     print(f"n={eq.n} rho={fmt15(eq.rho * scale_rho)} phase={eq.phase} stable={'yes' if stable else 'no'}")
-    print("f_inf=" + " ".join(["%.15g"] * len(f_inf)) % tuple(f_inf))
+    print("f_inf=" + " ".join(f_inf))
     print(f"q={fmt15(q)} u={fmt15(u)} verdict={report.verdict}")
     if args.out_json:
         _write(args.out_json, equilibrium_json(eq, scale_rho, q, u, stable))

@@ -525,6 +525,11 @@ def equilibrium_json_reference(eq, scale_rho, q, u, stable):
 
 
 @pytest.fixture(scope="session")
+def json_value_oracle():
+    return json_value
+
+
+@pytest.fixture(scope="session")
 def diagram_csv_oracle():
     return diagram_csv_reference
 

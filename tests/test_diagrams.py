@@ -30,6 +30,7 @@ from kinetic_traffic import (
 )
 from kinetic_traffic import serialize
 from kinetic_traffic.dynamics import random_state, run_trajectory
+from kinetic_traffic.equilibrium import EquilibriumResult
 from kinetic_traffic.serialize import (
     diagram_csv,
     diagram_json,
@@ -40,6 +41,7 @@ from kinetic_traffic.serialize import (
     _pattern15,
     _rows15,
     fmt15,
+    texts15,
     trajectory_csv,
 )
 
@@ -360,6 +362,13 @@ _POWERS_OF_TEN = [y for k in range(-102, 103) for y in _around(float(f"1e{k}"))]
 _raw_floats = st.floats() | st.integers(0, 2**64 - 1).map(_from_bits)
 
 
+# a few values, each drawn any number of times, in any order
+_repeating_floats = st.lists(_raw_floats, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=60)
+)
+_NAN_PAYLOADS = [_from_bits(0x7FF8000000000000), _from_bits(0xFFF0000000000001)]
+
+
 def _percent_rows(block: np.ndarray) -> str:
     """The %.15g rows of a block by %, the oracle for _rows15."""
     rows, width = block.shape
@@ -391,6 +400,22 @@ class TestFormatting:
         # certified or left to %, and the text is %'s byte for byte
         block = np.resize(np.array(values), (-(-len(values) // width), width))
         assert _rows15(block) == _percent_rows(block)
+
+    @given(_repeating_floats)
+    @example([0.0, -0.0, 0.0, -0.0])
+    @example(_NAN_PAYLOADS + [1.5] + _NAN_PAYLOADS[::-1])
+    @example([float("inf"), -float("inf"), float("inf"), 2.0])
+    @example([5e-324, -5e-324, 5e-324, 0.0])
+    @example([1e15 - 1, 1e15, 1e15 - 1, -1e15])
+    @example(_around(0.1) + _around(1e15) + _around(-1e-5))
+    @example([0.7])
+    @example([])
+    def test_texts15_matches_percent_per_value(self, json_value_oracle, values):
+        # by bit pattern: -0.0 is no 0.0, and NaNs of any payload are nan
+        texts, json_texts = texts15(np.array(values, np.float64))
+        assert texts == ["%.15g" % x for x in values]
+        assert json_texts == [json_value_oracle(x) for x in values]
+        assert (json_texts is texts) == all(map(np.isfinite, values))
 
     def test_exact_ties_are_left_to_percent(self):
         k = np.arange(10**14, 10**15, 10**14 // 7 + 3, dtype=np.int64)
@@ -559,6 +584,32 @@ class TestWriters:
             for q, u in ((float("nan"), -float("inf")), (-0.0, 5e-324)):
                 want = equilibrium_json_oracle(odd, 200.0, q, u, False)
                 assert equilibrium_json(odd, 200.0, q, u, False) == want
+
+    def test_hand_built_record_keeps_signed_zeros_and_nan_apart(self, equilibrium_json_oracle):
+        # 0.0, -0.0 and a NaN side by side in every column of the level table
+        nan = float("nan")
+        eq = EquilibriumResult(
+            n=5, rho=0.7, phase="congested",
+            f_inf=np.array([0.5, -0.0, 0.0, nan, 0.2]),
+            b=np.array([-0.0, 0.0, nan]),
+            c=np.array([0.0, nan, -0.0]),
+            delta=np.array([nan, -0.0, 0.0]),
+        )
+        for scale_rho, q, u in ((1.0, -0.0, 0.0), (200.0, nan, -0.0), (-1.0, 0.0, nan)):
+            want = equilibrium_json_oracle(eq, scale_rho, q, u, True)
+            assert equilibrium_json(eq, scale_rho, q, u, True) == want
+
+    def test_record_formats_each_distinct_number_once(self, monkeypatch):
+        # one % over the record's distinct bit patterns; at scale 1 the
+        # f_inf key repeats the roots and adds none
+        calls = []
+        fmt_all = serialize._fmt_all
+        monkeypatch.setattr(serialize, "_fmt_all", lambda v: calls.append(v) or fmt_all(v))
+        eq = equilibrium_recursive(200, 0.3)
+        equilibrium_json(eq, 1.0, 0.25, 0.5, True)
+        (values,) = calls
+        bits = np.array(values, np.float64).view(np.int64)
+        assert len(set(bits.tolist())) == len(values) < 20
 
     def test_svg_is_wellformed_with_two_curves(self):
         d = sweep(3, build_grid(26))
