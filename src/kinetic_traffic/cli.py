@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -58,9 +59,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, blocks: Iterable[str]) -> None:
+    """Write an iterable of text blocks to path as they come."""
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.writelines(blocks)
 
 
 def _add_model_args(p: argparse.ArgumentParser, with_rho: bool = True) -> None:
@@ -111,7 +113,7 @@ def _cmd_equilibrium(args) -> int:
     print("f_inf=" + " ".join(f_inf))
     print(f"q={fmt15(q)} u={fmt15(u)} verdict={report.verdict}")
     if args.out_json:
-        _write(args.out_json, equilibrium_json(eq, scale_rho, q, u, stable))
+        _write(args.out_json, [equilibrium_json(eq, scale_rho, q, u, stable)])
         print(f"wrote {args.out_json}")
     return EXIT_OK
 
@@ -141,7 +143,7 @@ def _cmd_diagram(args) -> int:
         (args.out_svg, lambda: diagram_svg(diagram)),
     ):
         if opt:
-            _write(opt, write())
+            _write(opt, [write()])
             print(f"wrote {opt}")
     return EXIT_OK
 

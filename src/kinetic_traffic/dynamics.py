@@ -329,21 +329,23 @@ def _stable_step(eta0, C):
     return _STAB / np.abs(lam).max(axis=1)
 
 
-def _dense(F, Y, K, h, at, theta):
+def _dense(F, Y, K, h, at, theta, x=None):
     """Fourth-order continuous extension of the steps F -> Y.
 
     Sample i lies in step at[i], at the fraction theta[i] of it (theta is
     a column).  The coefficients are formed once per step and gathered per
     sample, _DENSE_BLOCK values at a time into one reused buffer.  Each
     block of F + theta (dy + (1 - theta) (b + theta (c + (1 - theta) d)))
-    is evaluated from the inside out in its rows of the returned array,
-    one operation at a time in the order of the nested expression.
+    is evaluated from the inside out in its rows of the returned array x,
+    one operation at a time in the order of the nested expression; x is
+    a new array unless a C-contiguous (samples, n) one is given.
     """
     dy = Y - F
     b = h * K[0] - dy
     c = dy - h * K[6] - b
     d = h * _combine(_D_W, K)
-    x = np.empty((at.size, F.shape[1]))
+    if x is None:
+        x = np.empty((at.size, F.shape[1]))
     size = max(1, _DENSE_BLOCK // F.shape[1])
     buf = np.empty((min(size, at.size), F.shape[1]))
     for lo in range(0, at.size, size):
@@ -567,13 +569,16 @@ def run_trajectory(
     The samples lie at state.t + i * dt for the multiples i of
     record_stride and come from the clamped continuous extension of the
     step that contains them, evaluated for all steps at once after the
-    loop.  So a sample below the clamp window raises
+    loop into the rows of the returned array, which is allocated once at
+    its final size.  So a sample below the clamp window raises
     IntegrationDivergedError when the loop has ended, not at its step.
 
     Returns:
         (times, samples, converged) where samples[i] is the state at
         times[i]; the initial state is always the first sample and the
-        final state the last.  Stops early once steady.
+        final state the last, in place of a sample taken at its time.
+        A start that is already steady gives one sample.  Stops early
+        once steady.
     """
     config = config or IntegrationConfig()
     _check_classes(state.n, params)
@@ -582,7 +587,7 @@ def run_trajectory(
     F, conv, _, t_end, _ = _integrate_batch(
         state.f[None, :], params.eta0, config, record=lambda *s: taken.append(s)
     )
-    times, samples = np.zeros(1), state.f[None, :].copy()
+    ts = np.zeros(0)
     if taken:
         steps = list(zip(*taken))
         t, h, F0, Y = (np.concatenate(x) for x in steps[1:5])
@@ -592,16 +597,18 @@ def run_trajectory(
         k = np.arange(1, int(ends[-1] / (stride * dt)) + 2)
         ts = (k * stride) * dt
         ts = ts[ts <= ends[-1]]
+    # the final state replaces a sample taken at its time, else follows
+    m = ts.size + 1 + ((ts[-1] if ts.size else 0.0) != t_end[0])
+    times, samples = np.empty(m), np.empty((m, state.n))
+    times[0], times[1 : ts.size + 1], times[-1] = 0.0, ts, t_end[0]
+    samples[0] = state.f
+    if ts.size:
         at = np.searchsorted(ends, ts)
         theta = ((ts - t[at]) / h[at])[:, None]
-        inner = _clamp_batch(_dense(F0, Y, K, h[:, None], at, theta), BatchStats())
-        times, samples = np.concatenate([times, ts]), np.concatenate([samples, inner])
-    # the final state replaces a sample taken at its time, else follows
-    if times[-1] == t_end[0]:
-        samples[-1] = F[0]
-    else:
-        times = np.append(times, t_end[0])
-        samples = np.vstack([samples, F])
+        inner = samples[1 : ts.size + 1]
+        # an unclamped batch is inner itself, which numpy does not copy
+        inner[...] = _clamp_batch(_dense(F0, Y, K, h[:, None], at, theta, inner), BatchStats())
+    samples[-1] = F[0]
     return state.t + times, samples, bool(conv[0])
 
 

@@ -21,10 +21,13 @@ The diagram writers read the Diagram's columns: the CSV and the JSON
 can share one formatting of their numbers (diagram_numbers), and the
 SVG maps each panel's ticks and points with numpy.
 
-The trajectory table takes the flux of all its rows at once
-(dynamics._flux, the one flux rule) and is written by _rows15, a %.15g
-over float64 arrays that is % byte for byte: % stays the reference for
-every value the array path does not certify.
+The trajectory table comes as text blocks of at most _TABLE_BLOCK
+values, made one at a time as the caller writes them, so neither its
+text nor its table is ever whole in memory.  Each block takes the row
+sums and the flux of its own rows (dynamics._flux, the one flux rule)
+and is written by _rows15, a %.15g over float64 arrays that is % byte
+for byte: % stays the reference for every value the array path does not
+certify.
 
 Digits.  For a = |v| and an exponent estimate x = floor(log10 a), %.15g
 prints N = round(t), t = a 10**k, k = 14 - x, rounding half to even, if
@@ -69,6 +72,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -293,21 +297,48 @@ def _records(templates: dict, keys: list, numbers: list, sep: str) -> str:
     return sep.join(parts)
 
 
-def trajectory_csv(times: np.ndarray, samples: np.ndarray, lattice: SpeedLattice) -> str:
-    """Rows of t, the occupancies, and the macroscopic observables."""
+class _Blocks:
+    """The text of a document as blocks, made afresh on each iteration.
+
+    encode() joins them into the document's bytes, as str.encode would:
+    the benchmark tracer (perfbench/tracer.py) measures each writer's
+    output that way.
+    """
+
+    def __init__(self, blocks: Callable[[], Iterator[str]]):
+        self._blocks = blocks
+
+    def __iter__(self) -> Iterator[str]:
+        return self._blocks()
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        return "".join(self).encode(encoding)
+
+
+def trajectory_csv(times: np.ndarray, samples: np.ndarray, lattice: SpeedLattice) -> _Blocks:
+    """Rows of t, the occupancies, and the macroscopic observables, as text blocks.
+
+    The header comes first, then one _rows15 block of at most
+    _TABLE_BLOCK values each, with rho, q and u taken for its rows only;
+    the arguments are checked at the call.
+    """
     n = lattice.n
     if samples.ndim != 2 or samples.shape[1] != n:
         raise ValueError("samples must be (m, n) for the given lattice")
     if samples.shape[0] != times.shape[0]:
         raise ValueError("times and samples disagree on sample count")
-    rho = samples.sum(axis=1)
-    q = _flux(samples, lattice.speeds)
-    u = np.divide(q, rho, out=np.ones_like(q), where=rho > 0)
-    table = np.column_stack([times, samples, rho, q, u])
     rows = max(1, _TABLE_BLOCK // (n + 4))
-    parts = ["t," + ",".join(f"f_{j}" for j in range(1, n + 1)) + ",rho,q,u\n"]
-    parts += [_rows15(table[i : i + rows]) for i in range(0, len(table), rows)]
-    return "".join(parts)
+
+    def blocks():
+        yield "t," + ",".join(f"f_{j}" for j in range(1, n + 1)) + ",rho,q,u\n"
+        for i in range(0, len(times), rows):
+            f = samples[i : i + rows]
+            rho = f.sum(axis=1)
+            q = _flux(f, lattice.speeds)
+            u = np.divide(q, rho, out=np.ones_like(q), where=rho > 0)
+            yield _rows15(np.column_stack([times[i : i + rows], f, rho, q, u]))
+
+    return _Blocks(blocks)
 
 
 def diagram_numbers(diagram: Diagram) -> tuple[list[str], list[str]]:

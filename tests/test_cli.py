@@ -13,6 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import kinetic_traffic
 from kinetic_traffic import (
     GameTable,
+    IntegrationConfig,
     KineticState,
     ModelParams,
     build_game_table,
@@ -32,6 +34,8 @@ from kinetic_traffic import (
     sweep,
 )
 from kinetic_traffic.cli import main
+from kinetic_traffic.dynamics import random_state, run_trajectory
+from kinetic_traffic.serialize import _TABLE_BLOCK, trajectory_csv
 from kinetic_traffic.verify import run_suite
 
 
@@ -84,6 +88,41 @@ class TestSimulate:
         lines = out_file.read_text().strip().split("\n")
         assert lines[0] == "t,f_1,f_2,rho,q,u"
         assert len(lines) == 12
+
+    def test_empty_road_is_one_row(self, capsys, tmp_path):
+        # no step is taken: the start is the only sample, u = 1 by convention
+        out_file = tmp_path / "tr.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--n", "3", "--rho", "0", "--out-csv", str(out_file)
+        )
+        assert code == 0
+        assert out_file.read_bytes() == b"t,f_1,f_2,f_3,rho,q,u\n0,0,0,0,0,0,1\n"
+
+    def test_csv_across_blocks_matches_the_row_by_row_writer(
+        self, capsys, tmp_path, trajectory_csv_oracle
+    ):
+        out_file = tmp_path / "tr.csv"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "6", "--rho", "0.6", "--seed", "11", "--dt", "0.01",
+            "--t-final", "40", "--out-csv", str(out_file),
+        )
+        assert code == 0
+        lattice = build_lattice(6)
+        times, samples, converged = run_trajectory(
+            random_state(6, 0.6, seed=11), ModelParams(n=6),
+            IntegrationConfig(dt=0.01, t_final=40.0),
+        )
+        assert 10 * len(times) > _TABLE_BLOCK  # the table spans two blocks
+        want = trajectory_csv_oracle(times, samples, lattice)
+        assert out_file.read_bytes() == want.encode()
+        obs = observables(KineticState(samples[-1]), lattice)
+        assert out == (
+            "n=6 rho=0.6 dt=0.01 t_final=40\n"
+            f"steady={'yes' if converged else 'no'} t_reached={'%.15g' % times[-1]}\n"
+            "f_final=" + " ".join("%.15g" % x for x in samples[-1]) + "\n"
+            f"q={'%.15g' % obs.q} u={'%.15g' % obs.u}\n"
+            f"wrote {out_file}\n"
+        )
 
 
 class TestEquilibrium:
@@ -329,13 +368,14 @@ class TestExitCodes:
         assert proc.stderr == "kinetic-traffic: numerical failure: non-finite values in trajectory\n"
 
     def test_io_failure_code(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "d.csv"
-        code, _, err = run_cli(
-            capsys, "diagram", "--n", "2", "--rho-steps", "11",
-            "--out-csv", str(target),
-        )
-        assert code == 3
-        assert "cannot write" in err
+        target = str(tmp_path / "missing" / "d.csv")
+        for argv in (
+            ("diagram", "--n", "2", "--rho-steps", "11"),
+            ("simulate", "--n", "3", "--rho", "0.4", "--t-final", "1"),
+        ):
+            code, _, err = run_cli(capsys, *argv, "--out-csv", target)
+            assert code == 3, argv
+            assert "cannot write" in err
 
 
 class TestConsoleEntry:
@@ -385,6 +425,20 @@ class TestBenchmarkTracer:
         for module, attr, *_ in tracer.TARGETS:
             mod = importlib.import_module(f"kinetic_traffic.{module}")
             assert callable(getattr(mod, attr, None)), f"{module}.{attr} is gone"
+
+    def test_writer_bytes_count_the_streamed_trajectory(self):
+        # the tracer counts a writer's output as out.encode("utf-8"), which
+        # the trajectory's blocks give whole without being used up
+        lattice = build_lattice(3)
+        times, samples, _ = run_trajectory(
+            KineticState(np.full(3, 0.2)), ModelParams(n=3), IntegrationConfig(t_final=1.0)
+        )
+        blocks = trajectory_csv(times, samples, lattice)
+        counts = {"serialize.trajectory_csv.bytes": 0}
+        self.load_tracer()._writer_counts("serialize.trajectory_csv")(counts, (), {}, blocks)
+        text = "".join(blocks)
+        assert text.count("\n") == len(times) + 1
+        assert counts["serialize.trajectory_csv.bytes"] == len(text)
 
     def test_sweep_points_and_every_exported_name_resolve(self):
         # the tracer counts a sweep's points through Diagram.points, and an

@@ -1,10 +1,12 @@
 """Diagram sweeps, critical-density detection, and the text writers."""
 
+import collections
 import dataclasses
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -37,6 +39,7 @@ from kinetic_traffic.serialize import (
     diagram_svg,
     equilibrium_json,
     _CSV_BLOCK,
+    _SLOT,
     _TABLE_BLOCK,
     _pattern15,
     _rows15,
@@ -454,7 +457,7 @@ class TestWriters:
         lat = build_lattice(3)
         times = np.array([0.0, 0.5])
         samples = np.array([[0.1, 0.1, 0.1], [0.05, 0.1, 0.15]])
-        text = trajectory_csv(times, samples, lat)
+        text = "".join(trajectory_csv(times, samples, lat))
         lines = text.strip().split("\n")
         assert lines[0] == "t,f_1,f_2,f_3,rho,q,u"
         first = lines[1].split(",")
@@ -490,7 +493,7 @@ class TestWriters:
             samples = np.asfortranarray(samples)
         times = np.cumsum(rng.exponential(0.01, m)) - 0.01
         lat = build_lattice(n)
-        text = trajectory_csv(times, samples, lat)
+        text = "".join(trajectory_csv(times, samples, lat))
         assert text == trajectory_csv_oracle(times, samples, lat)
         assert text.count("\n") == m + 1
 
@@ -506,7 +509,27 @@ class TestWriters:
         monkeypatch.setattr(serialize, "_TIE", 1.0)  # no fraction is 1 away from 1/2
         key = _pattern15(np.column_stack([times, samples]).ravel())[0]
         assert (key < 8).all()  # only the zeros keep a template
-        assert trajectory_csv(times, samples, lat) == trajectory_csv_oracle(times, samples, lat)
+        text = "".join(trajectory_csv(times, samples, lat))
+        assert text == trajectory_csv_oracle(times, samples, lat)
+
+    def test_trajectory_csv_streams_in_bounded_memory(self):
+        # blocks consumed and dropped as they come hold one block's work at
+        # a time, so 8 times the rows move the peak by less than one
+        # block's text: the whole text would add about 7 / 8 of its size
+        n = 6
+        m = 3 * (_TABLE_BLOCK // (n + 4))
+        rng = np.random.default_rng(8)
+        lat = build_lattice(n)
+        peaks = []
+        for rows in (m, 8 * m):
+            times, samples = np.arange(rows) * 0.01, rng.random((rows, n)) / n
+            tracemalloc.start()
+            try:
+                collections.deque(trajectory_csv(times, samples, lat), maxlen=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < _TABLE_BLOCK * _SLOT, f"peaks {peaks} bytes"
 
     def test_fast_path_certifies_the_simulate_table(self, monkeypatch):
         # simulate --n 6 --rho 0.6 --t-final 500 --dt 0.01 --seed 11: the
@@ -516,7 +539,7 @@ class TestWriters:
         )
         blocks = []
         monkeypatch.setattr(serialize, "_rows15", lambda b: blocks.append(b.copy()) or "")
-        trajectory_csv(times, samples, build_lattice(6))
+        "".join(trajectory_csv(times, samples, build_lattice(6)))
         key = _pattern15(np.concatenate([b.ravel() for b in blocks]))[0]
         assert key.size == 10 * len(times) > 300_000
         assert (key >= 4).mean() >= 0.99

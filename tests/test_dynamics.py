@@ -343,9 +343,24 @@ class TestIntegration:
         assert np.array_equal(times, want)
 
     @pytest.mark.parametrize(
+        "start",
+        [KineticState(np.zeros(3), t=2.0), KineticState(equilibrium_recursive(3, 0.7).f_inf)],
+        ids=["empty", "closed-form"],
+    )
+    def test_a_steady_start_is_the_only_sample(self, start):
+        # no step is taken, so the start is both the first and the final
+        # state: one sample, not the same time twice
+        config = IntegrationConfig(dt=0.01, t_final=5.0)
+        times, samples, converged = run_trajectory(start, ModelParams(n=3), config)
+        assert converged
+        assert np.array_equal(times, [start.t])
+        assert samples.shape == (1, 3) and np.all(samples[0] == start.f)
+
+    @pytest.mark.parametrize(
         "n, rho, stride, t_final",
         [(2, 0.3, 1, 20.0), (3, 0.5, 7, 50.0), (6, 0.6, 1, 500.0), (6, 0.7, 3, 10.0),
-         (12, 0.9, 2, 40.0), (40, 0.2, 5, 30.0)],
+         (12, 0.9, 2, 40.0), (40, 0.2, 5, 30.0),
+         (3, 0.3, 10, 0.05)],  # a horizon short of the first sample: start and end only
     )
     def test_samples_match_the_per_step_oracle(self, trajectory_oracle, n, rho, stride, t_final):
         p = ModelParams(n=n)
