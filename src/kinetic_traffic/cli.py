@@ -31,7 +31,7 @@ from .dynamics import (
 )
 from .equilibrium import equilibrium_recursive, is_attracting, stability_report
 from .errors import KineticModelError
-from .lattice import ModelParams, build_lattice
+from .lattice import ModelParams
 from .serialize import (
     diagram_csv,
     diagram_json,
@@ -74,7 +74,6 @@ def _add_model_args(p: argparse.ArgumentParser, with_rho: bool = True) -> None:
 
 def _cmd_simulate(args) -> int:
     params = ModelParams(n=args.n, eta0=args.eta0)
-    lattice = build_lattice(args.n)
     if args.seed is None:
         start = KineticState(np.full(args.n, args.rho / args.n))
     else:
@@ -83,27 +82,25 @@ def _cmd_simulate(args) -> int:
         dt=args.dt, t_final=args.t_final, record_stride=args.record_stride
     )
     times, samples, converged = run_trajectory(start, params, config)
-    final = KineticState(samples[-1])
-    obs = observables(final, lattice)
+    obs = observables(samples[-1])
     print(f"n={args.n} rho={fmt15(args.rho)} dt={fmt15(args.dt)} t_final={fmt15(args.t_final)}")
     print(f"steady={'yes' if converged else 'no'} t_reached={fmt15(float(times[-1]))}")
-    print("f_final=" + " ".join(fmt15(float(x)) for x in final.f))
+    print("f_final=" + " ".join(fmt15(float(x)) for x in samples[-1]))
     print(f"q={fmt15(obs.q)} u={fmt15(obs.u)}")
     if args.out_csv:
-        _write(args.out_csv, trajectory_csv(times, samples, lattice))
+        _write(args.out_csv, trajectory_csv(times, samples))
         print(f"wrote {args.out_csv}")
     return EXIT_OK
 
 
 def _cmd_equilibrium(args) -> int:
     params = ModelParams(n=args.n, eta0=args.eta0)
-    lattice = build_lattice(args.n)
     eq = equilibrium_recursive(args.n, args.rho)
     report = stability_report(eq.f_inf, params)
     # the closed form always takes the larger quadratic root, which is
     # the attracting branch even when the spectrum alone is marginal
     stable = is_attracting(report.verdict, from_larger_roots=True)
-    obs = observables(KineticState(eq.f_inf), lattice)
+    obs = observables(eq.f_inf)
     scale_rho, scale_v = 1.0, 1.0
     if args.units == UNITS_PHYSICAL:
         scale_rho, scale_v = params.rho_max, params.v_max

@@ -8,10 +8,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import IntegrationConfig, _flux, integrate_batch
+from .dynamics import IntegrationConfig, _flux_speed, integrate_batch
 from .equilibrium import CRITICAL_DENSITY, PHASE_CONGESTED, PHASE_FREE, _closed_form
 from .errors import MalformedDiagramError
-from .lattice import ModelParams, build_lattice
+from .lattice import ModelParams
 
 __all__ = [
     "METHOD_RECURSIVE",
@@ -113,15 +113,15 @@ def build_grid(steps: int = 201) -> np.ndarray:
     return grid if grid[i] == CRITICAL_DENSITY else np.insert(grid, i, CRITICAL_DENSITY)
 
 
-def _sweep_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """(flux, converged) over a chunk of the grid; module-level so process pools can pickle it."""
+def _sweep_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, u, converged) over a chunk of the grid; module-level so process pools can pickle it."""
     n, rhos, method, eta0, config = args
     if method == METHOD_RECURSIVE:
         F, conv = _closed_form(n, rhos), np.ones(rhos.size, dtype=bool)
     else:
         F0 = np.outer(rhos, np.full(n, 1.0 / n))
         F, conv, _, _ = integrate_batch(F0, ModelParams(n=n, eta0=eta0), config)
-    return _flux(F, build_lattice(n).speeds), conv
+    return (*_flux_speed(F, rhos), conv)
 
 
 def sweep(
@@ -142,8 +142,8 @@ def sweep(
             "integrate" relaxes a uniform split at each density until
             steady, all densities in one batch.  Points whose derivative
             never drops below the steady tolerance are kept but marked
-            converged=False.  Either way the flux of each point is the
-            dot product of the speeds with its state.
+            converged=False.  Either way each point's flux and mean
+            speed come from its state and its grid density.
         params: model constants; defaults to ModelParams(n).
         config: stepper settings for the integrate method.
         jobs: number of contiguous chunks the grid is split into, each
@@ -178,8 +178,7 @@ def sweep(
             chunk_columns = list(pool.map(_sweep_chunk, tasks))
     else:
         chunk_columns = [_sweep_chunk(t) for t in tasks]
-    q, converged = (np.concatenate(c) for c in zip(*chunk_columns))
-    u = np.divide(q, grid, out=np.ones_like(q), where=grid > 0.0)
+    q, u, converged = (np.concatenate(c) for c in zip(*chunk_columns))
     good = q[converged]
     u_tol = INTEGRATE_U_TOL if method == METHOD_INTEGRATE else U_TOL
     # the grid is increasing, so the free points come first

@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, IntegrationDivergedError
-from .lattice import ModelParams, SpeedLattice
+from .lattice import ModelParams, build_lattice
 
 __all__ = [
     "KineticState",
@@ -253,17 +253,6 @@ class BatchStats:
     rejected: int = 0
 
 
-def _cumulative(F: np.ndarray):
-    """Density and cumulative sums along the last axis of F, from one cumsum.
-
-    Returns (rho, P, P_prev): rho = P_n, kept as an axis of length one,
-    and entry j-1 of P and P_prev holds P_j and P_{j-1}, j = 1 .. n-1.
-    """
-    C = np.zeros(F.shape[:-1] + (F.shape[-1] + 1,))
-    F.cumsum(axis=-1, out=C[..., 1:])
-    return C[..., -1:], C[..., 1:-1], C[..., :-2]
-
-
 def _rates(eta0, rho, P, P_prev):
     """Eigenvalues lambda_j: the diagonal of the bidiagonal cumulative Jacobian."""
     return eta0 * rho * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - P_prev))
@@ -278,8 +267,8 @@ def _rhs_batch(F: np.ndarray, eta0: float, *, cum: np.ndarray | None = None) -> 
     first column that receives the running sums: cum[:, j] = P_j.
     """
     m, n = F.shape
-    # the cumsum of _cumulative, kept whole: R[:, j-1] = rho - P_{j-1},
-    # j = 1 .. n, serves both terms of the stencil
+    # the running sums, kept whole: R[:, j-1] = rho - P_{j-1}, j = 1 .. n,
+    # serves both terms of the stencil
     C = np.zeros((n + 1, m)).T if cum is None else cum
     F.cumsum(axis=-1, out=C[:, 1:])
     rho = C[:, -1:]
@@ -612,27 +601,28 @@ def run_trajectory(
     return state.t + times, samples, bool(conv[0])
 
 
-def _flux(F: np.ndarray, speeds: np.ndarray) -> np.ndarray:
-    """Flux sum_j v_j f_j of every row of F, bit for bit the row's speeds @ f.
+def _flux_speed(F: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flux q = sum_j v_j f_j and mean speed u = q / rho of every row of F.
 
-    Each row is a (1, n) @ (n,) product, which runs the same dot kernel as
-    the 1-D speeds @ f; an (m, n) @ (n,) product rounds differently.
+    The speeds are build_lattice(n).speeds for F's own class count n, and
+    rho holds the rows' densities.  Each flux is a (1, n) @ (n,) product,
+    bit for bit the row's speeds @ f; an (m, n) @ (n,) product rounds
+    differently.  The mean speed of an empty road is taken to be 1, the
+    continuous limit of u as rho -> 0.
     """
-    return np.matmul(F[:, None, :], speeds)[:, 0]
+    q = np.matmul(F[:, None, :], build_lattice(F.shape[1]).speeds)[:, 0]
+    return q, np.divide(q, rho, out=np.ones_like(q), where=rho > 0.0)
 
 
-def observables(state: KineticState, lattice: SpeedLattice) -> Observables:
-    """Density, flux q = sum_j v_j f_j and mean speed u = q / rho.
-
-    The mean speed of an empty road is taken to be 1, the continuous
-    limit of u as rho -> 0.
-    """
-    if state.n != lattice.n:
-        raise ValueError(f"state has {state.n} classes, lattice has {lattice.n}")
-    r = state.rho
-    q = float(lattice.speeds @ state.f)
-    u = q / r if r > 0.0 else 1.0
-    return Observables(rho=r, q=q, u=u)
+def observables(f: np.ndarray) -> Observables:
+    """Density sum_j f_j, and flux and mean speed by _flux_speed, of the state vector f."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 1:
+        raise ValueError("state must be a vector of class densities")
+    F = f[None, :]
+    rho = F.sum(axis=1)
+    q, u = _flux_speed(F, rho)
+    return Observables(rho=float(rho[0]), q=float(q[0]), u=float(u[0]))
 
 
 def continuity_gap(

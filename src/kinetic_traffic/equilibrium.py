@@ -68,8 +68,10 @@ its eigenvalues are the diagonal entries
     lambda_j = eta0 rho [rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1})],
 
 exactly, at any state.  The full spectrum adds the conserved-mass mode 0.
-The vector field, the step bound of the integrator and the partial
-derivatives below all take P from one helper in the dynamics module.
+The step bound of the integrator and the partial derivatives below take
+lambda_j from one function of the dynamics module (_rates): the bound
+with the running sums of the vector field's last evaluation, the
+partials with one cumsum of their state.
 
 The level quadratic alone stays in f coordinates.  Solved for P_j from
 P_{j-1}, it would return f_j as the difference P_j - P_{j-1}, which
@@ -84,7 +86,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _check_classes, _cumulative, _rates, _rhs_batch
+from .dynamics import _check_classes, _rates, _rhs_batch
 from .errors import ConsistencyError
 from .lattice import ModelParams
 
@@ -150,8 +152,6 @@ class EquilibriumCandidate:
     f: np.ndarray = field(repr=False)
     residual: float
     verdict: str
-    stable: bool
-    choices: tuple[str, ...]
     from_larger_roots: bool
 
 
@@ -297,8 +297,9 @@ def _cumulative_partials(f: np.ndarray, params: ModelParams):
     """
     f = np.asarray(f, dtype=float)
     _check_classes(f.size, params)
-    rho, P, P_prev = _cumulative(f)
-    rho, fj = float(rho[0]), f[:-1]
+    C = np.zeros(f.size + 1)
+    f.cumsum(out=C[1:])
+    rho, P, P_prev, fj = float(C[-1]), C[1:-1], C[:-2], f[:-1]
     lam = _rates(params.eta0, rho, P, P_prev)
     sub = params.eta0 * rho * (1.0 - rho) * (rho + P - 2.0 * P_prev)
     d_rho = params.eta0 * (
@@ -309,7 +310,7 @@ def _cumulative_partials(f: np.ndarray, params: ModelParams):
     return rho, lam, sub, d_rho
 
 
-def jacobian(f: np.ndarray, rho: float, params: ModelParams) -> np.ndarray:
+def jacobian(f: np.ndarray, params: ModelParams) -> np.ndarray:
     """Derivative matrix of the interaction dynamics at state f.
 
     The density is treated as a function of the state, so the derivative
@@ -320,16 +321,13 @@ def jacobian(f: np.ndarray, rho: float, params: ModelParams) -> np.ndarray:
     L^-1 J_P L, where J_P is bidiagonal plus the density column.
 
     Args:
-        f: state vector; its sum must match rho to within 1e-9.
-        rho: declared density of the state.
+        f: state vector; its sum is the density.
         params: model constants (eta0 scales the whole matrix).
 
     Returns:
         n x n matrix J with J[j, i] = d rhs_j / d f_i.
     """
-    s, lam, sub, d_rho = _cumulative_partials(f, params)
-    if abs(s - rho) > 1e-9:
-        raise ValueError(f"declared density {rho} does not match sum(f)={s!r}")
+    _, lam, sub, d_rho = _cumulative_partials(f, params)
     n = params.n
     # row j of J_P L: entry i sums J_P[j, k] over k >= i
     JL = np.zeros((n, n))
@@ -398,19 +396,17 @@ def is_attracting(verdict: str, from_larger_roots: bool) -> bool:
 
 
 def _bruteforce_levels(n: int, rho: float):
-    """Yield (vector, choice labels) for every real root combination."""
-    f1_branches = []
+    """(vector, from larger roots) for every real root combination.
+
+    A double root and the remainder class count as larger roots.
+    """
     lo, hi = 0.0, 2.0 * rho - 1.0
-    if abs(hi - lo) <= 1e-14:
-        f1_branches.append((0.0, "double"))
-    else:
-        f1_branches.append((lo, "larger" if lo > hi else "smaller"))
-        f1_branches.append((hi, "larger" if hi > lo else "smaller"))
-    stack = [(np.array([v]), (label,)) for v, label in f1_branches if v >= -_TINY]
+    f1_branches = [(0.0, True)] if abs(hi - lo) <= 1e-14 else [(lo, lo > hi), (hi, hi > lo)]
+    stack = [(np.array([v]), larger) for v, larger in f1_branches if v >= -_TINY]
     terms = _density_terms(np.array([rho]))
     for j in range(2, n):
         nxt = []
-        for head, labels in stack:
+        for head, larger in stack:
             S = head.sum()
             if S > rho + _TINY:
                 continue
@@ -425,20 +421,20 @@ def _bruteforce_levels(n: int, rho: float):
                 sq = math.sqrt(delta)
                 r_minus = (B - sq) / (2.0 * rho) if B <= 0.0 else -2.0 * C / (sq + B)
             if abs(r_plus - r_minus) <= 1e-14:
-                pairs = [(max(r_plus, 0.0), "double")]
+                pairs = [(max(r_plus, 0.0), True)]
             else:
-                pairs = [(r_minus, "smaller"), (r_plus, "larger")]
-            for val, label in pairs:
+                pairs = [(r_minus, False), (r_plus, True)]
+            for val, larger_root in pairs:
                 if val < -_TINY:
                     continue
-                nxt.append((np.append(head, max(val, 0.0)), labels + (label,)))
+                nxt.append((np.append(head, max(val, 0.0)), larger and larger_root))
         stack = nxt
     out = []
-    for head, labels in stack:
+    for head, larger in stack:
         tail = rho - float(head.sum())
         if tail < -_TINY:
             continue
-        out.append((np.append(head, max(tail, 0.0)), labels + ("remainder",)))
+        out.append((np.append(head, max(tail, 0.0)), larger))
     return out
 
 
@@ -473,23 +469,13 @@ def equilibrium_bruteforce(
         raise ValueError(f"params expect n={params.n}, got n={n}")
     candidates = []
     seen: list[np.ndarray] = []
-    for vec, labels in _bruteforce_levels(int(n), float(rho)):
+    for vec, larger in _bruteforce_levels(int(n), float(rho)):
         residual = float(np.abs(_rhs_batch(vec[None, :], params.eta0)).sum())
         if residual > 1e-10:
             continue
         if any(np.abs(vec - prev).max() <= 1e-10 for prev in seen):
             continue
         seen.append(vec)
-        report = stability_report(vec, params)
-        larger = all(lab in ("larger", "double", "remainder") for lab in labels)
-        candidates.append(
-            EquilibriumCandidate(
-                f=vec,
-                residual=residual,
-                verdict=report.verdict,
-                stable=is_attracting(report.verdict, larger),
-                choices=labels,
-                from_larger_roots=larger,
-            )
-        )
+        verdict = stability_report(vec, params).verdict
+        candidates.append(EquilibriumCandidate(vec, residual, verdict, larger))
     return candidates

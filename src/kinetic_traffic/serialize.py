@@ -13,21 +13,22 @@ zeros.  So texts15 writes a record's 1,203 numbers in 0.07 ms, where
 one % over all of them takes 0.25 ms (best of 250 calls, 2-CPU x86-64
 host).  Bits, not values, decide what is distinct: 0.0 and -0.0
 compare equal but print as 0 and -0.  Each document's layout
-is written once as a template and its numbers are filled in by one %
-per block of records: json.dumps would use repr, which switches digit
-counts from value to value.  Distinct strings (phases, rules) are
-encoded once per document and enter a template with every % doubled.
-The diagram writers read the Diagram's columns: the CSV and the JSON
-can share one formatting of their numbers (diagram_numbers), and the
-SVG maps each panel's ticks and points with numpy.
+is written once as a template per kind of record and its numbers are
+filled in by one % (_records): json.dumps would use repr, which
+switches digit counts from value to value.  Distinct strings (phases,
+rules) are encoded once per document and enter a template with
+every % doubled.  The diagram writers read the Diagram's columns: the
+CSV and the JSON can share one formatting of their numbers
+(diagram_numbers), and the SVG maps each panel's ticks and points with
+numpy.
 
 The trajectory table comes as text blocks of at most _TABLE_BLOCK
 values, made one at a time as the caller writes them, so neither its
 text nor its table is ever whole in memory.  Each block takes the row
-sums and the flux of its own rows (dynamics._flux, the one flux rule)
-and is written by _rows15, a %.15g over float64 arrays that is % byte
-for byte: % stays the reference for every value the array path does not
-certify.
+sums of its own rows, and their flux and mean speed from
+dynamics._flux_speed (the one rule for both), and is written by
+_rows15, a %.15g over float64 arrays that is % byte for byte: % stays
+the reference for every value the array path does not certify.
 
 Digits.  For a = |v| and an exponent estimate x = floor(log10 a), %.15g
 prints N = round(t), t = a 10**k, k = 14 - x, rounding half to even, if
@@ -77,9 +78,8 @@ from collections.abc import Callable, Iterator
 import numpy as np
 
 from .diagrams import Diagram
-from .dynamics import _flux
+from .dynamics import _flux_speed
 from .equilibrium import EquilibriumResult
-from .lattice import SpeedLattice
 
 __all__ = [
     "fmt15",
@@ -92,8 +92,6 @@ __all__ = [
     "diagram_svg",
 ]
 
-# records per % call, which bounds the floats held as objects at once
-_CSV_BLOCK = 1024
 # values per _rows15 call, which bounds its transient arrays to a few MB
 _TABLE_BLOCK = 1 << 15
 
@@ -284,17 +282,8 @@ def texts15(values) -> tuple[list[str], list[str]]:
 
 
 def _records(templates: dict, keys: list, numbers: list, sep: str) -> str:
-    """The template of each key in turn, filled from numbers in blocks of _CSV_BLOCK.
-
-    Every template takes the same count of numbers.
-    """
-    width = len(numbers) // len(keys)
-    parts = []
-    for i in range(0, len(keys), _CSV_BLOCK):
-        block = keys[i : i + _CSV_BLOCK]
-        values = numbers[i * width : (i + len(block)) * width]
-        parts.append(sep.join([templates[k] for k in block]) % tuple(values))
-    return sep.join(parts)
+    """The template of each key in turn, joined by sep and filled from numbers in one %."""
+    return sep.join([templates[k] for k in keys]) % tuple(numbers)
 
 
 class _Blocks:
@@ -315,18 +304,18 @@ class _Blocks:
         return "".join(self).encode(encoding)
 
 
-def trajectory_csv(times: np.ndarray, samples: np.ndarray, lattice: SpeedLattice) -> _Blocks:
+def trajectory_csv(times: np.ndarray, samples: np.ndarray) -> _Blocks:
     """Rows of t, the occupancies, and the macroscopic observables, as text blocks.
 
     The header comes first, then one _rows15 block of at most
     _TABLE_BLOCK values each, with rho, q and u taken for its rows only;
     the arguments are checked at the call.
     """
-    n = lattice.n
-    if samples.ndim != 2 or samples.shape[1] != n:
-        raise ValueError("samples must be (m, n) for the given lattice")
+    if samples.ndim != 2 or samples.shape[1] < 2:
+        raise ValueError("samples must be (m, n) with at least two classes")
     if samples.shape[0] != times.shape[0]:
         raise ValueError("times and samples disagree on sample count")
+    n = samples.shape[1]
     rows = max(1, _TABLE_BLOCK // (n + 4))
 
     def blocks():
@@ -334,9 +323,7 @@ def trajectory_csv(times: np.ndarray, samples: np.ndarray, lattice: SpeedLattice
         for i in range(0, len(times), rows):
             f = samples[i : i + rows]
             rho = f.sum(axis=1)
-            q = _flux(f, lattice.speeds)
-            u = np.divide(q, rho, out=np.ones_like(q), where=rho > 0)
-            yield _rows15(np.column_stack([times[i : i + rows], f, rho, q, u]))
+            yield _rows15(np.column_stack([times[i : i + rows], f, rho, *_flux_speed(f, rho)]))
 
     return _Blocks(blocks)
 
@@ -403,7 +390,7 @@ def equilibrium_json(
         + ', "root": %s, "delta": %s, "b": %s, "c": %s}'
         for r in set(rules)
     }
-    branches = ", ".join([templates[r] for r in rules]) % tuple(row)
+    branches = _records(templates, rules, row, ", ")
     rho, q, u = cells[4 * n : 4 * n + 3]
     f_inf = ", ".join(cells[4 * n + 3 :])
     return (

@@ -36,7 +36,7 @@ from kinetic_traffic import (
 from kinetic_traffic.cli import main
 from kinetic_traffic.dynamics import random_state, run_trajectory
 from kinetic_traffic.serialize import _TABLE_BLOCK, trajectory_csv
-from kinetic_traffic.verify import run_suite
+from kinetic_traffic.verify import _check_attractivity, run_suite
 
 
 _EDGE_DENSITIES = [0.0, 5e-324, 1e-300, math.nextafter(0.5, 0.0), 0.5,
@@ -98,6 +98,20 @@ class TestSimulate:
         assert code == 0
         assert out_file.read_bytes() == b"t,f_1,f_2,f_3,rho,q,u\n0,0,0,0,0,0,1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "2", "--rho", "0.8", "--t-final", "60"),
+        ("--n", "6", "--rho", "0.6", "--seed", "11", "--t-final", "40"),
+        ("--n", "40", "--rho", "0.3", "--seed", "3", "--t-final", "5", "--record-stride", "7"),
+        ("--n", "3", "--rho", "0", "--t-final", "1"),
+    ])
+    def test_csv_last_row_prints_the_stdout_flux_and_speed(self, capsys, tmp_path, argv):
+        # one rule gives both: the same q and u texts, not merely close values
+        out_file = tmp_path / "tr.csv"
+        code, out, _ = run_cli(capsys, "simulate", *argv, "--out-csv", str(out_file))
+        assert code == 0
+        q, u = out_file.read_text().splitlines()[-1].split(",")[-2:]
+        assert f"q={q} u={u}" in out.splitlines()
+
     def test_csv_across_blocks_matches_the_row_by_row_writer(
         self, capsys, tmp_path, trajectory_csv_oracle
     ):
@@ -107,15 +121,14 @@ class TestSimulate:
             "--t-final", "40", "--out-csv", str(out_file),
         )
         assert code == 0
-        lattice = build_lattice(6)
         times, samples, converged = run_trajectory(
             random_state(6, 0.6, seed=11), ModelParams(n=6),
             IntegrationConfig(dt=0.01, t_final=40.0),
         )
         assert 10 * len(times) > _TABLE_BLOCK  # the table spans two blocks
-        want = trajectory_csv_oracle(times, samples, lattice)
+        want = trajectory_csv_oracle(times, samples, build_lattice(6))
         assert out_file.read_bytes() == want.encode()
-        obs = observables(KineticState(samples[-1]), lattice)
+        obs = observables(samples[-1])
         assert out == (
             "n=6 rho=0.6 dt=0.01 t_final=40\n"
             f"steady={'yes' if converged else 'no'} t_reached={'%.15g' % times[-1]}\n"
@@ -182,7 +195,7 @@ class TestEquilibrium:
         params = ModelParams(n=n)
         eq = equilibrium_recursive(n, rho)
         stable = is_attracting(stability_report(eq.f_inf, params).verdict, from_larger_roots=True)
-        obs = observables(KineticState(eq.f_inf), build_lattice(n))
+        obs = observables(eq.f_inf)
         scale_rho, scale_v = (params.rho_max, params.v_max) if physical else (1.0, 1.0)
         q, u = obs.q * scale_rho * scale_v, obs.u * scale_v
         assert text == equilibrium_json_oracle(eq, scale_rho, q, u, stable)
@@ -275,11 +288,11 @@ class TestColumnarResults:
         for name, oracle in (("d.csv", diagram_csv_oracle), ("d.json", diagram_json_oracle),
                              ("d.svg", diagram_svg_oracle)):
             assert Path(out[name]).read_bytes().decode() == oracle(d), name
-        params, lattice = ModelParams(n=200), build_lattice(200)
+        params = ModelParams(n=200)
         for i, rho in enumerate(densities):
             eq = equilibrium_recursive(200, rho)
             verdict = stability_report(eq.f_inf, params).verdict
-            obs = observables(KineticState(eq.f_inf), lattice)
+            obs = observables(eq.f_inf)
             want = equilibrium_json_oracle(
                 eq, 1.0, obs.q, obs.u, is_attracting(verdict, from_larger_roots=True)
             )
@@ -305,6 +318,12 @@ class TestVerifyCommand:
         results = run_suite(n_max=2, table_builder=broken)
         by_name = {r.name: r for r in results}
         assert not by_name["stochasticity"].passed
+
+    def test_attractivity_covers_the_slow_free_phase_at_n_12(self):
+        # the free phase relaxes on one Jordan block of size n - 1, so the
+        # time to steady grows with n: at n = 12 the slowest run needs 1,777
+        passed, detail = _check_attractivity(12)
+        assert passed, detail
 
 
 class TestExitCodes:
@@ -429,16 +448,39 @@ class TestBenchmarkTracer:
     def test_writer_bytes_count_the_streamed_trajectory(self):
         # the tracer counts a writer's output as out.encode("utf-8"), which
         # the trajectory's blocks give whole without being used up
-        lattice = build_lattice(3)
         times, samples, _ = run_trajectory(
             KineticState(np.full(3, 0.2)), ModelParams(n=3), IntegrationConfig(t_final=1.0)
         )
-        blocks = trajectory_csv(times, samples, lattice)
+        blocks = trajectory_csv(times, samples)
         counts = {"serialize.trajectory_csv.bytes": 0}
         self.load_tracer()._writer_counts("serialize.trajectory_csv")(counts, (), {}, blocks)
         text = "".join(blocks)
         assert text.count("\n") == len(times) + 1
         assert counts["serialize.trajectory_csv.bytes"] == len(text)
+
+    @pytest.mark.parametrize("workload", ["stepping", "closed-form"])
+    def test_benchmark_check_passes(self, monkeypatch, tmp_path, workload):
+        # the benchmark's own correctness check over one repetition, run as
+        # perfbench/child.py runs it: every call in the output directory,
+        # stdout captured; a known defect counts as a failure here
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while they are built
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        monkeypatch.chdir(tmp_path)
+        w, seed = workloads.WORKLOADS[workload], 3
+        results = []
+        for argv in w.ops(seed):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv)
+            results.append({"argv": argv, "code": code, "stdout": buf.getvalue()})
+        quality = w.check(results, str(tmp_path), seed)
+        assert quality.checks
+        for check in quality.checks:
+            assert not check.failures and not check.known, check
 
     def test_sweep_points_and_every_exported_name_resolve(self):
         # the tracer counts a sweep's points through Diagram.points, and an

@@ -38,7 +38,6 @@ from kinetic_traffic.serialize import (
     diagram_json,
     diagram_svg,
     equilibrium_json,
-    _CSV_BLOCK,
     _SLOT,
     _TABLE_BLOCK,
     _pattern15,
@@ -454,28 +453,30 @@ class TestWriters:
         assert diagram_svg(a) == diagram_svg(b)
 
     def test_trajectory_csv_layout(self):
-        lat = build_lattice(3)
         times = np.array([0.0, 0.5])
         samples = np.array([[0.1, 0.1, 0.1], [0.05, 0.1, 0.15]])
-        text = "".join(trajectory_csv(times, samples, lat))
+        text = "".join(trajectory_csv(times, samples))
         lines = text.strip().split("\n")
         assert lines[0] == "t,f_1,f_2,f_3,rho,q,u"
         first = lines[1].split(",")
         assert first[0] == "0"
         assert abs(float(first[4]) - 0.3) <= 1e-15
+        # the checks run at the call, before the first block is asked for
         with pytest.raises(ValueError):
-            trajectory_csv(times, samples[:, :2], lat)
+            trajectory_csv(times, samples[:, :1])
         with pytest.raises(ValueError):
-            trajectory_csv(times[:1], samples, lat)
+            trajectory_csv(times, samples[0])
+        with pytest.raises(ValueError):
+            trajectory_csv(times[:1], samples)
 
     @given(
         st.integers(2, 40),
-        st.sampled_from([1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]),
+        st.sampled_from([1, 1023, 1024, 1025]),
         st.booleans(),
         st.integers(0, 2**30),
     )
     @example(2, 1, False, 0)
-    @example(40, _CSV_BLOCK + 1, True, 1)
+    @example(40, 1025, True, 1)
     @example(6, _TABLE_BLOCK // 10, False, 2)
     @example(6, _TABLE_BLOCK // 10 + 1, False, 3)
     @settings(max_examples=20)  # each example formats up to 45,000 floats twice
@@ -492,9 +493,8 @@ class TestWriters:
         if fortran:
             samples = np.asfortranarray(samples)
         times = np.cumsum(rng.exponential(0.01, m)) - 0.01
-        lat = build_lattice(n)
-        text = "".join(trajectory_csv(times, samples, lat))
-        assert text == trajectory_csv_oracle(times, samples, lat)
+        text = "".join(trajectory_csv(times, samples))
+        assert text == trajectory_csv_oracle(times, samples, build_lattice(n))
         assert text.count("\n") == m + 1
 
     def test_trajectory_csv_splices_percent_where_nothing_is_certified(
@@ -509,7 +509,7 @@ class TestWriters:
         monkeypatch.setattr(serialize, "_TIE", 1.0)  # no fraction is 1 away from 1/2
         key = _pattern15(np.column_stack([times, samples]).ravel())[0]
         assert (key < 8).all()  # only the zeros keep a template
-        text = "".join(trajectory_csv(times, samples, lat))
+        text = "".join(trajectory_csv(times, samples))
         assert text == trajectory_csv_oracle(times, samples, lat)
 
     def test_trajectory_csv_streams_in_bounded_memory(self):
@@ -519,13 +519,12 @@ class TestWriters:
         n = 6
         m = 3 * (_TABLE_BLOCK // (n + 4))
         rng = np.random.default_rng(8)
-        lat = build_lattice(n)
         peaks = []
         for rows in (m, 8 * m):
             times, samples = np.arange(rows) * 0.01, rng.random((rows, n)) / n
             tracemalloc.start()
             try:
-                collections.deque(trajectory_csv(times, samples, lat), maxlen=0)
+                collections.deque(trajectory_csv(times, samples), maxlen=0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -539,7 +538,7 @@ class TestWriters:
         )
         blocks = []
         monkeypatch.setattr(serialize, "_rows15", lambda b: blocks.append(b.copy()) or "")
-        "".join(trajectory_csv(times, samples, build_lattice(6)))
+        "".join(trajectory_csv(times, samples))
         key = _pattern15(np.concatenate([b.ravel() for b in blocks]))[0]
         assert key.size == 10 * len(times) > 300_000
         assert (key >= 4).mean() >= 0.99
@@ -555,9 +554,9 @@ class TestWriters:
 
     @given(n=st.integers(2, 200), size=st.integers(2, 2001), physical=st.booleans())
     @example(n=2, size=2, physical=False)
-    @example(n=6, size=_CSV_BLOCK - 1, physical=False)
-    @example(n=40, size=_CSV_BLOCK, physical=True)
-    @example(n=200, size=_CSV_BLOCK + 1, physical=False)
+    @example(n=6, size=1023, physical=False)
+    @example(n=40, size=1024, physical=True)
+    @example(n=200, size=1025, physical=False)
     @example(n=40, size=2001, physical=True)
     @settings(max_examples=15)  # a sweep and three writers twice, up to 2,001 points
     def test_sweep_writers_match_the_per_point_writers(

@@ -782,17 +782,20 @@ class TestExactCascade:
 
 class TestObservables:
     def test_flux_and_mean_speed(self):
-        lat = build_lattice(3)
-        obs = observables(KineticState(np.array([0.1, 0.2, 0.3])), lat)
+        obs = observables(np.array([0.1, 0.2, 0.3]))
         assert abs(obs.rho - 0.6) <= 1e-15
         assert abs(obs.q - (0.2 * 0.5 + 0.3)) <= 1e-15
         assert abs(obs.u - obs.q / 0.6) <= 1e-15
 
     def test_empty_road_has_unit_speed(self):
-        lat = build_lattice(4)
-        obs = observables(KineticState(np.zeros(4)), lat)
+        obs = observables(np.zeros(4))
         assert obs.q == 0.0
         assert obs.u == 1.0
+
+    def test_state_is_one_vector_of_two_classes_or_more(self):
+        for f in (np.zeros((2, 3)), np.array([0.5])):
+            with pytest.raises(ValueError):
+                observables(f)
 
 
     @given(
@@ -809,6 +812,7 @@ class TestObservables:
         F[rng.random((m, n)) < 0.1] = 0.0
         F[rng.random((m, n)) < 0.05] = 5e-324
         F[rng.random((m, n)) < 0.05] = 1e-300
+        F[rng.integers(m)] = 0.0  # an empty road: rho = 0, u = 1
         if layout == "F":
             F = np.asfortranarray(F)
         elif layout == "strided":
@@ -816,8 +820,11 @@ class TestObservables:
             wide[::2, 1::2] = F
             F = wide[::2, 1::2]
         speeds = build_lattice(n).speeds
-        q = dynamics._flux(F, speeds)
+        rho = F.sum(axis=1)
+        q, u = dynamics._flux_speed(F, rho)
         assert same_bits(q, np.array([speeds @ f for f in F]))
+        want = [float(a) / float(r) if r > 0 else 1.0 for a, r in zip(q, rho)]
+        assert same_bits(u, np.array(want))
 
 
 class TestContinuity:

@@ -448,7 +448,7 @@ class TestJacobian:
             p = ModelParams(n=n)
             for _ in range(10):
                 f = rng.uniform(0.01, 0.2, n)
-                J = jacobian(f, float(f.sum()), p)
+                J = jacobian(f, p)
                 for j in range(n):
                     fp, fm = f.copy(), f.copy()
                     fp[j] += h
@@ -465,13 +465,13 @@ class TestJacobian:
             p = ModelParams(n=n)
             for _ in range(10):
                 f = random = rng.uniform(0.0, 0.14, n)
-                J = jacobian(f, float(f.sum()), p)
+                J = jacobian(f, p)
                 assert np.abs(J.sum(axis=0)).max() <= 1e-13
 
     @given(states(n_max=40))
     def test_matches_dense_table_jacobian(self, case):
         f, p = case
-        J = jacobian(f, float(f.sum()), p)
+        J = jacobian(f, p)
         assert np.abs(J - _dense_jacobian(f, p)).max() <= 1e-14 * p.eta0
 
     @given(states(n_max=40))
@@ -486,10 +486,6 @@ class TestJacobian:
         lam = np.sort(np.diag(block))[::-1]
         rep = stability_report(f, p)
         assert np.abs(lam - rep.hyperplane_real_parts).max() <= 1e-14 * p.eta0
-
-    def test_density_argument_must_match(self):
-        with pytest.raises(ValueError):
-            jacobian(np.array([0.1, 0.2]), 0.5, ModelParams(n=2))
 
 
 class TestStability:
