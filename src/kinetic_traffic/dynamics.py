@@ -37,21 +37,27 @@ returned to the largest component, which keeps the density bit-for-bit
 meaningful; a dip below -1e-12 aborts the run as a genuine failure.
 
 One stepping loop, _integrate_batch, serves every entry point:
-integrate_batch, run_trajectory and continuity_gap.
-The loop hands each accepted step (its time, size, start, end and
-stages) to a recorder callback; run_trajectory keeps them and evaluates
-the samples of all steps in one batch after the loop, so a sample below
-the clamp window raises when the loop has ended.  continuity_gap steps
-its pair, and verify's continuity group all pairs of one n, in one
-batch.  The loop applies one conservation policy: a row's density may
-move by at most 1e-13 in a single accepted step, checked against the row
-sum before the step, or the run raises ConsistencyError.  The measured
-per-step drift is below 1e-15.  It raises its own errors on non-finite
-values and runs with numpy's floating-point warnings off.
+integrate_batch, run_trajectory, continuity_gap and verify.  Each row
+has its own first step, horizon and steady tolerance; the public entry
+points give every row the one IntegrationConfig they take, and verify
+steps the conservation, continuity and attractivity rows of one n, each
+with its group's settings, as one batch.  continuity_gap steps its pair
+in one batch.  The loop hands each accepted step (its time, size,
+start, end and stages) to a recorder callback; run_trajectory keeps them
+and evaluates the samples of all steps in one batch after the loop, so
+a sample below the clamp window raises when the loop has ended.  The
+loop applies one conservation policy: a row's density may move by at
+most 1e-13 in a single accepted step, checked against the row sum before
+the step, or the run raises ConsistencyError.  The measured per-step
+drift is below 1e-15.  The loop also keeps each row's largest drift from
+its start, so the rows of one group in a mixed batch read their own.  It
+raises its own errors on non-finite values and runs with numpy's
+floating-point warnings off.
 
 The loop takes a batch of states as the rows of a matrix.  Rows evolve
 independently through elementwise arithmetic in a fixed order, and a row
-leaves the working array once it is steady or has reached the horizon.
+leaves the working array, with its settings, once it is steady or has
+reached its horizon.
 The step bound of a state comes from the running sums of its derivative's
 evaluation.  A pass in which every row accepts keeps its new arrays whole;
 only a pass with rejections gathers and scatters rows.
@@ -73,7 +79,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -242,7 +248,11 @@ class BatchStats:
 
     rhs_evals counts row evaluations of the vector field, accepted and
     rejected count row steps; each is the sum of what the rows would
-    count on their own.
+    count on their own.  row_drift holds, for each row of the last run,
+    the largest distance of its density from its start, so a group of
+    rows in a mixed batch reads its own drift; max_drift is the largest
+    over every run.  row_drift is left out of the comparison and the
+    repr, which stay those of the scalar fields.
     """
 
     min_preclamp: float = 0.0
@@ -251,6 +261,7 @@ class BatchStats:
     rhs_evals: int = 0
     accepted: int = 0
     rejected: int = 0
+    row_drift: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _rates(eta0, rho, P, P_prev):
@@ -389,19 +400,23 @@ def _integrate_batch(
     stats: BatchStats | None = None,
     record: Callable | None = None,
 ):
-    """March every row of F0 until it is steady or reaches t_final.
+    """March every row of F0 until it is steady or reaches its t_final.
 
-    A row leaves the working array once the 1-norm of its derivative is
-    below steady_tol, or once its last step, cut to end exactly on
-    t_final, is accepted.  After each pass that accepts steps,
-    record(rows, t, h, F, Y, K) receives copies, the hook's to keep, of
-    what _dense needs to evaluate those steps: the original indices of
-    the rows that advanced, their times before the step, the step sizes,
-    the states before the step, the unclamped fifth-order solutions and
-    the seven stages, shape (7, rows, n).
+    config's dt, t_final and steady_tol are each one value for every row
+    or a sequence of one value per row; IntegrationConfig gives the
+    first.  A row leaves the working array, with its settings, once the
+    1-norm of its derivative is below its steady_tol, or once its last
+    step, cut to end exactly on its t_final, is accepted.  stats.row_drift
+    receives each row's largest density drift from its start, and
+    stats.max_drift keeps the largest it has seen.  After each pass that
+    accepts steps, record(rows, t, h, F, Y, K) receives copies, the
+    hook's to keep, of what _dense needs to evaluate those steps: the
+    original indices of the rows that advanced, their times before the
+    step, the step sizes, the states before the step, the unclamped
+    fifth-order solutions and the seven stages, shape (7, rows, n).
 
     Returns (F, converged, steps, t, D): the final rows, a boolean mask of
-    rows whose final derivative is below steady_tol, the accepted steps
+    rows whose final derivative is below their steady_tol, the accepted steps
     per row, the time each row stopped at, and the derivative at F.
 
     Raises:
@@ -415,37 +430,42 @@ def _integrate_batch(
     F = np.array(F0, dtype=float, order="F")
     stats = BatchStats() if stats is None else stats
     m, n = F.shape
-    t_final, steady_tol = config.t_final, config.steady_tol
+    t_final, steady_tol = (np.full(m, x, dtype=float) for x in (config.t_final, config.steady_tol))
     F_out, D_out = np.empty((m, n)), np.empty((m, n))
     conv_out = np.zeros(m, dtype=bool)
     steps_out = np.zeros(m, dtype=int)
-    t_out = np.zeros(m)
+    t_out, drift_out = np.zeros(m), np.zeros(m)
 
     # working set: original row index, state, first stage, step bound,
     # time, trial step, previous error, whether the last attempt was
-    # rejected, steps and row sum
+    # rejected, steps, row sum, largest drift from the start, horizon and
+    # steady tolerance
     rows = np.arange(m)
     C = np.zeros((n + 1, m)).T
     k1 = _rhs_batch(F, eta0, cum=C)
     bound = _stable_step(eta0, C)
     stats.rhs_evals += m
     t = np.zeros(m)
-    h = np.full(m, float(config.dt))
+    h = np.full(m, config.dt, dtype=float)
     err_prev = np.full(m, 1e-4)
     rejected = np.zeros(m, dtype=bool)
     steps = np.zeros(m, dtype=int)
     s_ref = F.copy(order="C").sum(axis=1)
     s = s_ref.copy()
+    drift = np.zeros(m)
     steady = leave = np.abs(k1, order="C").sum(axis=1) < steady_tol
     while True:
         if leave.any():
             done = rows[leave]
             F_out[done], D_out[done] = F[leave], k1[leave]
             t_out[done], steps_out[done] = t[leave], steps[leave]
-            conv_out[done] = steady[leave]
+            conv_out[done], drift_out[done] = steady[leave], drift[leave]
             keep = (~leave).nonzero()[0]
-            rows, bound, t, h, err_prev, rejected, steps, s = (
-                x[keep] for x in (rows, bound, t, h, err_prev, rejected, steps, s)
+            rows, bound, t, h, err_prev, rejected, steps, s, drift, t_final, steady_tol = (
+                x[keep]
+                for x in (
+                    rows, bound, t, h, err_prev, rejected, steps, s, drift, t_final, steady_tol
+                )
             )
             # columns of the transposed base, so the rows stay class-major
             F, k1 = (x.T.take(keep, axis=1).T for x in (F, k1))
@@ -496,12 +516,10 @@ def _integrate_batch(
                 ba[touched] = _stable_step(eta0, Ct)
                 stats.rhs_evals += touched.size
             sa = Fa.copy(order="C").sum(axis=1)
-            drift = float(np.abs(sa - s[acc]).max())
-            if drift > _DRIFT_TOL:
-                raise ConsistencyError(f"density drift {drift!r} in a single step")
-            total = float(np.abs(sa - s_ref[rows[acc]]).max())
-            if total > stats.max_drift:
-                stats.max_drift = total
+            moved = float(np.abs(sa - s[acc]).max())
+            if moved > _DRIFT_TOL:
+                raise ConsistencyError(f"density drift {moved!r} in a single step")
+            total = np.abs(sa - s_ref[rows[acc]])
             if record is not None:
                 a = ok.nonzero()[0]
                 record(rows[a], t[a], hs[a], F[a], Y[a], K[:, a])
@@ -510,13 +528,17 @@ def _integrate_batch(
                 F, k1, bound, s = Fa, ka, ba, sa
                 t = np.where(last, t_final, t + hs)
                 err_prev = np.maximum(err, 1e-4)
+                drift = np.maximum(drift, total)
             else:
                 F[acc], k1[acc], bound[acc], s[acc] = Fa, ka, ba, sa
-                t[acc] = np.where(last[acc], t_final, t[acc] + hs[acc])
+                t[acc] = np.where(last[acc], t_final[acc], t[acc] + hs[acc])
                 err_prev[acc] = np.maximum(err[acc], 1e-4)
+                drift[acc] = np.maximum(drift[acc], total)
             steps[acc] += 1
         steady = np.abs(k1, order="C").sum(axis=1) < steady_tol
         leave = steady | (ok & last)
+    stats.row_drift = drift_out
+    stats.max_drift = max(stats.max_drift, float(drift_out.max(initial=0.0)))
     return F_out, conv_out, steps_out, t_out, D_out
 
 
@@ -663,6 +685,21 @@ def _continuity_gaps(F0, G0, t, params, config=None):
     Rows never interact, so each pair's (gap, bound) is bit for bit its
     one-pair value.  Returns the gaps and the bounds as arrays.
     """
+    starts, run = _continuity_rows(F0, G0, t, config)
+    F, _, _, _, D = _integrate_batch(starts, params.eta0, run)
+    return _continuity_bounds(F0, G0, F, D, t, params.eta0)
+
+
+def _continuity_rows(F0, G0, t, config=None):
+    """The rows that the pairs (F0[i], G0[i]) step, F0's then G0's, and their settings.
+
+    The settings are config's first step (the default config's if none
+    is given), the horizon t and no steady exit, so every row reaches t.
+
+    Raises:
+        ValueError: if a pair's densities differ by more than 1e-12, or
+            t is not positive.
+    """
     rf, rg = F0.sum(axis=1), G0.sum(axis=1)
     bad = np.flatnonzero(np.abs(rf - rg) > 1e-12)
     if bad.size:
@@ -674,11 +711,18 @@ def _continuity_gaps(F0, G0, t, params, config=None):
     if not t > 0:
         raise ValueError(f"comparison time must be positive, got {t}")
     config = config or IntegrationConfig()
-    run = IntegrationConfig(dt=config.dt, t_final=t, steady_tol=0.0)
-    F, _, _, _, D = _integrate_batch(np.concatenate([F0, G0]), params.eta0, run)
+    return np.concatenate([F0, G0]), IntegrationConfig(dt=config.dt, t_final=t, steady_tol=0.0)
+
+
+def _continuity_bounds(F0, G0, F, D, t, eta0):
+    """Each pair's gap |g - f|_1 + |g' - f'|_1 at t, and its bound.
+
+    The bound is (1 + 3 eta0) exp(3 eta0 t) |g0 - f0|_1.  F and D are the
+    states at t and their derivatives, of the rows of _continuity_rows in
+    its order.
+    """
     f, g = slice(len(F0)), slice(len(F0), None)
     gap = np.abs(F[g] - F[f]).sum(axis=1) + np.abs(D[g] - D[f]).sum(axis=1)
-    eta0 = params.eta0
     growth = (1.0 + 3.0 * eta0) * math.exp(3.0 * eta0 * t)
     return gap, growth * np.abs(G0 - F0).sum(axis=1)
 

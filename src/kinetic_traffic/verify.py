@@ -10,6 +10,14 @@ Each group exercises one structural property end to end:
   attractivity    random initial data relax onto that equilibrium
   sigma           the detected critical density sits at one half
 
+The conservation, continuity and attractivity groups step their rows of
+one n as one batch, each row with its group's first step, horizon and
+steady tolerance; rows never interact, so each row's result is the one
+its group would get alone.  The three checks then read their rows of
+every n's result.  The uniqueness group enumerates candidates by brute
+force, which stops at n = BRUTEFORCE_MAX_N; above it the detail names
+the range checked.
+
 The table builder is injectable so the stochasticity group can be pointed
 at a deliberately broken construction; it must then fail.
 """
@@ -17,6 +25,7 @@ at a deliberately broken construction; it must then fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -24,9 +33,11 @@ import numpy as np
 from .diagrams import METHOD_RECURSIVE, build_grid, sweep
 from .dynamics import (
     DEFAULT_SEED,
+    BatchStats,
     IntegrationConfig,
-    _continuity_gaps,
-    integrate_batch,
+    _continuity_bounds,
+    _continuity_rows,
+    _integrate_batch,
     random_state_batch,
 )
 from .equilibrium import (
@@ -45,6 +56,20 @@ VERIFY_DENSITIES = (0.2, 0.4, 0.6, 0.8)
 
 _ATTRACT_TOL = 1e-6
 _MATCH_TOL = 1e-10
+
+# the stepping groups' settings; continuity pairs run to _CONTINUITY_T
+# with the default first step and no steady exit
+_CONSERVATION = IntegrationConfig(dt=0.02, t_final=60.0)
+_CONTINUITY_T = 5.0
+# the slowest rate here, 0.024 at rho = 0.2, acts on one Jordan block of
+# size n - 1 in the free phase, so the time to steady grows with n: the
+# slowest attractivity run turns steady at t = 766 for n = 2, 1,777 for
+# n = 12, 4,483 for n = 40 and 6,486 for n = 60, about 100 more per
+# class.  A horizon of 1e5 is 15 times the n = 60 time; a steady row
+# leaves the batch, so the horizon only shortens a run's last step, and
+# the rows of the shorter groups leave at their own horizons
+_ATTRACTIVITY = IntegrationConfig(dt=0.02, t_final=1e5)
+_SAMPLES = 3
 
 TableBuilder = Callable[[int, float], GameTable]
 
@@ -74,38 +99,78 @@ def _check_stochasticity(n_max: int, table_builder: TableBuilder) -> tuple[bool,
     return True, "max row-sum deviation 0"
 
 
-def _check_conservation(n_max: int) -> tuple[bool, str]:
-    config = IntegrationConfig(dt=0.02, t_final=60.0)
-    worst = 0.0
-    for n in range(2, n_max + 1):
-        F0 = np.concatenate(
-            [random_state_batch(n, rho, 4, seed=DEFAULT_SEED + n) for rho in VERIFY_DENSITIES]
+@dataclass(frozen=True)
+class _Stepped:
+    """What the stepping groups read of one n's batch.
+
+    drift is the conservation rows' largest density drift, gaps and
+    bounds are the continuity pairs', three per density, and final and
+    converged the attractivity rows' end states and steady flags,
+    _SAMPLES per density.
+    """
+
+    n: int
+    drift: float
+    gaps: np.ndarray
+    bounds: np.ndarray
+    final: np.ndarray
+    converged: np.ndarray
+
+
+def _step(n: int) -> _Stepped:
+    """Step the conservation, continuity and attractivity rows of n as one batch."""
+
+    def starts(count, seed):
+        return np.concatenate(
+            [random_state_batch(n, rho, count, seed=seed) for rho in VERIFY_DENSITIES]
         )
-        _, _, _, stats = integrate_batch(F0, ModelParams(n=n), config)
-        worst = max(worst, stats.max_drift)
-        if stats.max_drift > 1e-12:
-            return False, f"density drifted by {stats.max_drift:.3e} at n={n}"
+
+    pairs = starts(6, DEFAULT_SEED + 7 * n)
+    F0, G0 = pairs[0::2], pairs[1::2]
+    groups = [
+        (starts(4, DEFAULT_SEED + n), _CONSERVATION),
+        _continuity_rows(F0, G0, _CONTINUITY_T),
+        (starts(_SAMPLES, DEFAULT_SEED + 13 * n), _ATTRACTIVITY),
+    ]
+    sizes = [len(rows) for rows, _ in groups]
+    settings = SimpleNamespace(
+        **{
+            key: np.repeat([getattr(config, key) for _, config in groups], sizes)
+            for key in ("dt", "t_final", "steady_tol")
+        }
+    )
+    eta0, stats = ModelParams(n=n).eta0, BatchStats()
+    F, conv, _, _, D = _integrate_batch(
+        np.concatenate([rows for rows, _ in groups]), eta0, settings, stats
+    )
+    a, b = sizes[0], sizes[0] + sizes[1]
+    gaps, bounds = _continuity_bounds(F0, G0, F[a:b], D[a:b], _CONTINUITY_T, eta0)
+    return _Stepped(n, float(stats.row_drift[:a].max()), gaps, bounds, F[b:], conv[b:])
+
+
+def _check_conservation(runs: list[_Stepped]) -> tuple[bool, str]:
+    worst = 0.0
+    for run in runs:
+        worst = max(worst, run.drift)
+        if run.drift > 1e-12:
+            return False, f"density drifted by {run.drift:.3e} at n={run.n}"
     return True, f"max density drift {worst:.3e}"
 
 
-def _check_continuity(n_max: int) -> tuple[bool, str]:
-    t = 5.0
-    for n in range(2, n_max + 1):
-        # three pairs per density, all densities of one n in one batch
-        starts = np.concatenate(
-            [random_state_batch(n, rho, 6, seed=DEFAULT_SEED + 7 * n) for rho in VERIFY_DENSITIES]
-        )
-        gaps, bounds = _continuity_gaps(starts[0::2], starts[1::2], t, ModelParams(n=n))
-        bad = np.flatnonzero(gaps > bounds)
+def _check_continuity(runs: list[_Stepped]) -> tuple[bool, str]:
+    for run in runs:
+        bad = np.flatnonzero(run.gaps > run.bounds)
         if bad.size:
             i = bad[0]
             rho = VERIFY_DENSITIES[i // 3]
-            return False, f"gap {gaps[i]:.3e} exceeds bound {bounds[i]:.3e} at n={n}, rho={rho:g}"
-    return True, f"all sampled pairs within the growth bound up to t={t:g}"
+            return False, (f"gap {run.gaps[i]:.3e} exceeds bound {run.bounds[i]:.3e} "
+                           f"at n={run.n}, rho={rho:g}")
+    return True, f"all sampled pairs within the growth bound up to t={_CONTINUITY_T:g}"
 
 
 def _check_uniqueness(n_max: int) -> tuple[bool, str]:
-    for n in range(2, min(n_max, BRUTEFORCE_MAX_N) + 1):
+    top = min(n_max, BRUTEFORCE_MAX_N)
+    for n in range(2, top + 1):
         params = ModelParams(n=n)
         closed_forms = _closed_form(n, np.array(VERIFY_DENSITIES))
         for rho, closed in zip(VERIFY_DENSITIES, closed_forms):
@@ -119,34 +184,22 @@ def _check_uniqueness(n_max: int) -> tuple[bool, str]:
             if err > _MATCH_TOL:
                 return False, (f"attracting equilibrium off the closed form by {err:.3e} "
                                f"at n={n}, rho={rho:g}")
-    return True, f"one attracting equilibrium per density, matching within {_MATCH_TOL:g}"
+    detail = f"one attracting equilibrium per density, matching within {_MATCH_TOL:g}"
+    if top < n_max:
+        detail += f", checked for n=2..{top} only (the brute-force limit)"
+    return True, detail
 
 
-def _check_attractivity(n_max: int) -> tuple[bool, str]:
-    # the slowest rate here, 0.024 at rho = 0.2, acts on one Jordan block
-    # of size n - 1 in the free phase, so the time to steady grows with n:
-    # the slowest of these runs turns steady at t = 766 for n = 2, 1,777
-    # for n = 12, 4,483 for n = 40 and 6,486 for n = 60, about 100 more per
-    # class.  A horizon of 1e5 is 15 times the n = 60 time; steady runs
-    # leave the batch, so it only shortens a run's last step
-    config = IntegrationConfig(dt=0.02, t_final=1e5)
-    samples = 3
+def _check_attractivity(runs: list[_Stepped]) -> tuple[bool, str]:
     worst = 0.0
-    for n in range(2, n_max + 1):
-        F0 = np.concatenate(
-            [
-                random_state_batch(n, rho, samples, seed=DEFAULT_SEED + 13 * n)
-                for rho in VERIFY_DENSITIES
-            ]
-        )
-        F, conv, _, _ = integrate_batch(F0, ModelParams(n=n), config)
-        if not conv.all():
-            return False, f"{int((~conv).sum())} runs never went steady at n={n}"
-        targets = np.repeat(_closed_form(n, np.array(VERIFY_DENSITIES)), samples, axis=0)
-        err = float(np.abs(F - targets).max())
+    for run in runs:
+        if not run.converged.all():
+            return False, f"{int((~run.converged).sum())} runs never went steady at n={run.n}"
+        targets = np.repeat(_closed_form(run.n, np.array(VERIFY_DENSITIES)), _SAMPLES, axis=0)
+        err = float(np.abs(run.final - targets).max())
         worst = max(worst, err)
         if err > _ATTRACT_TOL:
-            return False, f"final state off by {err:.3e} at n={n}"
+            return False, f"final state off by {err:.3e} at n={run.n}"
     return True, f"max distance to equilibrium {worst:.3e}"
 
 
@@ -164,15 +217,17 @@ def run_suite(n_max: int = 6, table_builder: TableBuilder = build_game_table) ->
     """Run every invariant group for n = 2 .. n_max.
 
     Returns one CheckResult per group, in a fixed order.  Each _check_
-    function returns (passed, detail) and stops at its first failure.
+    function returns (passed, detail) and stops at its first failure; the
+    stepping groups read one batch per n, stepped before any check.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
+    runs = [_step(n) for n in range(2, n_max + 1)]
     return [
         CheckResult("stochasticity", *_check_stochasticity(n_max, table_builder)),
-        CheckResult("conservation", *_check_conservation(n_max)),
-        CheckResult("continuity", *_check_continuity(n_max)),
+        CheckResult("conservation", *_check_conservation(runs)),
+        CheckResult("continuity", *_check_continuity(runs)),
         CheckResult("uniqueness", *_check_uniqueness(n_max)),
-        CheckResult("attractivity", *_check_attractivity(n_max)),
+        CheckResult("attractivity", *_check_attractivity(runs)),
         CheckResult("sigma", *_check_sigma(n_max)),
     ]

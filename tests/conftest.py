@@ -19,8 +19,18 @@ from kinetic_traffic import (
     IntegrationConfig,
     IntegrationDivergedError,
 )
-from kinetic_traffic import dynamics
-from kinetic_traffic.dynamics import _A, _D, _E, _clamp_batch, _integrate_batch
+from kinetic_traffic import ModelParams, dynamics, integrate_batch, random_state_batch
+from kinetic_traffic.dynamics import (
+    DEFAULT_SEED,
+    _A,
+    _D,
+    _E,
+    _clamp_batch,
+    _continuity_gaps,
+    _integrate_batch,
+)
+from kinetic_traffic.equilibrium import _closed_form
+from kinetic_traffic.verify import VERIFY_DENSITIES
 
 settings.register_profile(
     "tier1", derandomize=True, max_examples=60, deadline=None, database=None
@@ -333,6 +343,80 @@ def continuity_gap_reference(f0, g0, t, params, config=None):
     eta0 = params.eta0
     bound = (1.0 + 3.0 * eta0) * math.exp(3.0 * eta0 * t) * float(np.abs(g0.f - f0.f).sum())
     return gap, bound
+
+
+def verify_groups_reference(n_max):
+    """verify's conservation, continuity and attractivity groups, one loop call per group and n.
+
+    The reference for the suite's one batch per n.  Returns
+    {group: (passed, detail)} and, for each n, what the groups read:
+    the conservation rows' max drift, the continuity pairs' gaps and
+    bounds, and the attractivity rows' end states and steady flags.
+    """
+    seen = {n: {} for n in range(2, n_max + 1)}
+
+    def conservation():
+        config = IntegrationConfig(dt=0.02, t_final=60.0)
+        worst = 0.0
+        for n in range(2, n_max + 1):
+            F0 = np.concatenate(
+                [random_state_batch(n, rho, 4, seed=DEFAULT_SEED + n) for rho in VERIFY_DENSITIES]
+            )
+            _, _, _, stats = integrate_batch(F0, ModelParams(n=n), config)
+            seen[n]["drift"] = stats.max_drift
+            worst = max(worst, stats.max_drift)
+            if stats.max_drift > 1e-12:
+                return False, f"density drifted by {stats.max_drift:.3e} at n={n}"
+        return True, f"max density drift {worst:.3e}"
+
+    def continuity():
+        t = 5.0
+        for n in range(2, n_max + 1):
+            starts = np.concatenate(
+                [random_state_batch(n, rho, 6, seed=DEFAULT_SEED + 7 * n)
+                 for rho in VERIFY_DENSITIES]
+            )
+            gaps, bounds = _continuity_gaps(starts[0::2], starts[1::2], t, ModelParams(n=n))
+            seen[n]["gaps"], seen[n]["bounds"] = gaps, bounds
+            bad = np.flatnonzero(gaps > bounds)
+            if bad.size:
+                i = bad[0]
+                rho = VERIFY_DENSITIES[i // 3]
+                return False, (f"gap {gaps[i]:.3e} exceeds bound {bounds[i]:.3e} "
+                               f"at n={n}, rho={rho:g}")
+        return True, f"all sampled pairs within the growth bound up to t={t:g}"
+
+    def attractivity():
+        config = IntegrationConfig(dt=0.02, t_final=1e5)
+        samples = 3
+        worst = 0.0
+        for n in range(2, n_max + 1):
+            F0 = np.concatenate(
+                [random_state_batch(n, rho, samples, seed=DEFAULT_SEED + 13 * n)
+                 for rho in VERIFY_DENSITIES]
+            )
+            F, conv, _, _ = integrate_batch(F0, ModelParams(n=n), config)
+            seen[n]["final"], seen[n]["converged"] = F, conv
+            if not conv.all():
+                return False, f"{int((~conv).sum())} runs never went steady at n={n}"
+            targets = np.repeat(_closed_form(n, np.array(VERIFY_DENSITIES)), samples, axis=0)
+            err = float(np.abs(F - targets).max())
+            worst = max(worst, err)
+            if err > 1e-6:
+                return False, f"final state off by {err:.3e} at n={n}"
+        return True, f"max distance to equilibrium {worst:.3e}"
+
+    results = {
+        "conservation": conservation(),
+        "continuity": continuity(),
+        "attractivity": attractivity(),
+    }
+    return results, seen
+
+
+@pytest.fixture(scope="session")
+def verify_groups_oracle():
+    return verify_groups_reference
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import kinetic_traffic
 from kinetic_traffic import (
+    BatchStats,
     GameTable,
     IntegrationConfig,
     KineticState,
@@ -36,7 +37,8 @@ from kinetic_traffic import (
 from kinetic_traffic.cli import main
 from kinetic_traffic.dynamics import random_state, run_trajectory
 from kinetic_traffic.serialize import _TABLE_BLOCK, trajectory_csv
-from kinetic_traffic.verify import _check_attractivity, run_suite
+from kinetic_traffic import dynamics, verify
+from kinetic_traffic.verify import _check_attractivity, _check_uniqueness, _step, run_suite
 
 
 _EDGE_DENSITIES = [0.0, 5e-324, 1e-300, math.nextafter(0.5, 0.0), 0.5,
@@ -322,8 +324,68 @@ class TestVerifyCommand:
     def test_attractivity_covers_the_slow_free_phase_at_n_12(self):
         # the free phase relaxes on one Jordan block of size n - 1, so the
         # time to steady grows with n: at n = 12 the slowest run needs 1,777
-        passed, detail = _check_attractivity(12)
+        passed, detail = _check_attractivity([_step(n) for n in range(2, 13)])
         assert passed, detail
+
+    def test_uniqueness_names_the_range_it_checked(self):
+        # brute force stops at n = 12; past it the detail says so, and up
+        # to it the detail is unchanged
+        passed, detail = _check_uniqueness(12)
+        assert passed and detail == (
+            "one attracting equilibrium per density, matching within 1e-10"
+        )
+        passed, detail = _check_uniqueness(13)
+        assert passed and detail == (
+            "one attracting equilibrium per density, matching within 1e-10, "
+            "checked for n=2..12 only (the brute-force limit)"
+        )
+
+    @pytest.fixture
+    def loop_stats(self, monkeypatch):
+        # the stats of every stepping-loop call, from verify and from the
+        # public entry points alike
+        calls = []
+        exact = dynamics._integrate_batch
+
+        def counted(F0, eta0, config, stats=None, record=None):
+            calls.append(BatchStats() if stats is None else stats)
+            return exact(F0, eta0, config, calls[-1], record)
+
+        monkeypatch.setattr(dynamics, "_integrate_batch", counted)
+        monkeypatch.setattr(verify, "_integrate_batch", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
+    def test_one_batch_per_n_equals_the_three_call_groups(
+        self, monkeypatch, loop_stats, verify_groups_oracle, n_max
+    ):
+        def work(calls):
+            keys = ("accepted", "rejected", "rhs_evals")
+            return [sum(getattr(stats, k) for stats in calls) for k in keys]
+
+        want, want_seen = verify_groups_oracle(n_max)
+        assert len(loop_stats) == 3 * (n_max - 1)
+        want_work = work(loop_stats)
+        loop_stats.clear()
+        runs = []
+        exact = verify._step
+
+        def step(n):
+            runs.append(exact(n))
+            return runs[-1]
+
+        monkeypatch.setattr(verify, "_step", step)
+        results = {r.name: (r.passed, r.detail) for r in run_suite(n_max)}
+        assert len(loop_stats) == n_max - 1
+        assert work(loop_stats) == want_work
+        assert {name: results[name] for name in want} == want
+        assert [run.n for run in runs] == list(range(2, n_max + 1))
+        for run in runs:
+            seen = want_seen[run.n]
+            assert run.drift == seen["drift"]
+            for name in ("gaps", "bounds", "final", "converged"):
+                got, expected = getattr(run, name), seen[name]
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 """Relaxation dynamics: vector field, stepper, trajectories."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,6 +81,10 @@ EDGES = [0.0, HALF_DOWN, 0.5, HALF_UP, 1.0]
 
 # densities over [0, 1] with the edges drawn explicitly
 DENSITIES = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0))
+
+# steady tolerances: none, the default, a loose one and one the empty
+# road's zero derivative meets at the start
+TOLS = [0.0, 1e-10, 1e-6, 1.0]
 
 
 class TestVectorField:
@@ -536,6 +541,52 @@ class TestPairProperties:
             assert conv_a[0] == conv[j] and steps_a[0] == steps[j]
             counts += (stats_a.rhs_evals, stats_a.accepted, stats_a.rejected)
         assert tuple(counts) == (stats.rhs_evals, stats.accepted, stats.rejected)
+
+    @given(
+        st.integers(2, 12),
+        st.lists(
+            st.tuples(st.floats(0.01, 4.0), st.floats(0.01, 30.0), st.sampled_from(TOLS)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.lists(st.tuples(st.integers(0, 2), DENSITIES), min_size=1, max_size=8),
+        st.integers(0, 2**30),
+    )
+    # the empty road is steady at the start; steady_tol = 0 runs to the
+    # horizon; a first step of 4 is rejected; a horizon inside the first step
+    @example(2, [(0.05, 20.0, 1e-10), (4.0, 30.0, 0.0)], [(0, 0.0), (1, 0.3), (0, 0.7)], 0)
+    @example(12, [(1.0, 0.5, 0.0), (4.0, 10.0, 1e-6)], [(1, 0.95), (0, 0.6), (1, 0.0)], 1)
+    @example(12, [(0.02, 5.0, 0.0), (0.01, 0.005, 1e-10), (4.0, 30.0, 1e-10)],
+             [(2, 0.2), (0, 0.4), (1, 0.6), (2, 0.8), (0, 0.2), (1, 1.0)], 2)
+    def test_per_row_settings_equal_each_group_alone(self, n, configs, rows, seed):
+        # rows of several (dt, t_final, steady_tol) groups, in any order and
+        # grouping, in one batch with per-row settings: each group's rows
+        # come out as the group's own call gives them
+        configs = [IntegrationConfig(dt=d, t_final=t, steady_tol=tol) for d, t, tol in configs]
+        group = np.array([g % len(configs) for g, _ in rows])
+        F0 = np.concatenate(
+            [random_state_batch(n, r, 1, seed=seed + i) for i, (_, r) in enumerate(rows)]
+        )
+        settings = SimpleNamespace(**{
+            key: [getattr(configs[g], key) for g in group]
+            for key in ("dt", "t_final", "steady_tol")
+        })
+        stats = BatchStats()
+        batch = dynamics._integrate_batch(F0, 1.0, settings, stats)
+        counts = np.zeros(3, dtype=int)
+        for g, config in enumerate(configs):
+            mine = group == g
+            if not mine.any():
+                continue
+            alone_stats = BatchStats()
+            alone = dynamics._integrate_batch(F0[mine], 1.0, config, alone_stats)
+            for x, x_alone in zip(batch, alone, strict=True):
+                assert same_bits(x[mine], x_alone), f"group {g} diverged from the batch"
+            assert same_bits(stats.row_drift[mine], alone_stats.row_drift)
+            assert alone_stats.max_drift == alone_stats.row_drift.max()
+            counts += (alone_stats.rhs_evals, alone_stats.accepted, alone_stats.rejected)
+        assert tuple(counts) == (stats.rhs_evals, stats.accepted, stats.rejected)
+        assert stats.max_drift == stats.row_drift.max()
 
     @given(st.integers(2, 40), DENSITIES, st.integers(0, 2**30))
     def test_conservation_and_positivity_along_the_loop(self, n, rho, seed):
