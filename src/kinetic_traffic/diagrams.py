@@ -180,20 +180,20 @@ def sweep(
         chunk_columns = [_sweep_chunk(t) for t in tasks]
     q, u, converged = (np.concatenate(c) for c in zip(*chunk_columns))
     good = q[converged]
-    u_tol = INTEGRATE_U_TOL if method == METHOD_INTEGRATE else U_TOL
     # the grid is increasing, so the free points come first
     free = int(np.searchsorted(grid, CRITICAL_DENSITY, side="right"))
     return Diagram(
         n=int(n), method=method, units=UNITS_DIMENSIONLESS,
-        sigma=_free_end(grid, u, converged, u_tol),
+        sigma=_free_end(grid, u, converged, method),
         q_max=float(good.max()) if good.size else float("nan"),
         rho=grid, q=q, u=u, converged=converged,
         phase=(PHASE_FREE,) * free + (PHASE_CONGESTED,) * (grid.size - free),
     )
 
 
-def _free_end(rho: np.ndarray, u: np.ndarray, converged: np.ndarray, u_tol: float) -> float:
+def _free_end(rho: np.ndarray, u: np.ndarray, converged: np.ndarray, method: str) -> float:
     """detect_sigma on the columns, which sweep calls before its Diagram exists."""
+    u_tol = INTEGRATE_U_TOL if method == METHOD_INTEGRATE else U_TOL
     free = rho[converged & (rho > 0.0) & (u >= 1.0 - u_tol)]
     if not free.size:
         raise MalformedDiagramError(
@@ -206,16 +206,18 @@ def _free_end(rho: np.ndarray, u: np.ndarray, converged: np.ndarray, u_tol: floa
     return sigma
 
 
-def detect_sigma(diagram: Diagram, u_tol: float = U_TOL) -> float:
+def detect_sigma(diagram: Diagram) -> float:
     """End of the free phase: largest density still moving at full speed.
 
-    Scans converged points for the largest rho with u >= 1 - u_tol.  The
+    Scans converged points for the largest rho with u >= 1 - u_tol, where
+    u_tol is INTEGRATE_U_TOL for an integrate sweep and U_TOL otherwise,
+    as sweep takes it, so the result is the diagram's own sigma.  The
     flux peaks there, so this locates the capacity of the road without
     relying on the argmax of q, which is flat to first order.
     """
     if diagram.units != UNITS_DIMENSIONLESS:
         raise ValueError("sigma detection expects a dimensionless diagram")
-    return _free_end(diagram.rho, diagram.u, diagram.converged, u_tol)
+    return _free_end(diagram.rho, diagram.u, diagram.converged, diagram.method)
 
 
 def rescale_dimensional(diagram: Diagram, params: ModelParams) -> Diagram:

@@ -37,22 +37,23 @@ returned to the largest component, which keeps the density bit-for-bit
 meaningful; a dip below -1e-12 aborts the run as a genuine failure.
 
 One stepping loop, _integrate_batch, serves every entry point:
-integrate_batch, run_trajectory, continuity_gap and verify.  Each row
-has its own first step, horizon and steady tolerance; the public entry
-points give every row the one IntegrationConfig they take, and verify
-steps the conservation, continuity and attractivity rows of one n, each
-with its group's settings, as one batch.  continuity_gap steps its pair
-in one batch.  The loop hands each accepted step (its time, size,
-start, end and stages) to a recorder callback; run_trajectory keeps them
-and evaluates the samples of all steps in one batch after the loop, so
-a sample below the clamp window raises when the loop has ended.  The
-loop applies one conservation policy: a row's density may move by at
-most 1e-13 in a single accepted step, checked against the row sum before
-the step, or the run raises ConsistencyError.  The measured per-step
-drift is below 1e-15.  The loop also keeps each row's largest drift from
-its start, so the rows of one group in a mixed batch read their own.  It
-raises its own errors on non-finite values and runs with numpy's
-floating-point warnings off.
+integrate_batch, run_trajectory, continuity_gap and verify.  It takes
+the first step, horizon and steady tolerance as arguments, each one
+value or one value per row; the public entry points pass the fields of
+the one IntegrationConfig they take, and verify steps the conservation,
+continuity and attractivity rows of one n, each with its group's
+settings, as one batch.  continuity_gap steps its pair in one batch.
+The loop hands each accepted step (its time, size, start, end and
+stages) to a recorder callback; run_trajectory keeps them and evaluates
+the samples of all steps in one batch after the loop, so a sample below
+the clamp window raises when the loop has ended.  The loop applies one
+conservation policy: a row's density may move by at most 1e-13 in a
+single accepted step, checked against the row sum before the step, or
+the run raises ConsistencyError.  The measured per-step drift is below
+1e-15.  The loop also returns each row's largest drift from its start,
+so the rows of one group in a mixed batch read their own.  It raises its
+own errors on non-finite values and runs with numpy's floating-point
+warnings off.
 
 The loop takes a batch of states as the rows of a matrix.  Rows evolve
 independently through elementwise arithmetic in a fixed order, and a row
@@ -79,7 +80,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,11 +249,9 @@ class BatchStats:
 
     rhs_evals counts row evaluations of the vector field, accepted and
     rejected count row steps; each is the sum of what the rows would
-    count on their own.  row_drift holds, for each row of the last run,
-    the largest distance of its density from its start, so a group of
-    rows in a mixed batch reads its own drift; max_drift is the largest
-    over every run.  row_drift is left out of the comparison and the
-    repr, which stay those of the scalar fields.
+    count on their own.  max_drift is the largest distance of a row's
+    density from its start over every run; the loop returns each row's
+    own.
     """
 
     min_preclamp: float = 0.0
@@ -261,7 +260,6 @@ class BatchStats:
     rhs_evals: int = 0
     accepted: int = 0
     rejected: int = 0
-    row_drift: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _rates(eta0, rho, P, P_prev):
@@ -396,28 +394,30 @@ def _clamp_batch(F: np.ndarray, stats: BatchStats) -> np.ndarray:
 def _integrate_batch(
     F0: np.ndarray,
     eta0: float,
-    config: IntegrationConfig,
+    dt,
+    t_final,
+    steady_tol,
     stats: BatchStats | None = None,
     record: Callable | None = None,
 ):
     """March every row of F0 until it is steady or reaches its t_final.
 
-    config's dt, t_final and steady_tol are each one value for every row
-    or a sequence of one value per row; IntegrationConfig gives the
-    first.  A row leaves the working array, with its settings, once the
-    1-norm of its derivative is below its steady_tol, or once its last
-    step, cut to end exactly on its t_final, is accepted.  stats.row_drift
-    receives each row's largest density drift from its start, and
-    stats.max_drift keeps the largest it has seen.  After each pass that
+    dt (the first trial step), t_final and steady_tol are each one value
+    for every row or a sequence of one value per row.  A row leaves the
+    working array, with its settings, once the 1-norm of its derivative
+    is below its steady_tol, or once its last step, cut to end exactly on
+    its t_final, is accepted.  stats.max_drift keeps the largest density
+    drift it has seen.  After each pass that
     accepts steps, record(rows, t, h, F, Y, K) receives copies, the
     hook's to keep, of what _dense needs to evaluate those steps: the
     original indices of the rows that advanced, their times before the
     step, the step sizes, the states before the step, the unclamped
     fifth-order solutions and the seven stages, shape (7, rows, n).
 
-    Returns (F, converged, steps, t, D): the final rows, a boolean mask of
-    rows whose final derivative is below their steady_tol, the accepted steps
-    per row, the time each row stopped at, and the derivative at F.
+    Returns (F, converged, steps, t, D, drift): the final rows, a boolean
+    mask of rows whose final derivative is below their steady_tol, the
+    accepted steps per row, the time each row stopped at, the derivative
+    at F, and each row's largest density drift from its start.
 
     Raises:
         ConsistencyError: if a row's density moves by more than 1e-13 in
@@ -430,7 +430,7 @@ def _integrate_batch(
     F = np.array(F0, dtype=float, order="F")
     stats = BatchStats() if stats is None else stats
     m, n = F.shape
-    t_final, steady_tol = (np.full(m, x, dtype=float) for x in (config.t_final, config.steady_tol))
+    t_final, steady_tol = (np.full(m, x, dtype=float) for x in (t_final, steady_tol))
     F_out, D_out = np.empty((m, n)), np.empty((m, n))
     conv_out = np.zeros(m, dtype=bool)
     steps_out = np.zeros(m, dtype=int)
@@ -446,7 +446,7 @@ def _integrate_batch(
     bound = _stable_step(eta0, C)
     stats.rhs_evals += m
     t = np.zeros(m)
-    h = np.full(m, config.dt, dtype=float)
+    h = np.full(m, dt, dtype=float)
     err_prev = np.full(m, 1e-4)
     rejected = np.zeros(m, dtype=bool)
     steps = np.zeros(m, dtype=int)
@@ -537,9 +537,8 @@ def _integrate_batch(
             steps[acc] += 1
         steady = np.abs(k1, order="C").sum(axis=1) < steady_tol
         leave = steady | (ok & last)
-    stats.row_drift = drift_out
     stats.max_drift = max(stats.max_drift, float(drift_out.max(initial=0.0)))
-    return F_out, conv_out, steps_out, t_out, D_out
+    return F_out, conv_out, steps_out, t_out, D_out, drift_out
 
 
 def _check_classes(n: int, params: ModelParams) -> None:
@@ -566,7 +565,9 @@ def integrate_batch(
     _check_classes(F0.shape[1], params)
     config = config or IntegrationConfig()
     stats = BatchStats()
-    F, conv, steps, _, _ = _integrate_batch(F0, params.eta0, config, stats)
+    F, conv, steps, *_ = _integrate_batch(
+        F0, params.eta0, config.dt, config.t_final, config.steady_tol, stats
+    )
     return F, conv, steps, stats
 
 
@@ -595,8 +596,9 @@ def run_trajectory(
     _check_classes(state.n, params)
     stride, dt = config.record_stride, config.dt
     taken = []
-    F, conv, _, t_end, _ = _integrate_batch(
-        state.f[None, :], params.eta0, config, record=lambda *s: taken.append(s)
+    F, conv, _, t_end, *_ = _integrate_batch(
+        state.f[None, :], params.eta0, dt, config.t_final, config.steady_tol,
+        record=lambda *s: taken.append(s),
     )
     ts = np.zeros(0)
     if taken:
@@ -685,20 +687,18 @@ def _continuity_gaps(F0, G0, t, params, config=None):
     Rows never interact, so each pair's (gap, bound) is bit for bit its
     one-pair value.  Returns the gaps and the bounds as arrays.
     """
-    starts, run = _continuity_rows(F0, G0, t, config)
-    F, _, _, _, D = _integrate_batch(starts, params.eta0, run)
+    dt = (config or IntegrationConfig()).dt
+    # no steady exit, so every row reaches t
+    F, _, _, _, D, _ = _integrate_batch(_continuity_rows(F0, G0, t), params.eta0, dt, t, 0.0)
     return _continuity_bounds(F0, G0, F, D, t, params.eta0)
 
 
-def _continuity_rows(F0, G0, t, config=None):
-    """The rows that the pairs (F0[i], G0[i]) step, F0's then G0's, and their settings.
-
-    The settings are config's first step (the default config's if none
-    is given), the horizon t and no steady exit, so every row reaches t.
+def _continuity_rows(F0, G0, t):
+    """The rows that the pairs (F0[i], G0[i]) step to time t, F0's then G0's.
 
     Raises:
         ValueError: if a pair's densities differ by more than 1e-12, or
-            t is not positive.
+            t is not positive and finite.
     """
     rf, rg = F0.sum(axis=1), G0.sum(axis=1)
     bad = np.flatnonzero(np.abs(rf - rg) > 1e-12)
@@ -708,10 +708,9 @@ def _continuity_rows(F0, G0, t, config=None):
             f"density mismatch: {float(rf[i])!r} vs {float(rg[i])!r}; the estimate "
             "applies to equal-density pairs"
         )
-    if not t > 0:
-        raise ValueError(f"comparison time must be positive, got {t}")
-    config = config or IntegrationConfig()
-    return np.concatenate([F0, G0]), IntegrationConfig(dt=config.dt, t_final=t, steady_tol=0.0)
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"comparison time must be positive and finite, got {t}")
+    return np.concatenate([F0, G0])
 
 
 def _continuity_bounds(F0, G0, F, D, t, eta0):

@@ -82,7 +82,7 @@ about 4e-16 to 4e-14 and about a quarter of the printed fluxes change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -286,30 +286,6 @@ def equilibrium_recursive(n: int, rho: float) -> EquilibriumResult:
     return EquilibriumResult(n=n, rho=rho, f_inf=F[0], phase=phase, b=B, c=C, delta=delta)
 
 
-def _cumulative_partials(f: np.ndarray, params: ModelParams):
-    """Partial derivatives of the cumulative-form right-hand side.
-
-    Returns (rho, lam, sub, d_rho) for the state f, where entry j-1 of
-    each vector belongs to dP_j/dt, j = 1 .. n-1: lam holds the diagonal
-    d/dP_j (the hyperplane eigenvalues), sub the d/dP_{j-1} (unused for
-    j = 1, where P_0 = 0 is fixed) and d_rho the d/dP_n, the response to
-    the density itself.
-    """
-    f = np.asarray(f, dtype=float)
-    _check_classes(f.size, params)
-    C = np.zeros(f.size + 1)
-    f.cumsum(out=C[1:])
-    rho, P, P_prev, fj = float(C[-1]), C[1:-1], C[:-2], f[:-1]
-    lam = _rates(params.eta0, rho, P, P_prev)
-    sub = params.eta0 * rho * (1.0 - rho) * (rho + P - 2.0 * P_prev)
-    d_rho = params.eta0 * (
-        rho * P * (3.0 * rho - 2.0 * P)
-        - (1.0 - 2.0 * rho) * fj * (rho - P_prev)
-        - rho * (1.0 - rho) * fj
-    )
-    return rho, lam, sub, d_rho
-
-
 def jacobian(f: np.ndarray, params: ModelParams) -> np.ndarray:
     """Derivative matrix of the interaction dynamics at state f.
 
@@ -327,8 +303,22 @@ def jacobian(f: np.ndarray, params: ModelParams) -> np.ndarray:
     Returns:
         n x n matrix J with J[j, i] = d rhs_j / d f_i.
     """
-    _, lam, sub, d_rho = _cumulative_partials(f, params)
-    n = params.n
+    # the partial derivatives of dP_j/dt, j = 1 .. n-1, by P_j (the
+    # hyperplane eigenvalues), by P_{j-1} (unused for j = 1, where P_0 = 0
+    # is fixed) and by P_n, the response to the density itself
+    f = np.asarray(f, dtype=float)
+    _check_classes(f.size, params)
+    C = np.zeros(f.size + 1)
+    f.cumsum(out=C[1:])
+    rho, P, P_prev, fj = float(C[-1]), C[1:-1], C[:-2], f[:-1]
+    eta0, n = params.eta0, params.n
+    lam = _rates(eta0, rho, P, P_prev)
+    sub = eta0 * rho * (1.0 - rho) * (rho + P - 2.0 * P_prev)
+    d_rho = eta0 * (
+        rho * P * (3.0 * rho - 2.0 * P)
+        - (1.0 - 2.0 * rho) * fj * (rho - P_prev)
+        - rho * (1.0 - rho) * fj
+    )
     # row j of J_P L: entry i sums J_P[j, k] over k >= i
     JL = np.zeros((n, n))
     JL[:-1] = (
@@ -360,8 +350,12 @@ def stability_report(f: np.ndarray, params: ModelParams) -> StabilityReport:
     An all-zero state has a frozen linearization (the encounter rate
     vanishes), which is flagged instead of classified.
     """
-    s, lam, _, _ = _cumulative_partials(f, params)
-    hyper = np.sort(lam)[::-1]
+    f = np.asarray(f, dtype=float)
+    _check_classes(f.size, params)
+    C = np.zeros(f.size + 1)
+    f.cumsum(out=C[1:])
+    s = float(C[-1])
+    hyper = np.sort(_rates(params.eta0, s, C[1:-1], C[:-2]))[::-1]
     zero_mode = int(np.count_nonzero(hyper > 0.0))
     degenerate = s <= _TINY
     nilpotent = not degenerate and not hyper.any()
@@ -401,7 +395,11 @@ def _bruteforce_levels(n: int, rho: float):
     A double root and the remainder class count as larger roots.
     """
     lo, hi = 0.0, 2.0 * rho - 1.0
-    f1_branches = [(0.0, True)] if abs(hi - lo) <= 1e-14 else [(lo, lo > hi), (hi, hi > lo)]
+    # branches within 1e-14 merge into the closed form's max(0, 2 rho - 1)
+    if abs(hi - lo) <= 1e-14:
+        f1_branches = [(max(lo, hi), True)]
+    else:
+        f1_branches = [(lo, lo > hi), (hi, hi > lo)]
     stack = [(np.array([v]), larger) for v, larger in f1_branches if v >= -_TINY]
     terms = _density_terms(np.array([rho]))
     for j in range(2, n):
@@ -468,14 +466,17 @@ def equilibrium_bruteforce(
     if params.n != n:
         raise ValueError(f"params expect n={params.n}, got n={n}")
     candidates = []
-    seen: list[np.ndarray] = []
     for vec, larger in _bruteforce_levels(int(n), float(rho)):
         residual = float(np.abs(_rhs_batch(vec[None, :], params.eta0)).sum())
         if residual > 1e-10:
             continue
-        if any(np.abs(vec - prev).max() <= 1e-10 for prev in seen):
+        same = [i for i, c in enumerate(candidates) if np.abs(vec - c.f).max() <= 1e-10]
+        if same:
+            # the first vector stays; reached from the larger roots by any
+            # of its duplicates, it counts as reached from them
+            if larger:
+                candidates[same[0]] = replace(candidates[same[0]], from_larger_roots=True)
             continue
-        seen.append(vec)
         verdict = stability_report(vec, params).verdict
         candidates.append(EquilibriumCandidate(vec, residual, verdict, larger))
     return candidates

@@ -11,8 +11,9 @@ Each group exercises one structural property end to end:
   sigma           the detected critical density sits at one half
 
 The conservation, continuity and attractivity groups step their rows of
-one n as one batch, each row with its group's first step, horizon and
-steady tolerance; rows never interact, so each row's result is the one
+one n as one batch: the loop takes a first step, horizon and steady
+tolerance per row, each its group's, and returns each row's result and
+density drift.  Rows never interact, so each row's result is the one
 its group would get alone.  The three checks then read their rows of
 every n's result.  The uniqueness group enumerates candidates by brute
 force, which stops at n = BRUTEFORCE_MAX_N; above it the detail names
@@ -25,7 +26,6 @@ at a deliberately broken construction; it must then fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,6 @@ import numpy as np
 from .diagrams import METHOD_RECURSIVE, build_grid, sweep
 from .dynamics import (
     DEFAULT_SEED,
-    BatchStats,
     IntegrationConfig,
     _continuity_bounds,
     _continuity_rows,
@@ -57,10 +56,10 @@ VERIFY_DENSITIES = (0.2, 0.4, 0.6, 0.8)
 _ATTRACT_TOL = 1e-6
 _MATCH_TOL = 1e-10
 
-# the stepping groups' settings; continuity pairs run to _CONTINUITY_T
-# with the default first step and no steady exit
+# the stepping groups' settings; continuity pairs run to t = 5 with the
+# default first step and no steady exit
 _CONSERVATION = IntegrationConfig(dt=0.02, t_final=60.0)
-_CONTINUITY_T = 5.0
+_CONTINUITY = IntegrationConfig(t_final=5.0, steady_tol=0.0)
 # the slowest rate here, 0.024 at rho = 0.2, acts on one Jordan block of
 # size n - 1 in the free phase, so the time to steady grows with n: the
 # slowest attractivity run turns steady at t = 766 for n = 2, 1,777 for
@@ -129,23 +128,19 @@ def _step(n: int) -> _Stepped:
     F0, G0 = pairs[0::2], pairs[1::2]
     groups = [
         (starts(4, DEFAULT_SEED + n), _CONSERVATION),
-        _continuity_rows(F0, G0, _CONTINUITY_T),
+        (_continuity_rows(F0, G0, _CONTINUITY.t_final), _CONTINUITY),
         (starts(_SAMPLES, DEFAULT_SEED + 13 * n), _ATTRACTIVITY),
     ]
     sizes = [len(rows) for rows, _ in groups]
-    settings = SimpleNamespace(
-        **{
-            key: np.repeat([getattr(config, key) for _, config in groups], sizes)
-            for key in ("dt", "t_final", "steady_tol")
-        }
-    )
-    eta0, stats = ModelParams(n=n).eta0, BatchStats()
-    F, conv, _, _, D = _integrate_batch(
-        np.concatenate([rows for rows, _ in groups]), eta0, settings, stats
+    # one row of (dt, t_final, steady_tol) per batch row
+    settings = np.repeat([[c.dt, c.t_final, c.steady_tol] for _, c in groups], sizes, axis=0)
+    eta0 = ModelParams(n=n).eta0
+    F, conv, _, _, D, drift = _integrate_batch(
+        np.concatenate([rows for rows, _ in groups]), eta0, *settings.T
     )
     a, b = sizes[0], sizes[0] + sizes[1]
-    gaps, bounds = _continuity_bounds(F0, G0, F[a:b], D[a:b], _CONTINUITY_T, eta0)
-    return _Stepped(n, float(stats.row_drift[:a].max()), gaps, bounds, F[b:], conv[b:])
+    gaps, bounds = _continuity_bounds(F0, G0, F[a:b], D[a:b], _CONTINUITY.t_final, eta0)
+    return _Stepped(n, float(drift[:a].max()), gaps, bounds, F[b:], conv[b:])
 
 
 def _check_conservation(runs: list[_Stepped]) -> tuple[bool, str]:
@@ -165,7 +160,7 @@ def _check_continuity(runs: list[_Stepped]) -> tuple[bool, str]:
             rho = VERIFY_DENSITIES[i // 3]
             return False, (f"gap {run.gaps[i]:.3e} exceeds bound {run.bounds[i]:.3e} "
                            f"at n={run.n}, rho={rho:g}")
-    return True, f"all sampled pairs within the growth bound up to t={_CONTINUITY_T:g}"
+    return True, f"all sampled pairs within the growth bound up to t={_CONTINUITY.t_final:g}"
 
 
 def _check_uniqueness(n_max: int) -> tuple[bool, str]:

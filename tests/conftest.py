@@ -206,43 +206,44 @@ def clamp_reference(F, stats):
 
 
 @np.errstate(all="ignore")
-def integrate_batch_reference(F0, eta0, config, stats=None, record=None):
+def integrate_batch_reference(F0, eta0, dt, t_final, steady_tol, stats=None, record=None):
     """The stepping loop in row-major memory, the reference.
 
     Every pass scatters its accepted rows into the working arrays and
     takes the step bound from a fresh cumsum of each state.  Built on the
-    reference field, pass and stage sums; returns what _integrate_batch
-    returns and hands record what it hands.
+    reference field, pass and stage sums; takes one dt, t_final and
+    steady_tol for every row, returns what _integrate_batch returns and
+    hands record what it hands.
     """
     d = dynamics
     F = np.array(F0, dtype=float)
     stats = BatchStats() if stats is None else stats
     m, n = F.shape
-    t_final, steady_tol = config.t_final, config.steady_tol
     F_out, D_out = np.empty_like(F), np.empty_like(F)
     conv_out = np.zeros(m, dtype=bool)
     steps_out = np.zeros(m, dtype=int)
-    t_out = np.zeros(m)
+    t_out, drift_out = np.zeros(m), np.zeros(m)
     rows = np.arange(m)
     k1 = rhs_batch_reference(F, eta0)
     stats.rhs_evals += m
     t = np.zeros(m)
-    h = np.full(m, float(config.dt))
+    h = np.full(m, float(dt))
     err_prev = np.full(m, 1e-4)
     rejected = np.zeros(m, dtype=bool)
     steps = np.zeros(m, dtype=int)
     s_ref = F.sum(axis=1)
     s = s_ref.copy()
+    drift = np.zeros(m)
     steady = leave = np.abs(k1).sum(axis=1) < steady_tol
     while True:
         if leave.any():
             done = rows[leave]
             F_out[done], D_out[done] = F[leave], k1[leave]
             t_out[done], steps_out[done] = t[leave], steps[leave]
-            conv_out[done] = steady[leave]
+            conv_out[done], drift_out[done] = steady[leave], drift[leave]
             keep = ~leave
-            rows, F, k1, t, h, err_prev, rejected, steps, s = (
-                x[keep] for x in (rows, F, k1, t, h, err_prev, rejected, steps, s)
+            rows, F, k1, t, h, err_prev, rejected, steps, s, drift = (
+                x[keep] for x in (rows, F, k1, t, h, err_prev, rejected, steps, s, drift)
             )
         if not rows.size:
             break
@@ -277,10 +278,12 @@ def integrate_batch_reference(F0, eta0, config, stats=None, record=None):
                 ka[touched] = rhs_batch_reference(Fa[touched], eta0)
                 stats.rhs_evals += touched.size
             sa = Fa.sum(axis=1)
-            drift = float(np.abs(sa - s[a]).max())
-            if drift > d._DRIFT_TOL:
-                raise ConsistencyError(f"density drift {drift!r} in a single step")
-            stats.max_drift = max(stats.max_drift, float(np.abs(sa - s_ref[rows[a]]).max()))
+            moved = float(np.abs(sa - s[a]).max())
+            if moved > d._DRIFT_TOL:
+                raise ConsistencyError(f"density drift {moved!r} in a single step")
+            total = np.abs(sa - s_ref[rows[a]])
+            stats.max_drift = max(stats.max_drift, float(total.max()))
+            drift[a] = np.maximum(drift[a], total)
             if record is not None:
                 record(rows[a], t[a], hs[a], F[a], Y[a], K[:, a])
             F[a], k1[a], s[a] = Fa, ka, sa
@@ -289,7 +292,7 @@ def integrate_batch_reference(F0, eta0, config, stats=None, record=None):
             steps[a] += 1
         steady = np.abs(k1).sum(axis=1) < steady_tol
         leave = steady | (ok & last)
-    return F_out, conv_out, steps_out, t_out, D_out
+    return F_out, conv_out, steps_out, t_out, D_out, drift_out
 
 
 def dense_reference(F, Y, K, h, theta):
@@ -325,7 +328,9 @@ def trajectory_reference(state, params, config):
             samples.append(_clamp_batch(Fr, BatchStats()))
             k_next += ts.size
 
-    F, conv, _, t_end, _ = _integrate_batch(state.f[None, :], params.eta0, config, record=record)
+    F, conv, _, t_end, _, _ = _integrate_batch(
+        state.f[None, :], params.eta0, dt, config.t_final, config.steady_tol, record=record
+    )
     times, samples = np.concatenate(times), np.concatenate(samples)
     if times[-1] == t_end[0]:
         samples[-1] = F[0]
@@ -337,8 +342,8 @@ def trajectory_reference(state, params, config):
 
 def continuity_gap_reference(f0, g0, t, params, config=None):
     """The growth estimate of one pair, stepped as a two-row batch with 1-D sums."""
-    run = IntegrationConfig(dt=(config or IntegrationConfig()).dt, t_final=t, steady_tol=0.0)
-    F, _, _, _, D = _integrate_batch(np.vstack([f0.f, g0.f]), params.eta0, run)
+    dt = (config or IntegrationConfig()).dt
+    F, _, _, _, D, _ = _integrate_batch(np.vstack([f0.f, g0.f]), params.eta0, dt, t, 0.0)
     gap = float(np.abs(F[1] - F[0]).sum() + np.abs(D[1] - D[0]).sum())
     eta0 = params.eta0
     bound = (1.0 + 3.0 * eta0) * math.exp(3.0 * eta0 * t) * float(np.abs(g0.f - f0.f).sum())

@@ -1,5 +1,6 @@
 """Command line behavior: plumbing, exit codes, determinism."""
 
+import collections
 import contextlib
 import importlib
 import importlib.util
@@ -29,13 +30,14 @@ from kinetic_traffic import (
     build_grid,
     build_lattice,
     equilibrium_recursive,
+    integrate_batch,
     is_attracting,
     observables,
     stability_report,
     sweep,
 )
 from kinetic_traffic.cli import main
-from kinetic_traffic.dynamics import random_state, run_trajectory
+from kinetic_traffic.dynamics import random_state, random_state_batch, run_trajectory
 from kinetic_traffic.serialize import _TABLE_BLOCK, trajectory_csv
 from kinetic_traffic import dynamics, verify
 from kinetic_traffic.verify import _check_attractivity, _check_uniqueness, _step, run_suite
@@ -347,9 +349,9 @@ class TestVerifyCommand:
         calls = []
         exact = dynamics._integrate_batch
 
-        def counted(F0, eta0, config, stats=None, record=None):
+        def counted(F0, eta0, dt, t_final, steady_tol, stats=None, record=None):
             calls.append(BatchStats() if stats is None else stats)
-            return exact(F0, eta0, config, calls[-1], record)
+            return exact(F0, eta0, dt, t_final, steady_tol, calls[-1], record)
 
         monkeypatch.setattr(dynamics, "_integrate_batch", counted)
         monkeypatch.setattr(verify, "_integrate_batch", counted)
@@ -506,6 +508,22 @@ class TestBenchmarkTracer:
         for module, attr, *_ in tracer.TARGETS:
             mod = importlib.import_module(f"kinetic_traffic.{module}")
             assert callable(getattr(mod, attr, None)), f"{module}.{attr} is gone"
+
+    def test_integrate_counts_read_a_real_batch(self):
+        # the tracer takes integrate_batch's accepted steps per row from
+        # out[2]; a change to the entry point's returns would skew the
+        # traced counts without failing the traced run
+        F0 = random_state_batch(3, 0.6, 4, seed=5)
+        out = integrate_batch(F0, ModelParams(n=3), IntegrationConfig(t_final=5.0))
+        steps, stats = out[2], out[3]
+        counts = collections.Counter()
+        self.load_tracer()._integrate_counts(counts, (F0,), {}, out)
+        assert stats.accepted > 0
+        assert counts == {
+            "dynamics.integrate_batch.batch_steps": steps.max(),
+            "dynamics.integrate_batch.row_steps": stats.accepted,
+            "dynamics.integrate_batch.row_slots": steps.max() * len(F0),
+        }
 
     def test_writer_bytes_count_the_streamed_trajectory(self):
         # the tracer counts a writer's output as out.encode("utf-8"), which

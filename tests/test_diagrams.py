@@ -253,6 +253,14 @@ class TestDetectSigma:
             sigma = detect_sigma(d)
         assert sigma == 1.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_agrees_with_the_integrate_sweep(self, n):
+        # an integrate sweep stops short of u = 1 in the free phase, so it
+        # takes the coarser INTEGRATE_U_TOL; with U_TOL there is no free
+        # point at n = 2, 3 and the free phase ends early from n = 4 on
+        d = sweep(n, build_grid(51), METHOD_INTEGRATE)
+        assert detect_sigma(d) == d.sigma
+
     def test_rejects_physical_units(self):
         d = sweep(2, build_grid(11))
         phys = rescale_dimensional(d, ModelParams(n=2))

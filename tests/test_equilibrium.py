@@ -687,6 +687,25 @@ class TestBruteForce:
                 want = equilibrium_recursive(n, rho).f_inf
                 assert np.abs(att[0].f - want).max() <= 1e-10
 
+    @given(st.integers(2, 12), st.floats(0.0, 1.0, exclude_min=True))
+    # just below 1/2 the clamped smaller root duplicates the larger one and
+    # is enumerated first; just above, the stopped class's two branches
+    # lie within 1e-14 and merge into one
+    @example(3, 0.5 - 1e-13)
+    @example(12, 0.5 - 1e-13)
+    @example(3, 0.5 - 3e-13)
+    @example(12, 0.5 - 3e-13)
+    @example(3, 0.5 + 1e-13)
+    @example(12, 0.5 + 1e-13)
+    @example(12, 0.5 + 1e-15)
+    def test_one_attracting_candidate_is_the_closed_form(self, n, rho):
+        att = [
+            c for c in equilibrium_bruteforce(n, rho)
+            if is_attracting(c.verdict, c.from_larger_roots)
+        ]
+        assert len(att) == 1, f"{len(att)} attracting"
+        assert np.abs(att[0].f - equilibrium_recursive(n, rho).f_inf).max() <= 1e-10
+
     def test_critical_density_candidate_is_marginal(self):
         cands = equilibrium_bruteforce(4, 0.5)
         assert len(cands) == 1
