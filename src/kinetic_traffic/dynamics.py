@@ -74,6 +74,10 @@ row-major, and every row sum (density, drift, steady-state and error
 norms, clamp deficit) is taken from a row-major copy: numpy sums a
 contiguous row pairwise, a class-major row one class at a time, and
 from n = 8 on the two round differently.
+
+Random starts take their uniforms from _pcg64._uniform: the stream of
+numpy's default_rng(seed).random(), written out in Python integers bit
+for bit, so drawing a start does not import numpy's random module.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pcg64 import _uniform
 from .errors import ConsistencyError, IntegrationDivergedError
 from .lattice import ModelParams, build_lattice
 
@@ -743,8 +748,7 @@ def random_state_batch(n: int, rho: float, count: int, seed: int = DEFAULT_SEED)
         raise ValueError(f"density {rho} outside [0, 1]")
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-    cuts = np.sort(rng.random((count, n - 1)), axis=1)
+    cuts = np.sort(np.reshape(_uniform(seed, count * (n - 1)), (count, n - 1)), axis=1)
     bounds = np.concatenate(
         [np.zeros((count, 1)), cuts, np.ones((count, 1))], axis=1
     )

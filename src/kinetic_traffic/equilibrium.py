@@ -73,6 +73,29 @@ lambda_j from one function of the dynamics module (_rates): the bound
 with the running sums of the vector field's last evaluation, the
 partials with one cumsum of their state.
 
+Each rate is the slope of its level's stationarity function.  Let
+
+    g(P_j) = rho P_j (rho - P_j) - (1 - rho) (P_j - P_{j-1}) (rho - P_{j-1}),
+
+the bracket of dP_j/dt with P_{j-1} held fixed, so dP_j/dt = eta0 rho g.
+Then lambda_j = eta0 rho g'(P_j), at any state: P_j enters dP_j/dt only
+through g, and g'(P_j) = rho (rho - P_j) - rho P_j - (1 - rho) (rho -
+P_{j-1}) = rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1}).  With
+S = P_{j-1} and f = P_j - S, g is the level quadratic -rho f^2 + B f +
+rho S (rho - S), and rho S (rho - S) is C once the head is stationary
+(g of level j - 1 vanishes there).  For rho > 0, g is concave, g'' =
+-2 rho, so with roots r_- <= r_+ it is g = -rho (P_j - r_-) (P_j - r_+),
+and
+
+    g'(r_+) = -rho (r_+ - r_-) <= 0 <= rho (r_+ - r_-) = g'(r_-),
+
+equal only at a double root.  The stopped class is level 1, whose roots
+are 0 and 2 rho - 1.  So the state of larger roots at every level, the
+closed form, has lambda_j <= 0 for every j, zero only at a double root,
+while a stationary state that takes a smaller simple root at some level
+has a growing mode there.  This is why is_attracting counts a marginal
+verdict as attracting when it comes from the larger roots.
+
 The level quadratic alone stays in f coordinates.  Solved for P_j from
 P_{j-1}, it would return f_j as the difference P_j - P_{j-1}, which
 cancels when the classes are small: the residual at n = 200 grows from
@@ -116,7 +139,8 @@ PHASE_CONGESTED = "congested"
 
 CRITICAL_DENSITY = 0.5
 
-# brute force doubles its branch count per class
+# a guard, not a proved need: at every density measured the enumeration
+# keeps at most n branches, but no bound on its branch count is proved
 BRUTEFORCE_MAX_N = 12
 
 _TINY = 1e-12
@@ -420,6 +444,10 @@ def _bruteforce_levels(n: int, rho: float):
                 r_minus = (B - sq) / (2.0 * rho) if B <= 0.0 else -2.0 * C / (sq + B)
             if abs(r_plus - r_minus) <= 1e-14:
                 pairs = [(max(r_plus, 0.0), True)]
+            elif max(r_minus, 0.0) == max(r_plus, 0.0):
+                # both clamp to one class value, which keeps one branch: just
+                # below 1/2, C = 0 and B / rho lies inside the clamp window
+                pairs = [(r_plus, True)]
             else:
                 pairs = [(r_minus, False), (r_plus, True)]
             for val, larger_root in pairs:
@@ -448,8 +476,8 @@ def equilibrium_bruteforce(
     in the output as the single attracting candidate.
 
     Args:
-        n: number of classes, 2 through 12 (the branch count doubles per
-            class, so larger n is refused).
+        n: number of classes, 2 through BRUTEFORCE_MAX_N; no bound on the
+            branch count is proved, so larger n is refused.
         rho: density in (0, 1].
         params: optional constants for the linearization; defaults to
             ModelParams(n).

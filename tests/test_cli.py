@@ -416,6 +416,13 @@ class TestExitCodes:
             assert "invalid input" in err and "eta0" in err
             assert out == ""
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # the message is the one numpy's SeedSequence gives for the seed
+        code, out, err = run_cli(capsys, "simulate", "--n", "3", "--rho", "0.5", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "kinetic-traffic: invalid input: expected non-negative integer\n"
+
     def test_argparse_errors_use_usage_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -489,6 +496,25 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_seeded_runs_leave_numpy_random_unloaded(self):
+        # the seeded starts come from the package's own PCG64 stream
+        src = os.path.dirname(os.path.dirname(kinetic_traffic.__file__))
+        script = (
+            "import contextlib, io, sys\n"
+            "from kinetic_traffic.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['simulate', '--n', '6', '--rho', '0.6', '--seed', '11',"
+            " '--t-final', '50']), main(['verify', '--n-max', '2'])]\n"
+            "print(codes, 'numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0] False"
 
 
 class TestBenchmarkTracer:

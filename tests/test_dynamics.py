@@ -25,6 +25,7 @@ from kinetic_traffic import (
     run_trajectory,
 )
 from kinetic_traffic import dynamics
+from kinetic_traffic._pcg64 import _uniform
 from kinetic_traffic.dynamics import _rhs_batch
 
 
@@ -947,6 +948,56 @@ class TestRandomStates:
         st = random_state(4, 0.5, seed=12)
         F = random_state_batch(4, 0.5, 1, seed=12)
         assert np.all(st.f == F[0])
+
+    # numpy's default_rng(seed).random() is the oracle for the package's
+    # stream: small seeds, the seeds verify draws with, and seeds of one to
+    # seven 32-bit words; past four, SeedSequence mixes each extra word in
+    STREAM_SEEDS = (
+        list(range(200))
+        + [dynamics.DEFAULT_SEED + c * n for c in (1, 7, 13) for n in range(2, 41)]
+        + [2**32 - 1, 2**32, 2**64 + 5, 2**100, 2**128 + 3, 2**200 + 12345]
+    )
+
+    def test_stream_matches_numpy(self):
+        for seed in self.STREAM_SEEDS:
+            for count, n in ((1, 2), (1, 6), (3, 12), (6, 40)):
+                got = np.array(_uniform(seed, count * (n - 1)))
+                want = np.random.default_rng(seed).random((count, n - 1)).ravel()
+                assert got.tobytes() == want.tobytes(), (seed, count, n)
+
+    def test_batch_matches_numpy_split(self):
+        for seed in (0, 11, dynamics.DEFAULT_SEED + 13 * 6, 2**64 + 5):
+            cuts = np.sort(np.random.default_rng(seed).random((4, 5)), axis=1)
+            want = np.diff(np.concatenate([np.zeros((4, 1)), cuts, np.ones((4, 1))], axis=1), axis=1)
+            assert random_state_batch(6, 0.7, 4, seed).tobytes() == (want * 0.7).tobytes()
+
+    def test_stream_slices_match_numpy_uniform(self):
+        # verify draws 8 * (n_max - 1) values once and takes 8 per n, where
+        # it used to call uniform(0, 1, 8) once per n
+        for m in (1, 5, 39):
+            rng = np.random.default_rng(dynamics.DEFAULT_SEED)
+            want = np.concatenate([rng.uniform(0, 1, 8) for _ in range(m)])
+            got = np.array(_uniform(dynamics.DEFAULT_SEED, 8 * m))
+            assert got.tobytes() == want.tobytes()
+
+    def test_numpy_integer_seed(self):
+        for seed in (np.int64(7), np.uint32(2**32 - 1), np.uint64(2**64 - 1)):
+            want = np.random.default_rng(seed).random(3)
+            assert np.array(_uniform(seed, 3)).tobytes() == want.tobytes()
+            assert np.all(random_state_batch(3, 0.4, 2, seed) == random_state_batch(3, 0.4, 2, int(seed)))
+
+    def test_negative_seed_raises_numpy_error(self):
+        for seed in (-1, np.int64(-5), -(2**70)):
+            with pytest.raises(ValueError) as ours:
+                random_state_batch(3, 0.5, 2, seed)
+            with pytest.raises(ValueError) as numpys:
+                np.random.default_rng(seed)
+            assert str(ours.value) == str(numpys.value) == "expected non-negative integer"
+
+    def test_non_integer_seed_rejected(self):
+        for seed in (1.5, "7", None):
+            with pytest.raises(TypeError):
+                random_state(3, 0.5, seed)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from kinetic_traffic import (
     stability_report,
     sweep,
 )
-from kinetic_traffic.dynamics import _rhs_batch
+from kinetic_traffic.dynamics import _rates, _rhs_batch
 from kinetic_traffic.equilibrium import (
     _RATE_TOL,
+    _bruteforce_levels,
     _closed_form,
     _density_terms,
     _fill_levels,
@@ -592,6 +594,39 @@ class TestStability:
         assume(tol <= 1e-6)
         assert np.abs(lam - want).max() <= tol
 
+    @given(states(n_max=40))
+    @example(case=(np.zeros(5), ModelParams(n=5)))
+    @example(case=(equilibrium_recursive(6, HALF_DOWN).f_inf, ModelParams(n=6)))
+    @example(case=(equilibrium_recursive(6, HALF_UP).f_inf, ModelParams(n=6)))
+    @example(case=(equilibrium_recursive(40, 1.0).f_inf, ModelParams(n=40, eta0=2.5)))
+    @example(case=(np.array([0.0, HALF_UP, 0.0]), ModelParams(n=3)))
+    @example(case=(np.array([HALF_DOWN, 0.0, 0.0, 0.0]), ModelParams(n=4)))
+    @example(case=(np.full(4, 0.25), ModelParams(n=4, eta0=0.37)))
+    def test_rates_are_the_slope_of_the_level_function(self, case):
+        # lambda_j = eta0 rho g'(P_j) at any state, equilibrium or not, with
+        # g(P_j) = rho P_j (rho - P_j) - (1 - rho) (P_j - P_{j-1}) (rho - P_{j-1});
+        # g is quadratic in P_j, so its central difference in exact
+        # rationals is its slope exactly
+        f, p = case
+        C = np.zeros(f.size + 1)
+        f.cumsum(out=C[1:])
+        lam = _rates(p.eta0, float(C[-1]), C[1:-1], C[:-2])
+        rho, e, h = Fraction(C[-1]), Fraction(p.eta0) * Fraction(C[-1]), Fraction(1, 1024)
+
+        def g(P, P_prev):
+            return rho * P * (rho - P) - (1 - rho) * (P - P_prev) * (rho - P_prev)
+
+        for j in range(1, f.size):
+            P, P_prev = Fraction(C[j]), Fraction(C[j - 1])
+            slope = e * (g(P + h, P_prev) - g(P - h, P_prev)) / (2 * h)
+            # of _rates's eight roundings, each by at most u = 2^-53 relative,
+            # its two terms a and b pass at most six, so it is within
+            # gamma_6 < 8u of eta0 rho (|a| + |b|), plus 2^-1070 for
+            # products that fall below the normals
+            a, b = rho * (rho - 2 * P), (1 - rho) * (rho - P_prev)
+            tol = 8 * 2.0**-53 * float(abs(e) * (abs(a) + abs(b))) + 2.0**-1070
+            assert abs(float(Fraction(lam[j - 1]) - slope)) <= tol, j
+
     def test_edge_densities(self):
         for n in (2, 3, 6, 8):
             p = ModelParams(n=n)
@@ -705,6 +740,15 @@ class TestBruteForce:
         ]
         assert len(att) == 1, f"{len(att)} attracting"
         assert np.abs(att[0].f - equilibrium_recursive(n, rho).f_inf).max() <= 1e-10
+
+    def test_branch_count_is_at_most_n_just_below_half(self):
+        # within the clamp window below 1/2 every class under the top is 0,
+        # so C = 0 and the smaller root B / rho ~ 2 rho - 1 clamps to 0 like
+        # the larger; n rises in the inner loop, so a branch count that
+        # doubles per class fails at n = 4, before it grows
+        for rho in (HALF_DOWN, 0.5 - 1e-15, 0.5 - 1e-13, 0.5 - 3e-13, 0.5 - 4.99e-13, 0.5 - 1e-12):
+            for n in range(2, 41):
+                assert len(_bruteforce_levels(n, rho)) <= n, (n, rho)
 
     def test_critical_density_candidate_is_marginal(self):
         cands = equilibrium_bruteforce(4, 0.5)
