@@ -100,6 +100,47 @@ The level quadratic alone stays in f coordinates.  Solved for P_j from
 P_{j-1}, it would return f_j as the difference P_j - P_{j-1}, which
 cancels when the classes are small: the residual at n = 200 grows from
 about 4e-16 to 4e-14 and about a quarter of the printed fluxes change.
+
+The brute-force enumeration (_bruteforce_levels) keeps at most n
+branches at every density, so it runs at every n.  Level 1 keeps at
+most two heads: the zero head, every class +0.0, and f_1 = 2 rho - 1
+(one head, max(0, 2 rho - 1), where the two lie within 1e-14).  A head
+has two children only if both roots survive: the smaller at least
+-1e-12, the two more than 1e-14 apart and not clamping to one value.
+With C = 0 the roots are 0 and B / rho, so that needs B / rho > 1e-14;
+with C > 0 the roots multiply to -C / rho < 0, so it needs the smaller
+root in the clamp window [-1e-12, 0).  Only the zero head can branch,
+so level j ends with at most j + 1 heads, and the top class, one per
+head, leaves at most n vectors (pruned heads only lower the count):
+
+- The zero head has last = 0, so C = 0 and B = rho (2 rho - 1): it
+  branches only above 1/2, into itself and the head ending in B / rho.
+- A head whose one non-zero class is f_1 = 2 rho - 1 in [-1e-12,
+  -1e-14) is kept just below 1/2.  On its next level C = (1 - rho) f_1
+  rho lies in [-1e-12, 0) and clamps to 0; above that last = 0.  Its B
+  is (1 - 2 rho) f_1 = -f_1^2 up to a rounding of about |f_1| u, far
+  below 1e-14 rho, so the two roots lie within 1e-14.
+- Any other head holds a positive class, and rho > 1/2.  Its first
+  positive class x is 2 rho - 1 or the zero head's B / rho, so
+  x = (2 rho - 1)(1 + t) with |t| < 3u, and x >= 2^-53.  With
+  b_slope = 1 - 3 rho < 0 and S >= x, the computed
+
+      B = -(2 rho - 1)^2 - (3 rho - 1)(S - x) + e,   |e| < 2e-15,
+
+  so B / rho < 1e-14 and a level with C = 0 keeps one root.  With
+  C > 0 and B <= -2e-12 the smaller root is at most B / rho < -1e-12.
+  Otherwise (2 rho - 1)^2 and (S - x) / 2 are below 2.01e-12, so
+  1 - rho > 0.49.  The level right after x has S = last = x and
+  C = (1 - rho) x rho, and both roots (B +- sqrt(B^2 + 4 rho C)) /
+  (2 rho) are at least sqrt(C / rho) - |B| / (2 rho) > 7e-9 in size.
+  A class after x, over 7e-9, would break the bound on S - x, so the
+  head ends at x, and its smaller root lies below -7e-9.
+
+The root formulas do not cancel, so each computed root is within a few
+u of these, relatively.  Measured over n = 2 .. 40 and 462 densities,
+the bands above and their ends included: at most n branches, and the
+smaller root of a non-zero head with C > 0 nearest the window is
+-1.05e-8, at rho = 1/2 + 2^-53.
 """
 
 from __future__ import annotations
@@ -120,7 +161,6 @@ __all__ = [
     "PHASE_FREE",
     "PHASE_CONGESTED",
     "CRITICAL_DENSITY",
-    "BRUTEFORCE_MAX_N",
     "EquilibriumResult",
     "EquilibriumCandidate",
     "StabilityReport",
@@ -138,10 +178,6 @@ PHASE_FREE = "free"
 PHASE_CONGESTED = "congested"
 
 CRITICAL_DENSITY = 0.5
-
-# a guard, not a proved need: at every density measured the enumeration
-# keeps at most n branches, but no bound on its branch count is proved
-BRUTEFORCE_MAX_N = 12
 
 _TINY = 1e-12
 # a rate lambda_j within this of zero counts as neither decaying nor growing
@@ -476,18 +512,14 @@ def equilibrium_bruteforce(
     in the output as the single attracting candidate.
 
     Args:
-        n: number of classes, 2 through BRUTEFORCE_MAX_N; no bound on the
-            branch count is proved, so larger n is refused.
+        n: number of classes, at least 2; the enumeration keeps at most
+            n branches (module docstring).
         rho: density in (0, 1].
         params: optional constants for the linearization; defaults to
             ModelParams(n).
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"need at least two speed classes, got n={n}")
-    if n > BRUTEFORCE_MAX_N:
-        raise ValueError(
-            f"brute-force enumeration is limited to n <= {BRUTEFORCE_MAX_N}, got {n}"
-        )
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"density {rho} outside (0, 1]")
     params = params or ModelParams(n=int(n))

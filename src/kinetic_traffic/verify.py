@@ -16,8 +16,7 @@ tolerance per row, each its group's, and returns each row's result and
 density drift.  Rows never interact, so each row's result is the one
 its group would get alone.  The three checks then read their rows of
 every n's result.  The uniqueness group enumerates candidates by brute
-force, which stops at n = BRUTEFORCE_MAX_N; above it the detail names
-the range checked.
+force at every n, in at most n branches per density.
 
 The table builder is injectable so the stochasticity group can be pointed
 at a deliberately broken construction; it must then fail.
@@ -40,12 +39,7 @@ from .dynamics import (
     _integrate_batch,
     random_state_batch,
 )
-from .equilibrium import (
-    BRUTEFORCE_MAX_N,
-    _closed_form,
-    equilibrium_bruteforce,
-    is_attracting,
-)
+from .equilibrium import _closed_form, equilibrium_bruteforce, is_attracting
 from .lattice import GameTable, ModelParams, build_game_table
 
 __all__ = ["CheckResult", "run_suite", "VERIFY_DENSITIES"]
@@ -166,8 +160,7 @@ def _check_continuity(runs: list[_Stepped]) -> tuple[bool, str]:
 
 
 def _check_uniqueness(n_max: int) -> tuple[bool, str]:
-    top = min(n_max, BRUTEFORCE_MAX_N)
-    for n in range(2, top + 1):
+    for n in range(2, n_max + 1):
         params = ModelParams(n=n)
         closed_forms = _closed_form(n, np.array(VERIFY_DENSITIES))
         for rho, closed in zip(VERIFY_DENSITIES, closed_forms):
@@ -181,10 +174,7 @@ def _check_uniqueness(n_max: int) -> tuple[bool, str]:
             if err > _MATCH_TOL:
                 return False, (f"attracting equilibrium off the closed form by {err:.3e} "
                                f"at n={n}, rho={rho:g}")
-    detail = f"one attracting equilibrium per density, matching within {_MATCH_TOL:g}"
-    if top < n_max:
-        detail += f", checked for n=2..{top} only (the brute-force limit)"
-    return True, detail
+    return True, f"one attracting equilibrium per density, matching within {_MATCH_TOL:g}"
 
 
 def _check_attractivity(runs: list[_Stepped]) -> tuple[bool, str]:

@@ -329,18 +329,13 @@ class TestVerifyCommand:
         passed, detail = _check_attractivity([_step(n) for n in range(2, 13)])
         assert passed, detail
 
-    def test_uniqueness_names_the_range_it_checked(self):
-        # brute force stops at n = 12; past it the detail says so, and up
-        # to it the detail is unchanged
-        passed, detail = _check_uniqueness(12)
-        assert passed and detail == (
-            "one attracting equilibrium per density, matching within 1e-10"
-        )
-        passed, detail = _check_uniqueness(13)
-        assert passed and detail == (
-            "one attracting equilibrium per density, matching within 1e-10, "
-            "checked for n=2..12 only (the brute-force limit)"
-        )
+    def test_uniqueness_checks_every_n(self):
+        # brute force runs at every n, so the detail names no range
+        for n_max in (12, 13, 20):
+            passed, detail = _check_uniqueness(n_max)
+            assert passed and detail == (
+                "one attracting equilibrium per density, matching within 1e-10"
+            )
 
     @pytest.fixture
     def loop_stats(self, monkeypatch):

@@ -722,7 +722,7 @@ class TestBruteForce:
                 want = equilibrium_recursive(n, rho).f_inf
                 assert np.abs(att[0].f - want).max() <= 1e-10
 
-    @given(st.integers(2, 12), st.floats(0.0, 1.0, exclude_min=True))
+    @given(st.integers(2, 40), st.floats(0.0, 1.0, exclude_min=True))
     # just below 1/2 the clamped smaller root duplicates the larger one and
     # is enumerated first; just above, the stopped class's two branches
     # lie within 1e-14 and merge into one
@@ -733,6 +733,8 @@ class TestBruteForce:
     @example(3, 0.5 + 1e-13)
     @example(12, 0.5 + 1e-13)
     @example(12, 0.5 + 1e-15)
+    @example(40, 0.5 + 1e-15)
+    @example(40, 0.50301)
     def test_one_attracting_candidate_is_the_closed_form(self, n, rho):
         att = [
             c for c in equilibrium_bruteforce(n, rho)
@@ -756,9 +758,29 @@ class TestBruteForce:
         assert cands[0].verdict == MARGINAL
         assert cands[0].from_larger_roots
 
-    def test_enumeration_cap(self):
-        with pytest.raises(ValueError):
-            equilibrium_bruteforce(13, 0.5)
+    @given(st.integers(2, 60), st.floats(0.0, 1.0, exclude_min=True))
+    # the bands of the bound's proof (module docstring): the clamp window
+    # just below 1/2, the merged stopped class just above it, the zero
+    # head's widest branching and the ends
+    @example(2, 0.5 - 3e-13)
+    @example(60, HALF_DOWN)
+    @example(60, HALF_UP)
+    @example(60, 0.5 - 1e-13)
+    @example(60, 0.5 - 3e-13)
+    @example(60, 0.5 - 4e-13)
+    @example(60, 0.5 - 6e-13)
+    @example(60, 0.5 + 1e-15)
+    @example(60, 0.50301)
+    @example(60, 1.0)
+    @example(60, 5e-324)
+    def test_branch_count_is_at_most_n(self, n, rho):
+        # k doubles up to n, so a count that doubles per class fails at a
+        # small k, before it grows
+        k = 2
+        while k < n:
+            assert len(_bruteforce_levels(k, rho)) <= k, k
+            k *= 2
+        assert len(_bruteforce_levels(n, rho)) <= n
 
 
 @pytest.mark.parametrize("build", [
