@@ -58,22 +58,27 @@ warnings off.
 The loop takes a batch of states as the rows of a matrix.  Rows evolve
 independently through elementwise arithmetic in a fixed order, and a row
 leaves the working array, with its settings, once it is steady or has
-reached its horizon.
-The step bound of a state comes from the running sums of its derivative's
-evaluation.  A pass in which every row accepts keeps its new arrays whole;
-only a pass with rejections gathers and scatters rows.
+reached its horizon.  A pass in which every row accepts keeps its new
+arrays whole; only a pass with rejections gathers and scatters rows.
 
-The working arrays (states, stages, the sums and stencil of _rhs_batch)
-are class-major: column j of an (m, n) array, class j of every row, is
-one contiguous run of m values.  A batch has few classes and up to a
-few dozen rows, so numpy's per-loop cost dominates, and class-major an
-elementwise operation or a class slice runs over runs of m instead of m
-runs of n.  Boolean row indexing returns row-major arrays, so rows are
-dropped by taking columns of the transposed array.  Entry and exit stay
-row-major, and every row sum (density, drift, steady-state and error
-norms, clamp deficit) is taken from a row-major copy: numpy sums a
-contiguous row pairwise, a class-major row one class at a time, and
-from n = 8 on the two round differently.
+The working arrays are class-major: column j of an (m, n) array, class j
+of every row, is one contiguous run of m values.  A batch has few
+classes and up to a few dozen rows, so numpy's per-call cost, not
+arithmetic, bounds a pass, and class-major an elementwise operation or
+a class slice runs over runs of m instead of m runs of n.  A pass's
+buffers live in one _Workspace per batch shape (module _pass), rebuilt
+only when rows leave: the stage stack with its stage-sum products,
+_rhs_batch's sums, stencil, temporaries and (m, 1) columns, which also
+give the step bound, the error-norm buffers, and every view these are
+read through, built once.  No array leaves a pass as a view of them:
+k1 is copied from the last stage, each stage's solution Y is a new
+array, and the recorder and the results get copies.  Boolean row
+indexing returns row-major arrays, so rows are dropped by taking
+columns of the transposed array.  Entry and exit stay row-major, and
+every row sum (density, drift, steady-state and error norms, clamp
+deficit) is taken over row-major memory: numpy sums a contiguous row
+pairwise, a class-major row one class at a time, and from n = 8 on the
+two round differently.
 
 Random starts take their uniforms from _pcg64._uniform: the stream of
 numpy's default_rng(seed).random(), written out in Python integers bit
@@ -88,6 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pass import _Workspace, _combine, _rhs_batch, _stable_step, _stencil
 from ._pcg64 import _uniform
 from .errors import ConsistencyError, IntegrationDivergedError
 from .lattice import ModelParams, build_lattice
@@ -117,13 +123,6 @@ _DRIFT_TOL = 1e-13
 # within 1e-9 of a fine fixed-step solution
 _RTOL = 1e-8
 _ATOL = 1e-12
-
-# a step may not exceed _STAB / max_j |lambda_j|, with lambda_j the exact
-# eigenvalues of the linearization: inside the pair's real stability
-# interval (-3.31, 0), so the fastest mode is damped (by 0.57 per step at
-# worst) instead of sitting undamped at the edge, where the error control
-# alone parks it at a distance from steady state set by the tolerance
-_STAB = 3.0
 
 # PI controller (Hairer, Norsett & Wanner's DOPRI5 defaults): safety
 # factor, step growth between 1/5 and 10 per step, and exponents
@@ -158,16 +157,9 @@ _D = (
 )
 
 
-def _weights(w):
-    """The nonzero weights of w as a (k, 1, 1) column, and the stages they take."""
-    idx = [i for i, c in enumerate(w) if c]
-    stages = slice(len(idx)) if idx == list(range(len(idx))) else np.array(idx)
-    return np.array([w[i] for i in idx])[:, None, None], stages
-
-
-_A_W = tuple(_weights(row) for row in _A)
-_E_W = _weights(_E)
-_D_W = _weights(_D)
+# each weight row as a (k, 1, 1) column over the first k stages, zeros included
+_A_W = tuple(np.array(row)[:, None, None] for row in _A)
+_E_W, _D_W = (np.array(w)[:, None, None] for w in (_E, _D))
 
 # values per block of the dense output (64 KiB per buffer), so the gathered
 # coefficients stay in cache instead of filling fresh memory
@@ -267,69 +259,22 @@ class BatchStats:
     rejected: int = 0
 
 
-def _rates(eta0, rho, P, P_prev):
-    """Eigenvalues lambda_j: the diagonal of the bidiagonal cumulative Jacobian."""
-    return eta0 * rho * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - P_prev))
-
-
-def _rhs_batch(F: np.ndarray, eta0: float, *, cum: np.ndarray | None = None) -> np.ndarray:
-    """Interaction gain minus loss for each row of F, shape (m, n).
-
-    Evaluates the cumulative stencil dP_j/dt for j = 1 .. n-1 and
-    differences it with dP_0/dt = dP_n/dt = 0.  The buffers and the result
-    are class-major.  cum, if given, is an (m, n + 1) array with a zero
-    first column that receives the running sums: cum[:, j] = P_j.
-    """
-    m, n = F.shape
-    # the running sums, kept whole: R[:, j-1] = rho - P_{j-1}, j = 1 .. n,
-    # serves both terms of the stencil
-    C = np.zeros((n + 1, m)).T if cum is None else cum
-    F.cumsum(axis=-1, out=C[:, 1:])
-    rho = C[:, -1:]
-    R = rho - C[:, :-1]
-    dP = np.zeros((n + 1, m)).T
-    np.multiply(
-        eta0 * rho,
-        rho * C[:, 1:-1] * R[:, 1:] - (1.0 - rho) * F[:, :-1] * R[:, :-1],
-        out=dP[:, 1:-1],
-    )
-    return dP[:, 1:] - dP[:, :-1]
-
-
-def _combine(weights, K):
-    """Weighted sum of the stages K, shape (7, m, n), with weights from _weights.
-
-    One product and one reduce along the stage axis, which adds in stage
-    order from +0.0: bit for bit sum(w * k for w, k in zip(row, K) if w).
-    """
-    w, stages = weights
-    return np.add.reduce(w * K[stages], axis=0, initial=0.0)
-
-
-def _dp_step(F, h, k1, eta0):
+def _dp_step(F, h, k1, eta0, ws=None):
     """One Dormand-Prince attempt from every row of F with steps h (a column).
 
-    Returns the fifth-order solution Y, the seven stages K, shape
-    (7, m, n), and the running sums of Y as _rhs_batch's cum receives
-    them; K[6] is the derivative at Y.  K and the sums are class-major.
+    Returns the fifth-order solution Y, a new array, and the seven stages
+    K, shape (7, m, n), and running sums of Y in the buffers of ws, a
+    _Workspace of F's shape (a new one if not given); K[6] is the
+    derivative at Y.
     """
-    m, n = F.shape
-    K = np.empty((7, n, m)).transpose(0, 2, 1)
-    C = np.zeros((n + 1, m)).T
+    ws = ws or _Workspace(*F.shape)
+    K, acc = ws.K, ws.acc
     K[0] = k1
-    for i, w in enumerate(_A_W, 1):
-        Y = F + h * _combine(w, K)
-        K[i] = _rhs_batch(Y, eta0, cum=C)
-    return Y, K, C
-
-
-def _stable_step(eta0, C):
-    """Per-row step bound _STAB / max_j |lambda_j| from the sums C of _rhs_batch's cum.
-
-    The mass mode is 0.
-    """
-    lam = _rates(eta0, C[:, -1:], C[:, 1:-1], C[:, :-2])
-    return _STAB / np.abs(lam).max(axis=1)
+    # _rhs_batch is this module's name, so a hook set here sees every stage
+    for i, (w, prod) in enumerate(zip(_A_W, ws.prods), 1):
+        Y = F + np.multiply(h, _combine(w, K, prod, acc), out=acc)
+        K[i] = _rhs_batch(Y, eta0, out=ws.stages[i], sums=ws.sums)
+    return Y, K, ws.sums[-1]
 
 
 def _dense(F, Y, K, h, at, theta, x=None):
@@ -441,14 +386,14 @@ def _integrate_batch(
     steps_out = np.zeros(m, dtype=int)
     t_out, drift_out = np.zeros(m), np.zeros(m)
 
-    # working set: original row index, state, first stage, step bound,
-    # time, trial step, previous error, whether the last attempt was
-    # rejected, steps, row sum, largest drift from the start, horizon and
-    # steady tolerance
+    # working set: original row index, state, the workspace with its
+    # first stage, step bound, time, trial step, previous error, whether
+    # the last attempt was rejected, steps, row sum, largest drift from
+    # the start, horizon and steady tolerance
     rows = np.arange(m)
-    C = np.zeros((n + 1, m)).T
-    k1 = _rhs_batch(F, eta0, cum=C)
-    bound = _stable_step(eta0, C)
+    ws = _Workspace(m, n)
+    ws.K[0] = _rhs_batch(F, eta0, out=ws.k1, sums=ws.sums)
+    bound = _stable_step(ws.sums)
     stats.rhs_evals += m
     t = np.zeros(m)
     h = np.full(m, dt, dtype=float)
@@ -458,11 +403,11 @@ def _integrate_batch(
     s_ref = F.copy(order="C").sum(axis=1)
     s = s_ref.copy()
     drift = np.zeros(m)
-    steady = leave = np.abs(k1, order="C").sum(axis=1) < steady_tol
+    steady = leave = np.abs(ws.k1, out=ws.sq).sum(axis=1) < steady_tol
     while True:
         if leave.any():
             done = rows[leave]
-            F_out[done], D_out[done] = F[leave], k1[leave]
+            F_out[done], D_out[done] = F[leave], ws.k1[leave]
             t_out[done], steps_out[done] = t[leave], steps[leave]
             conv_out[done], drift_out[done] = steady[leave], drift[leave]
             keep = (~leave).nonzero()[0]
@@ -473,17 +418,21 @@ def _integrate_batch(
                 )
             )
             # columns of the transposed base, so the rows stay class-major
-            F, k1 = (x.T.take(keep, axis=1).T for x in (F, k1))
+            F = F.T.take(keep, axis=1).T
+            k1, ws = ws.k1, _Workspace(rows.size, n)
+            ws.K[0] = k1[keep]
         if not rows.size:
             break
         h = np.minimum(h, bound)
         last = t + h >= t_final
         hs = np.where(last, t_final - t, h)
-        Y, K, C = _dp_step(F, hs[:, None], k1, eta0)
+        hc = hs[:, None]
+        Y, K, _ = _dp_step(F, hc, ws.k1, eta0, ws)
         stats.rhs_evals += 6 * rows.size
-        E = hs[:, None] * _combine(_E_W, K)
-        scale = _ATOL + _RTOL * np.maximum(np.abs(F), np.abs(Y))
-        err = np.sqrt(np.square(E / scale, order="C").sum(axis=1) / n)
+        E = np.multiply(hc, _combine(_E_W, K, ws.prods[6], ws.acc), out=ws.acc)
+        scale = np.maximum(np.abs(F, out=ws.scale), np.abs(Y, out=ws.absY), out=ws.scale)
+        np.add(_ATOL, np.multiply(_RTOL, scale, out=scale), out=scale)
+        err = np.sqrt(np.square(np.divide(E, scale, out=E), out=ws.sq).sum(axis=1) / n)
         if not np.isfinite(err).all():
             raise IntegrationDivergedError("non-finite values in trajectory")
         ok = err <= 1.0
@@ -509,16 +458,16 @@ def _integrate_batch(
             Ya = Y[acc]
             Fa = _clamp_batch(Ya, stats)
             ka = K[6][acc]
-            ba = _stable_step(eta0, C[acc])
+            ba = _stable_step(ws.sums)[acc]
             if Fa is not Ya:
                 # the clamp moved these rows: their last stage and bound are
                 # stale (the stage is renewed on a copy, since the dense
                 # output reads K[6])
                 touched = np.flatnonzero((Fa != Ya).any(axis=1))
-                Ct = np.zeros((touched.size, n + 1))
+                sums = _stencil(touched.size, n)
                 ka = ka.copy()
-                ka[touched] = _rhs_batch(Fa[touched], eta0, cum=Ct)
-                ba[touched] = _stable_step(eta0, Ct)
+                ka[touched] = _rhs_batch(Fa[touched], eta0, sums=sums)
+                ba[touched] = _stable_step(sums)
                 stats.rhs_evals += touched.size
             sa = Fa.copy(order="C").sum(axis=1)
             moved = float(np.abs(sa - s[acc]).max())
@@ -528,19 +477,21 @@ def _integrate_batch(
             if record is not None:
                 a = ok.nonzero()[0]
                 record(rows[a], t[a], hs[a], F[a], Y[a], K[:, a])
+            # the next pass overwrites K, so k1 takes a copy
+            ws.k1[acc] = ka
             if whole:
                 # every row advanced: the new arrays replace the old ones
-                F, k1, bound, s = Fa, ka, ba, sa
+                F, bound, s = Fa, ba, sa
                 t = np.where(last, t_final, t + hs)
                 err_prev = np.maximum(err, 1e-4)
                 drift = np.maximum(drift, total)
             else:
-                F[acc], k1[acc], bound[acc], s[acc] = Fa, ka, ba, sa
+                F[acc], bound[acc], s[acc] = Fa, ba, sa
                 t[acc] = np.where(last[acc], t_final[acc], t[acc] + hs[acc])
                 err_prev[acc] = np.maximum(err[acc], 1e-4)
                 drift[acc] = np.maximum(drift[acc], total)
             steps[acc] += 1
-        steady = np.abs(k1, order="C").sum(axis=1) < steady_tol
+        steady = np.abs(ws.k1, out=ws.sq).sum(axis=1) < steady_tol
         leave = steady | (ok & last)
     stats.max_drift = max(stats.max_drift, float(drift_out.max(initial=0.0)))
     return F_out, conv_out, steps_out, t_out, D_out, drift_out

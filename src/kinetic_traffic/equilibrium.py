@@ -68,10 +68,10 @@ its eigenvalues are the diagonal entries
     lambda_j = eta0 rho [rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1})],
 
 exactly, at any state.  The full spectrum adds the conserved-mass mode 0.
-The step bound of the integrator and the partial derivatives below take
-lambda_j from one function of the dynamics module (_rates): the bound
-with the running sums of the vector field's last evaluation, the
-partials with one cumsum of their state.
+The partial derivatives below take lambda_j from _rates over one cumsum
+of their state; the integrator's step bound (_pass._stable_step)
+rounds the same expression in the same order from the buffers of the
+vector field's last evaluation.
 
 Each rate is the slope of its level's stationarity function.  Let
 
@@ -145,12 +145,11 @@ smaller root of a non-zero head with C > 0 nearest the window is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import _check_classes, _rates, _rhs_batch
+from .dynamics import _check_classes, _rhs_batch
 from .errors import ConsistencyError
 from .lattice import ModelParams
 
@@ -231,6 +230,11 @@ class StabilityReport:
     hyperplane_real_parts: tuple[float, ...]
     degenerate_zero_density: bool = False
     nilpotent_hyperplane: bool = False
+
+
+def _rates(eta0, rho, P, P_prev):
+    """Eigenvalues lambda_j: the diagonal of the bidiagonal cumulative Jacobian."""
+    return eta0 * rho * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - P_prev))
 
 
 def _density_terms(rho: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -452,7 +456,10 @@ def is_attracting(verdict: str, from_larger_roots: bool) -> bool:
 def _bruteforce_levels(n: int, rho: float):
     """(vector, from larger roots) for every real root combination.
 
-    A double root and the remainder class count as larger roots.
+    A double root and the remainder class count as larger roots.  Each
+    level's heads are the C-contiguous rows of one array, so one _level
+    call serves them all and each row sum has the bits of the head's own
+    .sum(); a head's children follow it in order, smaller root first.
     """
     lo, hi = 0.0, 2.0 * rho - 1.0
     # branches within 1e-14 merge into the closed form's max(0, 2 rho - 1)
@@ -460,44 +467,45 @@ def _bruteforce_levels(n: int, rho: float):
         f1_branches = [(max(lo, hi), True)]
     else:
         f1_branches = [(lo, lo > hi), (hi, hi > lo)]
-    stack = [(np.array([v]), larger) for v, larger in f1_branches if v >= -_TINY]
+    f1 = np.array(f1_branches)
+    kept = f1[f1[:, 0] >= -_TINY]
+    heads, larger = kept[:, :1], kept[:, 1] > 0.0
     terms = _density_terms(np.array([rho]))
-    for j in range(2, n):
-        nxt = []
-        for head, larger in stack:
-            S = head.sum()
-            if S > rho + _TINY:
-                continue
-            try:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    r_plus, B, C, delta = (float(x[0]) for x in _level(S, head[-1], terms))
-            except ConsistencyError:
-                continue
-            if C == 0.0:
-                r_minus = min(0.0, B / rho)
-            else:
-                sq = math.sqrt(delta)
-                r_minus = (B - sq) / (2.0 * rho) if B <= 0.0 else -2.0 * C / (sq + B)
-            if abs(r_plus - r_minus) <= 1e-14:
-                pairs = [(max(r_plus, 0.0), True)]
-            elif max(r_minus, 0.0) == max(r_plus, 0.0):
-                # both clamp to one class value, which keeps one branch: just
-                # below 1/2, C = 0 and B / rho lies inside the clamp window
-                pairs = [(r_plus, True)]
-            else:
-                pairs = [(r_minus, False), (r_plus, True)]
-            for val, larger_root in pairs:
-                if val < -_TINY:
-                    continue
-                nxt.append((np.append(head, max(val, 0.0)), larger and larger_root))
-        stack = nxt
-    out = []
-    for head, larger in stack:
-        tail = rho - float(head.sum())
-        if tail < -_TINY:
-            continue
-        out.append((np.append(head, max(tail, 0.0)), larger))
-    return out
+
+    def pos(x):  # max(x, 0.0), as Python takes it
+        return np.where(0.0 > x, 0.0, x)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2, n):
+            S, last = heads.sum(axis=1), heads[:, -1]
+            # drop the heads above rho and those whose C, as _level forms
+            # it, is below -1e-12, which _level refuses
+            C = terms[3] * last * (rho - (S - last))
+            live = ~(S > rho + _TINY) & ~(C < -_TINY)
+            heads, larger, S, last = heads[live], larger[live], S[live], last[live]
+            if not larger.size:
+                break
+            r_plus, B, C, delta = _level(S, last, terms)
+            sq = np.sqrt(delta)
+            r_minus = np.where(
+                C == 0.0,
+                np.where(B / rho < 0.0, B / rho, 0.0),
+                np.where(B <= 0.0, (B - sq) / (2.0 * rho), -2.0 * C / (sq + B)),
+            )
+            double = np.abs(r_plus - r_minus) <= 1e-14
+            # both roots clamp to one class value, which keeps one branch:
+            # just below 1/2, C = 0 and B / rho lies inside the clamp window
+            single = double | (pos(r_minus) == pos(r_plus))
+            vals = np.stack([r_minus, np.where(double, pos(r_plus), r_plus)], axis=1)
+            take = ~(vals < -_TINY)
+            take[:, 0] &= ~single
+            rows, cols = take.nonzero()
+            heads = np.concatenate([heads[rows], pos(vals[rows, cols])[:, None]], axis=1)
+            larger = larger[rows] & (cols == 1)
+    tail = rho - heads.sum(axis=1)
+    keep = ~(tail < -_TINY)
+    out = np.concatenate([heads[keep], pos(tail[keep])[:, None]], axis=1)
+    return list(zip(out, larger[keep].tolist()))
 
 
 def equilibrium_bruteforce(

@@ -20,6 +20,7 @@ from kinetic_traffic import (
     IntegrationDivergedError,
 )
 from kinetic_traffic import ModelParams, dynamics, integrate_batch, random_state_batch
+from kinetic_traffic._pass import _STAB
 from kinetic_traffic.dynamics import (
     DEFAULT_SEED,
     _A,
@@ -183,7 +184,7 @@ def stable_step_reference(F, eta0):
     np.cumsum(F, axis=1, out=C[:, 1:])
     rho, P, P_prev = C[:, -1:], C[:, 1:-1], C[:, :-2]
     lam = eta0 * rho * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - P_prev))
-    return dynamics._STAB / np.abs(lam).max(axis=1)
+    return _STAB / np.abs(lam).max(axis=1)
 
 
 def clamp_reference(F, stats):

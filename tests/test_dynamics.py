@@ -15,6 +15,7 @@ from kinetic_traffic import (
     KineticState,
     ModelParams,
     build_game_table,
+    build_grid,
     build_lattice,
     continuity_gap,
     equilibrium_recursive,
@@ -24,7 +25,7 @@ from kinetic_traffic import (
     random_state_batch,
     run_trajectory,
 )
-from kinetic_traffic import dynamics
+from kinetic_traffic import dynamics, verify
 from kinetic_traffic._pcg64 import _uniform
 from kinetic_traffic.dynamics import _rhs_batch
 
@@ -493,6 +494,36 @@ class TestWorkCounts:
         stats = integrate_batch(start.f[None, :], ModelParams(n=6), config)[3]
         assert (stats.rhs_evals, stats.accepted, stats.rejected) == (1045, 174, 0)
 
+    @staticmethod
+    def passes_and_work(loop, args):
+        """(passes that accept a row, RHS row evaluations, accepted, rejected) of loop(*args)."""
+        stats, passes = BatchStats(), []
+        out = loop(*args, stats, lambda *step: passes.append(None))
+        return out, (len(passes), stats.rhs_evals, stats.accepted, stats.rejected)
+
+    def test_relax_sweep_work_counts(self):
+        # diagram --n 6 --method integrate --rho-steps 51 --dt 0.05
+        # --t-final 2000: uniform splits over the grid, one batch
+        F0 = np.outer(build_grid(51), np.full(6, 1.0 / 6))
+        args = (F0, ModelParams(n=6).eta0, 0.05, 2000.0, 1e-10)
+        out, work = self.passes_and_work(dynamics._integrate_batch, args)
+        assert work == (302, 47667, 7936, 0)
+        assert np.count_nonzero(~out[1]) == 9
+
+    def test_verify_step_work_counts(self, monkeypatch):
+        # verify --n-max 2: the three stepping groups of n = 2 as one batch
+        work = []
+        exact = dynamics._integrate_batch
+
+        def counted(*args):
+            out, counts = self.passes_and_work(exact, args)
+            work.append(counts)
+            return out
+
+        monkeypatch.setattr(verify, "_integrate_batch", counted)
+        verify._step(2)
+        assert work == [(149, 12136, 2006, 8)]
+
     def test_counters_repeat_exactly(self):
         # a first trial step of 4 is rejected, so every counter moves
         p = ModelParams(n=6)
@@ -759,6 +790,60 @@ class TestPass:
         assert tuple(counts) == (
             batch_stats.rhs_evals, batch_stats.accepted, batch_stats.rejected
         )
+
+    def test_nothing_handed_on_is_a_view_of_the_pass_buffers(
+        self, integrate_batch_oracle, monkeypatch
+    ):
+        # a first trial step of 4: a pass where every row accepts is followed
+        # by one that rejects a row, whose first stage must still be its own,
+        # not the rejected attempt's last stage; a row alone takes the same
+        # passes, so the row-major reference is checked too
+        rhos = (0.7, 1.0, 0.3, 0.5, 0.5)
+        F0 = np.concatenate(
+            [random_state_batch(4, r, 1, seed=753 + i) for i, r in enumerate(rhos)]
+        )
+        stats, passes = BatchStats(), []
+        exact = dynamics._dp_step
+
+        def marked(F, *args):
+            passes.append((F.shape[0], stats.rejected))
+            return exact(F, *args)
+
+        monkeypatch.setattr(dynamics, "_dp_step", marked)
+
+        def run(F, stats, loop=dynamics._integrate_batch):
+            steps = []
+            out = loop(F, 1.0, 4.0, 60.0, 1e-10, stats, lambda *step: steps.append(step))
+            return out, steps
+
+        out, steps = run(F0, stats)
+        rejected = np.diff([r for _, r in passes] + [stats.rejected])
+        assert any(
+            rejected[i] == 0 and 0 < rejected[i + 1] < passes[i + 1][0]
+            for i in range(len(passes) - 1)
+        )
+        want, want_steps = run(F0, BatchStats(), integrate_batch_oracle)
+        assert all(same_bits(x, y) for x, y in zip(out, want, strict=True))
+        assert len(steps) == len(want_steps)
+        for step, want_step in zip(steps, want_steps):
+            assert all(same_bits(x, y) for x, y in zip(step, want_step, strict=True))
+        # no recorded array shares memory with another step's or with the
+        # returned states and derivatives
+        arrays = [(i, x) for i, step in enumerate(steps) for x in step]
+        for i, x in arrays:
+            assert not any(np.shares_memory(x, y) for j, y in arrays if j > i)
+            assert not np.shares_memory(x, out[0]) and not np.shares_memory(x, out[4])
+        for r in range(len(rhos)):
+            alone, alone_steps = run(F0[r : r + 1], BatchStats())
+            for x, x_alone in zip(out, alone, strict=True):
+                assert same_bits(x[r : r + 1], x_alone), f"row {r} diverged from the batch"
+            # row r's part of each step it took in the batch
+            mine = [(step, list(step[0]).index(r)) for step in steps if r in step[0]]
+            assert len(mine) == len(alone_steps)
+            for (step, k), want in zip(mine, alone_steps):
+                t, h, F, Y, K = step[1:]
+                got = (t[k : k + 1], h[k : k + 1], F[k : k + 1], Y[k : k + 1], K[:, k : k + 1])
+                assert all(same_bits(x, y) for x, y in zip(got, want[1:], strict=True))
 
 
 class TestOracle:

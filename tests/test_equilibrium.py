@@ -27,7 +27,7 @@ from kinetic_traffic import (
     stability_report,
     sweep,
 )
-from kinetic_traffic.dynamics import _rates, _rhs_batch
+from kinetic_traffic.dynamics import _rhs_batch
 from kinetic_traffic.equilibrium import (
     _RATE_TOL,
     _bruteforce_levels,
@@ -36,6 +36,7 @@ from kinetic_traffic.equilibrium import (
     _fill_levels,
     _level,
     _prefix_sums,
+    _rates,
     _sum_floor,
 )
 
