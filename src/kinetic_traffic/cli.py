@@ -121,7 +121,7 @@ def _cmd_diagram(args) -> int:
     config = None
     if args.method == METHOD_INTEGRATE:
         config = IntegrationConfig(dt=args.dt, t_final=args.t_final)
-    diagram = sweep(args.n, grid, args.method, params, config, jobs=args.jobs)
+    diagram = sweep(args.n, grid, args.method, params, config)
     flagged = int(np.count_nonzero(~diagram.converged))
     if args.units == UNITS_PHYSICAL:
         diagram = rescale_dimensional(diagram, params)
@@ -222,12 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="dimensionless",
         help="rescale to veh/km and km/h",
     )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="grid chunks, run in worker processes, at most one per CPU (default 1)",
-    )
     p.add_argument("--out-csv", help="write the diagram table as CSV")
     p.add_argument("--out-json", help="write the diagram with metadata as JSON")
     p.add_argument("--out-svg", help="write flux and speed panels as SVG")
@@ -254,6 +248,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"kinetic-traffic: invalid input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # a grid or a step count too large to allocate is an input error
+        print(f"kinetic-traffic: invalid input: {str(exc) or 'too large to allocate'}",
+              file=sys.stderr)
         return EXIT_USAGE
     except KineticModelError as exc:
         print(f"kinetic-traffic: numerical failure: {exc}", file=sys.stderr)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -113,24 +112,12 @@ def build_grid(steps: int = 201) -> np.ndarray:
     return grid if grid[i] == CRITICAL_DENSITY else np.insert(grid, i, CRITICAL_DENSITY)
 
 
-def _sweep_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, u, converged) over a chunk of the grid; module-level so process pools can pickle it."""
-    n, rhos, method, eta0, config = args
-    if method == METHOD_RECURSIVE:
-        F, conv = _closed_form(n, rhos), np.ones(rhos.size, dtype=bool)
-    else:
-        F0 = np.outer(rhos, np.full(n, 1.0 / n))
-        F, conv, _, _ = integrate_batch(F0, ModelParams(n=n, eta0=eta0), config)
-    return (*_flux_speed(F, rhos), conv)
-
-
 def sweep(
     n: int,
     grid: np.ndarray | None = None,
     method: str = METHOD_RECURSIVE,
     params: ModelParams | None = None,
     config: IntegrationConfig | None = None,
-    jobs: int = 1,
 ) -> Diagram:
     """Equilibrium observables across a density grid.
 
@@ -146,9 +133,6 @@ def sweep(
             speed come from its state and its grid density.
         params: model constants; defaults to ModelParams(n).
         config: stepper settings for the integrate method.
-        jobs: number of contiguous chunks the grid is split into, each
-            run in a worker process, so results do not depend on jobs;
-            at most one process per chunk and per CPU is started.
 
     Returns:
         Diagram over the grid with the detected critical density.
@@ -165,20 +149,12 @@ def sweep(
         raise ValueError("grid densities must lie in [0, 1]")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid densities must be strictly increasing")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    config = config or _SWEEP_CONFIG
-    chunks = np.array_split(grid, jobs) if jobs > 1 else [grid]
-    tasks = [(int(n), chunk, method, params.eta0, config) for chunk in chunks if chunk.size]
-    if jobs > 1:
-        # imported here: the pool machinery is about 20 ms of the CLI's start
-        from concurrent.futures import ProcessPoolExecutor
-        # the executor starts all its workers at once
-        with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
-            chunk_columns = list(pool.map(_sweep_chunk, tasks))
+    if method == METHOD_RECURSIVE:
+        F, converged = _closed_form(n, grid), np.ones(grid.size, dtype=bool)
     else:
-        chunk_columns = [_sweep_chunk(t) for t in tasks]
-    q, u, converged = (np.concatenate(c) for c in zip(*chunk_columns))
+        F0 = np.outer(grid, np.full(n, 1.0 / n))
+        F, converged, _, _ = integrate_batch(F0, params, config or _SWEEP_CONFIG)
+    q, u = _flux_speed(F, grid)
     good = q[converged]
     # the grid is increasing, so the free points come first
     free = int(np.searchsorted(grid, CRITICAL_DENSITY, side="right"))

@@ -179,7 +179,8 @@ PHASE_CONGESTED = "congested"
 CRITICAL_DENSITY = 0.5
 
 _TINY = 1e-12
-# a rate lambda_j within this of zero counts as neither decaying nor growing
+# a rate lambda_j within _RATE_TOL eta0 rho^2 of zero counts as neither
+# decaying nor growing (stability_report)
 _RATE_TOL = 1e-9
 
 
@@ -407,8 +408,12 @@ def stability_report(f: np.ndarray, params: ModelParams) -> StabilityReport:
     eigenvalue solver runs, so the defective free-phase eigenvalue
     eta0 rho^2 (2 rho - 1) of multiplicity n-1 is not scattered.
 
-    Stable means every lambda_j is below -1e-9, unstable means some
-    lambda_j exceeds +1e-9, marginal covers the rest.  At the critical
+    Stable means every lambda_j is below -1e-9 eta0 rho^2, unstable
+    means some lambda_j exceeds +1e-9 eta0 rho^2, marginal covers the
+    rest.  Every lambda_j carries the factor eta0 rho^2, so the
+    tolerance follows the rates' own scale, and the verdict does not
+    change with eta0, which only rescales time (up to rounding at the
+    threshold itself).  At the critical
     density every lambda_j is exactly zero while the bidiagonal is not,
     so the restricted Jacobian is nilpotent; that is flagged and marginal.
     An all-zero state has a frozen linearization (the encounter rate
@@ -423,11 +428,12 @@ def stability_report(f: np.ndarray, params: ModelParams) -> StabilityReport:
     zero_mode = int(np.count_nonzero(hyper > 0.0))
     degenerate = s <= _TINY
     nilpotent = not degenerate and not hyper.any()
+    tol = _RATE_TOL * params.eta0 * s * s
     if degenerate:
         verdict = MARGINAL
-    elif np.all(hyper < -_RATE_TOL):
+    elif np.all(hyper < -tol):
         verdict = STABLE
-    elif np.any(hyper > _RATE_TOL):
+    elif np.any(hyper > tol):
         verdict = UNSTABLE
     else:
         verdict = MARGINAL

@@ -239,20 +239,6 @@ class TestDiagram:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_flag_keeps_output(self, capsys, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run_cli(capsys, "diagram", "--n", "3", "--rho-steps", "31",
-                "--out-json", str(a))
-        run_cli(capsys, "diagram", "--n", "3", "--rho-steps", "31",
-                "--jobs", "2", "--out-json", str(b))
-        assert a.read_bytes() == b.read_bytes()
-        # relaxed sweeps too: every row keeps its own step sizes
-        relax = ("diagram", "--n", "6", "--method", "integrate", "--rho-steps", "51",
-                 "--dt", "0.05", "--t-final", "2000")
-        run_cli(capsys, *relax, "--out-json", str(a))
-        run_cli(capsys, *relax, "--jobs", "2", "--out-json", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
     def test_physical_units_capacity(self, capsys, tmp_path):
         out_file = tmp_path / "d.json"
         code, out, _ = run_cli(
@@ -418,6 +404,23 @@ class TestExitCodes:
         assert out == ""
         assert err == "kinetic-traffic: invalid input: expected non-negative integer\n"
 
+    @pytest.mark.parametrize("target, argv", [
+        # --dt 1e-10 over t = 1 asks np.arange for 1e10 sample times
+        ("run_trajectory", ("simulate", "--n", "3", "--rho", "0.5", "--dt", "1e-10",
+                            "--t-final", "1")),
+        ("build_grid", ("diagram", "--n", "3", "--rho-steps", "100000000000")),
+    ])
+    def test_allocation_failure_is_a_usage_error(self, capsys, monkeypatch, target, argv):
+        # stands in for numpy's allocation error, so nothing is allocated
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(f"kinetic_traffic.cli.{target}", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "kinetic-traffic: invalid input: Unable to allocate 74.5 GiB for an array\n"
+
     def test_argparse_errors_use_usage_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -427,6 +430,10 @@ class TestExitCodes:
             main(["simulate", "--rho", "0.5"])
         assert exc.value.code == 1
         capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["diagram", "--n", "3", "--jobs", "2"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_numerical_failure_code(self, capsys):
         # a hopeless horizon leaves every free-phase point unconverged,
@@ -476,21 +483,6 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "f_inf=0.6 0.2" in proc.stdout
-
-
-    def test_cli_import_leaves_the_process_pool_unloaded(self):
-        # diagram --jobs > 1 imports the pool when it needs it
-        src = os.path.dirname(os.path.dirname(kinetic_traffic.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, kinetic_traffic.cli; "
-             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
 
     def test_seeded_runs_leave_numpy_random_unloaded(self):
         # the seeded starts come from the package's own PCG64 stream

@@ -117,52 +117,6 @@ class TestRecursiveSweep:
         assert all(b < a for a, b in zip(qs, qs[1:]))
         assert d.points[-1].q == 0.0
 
-    def test_jobs_do_not_change_results(self):
-        # the chunks come back pickled and must join in grid order, bit for bit
-        grid = build_grid(51)
-        config = IntegrationConfig(dt=0.05, t_final=2000.0)
-        for method in (METHOD_RECURSIVE, METHOD_INTEGRATE):
-            one = sweep(6, grid, method, config=config)
-            if method == METHOD_INTEGRATE:
-                assert 0 < np.count_nonzero(~one.converged) < grid.size
-            for jobs in (2, 3):
-                other = sweep(6, grid, method, config=config, jobs=jobs)
-                for name in ("rho", "q", "u", "converged"):
-                    want = getattr(one, name).tobytes()
-                    assert getattr(other, name).tobytes() == want, (method, jobs, name)
-                assert (other.phase, other.sigma, other.q_max) == (one.phase, one.sigma, one.q_max)
-
-    def test_pool_starts_at_most_one_worker_per_chunk_and_cpu(self, monkeypatch):
-        # an executor that maps in this process and records its size, so
-        # no worker starts: the real one forks all max_workers at once
-        import concurrent.futures
-
-        sizes = []
-
-        class Serial:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
-        grid = build_grid(11)  # 11 points, so at most 11 chunks
-        one = sweep(3, grid)
-        for cpus, want in ((4, [2, 4, 4]), (64, [2, 5, 11]), (None, [1, 1, 1])):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            sizes.clear()
-            for jobs in (2, 5, 10**4):
-                other = sweep(3, grid, jobs=jobs)
-                assert other.q.tobytes() == one.q.tobytes(), (cpus, jobs)
-            assert sizes == want, cpus
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             sweep(3, method="bisect")
@@ -172,8 +126,6 @@ class TestRecursiveSweep:
             sweep(3, np.array([0.3, 0.2]))
         with pytest.raises(ValueError):
             sweep(3, np.array([0.2, 1.2]))
-        with pytest.raises(ValueError):
-            sweep(3, jobs=0)
         with pytest.raises(ValueError):
             sweep(3, params=ModelParams(n=4))
 

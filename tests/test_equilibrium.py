@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from kinetic_traffic import (
 from kinetic_traffic.dynamics import _rhs_batch
 from kinetic_traffic.equilibrium import (
     _RATE_TOL,
+    _TINY,
     _bruteforce_levels,
     _closed_form,
     _density_terms,
@@ -51,6 +53,10 @@ HALF_UP = math.nextafter(0.5, 1.0)
 
 # the edge densities, shuffled and with repeats, as one batch
 EDGE_BATCH = np.array([1.0, 0.5, 0.0, HALF_UP, 5e-324, 0.5, 1e-300, HALF_DOWN, 0.0, 1.0, 5e-324])
+# the edges of the layer above 1/2, where the classes grow like
+# fractional powers of rho - 1/2, and of the density range
+PREFIX_EDGES = np.array([HALF_DOWN, 0.5, HALF_UP, 0.5 + 1e-15, 0.5 + 1e-8,
+                         math.nextafter(1.0, 0.0), 1.0, 1e-300, 5e-324, 0.0])
 
 
 def _table_density_derivative(n):
@@ -296,6 +302,19 @@ class TestRecursion:
         for i, rho in enumerate(rhos):
             f, _ = closed_form_oracle(n, float(rho))
             assert _bits(F[i]) == _bits(f), f"n={n} rho={rho!r}"
+
+    @given(n=st.integers(2, 200), rhos=density_batches())
+    @example(n=2, rhos=PREFIX_EDGES)
+    @example(n=3, rhos=PREFIX_EDGES)
+    @example(n=40, rhos=PREFIX_EDGES)
+    @example(n=199, rhos=PREFIX_EDGES)
+    @example(n=200, rhos=PREFIX_EDGES)
+    def test_lower_classes_do_not_depend_on_n(self, n, rhos):
+        # the level recursion never reads n, only the top class does, so
+        # classes 1 .. n-1 at n are the same classes at n + 1, bit for bit
+        lower, upper = _closed_form(n, rhos), _closed_form(n + 1, rhos)
+        for i, rho in enumerate(rhos):
+            assert _bits(lower[i, : n - 1]) == _bits(upper[i, : n - 1]), f"n={n} rho={rho!r}"
 
     @given(n=st.integers(2, 300), rho=st.floats(0.0, 1.0))
     @example(n=200, rho=HALF_DOWN)
@@ -544,40 +563,70 @@ class TestStability:
 
     @given(
         n=st.integers(2, 200),
-        # anywhere, and close to the two densities where the slowest rate vanishes
+        # anywhere, thin, and close to 1/2, where the slowest rate vanishes
         rho=st.floats(0.0, 1.0) | st.floats(0.0, 3e-4) | st.floats(0.5 - 5e-8, 0.5 + 5e-8),
         eta0=st.floats(0.5, 3.0),
     )
-    # the edges of the two regions, at eta0 = 1: rate 1e-10 near rho = 1e-5
-    # and 1/2 +- 2e-10, rate 1e-8 near rho = 1e-4 and 1/2 +- 2e-8
-    @example(n=2, rho=1e-5, eta0=1.0)
-    @example(n=200, rho=1.001e-4, eta0=1.0)
-    @example(n=6, rho=0.5 - 1.9e-10, eta0=1.0)
-    @example(n=200, rho=0.5 + 1.9e-10, eta0=1.0)
-    @example(n=2, rho=0.5 - 2.1e-8, eta0=1.0)
-    @example(n=200, rho=0.5 + 2.1e-8, eta0=1.0)
+    # the edges of the band around 1/2 at eta0 = 1: |2 rho - 1| = 1e-10
+    # at 1/2 +- 5e-11 and 1e-8 at 1/2 +- 5e-9
+    @example(n=6, rho=0.5 - 4.9e-11, eta0=1.0)
+    @example(n=200, rho=0.5 + 4.9e-11, eta0=1.0)
+    @example(n=2, rho=0.5 - 5.1e-9, eta0=1.0)
+    @example(n=200, rho=0.5 + 5.1e-9, eta0=1.0)
     # inside the band: the rate is still checked
-    @example(n=6, rho=1e-4, eta0=1.0)
     @example(n=200, rho=0.5 - 1e-9, eta0=1.0)
     @example(n=2, rho=0.5 + 1e-9, eta0=1.0)
     @example(n=6, rho=0.5 + 2e-9, eta0=1.0)
     @example(n=200, rho=HALF_DOWN, eta0=1.0)
     @example(n=200, rho=HALF_UP, eta0=1.0)
+    # thin roads: stable down to the empty-road cut _TINY, marginal below
+    @example(n=2, rho=1e-5, eta0=1.0)
+    @example(n=6, rho=1e-4, eta0=1.0)
+    @example(n=200, rho=2e-12, eta0=1.0)
+    @example(n=200, rho=1e-12, eta0=1.0)
     @example(n=200, rho=0.0, eta0=1.0)
     @example(n=200, rho=5e-324, eta0=1.0)
     @example(n=200, rho=1.0, eta0=3.0)
     def test_top_rate_decides_the_verdict(self, n, rho, eta0):
         # the top hyperplane rate of the closed form is -eta0 rho^2 |2 rho - 1|
-        # to roundoff; the verdict is stable where that rate is 10 times the
-        # tolerance and marginal below a tenth of it, and never unstable
+        # to roundoff, so against the tolerance _RATE_TOL eta0 rho^2 the
+        # verdict is stable where |2 rho - 1| is 10 times _RATE_TOL and
+        # marginal below a tenth of it, and never unstable; a road at most
+        # _TINY thin is empty and marginal
         rep = stability_report(equilibrium_recursive(n, rho).f_inf, ModelParams(n=n, eta0=eta0))
         rate = eta0 * rho * rho * abs(2.0 * rho - 1.0)
         assert abs(rep.hyperplane_real_parts[0] + rate) <= 2e-15 * eta0 * rho * rho
         assert rep.verdict != UNSTABLE
-        if rate > 10.0 * _RATE_TOL:
-            assert rep.verdict == STABLE
-        elif rate < _RATE_TOL / 10.0:
+        if rho <= _TINY:
             assert rep.verdict == MARGINAL
+        elif abs(2.0 * rho - 1.0) > 10.0 * _RATE_TOL:
+            assert rep.verdict == STABLE
+        elif abs(2.0 * rho - 1.0) < _RATE_TOL / 10.0:
+            assert rep.verdict == MARGINAL
+
+    @given(
+        case=states(n_max=40) | st.builds(
+            lambda n, rho, eta0: (equilibrium_recursive(n, rho).f_inf, ModelParams(n=n, eta0=eta0)),
+            st.integers(2, 300),
+            st.floats(0.0, 1.0) | st.floats(0.0, 1e-4) | st.floats(0.5 - 5e-8, 0.5 + 5e-8),
+            st.floats(1e-3, 1e3),
+        ),
+        c=st.floats(1e-12, 1e12),
+    )
+    @example(case=(equilibrium_recursive(6, HALF_DOWN).f_inf, ModelParams(n=6)), c=1e-12)
+    @example(case=(equilibrium_recursive(200, HALF_UP).f_inf, ModelParams(n=200)), c=1e12)
+    @example(case=(equilibrium_recursive(6, 1e-5).f_inf, ModelParams(n=6)), c=1e-12)
+    @example(case=(equilibrium_recursive(200, 1e-5).f_inf, ModelParams(n=200)), c=1e12)
+    @example(case=(equilibrium_recursive(6, 1.0).f_inf, ModelParams(n=6)), c=1e-12)
+    @example(case=(equilibrium_recursive(200, 1.0).f_inf, ModelParams(n=200)), c=1e12)
+    @example(case=(equilibrium_recursive(6, 0.3).f_inf, ModelParams(n=6)), c=1e-9)
+    @example(case=(equilibrium_recursive(6, 0.7).f_inf, ModelParams(n=6)), c=1e-12)
+    @example(case=(np.array([0.0, HALF_UP, 0.0]), ModelParams(n=3)), c=1e-12)
+    def test_verdict_does_not_depend_on_the_time_scale(self, case, c):
+        # eta0 only rescales time, so it scales every rate and the tolerance alike
+        f, p = case
+        want = stability_report(f, p).verdict
+        assert stability_report(f, replace(p, eta0=c * p.eta0)).verdict == want
 
     @given(states(n_max=8))
     def test_rates_match_restricted_eigenvalues(self, case):
