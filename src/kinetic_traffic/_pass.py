@@ -1,13 +1,14 @@
 """The arithmetic of one pass of the dynamics module's stepping loop.
 
-The cumulative stencil of the vector field (_rhs_batch), the step bound
-from its sums (_stable_step) and the weighted stage sums (_combine),
-each written one operation at a time into class-major buffers that the
-loop builds once per batch shape (_stencil, _Workspace); the dynamics
-module describes the method and the loop.  It has a file of its own
-because a process that runs the package from source, without cached
-bytecode, compiles each module on import, and compiling the largest one
-sets part of the process's peak memory.
+The cumulative stencil of the vector field (_rhs_batch), the rates
+lambda_j (_rates, which the equilibrium module's Jacobian and stability
+report also call), the step bound from the stencil's sums (_stable_step)
+and the weighted stage sums (_combine), each written one operation at a
+time into class-major buffers that the loop builds once per batch shape
+(_stencil, _Workspace); the dynamics module describes the method and the
+loop.  It has a file of its own because a process that runs the package
+from source, without cached bytecode, compiles each module on import,
+and compiling the largest one sets part of the process's peak memory.
 """
 
 from __future__ import annotations
@@ -61,20 +62,27 @@ def _rhs_batch(F: np.ndarray, eta0: float, *, out=None, sums=None) -> np.ndarray
     return np.subtract(hi, lo, out=out)
 
 
+def _rates(er, rho, P, R0, omr, out=None, tmp=None):
+    """lambda_j = er [rho (rho - 2 P_j) - omr R0] (equilibrium module docstring).
+
+    er = eta0 rho, omr = 1 - rho and R0 = rho - P_{j-1}; one operation at
+    a time into out and tmp (new arrays if not given).
+    """
+    t = np.multiply(2.0, P, out=out)
+    np.subtract(rho, t, out=t)
+    np.multiply(rho, t, out=t)
+    u = np.multiply(omr, R0, out=tmp)
+    np.subtract(t, u, out=t)
+    return np.multiply(er, t, out=t)
+
+
 def _stable_step(sums):
     """Per-row step bound _STAB / max_j |lambda_j| from the sums of _rhs_batch's last call.
 
-    lambda_j as equilibrium._rates rounds it, with eta0 rho, 1 - rho and
-    rho - P_{j-1} taken from the call; the mass mode is 0.
+    _rates in the call's temporaries; the mass mode is 0.
     """
     rho, P, R0, t, u, er, omr = sums[:7]
-    np.multiply(2.0, P, out=t)
-    np.subtract(rho, t, out=t)
-    np.multiply(rho, t, out=t)
-    np.multiply(omr, R0, out=u)
-    np.subtract(t, u, out=t)
-    np.multiply(er, t, out=t)
-    return _STAB / np.abs(t, out=t).max(axis=1)
+    return _STAB / np.abs(_rates(er, rho, P, R0, omr, t, u), out=t).max(axis=1)
 
 
 def _combine(w, K, prod=None, out=None):

@@ -249,8 +249,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"kinetic-traffic: invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:
-        # a grid or a step count too large to allocate is an input error
+    except (MemoryError, OverflowError) as exc:
+        # a size too large to allocate or to hold in int64 is an input error
         print(f"kinetic-traffic: invalid input: {str(exc) or 'too large to allocate'}",
               file=sys.stderr)
         return EXIT_USAGE

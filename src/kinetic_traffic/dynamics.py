@@ -40,9 +40,10 @@ One stepping loop, _integrate_batch, serves every entry point:
 integrate_batch, run_trajectory, continuity_gap and verify.  It takes
 the first step, horizon and steady tolerance as arguments, each one
 value or one value per row; the public entry points pass the fields of
-the one IntegrationConfig they take, and verify steps the conservation,
-continuity and attractivity rows of one n, each with its group's
-settings, as one batch.  continuity_gap steps its pair in one batch.
+the one IntegrationConfig they take, steady_tol times eta0 (a bound in
+their time t), and verify steps the conservation, continuity and
+attractivity rows of one n, each with its group's settings, as one
+batch.  continuity_gap steps its pair in one batch.
 The loop hands each accepted step (its time, size, start, end and
 stages) to a recorder callback; run_trajectory keeps them and evaluates
 the samples of all steps in one batch after the loop, so a sample below
@@ -96,7 +97,7 @@ import numpy as np
 from ._pass import _Workspace, _combine, _rhs_batch, _stable_step, _stencil
 from ._pcg64 import _uniform
 from .errors import ConsistencyError, IntegrationDivergedError
-from .lattice import ModelParams, build_lattice
+from .lattice import ModelParams, _check_n, _check_rho, build_lattice
 
 __all__ = [
     "KineticState",
@@ -218,8 +219,9 @@ class IntegrationConfig:
         dt: first trial step of every row, and the spacing of trajectory
             samples; later steps are chosen by the error control.
         t_final: horizon; integration stops here even if not steady.
-        steady_tol: 1-norm of the derivative below which a state counts
-            as steady.
+        steady_tol: 1-norm of the derivative in model time eta0 t below
+            which a state counts as steady, so eta0 does not move the model
+            time at which a run turns steady.
         record_stride: trajectory samples are taken every record_stride
             multiples of dt.
     """
@@ -522,7 +524,7 @@ def integrate_batch(
     config = config or IntegrationConfig()
     stats = BatchStats()
     F, conv, steps, *_ = _integrate_batch(
-        F0, params.eta0, config.dt, config.t_final, config.steady_tol, stats
+        F0, params.eta0, config.dt, config.t_final, config.steady_tol * params.eta0, stats
     )
     return F, conv, steps, stats
 
@@ -553,7 +555,7 @@ def run_trajectory(
     stride, dt = config.record_stride, config.dt
     taken = []
     F, conv, _, t_end, *_ = _integrate_batch(
-        state.f[None, :], params.eta0, dt, config.t_final, config.steady_tol,
+        state.f[None, :], params.eta0, dt, config.t_final, config.steady_tol * params.eta0,
         record=lambda *s: taken.append(s),
     )
     ts = np.zeros(0)
@@ -693,10 +695,8 @@ def random_state(n: int, rho: float, seed: int = DEFAULT_SEED) -> KineticState:
 
 def random_state_batch(n: int, rho: float, count: int, seed: int = DEFAULT_SEED):
     """Matrix of `count` independent uniform simplex points scaled to rho."""
-    if n < 2:
-        raise ValueError(f"need at least two speed classes, got n={n}")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"density {rho} outside [0, 1]")
+    _check_n(n)
+    _check_rho(rho)
     if count < 1:
         raise ValueError("count must be at least 1")
     cuts = np.sort(np.reshape(_uniform(seed, count * (n - 1)), (count, n - 1)), axis=1)

@@ -68,10 +68,9 @@ its eigenvalues are the diagonal entries
     lambda_j = eta0 rho [rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1})],
 
 exactly, at any state.  The full spectrum adds the conserved-mass mode 0.
-The partial derivatives below take lambda_j from _rates over one cumsum
-of their state; the integrator's step bound (_pass._stable_step)
-rounds the same expression in the same order from the buffers of the
-vector field's last evaluation.
+jacobian and stability_report take lambda_j from _pass._rates over one
+cumsum of their state, the one function that also gives the
+integrator's step bound from the vector field's running sums.
 
 Each rate is the slope of its level's stationarity function.  Let
 
@@ -149,9 +148,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import _check_classes, _rhs_batch
+from ._pass import _rates, _rhs_batch
+from .dynamics import _check_classes
 from .errors import ConsistencyError
-from .lattice import ModelParams
+from .lattice import ModelParams, _check_n, _check_rho
 
 __all__ = [
     "STABLE",
@@ -231,11 +231,6 @@ class StabilityReport:
     hyperplane_real_parts: tuple[float, ...]
     degenerate_zero_density: bool = False
     nilpotent_hyperplane: bool = False
-
-
-def _rates(eta0, rho, P, P_prev):
-    """Eigenvalues lambda_j: the diagonal of the bidiagonal cumulative Jacobian."""
-    return eta0 * rho * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - P_prev))
 
 
 def _density_terms(rho: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -334,10 +329,8 @@ def equilibrium_recursive(n: int, rho: float) -> EquilibriumResult:
     top class from mass conservation.  For rho <= 1/2 this collapses to
     all mass sitting in the top class.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"need at least two speed classes, got n={n}")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"density {rho} outside [0, 1]")
+    _check_n(n)
+    _check_rho(rho)
     n = int(n)
     rho = float(rho)
     F = _closed_form(n, np.array([rho]))
@@ -377,7 +370,7 @@ def jacobian(f: np.ndarray, params: ModelParams) -> np.ndarray:
     f.cumsum(out=C[1:])
     rho, P, P_prev, fj = float(C[-1]), C[1:-1], C[:-2], f[:-1]
     eta0, n = params.eta0, params.n
-    lam = _rates(eta0, rho, P, P_prev)
+    lam = _rates(eta0 * rho, rho, P, rho - P_prev, 1.0 - rho)
     sub = eta0 * rho * (1.0 - rho) * (rho + P - 2.0 * P_prev)
     d_rho = eta0 * (
         rho * P * (3.0 * rho - 2.0 * P)
@@ -400,12 +393,9 @@ def stability_report(f: np.ndarray, params: ModelParams) -> StabilityReport:
     The hyperplane spectrum is read off the cumulative form (module
     docstring): the Jacobian restricted to the zero-sum hyperplane, the
     directions that keep the density fixed, is lower bidiagonal in
-    P_j = f_1 + ... + f_j, so its eigenvalues are exactly
-
-        lambda_j = eta0 rho [rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1})],
-
-    j = 1 .. n-1, and the full spectrum adds the mass mode 0.  No
-    eigenvalue solver runs, so the defective free-phase eigenvalue
+    P_j = f_1 + ... + f_j, so its eigenvalues are exactly the rates
+    lambda_j, j = 1 .. n-1, and the full spectrum adds the mass mode 0.
+    No eigenvalue solver runs, so the defective free-phase eigenvalue
     eta0 rho^2 (2 rho - 1) of multiplicity n-1 is not scattered.
 
     Stable means every lambda_j is below -1e-9 eta0 rho^2, unstable
@@ -413,18 +403,18 @@ def stability_report(f: np.ndarray, params: ModelParams) -> StabilityReport:
     rest.  Every lambda_j carries the factor eta0 rho^2, so the
     tolerance follows the rates' own scale, and the verdict does not
     change with eta0, which only rescales time (up to rounding at the
-    threshold itself).  At the critical
-    density every lambda_j is exactly zero while the bidiagonal is not,
-    so the restricted Jacobian is nilpotent; that is flagged and marginal.
-    An all-zero state has a frozen linearization (the encounter rate
-    vanishes), which is flagged instead of classified.
+    threshold itself).  At the critical density every lambda_j is
+    exactly zero while the bidiagonal is not, so the restricted Jacobian
+    is nilpotent; that is flagged and marginal.  An all-zero state has a
+    frozen linearization (the encounter rate vanishes), which is flagged
+    instead of classified.
     """
     f = np.asarray(f, dtype=float)
     _check_classes(f.size, params)
     C = np.zeros(f.size + 1)
     f.cumsum(out=C[1:])
     s = float(C[-1])
-    hyper = np.sort(_rates(params.eta0, s, C[1:-1], C[:-2]))[::-1]
+    hyper = np.sort(_rates(params.eta0 * s, s, C[1:-1], s - C[:-2], 1.0 - s))[::-1]
     zero_mode = int(np.count_nonzero(hyper > 0.0))
     degenerate = s <= _TINY
     nilpotent = not degenerate and not hyper.any()
@@ -514,31 +504,26 @@ def _bruteforce_levels(n: int, rho: float):
     return list(zip(out, larger[keep].tolist()))
 
 
-def equilibrium_bruteforce(
-    n: int, rho: float, params: ModelParams | None = None
-) -> list[EquilibriumCandidate]:
+def equilibrium_bruteforce(n: int, rho: float) -> list[EquilibriumCandidate]:
     """Every admissible stationary point, found by exhausting root choices.
 
     Enumerates both branches of the stopped class and both roots of every
     level quadratic, keeps the nonnegative vectors whose derivative
     vanishes (1-norm below 1e-10), and attaches a stability verdict to
     each.  Independent of the closed-form recursion, which should appear
-    in the output as the single attracting candidate.
+    in the output as the single attracting candidate.  The residual and
+    the verdicts are taken at the default eta0 = 1: eta0 only sets the
+    clock, so it changes neither which states are stationary nor their
+    stability.
 
     Args:
         n: number of classes, at least 2; the enumeration keeps at most
             n branches (module docstring).
         rho: density in (0, 1].
-        params: optional constants for the linearization; defaults to
-            ModelParams(n).
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"need at least two speed classes, got n={n}")
+    params = ModelParams(n=n)
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"density {rho} outside (0, 1]")
-    params = params or ModelParams(n=int(n))
-    if params.n != n:
-        raise ValueError(f"params expect n={params.n}, got n={n}")
     candidates = []
     for vec, larger in _bruteforce_levels(int(n), float(rho)):
         residual = float(np.abs(_rhs_batch(vec[None, :], params.eta0)).sum())

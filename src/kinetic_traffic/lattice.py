@@ -36,6 +36,16 @@ __all__ = [
 ]
 
 
+def _check_n(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"need at least two speed classes, got n={n}")
+
+
+def _check_rho(rho) -> None:
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"density {rho} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model-wide constants.
@@ -55,8 +65,7 @@ class ModelParams:
     eta0: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"need at least two speed classes, got n={self.n}")
+        _check_n(self.n)
         for name in ("rho_max", "v_max", "eta0"):
             value = getattr(self, name)
             # also false for nan
@@ -107,8 +116,7 @@ def build_lattice(n: int) -> SpeedLattice:
     Returns:
         SpeedLattice with speeds 0, 1/(n-1), ..., 1.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"need at least two speed classes, got n={n}")
+    _check_n(n)
     speeds = np.arange(n, dtype=float) / (n - 1)
     return SpeedLattice(n=int(n), speeds=speeds)
 
@@ -125,10 +133,8 @@ def build_game_table(n: int, rho: float) -> GameTable:
         rho and 1 - rho placed according to the interaction rules, so no
         floating-point slack is needed.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"need at least two speed classes, got n={n}")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"density {rho} outside [0, 1]")
+    _check_n(n)
+    _check_rho(rho)
     rho = float(rho)
     stay = rho
     move = 1.0 - rho

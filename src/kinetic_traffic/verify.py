@@ -161,10 +161,9 @@ def _check_continuity(runs: list[_Stepped]) -> tuple[bool, str]:
 
 def _check_uniqueness(n_max: int) -> tuple[bool, str]:
     for n in range(2, n_max + 1):
-        params = ModelParams(n=n)
         closed_forms = _closed_form(n, np.array(VERIFY_DENSITIES))
         for rho, closed in zip(VERIFY_DENSITIES, closed_forms):
-            candidates = equilibrium_bruteforce(n, rho, params)
+            candidates = equilibrium_bruteforce(n, rho)
             attracting = [
                 c for c in candidates if is_attracting(c.verdict, c.from_larger_roots)
             ]

@@ -122,10 +122,9 @@ def test_04_unique_stable_equilibrium():
     checked = 0
     worst = 0.0
     for n in range(2, 9):
-        params = ModelParams(n=n)
         for k in range(1, 21):
             rho = k * 0.05
-            cands = equilibrium_bruteforce(n, rho, params)
+            cands = equilibrium_bruteforce(n, rho)
             att = [c for c in cands if is_attracting(c.verdict, c.from_larger_roots)]
             assert len(att) == 1, f"n={n} rho={rho}: {len(att)} attracting candidates"
             err = float(np.abs(att[0].f - equilibrium_recursive(n, rho).f_inf).max())

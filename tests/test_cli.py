@@ -65,6 +65,15 @@ class TestSimulate:
         assert abs(f[0] - 0.6) <= 1e-8
         assert abs(f[1] - 0.2) <= 1e-8
 
+    def test_steadiness_is_judged_in_model_time(self, capsys):
+        # the uniform start at rho = 0.7 is not steady by t = 100 at
+        # eta0 = 1, and a smaller eta0 only slows the clock
+        argv = ("simulate", "--n", "3", "--rho", "0.7", "--t-final", "100")
+        for eta0 in ("1", "1e-9"):
+            code, out, _ = run_cli(capsys, *argv, "--eta0", eta0)
+            assert code == 0
+            assert "steady=no t_reached=100\n" in out, eta0
+
     def test_uniform_start_without_seed(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--n", "3", "--rho", "0.3", "--t-final", "0.01",
@@ -420,6 +429,15 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "kinetic-traffic: invalid input: Unable to allocate 74.5 GiB for an array\n"
+
+    def test_stride_beyond_int64_is_a_usage_error(self, capsys):
+        # 2^63 - 1 is the largest stride numpy's integers hold
+        argv = ("simulate", "--n", "3", "--rho", "0.5", "--t-final", "1", "--record-stride")
+        assert run_cli(capsys, *argv, str(2**63 - 1))[0] == 0
+        code, out, err = run_cli(capsys, *argv, str(2**63))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("kinetic-traffic: invalid input: ") and err.count("\n") == 1
 
     def test_argparse_errors_use_usage_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -271,6 +271,28 @@ class TestIntegration:
         err = np.abs(F[0] - equilibrium_recursive(3, rho).f_inf).max()
         assert err <= 1e-7, f"free phase err={err}"
 
+    @pytest.mark.parametrize("c", [1e-9, 1e-3, 1e3, 1e8])
+    def test_steadiness_does_not_depend_on_the_time_scale(self, c):
+        # eta0 = c runs the eta0 = 1 dynamics on the clock t = tau / c; with
+        # dt and the horizon scaled alike, the run turns steady at the same
+        # model time tau = c t, up to the rounding of one accepted step
+        start = random_state(6, 0.7, seed=3)
+
+        def run(eta0):
+            config = IntegrationConfig(dt=0.01 / eta0, t_final=2000.0 / eta0,
+                                       record_stride=10**9)
+            times, _, steady = run_trajectory(start, ModelParams(n=6, eta0=eta0), config)
+            return steady, eta0 * times[-1]
+
+        steps = []
+        dynamics._integrate_batch(start.f[None, :], 1.0, 0.01, 2000.0, 1e-10,
+                                  record=lambda *step: steps.append(step[2]))
+        steady, tau = run(1.0)
+        assert steady and tau < 2000.0
+        steady_c, tau_c = run(c)
+        assert steady_c
+        assert abs(tau_c - tau) <= steps[-1][-1]
+
     def test_already_steady_input_returns_immediately(self):
         eq = equilibrium_recursive(3, 0.8).f_inf
         F, converged, steps, _ = integrate_batch(eq[None, :], ModelParams(n=3))

@@ -28,6 +28,7 @@ from kinetic_traffic import (
     stability_report,
     sweep,
 )
+from kinetic_traffic._pass import _STAB, _rates, _stable_step, _stencil
 from kinetic_traffic.dynamics import _rhs_batch
 from kinetic_traffic.equilibrium import (
     _RATE_TOL,
@@ -38,7 +39,6 @@ from kinetic_traffic.equilibrium import (
     _fill_levels,
     _level,
     _prefix_sums,
-    _rates,
     _sum_floor,
 )
 
@@ -660,7 +660,8 @@ class TestStability:
         f, p = case
         C = np.zeros(f.size + 1)
         f.cumsum(out=C[1:])
-        lam = _rates(p.eta0, float(C[-1]), C[1:-1], C[:-2])
+        s = float(C[-1])
+        lam = _rates(p.eta0 * s, s, C[1:-1], s - C[:-2], 1.0 - s)
         rho, e, h = Fraction(C[-1]), Fraction(p.eta0) * Fraction(C[-1]), Fraction(1, 1024)
 
         def g(P, P_prev):
@@ -676,6 +677,21 @@ class TestStability:
             a, b = rho * (rho - 2 * P), (1 - rho) * (rho - P_prev)
             tol = 8 * 2.0**-53 * float(abs(e) * (abs(a) + abs(b))) + 2.0**-1070
             assert abs(float(Fraction(lam[j - 1]) - slope)) <= tol, j
+
+    @given(states(n_max=40))
+    @example(case=(np.zeros(5), ModelParams(n=5)))
+    @example(case=(equilibrium_recursive(6, 0.5).f_inf, ModelParams(n=6)))
+    @example(case=(equilibrium_recursive(40, 0.7).f_inf, ModelParams(n=40, eta0=2.5)))
+    def test_step_bound_reads_the_reported_rates(self, case):
+        # one _rates serves both: the stepping loop's bound from the vector
+        # field's running sums is _STAB over the report's largest |lambda_j|,
+        # bit for bit, since add.accumulate and cumsum add in the same order
+        f, p = case
+        sums = _stencil(1, p.n)
+        _rhs_batch(f[None, :], p.eta0, sums=sums)
+        lam = np.abs(stability_report(f, p).hyperplane_real_parts).max()
+        with np.errstate(divide="ignore"):
+            assert _stable_step(sums)[0] == np.float64(_STAB) / lam
 
     def test_edge_densities(self):
         for n in (2, 3, 6, 8):
@@ -754,9 +770,8 @@ class TestBruteForce:
         assert np.abs(stable.f - np.array([0.6, 0.2])).max() <= 1e-12
 
     def test_candidates_are_genuine_equilibria(self):
-        p = ModelParams(n=5)
         for rho in (0.2, 0.5, 0.65, 0.9):
-            for cand in equilibrium_bruteforce(5, rho, p):
+            for cand in equilibrium_bruteforce(5, rho):
                 assert cand.residual <= 1e-10
                 assert cand.f.min() >= 0.0
                 assert abs(cand.f.sum() - rho) <= 1e-12
@@ -801,6 +816,12 @@ class TestBruteForce:
         for rho in (HALF_DOWN, 0.5 - 1e-15, 0.5 - 1e-13, 0.5 - 3e-13, 0.5 - 4.99e-13, 0.5 - 1e-12):
             for n in range(2, 41):
                 assert len(_bruteforce_levels(n, rho)) <= n, (n, rho)
+
+    def test_takes_no_time_scale(self):
+        # eta0 only sets the clock, so it changes neither the stationary
+        # set nor a verdict, and the enumeration takes no model constants
+        with pytest.raises(TypeError):
+            equilibrium_bruteforce(3, 0.7, ModelParams(n=3))
 
     def test_critical_density_candidate_is_marginal(self):
         cands = equilibrium_bruteforce(4, 0.5)

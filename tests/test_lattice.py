@@ -8,6 +8,10 @@ from kinetic_traffic import (
     ModelParams,
     build_game_table,
     build_lattice,
+    equilibrium_bruteforce,
+    equilibrium_recursive,
+    random_state,
+    random_state_batch,
 )
 
 
@@ -148,3 +152,40 @@ class TestGameTable:
         A[0, 0, 0] += 0.1
         broken = GameTable(n=3, rho=0.4, A=A)
         assert np.abs(broken.A.sum(axis=2) - 1.0).max() > 0.09
+
+
+# every public function that takes a class count n, or a density rho in
+# [0, 1], called with a valid value for the other
+TAKES_N = {
+    "ModelParams": lambda n: ModelParams(n=n),
+    "build_lattice": build_lattice,
+    "build_game_table": lambda n: build_game_table(n, 0.5),
+    "equilibrium_recursive": lambda n: equilibrium_recursive(n, 0.5),
+    "equilibrium_bruteforce": lambda n: equilibrium_bruteforce(n, 0.5),
+    "random_state": lambda n: random_state(n, 0.5),
+    "random_state_batch": lambda n: random_state_batch(n, 0.5, 2),
+}
+TAKES_RHO = {
+    "build_game_table": lambda rho: build_game_table(3, rho),
+    "equilibrium_recursive": lambda rho: equilibrium_recursive(3, rho),
+    "random_state": lambda rho: random_state(3, rho),
+    "random_state_batch": lambda rho: random_state_batch(3, rho, 2),
+}
+
+
+class TestInputRules:
+    # one rule per input, with one message, at every site that takes it
+
+    @pytest.mark.parametrize("n", [1, -3, 2.5, 3.0, "3"])
+    @pytest.mark.parametrize("take", TAKES_N.values(), ids=TAKES_N.keys())
+    def test_class_count_is_an_integer_of_at_least_two(self, take, n):
+        with pytest.raises(ValueError) as exc:
+            take(n)
+        assert str(exc.value) == f"need at least two speed classes, got n={n}"
+
+    @pytest.mark.parametrize("rho", [-0.01, 1.01, float("nan")])
+    @pytest.mark.parametrize("take", TAKES_RHO.values(), ids=TAKES_RHO.keys())
+    def test_density_lies_in_the_unit_interval(self, take, rho):
+        with pytest.raises(ValueError) as exc:
+            take(rho)
+        assert str(exc.value) == f"density {rho} outside [0, 1]"
