@@ -6,9 +6,9 @@ report also call), the step bound from the stencil's sums (_stable_step)
 and the weighted stage sums (_combine), each written one operation at a
 time into class-major buffers that the loop builds once per batch shape
 (_stencil, _Workspace); the dynamics module describes the method and the
-loop.  It has a file of its own because a process that runs the package
-from source, without cached bytecode, compiles each module on import,
-and compiling the largest one sets part of the process's peak memory.
+loop.  Its own file lowers no peak memory: without cached bytecode every
+module is compiled, and the peak follows the source compiled in all
+(about 0.05 MB per 100 lines), not the size of the largest module.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .dynamics import (
 )
 from .equilibrium import equilibrium_recursive, is_attracting, stability_report
 from .errors import KineticModelError
-from .lattice import ModelParams
+from .lattice import ModelParams, _check_n
 from .serialize import (
     diagram_csv,
     diagram_json,
@@ -73,7 +73,8 @@ def _add_model_args(p: argparse.ArgumentParser, with_rho: bool = True) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    params = ModelParams(n=args.n, eta0=args.eta0)
+    _check_n(args.n)
+    params = ModelParams(eta0=args.eta0)
     if args.seed is None:
         start = KineticState(np.full(args.n, args.rho / args.n))
     else:
@@ -94,7 +95,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    params = ModelParams(n=args.n, eta0=args.eta0)
+    _check_n(args.n)
+    params = ModelParams(eta0=args.eta0)
     eq = equilibrium_recursive(args.n, args.rho)
     report = stability_report(eq.f_inf, params)
     # the closed form always takes the larger quadratic root, which is
@@ -116,7 +118,8 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    params = ModelParams(n=args.n, eta0=args.eta0)
+    _check_n(args.n)
+    params = ModelParams(eta0=args.eta0)
     grid = build_grid(args.rho_steps)
     config = None
     if args.method == METHOD_INTEGRATE:

@@ -10,7 +10,7 @@ import numpy as np
 from .dynamics import IntegrationConfig, _flux_speed, integrate_batch
 from .equilibrium import CRITICAL_DENSITY, PHASE_CONGESTED, PHASE_FREE, _closed_form
 from .errors import MalformedDiagramError
-from .lattice import ModelParams
+from .lattice import ModelParams, _check_n
 
 __all__ = [
     "METHOD_RECURSIVE",
@@ -122,7 +122,7 @@ def sweep(
     """Equilibrium observables across a density grid.
 
     Args:
-        n: number of speed classes.
+        n: number of speed classes, at least 2.
         grid: densities to sample; defaults to build_grid().
         method: "recursive" evaluates the closed form, running its level
             recursion class by class over all densities at once;
@@ -131,7 +131,7 @@ def sweep(
             never drops below the steady tolerance are kept but marked
             converged=False.  Either way each point's flux and mean
             speed come from its state and its grid density.
-        params: model constants; defaults to ModelParams(n).
+        params: model constants; defaults to ModelParams().
         config: stepper settings for the integrate method.
 
     Returns:
@@ -139,9 +139,8 @@ def sweep(
     """
     if method not in (METHOD_RECURSIVE, METHOD_INTEGRATE):
         raise ValueError(f"unknown sweep method {method!r}")
-    params = params or ModelParams(n=n)
-    if params.n != n:
-        raise ValueError(f"params expect n={params.n}, got n={n}")
+    _check_n(n)
+    params = params or ModelParams()
     grid = build_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a vector of at least 2 densities")

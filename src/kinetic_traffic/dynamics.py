@@ -183,13 +183,7 @@ class KineticState:
         arr = np.array(self.f, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("state must be a vector with at least two classes")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("state contains non-finite values")
-        if arr.min() < -_CLAMP_TOL:
-            raise ValueError(f"negative class population {arr.min()!r}")
-        s = float(arr.sum())
-        if s > 1.0 + 1e-9:
-            raise ValueError(f"total density {s} exceeds 1")
+        _check_states(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "f", arr)
 
@@ -202,6 +196,17 @@ class KineticState:
         return float(self.f.sum())
 
 
+def _check_states(F: np.ndarray) -> None:
+    """KineticState's rule, on one state or on every row of a batch."""
+    if not np.all(np.isfinite(F)):
+        raise ValueError("state contains non-finite values")
+    if F.min(initial=0.0) < -_CLAMP_TOL:
+        raise ValueError(f"negative class population {F.min()!r}")
+    s = float(F.sum(axis=-1).max(initial=0.0))
+    if s > 1.0 + 1e-9:
+        raise ValueError(f"total density {s} exceeds 1")
+
+
 @dataclass(frozen=True)
 class Observables:
     """Macroscopic readouts: density, flux and mean speed."""
@@ -211,7 +216,7 @@ class Observables:
     u: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegrationConfig:
     """Integrator settings.
 
@@ -499,11 +504,6 @@ def _integrate_batch(
     return F_out, conv_out, steps_out, t_out, D_out, drift_out
 
 
-def _check_classes(n: int, params: ModelParams) -> None:
-    if n != params.n:
-        raise ValueError(f"state has {n} classes, params expect {params.n}")
-
-
 def integrate_batch(
     F0: np.ndarray,
     params: ModelParams,
@@ -511,7 +511,7 @@ def integrate_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, BatchStats]:
     """Integrate every row of F0, shape (m, n), until it is steady or the horizon ends.
 
-    A single state is a batch of one row.
+    A single state is a batch of one row; every row must pass KineticState's rule.
 
     Returns:
         (final rows, converged mask, accepted steps per row, integrity
@@ -520,7 +520,8 @@ def integrate_batch(
     F0 = np.asarray(F0, float)
     if F0.ndim != 2:
         raise ValueError("batch must be a 2-D array of row states")
-    _check_classes(F0.shape[1], params)
+    _check_n(F0.shape[1])
+    _check_states(F0)
     config = config or IntegrationConfig()
     stats = BatchStats()
     F, conv, steps, *_ = _integrate_batch(
@@ -551,7 +552,6 @@ def run_trajectory(
         once steady.
     """
     config = config or IntegrationConfig()
-    _check_classes(state.n, params)
     stride, dt = config.record_stride, config.dt
     taken = []
     F, conv, _, t_end, *_ = _integrate_batch(
@@ -566,7 +566,8 @@ def run_trajectory(
         # sample i * stride * dt belongs to the first step that ends at or after it
         ends = t + h
         k = np.arange(1, int(ends[-1] / (stride * dt)) + 2)
-        ts = (k * stride) * dt
+        # an int64 stride, times k in floats: no wrap, and exact below 2^53
+        ts = (k * float(np.int64(stride))) * dt
         ts = ts[ts <= ends[-1]]
     # the final state replaces a sample taken at its time, else follows
     m = ts.size + 1 + ((ts[-1] if ts.size else 0.0) != t_end[0])
@@ -634,7 +635,6 @@ def continuity_gap(
     """
     if f0.n != g0.n:
         raise ValueError("states must have the same number of classes")
-    _check_classes(f0.n, params)
     gap, bound = _continuity_gaps(f0.f[None, :], g0.f[None, :], t, params, config)
     return float(gap[0]), float(bound[0])
 

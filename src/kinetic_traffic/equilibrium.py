@@ -149,7 +149,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._pass import _rates, _rhs_batch
-from .dynamics import _check_classes
 from .errors import ConsistencyError
 from .lattice import ModelParams, _check_n, _check_rho
 
@@ -365,11 +364,11 @@ def jacobian(f: np.ndarray, params: ModelParams) -> np.ndarray:
     # hyperplane eigenvalues), by P_{j-1} (unused for j = 1, where P_0 = 0
     # is fixed) and by P_n, the response to the density itself
     f = np.asarray(f, dtype=float)
-    _check_classes(f.size, params)
+    _check_n(f.size)
     C = np.zeros(f.size + 1)
     f.cumsum(out=C[1:])
     rho, P, P_prev, fj = float(C[-1]), C[1:-1], C[:-2], f[:-1]
-    eta0, n = params.eta0, params.n
+    eta0, n = params.eta0, f.size
     lam = _rates(eta0 * rho, rho, P, rho - P_prev, 1.0 - rho)
     sub = eta0 * rho * (1.0 - rho) * (rho + P - 2.0 * P_prev)
     d_rho = eta0 * (
@@ -410,7 +409,7 @@ def stability_report(f: np.ndarray, params: ModelParams) -> StabilityReport:
     instead of classified.
     """
     f = np.asarray(f, dtype=float)
-    _check_classes(f.size, params)
+    _check_n(f.size)
     C = np.zeros(f.size + 1)
     f.cumsum(out=C[1:])
     s = float(C[-1])
@@ -521,12 +520,12 @@ def equilibrium_bruteforce(n: int, rho: float) -> list[EquilibriumCandidate]:
             n branches (module docstring).
         rho: density in (0, 1].
     """
-    params = ModelParams(n=n)
+    _check_n(n)
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"density {rho} outside (0, 1]")
     candidates = []
     for vec, larger in _bruteforce_levels(int(n), float(rho)):
-        residual = float(np.abs(_rhs_batch(vec[None, :], params.eta0)).sum())
+        residual = float(np.abs(_rhs_batch(vec[None, :], 1.0)).sum())
         if residual > 1e-10:
             continue
         same = [i for i, c in enumerate(candidates) if np.abs(vec - c.f).max() <= 1e-10]
@@ -536,6 +535,6 @@ def equilibrium_bruteforce(n: int, rho: float) -> list[EquilibriumCandidate]:
             if larger:
                 candidates[same[0]] = replace(candidates[same[0]], from_larger_roots=True)
             continue
-        verdict = stability_report(vec, params).verdict
+        verdict = stability_report(vec, ModelParams()).verdict
         candidates.append(EquilibriumCandidate(vec, residual, verdict, larger))
     return candidates

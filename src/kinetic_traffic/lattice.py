@@ -48,10 +48,9 @@ def _check_rho(rho) -> None:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model-wide constants.
+    """Model-wide constants, the same for every number of speed classes.
 
     Attributes:
-        n: number of speed classes, at least 2.
         rho_max: physical jam density in vehicles/km, used only when
             rescaling dimensionless results to physical units.
         v_max: physical maximum speed in km/h, same role as rho_max.
@@ -59,13 +58,11 @@ class ModelParams:
             eta(rho) = eta0 * rho.
     """
 
-    n: int
     rho_max: float = 200.0
     v_max: float = 100.0
     eta0: float = 1.0
 
     def __post_init__(self):
-        _check_n(self.n)
         for name in ("rho_max", "v_max", "eta0"):
             value = getattr(self, name)
             # also false for nan

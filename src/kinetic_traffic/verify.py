@@ -40,7 +40,7 @@ from .dynamics import (
     random_state_batch,
 )
 from .equilibrium import _closed_form, equilibrium_bruteforce, is_attracting
-from .lattice import GameTable, ModelParams, build_game_table
+from .lattice import GameTable, build_game_table
 
 __all__ = ["CheckResult", "run_suite", "VERIFY_DENSITIES"]
 
@@ -130,7 +130,7 @@ def _step(n: int) -> _Stepped:
     sizes = [len(rows) for rows, _ in groups]
     # one row of (dt, t_final, steady_tol) per batch row
     settings = np.repeat([[c.dt, c.t_final, c.steady_tol] for _, c in groups], sizes, axis=0)
-    eta0 = ModelParams(n=n).eta0
+    eta0 = 1.0  # the model's own clock, ModelParams' default
     F, conv, _, _, D, drift = _integrate_batch(
         np.concatenate([rows for rows, _ in groups]), eta0, *settings.T
     )

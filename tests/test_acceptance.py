@@ -59,7 +59,7 @@ def attractivity_runs():
                 np.tile(equilibrium_recursive(n, rho).f_inf, (ATTRACT_SAMPLES, 1))
             )
         F0 = np.concatenate(blocks)
-        F, conv, steps, stats = integrate_batch(F0, ModelParams(n=n), config)
+        F, conv, steps, stats = integrate_batch(F0, ModelParams(), config)
         runs[n] = {
             "F0": F0,
             "F": F,
@@ -185,7 +185,7 @@ def test_07_continuity_estimate():
     checked = 0
     worst_ratio = 0.0
     for n in range(2, 7):
-        params = ModelParams(n=n)
+        params = ModelParams()
         rhos, pairs = [], []
         for _ in range(100):
             rhos.append(float(rng.uniform(0.02, 0.98)))
@@ -207,7 +207,7 @@ def test_07_continuity_estimate():
 def test_08_bifurcation_structure():
     """The n=2 free branch trades stability with the congested branch at 1/2."""
     t0 = time.time()
-    p = ModelParams(n=2)
+    p = ModelParams()
     for k in range(1, 10):
         rho = k * 0.05 + 0.0  # 0.05 .. 0.45
         verdict = stability_report(np.array([0.0, rho]), p).verdict
@@ -226,7 +226,7 @@ def test_08_bifurcation_structure():
 def test_09_dimensional_rescaling():
     """Default road parameters put the capacity density at 100 veh/km."""
     t0 = time.time()
-    d = rescale_dimensional(sweep(2, build_grid(201)), ModelParams(n=2))
+    d = rescale_dimensional(sweep(2, build_grid(201)), ModelParams())
     ok = abs(d.sigma - 100.0) <= 1e-12 and d.units == "physical"
     report(9, "sigma = 100 veh/km under default rescaling",
            ok, f"sigma={d.sigma} veh/km in {time.time()-t0:.2f}s")

@@ -135,7 +135,7 @@ class TestSimulate:
         )
         assert code == 0
         times, samples, converged = run_trajectory(
-            random_state(6, 0.6, seed=11), ModelParams(n=6),
+            random_state(6, 0.6, seed=11), ModelParams(),
             IntegrationConfig(dt=0.01, t_final=40.0),
         )
         assert 10 * len(times) > _TABLE_BLOCK  # the table spans two blocks
@@ -205,7 +205,7 @@ class TestEquilibrium:
             with contextlib.redirect_stdout(out):
                 assert main(argv) == 0
             text = Path(path).read_bytes().decode()
-        params = ModelParams(n=n)
+        params = ModelParams()
         eq = equilibrium_recursive(n, rho)
         stable = is_attracting(stability_report(eq.f_inf, params).verdict, from_larger_roots=True)
         obs = observables(eq.f_inf)
@@ -287,7 +287,7 @@ class TestColumnarResults:
         for name, oracle in (("d.csv", diagram_csv_oracle), ("d.json", diagram_json_oracle),
                              ("d.svg", diagram_svg_oracle)):
             assert Path(out[name]).read_bytes().decode() == oracle(d), name
-        params = ModelParams(n=200)
+        params = ModelParams()
         for i, rho in enumerate(densities):
             eq = equilibrium_recursive(200, rho)
             verdict = stability_report(eq.f_inf, params).verdict
@@ -439,6 +439,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("kinetic-traffic: invalid input: ") and err.count("\n") == 1
 
+    def test_sample_times_do_not_wrap_with_a_large_stride(self, capsys):
+        # the second sample index times 2^62 wrapped in int64 to a negative
+        # time, and the dense output extrapolated to it
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "3", "--rho", "0.5", "--t-final", "1",
+            "--record-stride", str(2**62), "--dt", "1.4456e-19",
+        )
+        assert (code, err) == (0, "")
+        assert "t_reached=1\n" in out
+
     def test_argparse_errors_use_usage_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -522,6 +532,19 @@ class TestConsoleEntry:
         assert proc.stdout.strip() == "[0, 0] False"
 
 
+class TestReadme:
+    def test_library_example_runs(self):
+        # the python block under "## Library", as a reader would paste it
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        scope = {}
+        exec(code, scope)
+        assert scope["steady"].all()
+        assert scope["report"].verdict == "stable"
+        assert scope["diagram"].sigma == 0.5
+
+
 class TestBenchmarkTracer:
     @staticmethod
     def load_tracer():
@@ -545,7 +568,7 @@ class TestBenchmarkTracer:
         # out[2]; a change to the entry point's returns would skew the
         # traced counts without failing the traced run
         F0 = random_state_batch(3, 0.6, 4, seed=5)
-        out = integrate_batch(F0, ModelParams(n=3), IntegrationConfig(t_final=5.0))
+        out = integrate_batch(F0, ModelParams(), IntegrationConfig(t_final=5.0))
         steps, stats = out[2], out[3]
         counts = collections.Counter()
         self.load_tracer()._integrate_counts(counts, (F0,), {}, out)
@@ -560,7 +583,7 @@ class TestBenchmarkTracer:
         # the tracer counts a writer's output as out.encode("utf-8"), which
         # the trajectory's blocks give whole without being used up
         times, samples, _ = run_trajectory(
-            KineticState(np.full(3, 0.2)), ModelParams(n=3), IntegrationConfig(t_final=1.0)
+            KineticState(np.full(3, 0.2)), ModelParams(), IntegrationConfig(t_final=1.0)
         )
         blocks = trajectory_csv(times, samples)
         counts = {"serialize.trajectory_csv.bytes": 0}

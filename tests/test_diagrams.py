@@ -126,8 +126,6 @@ class TestRecursiveSweep:
             sweep(3, np.array([0.3, 0.2]))
         with pytest.raises(ValueError):
             sweep(3, np.array([0.2, 1.2]))
-        with pytest.raises(ValueError):
-            sweep(3, params=ModelParams(n=4))
 
 
 class TestIntegrateSweep:
@@ -215,7 +213,7 @@ class TestDetectSigma:
 
     def test_rejects_physical_units(self):
         d = sweep(2, build_grid(11))
-        phys = rescale_dimensional(d, ModelParams(n=2))
+        phys = rescale_dimensional(d, ModelParams())
         with pytest.raises(ValueError):
             detect_sigma(phys)
 
@@ -223,7 +221,7 @@ class TestDetectSigma:
 class TestRescale:
     def test_default_parameters_give_road_units(self):
         d = sweep(3, build_grid(21))
-        phys = rescale_dimensional(d, ModelParams(n=3))
+        phys = rescale_dimensional(d, ModelParams())
         assert phys.units == "physical"
         assert phys.sigma == 100.0
         assert phys.q_max == 10000.0
@@ -233,16 +231,16 @@ class TestRescale:
 
     def test_preserves_flags_and_phases(self):
         d = sweep(3, build_grid(21))
-        phys = rescale_dimensional(d, ModelParams(n=3))
+        phys = rescale_dimensional(d, ModelParams())
         for a, b in zip(d.points, phys.points):
             assert a.phase == b.phase
             assert a.converged == b.converged
 
     def test_cannot_rescale_twice(self):
         d = sweep(2, build_grid(11))
-        phys = rescale_dimensional(d, ModelParams(n=2))
+        phys = rescale_dimensional(d, ModelParams())
         with pytest.raises(ValueError):
-            rescale_dimensional(phys, ModelParams(n=2))
+            rescale_dimensional(phys, ModelParams())
 
 
 class TestDiagramValidation:
@@ -494,7 +492,7 @@ class TestWriters:
         # simulate --n 6 --rho 0.6 --t-final 500 --dt 0.01 --seed 11: the
         # bytes would not change if the fast path fell back, only the time
         times, samples, _ = run_trajectory(
-            random_state(6, 0.6, seed=11), ModelParams(n=6), IntegrationConfig(dt=0.01, t_final=500.0)
+            random_state(6, 0.6, seed=11), ModelParams(), IntegrationConfig(dt=0.01, t_final=500.0)
         )
         blocks = []
         monkeypatch.setattr(serialize, "_rows15", lambda b: blocks.append(b.copy()) or "")
@@ -526,7 +524,7 @@ class TestWriters:
         grid[np.abs(grid - 0.5).argmin()] = 0.5  # a free phase to delimit, same size
         d = sweep(n, grid)
         if physical:
-            d = rescale_dimensional(d, ModelParams(n=n))
+            d = rescale_dimensional(d, ModelParams())
         self._assert_writers_match(d, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle)
 
     def test_integrate_sweep_writers_match_the_per_point_writers(
@@ -535,7 +533,7 @@ class TestWriters:
         config = IntegrationConfig(dt=0.05, t_final=2000.0)
         d = sweep(6, build_grid(51), METHOD_INTEGRATE, config=config)
         assert 0 < np.count_nonzero(~d.converged) < d.rho.size
-        for doc in (d, rescale_dimensional(d, ModelParams(n=6))):
+        for doc in (d, rescale_dimensional(d, ModelParams())):
             self._assert_writers_match(
                 doc, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle
             )
@@ -604,7 +602,7 @@ class TestWriters:
         assert "flux" in " ".join(x for x in labels if x)
 
     def test_svg_physical_labels(self):
-        d = rescale_dimensional(sweep(3, build_grid(26)), ModelParams(n=3))
+        d = rescale_dimensional(sweep(3, build_grid(26)), ModelParams())
         text = diagram_svg(d)
         assert "veh/km" in text
         assert "km/h" in text

@@ -1,5 +1,6 @@
 """Relaxation dynamics: vector field, stepper, trajectories."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from kinetic_traffic import (
     ConsistencyError,
     IntegrationConfig,
     IntegrationDivergedError,
+    STABLE,
     KineticState,
     ModelParams,
     build_game_table,
@@ -20,10 +22,12 @@ from kinetic_traffic import (
     continuity_gap,
     equilibrium_recursive,
     integrate_batch,
+    jacobian,
     observables,
     random_state,
     random_state_batch,
     run_trajectory,
+    stability_report,
 )
 from kinetic_traffic import dynamics, verify
 from kinetic_traffic._pcg64 import _uniform
@@ -92,7 +96,7 @@ class TestVectorField:
     def test_hand_value_two_classes(self):
         # worked by hand: rho=0.7, eta=0.7, gain=(0.168, 0.322),
         # loss=rho*f=(0.14, 0.35), rhs=0.7*(gain-loss)
-        out = _rhs_batch(np.array([[0.2, 0.5]]), ModelParams(n=2).eta0)[0]
+        out = _rhs_batch(np.array([[0.2, 0.5]]), ModelParams().eta0)[0]
         assert abs(out[0] - 0.0196) <= 1e-15
         assert abs(out[1] + 0.0196) <= 1e-15
 
@@ -114,7 +118,7 @@ class TestVectorField:
                 cuts = np.sort(rng.integers(0, 1 << 20, n - 1)) / (1 << 20)
                 cases.append(rho * np.diff(cuts, prepend=0.0, append=1.0))
         for f in cases:
-            got = _rhs_batch(f[None, :], ModelParams(n=f.size).eta0)[0]
+            got = _rhs_batch(f[None, :], ModelParams().eta0)[0]
             want = dense_rhs(f)
             tol = 5e-15 if f.size <= 7 else 1e-15
             assert np.abs(got - want).max() <= tol, f"n={f.size} rho={f.sum()!r}"
@@ -122,7 +126,7 @@ class TestVectorField:
     def test_conserves_mass(self):
         rng = np.random.default_rng(11)
         for n in (2, 5, 9):
-            p = ModelParams(n=n)
+            p = ModelParams()
             for _ in range(20):
                 f = random_state(n, float(rng.uniform(0, 1)), seed=int(rng.integers(1 << 30)))
                 assert abs(_rhs_batch(f.f[None, :], p.eta0)[0].sum()) <= 1e-15
@@ -135,27 +139,52 @@ class TestVectorField:
         assert np.abs(dynamics._rhs_batch(F, 1.0).sum(axis=1)).max() <= 2e-16
 
     def test_vanishes_on_empty_road(self):
-        out = _rhs_batch(np.zeros((1, 4)), ModelParams(n=4).eta0)[0]
+        out = _rhs_batch(np.zeros((1, 4)), ModelParams().eta0)[0]
         assert np.all(out == 0.0)
 
     def test_scales_with_eta0(self):
         f = np.array([[0.1, 0.2, 0.3]])
-        base = _rhs_batch(f, ModelParams(n=3, eta0=1.0).eta0)[0]
-        fast = _rhs_batch(f, ModelParams(n=3, eta0=3.0).eta0)[0]
+        base = _rhs_batch(f, ModelParams(eta0=1.0).eta0)[0]
+        fast = _rhs_batch(f, ModelParams(eta0=3.0).eta0)[0]
         assert np.abs(fast - 3.0 * base).max() <= 1e-15
 
-    def test_class_count_mismatch(self):
-        # the field takes any width; every entry point checks it against params
-        state, p = KineticState(np.array([0.1, 0.2])), ModelParams(n=3)
+    def test_one_params_serves_every_width(self):
+        # a state's width is its class count, so one ModelParams() serves all
+        p = ModelParams()
+        for n in (2, 7):
+            F0 = random_state_batch(n, 0.6, 3, seed=n)
+            F = integrate_batch(F0, p, IntegrationConfig(t_final=1.0))[0]
+            assert F.shape == (3, n)
+            rep = stability_report(equilibrium_recursive(n, 0.6).f_inf, p)
+            assert rep.verdict == STABLE
+            assert len(rep.hyperplane_real_parts) == n - 1
+
+    def test_one_class_state_is_refused(self):
+        f, p = np.array([0.5]), ModelParams()
         for call in (
-            lambda: integrate_batch(state.f[None, :], p),
-            lambda: run_trajectory(state, p),
-            lambda: continuity_gap(state, state, 1.0, p),
+            lambda: integrate_batch(f[None, :], p),
+            lambda: stability_report(f, p),
+            lambda: jacobian(f, p),
         ):
-            with pytest.raises(ValueError, match="2 classes, params expect 3"):
+            with pytest.raises(ValueError) as exc:
                 call()
+            assert str(exc.value) == "need at least two speed classes, got n=1"
         with pytest.raises(ValueError, match="2-D"):
-            integrate_batch(state.f, ModelParams(n=2))
+            integrate_batch(np.array([0.1, 0.2]), p)
+
+    @pytest.mark.parametrize(
+        "row", [[0.9, 0.9], [-0.5, 1.0], [math.inf, 0.0], [0.2, math.nan]],
+        ids=["dense", "negative", "inf", "nan"],
+    )
+    def test_start_rows_follow_the_state_rule(self, row):
+        # a start that KineticState refuses is an input error with its
+        # message, not a numerical failure of the loop
+        with pytest.raises(ValueError) as want:
+            KineticState(np.array(row))
+        F0 = np.array([[0.1, 0.2], row, [0.3, 0.3]])
+        with pytest.raises(ValueError) as got:
+            integrate_batch(F0, ModelParams())
+        assert str(got.value) == str(want.value)
 
 
 class TestKineticState:
@@ -218,7 +247,7 @@ class TestStepper:
         assert 28.0 <= ratio <= 36.0, f"observed order ratio {ratio}"
 
     def test_step_preserves_mass(self):
-        p = ModelParams(n=5)
+        p = ModelParams()
         st = random_state(5, 0.8, seed=9)
         after = one_step(st, 0.01, p)
         assert abs(after.sum() - st.rho) <= 1e-15
@@ -227,7 +256,7 @@ class TestStepper:
         # a step is the single loop run to t = dt, so walking the loop's own
         # accepted step sizes takes one accepted step per call and lands
         # bit for bit where the loop lands
-        p = ModelParams(n=5)
+        p = ModelParams()
         st = random_state(5, 0.8, seed=9)
         taken = []
         F, _, steps, t, _, _ = dynamics._integrate_batch(
@@ -247,7 +276,7 @@ class TestStepper:
     def test_step_rejects_bad_dt(self):
         st = random_state(3, 0.5, seed=1)
         with pytest.raises(ValueError):
-            one_step(st, 0.0, ModelParams(n=3))
+            one_step(st, 0.0, ModelParams())
 
 
 class TestIntegration:
@@ -255,7 +284,7 @@ class TestIntegration:
         # congested densities relax at rate ~ rho^2 (2 rho - 1), well
         # within the default horizon
         for n, rho in ((2, 0.8), (4, 0.75), (6, 0.9)):
-            F, converged, steps, _ = integrate_batch(np.full((1, n), rho / n), ModelParams(n=n))
+            F, converged, steps, _ = integrate_batch(np.full((1, n), rho / n), ModelParams())
             assert converged[0], f"n={n} rho={rho} not steady by default horizon"
             assert steps[0] > 0
             err = np.abs(F[0] - equilibrium_recursive(n, rho).f_inf).max()
@@ -266,7 +295,7 @@ class TestIntegration:
         # must stretch to several hundred
         rho = 1.0 / 3.0
         config = IntegrationConfig(dt=0.02, t_final=800.0)
-        F, converged, _, _ = integrate_batch(np.full((1, 3), rho / 3), ModelParams(n=3), config)
+        F, converged, _, _ = integrate_batch(np.full((1, 3), rho / 3), ModelParams(), config)
         assert converged[0]
         err = np.abs(F[0] - equilibrium_recursive(3, rho).f_inf).max()
         assert err <= 1e-7, f"free phase err={err}"
@@ -281,7 +310,7 @@ class TestIntegration:
         def run(eta0):
             config = IntegrationConfig(dt=0.01 / eta0, t_final=2000.0 / eta0,
                                        record_stride=10**9)
-            times, _, steady = run_trajectory(start, ModelParams(n=6, eta0=eta0), config)
+            times, _, steady = run_trajectory(start, ModelParams(eta0=eta0), config)
             return steady, eta0 * times[-1]
 
         steps = []
@@ -295,7 +324,7 @@ class TestIntegration:
 
     def test_already_steady_input_returns_immediately(self):
         eq = equilibrium_recursive(3, 0.8).f_inf
-        F, converged, steps, _ = integrate_batch(eq[None, :], ModelParams(n=3))
+        F, converged, steps, _ = integrate_batch(eq[None, :], ModelParams())
         assert converged[0]
         assert steps[0] == 0
         assert np.all(F[0] == eq)
@@ -303,7 +332,7 @@ class TestIntegration:
     def test_batch_rows_are_independent(self):
         # integrating a state alone and inside a batch must agree bit for
         # bit; worker processes rely on this to make chunking invisible
-        p = ModelParams(n=4)
+        p = ModelParams()
         config = IntegrationConfig(dt=0.02, t_final=40.0)
         F0 = random_state_batch(4, 0.7, 6, seed=2)
         together, conv_t, _, _ = integrate_batch(F0, p, config)
@@ -315,7 +344,7 @@ class TestIntegration:
     def test_batch_convergence_freezes_rows(self):
         # a fast row must settle and freeze even while a slow row keeps
         # integrating past the horizon without converging
-        p = ModelParams(n=2)
+        p = ModelParams()
         F0 = np.array([[0.05, 0.85], [0.20, 0.20]])
         config = IntegrationConfig(dt=0.02, t_final=300.0)
         F, conv, _, _ = integrate_batch(F0, p, config)
@@ -326,7 +355,7 @@ class TestIntegration:
         assert np.all(alone[0] == F[0])
 
     def test_trajectory_shapes_and_stride(self):
-        p = ModelParams(n=3)
+        p = ModelParams()
         st = KineticState(np.full(3, 0.2))
         config = IntegrationConfig(dt=0.01, t_final=1.0, record_stride=10)
         times, samples, _ = run_trajectory(st, p, config)
@@ -338,7 +367,7 @@ class TestIntegration:
         assert np.abs(samples[0] - st.f).max() == 0.0
 
     def test_trajectory_stops_when_steady(self):
-        p = ModelParams(n=2)
+        p = ModelParams()
         st = KineticState(np.array([0.05, 0.75]))
         config = IntegrationConfig(dt=0.02, t_final=500.0)
         times, samples, converged = run_trajectory(st, p, config)
@@ -352,7 +381,7 @@ class TestIntegration:
     def test_trajectory_ends_where_integration_ends(self, stride, t_final):
         # t_final=10 stops on the horizon (a sample time for stride 1, not
         # for stride 7) and t_final=500 turns steady between samples
-        p = ModelParams(n=6)
+        p = ModelParams()
         st = KineticState(random_state(6, 0.7, seed=11).f, t=3.0)
         config = IntegrationConfig(dt=0.05, t_final=t_final, record_stride=stride)
         times, samples, converged = run_trajectory(st, p, config)
@@ -379,7 +408,7 @@ class TestIntegration:
         # no step is taken, so the start is both the first and the final
         # state: one sample, not the same time twice
         config = IntegrationConfig(dt=0.01, t_final=5.0)
-        times, samples, converged = run_trajectory(start, ModelParams(n=3), config)
+        times, samples, converged = run_trajectory(start, ModelParams(), config)
         assert converged
         assert np.array_equal(times, [start.t])
         assert samples.shape == (1, 3) and np.all(samples[0] == start.f)
@@ -391,7 +420,7 @@ class TestIntegration:
          (3, 0.3, 10, 0.05)],  # a horizon short of the first sample: start and end only
     )
     def test_samples_match_the_per_step_oracle(self, trajectory_oracle, n, rho, stride, t_final):
-        p = ModelParams(n=n)
+        p = ModelParams()
         start = KineticState(random_state(n, rho, seed=n).f, t=1.5)
         config = IntegrationConfig(dt=0.01 * n, t_final=t_final, record_stride=stride)
         times, samples, converged = run_trajectory(start, p, config)
@@ -406,7 +435,7 @@ class TestIntegration:
         f = random_state(5, 0.4, seed=3).f.copy()
         f[-1] += f[0] + 5e-13
         f[0] = -5e-13
-        p, start = ModelParams(n=5), KineticState(f)
+        p, start = ModelParams(), KineticState(f)
         config = IntegrationConfig(dt=0.01, t_final=5.0)
         times, samples, _ = run_trajectory(start, p, config)
         want_times, want, _ = trajectory_oracle(start, p, config)
@@ -418,7 +447,16 @@ class TestIntegration:
         monkeypatch.setattr(dynamics, "_dense", lambda *args: exact(*args) - 1.0)
         config = IntegrationConfig(dt=0.1, t_final=2.0)
         with pytest.raises(IntegrationDivergedError):
-            run_trajectory(random_state(4, 0.6, seed=1), ModelParams(n=4), config)
+            run_trajectory(random_state(4, 0.6, seed=1), ModelParams(), config)
+
+    def test_config_is_frozen(self):
+        # assignment would bypass the checks below, and the module-level
+        # configs of diagrams and verify are shared by every call
+        config = IntegrationConfig()
+        for name, value in (("t_final", math.nan), ("dt", -1.0), ("record_stride", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, name, value)
+        assert config == IntegrationConfig()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -437,9 +475,9 @@ class TestIntegration:
                 IntegrationConfig(t_final=bad)
         state = random_state(4, 0.6)
         with pytest.raises(ValueError):
-            one_step(state, math.inf, ModelParams(n=4))
+            one_step(state, math.inf, ModelParams())
         with pytest.raises(ValueError):
-            continuity_gap(state, state, math.inf, ModelParams(n=4))
+            continuity_gap(state, state, math.inf, ModelParams())
 
 
 class TestConservationPolicy:
@@ -465,18 +503,18 @@ class TestConservationPolicy:
         F0 = random_state_batch(4, 0.7, 3, seed=2)
         config = IntegrationConfig(dt=0.01, t_final=10.0)
         with pytest.raises(ConsistencyError):
-            integrate_batch(F0, ModelParams(n=4), config)
+            integrate_batch(F0, ModelParams(), config)
         assert len(rhs_calls) == 7
 
     def test_trajectory_raises(self, rhs_calls):
         st = random_state(4, 0.7, seed=2)
         with pytest.raises(ConsistencyError):
-            run_trajectory(st, ModelParams(n=4), IntegrationConfig(dt=0.01, t_final=1.0))
+            run_trajectory(st, ModelParams(), IntegrationConfig(dt=0.01, t_final=1.0))
 
     def test_step_raises(self, rhs_calls):
         st = random_state(4, 0.7, seed=2)
         with pytest.raises(ConsistencyError):
-            one_step(st, 0.01, ModelParams(n=4))
+            one_step(st, 0.01, ModelParams())
 
 
 class TestWorkCounts:
@@ -494,7 +532,7 @@ class TestWorkCounts:
         return rows
 
     def test_continuity_gap_takes_the_derivative_from_the_loop(self, rhs_rows):
-        p = ModelParams(n=4)
+        p = ModelParams()
         pair = random_state_batch(4, 0.6, 2, seed=3)
         continuity_gap(KineticState(pair[0]), KineticState(pair[1]), 2.0, p)
         gap_calls = len(rhs_rows)
@@ -505,7 +543,7 @@ class TestWorkCounts:
 
     def test_step_evaluates_seven_stages(self, rhs_rows):
         # the first stage, six more, and no separate residual
-        one_step(random_state(5, 0.8, seed=9), 0.01, ModelParams(n=5))
+        one_step(random_state(5, 0.8, seed=9), 0.01, ModelParams())
         assert rhs_rows == [1] * 7
 
     def test_trajectory_start_work_counts(self):
@@ -513,7 +551,7 @@ class TestWorkCounts:
         # restructure that changes the stepping work fails here
         start = random_state(6, 0.6, seed=11)
         config = IntegrationConfig(dt=0.01, t_final=500.0)
-        stats = integrate_batch(start.f[None, :], ModelParams(n=6), config)[3]
+        stats = integrate_batch(start.f[None, :], ModelParams(), config)[3]
         assert (stats.rhs_evals, stats.accepted, stats.rejected) == (1045, 174, 0)
 
     @staticmethod
@@ -527,7 +565,7 @@ class TestWorkCounts:
         # diagram --n 6 --method integrate --rho-steps 51 --dt 0.05
         # --t-final 2000: uniform splits over the grid, one batch
         F0 = np.outer(build_grid(51), np.full(6, 1.0 / 6))
-        args = (F0, ModelParams(n=6).eta0, 0.05, 2000.0, 1e-10)
+        args = (F0, ModelParams().eta0, 0.05, 2000.0, 1e-10)
         out, work = self.passes_and_work(dynamics._integrate_batch, args)
         assert work == (302, 47667, 7936, 0)
         assert np.count_nonzero(~out[1]) == 9
@@ -548,7 +586,7 @@ class TestWorkCounts:
 
     def test_counters_repeat_exactly(self):
         # a first trial step of 4 is rejected, so every counter moves
-        p = ModelParams(n=6)
+        p = ModelParams()
         F0 = random_state_batch(6, 0.7, 5, seed=4)
         config = IntegrationConfig(dt=4.0, t_final=100.0)
         first = integrate_batch(F0, p, config)[3]
@@ -570,7 +608,7 @@ class TestWorkCounts:
         rhos = (0.3, 0.5, 0.7, 0.9, 0.95)
         F0 = np.concatenate([random_state_batch(6, r, 1, seed=i) for i, r in enumerate(rhos)])
         config = IntegrationConfig(dt=4.0, t_final=100.0)
-        conv = integrate_batch(F0, ModelParams(n=6), config)[1]
+        conv = integrate_batch(F0, ModelParams(), config)[1]
         assert conv.any() and not conv.all()
         assert len({m for m, _ in layouts}) > 2
         assert all(f_major for _, f_major in layouts)
@@ -579,7 +617,7 @@ class TestWorkCounts:
 class TestPairProperties:
     @given(st.integers(2, 40), st.lists(DENSITIES, min_size=2, max_size=5), st.integers(0, 2**30))
     def test_batch_equals_rows_in_any_order(self, n, rhos, seed):
-        p = ModelParams(n=n)
+        p = ModelParams()
         config = IntegrationConfig(dt=0.05, t_final=20.0)
         F0 = np.concatenate(
             [random_state_batch(n, r, 1, seed=seed + i) for i, r in enumerate(rhos)]
@@ -638,7 +676,7 @@ class TestPairProperties:
 
     @given(st.integers(2, 40), DENSITIES, st.integers(0, 2**30))
     def test_conservation_and_positivity_along_the_loop(self, n, rho, seed):
-        p = ModelParams(n=n)
+        p = ModelParams()
         start = random_state(n, rho, seed=seed)
         config = IntegrationConfig(dt=0.1, t_final=30.0)
         times, samples, _ = run_trajectory(start, p, config)
@@ -874,7 +912,7 @@ class TestOracle:
         # samples every 0.1 up to t = 10 against RK4 at step 0.005
         start = random_state(n, rho, seed=seed)
         config = IntegrationConfig(dt=0.1, t_final=10.0, steady_tol=0.0)
-        times, samples, _ = run_trajectory(start, ModelParams(n=n), config)
+        times, samples, _ = run_trajectory(start, ModelParams(), config)
         want = rk4_oracle(start.f, 0.005, 20, 100)
         assert times.shape == (101,)
         assert np.abs(samples - want).max() <= 1e-8
@@ -914,7 +952,7 @@ class TestExactCascade:
     def test_first_class_follows_the_logistic(self, exact_p1, n, rho, eta0, seed):
         start = random_state(n, rho, seed=seed)
         config = IntegrationConfig(dt=0.5, t_final=60.0, steady_tol=0.0)
-        times, samples, _ = run_trajectory(start, ModelParams(n=n, eta0=eta0), config)
+        times, samples, _ = run_trajectory(start, ModelParams(eta0=eta0), config)
         want = exact_p1(start.f[0], start.rho, eta0, times)
         assert np.abs(samples[:, 0] - want).max() <= self.bound(start.rho)
 
@@ -924,7 +962,7 @@ class TestExactCascade:
         # algebraically, like 4 / (eta0 t)
         start = random_state(2, rho, seed=2)
         config = IntegrationConfig(dt=0.5, t_final=200.0, steady_tol=0.0)
-        times, samples, _ = run_trajectory(start, ModelParams(n=2, eta0=0.5), config)
+        times, samples, _ = run_trajectory(start, ModelParams(eta0=0.5), config)
         p1 = exact_p1(start.f[0], start.rho, 0.5, times)
         want = np.column_stack([p1, start.rho - p1])
         assert times[-1] == 200.0
@@ -982,7 +1020,7 @@ class TestContinuity:
     def test_gap_respects_growth_bound(self):
         # the 25 pairs, drawn as one pair at a time, stepped once per t
         rng = np.random.default_rng(17)
-        p = ModelParams(n=4)
+        p = ModelParams()
         rhos, pairs = [], []
         for _ in range(25):
             rhos.append(float(rng.uniform(0.05, 0.95)))
@@ -995,7 +1033,7 @@ class TestContinuity:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 40])
     def test_batched_core_matches_one_pair_calls(self, continuity_gap_oracle, n):
-        p = ModelParams(n=n)
+        p = ModelParams()
         starts = np.concatenate(
             [random_state_batch(n, rho, 4, seed=50 + n) for rho in (0.05, 0.3, 0.5, 0.7, 0.95)]
         )
@@ -1011,7 +1049,7 @@ class TestContinuity:
     def test_gap_shrinks_in_time(self):
         # trajectories contract toward the shared equilibrium, so the
         # measured gap at t=50 sits far below the exponential bound
-        p = ModelParams(n=3)
+        p = ModelParams()
         pair = random_state_batch(3, 0.8, 2, seed=23)
         early, _ = continuity_gap(KineticState(pair[0]), KineticState(pair[1]), 0.5, p)
         late, _ = continuity_gap(KineticState(pair[0]), KineticState(pair[1]), 50.0, p)
@@ -1021,17 +1059,17 @@ class TestContinuity:
         a = KineticState(np.array([0.2, 0.2]))
         b = KineticState(np.array([0.2, 0.3]))
         with pytest.raises(ValueError):
-            continuity_gap(a, b, 1.0, ModelParams(n=2))
+            continuity_gap(a, b, 1.0, ModelParams())
         # one unequal pair among equal ones fails the whole batch
         F0, G0 = np.array([[0.2, 0.2], [0.2, 0.2]]), np.array([[0.3, 0.1], [0.2, 0.3]])
         with pytest.raises(ValueError, match="density mismatch"):
-            dynamics._continuity_gaps(F0, G0, 1.0, ModelParams(n=2))
+            dynamics._continuity_gaps(F0, G0, 1.0, ModelParams())
 
     def test_nonpositive_time_rejected(self):
         a = KineticState(np.array([0.2, 0.2]))
         b = KineticState(np.array([0.3, 0.1]))
         with pytest.raises(ValueError):
-            continuity_gap(a, b, 0.0, ModelParams(n=2))
+            continuity_gap(a, b, 0.0, ModelParams())
 
 
 class TestRandomStates:

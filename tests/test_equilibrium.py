@@ -118,7 +118,7 @@ def states(draw, n_max):
     # a subnormal weight sum would overflow rho / w.sum() to inf
     f = w * (rho / w.sum()) if w.sum() >= np.finfo(float).tiny else np.full(n, rho / n)
     eta0 = draw(st.sampled_from([1.0, 0.37, 2.5]))
-    return f, ModelParams(n=n, eta0=eta0)
+    return f, ModelParams(eta0=eta0)
 
 
 @st.composite
@@ -177,7 +177,7 @@ class TestRecursion:
     def test_vanishing_residual_everywhere(self):
         """The recursion output must annihilate the vector field."""
         for n in range(2, 9):
-            p = ModelParams(n=n)
+            p = ModelParams()
             for rho in np.linspace(0.0, 1.0, 41):
                 eq = equilibrium_recursive(n, float(rho))
                 resid = np.abs(_rhs_batch(eq.f_inf[None, :], p.eta0)).sum()
@@ -467,7 +467,7 @@ class TestJacobian:
         rng = np.random.default_rng(4)
         h = 1e-6
         for n in (3, 5):
-            p = ModelParams(n=n)
+            p = ModelParams()
             for _ in range(10):
                 f = rng.uniform(0.01, 0.2, n)
                 J = jacobian(f, p)
@@ -484,7 +484,7 @@ class TestJacobian:
         # conservation: perturbations cannot create or destroy density
         rng = np.random.default_rng(21)
         for n in (2, 4, 7):
-            p = ModelParams(n=n)
+            p = ModelParams()
             for _ in range(10):
                 f = random = rng.uniform(0.0, 0.14, n)
                 J = jacobian(f, p)
@@ -513,7 +513,7 @@ class TestJacobian:
 class TestStability:
     def test_congested_equilibria_are_stable(self):
         for n in (2, 4, 6):
-            p = ModelParams(n=n)
+            p = ModelParams()
             for rho in (0.6, 0.75, 0.9):
                 rep = stability_report(equilibrium_recursive(n, rho).f_inf, p)
                 assert rep.verdict == STABLE, f"n={n} rho={rho}: {rep.verdict}"
@@ -521,7 +521,7 @@ class TestStability:
 
     def test_free_equilibria_are_stable(self):
         for n in (2, 5):
-            p = ModelParams(n=n)
+            p = ModelParams()
             for rho in (0.1, 0.3, 0.45):
                 rep = stability_report(equilibrium_recursive(n, rho).f_inf, p)
                 assert rep.verdict == STABLE
@@ -529,7 +529,7 @@ class TestStability:
     def test_slowest_mode_rate(self):
         """The least negative hyperplane eigenvalue is -eta0 rho^2 |2rho-1|."""
         for n in (2, 3, 5, 6):
-            p = ModelParams(n=n)
+            p = ModelParams()
             rep = stability_report(equilibrium_recursive(n, 0.75).f_inf, p)
             lam = max(rep.hyperplane_real_parts)
             want = -(0.75**2) * 0.5
@@ -540,7 +540,7 @@ class TestStability:
         # defective eigenvector structure, so solvers scatter it by about
         # norm * eps**(1/(n-1)); only the cluster location is testable
         for n in (2, 3, 5, 6):
-            p = ModelParams(n=n)
+            p = ModelParams()
             rep = stability_report(equilibrium_recursive(n, 0.3).f_inf, p)
             lam = max(rep.hyperplane_real_parts)
             want = -(0.3**2) * 0.4
@@ -553,7 +553,7 @@ class TestStability:
         # stable densities unstable or marginal at n >= 20
         rhos = np.array([k / 100 for k in range(1, 100) if k != 50])
         for n in (20, 50, 200):
-            p = ModelParams(n=n)
+            p = ModelParams()
             for rho, f in zip(rhos.tolist(), _closed_form(n, rhos)):
                 rep = stability_report(f, p)
                 assert rep.verdict == STABLE, f"n={n} rho={rho}: {rep.verdict}"
@@ -593,7 +593,7 @@ class TestStability:
         # verdict is stable where |2 rho - 1| is 10 times _RATE_TOL and
         # marginal below a tenth of it, and never unstable; a road at most
         # _TINY thin is empty and marginal
-        rep = stability_report(equilibrium_recursive(n, rho).f_inf, ModelParams(n=n, eta0=eta0))
+        rep = stability_report(equilibrium_recursive(n, rho).f_inf, ModelParams(eta0=eta0))
         rate = eta0 * rho * rho * abs(2.0 * rho - 1.0)
         assert abs(rep.hyperplane_real_parts[0] + rate) <= 2e-15 * eta0 * rho * rho
         assert rep.verdict != UNSTABLE
@@ -606,22 +606,22 @@ class TestStability:
 
     @given(
         case=states(n_max=40) | st.builds(
-            lambda n, rho, eta0: (equilibrium_recursive(n, rho).f_inf, ModelParams(n=n, eta0=eta0)),
+            lambda n, rho, eta0: (equilibrium_recursive(n, rho).f_inf, ModelParams(eta0=eta0)),
             st.integers(2, 300),
             st.floats(0.0, 1.0) | st.floats(0.0, 1e-4) | st.floats(0.5 - 5e-8, 0.5 + 5e-8),
             st.floats(1e-3, 1e3),
         ),
         c=st.floats(1e-12, 1e12),
     )
-    @example(case=(equilibrium_recursive(6, HALF_DOWN).f_inf, ModelParams(n=6)), c=1e-12)
-    @example(case=(equilibrium_recursive(200, HALF_UP).f_inf, ModelParams(n=200)), c=1e12)
-    @example(case=(equilibrium_recursive(6, 1e-5).f_inf, ModelParams(n=6)), c=1e-12)
-    @example(case=(equilibrium_recursive(200, 1e-5).f_inf, ModelParams(n=200)), c=1e12)
-    @example(case=(equilibrium_recursive(6, 1.0).f_inf, ModelParams(n=6)), c=1e-12)
-    @example(case=(equilibrium_recursive(200, 1.0).f_inf, ModelParams(n=200)), c=1e12)
-    @example(case=(equilibrium_recursive(6, 0.3).f_inf, ModelParams(n=6)), c=1e-9)
-    @example(case=(equilibrium_recursive(6, 0.7).f_inf, ModelParams(n=6)), c=1e-12)
-    @example(case=(np.array([0.0, HALF_UP, 0.0]), ModelParams(n=3)), c=1e-12)
+    @example(case=(equilibrium_recursive(6, HALF_DOWN).f_inf, ModelParams()), c=1e-12)
+    @example(case=(equilibrium_recursive(200, HALF_UP).f_inf, ModelParams()), c=1e12)
+    @example(case=(equilibrium_recursive(6, 1e-5).f_inf, ModelParams()), c=1e-12)
+    @example(case=(equilibrium_recursive(200, 1e-5).f_inf, ModelParams()), c=1e12)
+    @example(case=(equilibrium_recursive(6, 1.0).f_inf, ModelParams()), c=1e-12)
+    @example(case=(equilibrium_recursive(200, 1.0).f_inf, ModelParams()), c=1e12)
+    @example(case=(equilibrium_recursive(6, 0.3).f_inf, ModelParams()), c=1e-9)
+    @example(case=(equilibrium_recursive(6, 0.7).f_inf, ModelParams()), c=1e-12)
+    @example(case=(np.array([0.0, HALF_UP, 0.0]), ModelParams()), c=1e-12)
     def test_verdict_does_not_depend_on_the_time_scale(self, case, c):
         # eta0 only rescales time, so it scales every rate and the tolerance alike
         f, p = case
@@ -633,7 +633,7 @@ class TestStability:
         # eigenvalues of a nonsymmetric matrix carry a rounding error that
         # grows like (norm / separation)^(n-2) for this bidiagonal form
         f, p = case
-        n = p.n
+        n = f.size
         H = _helmert_basis(n)
         R = H @ _dense_jacobian(f, p) @ H.T
         want = np.sort(np.linalg.eigvals(R).real)[::-1]
@@ -645,13 +645,13 @@ class TestStability:
         assert np.abs(lam - want).max() <= tol
 
     @given(states(n_max=40))
-    @example(case=(np.zeros(5), ModelParams(n=5)))
-    @example(case=(equilibrium_recursive(6, HALF_DOWN).f_inf, ModelParams(n=6)))
-    @example(case=(equilibrium_recursive(6, HALF_UP).f_inf, ModelParams(n=6)))
-    @example(case=(equilibrium_recursive(40, 1.0).f_inf, ModelParams(n=40, eta0=2.5)))
-    @example(case=(np.array([0.0, HALF_UP, 0.0]), ModelParams(n=3)))
-    @example(case=(np.array([HALF_DOWN, 0.0, 0.0, 0.0]), ModelParams(n=4)))
-    @example(case=(np.full(4, 0.25), ModelParams(n=4, eta0=0.37)))
+    @example(case=(np.zeros(5), ModelParams()))
+    @example(case=(equilibrium_recursive(6, HALF_DOWN).f_inf, ModelParams()))
+    @example(case=(equilibrium_recursive(6, HALF_UP).f_inf, ModelParams()))
+    @example(case=(equilibrium_recursive(40, 1.0).f_inf, ModelParams(eta0=2.5)))
+    @example(case=(np.array([0.0, HALF_UP, 0.0]), ModelParams()))
+    @example(case=(np.array([HALF_DOWN, 0.0, 0.0, 0.0]), ModelParams()))
+    @example(case=(np.full(4, 0.25), ModelParams(eta0=0.37)))
     def test_rates_are_the_slope_of_the_level_function(self, case):
         # lambda_j = eta0 rho g'(P_j) at any state, equilibrium or not, with
         # g(P_j) = rho P_j (rho - P_j) - (1 - rho) (P_j - P_{j-1}) (rho - P_{j-1});
@@ -679,15 +679,15 @@ class TestStability:
             assert abs(float(Fraction(lam[j - 1]) - slope)) <= tol, j
 
     @given(states(n_max=40))
-    @example(case=(np.zeros(5), ModelParams(n=5)))
-    @example(case=(equilibrium_recursive(6, 0.5).f_inf, ModelParams(n=6)))
-    @example(case=(equilibrium_recursive(40, 0.7).f_inf, ModelParams(n=40, eta0=2.5)))
+    @example(case=(np.zeros(5), ModelParams()))
+    @example(case=(equilibrium_recursive(6, 0.5).f_inf, ModelParams()))
+    @example(case=(equilibrium_recursive(40, 0.7).f_inf, ModelParams(eta0=2.5)))
     def test_step_bound_reads_the_reported_rates(self, case):
         # one _rates serves both: the stepping loop's bound from the vector
         # field's running sums is _STAB over the report's largest |lambda_j|,
         # bit for bit, since add.accumulate and cumsum add in the same order
         f, p = case
-        sums = _stencil(1, p.n)
+        sums = _stencil(1, f.size)
         _rhs_batch(f[None, :], p.eta0, sums=sums)
         lam = np.abs(stability_report(f, p).hyperplane_real_parts).max()
         with np.errstate(divide="ignore"):
@@ -695,7 +695,7 @@ class TestStability:
 
     def test_edge_densities(self):
         for n in (2, 3, 6, 8):
-            p = ModelParams(n=n)
+            p = ModelParams()
             for rho in (0.0, HALF_DOWN, 0.5, HALF_UP, 1.0):
                 f = equilibrium_recursive(n, rho).f_inf
                 rep = stability_report(f, p)
@@ -722,23 +722,23 @@ class TestStability:
         # eigenvalues there
         for n in (2, 3, 4, 6):
             rep = stability_report(
-                equilibrium_recursive(n, 0.5).f_inf, ModelParams(n=n)
+                equilibrium_recursive(n, 0.5).f_inf, ModelParams()
             )
             assert rep.verdict == MARGINAL
             assert rep.nilpotent_hyperplane
 
     def test_nilpotency_flag_off_elsewhere(self):
-        rep = stability_report(equilibrium_recursive(4, 0.52).f_inf, ModelParams(n=4))
+        rep = stability_report(equilibrium_recursive(4, 0.52).f_inf, ModelParams())
         assert not rep.nilpotent_hyperplane
         assert rep.verdict == STABLE
 
     def test_empty_road_is_degenerate(self):
-        rep = stability_report(np.zeros(3), ModelParams(n=3))
+        rep = stability_report(np.zeros(3), ModelParams())
         assert rep.degenerate_zero_density
         assert rep.verdict == MARGINAL
 
     def test_mass_mode_is_isolated(self):
-        rep = stability_report(equilibrium_recursive(4, 0.8).f_inf, ModelParams(n=4))
+        rep = stability_report(equilibrium_recursive(4, 0.8).f_inf, ModelParams())
         zero_eig = rep.eigen_real_parts[rep.zero_mode_index]
         assert abs(zero_eig) <= 1e-12
         others = [
@@ -821,7 +821,7 @@ class TestBruteForce:
         # eta0 only sets the clock, so it changes neither the stationary
         # set nor a verdict, and the enumeration takes no model constants
         with pytest.raises(TypeError):
-            equilibrium_bruteforce(3, 0.7, ModelParams(n=3))
+            equilibrium_bruteforce(3, 0.7, ModelParams())
 
     def test_critical_density_candidate_is_marginal(self):
         cands = equilibrium_bruteforce(4, 0.5)

@@ -12,6 +12,7 @@ from kinetic_traffic import (
     equilibrium_recursive,
     random_state,
     random_state_batch,
+    sweep,
 )
 
 
@@ -47,24 +48,27 @@ class TestSpeedLattice:
 
 class TestModelParams:
     def test_defaults(self):
-        p = ModelParams(n=4)
+        p = ModelParams()
         assert p.rho_max == 200.0
         assert p.v_max == 100.0
         assert p.eta0 == 1.0
 
+    def test_has_no_class_count(self):
+        # a state's width is its class count, so params do not repeat it
+        with pytest.raises(TypeError):
+            ModelParams(n=3)
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            ModelParams(n=1)
+            ModelParams(rho_max=0.0)
         with pytest.raises(ValueError):
-            ModelParams(n=3, rho_max=0.0)
+            ModelParams(v_max=-1.0)
         with pytest.raises(ValueError):
-            ModelParams(n=3, v_max=-1.0)
-        with pytest.raises(ValueError):
-            ModelParams(n=3, eta0=0.0)
+            ModelParams(eta0=0.0)
         for name in ("rho_max", "v_max", "eta0"):
             for value in (float("inf"), float("nan"), -float("inf")):
                 with pytest.raises(ValueError, match=name):
-                    ModelParams(n=3, **{name: value})
+                    ModelParams(**{name: value})
 
 
 class TestGameTable:
@@ -157,13 +161,13 @@ class TestGameTable:
 # every public function that takes a class count n, or a density rho in
 # [0, 1], called with a valid value for the other
 TAKES_N = {
-    "ModelParams": lambda n: ModelParams(n=n),
     "build_lattice": build_lattice,
     "build_game_table": lambda n: build_game_table(n, 0.5),
     "equilibrium_recursive": lambda n: equilibrium_recursive(n, 0.5),
     "equilibrium_bruteforce": lambda n: equilibrium_bruteforce(n, 0.5),
     "random_state": lambda n: random_state(n, 0.5),
     "random_state_batch": lambda n: random_state_batch(n, 0.5, 2),
+    "sweep": sweep,
 }
 TAKES_RHO = {
     "build_game_table": lambda rho: build_game_table(3, rho),
