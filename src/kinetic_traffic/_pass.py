@@ -6,9 +6,10 @@ report also call), the step bound from the stencil's sums (_stable_step)
 and the weighted stage sums (_combine), each written one operation at a
 time into class-major buffers that the loop builds once per batch shape
 (_stencil, _Workspace); the dynamics module describes the method and the
-loop.  Its own file lowers no peak memory: without cached bytecode every
-module is compiled, and the peak follows the source compiled in all
-(about 0.05 MB per 100 lines), not the size of the largest module.
+loop, all in model time with no eta0 (the dynamics module's one clock).
+Its own file lowers no peak memory: without cached bytecode every module
+is compiled, and the peak follows the source compiled in all (about
+0.05 MB per 100 lines), not the size of the largest module.
 """
 
 from __future__ import annotations
@@ -27,62 +28,61 @@ def _stencil(m, n):
     """_rhs_batch's class-major buffers for m rows of n classes, and the views it reads.
 
     The running sums C (C[:, j] = P_j), R[:, j-1] = rho - P_{j-1}, the
-    zero-bordered dP, two (m, n-1) temporaries, and eta0 rho and 1 - rho.
+    zero-bordered dP, two (m, n-1) temporaries, and the column 1 - rho.
     """
     C, dP = np.zeros((2, n + 1, m)).transpose(0, 2, 1)
     R = np.empty((n, m)).T
     t, u = np.empty((2, n - 1, m)).transpose(0, 2, 1)
-    er, omr = np.empty((2, m, 1))
+    omr = np.empty((m, 1))
     # first what _stable_step reads; C itself last
     return (
-        C[:, -1:], C[:, 1:-1], R[:, :-1], t, u, er, omr,
+        C[:, -1:], C[:, 1:-1], R[:, :-1], t, u, omr,
         C[:, 1:], C[:, :-1], R, R[:, 1:], dP[:, 1:-1], dP[:, 1:], dP[:, :-1], C,
     )
 
 
-def _rhs_batch(F: np.ndarray, eta0: float, *, out=None, sums=None) -> np.ndarray:
-    """Interaction gain minus loss for each row of F, shape (m, n).
+def _rhs_batch(F: np.ndarray, *, out=None, sums=None) -> np.ndarray:
+    """Interaction gain minus loss in model time, df/dtau, for each row of F, shape (m, n).
 
-    Evaluates the cumulative stencil dP_j/dt for j = 1 .. n-1 and
-    differences it with dP_0/dt = dP_n/dt = 0, one operation at a time
+    Evaluates the cumulative stencil dP_j/dtau for j = 1 .. n-1 and
+    differences it with dP_0/dtau = dP_n/dtau = 0, one operation at a time
     into the buffers sums of _stencil (new ones if not given), and the
     result into out (a new class-major array if not given).
     """
-    rho, P, R0, t, u, er, omr, C1, C0, R, R1, dP, hi, lo, _ = sums or _stencil(*F.shape)
+    rho, P, R0, t, u, omr, C1, C0, R, R1, dP, hi, lo, _ = sums or _stencil(*F.shape)
     np.add.accumulate(F, axis=1, out=C1)
     np.subtract(rho, C0, out=R)
-    np.multiply(eta0, rho, out=er)
     np.multiply(rho, P, out=t)
     np.multiply(t, R1, out=t)
     np.subtract(1.0, rho, out=omr)
     np.multiply(omr, F[:, :-1], out=u)
     np.multiply(u, R0, out=u)
     np.subtract(t, u, out=t)
-    np.multiply(er, t, out=dP)
+    np.multiply(rho, t, out=dP)
     return np.subtract(hi, lo, out=out)
 
 
-def _rates(er, rho, P, R0, omr, out=None, tmp=None):
-    """lambda_j = er [rho (rho - 2 P_j) - omr R0] (equilibrium module docstring).
+def _rates(rho, P, R0, omr, out=None, tmp=None):
+    """lambda_j = rho [rho (rho - 2 P_j) - omr R0], in model time (equilibrium module docstring).
 
-    er = eta0 rho, omr = 1 - rho and R0 = rho - P_{j-1}; one operation at
-    a time into out and tmp (new arrays if not given).
+    omr = 1 - rho and R0 = rho - P_{j-1}; one operation at a time into
+    out and tmp (new arrays if not given).
     """
     t = np.multiply(2.0, P, out=out)
     np.subtract(rho, t, out=t)
     np.multiply(rho, t, out=t)
     u = np.multiply(omr, R0, out=tmp)
     np.subtract(t, u, out=t)
-    return np.multiply(er, t, out=t)
+    return np.multiply(rho, t, out=t)
 
 
 def _stable_step(sums):
-    """Per-row step bound _STAB / max_j |lambda_j| from the sums of _rhs_batch's last call.
+    """Per-row step bound _STAB / max_j |lambda_j| in tau from the sums of _rhs_batch's last call.
 
     _rates in the call's temporaries; the mass mode is 0.
     """
-    rho, P, R0, t, u, er, omr = sums[:7]
-    return _STAB / np.abs(_rates(er, rho, P, R0, omr, t, u), out=t).max(axis=1)
+    rho, P, R0, t, u, omr = sums[:6]
+    return _STAB / np.abs(_rates(rho, P, R0, omr, t, u), out=t).max(axis=1)
 
 
 def _combine(w, K, prod=None, out=None):

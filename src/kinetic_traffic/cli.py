@@ -65,11 +65,13 @@ def _write(path: str, blocks: Iterable[str]) -> None:
         fh.writelines(blocks)
 
 
-def _add_model_args(p: argparse.ArgumentParser, with_rho: bool = True) -> None:
+def _add_model_args(p: argparse.ArgumentParser, with_rho: bool = True, clock: bool = True) -> None:
     p.add_argument("--n", type=int, required=True, help="number of speed classes (>= 2)")
     if with_rho:
         p.add_argument("--rho", type=float, required=True, help="total density in [0, 1]")
-    p.add_argument("--eta0", type=float, default=1.0, help="interaction rate slope (default 1)")
+    if clock:
+        p.add_argument("--eta0", type=float, default=1.0,
+                       help="interaction rate slope (default 1)")
 
 
 def _cmd_simulate(args) -> int:
@@ -95,17 +97,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    _check_n(args.n)
-    params = ModelParams(eta0=args.eta0)
     eq = equilibrium_recursive(args.n, args.rho)
-    report = stability_report(eq.f_inf, params)
+    report = stability_report(eq.f_inf)
     # the closed form always takes the larger quadratic root, which is
     # the attracting branch even when the spectrum alone is marginal
     stable = is_attracting(report.verdict, from_larger_roots=True)
     obs = observables(eq.f_inf)
-    scale_rho, scale_v = 1.0, 1.0
-    if args.units == UNITS_PHYSICAL:
-        scale_rho, scale_v = params.rho_max, params.v_max
+    p = ModelParams()
+    scale_rho, scale_v = (p.rho_max, p.v_max) if args.units == UNITS_PHYSICAL else (1.0, 1.0)
     q, u = obs.q * scale_rho * scale_v, obs.u * scale_v
     f_inf, _ = texts15(eq.f_inf * scale_rho)
     print(f"n={eq.n} rho={fmt15(eq.rho * scale_rho)} phase={eq.phase} stable={'yes' if stable else 'no'}")
@@ -185,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("equilibrium", help="closed-form steady state at one density")
-    _add_model_args(p)
+    # no byte of the output depends on the clock, so it takes no --eta0
+    _add_model_args(p, clock=False)
     p.add_argument(
         "--units",
         choices=["dimensionless", "physical"],

@@ -6,22 +6,29 @@ vehicles between classes by the game table A[h][k][j] of the lattice
 module and conserve the density rho = sum_j f_j.  A vehicle moves one
 class up or down to its partner's class, so in the cumulative sums
 P_j = f_1 + ... + f_j (P_0 = 0, P_n = rho) the gain-minus-loss sum over
-the table collapses to a two-term stencil,
+the table collapses to a two-term stencil.  In the model time
+tau = eta0 t it reads
 
-    dP_j/dt = eta0 rho [rho P_j (rho - P_j) - (1 - rho) f_j (rho - P_{j-1})],
+    dP_j/dtau = rho [rho P_j (rho - P_j) - (1 - rho) f_j (rho - P_{j-1})],
 
 j = 1 .. n-1: faster vehicles braking into the classes up to j, and
-class j accelerating out of them.  df_j/dt is its difference with
-dP_0/dt = dP_n/dt = 0, from one running sum per state, in O(n).  The
+class j accelerating out of them.  df_j/dtau is its difference with
+dP_0/dtau = dP_n/dtau = 0, from one running sum per state, in O(n).  The
 same sums give the exact eigenvalues of the linearization (see the
 equilibrium module), which bound the step size.  The state stays in f,
 because f = diff(P) would lose relative accuracy in small classes.
 
+eta0 only sets the clock: the run at eta0 = c is the eta0 = 1 run read
+at t = tau / c.  So below the entry points that take a caller's time
+(integrate_batch, run_trajectory, continuity_gap) nothing takes eta0:
+they scale dt and t_final by it going in, times and derivatives back
+coming out, and refuse a scaled time that is not a normal float, on
+which the loop would hang (0, inf) or round the times it returns.
+
 Time integration uses the Dormand-Prince 5(4) embedded pair (Dormand &
 Prince 1980) with a PI step-size controller (Gustafsson 1991; Hairer,
 Norsett & Wanner, Solving ODEs I, section II.4).  Every row carries its
-own time and step size, so a row's result never depends on which other
-rows share its batch.  A step is accepted when its embedded error
+own time and step size.  A step is accepted when its embedded error
 estimate, in the RMS norm weighted by 1e-12 + 1e-8 |f|, is at most one;
 a rejected step does not advance its row.  The last stage of an accepted
 step is the derivative at its end point and serves as the next step's
@@ -39,13 +46,12 @@ meaningful; a dip below -1e-12 aborts the run as a genuine failure.
 One stepping loop, _integrate_batch, serves every entry point:
 integrate_batch, run_trajectory, continuity_gap and verify.  It takes
 the first step, horizon and steady tolerance as arguments, each one
-value or one value per row; the public entry points pass the fields of
-the one IntegrationConfig they take, steady_tol times eta0 (a bound in
-their time t), and verify steps the conservation, continuity and
-attractivity rows of one n, each with its group's settings, as one
-batch.  continuity_gap steps its pair in one batch.
-The loop hands each accepted step (its time, size, start, end and
-stages) to a recorder callback; run_trajectory keeps them and evaluates
+value or one value per row: the entry points pass their one
+IntegrationConfig's, continuity_gap steps its pair in one batch, and
+verify steps the conservation, continuity and attractivity rows of one
+n, each with its group's settings, as one batch.  The loop hands each
+accepted step (its time, size, start, end and stages) to a recorder
+callback; run_trajectory keeps them and evaluates
 the samples of all steps in one batch after the loop, so a sample below
 the clamp window raises when the loop has ended.  The loop applies one
 conservation policy: a row's density may move by at most 1e-13 in a
@@ -57,9 +63,10 @@ own errors on non-finite values and runs with numpy's floating-point
 warnings off.
 
 The loop takes a batch of states as the rows of a matrix.  Rows evolve
-independently through elementwise arithmetic in a fixed order, and a row
-leaves the working array, with its settings, once it is steady or has
-reached its horizon.  A pass in which every row accepts keeps its new
+independently through elementwise arithmetic in a fixed order, so a
+row's result never depends on which other rows share its batch, and a
+row leaves the working array, with its settings, once it is steady or
+has reached its horizon.  A pass in which every row accepts keeps its new
 arrays whole; only a pass with rejections gathers and scatters rows.
 
 The working arrays are class-major: column j of an (m, n) array, class j
@@ -69,7 +76,7 @@ arithmetic, bounds a pass, and class-major an elementwise operation or
 a class slice runs over runs of m instead of m runs of n.  A pass's
 buffers live in one _Workspace per batch shape (module _pass), rebuilt
 only when rows leave: the stage stack with its stage-sum products,
-_rhs_batch's sums, stencil, temporaries and (m, 1) columns, which also
+_rhs_batch's sums, stencil, temporaries and (m, 1) column, which also
 give the step bound, the error-norm buffers, and every view these are
 read through, built once.  No array leaves a pass as a view of them:
 k1 is copied from the last stage, each stage's solution Y is a new
@@ -81,9 +88,8 @@ deficit) is taken over row-major memory: numpy sums a contiguous row
 pairwise, a class-major row one class at a time, and from n = 8 on the
 two round differently.
 
-Random starts take their uniforms from _pcg64._uniform: the stream of
-numpy's default_rng(seed).random(), written out in Python integers bit
-for bit, so drawing a start does not import numpy's random module.
+Random starts take their uniforms from _pcg64._uniform, numpy's
+default_rng(seed).random() bit for bit without numpy's random module.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ import numpy as np
 from ._pass import _Workspace, _combine, _rhs_batch, _stable_step, _stencil
 from ._pcg64 import _uniform
 from .errors import ConsistencyError, IntegrationDivergedError
-from .lattice import ModelParams, _check_n, _check_rho, build_lattice
+from .lattice import _CLAMP_TOL, ModelParams, _check_n, _check_rho, _check_states, build_lattice
 
 __all__ = [
     "KineticState",
@@ -115,8 +121,7 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 
-# positivity policy thresholds
-_CLAMP_TOL = 1e-12
+# positivity policy thresholds; the clamp window _CLAMP_TOL is the state rule's
 _DRIFT_TOL = 1e-13
 
 # error control: a step is accepted when the RMS over its row of
@@ -196,17 +201,6 @@ class KineticState:
         return float(self.f.sum())
 
 
-def _check_states(F: np.ndarray) -> None:
-    """KineticState's rule, on one state or on every row of a batch."""
-    if not np.all(np.isfinite(F)):
-        raise ValueError("state contains non-finite values")
-    if F.min(initial=0.0) < -_CLAMP_TOL:
-        raise ValueError(f"negative class population {F.min()!r}")
-    s = float(F.sum(axis=-1).max(initial=0.0))
-    if s > 1.0 + 1e-9:
-        raise ValueError(f"total density {s} exceeds 1")
-
-
 @dataclass(frozen=True)
 class Observables:
     """Macroscopic readouts: density, flux and mean speed."""
@@ -218,15 +212,15 @@ class Observables:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Integrator settings.
+    """Integrator settings; dt and t_final are in the caller's time t (module docstring).
 
     Attributes:
         dt: first trial step of every row, and the spacing of trajectory
             samples; later steps are chosen by the error control.
         t_final: horizon; integration stops here even if not steady.
-        steady_tol: 1-norm of the derivative in model time eta0 t below
-            which a state counts as steady, so eta0 does not move the model
-            time at which a run turns steady.
+        steady_tol: 1-norm of df/dtau below which a state counts as
+            steady, so eta0 does not move the model time at which a run
+            turns steady.
         record_stride: trajectory samples are taken every record_stride
             multiples of dt.
     """
@@ -266,7 +260,7 @@ class BatchStats:
     rejected: int = 0
 
 
-def _dp_step(F, h, k1, eta0, ws=None):
+def _dp_step(F, h, k1, ws=None):
     """One Dormand-Prince attempt from every row of F with steps h (a column).
 
     Returns the fifth-order solution Y, a new array, and the seven stages
@@ -280,7 +274,7 @@ def _dp_step(F, h, k1, eta0, ws=None):
     # _rhs_batch is this module's name, so a hook set here sees every stage
     for i, (w, prod) in enumerate(zip(_A_W, ws.prods), 1):
         Y = F + np.multiply(h, _combine(w, K, prod, acc), out=acc)
-        K[i] = _rhs_batch(Y, eta0, out=ws.stages[i], sums=ws.sums)
+        K[i] = _rhs_batch(Y, out=ws.stages[i], sums=ws.sums)
     return Y, K, ws.sums[-1]
 
 
@@ -350,7 +344,6 @@ def _clamp_batch(F: np.ndarray, stats: BatchStats) -> np.ndarray:
 @np.errstate(all="ignore")
 def _integrate_batch(
     F0: np.ndarray,
-    eta0: float,
     dt,
     t_final,
     steady_tol,
@@ -359,17 +352,17 @@ def _integrate_batch(
 ):
     """March every row of F0 until it is steady or reaches its t_final.
 
-    dt (the first trial step), t_final and steady_tol are each one value
-    for every row or a sequence of one value per row.  A row leaves the
-    working array, with its settings, once the 1-norm of its derivative
-    is below its steady_tol, or once its last step, cut to end exactly on
-    its t_final, is accepted.  stats.max_drift keeps the largest density
-    drift it has seen.  After each pass that
-    accepts steps, record(rows, t, h, F, Y, K) receives copies, the
-    hook's to keep, of what _dense needs to evaluate those steps: the
-    original indices of the rows that advanced, their times before the
-    step, the step sizes, the states before the step, the unclamped
-    fifth-order solutions and the seven stages, shape (7, rows, n).
+    dt (the first trial step), t_final and steady_tol, all in model time,
+    are each one value for every row or a sequence of one value per row.
+    A row leaves the working array, with its settings, once the 1-norm of
+    its derivative is below its steady_tol, or once its last step, cut to
+    end exactly on its t_final, is accepted.  stats.max_drift keeps the
+    largest density drift it has seen.  After each pass that accepts
+    steps, record(rows, t, h, F, Y, K) receives copies, the hook's to
+    keep, of what _dense needs to evaluate those steps: the original
+    indices of the rows that advanced, their times before the step, the
+    step sizes, the states before the step, the unclamped fifth-order
+    solutions and the seven stages, shape (7, rows, n).
 
     Returns (F, converged, steps, t, D, drift): the final rows, a boolean
     mask of rows whose final derivative is below their steady_tol, the
@@ -399,7 +392,7 @@ def _integrate_batch(
     # the start, horizon and steady tolerance
     rows = np.arange(m)
     ws = _Workspace(m, n)
-    ws.K[0] = _rhs_batch(F, eta0, out=ws.k1, sums=ws.sums)
+    ws.K[0] = _rhs_batch(F, out=ws.k1, sums=ws.sums)
     bound = _stable_step(ws.sums)
     stats.rhs_evals += m
     t = np.zeros(m)
@@ -434,7 +427,7 @@ def _integrate_batch(
         last = t + h >= t_final
         hs = np.where(last, t_final - t, h)
         hc = hs[:, None]
-        Y, K, _ = _dp_step(F, hc, ws.k1, eta0, ws)
+        Y, K, _ = _dp_step(F, hc, ws.k1, ws)
         stats.rhs_evals += 6 * rows.size
         E = np.multiply(hc, _combine(_E_W, K, ws.prods[6], ws.acc), out=ws.acc)
         scale = np.maximum(np.abs(F, out=ws.scale), np.abs(Y, out=ws.absY), out=ws.scale)
@@ -473,7 +466,7 @@ def _integrate_batch(
                 touched = np.flatnonzero((Fa != Ya).any(axis=1))
                 sums = _stencil(touched.size, n)
                 ka = ka.copy()
-                ka[touched] = _rhs_batch(Fa[touched], eta0, sums=sums)
+                ka[touched] = _rhs_batch(Fa[touched], sums=sums)
                 ba[touched] = _stable_step(sums)
                 stats.rhs_evals += touched.size
             sa = Fa.copy(order="C").sum(axis=1)
@@ -520,14 +513,21 @@ def integrate_batch(
     F0 = np.asarray(F0, float)
     if F0.ndim != 2:
         raise ValueError("batch must be a 2-D array of row states")
-    _check_n(F0.shape[1])
     _check_states(F0)
     config = config or IntegrationConfig()
     stats = BatchStats()
-    F, conv, steps, *_ = _integrate_batch(
-        F0, params.eta0, config.dt, config.t_final, config.steady_tol * params.eta0, stats
-    )
+    dt, t_final = _model_time(params.eta0, dt=config.dt, t_final=config.t_final)
+    F, conv, steps, *_ = _integrate_batch(F0, dt, t_final, config.steady_tol, stats)
     return F, conv, steps, stats
+
+
+def _model_time(eta0, **times):
+    """The caller's times in model time eta0 t, in order; ValueError unless each is normal."""
+    taus = [float(t) * float(eta0) for t in times.values()]
+    for (name, t), tau in zip(times.items(), taus):
+        if not np.finfo(float).tiny <= tau < math.inf:
+            raise ValueError(f"{name} * eta0 = {t!r} * {eta0!r} = {tau!r}, out of range")
+    return taus
 
 
 def run_trajectory(
@@ -537,12 +537,12 @@ def run_trajectory(
 ):
     """Integrate to the horizon, sampling every record_stride multiples of dt.
 
-    The samples lie at state.t + i * dt for the multiples i of
-    record_stride and come from the clamped continuous extension of the
-    step that contains them, evaluated for all steps at once after the
-    loop into the rows of the returned array, which is allocated once at
-    its final size.  So a sample below the clamp window raises
-    IntegrationDivergedError when the loop has ended, not at its step.
+    Sample i lies at the model time i (dt eta0), at state.t + i (dt eta0)
+    / eta0, for the multiples i of record_stride, from the clamped
+    continuous extension of the step that contains it, evaluated for all
+    steps at once after the loop into the rows of the returned array,
+    allocated once at its final size.  So a sample below the clamp window
+    raises IntegrationDivergedError when the loop has ended.
 
     Returns:
         (times, samples, converged) where samples[i] is the state at
@@ -552,11 +552,10 @@ def run_trajectory(
         once steady.
     """
     config = config or IntegrationConfig()
-    stride, dt = config.record_stride, config.dt
+    dt, t_final = _model_time(params.eta0, dt=config.dt, t_final=config.t_final)
     taken = []
     F, conv, _, t_end, *_ = _integrate_batch(
-        state.f[None, :], params.eta0, dt, config.t_final, config.steady_tol * params.eta0,
-        record=lambda *s: taken.append(s),
+        state.f[None, :], dt, t_final, config.steady_tol, record=lambda *s: taken.append(s)
     )
     ts = np.zeros(0)
     if taken:
@@ -565,9 +564,11 @@ def run_trajectory(
         K = np.concatenate(steps[5], axis=1)
         # sample i * stride * dt belongs to the first step that ends at or after it
         ends = t + h
-        k = np.arange(1, int(ends[-1] / (stride * dt)) + 2)
-        # an int64 stride, times k in floats: no wrap, and exact below 2^53
-        ts = (k * float(np.int64(stride))) * dt
+        # an int64 stride, times k in floats: no wrap, and exact below 2^53; the
+        # count in Python floats, where an overflow is inf, not a numpy warning
+        stride = float(np.int64(config.record_stride))
+        k = np.arange(1, int(float(ends[-1]) / (stride * dt)) + 2)
+        ts = (k * stride) * dt
         ts = ts[ts <= ends[-1]]
     # the final state replaces a sample taken at its time, else follows
     m = ts.size + 1 + ((ts[-1] if ts.size else 0.0) != t_end[0])
@@ -581,7 +582,7 @@ def run_trajectory(
         # an unclamped batch is inner itself, which numpy does not copy
         inner[...] = _clamp_batch(_dense(F0, Y, K, h[:, None], at, theta, inner), BatchStats())
     samples[-1] = F[0]
-    return state.t + times, samples, bool(conv[0])
+    return state.t + times / params.eta0, samples, bool(conv[0])
 
 
 def _flux_speed(F: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -645,18 +646,18 @@ def _continuity_gaps(F0, G0, t, params, config=None):
     Rows never interact, so each pair's (gap, bound) is bit for bit its
     one-pair value.  Returns the gaps and the bounds as arrays.
     """
-    dt = (config or IntegrationConfig()).dt
-    # no steady exit, so every row reaches t
-    F, _, _, _, D, _ = _integrate_batch(_continuity_rows(F0, G0, t), params.eta0, dt, t, 0.0)
-    return _continuity_bounds(F0, G0, F, D, t, params.eta0)
+    rows, eta0 = _continuity_rows(F0, G0), params.eta0
+    dt, tau = _model_time(eta0, dt=(config or IntegrationConfig()).dt, t=t)
+    # no steady exit, so every row reaches tau
+    F, _, _, _, D, _ = _integrate_batch(rows, dt, tau, 0.0)
+    return _continuity_bounds(F0, G0, F, eta0 * D, tau, 1.0 + 3.0 * eta0)
 
 
-def _continuity_rows(F0, G0, t):
-    """The rows that the pairs (F0[i], G0[i]) step to time t, F0's then G0's.
+def _continuity_rows(F0, G0):
+    """The rows that the pairs (F0[i], G0[i]) step, F0's then G0's.
 
     Raises:
-        ValueError: if a pair's densities differ by more than 1e-12, or
-            t is not positive and finite.
+        ValueError: if a pair's densities differ by more than 1e-12.
     """
     rf, rg = F0.sum(axis=1), G0.sum(axis=1)
     bad = np.flatnonzero(np.abs(rf - rg) > 1e-12)
@@ -666,22 +667,19 @@ def _continuity_rows(F0, G0, t):
             f"density mismatch: {float(rf[i])!r} vs {float(rg[i])!r}; the estimate "
             "applies to equal-density pairs"
         )
-    if not (t > 0 and math.isfinite(t)):
-        raise ValueError(f"comparison time must be positive and finite, got {t}")
     return np.concatenate([F0, G0])
 
 
-def _continuity_bounds(F0, G0, F, D, t, eta0):
-    """Each pair's gap |g - f|_1 + |g' - f'|_1 at t, and its bound.
+def _continuity_bounds(F0, G0, F, D, tau, slope=4.0):
+    """Each pair's gap |g - f|_1 + |g' - f'|_1 at model time tau, and its bound.
 
-    The bound is (1 + 3 eta0) exp(3 eta0 t) |g0 - f0|_1.  F and D are the
-    states at t and their derivatives, of the rows of _continuity_rows in
-    its order.
+    The bound is slope exp(3 tau) |g0 - f0|_1: slope is 4 for D = df/dtau
+    and 1 + 3 eta0 for D = df/dt.  F and D are the states at tau and their
+    derivatives, of the rows of _continuity_rows in its order.
     """
     f, g = slice(len(F0)), slice(len(F0), None)
     gap = np.abs(F[g] - F[f]).sum(axis=1) + np.abs(D[g] - D[f]).sum(axis=1)
-    growth = (1.0 + 3.0 * eta0) * math.exp(3.0 * eta0 * t)
-    return gap, growth * np.abs(G0 - F0).sum(axis=1)
+    return gap, slope * math.exp(3.0 * tau) * np.abs(G0 - F0).sum(axis=1)
 
 
 def random_state(n: int, rho: float, seed: int = DEFAULT_SEED) -> KineticState:

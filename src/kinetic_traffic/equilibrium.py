@@ -56,16 +56,18 @@ memory.  This rests on numpy's reduction order, so a test pins it
 against the per-level sums on the installed numpy.
 
 Linearization uses the cumulative coordinates P_j = f_1 + ... + f_j,
-with P_0 = 0 and P_n = rho.  In them the dynamics read
+with P_0 = 0 and P_n = rho, and the model time tau = eta0 t: eta0 only
+sets the clock (dynamics module docstring), so nothing here takes it,
+and rates in the time t are eta0 times these.  The dynamics read
 
-    dP_j/dt = eta0 rho [rho P_j (rho - P_j) - (1 - rho) f_j (rho - P_{j-1})],
+    dP_j/dtau = rho [rho P_j (rho - P_j) - (1 - rho) f_j (rho - P_{j-1})],
 
-with f_j = P_j - P_{j-1}, for j = 1 .. n-1, and dP_n/dt = 0.  At fixed
+with f_j = P_j - P_{j-1}, for j = 1 .. n-1, and dP_n/dtau = 0.  At fixed
 density P_j responds only to P_{j-1} and P_j, so the Jacobian restricted
 to the zero-sum hyperplane is lower bidiagonal in these coordinates and
 its eigenvalues are the diagonal entries
 
-    lambda_j = eta0 rho [rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1})],
+    lambda_j = rho [rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1})],
 
 exactly, at any state.  The full spectrum adds the conserved-mass mode 0.
 jacobian and stability_report take lambda_j from _pass._rates over one
@@ -76,8 +78,8 @@ Each rate is the slope of its level's stationarity function.  Let
 
     g(P_j) = rho P_j (rho - P_j) - (1 - rho) (P_j - P_{j-1}) (rho - P_{j-1}),
 
-the bracket of dP_j/dt with P_{j-1} held fixed, so dP_j/dt = eta0 rho g.
-Then lambda_j = eta0 rho g'(P_j), at any state: P_j enters dP_j/dt only
+the bracket of dP_j/dtau with P_{j-1} held fixed, so dP_j/dtau = rho g.
+Then lambda_j = rho g'(P_j), at any state: P_j enters dP_j/dtau only
 through g, and g'(P_j) = rho (rho - P_j) - rho P_j - (1 - rho) (rho -
 P_{j-1}) = rho (rho - 2 P_j) - (1 - rho) (rho - P_{j-1}).  With
 S = P_{j-1} and f = P_j - S, g is the level quadratic -rho f^2 + B f +
@@ -150,7 +152,7 @@ import numpy as np
 
 from ._pass import _rates, _rhs_batch
 from .errors import ConsistencyError
-from .lattice import ModelParams, _check_n, _check_rho
+from .lattice import _check_n, _check_rho, _check_states
 
 __all__ = [
     "STABLE",
@@ -178,7 +180,7 @@ PHASE_CONGESTED = "congested"
 CRITICAL_DENSITY = 0.5
 
 _TINY = 1e-12
-# a rate lambda_j within _RATE_TOL eta0 rho^2 of zero counts as neither
+# a rate lambda_j within _RATE_TOL rho^2 of zero counts as neither
 # decaying nor growing (stability_report)
 _RATE_TOL = 1e-9
 
@@ -218,15 +220,12 @@ class EquilibriumCandidate:
 class StabilityReport:
     """Linearization summary at a stationary point.
 
-    verdict reflects the spectrum restricted to the zero-sum hyperplane,
-    which is real and exact (see stability_report); the conserved-mass
-    direction always contributes one zero eigenvalue to the full
-    spectrum, at zero_mode_index of eigen_real_parts.
+    verdict reflects the model-time spectrum on the zero-sum hyperplane,
+    real and exact (see stability_report), in descending order in
+    hyperplane_real_parts; the full spectrum adds the mass mode's zero.
     """
 
     verdict: str
-    eigen_real_parts: tuple[float, ...]
-    zero_mode_index: int
     hyperplane_real_parts: tuple[float, ...]
     degenerate_zero_density: bool = False
     nilpotent_hyperplane: bool = False
@@ -343,8 +342,8 @@ def equilibrium_recursive(n: int, rho: float) -> EquilibriumResult:
     return EquilibriumResult(n=n, rho=rho, f_inf=F[0], phase=phase, b=B, c=C, delta=delta)
 
 
-def jacobian(f: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Derivative matrix of the interaction dynamics at state f.
+def jacobian(f: np.ndarray) -> np.ndarray:
+    """Derivative matrix of the interaction dynamics, in model time, at state f.
 
     The density is treated as a function of the state, so the derivative
     includes the response of the encounter rate and of the game table to
@@ -354,24 +353,22 @@ def jacobian(f: np.ndarray, params: ModelParams) -> np.ndarray:
     L^-1 J_P L, where J_P is bidiagonal plus the density column.
 
     Args:
-        f: state vector; its sum is the density.
-        params: model constants (eta0 scales the whole matrix).
+        f: state vector under KineticState's rule; its sum is the density.
 
     Returns:
-        n x n matrix J with J[j, i] = d rhs_j / d f_i.
+        n x n matrix J with J[j, i] = d (df_j/dtau) / d f_i.
     """
-    # the partial derivatives of dP_j/dt, j = 1 .. n-1, by P_j (the
+    # the partial derivatives of dP_j/dtau, j = 1 .. n-1, by P_j (the
     # hyperplane eigenvalues), by P_{j-1} (unused for j = 1, where P_0 = 0
     # is fixed) and by P_n, the response to the density itself
     f = np.asarray(f, dtype=float)
-    _check_n(f.size)
+    _check_states(f)
     C = np.zeros(f.size + 1)
     f.cumsum(out=C[1:])
-    rho, P, P_prev, fj = float(C[-1]), C[1:-1], C[:-2], f[:-1]
-    eta0, n = params.eta0, f.size
-    lam = _rates(eta0 * rho, rho, P, rho - P_prev, 1.0 - rho)
-    sub = eta0 * rho * (1.0 - rho) * (rho + P - 2.0 * P_prev)
-    d_rho = eta0 * (
+    rho, P, P_prev, fj, n = float(C[-1]), C[1:-1], C[:-2], f[:-1], f.size
+    lam = _rates(rho, P, rho - P_prev, 1.0 - rho)
+    sub = rho * (1.0 - rho) * (rho + P - 2.0 * P_prev)
+    d_rho = (
         rho * P * (3.0 * rho - 2.0 * P)
         - (1.0 - 2.0 * rho) * fj * (rho - P_prev)
         - rho * (1.0 - rho) * fj
@@ -386,38 +383,34 @@ def jacobian(f: np.ndarray, params: ModelParams) -> np.ndarray:
     return np.diff(JL, axis=0, prepend=0.0)
 
 
-def stability_report(f: np.ndarray, params: ModelParams) -> StabilityReport:
+def stability_report(f: np.ndarray) -> StabilityReport:
     """Classify a state by its linearization, in O(n).
 
-    The hyperplane spectrum is read off the cumulative form (module
-    docstring): the Jacobian restricted to the zero-sum hyperplane, the
-    directions that keep the density fixed, is lower bidiagonal in
-    P_j = f_1 + ... + f_j, so its eigenvalues are exactly the rates
-    lambda_j, j = 1 .. n-1, and the full spectrum adds the mass mode 0.
-    No eigenvalue solver runs, so the defective free-phase eigenvalue
-    eta0 rho^2 (2 rho - 1) of multiplicity n-1 is not scattered.
+    The spectrum on the zero-sum hyperplane, the directions that keep the
+    density fixed, is exactly the model-time rates lambda_j, j = 1 .. n-1,
+    read off the cumulative form (module docstring); the full spectrum
+    adds the mass mode 0.  No eigenvalue solver runs, so the defective
+    free-phase eigenvalue rho^2 (2 rho - 1) of multiplicity n-1 is not
+    scattered.
 
-    Stable means every lambda_j is below -1e-9 eta0 rho^2, unstable
-    means some lambda_j exceeds +1e-9 eta0 rho^2, marginal covers the
-    rest.  Every lambda_j carries the factor eta0 rho^2, so the
-    tolerance follows the rates' own scale, and the verdict does not
-    change with eta0, which only rescales time (up to rounding at the
-    threshold itself).  At the critical density every lambda_j is
-    exactly zero while the bidiagonal is not, so the restricted Jacobian
-    is nilpotent; that is flagged and marginal.  An all-zero state has a
+    Stable means every lambda_j is below -1e-9 rho^2, unstable means
+    some lambda_j exceeds +1e-9 rho^2, marginal covers the rest.  Every
+    lambda_j carries the factor rho^2, so the tolerance follows the
+    rates' own scale.  At the critical density every lambda_j is exactly
+    zero while the bidiagonal is not, so the restricted Jacobian is
+    nilpotent; that is flagged and marginal.  An all-zero state has a
     frozen linearization (the encounter rate vanishes), which is flagged
-    instead of classified.
+    instead of classified.  f must pass KineticState's rule.
     """
     f = np.asarray(f, dtype=float)
-    _check_n(f.size)
+    _check_states(f)
     C = np.zeros(f.size + 1)
     f.cumsum(out=C[1:])
     s = float(C[-1])
-    hyper = np.sort(_rates(params.eta0 * s, s, C[1:-1], s - C[:-2], 1.0 - s))[::-1]
-    zero_mode = int(np.count_nonzero(hyper > 0.0))
+    hyper = np.sort(_rates(s, C[1:-1], s - C[:-2], 1.0 - s))[::-1]
     degenerate = s <= _TINY
     nilpotent = not degenerate and not hyper.any()
-    tol = _RATE_TOL * params.eta0 * s * s
+    tol = _RATE_TOL * s * s
     if degenerate:
         verdict = MARGINAL
     elif np.all(hyper < -tol):
@@ -428,8 +421,6 @@ def stability_report(f: np.ndarray, params: ModelParams) -> StabilityReport:
         verdict = MARGINAL
     return StabilityReport(
         verdict=verdict,
-        eigen_real_parts=tuple(np.insert(hyper, zero_mode, 0.0).tolist()),
-        zero_mode_index=zero_mode,
         hyperplane_real_parts=tuple(hyper.tolist()),
         degenerate_zero_density=degenerate,
         nilpotent_hyperplane=nilpotent,
@@ -510,10 +501,7 @@ def equilibrium_bruteforce(n: int, rho: float) -> list[EquilibriumCandidate]:
     level quadratic, keeps the nonnegative vectors whose derivative
     vanishes (1-norm below 1e-10), and attaches a stability verdict to
     each.  Independent of the closed-form recursion, which should appear
-    in the output as the single attracting candidate.  The residual and
-    the verdicts are taken at the default eta0 = 1: eta0 only sets the
-    clock, so it changes neither which states are stationary nor their
-    stability.
+    in the output as the single attracting candidate.
 
     Args:
         n: number of classes, at least 2; the enumeration keeps at most
@@ -525,7 +513,7 @@ def equilibrium_bruteforce(n: int, rho: float) -> list[EquilibriumCandidate]:
         raise ValueError(f"density {rho} outside (0, 1]")
     candidates = []
     for vec, larger in _bruteforce_levels(int(n), float(rho)):
-        residual = float(np.abs(_rhs_batch(vec[None, :], 1.0)).sum())
+        residual = float(np.abs(_rhs_batch(vec[None, :])).sum())
         if residual > 1e-10:
             continue
         same = [i for i, c in enumerate(candidates) if np.abs(vec - c.f).max() <= 1e-10]
@@ -535,6 +523,6 @@ def equilibrium_bruteforce(n: int, rho: float) -> list[EquilibriumCandidate]:
             if larger:
                 candidates[same[0]] = replace(candidates[same[0]], from_larger_roots=True)
             continue
-        verdict = stability_report(vec, ModelParams()).verdict
+        verdict = stability_report(vec).verdict
         candidates.append(EquilibriumCandidate(vec, residual, verdict, larger))
     return candidates

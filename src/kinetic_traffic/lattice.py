@@ -46,6 +46,21 @@ def _check_rho(rho) -> None:
         raise ValueError(f"density {rho} outside [0, 1]")
 
 
+_CLAMP_TOL = 1e-12  # a class may dip below zero by this much (the clamp window)
+
+
+def _check_states(F: np.ndarray) -> None:
+    """KineticState's rule and _check_n, on one state or on every row of a batch."""
+    _check_n(F.shape[-1] if F.ndim else F.size)
+    if not np.all(np.isfinite(F)):
+        raise ValueError("state contains non-finite values")
+    if F.min(initial=0.0) < -_CLAMP_TOL:
+        raise ValueError(f"negative class population {F.min()!r}")
+    s = float(F.sum(axis=-1).max(initial=0.0))
+    if s > 1.0 + 1e-9:
+        raise ValueError(f"total density {s} exceeds 1")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model-wide constants, the same for every number of speed classes.
@@ -54,8 +69,8 @@ class ModelParams:
         rho_max: physical jam density in vehicles/km, used only when
             rescaling dimensionless results to physical units.
         v_max: physical maximum speed in km/h, same role as rho_max.
-        eta0: interaction-rate constant; the dimensionless clock runs at
-            eta(rho) = eta0 * rho.
+        eta0: interaction-rate constant; interactions fire at eta0 * rho,
+            so eta0 only sets the clock (dynamics module docstring).
     """
 
     rho_max: float = 200.0

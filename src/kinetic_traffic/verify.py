@@ -12,11 +12,12 @@ Each group exercises one structural property end to end:
 
 The conservation, continuity and attractivity groups step their rows of
 one n as one batch: the loop takes a first step, horizon and steady
-tolerance per row, each its group's, and returns each row's result and
-density drift.  Rows never interact, so each row's result is the one
-its group would get alone.  The three checks then read their rows of
-every n's result.  The uniqueness group enumerates candidates by brute
-force at every n, in at most n branches per density.
+tolerance per row, each its group's, in model time (the time of
+eta0 = 1), and returns each row's result and density drift.  Rows never
+interact, so each row's result is the one its group would get alone.
+The three checks then read their rows of every n's result.  The
+uniqueness group enumerates candidates by brute force at every n, in at
+most n branches per density.
 
 The table builder is injectable so the stochasticity group can be pointed
 at a deliberately broken construction; it must then fail.
@@ -124,18 +125,15 @@ def _step(n: int) -> _Stepped:
     F0, G0 = pairs[0::2], pairs[1::2]
     groups = [
         (starts(4, DEFAULT_SEED + n), _CONSERVATION),
-        (_continuity_rows(F0, G0, _CONTINUITY.t_final), _CONTINUITY),
+        (_continuity_rows(F0, G0), _CONTINUITY),
         (starts(_SAMPLES, DEFAULT_SEED + 13 * n), _ATTRACTIVITY),
     ]
     sizes = [len(rows) for rows, _ in groups]
     # one row of (dt, t_final, steady_tol) per batch row
     settings = np.repeat([[c.dt, c.t_final, c.steady_tol] for _, c in groups], sizes, axis=0)
-    eta0 = 1.0  # the model's own clock, ModelParams' default
-    F, conv, _, _, D, drift = _integrate_batch(
-        np.concatenate([rows for rows, _ in groups]), eta0, *settings.T
-    )
+    F, conv, _, _, D, drift = _integrate_batch(np.concatenate([r for r, _ in groups]), *settings.T)
     a, b = sizes[0], sizes[0] + sizes[1]
-    gaps, bounds = _continuity_bounds(F0, G0, F[a:b], D[a:b], _CONTINUITY.t_final, eta0)
+    gaps, bounds = _continuity_bounds(F0, G0, F[a:b], D[a:b], _CONTINUITY.t_final)
     return _Stepped(n, float(drift[:a].max()), gaps, bounds, F[b:], conv[b:])
 
 

@@ -152,13 +152,13 @@ def json_value(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def rhs_batch_reference(F, eta0):
-    """The cumulative stencil with a zero-padded cumsum and np.diff, the reference."""
+def rhs_batch_reference(F):
+    """The cumulative stencil, df/dtau, from a zero-padded cumsum and np.diff: the reference."""
     C = np.zeros((F.shape[0], F.shape[1] + 1))
     np.cumsum(F, axis=-1, out=C[:, 1:])
     rho, P, P_prev = C[:, -1:], C[:, 1:-1], C[:, :-2]
     dP = np.zeros((F.shape[0], F.shape[1] + 1))
-    dP[:, 1:-1] = eta0 * rho * (
+    dP[:, 1:-1] = rho * (
         rho * P * (rho - P) - (1.0 - rho) * F[:, :-1] * (rho - P_prev)
     )
     return np.diff(dP, axis=1)
@@ -169,21 +169,21 @@ def combine_reference(weights, K):
     return sum(w * k for w, k in zip(weights, K) if w)
 
 
-def dp_step_reference(F, h, k1, eta0):
+def dp_step_reference(F, h, k1):
     """One Dormand-Prince attempt on the reference vector field."""
     K = [k1]
     for row in _A:
         Y = F + h * combine_reference(row, K)
-        K.append(rhs_batch_reference(Y, eta0))
+        K.append(rhs_batch_reference(Y))
     return Y, K
 
 
-def stable_step_reference(F, eta0):
+def stable_step_reference(F):
     """The step bound from a fresh cumsum of every row of F, the reference."""
     C = np.zeros((F.shape[0], F.shape[1] + 1))
     np.cumsum(F, axis=1, out=C[:, 1:])
     rho, P, P_prev = C[:, -1:], C[:, 1:-1], C[:, :-2]
-    lam = eta0 * rho * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - P_prev))
+    lam = rho * (rho * (rho - 2.0 * P) - (1.0 - rho) * (rho - P_prev))
     return _STAB / np.abs(lam).max(axis=1)
 
 
@@ -207,7 +207,7 @@ def clamp_reference(F, stats):
 
 
 @np.errstate(all="ignore")
-def integrate_batch_reference(F0, eta0, dt, t_final, steady_tol, stats=None, record=None):
+def integrate_batch_reference(F0, dt, t_final, steady_tol, stats=None, record=None):
     """The stepping loop in row-major memory, the reference.
 
     Every pass scatters its accepted rows into the working arrays and
@@ -225,7 +225,7 @@ def integrate_batch_reference(F0, eta0, dt, t_final, steady_tol, stats=None, rec
     steps_out = np.zeros(m, dtype=int)
     t_out, drift_out = np.zeros(m), np.zeros(m)
     rows = np.arange(m)
-    k1 = rhs_batch_reference(F, eta0)
+    k1 = rhs_batch_reference(F)
     stats.rhs_evals += m
     t = np.zeros(m)
     h = np.full(m, float(dt))
@@ -248,10 +248,10 @@ def integrate_batch_reference(F0, eta0, dt, t_final, steady_tol, stats=None, rec
             )
         if not rows.size:
             break
-        h = np.minimum(h, stable_step_reference(F, eta0))
+        h = np.minimum(h, stable_step_reference(F))
         last = t + h >= t_final
         hs = np.where(last, t_final - t, h)
-        Y, K = dp_step_reference(F, hs[:, None], k1, eta0)
+        Y, K = dp_step_reference(F, hs[:, None], k1)
         K = np.stack(K)
         stats.rhs_evals += 6 * rows.size
         E = hs[:, None] * combine_reference(_E, K)
@@ -276,7 +276,7 @@ def integrate_batch_reference(F0, eta0, dt, t_final, steady_tol, stats=None, rec
             ka = K[6][a]
             if Fa is not Ya:
                 touched = np.flatnonzero((Fa != Ya).any(axis=1))
-                ka[touched] = rhs_batch_reference(Fa[touched], eta0)
+                ka[touched] = rhs_batch_reference(Fa[touched])
                 stats.rhs_evals += touched.size
             sa = Fa.sum(axis=1)
             moved = float(np.abs(sa - s[a]).max())
@@ -310,8 +310,11 @@ def trajectory_reference(state, params, config):
 
     Each step's samples go through the continuous extension and the clamp
     as soon as the loop hands the step over, as the loop once did itself.
+    The loop runs in model time, so dt and t_final go in times eta0 and
+    the times come out over it.
     """
-    stride, dt = config.record_stride, config.dt
+    eta0 = params.eta0
+    stride, dt = config.record_stride, config.dt * eta0
     times, samples = [np.zeros(1)], [state.f[None, :]]
     k_next = 1
 
@@ -330,7 +333,7 @@ def trajectory_reference(state, params, config):
             k_next += ts.size
 
     F, conv, _, t_end, _, _ = _integrate_batch(
-        state.f[None, :], params.eta0, dt, config.t_final, config.steady_tol, record=record
+        state.f[None, :], dt, config.t_final * eta0, config.steady_tol, record=record
     )
     times, samples = np.concatenate(times), np.concatenate(samples)
     if times[-1] == t_end[0]:
@@ -338,16 +341,21 @@ def trajectory_reference(state, params, config):
     else:
         times = np.append(times, t_end[0])
         samples = np.vstack([samples, F])
-    return state.t + times, samples, bool(conv[0])
+    return state.t + times / eta0, samples, bool(conv[0])
 
 
 def continuity_gap_reference(f0, g0, t, params, config=None):
-    """The growth estimate of one pair, stepped as a two-row batch with 1-D sums."""
-    dt = (config or IntegrationConfig()).dt
-    F, _, _, _, D, _ = _integrate_batch(np.vstack([f0.f, g0.f]), params.eta0, dt, t, 0.0)
-    gap = float(np.abs(F[1] - F[0]).sum() + np.abs(D[1] - D[0]).sum())
+    """The growth estimate of one pair, stepped as a two-row batch with 1-D sums.
+
+    The pair steps to the model time tau = eta0 t, and the derivatives
+    d/dtau are scaled back to d/dt.
+    """
     eta0 = params.eta0
-    bound = (1.0 + 3.0 * eta0) * math.exp(3.0 * eta0 * t) * float(np.abs(g0.f - f0.f).sum())
+    dt, tau = (config or IntegrationConfig()).dt * eta0, t * eta0
+    F, _, _, _, D, _ = _integrate_batch(np.vstack([f0.f, g0.f]), dt, tau, 0.0)
+    D = eta0 * D
+    gap = float(np.abs(F[1] - F[0]).sum() + np.abs(D[1] - D[0]).sum())
+    bound = (1.0 + 3.0 * eta0) * math.exp(3.0 * tau) * float(np.abs(g0.f - f0.f).sum())
     return gap, bound
 
 

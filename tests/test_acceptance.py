@@ -207,16 +207,15 @@ def test_07_continuity_estimate():
 def test_08_bifurcation_structure():
     """The n=2 free branch trades stability with the congested branch at 1/2."""
     t0 = time.time()
-    p = ModelParams()
     for k in range(1, 10):
         rho = k * 0.05 + 0.0  # 0.05 .. 0.45
-        verdict = stability_report(np.array([0.0, rho]), p).verdict
+        verdict = stability_report(np.array([0.0, rho])).verdict
         assert verdict == STABLE, f"free branch at rho={rho}: {verdict}"
     for k in range(11, 20):
         rho = k * 0.05
-        free = stability_report(np.array([0.0, rho]), p).verdict
+        free = stability_report(np.array([0.0, rho])).verdict
         assert free == UNSTABLE, f"free branch at rho={rho}: {free}"
-        cong = stability_report(np.array([2 * rho - 1, 1 - rho]), p).verdict
+        cong = stability_report(np.array([2 * rho - 1, 1 - rho])).verdict
         assert cong == STABLE, f"congested branch at rho={rho}: {cong}"
     report(8, "n=2 supercritical exchange of stability",
            True, f"free stable below 1/2, unstable above; congested stable above; "

@@ -207,7 +207,7 @@ class TestEquilibrium:
             text = Path(path).read_bytes().decode()
         params = ModelParams()
         eq = equilibrium_recursive(n, rho)
-        stable = is_attracting(stability_report(eq.f_inf, params).verdict, from_larger_roots=True)
+        stable = is_attracting(stability_report(eq.f_inf).verdict, from_larger_roots=True)
         obs = observables(eq.f_inf)
         scale_rho, scale_v = (params.rho_max, params.v_max) if physical else (1.0, 1.0)
         q, u = obs.q * scale_rho * scale_v, obs.u * scale_v
@@ -287,10 +287,9 @@ class TestColumnarResults:
         for name, oracle in (("d.csv", diagram_csv_oracle), ("d.json", diagram_json_oracle),
                              ("d.svg", diagram_svg_oracle)):
             assert Path(out[name]).read_bytes().decode() == oracle(d), name
-        params = ModelParams()
         for i, rho in enumerate(densities):
             eq = equilibrium_recursive(200, rho)
-            verdict = stability_report(eq.f_inf, params).verdict
+            verdict = stability_report(eq.f_inf).verdict
             obs = observables(eq.f_inf)
             want = equilibrium_json_oracle(
                 eq, 1.0, obs.q, obs.u, is_attracting(verdict, from_larger_roots=True)
@@ -339,9 +338,9 @@ class TestVerifyCommand:
         calls = []
         exact = dynamics._integrate_batch
 
-        def counted(F0, eta0, dt, t_final, steady_tol, stats=None, record=None):
+        def counted(F0, dt, t_final, steady_tol, stats=None, record=None):
             calls.append(BatchStats() if stats is None else stats)
-            return exact(F0, eta0, dt, t_final, steady_tol, calls[-1], record)
+            return exact(F0, dt, t_final, steady_tol, calls[-1], record)
 
         monkeypatch.setattr(dynamics, "_integrate_batch", counted)
         monkeypatch.setattr(verify, "_integrate_batch", counted)
@@ -395,9 +394,8 @@ class TestExitCodes:
         assert code == 1
         assert "invalid input" in err
 
-        # infinite rates used to print verdict=stable, or fail numerically
+        # infinite rates used to fail numerically
         for argv in (
-            ("equilibrium", "--n", "3", "--rho", "0.6", "--eta0", "inf"),
             ("simulate", "--n", "3", "--rho", "0.6", "--eta0", "inf", "--t-final", "1"),
             ("diagram", "--n", "3", "--rho-steps", "11", "--eta0", "nan"),
         ):
@@ -462,6 +460,11 @@ class TestExitCodes:
             main(["diagram", "--n", "3", "--jobs", "2"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        # no byte of an equilibrium record depends on the clock
+        with pytest.raises(SystemExit) as exc:
+            main(["equilibrium", "--n", "3", "--rho", "0.6", "--eta0", "2"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --eta0 2" in capsys.readouterr().err
 
     def test_numerical_failure_code(self, capsys):
         # a hopeless horizon leaves every free-phase point unconverged,
@@ -473,19 +476,71 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in err
 
-    def test_numerical_failure_is_the_only_stderr_output(self):
-        # overflowing rates drive the stepper to non-finite values; numpy's
-        # overflow and invalid-value warnings used to come first on stderr
+    @staticmethod
+    def run_process(*argv):
+        """The command in a fresh interpreter, with numpy's default warning filters."""
         src = os.path.dirname(os.path.dirname(kinetic_traffic.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "kinetic_traffic", "simulate",
-             "--n", "3", "--rho", "0.5", "--eta0", "1e308", "--t-final", "1"],
+        return subprocess.run(
+            [sys.executable, "-m", "kinetic_traffic", *argv],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_numerical_failure_is_the_only_stderr_output(self):
+        # nothing, a numpy warning included, precedes the error line
+        proc = self.run_process(
+            "diagram", "--n", "3", "--method", "integrate", "--rho-steps", "11", "--t-final", "1"
+        )
         assert proc.returncode == 2
-        assert proc.stderr == "kinetic-traffic: numerical failure: non-finite values in trajectory\n"
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("kinetic-traffic: numerical failure: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, name", [
+        # dt * eta0 underflows to 0: a zero first step never grows, and the
+        # loop ran forever
+        (("--t-final", "1", "--eta0", "5e-324"), "dt"),
+        # a subnormal 1e-322 in place of 1e-322: the samples came out at
+        # t = 0.00988.. and the run ended at 0.0499.. in place of 0.05
+        (("--t-final", "0.05", "--eta0", "1e-320"), "dt"),
+        (("--t-final", "1e-300", "--dt", "1", "--eta0", "1e-30"), "t_final"),
+        (("--t-final", "1e10", "--eta0", "1e300"), "t_final"),
+        (("--t-final", "1", "--dt", "1e10", "--eta0", "1e300"), "dt"),
+    ])
+    def test_model_time_out_of_range_is_a_usage_error(self, argv, name):
+        # the loop runs in model time eta0 t, so a step or horizon that
+        # underflows out of the normal floats or overflows to inf there is
+        # refused in one line
+        proc = self.run_process("simulate", "--n", "3", "--rho", "0.6", *argv)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"kinetic-traffic: invalid input: {name} * eta0 = ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_huge_eta0_runs_on_the_model_clock(self, capsys):
+        # rates of 1e308 per unit t overflowed; in model time the run is the
+        # eta0 = 1 run, read at t = tau / 1e308
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "3", "--rho", "0.5", "--eta0", "1e308", "--t-final", "1"
+        )
+        assert (code, err) == (0, "")
+        assert "steady=yes t_reached=5.86209386083848e-302\n" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        # the run turns steady near t = 100, and 100 / 3e-308 samples
+        # overflow; counted in Python floats, they give no numpy overflow
+        # warning ahead of the error line
+        (("--rho", "0.8", "--t-final", "1000", "--dt", "3e-308"),
+         "cannot convert float infinity to integer"),
+        (("--rho", "0.5", "--t-final", "1", "--dt", "5e-324"),
+         "dt * eta0 = 5e-324 * 1.0 = 5e-324, out of range"),
+    ])
+    def test_sample_count_overflow_is_one_usage_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "simulate", "--n", "3", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"kinetic-traffic: invalid input: {message}\n"
 
     def test_io_failure_code(self, capsys, tmp_path):
         target = str(tmp_path / "missing" / "d.csv")

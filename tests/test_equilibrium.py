@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -74,8 +73,8 @@ def _table_density_derivative(n):
     return D
 
 
-def _dense_jacobian(f, params):
-    """Jacobian contracted from the dense n^3 game table and its derivative."""
+def _dense_jacobian(f):
+    """Jacobian in model time, contracted from the dense n^3 game table and its derivative."""
     n = f.size
     s = float(f.sum())
     A = build_game_table(n, min(max(s, 0.0), 1.0)).A
@@ -83,9 +82,7 @@ def _dense_jacobian(f, params):
     M1 = np.einsum("ikj,k->ji", A, f)
     M2 = np.einsum("hij,h->ji", A, f)
     W = np.einsum("hkj,h,k->j", _table_density_derivative(n), f, f)
-    return params.eta0 * (
-        (G - s * f)[:, None] + s * (M1 + M2 + (W - f)[:, None] - s * np.eye(n))
-    )
+    return (G - s * f)[:, None] + s * (M1 + M2 + (W - f)[:, None] - s * np.eye(n))
 
 
 def _helmert_basis(n):
@@ -111,14 +108,12 @@ def _cumulative_block(J):
 
 @st.composite
 def states(draw, n_max):
-    """(f, params): a state of 2..n_max classes at a density in [0, 1]."""
+    """A state of 2..n_max classes at a density in [0, 1]."""
     n = draw(st.integers(2, n_max))
     rho = draw(st.sampled_from([0.0, HALF_DOWN, 0.5, HALF_UP, 1.0]) | st.floats(0.0, 1.0))
     w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     # a subnormal weight sum would overflow rho / w.sum() to inf
-    f = w * (rho / w.sum()) if w.sum() >= np.finfo(float).tiny else np.full(n, rho / n)
-    eta0 = draw(st.sampled_from([1.0, 0.37, 2.5]))
-    return f, ModelParams(eta0=eta0)
+    return w * (rho / w.sum()) if w.sum() >= np.finfo(float).tiny else np.full(n, rho / n)
 
 
 @st.composite
@@ -177,17 +172,16 @@ class TestRecursion:
     def test_vanishing_residual_everywhere(self):
         """The recursion output must annihilate the vector field."""
         for n in range(2, 9):
-            p = ModelParams()
             for rho in np.linspace(0.0, 1.0, 41):
                 eq = equilibrium_recursive(n, float(rho))
-                resid = np.abs(_rhs_batch(eq.f_inf[None, :], p.eta0)).sum()
+                resid = np.abs(_rhs_batch(eq.f_inf[None, :])).sum()
                 assert resid <= 1e-12, f"n={n} rho={rho}: residual {resid}"
         # scaled by rho^2 the residual stays at roundoff for every n: the
         # worst measured, over n = 2..40, 50, 100, 150 and 200, is 6.7e-16 (from
         # n = 6 on, at rho = 0.865)
         rhos = np.concatenate([build_grid(2001), [HALF_DOWN, HALF_UP, 1e-100]])
         for n in (2, 3, 4, 6, 9, 17, 40, 100, 200):
-            resid = np.abs(_rhs_batch(_closed_form(n, rhos), 1.0)).sum(axis=1)
+            resid = np.abs(_rhs_batch(_closed_form(n, rhos))).sum(axis=1)
             scaled = resid[rhos > 0] / rhos[rhos > 0] ** 2
             assert resid[rhos == 0].max() == 0.0
             assert scaled.max() <= 1e-15, f"n={n}: scaled residual {scaled.max()}"
@@ -467,16 +461,15 @@ class TestJacobian:
         rng = np.random.default_rng(4)
         h = 1e-6
         for n in (3, 5):
-            p = ModelParams()
             for _ in range(10):
                 f = rng.uniform(0.01, 0.2, n)
-                J = jacobian(f, p)
+                J = jacobian(f)
                 for j in range(n):
                     fp, fm = f.copy(), f.copy()
                     fp[j] += h
                     fm[j] -= h
                     col = (
-                        _rhs_batch(fp[None, :], p.eta0) - _rhs_batch(fm[None, :], p.eta0)
+                        _rhs_batch(fp[None, :]) - _rhs_batch(fm[None, :])
                     )[0] / (2 * h)
                     assert np.abs(J[:, j] - col).max() <= 1e-6
 
@@ -484,53 +477,49 @@ class TestJacobian:
         # conservation: perturbations cannot create or destroy density
         rng = np.random.default_rng(21)
         for n in (2, 4, 7):
-            p = ModelParams()
             for _ in range(10):
                 f = random = rng.uniform(0.0, 0.14, n)
-                J = jacobian(f, p)
+                J = jacobian(f)
                 assert np.abs(J.sum(axis=0)).max() <= 1e-13
 
     @given(states(n_max=40))
     def test_matches_dense_table_jacobian(self, case):
-        f, p = case
-        J = jacobian(f, p)
-        assert np.abs(J - _dense_jacobian(f, p)).max() <= 1e-14 * p.eta0
+        f = case
+        J = jacobian(f)
+        assert np.abs(J - _dense_jacobian(f)).max() <= 1e-14
 
     @given(states(n_max=40))
     def test_cumulative_form_is_lower_bidiagonal(self, case):
         # the structure the O(n) stability report rests on, checked on the
         # dense-table Jacobian: in P_j = f_1 + ... + f_j the hyperplane
         # block is lower bidiagonal with diagonal lambda_j
-        f, p = case
-        block = _cumulative_block(_dense_jacobian(f, p))
+        f = case
+        block = _cumulative_block(_dense_jacobian(f))
         off = np.triu(block, 1) + np.tril(block, -2)
-        assert np.abs(off).max(initial=0.0) <= 1e-14 * p.eta0
+        assert np.abs(off).max(initial=0.0) <= 1e-14
         lam = np.sort(np.diag(block))[::-1]
-        rep = stability_report(f, p)
-        assert np.abs(lam - rep.hyperplane_real_parts).max() <= 1e-14 * p.eta0
+        rep = stability_report(f)
+        assert np.abs(lam - rep.hyperplane_real_parts).max() <= 1e-14
 
 
 class TestStability:
     def test_congested_equilibria_are_stable(self):
         for n in (2, 4, 6):
-            p = ModelParams()
             for rho in (0.6, 0.75, 0.9):
-                rep = stability_report(equilibrium_recursive(n, rho).f_inf, p)
+                rep = stability_report(equilibrium_recursive(n, rho).f_inf)
                 assert rep.verdict == STABLE, f"n={n} rho={rho}: {rep.verdict}"
                 assert max(rep.hyperplane_real_parts) < 0.0
 
     def test_free_equilibria_are_stable(self):
         for n in (2, 5):
-            p = ModelParams()
             for rho in (0.1, 0.3, 0.45):
-                rep = stability_report(equilibrium_recursive(n, rho).f_inf, p)
+                rep = stability_report(equilibrium_recursive(n, rho).f_inf)
                 assert rep.verdict == STABLE
 
     def test_slowest_mode_rate(self):
-        """The least negative hyperplane eigenvalue is -eta0 rho^2 |2rho-1|."""
+        """The least negative hyperplane eigenvalue is -rho^2 |2rho-1| in model time."""
         for n in (2, 3, 5, 6):
-            p = ModelParams()
-            rep = stability_report(equilibrium_recursive(n, 0.75).f_inf, p)
+            rep = stability_report(equilibrium_recursive(n, 0.75).f_inf)
             lam = max(rep.hyperplane_real_parts)
             want = -(0.75**2) * 0.5
             assert abs(lam - want) <= 1e-8, f"n={n}: {lam} vs {want}"
@@ -540,8 +529,7 @@ class TestStability:
         # defective eigenvector structure, so solvers scatter it by about
         # norm * eps**(1/(n-1)); only the cluster location is testable
         for n in (2, 3, 5, 6):
-            p = ModelParams()
-            rep = stability_report(equilibrium_recursive(n, 0.3).f_inf, p)
+            rep = stability_report(equilibrium_recursive(n, 0.3).f_inf)
             lam = max(rep.hyperplane_real_parts)
             want = -(0.3**2) * 0.4
             assert abs(lam - want) <= 5e-4, f"n={n}: {lam} vs {want}"
@@ -553,11 +541,10 @@ class TestStability:
         # stable densities unstable or marginal at n >= 20
         rhos = np.array([k / 100 for k in range(1, 100) if k != 50])
         for n in (20, 50, 200):
-            p = ModelParams()
             for rho, f in zip(rhos.tolist(), _closed_form(n, rhos)):
-                rep = stability_report(f, p)
+                rep = stability_report(f)
                 assert rep.verdict == STABLE, f"n={n} rho={rho}: {rep.verdict}"
-                want = -p.eta0 * rho**2 * abs(2.0 * rho - 1.0)
+                want = -(rho**2) * abs(2.0 * rho - 1.0)
                 lam = max(rep.hyperplane_real_parts)
                 assert abs(lam - want) <= 1e-14 * abs(want), f"n={n} rho={rho}"
 
@@ -565,37 +552,36 @@ class TestStability:
         n=st.integers(2, 200),
         # anywhere, thin, and close to 1/2, where the slowest rate vanishes
         rho=st.floats(0.0, 1.0) | st.floats(0.0, 3e-4) | st.floats(0.5 - 5e-8, 0.5 + 5e-8),
-        eta0=st.floats(0.5, 3.0),
     )
-    # the edges of the band around 1/2 at eta0 = 1: |2 rho - 1| = 1e-10
+    # the edges of the band around 1/2: |2 rho - 1| = 1e-10
     # at 1/2 +- 5e-11 and 1e-8 at 1/2 +- 5e-9
-    @example(n=6, rho=0.5 - 4.9e-11, eta0=1.0)
-    @example(n=200, rho=0.5 + 4.9e-11, eta0=1.0)
-    @example(n=2, rho=0.5 - 5.1e-9, eta0=1.0)
-    @example(n=200, rho=0.5 + 5.1e-9, eta0=1.0)
+    @example(n=6, rho=0.5 - 4.9e-11)
+    @example(n=200, rho=0.5 + 4.9e-11)
+    @example(n=2, rho=0.5 - 5.1e-9)
+    @example(n=200, rho=0.5 + 5.1e-9)
     # inside the band: the rate is still checked
-    @example(n=200, rho=0.5 - 1e-9, eta0=1.0)
-    @example(n=2, rho=0.5 + 1e-9, eta0=1.0)
-    @example(n=6, rho=0.5 + 2e-9, eta0=1.0)
-    @example(n=200, rho=HALF_DOWN, eta0=1.0)
-    @example(n=200, rho=HALF_UP, eta0=1.0)
+    @example(n=200, rho=0.5 - 1e-9)
+    @example(n=2, rho=0.5 + 1e-9)
+    @example(n=6, rho=0.5 + 2e-9)
+    @example(n=200, rho=HALF_DOWN)
+    @example(n=200, rho=HALF_UP)
     # thin roads: stable down to the empty-road cut _TINY, marginal below
-    @example(n=2, rho=1e-5, eta0=1.0)
-    @example(n=6, rho=1e-4, eta0=1.0)
-    @example(n=200, rho=2e-12, eta0=1.0)
-    @example(n=200, rho=1e-12, eta0=1.0)
-    @example(n=200, rho=0.0, eta0=1.0)
-    @example(n=200, rho=5e-324, eta0=1.0)
-    @example(n=200, rho=1.0, eta0=3.0)
-    def test_top_rate_decides_the_verdict(self, n, rho, eta0):
-        # the top hyperplane rate of the closed form is -eta0 rho^2 |2 rho - 1|
-        # to roundoff, so against the tolerance _RATE_TOL eta0 rho^2 the
+    @example(n=2, rho=1e-5)
+    @example(n=6, rho=1e-4)
+    @example(n=200, rho=2e-12)
+    @example(n=200, rho=1e-12)
+    @example(n=200, rho=0.0)
+    @example(n=200, rho=5e-324)
+    @example(n=200, rho=1.0)
+    def test_top_rate_decides_the_verdict(self, n, rho):
+        # the top hyperplane rate of the closed form is -rho^2 |2 rho - 1|
+        # to roundoff, so against the tolerance _RATE_TOL rho^2 the
         # verdict is stable where |2 rho - 1| is 10 times _RATE_TOL and
         # marginal below a tenth of it, and never unstable; a road at most
         # _TINY thin is empty and marginal
-        rep = stability_report(equilibrium_recursive(n, rho).f_inf, ModelParams(eta0=eta0))
-        rate = eta0 * rho * rho * abs(2.0 * rho - 1.0)
-        assert abs(rep.hyperplane_real_parts[0] + rate) <= 2e-15 * eta0 * rho * rho
+        rep = stability_report(equilibrium_recursive(n, rho).f_inf)
+        rate = rho * rho * abs(2.0 * rho - 1.0)
+        assert abs(rep.hyperplane_real_parts[0] + rate) <= 2e-15 * rho * rho
         assert rep.verdict != UNSTABLE
         if rho <= _TINY:
             assert rep.verdict == MARGINAL
@@ -606,38 +592,48 @@ class TestStability:
 
     @given(
         case=states(n_max=40) | st.builds(
-            lambda n, rho, eta0: (equilibrium_recursive(n, rho).f_inf, ModelParams(eta0=eta0)),
+            lambda n, rho: equilibrium_recursive(n, rho).f_inf,
             st.integers(2, 300),
             st.floats(0.0, 1.0) | st.floats(0.0, 1e-4) | st.floats(0.5 - 5e-8, 0.5 + 5e-8),
-            st.floats(1e-3, 1e3),
         ),
         c=st.floats(1e-12, 1e12),
     )
-    @example(case=(equilibrium_recursive(6, HALF_DOWN).f_inf, ModelParams()), c=1e-12)
-    @example(case=(equilibrium_recursive(200, HALF_UP).f_inf, ModelParams()), c=1e12)
-    @example(case=(equilibrium_recursive(6, 1e-5).f_inf, ModelParams()), c=1e-12)
-    @example(case=(equilibrium_recursive(200, 1e-5).f_inf, ModelParams()), c=1e12)
-    @example(case=(equilibrium_recursive(6, 1.0).f_inf, ModelParams()), c=1e-12)
-    @example(case=(equilibrium_recursive(200, 1.0).f_inf, ModelParams()), c=1e12)
-    @example(case=(equilibrium_recursive(6, 0.3).f_inf, ModelParams()), c=1e-9)
-    @example(case=(equilibrium_recursive(6, 0.7).f_inf, ModelParams()), c=1e-12)
-    @example(case=(np.array([0.0, HALF_UP, 0.0]), ModelParams()), c=1e-12)
+    @example(case=equilibrium_recursive(6, HALF_DOWN).f_inf, c=1e-12)
+    @example(case=equilibrium_recursive(200, HALF_UP).f_inf, c=1e12)
+    @example(case=equilibrium_recursive(6, 1e-5).f_inf, c=1e-12)
+    @example(case=equilibrium_recursive(200, 1e-5).f_inf, c=1e12)
+    @example(case=equilibrium_recursive(6, 1.0).f_inf, c=1e-12)
+    @example(case=equilibrium_recursive(200, 1.0).f_inf, c=1e12)
+    @example(case=equilibrium_recursive(6, 0.3).f_inf, c=1e-9)
+    @example(case=equilibrium_recursive(6, 0.7).f_inf, c=1e-12)
+    @example(case=np.array([0.0, HALF_UP, 0.0]), c=1e-12)
     def test_verdict_does_not_depend_on_the_time_scale(self, case, c):
-        # eta0 only rescales time, so it scales every rate and the tolerance alike
-        f, p = case
-        want = stability_report(f, p).verdict
-        assert stability_report(f, replace(p, eta0=c * p.eta0)).verdict == want
+        # eta0 = c only rescales time: in the time t every rate and the
+        # tolerance are c times their model-time values, so the scaled
+        # rates classify as the report does, and the report takes no clock
+        f = case
+        rep = stability_report(f)
+        s = float(f.sum())
+        lam, tol = c * np.array(rep.hyperplane_real_parts), c * (_RATE_TOL * s * s)
+        if rep.degenerate_zero_density or not (np.all(lam < -tol) or np.any(lam > tol)):
+            want = MARGINAL
+        else:
+            want = STABLE if np.all(lam < -tol) else UNSTABLE
+        assert rep.verdict == want
+        for call in (stability_report, jacobian):
+            with pytest.raises(TypeError):
+                call(f, ModelParams(eta0=c))
 
     @given(states(n_max=8))
     def test_rates_match_restricted_eigenvalues(self, case):
         # eigenvalues of a nonsymmetric matrix carry a rounding error that
         # grows like (norm / separation)^(n-2) for this bidiagonal form
-        f, p = case
+        f = case
         n = f.size
         H = _helmert_basis(n)
-        R = H @ _dense_jacobian(f, p) @ H.T
+        R = H @ _dense_jacobian(f) @ H.T
         want = np.sort(np.linalg.eigvals(R).real)[::-1]
-        lam = np.array(stability_report(f, p).hyperplane_real_parts)
+        lam = np.array(stability_report(f).hyperplane_real_parts)
         sep = float((-np.diff(lam)).min(initial=np.inf))
         norm = float(np.linalg.norm(R, 2))
         tol = 1e-14 * max(1.0, norm / sep) ** (n - 2) if sep > 0.0 else np.inf
@@ -645,74 +641,77 @@ class TestStability:
         assert np.abs(lam - want).max() <= tol
 
     @given(states(n_max=40))
-    @example(case=(np.zeros(5), ModelParams()))
-    @example(case=(equilibrium_recursive(6, HALF_DOWN).f_inf, ModelParams()))
-    @example(case=(equilibrium_recursive(6, HALF_UP).f_inf, ModelParams()))
-    @example(case=(equilibrium_recursive(40, 1.0).f_inf, ModelParams(eta0=2.5)))
-    @example(case=(np.array([0.0, HALF_UP, 0.0]), ModelParams()))
-    @example(case=(np.array([HALF_DOWN, 0.0, 0.0, 0.0]), ModelParams()))
-    @example(case=(np.full(4, 0.25), ModelParams(eta0=0.37)))
+    @example(case=np.zeros(5))
+    @example(case=equilibrium_recursive(6, HALF_DOWN).f_inf)
+    @example(case=equilibrium_recursive(6, HALF_UP).f_inf)
+    @example(case=equilibrium_recursive(40, 1.0).f_inf)
+    @example(case=np.array([0.0, HALF_UP, 0.0]))
+    @example(case=np.array([HALF_DOWN, 0.0, 0.0, 0.0]))
+    @example(case=np.full(4, 0.25))
     def test_rates_are_the_slope_of_the_level_function(self, case):
-        # lambda_j = eta0 rho g'(P_j) at any state, equilibrium or not, with
+        # lambda_j = rho g'(P_j) at any state, equilibrium or not, with
         # g(P_j) = rho P_j (rho - P_j) - (1 - rho) (P_j - P_{j-1}) (rho - P_{j-1});
         # g is quadratic in P_j, so its central difference in exact
         # rationals is its slope exactly
-        f, p = case
+        f = case
         C = np.zeros(f.size + 1)
         f.cumsum(out=C[1:])
         s = float(C[-1])
-        lam = _rates(p.eta0 * s, s, C[1:-1], s - C[:-2], 1.0 - s)
-        rho, e, h = Fraction(C[-1]), Fraction(p.eta0) * Fraction(C[-1]), Fraction(1, 1024)
+        lam = _rates(s, C[1:-1], s - C[:-2], 1.0 - s)
+        rho, h = Fraction(C[-1]), Fraction(1, 1024)
 
         def g(P, P_prev):
             return rho * P * (rho - P) - (1 - rho) * (P - P_prev) * (rho - P_prev)
 
         for j in range(1, f.size):
             P, P_prev = Fraction(C[j]), Fraction(C[j - 1])
-            slope = e * (g(P + h, P_prev) - g(P - h, P_prev)) / (2 * h)
+            slope = rho * (g(P + h, P_prev) - g(P - h, P_prev)) / (2 * h)
             # of _rates's eight roundings, each by at most u = 2^-53 relative,
             # its two terms a and b pass at most six, so it is within
-            # gamma_6 < 8u of eta0 rho (|a| + |b|), plus 2^-1070 for
+            # gamma_6 < 8u of rho (|a| + |b|), plus 2^-1070 for
             # products that fall below the normals
             a, b = rho * (rho - 2 * P), (1 - rho) * (rho - P_prev)
-            tol = 8 * 2.0**-53 * float(abs(e) * (abs(a) + abs(b))) + 2.0**-1070
+            tol = 8 * 2.0**-53 * float(abs(rho) * (abs(a) + abs(b))) + 2.0**-1070
             assert abs(float(Fraction(lam[j - 1]) - slope)) <= tol, j
 
     @given(states(n_max=40))
-    @example(case=(np.zeros(5), ModelParams()))
-    @example(case=(equilibrium_recursive(6, 0.5).f_inf, ModelParams()))
-    @example(case=(equilibrium_recursive(40, 0.7).f_inf, ModelParams(eta0=2.5)))
+    @example(case=np.zeros(5))
+    @example(case=equilibrium_recursive(6, 0.5).f_inf)
+    @example(case=equilibrium_recursive(40, 0.7).f_inf)
     def test_step_bound_reads_the_reported_rates(self, case):
         # one _rates serves both: the stepping loop's bound from the vector
         # field's running sums is _STAB over the report's largest |lambda_j|,
         # bit for bit, since add.accumulate and cumsum add in the same order
-        f, p = case
+        f = case
         sums = _stencil(1, f.size)
-        _rhs_batch(f[None, :], p.eta0, sums=sums)
-        lam = np.abs(stability_report(f, p).hyperplane_real_parts).max()
+        _rhs_batch(f[None, :], sums=sums)
+        lam = np.abs(stability_report(f).hyperplane_real_parts).max()
         with np.errstate(divide="ignore"):
             assert _stable_step(sums)[0] == np.float64(_STAB) / lam
 
     def test_edge_densities(self):
         for n in (2, 3, 6, 8):
-            p = ModelParams()
             for rho in (0.0, HALF_DOWN, 0.5, HALF_UP, 1.0):
                 f = equilibrium_recursive(n, rho).f_inf
-                rep = stability_report(f, p)
-                lam = np.sort(np.diag(_cumulative_block(_dense_jacobian(f, p))))[::-1]
+                rep = stability_report(f)
+                lam = np.sort(np.diag(_cumulative_block(_dense_jacobian(f))))[::-1]
                 assert np.abs(lam - rep.hyperplane_real_parts).max() <= 1e-15
                 assert rep.degenerate_zero_density == (rho == 0.0)
                 assert rep.nilpotent_hyperplane == (rho == 0.5)
-                assert rep.eigen_real_parts[rep.zero_mode_index] == 0.0
+                # the rates are the spectrum less the mass mode: P_n = rho
+                # is conserved, so the last row of the cumulative Jacobian,
+                # whose diagonal is the full spectrum, is zero
+                L = np.tri(n)
+                assert np.abs((L @ _dense_jacobian(f) @ np.linalg.inv(L))[-1]).max() <= 1e-15
                 if rho == 1.0:
                     assert rep.verdict == STABLE
-                    assert rep.hyperplane_real_parts == (-p.eta0,) * (n - 1)
+                    assert rep.hyperplane_real_parts == (-1.0,) * (n - 1)
                 else:
                     assert rep.verdict == MARGINAL, f"n={n} rho={rho!r}"
                 if rho == 0.5:
                     # the dense restricted Jacobian is nonzero but nilpotent
                     H = _helmert_basis(n)
-                    R = H @ _dense_jacobian(f, p) @ H.T
+                    R = H @ _dense_jacobian(f) @ H.T
                     assert np.abs(np.linalg.matrix_power(R, n - 1)).max() <= 1e-15
                     assert n == 2 or np.abs(R).max() > 0.01
 
@@ -721,30 +720,40 @@ class TestStability:
         # all-zero spectrum; the verdict must not trust scattered
         # eigenvalues there
         for n in (2, 3, 4, 6):
-            rep = stability_report(
-                equilibrium_recursive(n, 0.5).f_inf, ModelParams()
-            )
+            rep = stability_report(equilibrium_recursive(n, 0.5).f_inf)
             assert rep.verdict == MARGINAL
             assert rep.nilpotent_hyperplane
 
     def test_nilpotency_flag_off_elsewhere(self):
-        rep = stability_report(equilibrium_recursive(4, 0.52).f_inf, ModelParams())
+        rep = stability_report(equilibrium_recursive(4, 0.52).f_inf)
         assert not rep.nilpotent_hyperplane
         assert rep.verdict == STABLE
 
+    @pytest.mark.parametrize(
+        "f", [[1.5, 0.0], [0.9, 0.9], [-0.5, 1.0], [math.inf, 0.0], [0.2, math.nan]],
+        ids=["top-over-one", "dense", "negative", "inf", "nan"],
+    )
+    def test_refuses_what_kinetic_state_refuses(self, f):
+        # no verdict on a state that no trajectory can reach: [1.5, 0.0]
+        # would be called stable and [0.9, 0.9] unstable
+        with pytest.raises(ValueError) as want:
+            KineticState(np.array(f))
+        for call in (stability_report, jacobian):
+            with pytest.raises(ValueError) as got:
+                call(np.array(f))
+            assert str(got.value) == str(want.value)
+
     def test_empty_road_is_degenerate(self):
-        rep = stability_report(np.zeros(3), ModelParams())
+        rep = stability_report(np.zeros(3))
         assert rep.degenerate_zero_density
         assert rep.verdict == MARGINAL
 
     def test_mass_mode_is_isolated(self):
-        rep = stability_report(equilibrium_recursive(4, 0.8).f_inf, ModelParams())
-        zero_eig = rep.eigen_real_parts[rep.zero_mode_index]
-        assert abs(zero_eig) <= 1e-12
-        others = [
-            x for i, x in enumerate(rep.eigen_real_parts) if i != rep.zero_mode_index
-        ]
-        assert max(others) < -1e-3
+        # the mass mode is the Jacobian's zero eigenvalue (its columns sum
+        # to zero), and every rate, the rest of the spectrum, is well below it
+        f = equilibrium_recursive(4, 0.8).f_inf
+        assert np.abs(jacobian(f).sum(axis=0)).max() <= 1e-12
+        assert max(stability_report(f).hyperplane_real_parts) < -1e-3
 
     def test_attracting_rule(self):
         assert is_attracting(STABLE, False)
