@@ -7,9 +7,14 @@ and the weighted stage sums (_combine), each written one operation at a
 time into class-major buffers that the loop builds once per batch shape
 (_stencil, _Workspace); the dynamics module describes the method and the
 loop, all in model time with no eta0 (the dynamics module's one clock).
-Its own file lowers no peak memory: without cached bytecode every module
-is compiled, and the peak follows the source compiled in all (about
-0.05 MB per 100 lines), not the size of the largest module.
+Every elementwise call of a pass takes operands of its output's shape
+and layout: the density, the stage weights and the step are spread over
+full class-major blocks, since at these sizes numpy's per-call cost
+for a broadcast (m, 1) column is about twice that of a same-shape
+operand, and for a Python float about 40 % more.  Its own file lowers no peak memory: without
+cached bytecode every module is compiled, and the peak follows the
+source compiled in all (about 0.05 MB per 100 lines), not the size of
+the largest module.
 """
 
 from __future__ import annotations
@@ -28,16 +33,16 @@ def _stencil(m, n):
     """_rhs_batch's class-major buffers for m rows of n classes, and the views it reads.
 
     The running sums C (C[:, j] = P_j), R[:, j-1] = rho - P_{j-1}, the
-    zero-bordered dP, two (m, n-1) temporaries, and the column 1 - rho.
+    zero-bordered dP, each row's density in every column, a block of
+    ones, and three (m, n-1) temporaries, the last for 1 - rho.
     """
     C, dP = np.zeros((2, n + 1, m)).transpose(0, 2, 1)
-    R = np.empty((n, m)).T
-    t, u = np.empty((2, n - 1, m)).transpose(0, 2, 1)
-    omr = np.empty((m, 1))
+    R, rho_n = np.empty((2, n, m)).transpose(0, 2, 1)
+    t, u, omr = np.empty((3, n - 1, m)).transpose(0, 2, 1)
     # first what _stable_step reads; C itself last
     return (
-        C[:, -1:], C[:, 1:-1], R[:, :-1], t, u, omr,
-        C[:, 1:], C[:, :-1], R, R[:, 1:], dP[:, 1:-1], dP[:, 1:], dP[:, :-1], C,
+        rho_n[:, :-1], C[:, 1:-1], R[:, :-1], t, u, omr, np.ones((n - 1, m)).T,
+        rho_n, C[:, -1:], C[:, 1:], C[:, :-1], R, R[:, 1:], dP[:, 1:-1], dP[:, 1:], dP[:, :-1], C,
     )
 
 
@@ -47,14 +52,18 @@ def _rhs_batch(F: np.ndarray, *, out=None, sums=None) -> np.ndarray:
     Evaluates the cumulative stencil dP_j/dtau for j = 1 .. n-1 and
     differences it with dP_0/dtau = dP_n/dtau = 0, one operation at a time
     into the buffers sums of _stencil (new ones if not given), and the
-    result into out (a new class-major array if not given).
+    result into out (a new class-major array if not given).  The density
+    is copied from the running sums' last column across its row once.
     """
-    rho, P, R0, t, u, omr, C1, C0, R, R1, dP, hi, lo, _ = sums or _stencil(*F.shape)
+    rho, P, R0, t, u, omr, one, rho_n, last, C1, C0, R, R1, dP, hi, lo, _ = (
+        sums or _stencil(*F.shape)
+    )
     np.add.accumulate(F, axis=1, out=C1)
-    np.subtract(rho, C0, out=R)
+    rho_n[...] = last
+    np.subtract(rho_n, C0, out=R)
     np.multiply(rho, P, out=t)
     np.multiply(t, R1, out=t)
-    np.subtract(1.0, rho, out=omr)
+    np.subtract(one, rho, out=omr)
     np.multiply(omr, F[:, :-1], out=u)
     np.multiply(u, R0, out=u)
     np.subtract(t, u, out=t)
@@ -66,9 +75,9 @@ def _rates(rho, P, R0, omr, out=None, tmp=None):
     """lambda_j = rho [rho (rho - 2 P_j) - omr R0], in model time (equilibrium module docstring).
 
     omr = 1 - rho and R0 = rho - P_{j-1}; one operation at a time into
-    out and tmp (new arrays if not given).
+    out and tmp (new arrays if not given); P_j + P_j is 2 P_j exactly.
     """
-    t = np.multiply(2.0, P, out=out)
+    t = np.add(P, P, out=out)
     np.subtract(rho, t, out=t)
     np.multiply(rho, t, out=t)
     u = np.multiply(omr, R0, out=tmp)
@@ -86,8 +95,9 @@ def _stable_step(sums):
 
 
 def _combine(w, K, prod=None, out=None):
-    """Weighted sum of the first len(w) stages of K, shape (7, m, n), w a (k, 1, 1) column.
+    """Weighted sum of the first len(w) stages of K, shape (7, m, n).
 
+    w holds the k weights, as a (k, 1, 1) column or spread to (k, m, n).
     One product and one reduce along the stage axis, which adds in stage
     order from +0.0; prod and out, if given, receive the products and the
     sum.  For finite stages this is bit for bit sum(w * k for w, k in
@@ -102,15 +112,20 @@ class _Workspace:
     """The class-major buffers of a pass over m rows of n classes, and their views.
 
     K is the stage stack, shape (7, m, n), with k1 = K[0]; prods[k - 1]
-    the products of a sum over k stages; acc a sum; scale and absY the
-    error weights; sq, row-major, the squared error.
+    the products of a sum over k stages; weights[i] the (k, 1, 1)
+    column weights[i] of the caller spread to (k, m, n); step the step
+    of each row in every column; acc a sum; scale and absY the error
+    weights; sq, row-major, the squared error.
     """
 
-    def __init__(self, m, n):
+    def __init__(self, m, n, weights):
         self.K, prod = np.empty((2, 7, n, m)).transpose(0, 1, 3, 2)
         self.stages = tuple(self.K)
         self.k1 = self.stages[0]
         self.prods = tuple(prod[:k] for k in range(1, 8))
-        self.acc, self.scale, self.absY = np.empty((3, n, m)).transpose(0, 2, 1)
+        self.weights = tuple(np.empty((len(w), n, m)).transpose(0, 2, 1) for w in weights)
+        for wide, w in zip(self.weights, weights):
+            wide[...] = w
+        self.step, self.acc, self.scale, self.absY = np.empty((4, n, m)).transpose(0, 2, 1)
         self.sq = np.empty((m, n))
         self.sums = _stencil(m, n)

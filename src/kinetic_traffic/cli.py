@@ -65,13 +65,16 @@ def _write(path: str, blocks: Iterable[str]) -> None:
         fh.writelines(blocks)
 
 
-def _add_model_args(p: argparse.ArgumentParser, with_rho: bool = True, clock: bool = True) -> None:
+def _add_model_args(
+    p: argparse.ArgumentParser, with_rho: bool = True, clock: str | None = ""
+) -> None:
+    """--n, --rho unless with_rho is false, and --eta0 with clock after its help unless None."""
     p.add_argument("--n", type=int, required=True, help="number of speed classes (>= 2)")
     if with_rho:
         p.add_argument("--rho", type=float, required=True, help="total density in [0, 1]")
-    if clock:
+    if clock is not None:
         p.add_argument("--eta0", type=float, default=1.0,
-                       help="interaction rate slope (default 1)")
+                       help="interaction rate slope (default 1)" + clock)
 
 
 def _cmd_simulate(args) -> int:
@@ -185,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibrium", help="closed-form steady state at one density")
     # no byte of the output depends on the clock, so it takes no --eta0
-    _add_model_args(p, clock=False)
+    _add_model_args(p, clock=None)
     p.add_argument(
         "--units",
         choices=["dimensionless", "physical"],
@@ -196,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_equilibrium)
 
     p = sub.add_parser("diagram", help="sweep the density range and emit diagrams")
-    _add_model_args(p, with_rho=False)
+    _add_model_args(p, with_rho=False, clock="; no byte of the closed form's output depends on it")
     p.add_argument(
         "--rho-steps", type=int, default=201, help="grid resolution (default 201)"
     )
@@ -210,14 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--t-final",
         type=float,
         default=4000.0,
-        help="horizon per point for --method integrate (default 4000)",
+        help="horizon per point for --method integrate (default 4000); "
+        "no byte of the closed form's output depends on it",
     )
     p.add_argument(
         "--dt",
         type=float,
         default=0.02,
         help="first trial step for --method integrate; later steps are error-controlled "
-        "(default 0.02)",
+        "(default 0.02); no byte of the closed form's output depends on it",
     )
     p.add_argument(
         "--units",

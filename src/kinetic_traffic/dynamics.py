@@ -76,17 +76,19 @@ arithmetic, bounds a pass, and class-major an elementwise operation or
 a class slice runs over runs of m instead of m runs of n.  A pass's
 buffers live in one _Workspace per batch shape (module _pass), rebuilt
 only when rows leave: the stage stack with its stage-sum products,
-_rhs_batch's sums, stencil, temporaries and (m, 1) column, which also
+the stage and error weights and the step spread to full blocks,
+_rhs_batch's sums, stencil, temporaries, density and ones, which also
 give the step bound, the error-norm buffers, and every view these are
-read through, built once.  No array leaves a pass as a view of them:
-k1 is copied from the last stage, each stage's solution Y is a new
-array, and the recorder and the results get copies.  Boolean row
-indexing returns row-major arrays, so rows are dropped by taking
-columns of the transposed array.  Entry and exit stay row-major, and
-every row sum (density, drift, steady-state and error norms, clamp
-deficit) is taken over row-major memory: numpy sums a contiguous row
-pairwise, a class-major row one class at a time, and from n = 8 on the
-two round differently.
+read through, built once, so every elementwise call of a pass takes
+operands of its output's shape (module _pass).  No array leaves a pass
+as a view of them: k1 is copied from the last stage, each stage's
+solution Y is a new array, and the recorder and the results get
+copies.  Boolean row indexing returns row-major arrays, so rows are
+dropped by taking columns of the transposed array.  Entry and exit
+stay row-major, and every row sum (density, drift, steady-state and
+error norms, clamp deficit) is taken over row-major memory: numpy sums
+a contiguous row pairwise, a class-major row one class at a time, and
+from n = 8 on the two round differently.
 
 Random starts take their uniforms from _pcg64._uniform, numpy's
 default_rng(seed).random() bit for bit without numpy's random module.
@@ -163,9 +165,11 @@ _D = (
 )
 
 
-# each weight row as a (k, 1, 1) column over the first k stages, zeros included
+# each weight row as a (k, 1, 1) column over the first k stages, zeros included;
+# a pass's workspace spreads the stage and error weights to full blocks
 _A_W = tuple(np.array(row)[:, None, None] for row in _A)
 _E_W, _D_W = (np.array(w)[:, None, None] for w in (_E, _D))
+_PASS_W = (*_A_W, _E_W)
 
 # values per block of the dense output (64 KiB per buffer), so the gathered
 # coefficients stay in cache instead of filling fresh memory
@@ -265,15 +269,17 @@ def _dp_step(F, h, k1, ws=None):
 
     Returns the fifth-order solution Y, a new array, and the seven stages
     K, shape (7, m, n), and running sums of Y in the buffers of ws, a
-    _Workspace of F's shape (a new one if not given); K[6] is the
-    derivative at Y.
+    _Workspace of F's shape with the weights _PASS_W (a new one if not
+    given); K[6] is the derivative at Y, and ws.step holds h in every
+    column until the next call.
     """
-    ws = ws or _Workspace(*F.shape)
-    K, acc = ws.K, ws.acc
+    ws = ws or _Workspace(*F.shape, _PASS_W)
+    K, acc, step = ws.K, ws.acc, ws.step
     K[0] = k1
+    step[...] = h
     # _rhs_batch is this module's name, so a hook set here sees every stage
-    for i, (w, prod) in enumerate(zip(_A_W, ws.prods), 1):
-        Y = F + np.multiply(h, _combine(w, K, prod, acc), out=acc)
+    for i, w, prod in zip(range(1, 7), ws.weights, ws.prods):
+        Y = F + np.multiply(step, _combine(w, K, prod, acc), out=acc)
         K[i] = _rhs_batch(Y, out=ws.stages[i], sums=ws.sums)
     return Y, K, ws.sums[-1]
 
@@ -391,7 +397,7 @@ def _integrate_batch(
     # the last attempt was rejected, steps, row sum, largest drift from
     # the start, horizon and steady tolerance
     rows = np.arange(m)
-    ws = _Workspace(m, n)
+    ws = _Workspace(m, n, _PASS_W)
     ws.K[0] = _rhs_batch(F, out=ws.k1, sums=ws.sums)
     bound = _stable_step(ws.sums)
     stats.rhs_evals += m
@@ -419,17 +425,16 @@ def _integrate_batch(
             )
             # columns of the transposed base, so the rows stay class-major
             F = F.T.take(keep, axis=1).T
-            k1, ws = ws.k1, _Workspace(rows.size, n)
+            k1, ws = ws.k1, _Workspace(rows.size, n, _PASS_W)
             ws.K[0] = k1[keep]
         if not rows.size:
             break
         h = np.minimum(h, bound)
         last = t + h >= t_final
         hs = np.where(last, t_final - t, h)
-        hc = hs[:, None]
-        Y, K, _ = _dp_step(F, hc, ws.k1, ws)
+        Y, K, _ = _dp_step(F, hs[:, None], ws.k1, ws)
         stats.rhs_evals += 6 * rows.size
-        E = np.multiply(hc, _combine(_E_W, K, ws.prods[6], ws.acc), out=ws.acc)
+        E = np.multiply(ws.step, _combine(ws.weights[6], K, ws.prods[6], ws.acc), out=ws.acc)
         scale = np.maximum(np.abs(F, out=ws.scale), np.abs(Y, out=ws.absY), out=ws.scale)
         np.add(_ATOL, np.multiply(_RTOL, scale, out=scale), out=scale)
         err = np.sqrt(np.square(np.divide(E, scale, out=E), out=ws.sq).sum(axis=1) / n)

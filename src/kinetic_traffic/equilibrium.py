@@ -512,12 +512,14 @@ def equilibrium_bruteforce(n: int, rho: float) -> list[EquilibriumCandidate]:
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"density {rho} outside (0, 1]")
     candidates = []
+    # the kept vectors as rows, so a new vector meets them all in one call
+    kept = np.empty((0, int(n)))
     for vec, larger in _bruteforce_levels(int(n), float(rho)):
         residual = float(np.abs(_rhs_batch(vec[None, :])).sum())
         if residual > 1e-10:
             continue
-        same = [i for i, c in enumerate(candidates) if np.abs(vec - c.f).max() <= 1e-10]
-        if same:
+        same = np.flatnonzero(np.abs(vec - kept).max(axis=1) <= 1e-10)
+        if same.size:
             # the first vector stays; reached from the larger roots by any
             # of its duplicates, it counts as reached from them
             if larger:
@@ -525,4 +527,5 @@ def equilibrium_bruteforce(n: int, rho: float) -> list[EquilibriumCandidate]:
             continue
         verdict = stability_report(vec).verdict
         candidates.append(EquilibriumCandidate(vec, residual, verdict, larger))
+        kept = np.vstack((kept, vec))
     return candidates

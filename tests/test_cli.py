@@ -248,6 +248,23 @@ class TestDiagram:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_closed_form_output_ignores_the_clock_and_step_options(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        files = ("d.csv", "d.json", "d.svg")
+        runs = []
+        clock = ("--eta0", "2", "--dt", "0.5", "--t-final", "10")
+        for i, extra in enumerate(((), clock)):
+            (tmp_path / str(i)).mkdir()
+            monkeypatch.chdir(tmp_path / str(i))
+            code, out, _ = run_cli(
+                capsys, "diagram", "--n", "6", "--rho-steps", "101", *extra,
+                "--out-csv", files[0], "--out-json", files[1], "--out-svg", files[2],
+            )
+            assert code == 0
+            runs.append((out, *(Path(f).read_bytes() for f in files)))
+        assert runs[0] == runs[1]
+
     def test_physical_units_capacity(self, capsys, tmp_path):
         out_file = tmp_path / "d.json"
         code, out, _ = run_cli(

@@ -749,6 +749,29 @@ class TestPass:
         # the running sums the step bound reads are the cumsum of Y
         assert same_bits(C[:, 1:], np.cumsum(Y_ref, axis=1)) and not C[:, 0].any()
 
+    @given(st.integers(1, 60), st.integers(2, 200), st.integers(0, 2**30))
+    @example(1, 2, 0)
+    @example(1, 200, 1)
+    @example(60, 200, 2)
+    def test_a_reused_workspace_matches_a_fresh_one(self, dp_step_oracle, m, n, seed):
+        # the weights are spread once per workspace, the step and the density
+        # once per pass: two passes with different states and steps on one
+        # workspace catch a buffer left stale
+        rng = np.random.default_rng(seed)
+        ws = dynamics._Workspace(m, n, dynamics._PASS_W)
+        for rho in rng.random(2):
+            F = np.asfortranarray(random_state_batch(n, rho, m, seed=seed))
+            F[rng.random(F.shape) < 0.2] = 0.0
+            h = rng.uniform(1e-3, 4.0, (m, 1))
+            k1 = dynamics._rhs_batch(F)
+            Y, K, C = (x.copy() for x in dynamics._dp_step(F, h, k1, ws))
+            Y_new, K_new, C_new = dynamics._dp_step(F, h, k1)
+            Y_ref, K_ref = dp_step_oracle(F, h, k1)
+            assert same_bits(Y, Y_new) and same_bits(Y, Y_ref) and same_bits(C, C_new)
+            assert all(
+                same_bits(k, a) and same_bits(k, b) for k, a, b in zip(K, K_new, K_ref)
+            )
+
     @given(st.integers(1, 60), st.integers(2, 40), st.integers(0, 2**30))
     @example(1, 2, 0)
     def test_stage_sums_match_the_python_sum(self, combine_oracle, m, n, seed):
