@@ -65,16 +65,11 @@ def _write(path: str, blocks: Iterable[str]) -> None:
         fh.writelines(blocks)
 
 
-def _add_model_args(
-    p: argparse.ArgumentParser, with_rho: bool = True, clock: str | None = ""
-) -> None:
-    """--n, --rho unless with_rho is false, and --eta0 with clock after its help unless None."""
+def _add_model_args(p: argparse.ArgumentParser, with_rho: bool = True) -> None:
+    """--n, and --rho unless with_rho is false."""
     p.add_argument("--n", type=int, required=True, help="number of speed classes (>= 2)")
     if with_rho:
         p.add_argument("--rho", type=float, required=True, help="total density in [0, 1]")
-    if clock is not None:
-        p.add_argument("--eta0", type=float, default=1.0,
-                       help="interaction rate slope (default 1)" + clock)
 
 
 def _cmd_simulate(args) -> int:
@@ -121,15 +116,12 @@ def _cmd_equilibrium(args) -> int:
 
 def _cmd_diagram(args) -> int:
     _check_n(args.n)
-    params = ModelParams(eta0=args.eta0)
     grid = build_grid(args.rho_steps)
-    config = None
-    if args.method == METHOD_INTEGRATE:
-        config = IntegrationConfig(dt=args.dt, t_final=args.t_final)
-    diagram = sweep(args.n, grid, args.method, params, config)
+    config = IntegrationConfig(dt=args.dt, t_final=args.t_final)
+    diagram = sweep(args.n, grid, args.method, config)
     flagged = int(np.count_nonzero(~diagram.converged))
     if args.units == UNITS_PHYSICAL:
-        diagram = rescale_dimensional(diagram, params)
+        diagram = rescale_dimensional(diagram, ModelParams())
     print(
         f"n={diagram.n} method={diagram.method} units={diagram.units} "
         f"points={diagram.rho.size}"
@@ -166,6 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate one initial state to steady flow")
     _add_model_args(p)
+    # the one command that reports a time, so the one that takes the clock
+    p.add_argument("--eta0", type=float, default=1.0, help="interaction rate slope (default 1)")
     p.add_argument("--t-final", type=float, default=200.0, help="time horizon (default 200)")
     p.add_argument(
         "--dt",
@@ -187,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("equilibrium", help="closed-form steady state at one density")
-    # no byte of the output depends on the clock, so it takes no --eta0
-    _add_model_args(p, clock=None)
+    _add_model_args(p)
     p.add_argument(
         "--units",
         choices=["dimensionless", "physical"],
@@ -199,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_equilibrium)
 
     p = sub.add_parser("diagram", help="sweep the density range and emit diagrams")
-    _add_model_args(p, with_rho=False, clock="; no byte of the closed form's output depends on it")
+    _add_model_args(p, with_rho=False)
     p.add_argument(
         "--rho-steps", type=int, default=201, help="grid resolution (default 201)"
     )

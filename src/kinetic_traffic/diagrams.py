@@ -116,7 +116,6 @@ def sweep(
     n: int,
     grid: np.ndarray | None = None,
     method: str = METHOD_RECURSIVE,
-    params: ModelParams | None = None,
     config: IntegrationConfig | None = None,
 ) -> Diagram:
     """Equilibrium observables across a density grid.
@@ -131,8 +130,8 @@ def sweep(
             never drops below the steady tolerance are kept but marked
             converged=False.  Either way each point's flux and mean
             speed come from its state and its grid density.
-        params: model constants; defaults to ModelParams().
-        config: stepper settings for the integrate method.
+        config: stepper settings in model time for the integrate
+            method (integrate_batch); the recursive method ignores it.
 
     Returns:
         Diagram over the grid with the detected critical density.
@@ -140,7 +139,6 @@ def sweep(
     if method not in (METHOD_RECURSIVE, METHOD_INTEGRATE):
         raise ValueError(f"unknown sweep method {method!r}")
     _check_n(n)
-    params = params or ModelParams()
     grid = build_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a vector of at least 2 densities")
@@ -152,7 +150,7 @@ def sweep(
         F, converged = _closed_form(n, grid), np.ones(grid.size, dtype=bool)
     else:
         F0 = np.outer(grid, np.full(n, 1.0 / n))
-        F, converged, _, _ = integrate_batch(F0, params, config or _SWEEP_CONFIG)
+        F, converged, _, _ = integrate_batch(F0, config or _SWEEP_CONFIG)
     q, u = _flux_speed(F, grid)
     good = q[converged]
     # the grid is increasing, so the free points come first

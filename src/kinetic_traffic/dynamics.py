@@ -19,11 +19,13 @@ equilibrium module), which bound the step size.  The state stays in f,
 because f = diff(P) would lose relative accuracy in small classes.
 
 eta0 only sets the clock: the run at eta0 = c is the eta0 = 1 run read
-at t = tau / c.  So below the entry points that take a caller's time
-(integrate_batch, run_trajectory, continuity_gap) nothing takes eta0:
-they scale dt and t_final by it going in, times and derivatives back
-coming out, and refuse a scaled time that is not a normal float, on
+at t = tau / c.  So only the entry points that return a time or a
+derivative in the caller's time (run_trajectory, continuity_gap) take
+eta0: they scale dt and t_final by it going in, times and derivatives
+back coming out, and refuse a scaled time that is not a normal float, on
 which the loop would hang (0, inf) or round the times it returns.
+integrate_batch returns no time, so it runs its config's dt and t_final
+as model times and refuses them on the same rule.
 
 Time integration uses the Dormand-Prince 5(4) embedded pair (Dormand &
 Prince 1980) with a PI step-size controller (Gustafsson 1991; Hairer,
@@ -45,9 +47,9 @@ meaningful; a dip below -1e-12 aborts the run as a genuine failure.
 
 One stepping loop, _integrate_batch, serves every entry point:
 integrate_batch, run_trajectory, continuity_gap and verify.  It takes
-the first step, horizon and steady tolerance as arguments, each one
-value or one value per row: the entry points pass their one
-IntegrationConfig's, continuity_gap steps its pair in one batch, and
+the first step, horizon and steady tolerance as arguments, in model
+time, each one value or one value per row: the entry points pass their
+one IntegrationConfig's, continuity_gap steps its pair in one batch, and
 verify steps the conservation, continuity and attractivity rows of one
 n, each with its group's settings, as one batch.  The loop hands each
 accepted step (its time, size, start, end and stages) to a recorder
@@ -503,13 +505,12 @@ def _integrate_batch(
 
 
 def integrate_batch(
-    F0: np.ndarray,
-    params: ModelParams,
-    config: IntegrationConfig | None = None,
+    F0: np.ndarray, config: IntegrationConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, BatchStats]:
     """Integrate every row of F0, shape (m, n), until it is steady or the horizon ends.
 
     A single state is a batch of one row; every row must pass KineticState's rule.
+    The config's dt and t_final are model times (module docstring).
 
     Returns:
         (final rows, converged mask, accepted steps per row, integrity
@@ -521,7 +522,9 @@ def integrate_batch(
     _check_states(F0)
     config = config or IntegrationConfig()
     stats = BatchStats()
-    dt, t_final = _model_time(params.eta0, dt=config.dt, t_final=config.t_final)
+    dt, t_final = float(config.dt), float(config.t_final)
+    if min(dt, t_final) < np.finfo(float).tiny:
+        raise ValueError(f"dt = {dt!r} and t_final = {t_final!r} must be normal floats")
     F, conv, steps, *_ = _integrate_batch(F0, dt, t_final, config.steady_tol, stats)
     return F, conv, steps, stats
 

@@ -70,7 +70,8 @@ class ModelParams:
             rescaling dimensionless results to physical units.
         v_max: physical maximum speed in km/h, same role as rho_max.
         eta0: interaction-rate constant; interactions fire at eta0 * rho,
-            so eta0 only sets the clock (dynamics module docstring).
+            so eta0 only sets the clock, read by run_trajectory and
+            continuity_gap alone (dynamics module docstring).
     """
 
     rho_max: float = 200.0

@@ -376,7 +376,7 @@ def verify_groups_reference(n_max):
             F0 = np.concatenate(
                 [random_state_batch(n, rho, 4, seed=DEFAULT_SEED + n) for rho in VERIFY_DENSITIES]
             )
-            _, _, _, stats = integrate_batch(F0, ModelParams(), config)
+            _, _, _, stats = integrate_batch(F0, config)
             seen[n]["drift"] = stats.max_drift
             worst = max(worst, stats.max_drift)
             if stats.max_drift > 1e-12:
@@ -409,7 +409,7 @@ def verify_groups_reference(n_max):
                 [random_state_batch(n, rho, samples, seed=DEFAULT_SEED + 13 * n)
                  for rho in VERIFY_DENSITIES]
             )
-            F, conv, _, _ = integrate_batch(F0, ModelParams(), config)
+            F, conv, _, _ = integrate_batch(F0, config)
             seen[n]["final"], seen[n]["converged"] = F, conv
             if not conv.all():
                 return False, f"{int((~conv).sum())} runs never went steady at n={n}"

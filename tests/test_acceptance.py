@@ -59,7 +59,7 @@ def attractivity_runs():
                 np.tile(equilibrium_recursive(n, rho).f_inf, (ATTRACT_SAMPLES, 1))
             )
         F0 = np.concatenate(blocks)
-        F, conv, steps, stats = integrate_batch(F0, ModelParams(), config)
+        F, conv, steps, stats = integrate_batch(F0, config)
         runs[n] = {
             "F0": F0,
             "F": F,

@@ -253,7 +253,7 @@ class TestDiagram:
     ):
         files = ("d.csv", "d.json", "d.svg")
         runs = []
-        clock = ("--eta0", "2", "--dt", "0.5", "--t-final", "10")
+        clock = ("--dt", "0.5", "--t-final", "10")
         for i, extra in enumerate(((), clock)):
             (tmp_path / str(i)).mkdir()
             monkeypatch.chdir(tmp_path / str(i))
@@ -411,14 +411,20 @@ class TestExitCodes:
         assert code == 1
         assert "invalid input" in err
 
-        # infinite rates used to fail numerically
-        for argv in (
-            ("simulate", "--n", "3", "--rho", "0.6", "--eta0", "inf", "--t-final", "1"),
-            ("diagram", "--n", "3", "--rho-steps", "11", "--eta0", "nan"),
+        diagram = ("diagram", "--n", "3", "--rho-steps", "11")
+        for argv, name in (
+            # infinite rates used to fail numerically
+            (("simulate", "--n", "3", "--rho", "0.6", "--eta0", "inf", "--t-final", "1"), "eta0"),
+            # the closed form ignores the step options but still checks them
+            ((*diagram, "--dt", "-1", "--t-final", "nan"), "dt"),
+            ((*diagram, "--t-final", "nan"), "t_final"),
+            # a subnormal first step would never grow
+            ((*diagram, "--method", "integrate", "--dt", "5e-324"), "dt"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1, argv
-            assert "invalid input" in err and "eta0" in err
+            assert err.startswith("kinetic-traffic: invalid input: ") and name in err, argv
+            assert err.count("\n") == 1, argv
             assert out == ""
 
     def test_negative_seed_is_a_usage_error(self, capsys):
@@ -477,11 +483,12 @@ class TestExitCodes:
             main(["diagram", "--n", "3", "--jobs", "2"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
-        # no byte of an equilibrium record depends on the clock
-        with pytest.raises(SystemExit) as exc:
-            main(["equilibrium", "--n", "3", "--rho", "0.6", "--eta0", "2"])
-        assert exc.value.code == 1
-        assert "unrecognized arguments: --eta0 2" in capsys.readouterr().err
+        # no byte of an equilibrium record or a diagram depends on the clock
+        for argv in (("equilibrium", "--n", "3", "--rho", "0.6"), ("diagram", "--n", "3")):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--eta0", "2"])
+            assert exc.value.code == 1
+            assert "unrecognized arguments: --eta0 2" in capsys.readouterr().err
 
     def test_numerical_failure_code(self, capsys):
         # a hopeless horizon leaves every free-phase point unconverged,
@@ -640,7 +647,7 @@ class TestBenchmarkTracer:
         # out[2]; a change to the entry point's returns would skew the
         # traced counts without failing the traced run
         F0 = random_state_batch(3, 0.6, 4, seed=5)
-        out = integrate_batch(F0, ModelParams(), IntegrationConfig(t_final=5.0))
+        out = integrate_batch(F0, IntegrationConfig(t_final=5.0))
         steps, stats = out[2], out[3]
         counts = collections.Counter()
         self.load_tracer()._integrate_counts(counts, (F0,), {}, out)

@@ -71,14 +71,14 @@ def rk4_oracle(f: np.ndarray, h: float, per_sample: int, samples: int) -> np.nda
     return np.array(out)
 
 
-def one_step(state, dt, params):
+def one_step(state, dt):
     """The row integrate_batch reaches from state at t = dt.
 
     That is one step of dt under the error control, or several if the
     control rejects dt.
     """
     config = IntegrationConfig(dt=dt, t_final=dt, steady_tol=0.0)
-    return integrate_batch(state.f[None, :], params, config)[0][0]
+    return integrate_batch(state.f[None, :], config)[0][0]
 
 
 HALF_DOWN, HALF_UP = math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
@@ -126,7 +126,6 @@ class TestVectorField:
     def test_conserves_mass(self):
         rng = np.random.default_rng(11)
         for n in (2, 5, 9):
-            p = ModelParams()
             for _ in range(20):
                 f = random_state(n, float(rng.uniform(0, 1)), seed=int(rng.integers(1 << 30)))
                 assert abs(_rhs_batch(f.f[None, :])[0].sum()) <= 1e-15
@@ -149,21 +148,20 @@ class TestVectorField:
         fast = 3.0 * _rhs_batch(f[None, :])[0]
         assert np.abs(fast - dense_rhs(f, 3.0)).max() <= 1.5e-14
 
-    def test_one_params_serves_every_width(self):
-        # a state's width is its class count, so one ModelParams() serves all
-        p = ModelParams()
+    def test_a_state_sets_its_width(self):
+        # a state's width is its class count, so no argument names n
         for n in (2, 7):
             F0 = random_state_batch(n, 0.6, 3, seed=n)
-            F = integrate_batch(F0, p, IntegrationConfig(t_final=1.0))[0]
+            F = integrate_batch(F0, IntegrationConfig(t_final=1.0))[0]
             assert F.shape == (3, n)
             rep = stability_report(equilibrium_recursive(n, 0.6).f_inf)
             assert rep.verdict == STABLE
             assert len(rep.hyperplane_real_parts) == n - 1
 
     def test_one_class_state_is_refused(self):
-        f, p = np.array([0.5]), ModelParams()
+        f = np.array([0.5])
         for call in (
-            lambda: integrate_batch(f[None, :], p),
+            lambda: integrate_batch(f[None, :]),
             lambda: stability_report(f),
             lambda: jacobian(f),
         ):
@@ -171,7 +169,7 @@ class TestVectorField:
                 call()
             assert str(exc.value) == "need at least two speed classes, got n=1"
         with pytest.raises(ValueError, match="2-D"):
-            integrate_batch(np.array([0.1, 0.2]), p)
+            integrate_batch(np.array([0.1, 0.2]))
 
     @pytest.mark.parametrize(
         "row", [[0.9, 0.9], [-0.5, 1.0], [math.inf, 0.0], [0.2, math.nan]],
@@ -184,7 +182,7 @@ class TestVectorField:
             KineticState(np.array(row))
         F0 = np.array([[0.1, 0.2], row, [0.3, 0.3]])
         with pytest.raises(ValueError) as got:
-            integrate_batch(F0, ModelParams())
+            integrate_batch(F0)
         assert str(got.value) == str(want.value)
 
 
@@ -248,16 +246,14 @@ class TestStepper:
         assert 28.0 <= ratio <= 36.0, f"observed order ratio {ratio}"
 
     def test_step_preserves_mass(self):
-        p = ModelParams()
         st = random_state(5, 0.8, seed=9)
-        after = one_step(st, 0.01, p)
+        after = one_step(st, 0.01)
         assert abs(after.sum() - st.rho) <= 1e-15
 
     def test_steps_match_integrate_to_steady(self):
         # a step is the single loop run to t = dt, so walking the loop's own
         # accepted step sizes takes one accepted step per call and lands
         # bit for bit where the loop lands
-        p = ModelParams()
         st = random_state(5, 0.8, seed=9)
         taken = []
         F, _, steps, t, _, _ = dynamics._integrate_batch(
@@ -269,7 +265,7 @@ class TestStepper:
         for h in taken:
             one, _, k, t_one, _, _ = dynamics._integrate_batch(walked, h, h, 0.0)
             assert k[0] == 1
-            assert np.all(one_step(KineticState(walked[0]), h, p) == one[0])
+            assert np.all(one_step(KineticState(walked[0]), h) == one[0])
             walked, t_walked = one, t_walked + t_one[0]
         assert np.all(walked[0] == F[0])
         assert abs(t_walked - t[0]) <= 1e-12
@@ -277,7 +273,7 @@ class TestStepper:
     def test_step_rejects_bad_dt(self):
         st = random_state(3, 0.5, seed=1)
         with pytest.raises(ValueError):
-            one_step(st, 0.0, ModelParams())
+            one_step(st, 0.0)
 
 
 class TestIntegration:
@@ -285,7 +281,7 @@ class TestIntegration:
         # congested densities relax at rate ~ rho^2 (2 rho - 1), well
         # within the default horizon
         for n, rho in ((2, 0.8), (4, 0.75), (6, 0.9)):
-            F, converged, steps, _ = integrate_batch(np.full((1, n), rho / n), ModelParams())
+            F, converged, steps, _ = integrate_batch(np.full((1, n), rho / n))
             assert converged[0], f"n={n} rho={rho} not steady by default horizon"
             assert steps[0] > 0
             err = np.abs(F[0] - equilibrium_recursive(n, rho).f_inf).max()
@@ -296,7 +292,7 @@ class TestIntegration:
         # must stretch to several hundred
         rho = 1.0 / 3.0
         config = IntegrationConfig(dt=0.02, t_final=800.0)
-        F, converged, _, _ = integrate_batch(np.full((1, 3), rho / 3), ModelParams(), config)
+        F, converged, _, _ = integrate_batch(np.full((1, 3), rho / 3), config)
         assert converged[0]
         err = np.abs(F[0] - equilibrium_recursive(3, rho).f_inf).max()
         assert err <= 1e-7, f"free phase err={err}"
@@ -313,17 +309,12 @@ class TestIntegration:
     @example(c=1e8, n=6, rho=0.9, seed=4)
     def test_the_clock_is_exact(self, c, n, rho, seed):
         # eta0 = c with (dt, T) is the eta0 = 1 run with (dt c, T c), bit for
-        # bit, read at t = tau / c: the entry points apply eta0 only to the
+        # bit, read at t = tau / c: run_trajectory applies eta0 only to the
         # caller's times, and every kernel runs in model time; the model
         # horizon stays near 30, since at rho = 1/2 steps grow with it
-        F0 = random_state_batch(n, rho, 2, seed=seed)
         config = IntegrationConfig(dt=0.05 / c, t_final=30.0 / c, record_stride=3)
         model = dataclasses.replace(config, dt=config.dt * c, t_final=config.t_final * c)
-        got = integrate_batch(F0, ModelParams(eta0=c), config)
-        want = integrate_batch(F0, ModelParams(), model)
-        assert all(same_bits(x, y) for x, y in zip(got[:3], want[:3]))
-        assert got[3] == want[3]
-        start = KineticState(F0[0])
+        start = random_state(n, rho, seed=seed)
         times, samples, steady = run_trajectory(start, ModelParams(eta0=c), config)
         tau, want_samples, want_steady = run_trajectory(start, ModelParams(), model)
         assert same_bits(samples, want_samples) and steady == want_steady
@@ -353,7 +344,7 @@ class TestIntegration:
 
     def test_already_steady_input_returns_immediately(self):
         eq = equilibrium_recursive(3, 0.8).f_inf
-        F, converged, steps, _ = integrate_batch(eq[None, :], ModelParams())
+        F, converged, steps, _ = integrate_batch(eq[None, :])
         assert converged[0]
         assert steps[0] == 0
         assert np.all(F[0] == eq)
@@ -361,26 +352,24 @@ class TestIntegration:
     def test_batch_rows_are_independent(self):
         # integrating a state alone and inside a batch must agree bit for
         # bit; worker processes rely on this to make chunking invisible
-        p = ModelParams()
         config = IntegrationConfig(dt=0.02, t_final=40.0)
         F0 = random_state_batch(4, 0.7, 6, seed=2)
-        together, conv_t, _, _ = integrate_batch(F0, p, config)
+        together, conv_t, _, _ = integrate_batch(F0, config)
         for i in range(6):
-            alone, conv_a, _, _ = integrate_batch(F0[i : i + 1], p, config)
+            alone, conv_a, _, _ = integrate_batch(F0[i : i + 1], config)
             assert conv_a[0] == conv_t[i]
             assert np.all(alone[0] == together[i]), f"row {i} diverged from batch"
 
     def test_batch_convergence_freezes_rows(self):
         # a fast row must settle and freeze even while a slow row keeps
         # integrating past the horizon without converging
-        p = ModelParams()
         F0 = np.array([[0.05, 0.85], [0.20, 0.20]])
         config = IntegrationConfig(dt=0.02, t_final=300.0)
-        F, conv, _, _ = integrate_batch(F0, p, config)
+        F, conv, _, _ = integrate_batch(F0, config)
         assert conv[0] and not conv[1]
         eq_fast = equilibrium_recursive(2, 0.9).f_inf
         assert np.abs(F[0] - eq_fast).max() <= 1e-8
-        alone, _, _, _ = integrate_batch(F0[:1], p, config)
+        alone, _, _, _ = integrate_batch(F0[:1], config)
         assert np.all(alone[0] == F[0])
 
     def test_trajectory_shapes_and_stride(self):
@@ -504,7 +493,7 @@ class TestIntegration:
                 IntegrationConfig(t_final=bad)
         state = random_state(4, 0.6)
         with pytest.raises(ValueError):
-            one_step(state, math.inf, ModelParams())
+            one_step(state, math.inf)
         with pytest.raises(ValueError):
             continuity_gap(state, state, math.inf, ModelParams())
 
@@ -532,7 +521,7 @@ class TestConservationPolicy:
         F0 = random_state_batch(4, 0.7, 3, seed=2)
         config = IntegrationConfig(dt=0.01, t_final=10.0)
         with pytest.raises(ConsistencyError):
-            integrate_batch(F0, ModelParams(), config)
+            integrate_batch(F0, config)
         assert len(rhs_calls) == 7
 
     def test_trajectory_raises(self, rhs_calls):
@@ -543,7 +532,7 @@ class TestConservationPolicy:
     def test_step_raises(self, rhs_calls):
         st = random_state(4, 0.7, seed=2)
         with pytest.raises(ConsistencyError):
-            one_step(st, 0.01, ModelParams())
+            one_step(st, 0.01)
 
 
 class TestWorkCounts:
@@ -572,7 +561,7 @@ class TestWorkCounts:
 
     def test_step_evaluates_seven_stages(self, rhs_rows):
         # the first stage, six more, and no separate residual
-        one_step(random_state(5, 0.8, seed=9), 0.01, ModelParams())
+        one_step(random_state(5, 0.8, seed=9), 0.01)
         assert rhs_rows == [1] * 7
 
     def test_trajectory_start_work_counts(self):
@@ -580,7 +569,7 @@ class TestWorkCounts:
         # restructure that changes the stepping work fails here
         start = random_state(6, 0.6, seed=11)
         config = IntegrationConfig(dt=0.01, t_final=500.0)
-        stats = integrate_batch(start.f[None, :], ModelParams(), config)[3]
+        stats = integrate_batch(start.f[None, :], config)[3]
         assert (stats.rhs_evals, stats.accepted, stats.rejected) == (1045, 174, 0)
 
     @staticmethod
@@ -615,11 +604,10 @@ class TestWorkCounts:
 
     def test_counters_repeat_exactly(self):
         # a first trial step of 4 is rejected, so every counter moves
-        p = ModelParams()
         F0 = random_state_batch(6, 0.7, 5, seed=4)
         config = IntegrationConfig(dt=4.0, t_final=100.0)
-        first = integrate_batch(F0, p, config)[3]
-        again = integrate_batch(F0, p, config)[3]
+        first = integrate_batch(F0, config)[3]
+        again = integrate_batch(F0, config)[3]
         assert first == again
         assert first.rhs_evals > 0 and first.accepted > 0 and first.rejected > 0
 
@@ -637,7 +625,7 @@ class TestWorkCounts:
         rhos = (0.3, 0.5, 0.7, 0.9, 0.95)
         F0 = np.concatenate([random_state_batch(6, r, 1, seed=i) for i, r in enumerate(rhos)])
         config = IntegrationConfig(dt=4.0, t_final=100.0)
-        conv = integrate_batch(F0, ModelParams(), config)[1]
+        conv = integrate_batch(F0, config)[1]
         assert conv.any() and not conv.all()
         assert len({m for m, _ in layouts}) > 2
         assert all(f_major for _, f_major in layouts)
@@ -646,16 +634,15 @@ class TestWorkCounts:
 class TestPairProperties:
     @given(st.integers(2, 40), st.lists(DENSITIES, min_size=2, max_size=5), st.integers(0, 2**30))
     def test_batch_equals_rows_in_any_order(self, n, rhos, seed):
-        p = ModelParams()
         config = IntegrationConfig(dt=0.05, t_final=20.0)
         F0 = np.concatenate(
             [random_state_batch(n, r, 1, seed=seed + i) for i, r in enumerate(rhos)]
         )
         perm = np.random.default_rng(seed).permutation(len(rhos))
-        F, conv, steps, stats = integrate_batch(F0[perm], p, config)
+        F, conv, steps, stats = integrate_batch(F0[perm], config)
         counts = np.zeros(3, dtype=int)
         for j, i in enumerate(perm):
-            alone, conv_a, steps_a, stats_a = integrate_batch(F0[i : i + 1], p, config)
+            alone, conv_a, steps_a, stats_a = integrate_batch(F0[i : i + 1], config)
             assert np.all(alone[0] == F[j])
             assert conv_a[0] == conv[j] and steps_a[0] == steps[j]
             counts += (stats_a.rhs_evals, stats_a.accepted, stats_a.rejected)
@@ -711,9 +698,33 @@ class TestPairProperties:
         times, samples, _ = run_trajectory(start, p, config)
         assert samples.min() >= 0.0
         assert np.abs(samples.sum(axis=1) - start.rho).max() <= 1e-13
-        _, _, steps, stats = integrate_batch(start.f[None, :], p, config)
+        _, _, steps, stats = integrate_batch(start.f[None, :], config)
         assert stats.min_preclamp >= -1e-12
         assert stats.max_drift <= 1e-13 * max(1, int(steps[0]))
+
+    @given(st.integers(2, 40), DENSITIES, st.integers(0, 2**30))
+    @example(2, 0.5, 1)
+    @example(2, 1.0, 2)
+    @example(200, 0.5, 3)
+    @example(200, 1.0, 4)
+    def test_empty_slow_classes_stay_empty(self, n, rho, seed):
+        # if classes 1..j are empty, so P_j = 0, both terms of dP_j/dtau
+        # vanish: a vehicle reaches a slow class only by braking to a
+        # partner already in it.  Row j - 1 starts with classes 1..j empty,
+        # their mass moved to class j + 1, and every stage, step end and
+        # final state and derivative keeps them exactly zero
+        f = random_state(n, rho, seed=seed).f
+        face = np.arange(n) < np.arange(1, n)[:, None]
+        F0 = np.where(face, 0.0, f)
+        F0[np.arange(n - 1), np.arange(1, n)] = np.cumsum(f)[1:]
+        left = []
+
+        def record(rows, t, h, F, Y, K):
+            left.append(Y[face[rows]].any() or K[:, face[rows]].any())
+
+        F, _, _, _, D, _ = dynamics._integrate_batch(F0, 0.05, 500.0, 1e-10, record=record)
+        assert not any(left)
+        assert not F[face].any() and not D[face].any()
 
 
 def same_bits(a, b):
