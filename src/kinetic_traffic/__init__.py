@@ -3,7 +3,8 @@
 Vehicles occupy n discrete speed classes on a single lane.  Pairwise
 interactions move the slower or faster vehicle one class up or down with
 probabilities set by the total density, and the resulting mean-field
-dynamics conserve density while relaxing toward a unique steady state.
+dynamics conserve density while relaxing toward a unique steady state
+(in the congested phase, from starts with a nonempty slowest class).
 The package integrates those dynamics, evaluates the steady states in
 closed form, classifies their stability, and sweeps fundamental
 diagrams, with a CLI wrapping all of it.

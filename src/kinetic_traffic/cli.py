@@ -11,6 +11,7 @@ import argparse
 import functools
 import sys
 from collections.abc import Iterable
+from dataclasses import replace
 
 import numpy as np
 
@@ -74,7 +75,10 @@ def _add_model_args(p: argparse.ArgumentParser, with_rho: bool = True) -> None:
 
 def _cmd_simulate(args) -> int:
     _check_n(args.n)
-    params = ModelParams(eta0=args.eta0)
+    eta0 = args.eta0
+    # also false for nan
+    if not 0 < eta0 < np.inf:
+        raise ValueError(f"eta0 must be positive and finite, got {eta0}")
     if args.seed is None:
         start = KineticState(np.full(args.n, args.rho / args.n))
     else:
@@ -82,7 +86,11 @@ def _cmd_simulate(args) -> int:
     config = IntegrationConfig(
         dt=args.dt, t_final=args.t_final, record_stride=args.record_stride
     )
-    times, samples, converged = run_trajectory(start, params, config)
+    # the library runs in the model time eta0 t, and the config refuses a
+    # product outside the normal floats
+    config = replace(config, dt=config.dt * eta0, t_final=config.t_final * eta0)
+    taus, samples, converged = run_trajectory(start, config)
+    times = taus / eta0
     obs = observables(samples[-1])
     print(f"n={args.n} rho={fmt15(args.rho)} dt={fmt15(args.dt)} t_final={fmt15(args.t_final)}")
     print(f"steady={'yes' if converged else 'no'} t_reached={fmt15(float(times[-1]))}")

@@ -1,4 +1,11 @@
-"""Fundamental and speed diagrams swept over the density range."""
+"""Fundamental and speed diagrams swept over the density range.
+
+The flux peaks at q = 1/2 at the critical density 1/2 for every class
+count, but in double precision only at 1/2 itself, the grid point that
+build_grid inserts.  The closed form is continuous there, yet the layer
+above 1/2 in which q stays near 1/2 thins doubly exponentially with n:
+one ulp above 1/2, q is 0.48721 at n = 6 and 0.07496 at n = 40.
+"""
 
 from __future__ import annotations
 

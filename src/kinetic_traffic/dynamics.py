@@ -18,14 +18,18 @@ same sums give the exact eigenvalues of the linearization (see the
 equilibrium module), which bound the step size.  The state stays in f,
 because f = diff(P) would lose relative accuracy in small classes.
 
+If P_j = 0 then f_1 = ... = f_j = 0, so the braking term of dP_j/dtau
+vanishes with P_j and the acceleration term with f_j: the face P_j = 0,
+classes 1..j empty, is invariant, and a start on it stays on it.
+
 eta0 only sets the clock: the run at eta0 = c is the eta0 = 1 run read
-at t = tau / c.  So only the entry points that return a time or a
-derivative in the caller's time (run_trajectory, continuity_gap) take
-eta0: they scale dt and t_final by it going in, times and derivatives
-back coming out, and refuse a scaled time that is not a normal float, on
-which the loop would hang (0, inf) or round the times it returns.
-integrate_batch returns no time, so it runs its config's dt and t_final
-as model times and refuses them on the same rule.
+at t = tau / c.  So the library has one clock, the model time: every
+entry point reads its IntegrationConfig's dt and t_final, and
+run_trajectory returns its times, in tau.  IntegrationConfig refuses a
+dt or t_final that is not a positive normal float, on which the loop
+would hang (0, inf) or round the times it returns.  The simulate command
+alone takes eta0 and converts: dt and t_final times eta0 going in, times
+over eta0 coming out.
 
 Time integration uses the Dormand-Prince 5(4) embedded pair (Dormand &
 Prince 1980) with a PI step-size controller (Gustafsson 1991; Hairer,
@@ -99,15 +103,16 @@ default_rng(seed).random() bit for bit without numpy's random module.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._pass import _Workspace, _combine, _rhs_batch, _stable_step, _stencil
 from ._pcg64 import _uniform
 from .errors import ConsistencyError, IntegrationDivergedError
-from .lattice import _CLAMP_TOL, ModelParams, _check_n, _check_rho, _check_states, build_lattice
+from .lattice import _CLAMP_TOL, _check_n, _check_rho, _check_states, build_lattice
 
 __all__ = [
     "KineticState",
@@ -184,11 +189,9 @@ class KineticState:
 
     Attributes:
         f: length-n vector of per-class densities, f[j-1] is class j.
-        t: simulation time.
     """
 
     f: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         arr = np.array(self.f, dtype=float, copy=True)
@@ -218,15 +221,13 @@ class Observables:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Integrator settings; dt and t_final are in the caller's time t (module docstring).
+    """Integrator settings, in model time (module docstring).
 
     Attributes:
         dt: first trial step of every row, and the spacing of trajectory
             samples; later steps are chosen by the error control.
         t_final: horizon; integration stops here even if not steady.
-        steady_tol: 1-norm of df/dtau below which a state counts as
-            steady, so eta0 does not move the model time at which a run
-            turns steady.
+        steady_tol: 1-norm of df/dtau below which a state counts as steady.
         record_stride: trajectory samples are taken every record_stride
             multiples of dt.
     """
@@ -237,10 +238,11 @@ class IntegrationConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (self.t_final > 0 and math.isfinite(self.t_final)):
-            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
+        # also false for nan
+        if not sys.float_info.min <= self.dt < math.inf:
+            raise ValueError(f"dt must be a positive normal float, got {self.dt}")
+        if not sys.float_info.min <= self.t_final < math.inf:
+            raise ValueError(f"t_final must be a positive normal float, got {self.t_final}")
         if not self.steady_tol >= 0:
             raise ValueError("steady_tol must be nonnegative")
         if self.record_stride < 1:
@@ -510,7 +512,6 @@ def integrate_batch(
     """Integrate every row of F0, shape (m, n), until it is steady or the horizon ends.
 
     A single state is a batch of one row; every row must pass KineticState's rule.
-    The config's dt and t_final are model times (module docstring).
 
     Returns:
         (final rows, converged mask, accepted steps per row, integrity
@@ -522,48 +523,32 @@ def integrate_batch(
     _check_states(F0)
     config = config or IntegrationConfig()
     stats = BatchStats()
-    dt, t_final = float(config.dt), float(config.t_final)
-    if min(dt, t_final) < np.finfo(float).tiny:
-        raise ValueError(f"dt = {dt!r} and t_final = {t_final!r} must be normal floats")
-    F, conv, steps, *_ = _integrate_batch(F0, dt, t_final, config.steady_tol, stats)
+    F, conv, steps, *_ = _integrate_batch(F0, config.dt, config.t_final, config.steady_tol, stats)
     return F, conv, steps, stats
 
 
-def _model_time(eta0, **times):
-    """The caller's times in model time eta0 t, in order; ValueError unless each is normal."""
-    taus = [float(t) * float(eta0) for t in times.values()]
-    for (name, t), tau in zip(times.items(), taus):
-        if not np.finfo(float).tiny <= tau < math.inf:
-            raise ValueError(f"{name} * eta0 = {t!r} * {eta0!r} = {tau!r}, out of range")
-    return taus
-
-
-def run_trajectory(
-    state: KineticState,
-    params: ModelParams,
-    config: IntegrationConfig | None = None,
-):
+def run_trajectory(state: KineticState, config: IntegrationConfig | None = None):
     """Integrate to the horizon, sampling every record_stride multiples of dt.
 
-    Sample i lies at the model time i (dt eta0), at state.t + i (dt eta0)
-    / eta0, for the multiples i of record_stride, from the clamped
-    continuous extension of the step that contains it, evaluated for all
-    steps at once after the loop into the rows of the returned array,
-    allocated once at its final size.  So a sample below the clamp window
-    raises IntegrationDivergedError when the loop has ended.
+    Sample i lies at the time i dt, for the multiples i of record_stride,
+    from the clamped continuous extension of the step that contains it,
+    evaluated for all steps at once after the loop into the rows of the
+    returned array, allocated once at its final size.  So a sample below
+    the clamp window raises IntegrationDivergedError when the loop has
+    ended.
 
     Returns:
         (times, samples, converged) where samples[i] is the state at
-        times[i]; the initial state is always the first sample and the
-        final state the last, in place of a sample taken at its time.
+        times[i], from 0; the initial state is always the first sample and
+        the final state the last, in place of a sample taken at its time.
         A start that is already steady gives one sample.  Stops early
-        once steady.
+        once steady, else at exactly config.t_final.
     """
     config = config or IntegrationConfig()
-    dt, t_final = _model_time(params.eta0, dt=config.dt, t_final=config.t_final)
+    dt = config.dt
     taken = []
     F, conv, _, t_end, *_ = _integrate_batch(
-        state.f[None, :], dt, t_final, config.steady_tol, record=lambda *s: taken.append(s)
+        state.f[None, :], dt, config.t_final, config.steady_tol, record=lambda *s: taken.append(s)
     )
     ts = np.zeros(0)
     if taken:
@@ -590,7 +575,7 @@ def run_trajectory(
         # an unclamped batch is inner itself, which numpy does not copy
         inner[...] = _clamp_batch(_dense(F0, Y, K, h[:, None], at, theta, inner), BatchStats())
     samples[-1] = F[0]
-    return state.t + times / params.eta0, samples, bool(conv[0])
+    return times, samples, bool(conv[0])
 
 
 def _flux_speed(F: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -620,23 +605,21 @@ def observables(f: np.ndarray) -> Observables:
 def continuity_gap(
     f0: KineticState,
     g0: KineticState,
-    t: float,
-    params: ModelParams,
+    tau: float,
     config: IntegrationConfig | None = None,
 ) -> tuple[float, float]:
     """A priori distance bound between two same-density trajectories.
 
-    Evolves both initial states to time t and measures
+    Evolves both initial states to the time tau and measures
 
-        gap = |g(t) - f(t)|_1 + |g'(t) - f'(t)|_1,
+        gap = |g(tau) - f(tau)|_1 + |g'(tau) - f'(tau)|_1,
 
     which the well-posedness estimate of the model bounds by
-    (1 + 3 eta0) exp(3 eta0 t) |g0 - f0|_1.
+    4 exp(3 tau) |g0 - f0|_1.
 
     Args:
         f0, g0: initial states with equal density (within 1e-12).
-        t: comparison time, positive.
-        params: model constants.
+        tau: comparison time, refused by IntegrationConfig as a horizon.
         config: optional stepper settings; dt is the first trial step.
 
     Returns:
@@ -644,21 +627,21 @@ def continuity_gap(
     """
     if f0.n != g0.n:
         raise ValueError("states must have the same number of classes")
-    gap, bound = _continuity_gaps(f0.f[None, :], g0.f[None, :], t, params, config)
+    gap, bound = _continuity_gaps(f0.f[None, :], g0.f[None, :], tau, config)
     return float(gap[0]), float(bound[0])
 
 
-def _continuity_gaps(F0, G0, t, params, config=None):
+def _continuity_gaps(F0, G0, tau, config=None):
     """continuity_gap for the pairs (F0[i], G0[i]), stepped as one batch.
 
     Rows never interact, so each pair's (gap, bound) is bit for bit its
     one-pair value.  Returns the gaps and the bounds as arrays.
     """
-    rows, eta0 = _continuity_rows(F0, G0), params.eta0
-    dt, tau = _model_time(eta0, dt=(config or IntegrationConfig()).dt, t=t)
+    rows = _continuity_rows(F0, G0)
     # no steady exit, so every row reaches tau
-    F, _, _, _, D, _ = _integrate_batch(rows, dt, tau, 0.0)
-    return _continuity_bounds(F0, G0, F, eta0 * D, tau, 1.0 + 3.0 * eta0)
+    config = replace(config or IntegrationConfig(), t_final=tau, steady_tol=0.0)
+    F, _, _, _, D, _ = _integrate_batch(rows, config.dt, config.t_final, config.steady_tol)
+    return _continuity_bounds(F0, G0, F, D, config.t_final)
 
 
 def _continuity_rows(F0, G0):
@@ -678,16 +661,15 @@ def _continuity_rows(F0, G0):
     return np.concatenate([F0, G0])
 
 
-def _continuity_bounds(F0, G0, F, D, tau, slope=4.0):
-    """Each pair's gap |g - f|_1 + |g' - f'|_1 at model time tau, and its bound.
+def _continuity_bounds(F0, G0, F, D, tau):
+    """Each pair's gap |g - f|_1 + |g' - f'|_1 at the time tau, and its bound.
 
-    The bound is slope exp(3 tau) |g0 - f0|_1: slope is 4 for D = df/dtau
-    and 1 + 3 eta0 for D = df/dt.  F and D are the states at tau and their
-    derivatives, of the rows of _continuity_rows in its order.
+    The bound is 4 exp(3 tau) |g0 - f0|_1.  F and D are the states at tau
+    and their derivatives, of the rows of _continuity_rows in its order.
     """
     f, g = slice(len(F0)), slice(len(F0), None)
     gap = np.abs(F[g] - F[f]).sum(axis=1) + np.abs(D[g] - D[f]).sum(axis=1)
-    return gap, slope * math.exp(3.0 * tau) * np.abs(G0 - F0).sum(axis=1)
+    return gap, 4.0 * math.exp(3.0 * tau) * np.abs(G0 - F0).sum(axis=1)
 
 
 def random_state(n: int, rho: float, seed: int = DEFAULT_SEED) -> KineticState:

@@ -69,17 +69,13 @@ class ModelParams:
         rho_max: physical jam density in vehicles/km, used only when
             rescaling dimensionless results to physical units.
         v_max: physical maximum speed in km/h, same role as rho_max.
-        eta0: interaction-rate constant; interactions fire at eta0 * rho,
-            so eta0 only sets the clock, read by run_trajectory and
-            continuity_gap alone (dynamics module docstring).
     """
 
     rho_max: float = 200.0
     v_max: float = 100.0
-    eta0: float = 1.0
 
     def __post_init__(self):
-        for name in ("rho_max", "v_max", "eta0"):
+        for name in ("rho_max", "v_max"):
             value = getattr(self, name)
             # also false for nan
             if not 0 < value < np.inf:

@@ -19,16 +19,14 @@ from kinetic_traffic import (
     IntegrationConfig,
     IntegrationDivergedError,
 )
-from kinetic_traffic import ModelParams, dynamics, integrate_batch, random_state_batch
+from kinetic_traffic import dynamics, integrate_batch, random_state_batch
 from kinetic_traffic._pass import _STAB
 from kinetic_traffic.dynamics import (
     DEFAULT_SEED,
     _A,
     _D,
     _E,
-    _clamp_batch,
     _continuity_gaps,
-    _integrate_batch,
 )
 from kinetic_traffic.equilibrium import _closed_form
 from kinetic_traffic.verify import VERIFY_DENSITIES
@@ -39,18 +37,18 @@ settings.register_profile(
 settings.load_profile("tier1")
 
 
-def logistic_p1(p0, rho, eta0, t):
-    """Exact P_1 = f_1 at time t from P_1 = p0 at time 0.
+def logistic_p1(p0, rho, tau):
+    """Exact P_1 = f_1 at the model time tau from P_1 = p0 at time 0.
 
     The first level of the cumulative cascade is autonomous, the logistic
-    dP_1/dt = a P_1 (c - P_1) with a = eta0 rho^2 and c = 2 rho - 1, for
-    every class count n.  Written with expm1, since -expm1(-a c t) / c
-    tends to a t without cancelling as c -> 0; at rho = 1/2 exactly the
-    solution is p0 / (1 + eta0 p0 t / 4).
+    dP_1/dtau = a P_1 (c - P_1) with a = rho^2 and c = 2 rho - 1, for
+    every class count n.  Written with expm1, since -expm1(-a c tau) / c
+    tends to a tau without cancelling as c -> 0; at rho = 1/2 exactly the
+    solution is p0 / (1 + p0 tau / 4).
     """
-    a, c = eta0 * rho * rho, 2.0 * rho - 1.0
-    growth = -np.expm1(-a * c * t) / c if c != 0.0 else a * t
-    return p0 / (np.exp(-a * c * t) + p0 * growth)
+    a, c = rho * rho, 2.0 * rho - 1.0
+    growth = -np.expm1(-a * c * tau) / c if c != 0.0 else a * tau
+    return p0 / (np.exp(-a * c * tau) + p0 * growth)
 
 
 @pytest.fixture(scope="session")
@@ -305,16 +303,14 @@ def dense_reference(F, Y, K, h, theta):
     return F + theta * (dy + (1.0 - theta) * (b + theta * (c + (1.0 - theta) * d)))
 
 
-def trajectory_reference(state, params, config):
+def trajectory_reference(state, config):
     """run_trajectory with the samples of each accepted step evaluated at that step.
 
-    Each step's samples go through the continuous extension and the clamp
-    as soon as the loop hands the step over, as the loop once did itself.
-    The loop runs in model time, so dt and t_final go in times eta0 and
-    the times come out over it.
+    Each step's samples go through the reference continuous extension and
+    clamp as soon as the reference loop hands the step over, as the loop
+    once did itself.
     """
-    eta0 = params.eta0
-    stride, dt = config.record_stride, config.dt * eta0
+    stride, dt = config.record_stride, config.dt
     times, samples = [np.zeros(1)], [state.f[None, :]]
     k_next = 1
 
@@ -329,11 +325,11 @@ def trajectory_reference(state, params, config):
             at = np.zeros(ts.size, dtype=int)
             Fr = dense_reference(F[at], Y[at], [stage[at] for stage in K], h[at][:, None], theta)
             times.append(ts)
-            samples.append(_clamp_batch(Fr, BatchStats()))
+            samples.append(clamp_reference(Fr, BatchStats()))
             k_next += ts.size
 
-    F, conv, _, t_end, _, _ = _integrate_batch(
-        state.f[None, :], dt, config.t_final * eta0, config.steady_tol, record=record
+    F, conv, _, t_end, _, _ = integrate_batch_reference(
+        state.f[None, :], dt, config.t_final, config.steady_tol, record=record
     )
     times, samples = np.concatenate(times), np.concatenate(samples)
     if times[-1] == t_end[0]:
@@ -341,21 +337,15 @@ def trajectory_reference(state, params, config):
     else:
         times = np.append(times, t_end[0])
         samples = np.vstack([samples, F])
-    return state.t + times / eta0, samples, bool(conv[0])
+    return times, samples, bool(conv[0])
 
 
-def continuity_gap_reference(f0, g0, t, params, config=None):
-    """The growth estimate of one pair, stepped as a two-row batch with 1-D sums.
-
-    The pair steps to the model time tau = eta0 t, and the derivatives
-    d/dtau are scaled back to d/dt.
-    """
-    eta0 = params.eta0
-    dt, tau = (config or IntegrationConfig()).dt * eta0, t * eta0
-    F, _, _, _, D, _ = _integrate_batch(np.vstack([f0.f, g0.f]), dt, tau, 0.0)
-    D = eta0 * D
+def continuity_gap_reference(f0, g0, tau, config=None):
+    """The growth estimate of one pair, stepped as a two-row batch by the reference loop."""
+    dt = (config or IntegrationConfig()).dt
+    F, _, _, _, D, _ = integrate_batch_reference(np.vstack([f0.f, g0.f]), dt, tau, 0.0)
     gap = float(np.abs(F[1] - F[0]).sum() + np.abs(D[1] - D[0]).sum())
-    bound = (1.0 + 3.0 * eta0) * math.exp(3.0 * tau) * float(np.abs(g0.f - f0.f).sum())
+    bound = 4.0 * math.exp(3.0 * tau) * float(np.abs(g0.f - f0.f).sum())
     return gap, bound
 
 
@@ -390,7 +380,7 @@ def verify_groups_reference(n_max):
                 [random_state_batch(n, rho, 6, seed=DEFAULT_SEED + 7 * n)
                  for rho in VERIFY_DENSITIES]
             )
-            gaps, bounds = _continuity_gaps(starts[0::2], starts[1::2], t, ModelParams())
+            gaps, bounds = _continuity_gaps(starts[0::2], starts[1::2], t)
             seen[n]["gaps"], seen[n]["bounds"] = gaps, bounds
             bad = np.flatnonzero(gaps > bounds)
             if bad.size:

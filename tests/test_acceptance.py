@@ -155,7 +155,7 @@ def test_05_attractivity_by_t200(attractivity_runs, exact_p1):
     for i, rho in enumerate(ATTRACT_DENSITIES):
         rows = slice(i * ATTRACT_SAMPLES, (i + 1) * ATTRACT_SAMPLES)
         measured = np.abs(run["F"][rows] - run["targets"][rows]).sum(axis=1).max()
-        p1 = exact_p1(run["F0"][rows, 0], rho, 1.0, ATTRACT_T)
+        p1 = exact_p1(run["F0"][rows, 0], rho, ATTRACT_T)
         exact = 2.0 * np.abs(p1 - run["targets"][rows, 0]).max()
         at_n2.append(f"rho={rho}:{measured:.2e}/{exact:.2e}")
     ok = max(worst_by_rho.values()) <= 1e-6
@@ -179,13 +179,12 @@ def test_06_conservation_and_positivity(attractivity_runs):
 
 
 def test_07_continuity_estimate():
-    """Same-density pairs obey the (1+3 eta0) e^(3 eta0 t) growth bound."""
+    """Same-density pairs obey the 4 e^(3 t) growth bound."""
     t0 = time.time()
     rng = np.random.default_rng(777)
     checked = 0
     worst_ratio = 0.0
     for n in range(2, 7):
-        params = ModelParams()
         rhos, pairs = [], []
         for _ in range(100):
             rhos.append(float(rng.uniform(0.02, 0.98)))
@@ -193,7 +192,7 @@ def test_07_continuity_estimate():
         pairs = np.array(pairs)
         # all 100 pairs of one n stepped together, once per t
         for t in (0.5, 1.0, 2.0):
-            gaps, bounds = _continuity_gaps(pairs[:, 0], pairs[:, 1], t, params)
+            gaps, bounds = _continuity_gaps(pairs[:, 0], pairs[:, 1], t)
             for rho, gap, bound in zip(rhos, gaps.tolist(), bounds.tolist()):
                 assert gap <= bound, f"n={n} rho={rho} t={t}: gap {gap} > bound {bound}"
                 worst_ratio = max(worst_ratio, gap / bound)

@@ -53,6 +53,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def simulate_run(*argv):
+    """simulate's times and samples, as it hands them to its CSV writer, and its stdout."""
+    seen, out = [], io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr("kinetic_traffic.cli.trajectory_csv", lambda *run: seen.append(run) or [])
+        assert main(["simulate", *argv, "--out-csv", os.devnull]) == 0
+    (times, samples), = seen
+    return times, samples, out.getvalue()
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestSimulate:
     def test_reports_final_state(self, capsys):
         code, out, _ = run_cli(
@@ -73,6 +87,59 @@ class TestSimulate:
             code, out, _ = run_cli(capsys, *argv, "--eta0", eta0)
             assert code == 0
             assert "steady=no t_reached=100\n" in out, eta0
+
+    @given(
+        c=st.floats(1e-9, 1e8),
+        n=st.integers(2, 6),
+        rho=st.one_of(st.sampled_from(_EDGE_DENSITIES), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**30),
+    )
+    @example(c=3.0, n=4, rho=0.6, seed=1)
+    @example(c=0.3, n=6, rho=0.3, seed=2)
+    @example(c=1e-9, n=3, rho=0.5, seed=3)
+    @example(c=1e8, n=6, rho=0.9, seed=4)
+    def test_the_clock_is_exact(self, c, n, rho, seed):
+        # --eta0 c with (dt, T) is the eta0 = 1 run with (dt c, T c), bit for
+        # bit, read at t = tau / c: simulate applies eta0 only to its times,
+        # and the library runs in model time; the model horizon stays near
+        # 30, since at rho = 1/2 steps grow with it
+        dt, t_final = 0.05 / c, 30.0 / c
+        start = ("--n", str(n), "--rho", repr(rho), "--seed", str(seed), "--record-stride", "3")
+        times, samples, out = simulate_run(
+            *start, "--eta0", repr(c), "--dt", repr(dt), "--t-final", repr(t_final)
+        )
+        tau, want, want_out = simulate_run(
+            *start, "--dt", repr(dt * c), "--t-final", repr(t_final * c)
+        )
+        assert same_bits(samples, want) and same_bits(times, tau / c)
+        # the steady flag, the final state and its flux and speed
+        lines, want_lines = out.splitlines(), want_out.splitlines()
+        assert lines[1].split()[0] == want_lines[1].split()[0]
+        assert lines[2:] == want_lines[2:]
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-3, 1e3, 1e8])
+    def test_steadiness_does_not_depend_on_the_time_scale(self, c):
+        # --eta0 c runs the eta0 = 1 dynamics on the clock t = tau / c; with
+        # dt and the horizon scaled alike, the run turns steady at the same
+        # model time tau = c t, up to the rounding of one accepted step
+        f0 = random_state(6, 0.7, seed=3).f
+
+        def run(eta0):
+            times, _, out = simulate_run(
+                "--n", "6", "--rho", "0.7", "--seed", "3", "--eta0", repr(eta0),
+                "--dt", repr(0.01 / eta0), "--t-final", repr(2000.0 / eta0),
+                "--record-stride", str(10**9),
+            )
+            return "steady=yes" in out, eta0 * times[-1]
+
+        steps = []
+        dynamics._integrate_batch(f0[None, :], 0.01, 2000.0, 1e-10,
+                                  record=lambda *step: steps.append(step[2]))
+        steady, tau = run(1.0)
+        assert steady and tau < 2000.0
+        steady_c, tau_c = run(c)
+        assert steady_c
+        assert abs(tau_c - tau) <= steps[-1][-1]
 
     def test_uniform_start_without_seed(self, capsys):
         code, out, _ = run_cli(
@@ -135,8 +202,7 @@ class TestSimulate:
         )
         assert code == 0
         times, samples, converged = run_trajectory(
-            random_state(6, 0.6, seed=11), ModelParams(),
-            IntegrationConfig(dt=0.01, t_final=40.0),
+            random_state(6, 0.6, seed=11), IntegrationConfig(dt=0.01, t_final=40.0)
         )
         assert 10 * len(times) > _TABLE_BLOCK  # the table spans two blocks
         want = trajectory_csv_oracle(times, samples, build_lattice(6))
@@ -418,8 +484,10 @@ class TestExitCodes:
             # the closed form ignores the step options but still checks them
             ((*diagram, "--dt", "-1", "--t-final", "nan"), "dt"),
             ((*diagram, "--t-final", "nan"), "t_final"),
-            # a subnormal first step would never grow
+            # a subnormal first step would never grow, and the closed form
+            # checks the step options on the same rule
             ((*diagram, "--method", "integrate", "--dt", "5e-324"), "dt"),
+            ((*diagram, "--dt", "5e-324", "--t-final", "1e-310"), "dt"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1, argv
@@ -533,13 +601,14 @@ class TestExitCodes:
         (("--t-final", "1", "--dt", "1e10", "--eta0", "1e300"), "dt"),
     ])
     def test_model_time_out_of_range_is_a_usage_error(self, argv, name):
-        # the loop runs in model time eta0 t, so a step or horizon that
+        # the library runs in model time eta0 t, so a step or horizon that
         # underflows out of the normal floats or overflows to inf there is
         # refused in one line
         proc = self.run_process("simulate", "--n", "3", "--rho", "0.6", *argv)
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr.startswith(f"kinetic-traffic: invalid input: {name} * eta0 = ")
+        prefix = f"kinetic-traffic: invalid input: {name} must be a positive normal float, got "
+        assert proc.stderr.startswith(prefix)
         assert proc.stderr.count("\n") == 1
 
     def test_huge_eta0_runs_on_the_model_clock(self, capsys):
@@ -558,7 +627,7 @@ class TestExitCodes:
         (("--rho", "0.8", "--t-final", "1000", "--dt", "3e-308"),
          "cannot convert float infinity to integer"),
         (("--rho", "0.5", "--t-final", "1", "--dt", "5e-324"),
-         "dt * eta0 = 5e-324 * 1.0 = 5e-324, out of range"),
+         "dt must be a positive normal float, got 5e-324"),
     ])
     def test_sample_count_overflow_is_one_usage_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "simulate", "--n", "3", *argv)
@@ -662,7 +731,7 @@ class TestBenchmarkTracer:
         # the tracer counts a writer's output as out.encode("utf-8"), which
         # the trajectory's blocks give whole without being used up
         times, samples, _ = run_trajectory(
-            KineticState(np.full(3, 0.2)), ModelParams(), IntegrationConfig(t_final=1.0)
+            KineticState(np.full(3, 0.2)), IntegrationConfig(t_final=1.0)
         )
         blocks = trajectory_csv(times, samples)
         counts = {"serialize.trajectory_csv.bytes": 0}

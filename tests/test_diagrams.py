@@ -492,7 +492,7 @@ class TestWriters:
         # simulate --n 6 --rho 0.6 --t-final 500 --dt 0.01 --seed 11: the
         # bytes would not change if the fast path fell back, only the time
         times, samples, _ = run_trajectory(
-            random_state(6, 0.6, seed=11), ModelParams(), IntegrationConfig(dt=0.01, t_final=500.0)
+            random_state(6, 0.6, seed=11), IntegrationConfig(dt=0.01, t_final=500.0)
         )
         blocks = []
         monkeypatch.setattr(serialize, "_rows15", lambda b: blocks.append(b.copy()) or "")

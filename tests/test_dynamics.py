@@ -14,8 +14,8 @@ from kinetic_traffic import (
     IntegrationConfig,
     IntegrationDivergedError,
     STABLE,
+    UNSTABLE,
     KineticState,
-    ModelParams,
     build_game_table,
     build_grid,
     build_lattice,
@@ -297,51 +297,6 @@ class TestIntegration:
         err = np.abs(F[0] - equilibrium_recursive(3, rho).f_inf).max()
         assert err <= 1e-7, f"free phase err={err}"
 
-    @given(
-        c=st.floats(1e-9, 1e8),
-        n=st.integers(2, 6),
-        rho=DENSITIES,
-        seed=st.integers(0, 2**30),
-    )
-    @example(c=3.0, n=4, rho=0.6, seed=1)
-    @example(c=0.3, n=6, rho=0.3, seed=2)
-    @example(c=1e-9, n=3, rho=0.5, seed=3)
-    @example(c=1e8, n=6, rho=0.9, seed=4)
-    def test_the_clock_is_exact(self, c, n, rho, seed):
-        # eta0 = c with (dt, T) is the eta0 = 1 run with (dt c, T c), bit for
-        # bit, read at t = tau / c: run_trajectory applies eta0 only to the
-        # caller's times, and every kernel runs in model time; the model
-        # horizon stays near 30, since at rho = 1/2 steps grow with it
-        config = IntegrationConfig(dt=0.05 / c, t_final=30.0 / c, record_stride=3)
-        model = dataclasses.replace(config, dt=config.dt * c, t_final=config.t_final * c)
-        start = random_state(n, rho, seed=seed)
-        times, samples, steady = run_trajectory(start, ModelParams(eta0=c), config)
-        tau, want_samples, want_steady = run_trajectory(start, ModelParams(), model)
-        assert same_bits(samples, want_samples) and steady == want_steady
-        assert same_bits(times, tau / c)
-
-    @pytest.mark.parametrize("c", [1e-9, 1e-3, 1e3, 1e8])
-    def test_steadiness_does_not_depend_on_the_time_scale(self, c):
-        # eta0 = c runs the eta0 = 1 dynamics on the clock t = tau / c; with
-        # dt and the horizon scaled alike, the run turns steady at the same
-        # model time tau = c t, up to the rounding of one accepted step
-        start = random_state(6, 0.7, seed=3)
-
-        def run(eta0):
-            config = IntegrationConfig(dt=0.01 / eta0, t_final=2000.0 / eta0,
-                                       record_stride=10**9)
-            times, _, steady = run_trajectory(start, ModelParams(eta0=eta0), config)
-            return steady, eta0 * times[-1]
-
-        steps = []
-        dynamics._integrate_batch(start.f[None, :], 0.01, 2000.0, 1e-10,
-                                  record=lambda *step: steps.append(step[2]))
-        steady, tau = run(1.0)
-        assert steady and tau < 2000.0
-        steady_c, tau_c = run(c)
-        assert steady_c
-        assert abs(tau_c - tau) <= steps[-1][-1]
-
     def test_already_steady_input_returns_immediately(self):
         eq = equilibrium_recursive(3, 0.8).f_inf
         F, converged, steps, _ = integrate_batch(eq[None, :])
@@ -373,10 +328,9 @@ class TestIntegration:
         assert np.all(alone[0] == F[0])
 
     def test_trajectory_shapes_and_stride(self):
-        p = ModelParams()
         st = KineticState(np.full(3, 0.2))
         config = IntegrationConfig(dt=0.01, t_final=1.0, record_stride=10)
-        times, samples, _ = run_trajectory(st, p, config)
+        times, samples, _ = run_trajectory(st, config)
         assert times[0] == 0.0
         assert times.shape[0] == samples.shape[0]
         assert samples.shape[1] == 3
@@ -385,50 +339,51 @@ class TestIntegration:
         assert np.abs(samples[0] - st.f).max() == 0.0
 
     def test_trajectory_stops_when_steady(self):
-        p = ModelParams()
         st = KineticState(np.array([0.05, 0.75]))
         config = IntegrationConfig(dt=0.02, t_final=500.0)
-        times, samples, converged = run_trajectory(st, p, config)
+        times, samples, converged = run_trajectory(st, config)
         assert converged
         assert times[-1] < 500.0
         tail = _rhs_batch(samples[-1:])[0]
         assert np.abs(tail).sum() <= 1e-10
 
     @pytest.mark.parametrize("stride", [1, 7])
-    @pytest.mark.parametrize("t_final", [10.0, 500.0])
+    @pytest.mark.parametrize("t_final", [10.0, 500.0, 0.1 * 3.0])
     def test_trajectory_ends_where_integration_ends(self, stride, t_final):
         # t_final=10 stops on the horizon (a sample time for stride 1, not
-        # for stride 7) and t_final=500 turns steady between samples
-        p = ModelParams()
-        st = KineticState(random_state(6, 0.7, seed=11).f, t=3.0)
+        # for stride 7) and t_final=500 turns steady between samples; 0.1 * 3
+        # is simulate --eta0 3 --t-final 0.1, and a run that stops on its
+        # horizon ends on it exactly
+        st = KineticState(random_state(6, 0.7, seed=11).f)
         config = IntegrationConfig(dt=0.05, t_final=t_final, record_stride=stride)
-        times, samples, converged = run_trajectory(st, p, config)
+        times, samples, converged = run_trajectory(st, config)
         F, conv, _, t, _, _ = dynamics._integrate_batch(
             st.f[None, :], config.dt, config.t_final, config.steady_tol
         )
-        t_end = st.t + t[0]
+        t_end = t[0]
         assert converged == conv[0] == (t_final == 500.0)
+        assert converged or t_end == t_final
         assert np.all(samples[-1] == F[0])
         assert np.all(samples[0] == st.f)
-        # samples sit at t0 + i dt for the multiples i of the stride before
-        # the end, which follows as the last sample
-        i = np.arange(stride, round((t_end - st.t) / 0.05) + stride, stride)
-        inner = st.t + i * 0.05
-        want = np.concatenate([[st.t], inner[inner < t_end], [t_end]])
+        # samples sit at i dt for the multiples i of the stride before the
+        # end, which follows as the last sample
+        i = np.arange(stride, round(t_end / 0.05) + stride, stride)
+        inner = i * 0.05
+        want = np.concatenate([[0.0], inner[inner < t_end], [t_end]])
         assert np.array_equal(times, want)
 
     @pytest.mark.parametrize(
         "start",
-        [KineticState(np.zeros(3), t=2.0), KineticState(equilibrium_recursive(3, 0.7).f_inf)],
+        [KineticState(np.zeros(3)), KineticState(equilibrium_recursive(3, 0.7).f_inf)],
         ids=["empty", "closed-form"],
     )
     def test_a_steady_start_is_the_only_sample(self, start):
         # no step is taken, so the start is both the first and the final
         # state: one sample, not the same time twice
         config = IntegrationConfig(dt=0.01, t_final=5.0)
-        times, samples, converged = run_trajectory(start, ModelParams(), config)
+        times, samples, converged = run_trajectory(start, config)
         assert converged
-        assert np.array_equal(times, [start.t])
+        assert np.array_equal(times, [0.0])
         assert samples.shape == (1, 3) and np.all(samples[0] == start.f)
 
     @pytest.mark.parametrize(
@@ -438,11 +393,10 @@ class TestIntegration:
          (3, 0.3, 10, 0.05)],  # a horizon short of the first sample: start and end only
     )
     def test_samples_match_the_per_step_oracle(self, trajectory_oracle, n, rho, stride, t_final):
-        p = ModelParams()
-        start = KineticState(random_state(n, rho, seed=n).f, t=1.5)
+        start = random_state(n, rho, seed=n)
         config = IntegrationConfig(dt=0.01 * n, t_final=t_final, record_stride=stride)
-        times, samples, converged = run_trajectory(start, p, config)
-        want_times, want, want_converged = trajectory_oracle(start, p, config)
+        times, samples, converged = run_trajectory(start, config)
+        want_times, want, want_converged = trajectory_oracle(start, config)
         assert same_bits(times, want_times)
         assert same_bits(samples, want)
         assert converged == want_converged
@@ -453,10 +407,10 @@ class TestIntegration:
         f = random_state(5, 0.4, seed=3).f.copy()
         f[-1] += f[0] + 5e-13
         f[0] = -5e-13
-        p, start = ModelParams(), KineticState(f)
+        start = KineticState(f)
         config = IntegrationConfig(dt=0.01, t_final=5.0)
-        times, samples, _ = run_trajectory(start, p, config)
-        want_times, want, _ = trajectory_oracle(start, p, config)
+        times, samples, _ = run_trajectory(start, config)
+        want_times, want, _ = trajectory_oracle(start, config)
         assert same_bits(times, want_times) and same_bits(samples, want)
         assert samples[1, 0] == 0.0
 
@@ -465,7 +419,7 @@ class TestIntegration:
         monkeypatch.setattr(dynamics, "_dense", lambda *args: exact(*args) - 1.0)
         config = IntegrationConfig(dt=0.1, t_final=2.0)
         with pytest.raises(IntegrationDivergedError):
-            run_trajectory(random_state(4, 0.6, seed=1), ModelParams(), config)
+            run_trajectory(random_state(4, 0.6, seed=1), config)
 
     def test_config_is_frozen(self):
         # assignment would bypass the checks below, and the module-level
@@ -485,8 +439,9 @@ class TestIntegration:
             IntegrationConfig(steady_tol=-1e-9)
         with pytest.raises(ValueError):
             IntegrationConfig(record_stride=0)
-        # an endless horizon never returned: the step loop ran forever
-        for bad in (math.inf, math.nan):
+        # an endless horizon never returned: the step loop ran forever; a
+        # subnormal first step never grows
+        for bad in (math.inf, math.nan, 5e-324, 1e-310):
             with pytest.raises(ValueError):
                 IntegrationConfig(dt=bad)
             with pytest.raises(ValueError):
@@ -495,7 +450,7 @@ class TestIntegration:
         with pytest.raises(ValueError):
             one_step(state, math.inf)
         with pytest.raises(ValueError):
-            continuity_gap(state, state, math.inf, ModelParams())
+            continuity_gap(state, state, math.inf)
 
 
 class TestConservationPolicy:
@@ -527,7 +482,7 @@ class TestConservationPolicy:
     def test_trajectory_raises(self, rhs_calls):
         st = random_state(4, 0.7, seed=2)
         with pytest.raises(ConsistencyError):
-            run_trajectory(st, ModelParams(), IntegrationConfig(dt=0.01, t_final=1.0))
+            run_trajectory(st, IntegrationConfig(dt=0.01, t_final=1.0))
 
     def test_step_raises(self, rhs_calls):
         st = random_state(4, 0.7, seed=2)
@@ -550,9 +505,8 @@ class TestWorkCounts:
         return rows
 
     def test_continuity_gap_takes_the_derivative_from_the_loop(self, rhs_rows):
-        p = ModelParams()
         pair = random_state_batch(4, 0.6, 2, seed=3)
-        continuity_gap(KineticState(pair[0]), KineticState(pair[1]), 2.0, p)
+        continuity_gap(KineticState(pair[0]), KineticState(pair[1]), 2.0)
         gap_calls = len(rhs_rows)
         stats = BatchStats()
         dynamics._integrate_batch(pair, 0.01, 2.0, 0.0, stats)
@@ -692,10 +646,9 @@ class TestPairProperties:
 
     @given(st.integers(2, 40), DENSITIES, st.integers(0, 2**30))
     def test_conservation_and_positivity_along_the_loop(self, n, rho, seed):
-        p = ModelParams()
         start = random_state(n, rho, seed=seed)
         config = IntegrationConfig(dt=0.1, t_final=30.0)
-        times, samples, _ = run_trajectory(start, p, config)
+        times, samples, _ = run_trajectory(start, config)
         assert samples.min() >= 0.0
         assert np.abs(samples.sum(axis=1) - start.rho).max() <= 1e-13
         _, _, steps, stats = integrate_batch(start.f[None, :], config)
@@ -725,6 +678,40 @@ class TestPairProperties:
         F, _, _, _, D, _ = dynamics._integrate_batch(F0, 0.05, 500.0, 1e-10, record=record)
         assert not any(left)
         assert not F[face].any() and not D[face].any()
+
+    @given(st.integers(3, 8), st.integers(0, 2**30))
+    @example(4, 0)
+    def test_a_face_start_relaxes_to_the_shifted_closed_form(self, n, seed):
+        # congested phase: a start with classes 1..j empty, j <= n - 2, stays
+        # on that face, where the stencil is the (n - j)-class model's, so it
+        # relaxes to j zeros and that model's closed form.  There P_1 = 0 and
+        # lambda_1 = rho^2 (2 rho - 1) > 0: the state is an unstable
+        # equilibrium, and only starts with f_1 > 0 reach the closed form.
+        # To first order f - f* = J^-1 df/dtau on the face's hyperplane
+        # sum = 0, and at rho = 0.7 J^-1 has 1-norm 1 / mu there, mu = rho^2
+        # (2 rho - 1) the face's slowest rate (its mode moves mass out of the
+        # lowest occupied class); so a run that stops with |df/dtau|_1 below
+        # steady_tol is within steady_tol / mu, plus n ulps of rounding
+        rho, config = 0.7, IntegrationConfig()
+        mu = rho * rho * (2.0 * rho - 1.0)
+        F0, want = np.zeros((n - 2, n)), np.zeros((n - 2, n))
+        for j in range(1, n - 1):
+            m = n - j
+            F0[j - 1, j:] = random_state(m, rho, seed=seed + j).f
+            want[j - 1, j:] = equilibrium_recursive(m, rho).f_inf
+            # the extreme points of the hyperplane's unit ball are (e_i - e_k) / 2
+            J, E = np.vstack([jacobian(want[j - 1, j:]), np.ones(m)]), np.eye(m + 1)
+            norm = max(
+                np.abs(np.linalg.lstsq(J, E[i] - E[k], rcond=None)[0]).sum() / 2
+                for i in range(m) for k in range(i + 1, m)
+            )
+            assert abs(norm * mu - 1.0) <= 1e-12, m
+        F, conv, _, _ = integrate_batch(F0, config)
+        assert conv.all()
+        assert not F[np.arange(n) < np.arange(1, n - 1)[:, None]].any()
+        assert np.abs(F - want).sum(axis=1).max() <= config.steady_tol / mu + n * 2.0**-52
+        for f in F:
+            assert stability_report(f).verdict == UNSTABLE
 
 
 def same_bits(a, b):
@@ -973,7 +960,7 @@ class TestOracle:
         # samples every 0.1 up to t = 10 against RK4 at step 0.005
         start = random_state(n, rho, seed=seed)
         config = IntegrationConfig(dt=0.1, t_final=10.0, steady_tol=0.0)
-        times, samples, _ = run_trajectory(start, ModelParams(), config)
+        times, samples, _ = run_trajectory(start, config)
         want = rk4_oracle(start.f, 0.005, 20, 100)
         assert times.shape == (101,)
         assert np.abs(samples - want).max() <= 1e-8
@@ -986,8 +973,9 @@ class TestExactCascade:
     _ATOL + _RTOL |f|, at most one in the RMS norm, and the logistic
     contracts onto its attractor, so the global error stays a small
     multiple of _ATOL + _RTOL rho: measured at most 1.8 times that for
-    n = 2..200 up to t = 60 (1,000 draws) and 2.8 times for n = 2 up to
-    t = 200.  The bound is 5 times.
+    n = 2..200 up to t = 60 at eta0 = 0.5..3, model times tau = 30..180
+    (1,000 draws), and 2.8 times for n = 2 up to tau = 100.  The bound is
+    5 times.
     """
 
     @staticmethod
@@ -1011,22 +999,24 @@ class TestExactCascade:
     @example(n=2, rho=1.0, eta0=0.5, seed=9)
     @example(n=200, rho=1.0, eta0=1.0, seed=10)
     def test_first_class_follows_the_logistic(self, exact_p1, n, rho, eta0, seed):
+        # eta0 only sets the clock: dt = 0.5 and t = 60 at eta0 are these
+        # times eta0 in model time
         start = random_state(n, rho, seed=seed)
-        config = IntegrationConfig(dt=0.5, t_final=60.0, steady_tol=0.0)
-        times, samples, _ = run_trajectory(start, ModelParams(eta0=eta0), config)
-        want = exact_p1(start.f[0], start.rho, eta0, times)
+        config = IntegrationConfig(dt=0.5 * eta0, t_final=60.0 * eta0, steady_tol=0.0)
+        tau, samples, _ = run_trajectory(start, config)
+        want = exact_p1(start.f[0], start.rho, tau)
         assert np.abs(samples[:, 0] - want).max() <= self.bound(start.rho)
 
     @pytest.mark.parametrize("rho", [0.1, 0.3, HALF_DOWN, 0.5, HALF_UP, 0.7, 0.9, 1.0])
     def test_two_classes_follow_the_logistic(self, exact_p1, rho):
         # at n = 2 the state is (P_1, rho - P_1); at rho = 1/2 it decays
-        # algebraically, like 4 / (eta0 t)
+        # algebraically, like 4 / tau
         start = random_state(2, rho, seed=2)
-        config = IntegrationConfig(dt=0.5, t_final=200.0, steady_tol=0.0)
-        times, samples, _ = run_trajectory(start, ModelParams(eta0=0.5), config)
-        p1 = exact_p1(start.f[0], start.rho, 0.5, times)
+        config = IntegrationConfig(dt=0.25, t_final=100.0, steady_tol=0.0)
+        tau, samples, _ = run_trajectory(start, config)
+        p1 = exact_p1(start.f[0], start.rho, tau)
         want = np.column_stack([p1, start.rho - p1])
-        assert times[-1] == 200.0
+        assert tau[-1] == 100.0
         assert np.abs(samples - want).max() <= self.bound(start.rho)
 
 
@@ -1081,28 +1071,26 @@ class TestContinuity:
     def test_gap_respects_growth_bound(self):
         # the 25 pairs, drawn as one pair at a time, stepped once per t
         rng = np.random.default_rng(17)
-        p = ModelParams()
         rhos, pairs = [], []
         for _ in range(25):
             rhos.append(float(rng.uniform(0.05, 0.95)))
             pairs.append(random_state_batch(4, rhos[-1], 2, seed=int(rng.integers(1 << 30))))
         pairs = np.array(pairs)
         for t in (0.5, 1.0, 2.0):
-            gaps, bounds = dynamics._continuity_gaps(pairs[:, 0], pairs[:, 1], t, p)
+            gaps, bounds = dynamics._continuity_gaps(pairs[:, 0], pairs[:, 1], t)
             for rho, gap, bound in zip(rhos, gaps, bounds):
                 assert gap <= bound, f"n=4 rho={rho} t={t}: {gap} > {bound}"
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 40])
     def test_batched_core_matches_one_pair_calls(self, continuity_gap_oracle, n):
-        p = ModelParams()
         starts = np.concatenate(
             [random_state_batch(n, rho, 4, seed=50 + n) for rho in (0.05, 0.3, 0.5, 0.7, 0.95)]
         )
         F0, G0 = starts[0::2], starts[1::2]
         for t in (0.5, 1.0, 2.0, 5.0):
-            gaps, bounds = dynamics._continuity_gaps(F0, G0, t, p)
+            gaps, bounds = dynamics._continuity_gaps(F0, G0, t)
             for i, (f, g) in enumerate(zip(F0, G0)):
-                pair = (KineticState(f), KineticState(g), t, p)
+                pair = (KineticState(f), KineticState(g), t)
                 one = np.array(continuity_gap(*pair))
                 assert same_bits(np.array([gaps[i], bounds[i]]), one), f"n={n} t={t} pair {i}"
                 assert same_bits(one, np.array(continuity_gap_oracle(*pair)))
@@ -1110,27 +1098,26 @@ class TestContinuity:
     def test_gap_shrinks_in_time(self):
         # trajectories contract toward the shared equilibrium, so the
         # measured gap at t=50 sits far below the exponential bound
-        p = ModelParams()
         pair = random_state_batch(3, 0.8, 2, seed=23)
-        early, _ = continuity_gap(KineticState(pair[0]), KineticState(pair[1]), 0.5, p)
-        late, _ = continuity_gap(KineticState(pair[0]), KineticState(pair[1]), 50.0, p)
+        early, _ = continuity_gap(KineticState(pair[0]), KineticState(pair[1]), 0.5)
+        late, _ = continuity_gap(KineticState(pair[0]), KineticState(pair[1]), 50.0)
         assert late < early * 1e-2
 
     def test_density_mismatch_rejected(self):
         a = KineticState(np.array([0.2, 0.2]))
         b = KineticState(np.array([0.2, 0.3]))
         with pytest.raises(ValueError):
-            continuity_gap(a, b, 1.0, ModelParams())
+            continuity_gap(a, b, 1.0)
         # one unequal pair among equal ones fails the whole batch
         F0, G0 = np.array([[0.2, 0.2], [0.2, 0.2]]), np.array([[0.3, 0.1], [0.2, 0.3]])
         with pytest.raises(ValueError, match="density mismatch"):
-            dynamics._continuity_gaps(F0, G0, 1.0, ModelParams())
+            dynamics._continuity_gaps(F0, G0, 1.0)
 
     def test_nonpositive_time_rejected(self):
         a = KineticState(np.array([0.2, 0.2]))
         b = KineticState(np.array([0.3, 0.1]))
         with pytest.raises(ValueError):
-            continuity_gap(a, b, 0.0, ModelParams())
+            continuity_gap(a, b, 0.0)
 
 
 class TestRandomStates:

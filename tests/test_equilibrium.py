@@ -622,7 +622,7 @@ class TestStability:
         assert rep.verdict == want
         for call in (stability_report, jacobian):
             with pytest.raises(TypeError):
-                call(f, ModelParams(eta0=c))
+                call(f, ModelParams())
 
     @given(states(n_max=8))
     def test_rates_match_restricted_eigenvalues(self, case):

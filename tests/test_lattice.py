@@ -51,21 +51,23 @@ class TestModelParams:
         p = ModelParams()
         assert p.rho_max == 200.0
         assert p.v_max == 100.0
-        assert p.eta0 == 1.0
 
     def test_has_no_class_count(self):
         # a state's width is its class count, so params do not repeat it
         with pytest.raises(TypeError):
             ModelParams(n=3)
 
+    def test_has_no_clock(self):
+        # the library runs in model time, so params do not set the clock
+        with pytest.raises(TypeError):
+            ModelParams(eta0=1)
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             ModelParams(rho_max=0.0)
         with pytest.raises(ValueError):
             ModelParams(v_max=-1.0)
-        with pytest.raises(ValueError):
-            ModelParams(eta0=0.0)
-        for name in ("rho_max", "v_max", "eta0"):
+        for name in ("rho_max", "v_max"):
             for value in (float("inf"), float("nan"), -float("inf")):
                 with pytest.raises(ValueError, match=name):
                     ModelParams(**{name: value})
