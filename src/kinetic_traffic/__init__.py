@@ -13,6 +13,8 @@ diagrams, with a CLI wrapping all of it.
 from .diagrams import (
     METHOD_INTEGRATE,
     METHOD_RECURSIVE,
+    RHO_MAX,
+    V_MAX,
     Diagram,
     DiagramPoint,
     build_grid,
@@ -57,7 +59,6 @@ from .errors import (
 )
 from .lattice import (
     GameTable,
-    ModelParams,
     SpeedLattice,
     build_game_table,
     build_lattice,
@@ -70,6 +71,8 @@ __all__ = [
     "__version__",
     "METHOD_INTEGRATE",
     "METHOD_RECURSIVE",
+    "RHO_MAX",
+    "V_MAX",
     "Diagram",
     "DiagramPoint",
     "build_grid",
@@ -106,7 +109,6 @@ __all__ = [
     "KineticModelError",
     "MalformedDiagramError",
     "GameTable",
-    "ModelParams",
     "SpeedLattice",
     "build_game_table",
     "build_lattice",

@@ -1,10 +1,11 @@
 """numpy's default_rng(seed).random() stream, bit for bit, in Python integers.
 
 The seeded starts of the dynamics module draw their uniforms here, so
-drawing a start does not import numpy's random module.  It has a file of
-its own because a process that runs the package from source, without
-cached bytecode, compiles each module on import, and compiling the
-largest one sets part of the process's peak memory.
+drawing a start does not import numpy's random module.  The port reads
+nothing of the model and imports nothing from the package or numpy,
+which is why it has a file of its own; the file saves no memory, since
+without cached bytecode the peak follows all the source compiled (see
+the _pass module).
 """
 
 from __future__ import annotations

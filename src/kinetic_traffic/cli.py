@@ -18,7 +18,10 @@ import numpy as np
 from .diagrams import (
     METHOD_INTEGRATE,
     METHOD_RECURSIVE,
+    RHO_MAX,
+    UNITS_DIMENSIONLESS,
     UNITS_PHYSICAL,
+    V_MAX,
     build_grid,
     rescale_dimensional,
     sweep,
@@ -32,7 +35,7 @@ from .dynamics import (
 )
 from .equilibrium import equilibrium_recursive, is_attracting, stability_report
 from .errors import KineticModelError
-from .lattice import ModelParams, _check_n
+from .lattice import _check_n
 from .serialize import (
     diagram_csv,
     diagram_json,
@@ -109,8 +112,7 @@ def _cmd_equilibrium(args) -> int:
     # the attracting branch even when the spectrum alone is marginal
     stable = is_attracting(report.verdict, from_larger_roots=True)
     obs = observables(eq.f_inf)
-    p = ModelParams()
-    scale_rho, scale_v = (p.rho_max, p.v_max) if args.units == UNITS_PHYSICAL else (1.0, 1.0)
+    scale_rho, scale_v = (RHO_MAX, V_MAX) if args.units == UNITS_PHYSICAL else (1.0, 1.0)
     q, u = obs.q * scale_rho * scale_v, obs.u * scale_v
     f_inf, _ = texts15(eq.f_inf * scale_rho)
     print(f"n={eq.n} rho={fmt15(eq.rho * scale_rho)} phase={eq.phase} stable={'yes' if stable else 'no'}")
@@ -129,7 +131,7 @@ def _cmd_diagram(args) -> int:
     diagram = sweep(args.n, grid, args.method, config)
     flagged = int(np.count_nonzero(~diagram.converged))
     if args.units == UNITS_PHYSICAL:
-        diagram = rescale_dimensional(diagram, ModelParams())
+        diagram = rescale_dimensional(diagram)
     print(
         f"n={diagram.n} method={diagram.method} units={diagram.units} "
         f"points={diagram.rho.size}"
@@ -192,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument(
         "--units",
-        choices=["dimensionless", "physical"],
-        default="dimensionless",
+        choices=[UNITS_DIMENSIONLESS, UNITS_PHYSICAL],
+        default=UNITS_DIMENSIONLESS,
         help="report physical units (veh/km, km/h)",
     )
     p.add_argument("--out-json", help="write the equilibrium record as JSON")
@@ -226,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--units",
-        choices=["dimensionless", "physical"],
-        default="dimensionless",
+        choices=[UNITS_DIMENSIONLESS, UNITS_PHYSICAL],
+        default=UNITS_DIMENSIONLESS,
         help="rescale to veh/km and km/h",
     )
     p.add_argument("--out-csv", help="write the diagram table as CSV")

@@ -5,6 +5,9 @@ count, but in double precision only at 1/2 itself, the grid point that
 build_grid inserts.  The closed form is continuous there, yet the layer
 above 1/2 in which q stays near 1/2 thins doubly exponentially with n:
 one ulp above 1/2, q is 0.48721 at n = 6 and 0.07496 at n = 40.
+
+The diagrams are dimensionless; rescale_dimensional and --units physical
+relabel them in veh/km and km/h by the constants RHO_MAX and V_MAX.
 """
 
 from __future__ import annotations
@@ -17,13 +20,15 @@ import numpy as np
 from .dynamics import IntegrationConfig, _flux_speed, integrate_batch
 from .equilibrium import CRITICAL_DENSITY, PHASE_CONGESTED, PHASE_FREE, _closed_form
 from .errors import MalformedDiagramError
-from .lattice import ModelParams, _check_n
+from .lattice import _check_n
 
 __all__ = [
     "METHOD_RECURSIVE",
     "METHOD_INTEGRATE",
     "UNITS_DIMENSIONLESS",
     "UNITS_PHYSICAL",
+    "RHO_MAX",
+    "V_MAX",
     "U_TOL",
     "INTEGRATE_U_TOL",
     "DiagramPoint",
@@ -39,6 +44,10 @@ METHOD_INTEGRATE = "integrate"
 
 UNITS_DIMENSIONLESS = "dimensionless"
 UNITS_PHYSICAL = "physical"
+
+# jam density in vehicles/km and top speed in km/h of physical units
+RHO_MAX = 200.0
+V_MAX = 100.0
 
 # mean-speed slack for calling a point free flow
 U_TOL = 1e-9
@@ -200,12 +209,12 @@ def detect_sigma(diagram: Diagram) -> float:
     return _free_end(diagram.rho, diagram.u, diagram.converged, diagram.method)
 
 
-def rescale_dimensional(diagram: Diagram, params: ModelParams) -> Diagram:
-    """Convert a dimensionless diagram to vehicles/km and km/h."""
+def rescale_dimensional(diagram: Diagram) -> Diagram:
+    """Convert a dimensionless diagram to vehicles/km and km/h (RHO_MAX, V_MAX)."""
     if diagram.units != UNITS_DIMENSIONLESS:
         raise ValueError("diagram is already in physical units")
-    rm, vm = params.rho_max, params.v_max
     return replace(
-        diagram, units=UNITS_PHYSICAL, sigma=diagram.sigma * rm, q_max=diagram.q_max * rm * vm,
-        rho=diagram.rho * rm, q=diagram.q * rm * vm, u=diagram.u * vm,
+        diagram, units=UNITS_PHYSICAL, sigma=diagram.sigma * RHO_MAX,
+        q_max=diagram.q_max * RHO_MAX * V_MAX,
+        rho=diagram.rho * RHO_MAX, q=diagram.q * RHO_MAX * V_MAX, u=diagram.u * V_MAX,
     )

@@ -22,6 +22,23 @@ If P_j = 0 then f_1 = ... = f_j = 0, so the braking term of dP_j/dtau
 vanishes with P_j and the acceleration term with f_j: the face P_j = 0,
 classes 1..j empty, is invariant, and a start on it stays on it.
 
+The flow keeps the componentwise order of P.  At a fixed density,
+dP_j/dtau reads only P_{j-1} and P_j, and with f_j = P_j - P_{j-1}
+
+    d(dP_j/dtau)/dP_{j-1} = rho (1 - rho) (rho - P_{j-1} + f_j) >= 0
+
+on the state space 0 <= P_1 <= ... <= P_{n-1} <= rho, which the flow
+keeps: every other off-diagonal partial is zero.  So the system is
+cooperative (Kamke's condition; H. L. Smith, Monotone Dynamical Systems,
+AMS 1995, ch. 3).  For two runs of the same density, d = P' - P obeys
+dd/dtau = M d, with M the Jacobian averaged over the segment from P to
+P'; the segment lies in the convex state space, so M's off-diagonal
+entries are >= 0.  With c a bound on |M_jj| along the runs,
+e = e^{c tau} d solves de/dtau = (M + c I) e with M + c I >= 0
+entrywise, so its solution operator, the Peano-Baker series of
+nonnegative matrices, is >= 0: P(0) <= P'(0) gives P(tau) <= P'(tau)
+for all tau >= 0.
+
 eta0 only sets the clock: the run at eta0 = c is the eta0 = 1 run read
 at t = tau / c.  So the library has one clock, the model time: every
 entry point reads its IntegrationConfig's dt and t_final, and
@@ -666,10 +683,40 @@ def _continuity_bounds(F0, G0, F, D, tau):
 
     The bound is 4 exp(3 tau) |g0 - f0|_1.  F and D are the states at tau
     and their derivatives, of the rows of _continuity_rows in its order.
+    Where the float product overflows (tau above about 236), the bound
+    is _bound_above's instead.
     """
     f, g = slice(len(F0)), slice(len(F0), None)
     gap = np.abs(F[g] - F[f]).sum(axis=1) + np.abs(D[g] - D[f]).sum(axis=1)
-    return gap, 4.0 * math.exp(3.0 * tau) * np.abs(G0 - F0).sum(axis=1)
+    dist = np.abs(G0 - F0).sum(axis=1)
+    try:
+        grow = 4.0 * math.exp(3.0 * tau)
+    except OverflowError:
+        grow = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = grow * dist
+    over = ~np.isfinite(bound)
+    bound[over] = [_bound_above(tau, d) for d in dist[over].tolist()]
+    return gap, bound
+
+
+def _bound_above(tau: float, dist: float) -> float:
+    """4 exp(3 tau) dist rounded up to a float: 0 if dist is, inf only past the largest float.
+
+    At 60 digits the products round up and exp to nearest, so widening by
+    1e-50 bounds the exact value from above; its nearest float is stepped
+    up one ulp if it falls below (inf also within 1e-50 of the largest float).
+    """
+    if dist == 0.0:
+        return 0.0
+    import decimal  # the overflow case only, so no run pays the import
+
+    ctx = decimal.Context(prec=60, rounding=decimal.ROUND_CEILING, traps=[])
+    with decimal.localcontext(ctx):
+        exact = 4 * (3 * decimal.Decimal(tau)).exp() * decimal.Decimal(dist)
+        hi = exact * (1 + decimal.Decimal("1e-50"))
+    out = float(hi)
+    return math.nextafter(out, math.inf) if decimal.Decimal(out) < hi else out
 
 
 def random_state(n: int, rho: float, seed: int = DEFAULT_SEED) -> KineticState:

@@ -189,11 +189,11 @@ _RATE_TOL = 1e-9
 class EquilibriumResult:
     """Closed-form state at one density, with its level coefficients as rows.
 
-    b, c and delta belong to the level quadratics of classes 2 .. n-1; on
-    the empty road (rho = 0) no level is solved and the rows are empty.
+    n, the number of classes, is the width of f_inf.  b, c and delta
+    belong to the level quadratics of classes 2 .. n-1; on the empty road
+    (rho = 0) no level is solved and the rows are empty.
     """
 
-    n: int
     rho: float
     f_inf: np.ndarray = field(repr=False)
     phase: str
@@ -204,6 +204,10 @@ class EquilibriumResult:
     def __post_init__(self):
         for a in (self.f_inf, self.b, self.c, self.delta):
             a.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.f_inf.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,7 +343,7 @@ def equilibrium_recursive(n: int, rho: float) -> EquilibriumResult:
         with np.errstate(divide="ignore", invalid="ignore"):
             _, B, C, delta = _level(S, F[0, : n - 2], _density_terms(np.array([rho])))
     phase = PHASE_FREE if rho <= CRITICAL_DENSITY else PHASE_CONGESTED
-    return EquilibriumResult(n=n, rho=rho, f_inf=F[0], phase=phase, b=B, c=C, delta=delta)
+    return EquilibriumResult(rho=rho, f_inf=F[0], phase=phase, b=B, c=C, delta=delta)
 
 
 def jacobian(f: np.ndarray) -> np.ndarray:

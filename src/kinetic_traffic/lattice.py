@@ -19,6 +19,9 @@ These transition probabilities form the game table A[h][k][j].  Each (h, k)
 row is an exact probability distribution over j with at most two nonzero
 entries.  Interactions fire at rate eta(rho) = eta0 * rho, vanishing in an
 empty road.
+
+Everything here is dimensionless, and a record's class count n is its
+array's width; diagrams.RHO_MAX and V_MAX relabel results in physical units.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ModelParams",
     "SpeedLattice",
     "GameTable",
     "build_lattice",
@@ -61,59 +63,44 @@ def _check_states(F: np.ndarray) -> None:
         raise ValueError(f"total density {s} exceeds 1")
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Model-wide constants, the same for every number of speed classes.
-
-    Attributes:
-        rho_max: physical jam density in vehicles/km, used only when
-            rescaling dimensionless results to physical units.
-        v_max: physical maximum speed in km/h, same role as rho_max.
-    """
-
-    rho_max: float = 200.0
-    v_max: float = 100.0
-
-    def __post_init__(self):
-        for name in ("rho_max", "v_max"):
-            value = getattr(self, name)
-            # also false for nan
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpeedLattice:
     """Uniform grid of dimensionless speeds on [0, 1].
 
     Attributes:
-        n: number of classes.
-        speeds: array of length n with speeds[j-1] = (j-1)/(n-1).
+        speeds: array of length n with speeds[j-1] = (j-1)/(n-1); n,
+            the number of classes, is its width.
     """
 
-    n: int
     speeds: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.speeds.setflags(write=False)
 
+    @property
+    def n(self) -> int:
+        return self.speeds.size
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class GameTable:
     """Dense transition-probability table at a fixed density.
 
     A[h-1, k-1, j-1] is the probability that a candidate of class h ends
-    in class j after meeting a field vehicle of class k.  The dense cube
-    is convenient for inspection and cross-checks; the time stepper never
-    materializes it.
+    in class j after meeting a field vehicle of class k; n, the number of
+    classes, is the cube's width.  The dense cube is convenient for
+    inspection and cross-checks; the time stepper never materializes it.
     """
 
-    n: int
     rho: float
     A: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.A.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
 
 
 def build_lattice(n: int) -> SpeedLattice:
@@ -127,7 +114,7 @@ def build_lattice(n: int) -> SpeedLattice:
     """
     _check_n(n)
     speeds = np.arange(n, dtype=float) / (n - 1)
-    return SpeedLattice(n=int(n), speeds=speeds)
+    return SpeedLattice(speeds=speeds)
 
 
 def build_game_table(n: int, rho: float) -> GameTable:
@@ -160,4 +147,4 @@ def build_game_table(n: int, rho: float) -> GameTable:
             else:
                 A[h - 1, k - 1, k - 1] = stay
                 A[h - 1, k - 1, h - 1] = move
-    return GameTable(n=int(n), rho=rho, A=A)
+    return GameTable(rho=rho, A=A)

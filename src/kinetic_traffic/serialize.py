@@ -77,7 +77,7 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from .diagrams import Diagram
+from .diagrams import UNITS_PHYSICAL, Diagram
 from .dynamics import _flux_speed
 from .equilibrium import EquilibriumResult
 
@@ -452,7 +452,7 @@ def _panel(
 
 def diagram_svg(diagram: Diagram) -> str:
     """Two stacked panels: flux over density and mean speed over density."""
-    if diagram.units == "physical":
+    if diagram.units == UNITS_PHYSICAL:
         labels = ("density [veh/km]", "flux [veh/h]", "mean speed [km/h]")
     else:
         labels = ("density", "flux", "mean speed")

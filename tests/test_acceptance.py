@@ -23,7 +23,6 @@ from kinetic_traffic import (
     UNSTABLE,
     IntegrationConfig,
     METHOD_INTEGRATE,
-    ModelParams,
     build_grid,
     equilibrium_bruteforce,
     equilibrium_recursive,
@@ -224,7 +223,7 @@ def test_08_bifurcation_structure():
 def test_09_dimensional_rescaling():
     """Default road parameters put the capacity density at 100 veh/km."""
     t0 = time.time()
-    d = rescale_dimensional(sweep(2, build_grid(201)), ModelParams())
+    d = rescale_dimensional(sweep(2, build_grid(201)))
     ok = abs(d.sigma - 100.0) <= 1e-12 and d.units == "physical"
     report(9, "sigma = 100 veh/km under default rescaling",
            ok, f"sigma={d.sigma} veh/km in {time.time()-t0:.2f}s")

@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 
 import kinetic_traffic
 from kinetic_traffic import (
+    RHO_MAX,
+    V_MAX,
     BatchStats,
     GameTable,
     IntegrationConfig,
     KineticState,
-    ModelParams,
     build_game_table,
     build_grid,
     build_lattice,
@@ -271,11 +272,10 @@ class TestEquilibrium:
             with contextlib.redirect_stdout(out):
                 assert main(argv) == 0
             text = Path(path).read_bytes().decode()
-        params = ModelParams()
         eq = equilibrium_recursive(n, rho)
         stable = is_attracting(stability_report(eq.f_inf).verdict, from_larger_roots=True)
         obs = observables(eq.f_inf)
-        scale_rho, scale_v = (params.rho_max, params.v_max) if physical else (1.0, 1.0)
+        scale_rho, scale_v = (RHO_MAX, V_MAX) if physical else (1.0, 1.0)
         q, u = obs.q * scale_rho * scale_v, obs.u * scale_v
         assert text == equilibrium_json_oracle(eq, scale_rho, q, u, stable)
         line = "f_inf=" + " ".join("%.15g" % float(x * scale_rho) for x in eq.f_inf)
@@ -394,7 +394,7 @@ class TestVerifyCommand:
             good = build_game_table(n, rho)
             A = good.A.copy()
             A[0, 0, :] *= 0.5
-            return GameTable(n=n, rho=rho, A=A)
+            return GameTable(rho=rho, A=A)
 
         results = run_suite(n_max=2, table_builder=broken)
         by_name = {r.name: r for r in results}

@@ -22,7 +22,6 @@ from kinetic_traffic import (
     Diagram,
     IntegrationConfig,
     MalformedDiagramError,
-    ModelParams,
     build_grid,
     build_lattice,
     detect_sigma,
@@ -213,7 +212,7 @@ class TestDetectSigma:
 
     def test_rejects_physical_units(self):
         d = sweep(2, build_grid(11))
-        phys = rescale_dimensional(d, ModelParams())
+        phys = rescale_dimensional(d)
         with pytest.raises(ValueError):
             detect_sigma(phys)
 
@@ -221,7 +220,7 @@ class TestDetectSigma:
 class TestRescale:
     def test_default_parameters_give_road_units(self):
         d = sweep(3, build_grid(21))
-        phys = rescale_dimensional(d, ModelParams())
+        phys = rescale_dimensional(d)
         assert phys.units == "physical"
         assert phys.sigma == 100.0
         assert phys.q_max == 10000.0
@@ -231,16 +230,25 @@ class TestRescale:
 
     def test_preserves_flags_and_phases(self):
         d = sweep(3, build_grid(21))
-        phys = rescale_dimensional(d, ModelParams())
+        phys = rescale_dimensional(d)
         for a, b in zip(d.points, phys.points):
             assert a.phase == b.phase
             assert a.converged == b.converged
 
     def test_cannot_rescale_twice(self):
         d = sweep(2, build_grid(11))
-        phys = rescale_dimensional(d, ModelParams())
+        phys = rescale_dimensional(d)
         with pytest.raises(ValueError):
-            rescale_dimensional(phys, ModelParams())
+            rescale_dimensional(phys)
+
+    def test_takes_no_parameters(self):
+        # the jam density and top speed are the constants RHO_MAX and V_MAX
+        d = sweep(2, build_grid(11))
+        with pytest.raises(TypeError):
+            rescale_dimensional(d, object())
+        phys = rescale_dimensional(d)
+        assert phys.rho.tolist() == (d.rho * kinetic_traffic.RHO_MAX).tolist()
+        assert phys.u.tolist() == (d.u * kinetic_traffic.V_MAX).tolist()
 
 
 class TestDiagramValidation:
@@ -524,7 +532,7 @@ class TestWriters:
         grid[np.abs(grid - 0.5).argmin()] = 0.5  # a free phase to delimit, same size
         d = sweep(n, grid)
         if physical:
-            d = rescale_dimensional(d, ModelParams())
+            d = rescale_dimensional(d)
         self._assert_writers_match(d, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle)
 
     def test_integrate_sweep_writers_match_the_per_point_writers(
@@ -533,7 +541,7 @@ class TestWriters:
         config = IntegrationConfig(dt=0.05, t_final=2000.0)
         d = sweep(6, build_grid(51), METHOD_INTEGRATE, config=config)
         assert 0 < np.count_nonzero(~d.converged) < d.rho.size
-        for doc in (d, rescale_dimensional(d, ModelParams())):
+        for doc in (d, rescale_dimensional(d)):
             self._assert_writers_match(
                 doc, diagram_csv_oracle, diagram_json_oracle, diagram_svg_oracle
             )
@@ -569,7 +577,7 @@ class TestWriters:
         # 0.0, -0.0 and a NaN side by side in every column of the level table
         nan = float("nan")
         eq = EquilibriumResult(
-            n=5, rho=0.7, phase="congested",
+            rho=0.7, phase="congested",
             f_inf=np.array([0.5, -0.0, 0.0, nan, 0.2]),
             b=np.array([-0.0, 0.0, nan]),
             c=np.array([0.0, nan, -0.0]),
@@ -602,7 +610,7 @@ class TestWriters:
         assert "flux" in " ".join(x for x in labels if x)
 
     def test_svg_physical_labels(self):
-        d = rescale_dimensional(sweep(3, build_grid(26)), ModelParams())
+        d = rescale_dimensional(sweep(3, build_grid(26)))
         text = diagram_svg(d)
         assert "veh/km" in text
         assert "km/h" in text

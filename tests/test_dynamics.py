@@ -1,6 +1,7 @@
 """Relaxation dynamics: vector field, stepper, trajectories."""
 
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -1069,17 +1070,36 @@ class TestObservables:
 
 class TestContinuity:
     def test_gap_respects_growth_bound(self):
-        # the 25 pairs, drawn as one pair at a time, stepped once per t
+        # the 25 pairs, drawn as one pair at a time, and an identical pair,
+        # stepped once per t; at t = 300 the float 4 exp(3 t) overflows
         rng = np.random.default_rng(17)
         rhos, pairs = [], []
         for _ in range(25):
             rhos.append(float(rng.uniform(0.05, 0.95)))
             pairs.append(random_state_batch(4, rhos[-1], 2, seed=int(rng.integers(1 << 30))))
+        rhos.append(rhos[0])
+        pairs.append(pairs[0][[0, 0]])
         pairs = np.array(pairs)
-        for t in (0.5, 1.0, 2.0):
+        for t in (0.5, 1.0, 2.0, 300.0):
             gaps, bounds = dynamics._continuity_gaps(pairs[:, 0], pairs[:, 1], t)
             for rho, gap, bound in zip(rhos, gaps, bounds):
                 assert gap <= bound, f"n=4 rho={rho} t={t}: {gap} > {bound}"
+            assert gaps[-1] == bounds[-1] == 0.0
+        # 4 exp(900) |g0 - f0|_1 exceeds the largest float for every drawn pair
+        assert np.all(bounds[:-1] == math.inf)
+
+    @pytest.mark.parametrize("tau", [236.2, 236.6, 300.0, 480.0])
+    def test_bound_past_the_float_overflow(self, tau):
+        # a pair one subnormal apart, whose exact bound stays finite past
+        # the overflow of 4 exp(3 tau): the bound is no smaller than it,
+        # and the next float down is, checked at 100 digits
+        f0 = KineticState(np.array([0.0, 0.4]))
+        g0 = KineticState(np.array([5e-324, 0.4]))
+        _, bound = continuity_gap(f0, g0, tau)
+        with decimal.localcontext(decimal.Context(prec=100)):
+            exact = 4 * (3 * decimal.Decimal(tau)).exp() * decimal.Decimal(5e-324)
+            assert decimal.Decimal(math.nextafter(bound, 0.0)) < exact <= decimal.Decimal(bound)
+        assert continuity_gap(f0, f0, tau) == (0.0, 0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 40])
     def test_batched_core_matches_one_pair_calls(self, continuity_gap_oracle, n):

@@ -17,13 +17,14 @@ from kinetic_traffic import (
     UNSTABLE,
     ConsistencyError,
     KineticState,
-    ModelParams,
     build_game_table,
     build_grid,
+    build_lattice,
     equilibrium_bruteforce,
     equilibrium_recursive,
     is_attracting,
     jacobian,
+    observables,
     stability_report,
     sweep,
 )
@@ -309,6 +310,34 @@ class TestRecursion:
         lower, upper = _closed_form(n, rhos), _closed_form(n + 1, rhos)
         for i, rho in enumerate(rhos):
             assert _bits(lower[i, : n - 1]) == _bits(upper[i, : n - 1]), f"n={n} rho={rho!r}"
+
+    @given(rho=st.floats(0.5, 1.0, exclude_min=True), n=st.integers(40, 5000),
+           m=st.integers(40, 5000))
+    @example(rho=0.5 + 2.0**-52, n=40, m=5000)
+    @example(rho=0.99, n=40, m=5000)
+    @example(rho=1.0, n=40, m=5000)
+    def test_congested_flux_times_n_minus_one_does_not_depend_on_n(self, rho, n, m):
+        # (n - 1) q = sum_j (j - 1) f_j is K + (n - 1) f_n, where K sums
+        # classes 1 .. n-1; the recursion leaves those unchanged at every n
+        # (prefix property) and exits before class 40, so K is one number
+        # and only the top class's mass moves (n - 1) q.  The float q is a
+        # dot product with the speeds fl((j - 1) / (n - 1)): on k nonzero
+        # terms, each term carries at most k + 1 roundings (its speed, its
+        # product, and at most k - 1 sums that merge it with other nonzero
+        # terms), and a product that underflows loses at most 2^-1075
+        def scaled_flux(n):
+            f = equilibrium_recursive(n, rho).f_inf
+            q = Fraction(observables(f).q)
+            k = int(np.count_nonzero(f))
+            gamma = Fraction(k + 1, 2**53) / (1 - Fraction(k + 1, 2**53))
+            under = k * Fraction(1, 2**1075)
+            # with q* the exact flux, |q - q*| <= gamma q* + under, and
+            # q* <= (q + under) / (1 - gamma)
+            rounding = gamma * (q + under) / (1 - gamma) + under
+            return (n - 1) * q, (n - 1) * (Fraction(float(f[-1])) + rounding)
+
+        (x, slack_n), (y, slack_m) = scaled_flux(n), scaled_flux(m)
+        assert abs(x - y) <= slack_n + slack_m, (float(x), float(y))
 
     @given(n=st.integers(2, 300), rho=st.floats(0.0, 1.0))
     @example(n=200, rho=HALF_DOWN)
@@ -622,7 +651,7 @@ class TestStability:
         assert rep.verdict == want
         for call in (stability_report, jacobian):
             with pytest.raises(TypeError):
-                call(f, ModelParams())
+                call(f, object())
 
     @given(states(n_max=8))
     def test_rates_match_restricted_eigenvalues(self, case):
@@ -830,7 +859,7 @@ class TestBruteForce:
         # eta0 only sets the clock, so it changes neither the stationary
         # set nor a verdict, and the enumeration takes no model constants
         with pytest.raises(TypeError):
-            equilibrium_bruteforce(3, 0.7, ModelParams())
+            equilibrium_bruteforce(3, 0.7, object())
 
     def test_critical_density_candidate_is_marginal(self):
         cands = equilibrium_bruteforce(4, 0.5)
@@ -868,7 +897,10 @@ class TestBruteForce:
     lambda: sweep(3, build_grid(11)),
     lambda: equilibrium_recursive(4, 0.7),
     lambda: equilibrium_bruteforce(3, 0.7)[0],
-], ids=["KineticState", "Diagram", "EquilibriumResult", "EquilibriumCandidate"])
+    lambda: build_lattice(3),
+    lambda: build_game_table(3, 0.4),
+], ids=["KineticState", "Diagram", "EquilibriumResult", "EquilibriumCandidate",
+        "SpeedLattice", "GameTable"])
 def test_array_records_compare_and_hash_by_identity(build):
     # each holds ndarray fields, so field-wise == would ask numpy for the
     # truth value of an array

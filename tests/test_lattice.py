@@ -1,11 +1,13 @@
 """Speed lattice and interaction-table construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import kinetic_traffic
 from kinetic_traffic import (
     GameTable,
-    ModelParams,
     build_game_table,
     build_lattice,
     equilibrium_bruteforce,
@@ -46,31 +48,35 @@ class TestSpeedLattice:
             build_lattice(1)
 
 
-class TestModelParams:
+class TestModelConstants:
     def test_defaults(self):
-        p = ModelParams()
-        assert p.rho_max == 200.0
-        assert p.v_max == 100.0
+        assert kinetic_traffic.RHO_MAX == 200.0
+        assert kinetic_traffic.V_MAX == 100.0
 
-    def test_has_no_class_count(self):
-        # a state's width is its class count, so params do not repeat it
+    @pytest.mark.parametrize("record", [
+        lambda: build_lattice(5),
+        lambda: build_game_table(5, 0.4),
+        lambda: equilibrium_recursive(5, 0.7),
+    ], ids=["SpeedLattice", "GameTable", "EquilibriumResult"])
+    def test_has_no_class_count(self, record):
+        # a record's width is its class count, so no field repeats it
+        r = record()
+        assert r.n == 5 and type(r.n) is int
+        fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+        assert "n" not in fields
+        assert type(r)(**fields).n == 5
         with pytest.raises(TypeError):
-            ModelParams(n=3)
+            type(r)(n=5, **fields)
+        with pytest.raises(AttributeError):
+            r.n = 4
 
-    def test_has_no_clock(self):
-        # the library runs in model time, so params do not set the clock
-        with pytest.raises(TypeError):
-            ModelParams(eta0=1)
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            ModelParams(rho_max=0.0)
-        with pytest.raises(ValueError):
-            ModelParams(v_max=-1.0)
-        for name in ("rho_max", "v_max"):
-            for value in (float("inf"), float("nan"), -float("inf")):
-                with pytest.raises(ValueError, match=name):
-                    ModelParams(**{name: value})
+    def test_has_no_settable_constants(self):
+        # the library runs in model time and relabels units by two
+        # constants, so no params object is left to set either
+        with pytest.raises(ImportError):
+            from kinetic_traffic import ModelParams  # noqa: F401
+        assert not hasattr(kinetic_traffic.lattice, "ModelParams")
+        assert "ModelParams" not in kinetic_traffic.__all__
 
 
 class TestGameTable:
@@ -156,7 +162,7 @@ class TestGameTable:
         # relies on that to exercise its negative control
         A = build_game_table(3, 0.4).A.copy()
         A[0, 0, 0] += 0.1
-        broken = GameTable(n=3, rho=0.4, A=A)
+        broken = GameTable(rho=0.4, A=A)
         assert np.abs(broken.A.sum(axis=2) - 1.0).max() > 0.09
 
 
