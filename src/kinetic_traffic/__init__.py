@@ -26,7 +26,6 @@ from .dynamics import (
     DEFAULT_SEED,
     BatchStats,
     IntegrationConfig,
-    KineticState,
     Observables,
     continuity_gap,
     integrate_batch,
@@ -82,7 +81,6 @@ __all__ = [
     "DEFAULT_SEED",
     "BatchStats",
     "IntegrationConfig",
-    "KineticState",
     "Observables",
     "continuity_gap",
     "integrate_batch",

@@ -11,10 +11,9 @@ Every elementwise call of a pass takes operands of its output's shape
 and layout: the density, the stage weights and the step are spread over
 full class-major blocks, since at these sizes numpy's per-call cost
 for a broadcast (m, 1) column is about twice that of a same-shape
-operand, and for a Python float about 40 % more.  Its own file lowers no peak memory: without
-cached bytecode every module is compiled, and the peak follows the
-source compiled in all (about 0.05 MB per 100 lines), not the size of
-the largest module.
+operand, and for a Python float about 40 % more.  The module stands
+alone, importing only numpy, because the dynamics module's loop and the
+equilibrium module both read it, and neither of those imports the other.
 """
 
 from __future__ import annotations

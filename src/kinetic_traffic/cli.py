@@ -28,14 +28,13 @@ from .diagrams import (
 )
 from .dynamics import (
     IntegrationConfig,
-    KineticState,
     observables,
     random_state,
     run_trajectory,
 )
 from .equilibrium import equilibrium_recursive, is_attracting, stability_report
 from .errors import KineticModelError
-from .lattice import _check_n
+from .lattice import _check_n, _check_states
 from .serialize import (
     diagram_csv,
     diagram_json,
@@ -83,7 +82,8 @@ def _cmd_simulate(args) -> int:
     if not 0 < eta0 < np.inf:
         raise ValueError(f"eta0 must be positive and finite, got {eta0}")
     if args.seed is None:
-        start = KineticState(np.full(args.n, args.rho / args.n))
+        # checked here, so a bad density is reported before a bad step
+        start = _check_states(np.full(args.n, args.rho / args.n), 1)
     else:
         start = random_state(args.n, args.rho, seed=args.seed)
     config = IntegrationConfig(

@@ -66,24 +66,32 @@ zero by at most 1e-12 are clamped back to zero and the clamped mass is
 returned to the largest component, which keeps the density bit-for-bit
 meaningful; a dip below -1e-12 aborts the run as a genuine failure.
 
+A state is a float vector of class densities, and a batch of states a
+2-D array of row states.  Every function of states takes them as such
+and checks them with the one state rule, lattice._check_states: a vector
+for run_trajectory and observables (and the equilibrium module's
+jacobian and stability_report), rows for integrate_batch and
+continuity_gap, which takes its pairs as the rows of two batches.  None
+writes to its input.
+
 One stepping loop, _integrate_batch, serves every entry point:
 integrate_batch, run_trajectory, continuity_gap and verify.  It takes
 the first step, horizon and steady tolerance as arguments, in model
 time, each one value or one value per row: the entry points pass their
-one IntegrationConfig's, continuity_gap steps its pair in one batch, and
-verify steps the conservation, continuity and attractivity rows of one
-n, each with its group's settings, as one batch.  The loop hands each
-accepted step (its time, size, start, end and stages) to a recorder
-callback; run_trajectory keeps them and evaluates
-the samples of all steps in one batch after the loop, so a sample below
-the clamp window raises when the loop has ended.  The loop applies one
-conservation policy: a row's density may move by at most 1e-13 in a
-single accepted step, checked against the row sum before the step, or
-the run raises ConsistencyError.  The measured per-step drift is below
-1e-15.  The loop also returns each row's largest drift from its start,
-so the rows of one group in a mixed batch read their own.  It raises its
-own errors on non-finite values and runs with numpy's floating-point
-warnings off.
+one IntegrationConfig's, continuity_gap steps the rows of all its pairs
+in one batch, and verify steps the conservation, continuity and
+attractivity rows of one n, each with its group's settings, as one
+batch.  The loop hands each accepted step (its time, size, start, end
+and stages) to a recorder callback; run_trajectory keeps them and
+evaluates the samples of all steps in one batch after the loop, so a
+sample below the clamp window raises when the loop has ended.  The loop
+applies one conservation policy: a row's density may move by at most
+1e-13 in a single accepted step, checked against the row sum before the
+step, or the run raises ConsistencyError.  The measured per-step drift
+is below 1e-15.  The loop also returns each row's largest drift from its
+start, so the rows of one group in a mixed batch read their own.  It
+raises its own errors on non-finite values and runs with numpy's
+floating-point warnings off.
 
 The loop takes a batch of states as the rows of a matrix.  Rows evolve
 independently through elementwise arithmetic in a fixed order, so a
@@ -132,7 +140,6 @@ from .errors import ConsistencyError, IntegrationDivergedError
 from .lattice import _CLAMP_TOL, _check_n, _check_rho, _check_states, build_lattice
 
 __all__ = [
-    "KineticState",
     "Observables",
     "IntegrationConfig",
     "BatchStats",
@@ -200,33 +207,6 @@ _PASS_W = (*_A_W, _E_W)
 _DENSE_BLOCK = 8192
 
 
-@dataclass(frozen=True, eq=False)
-class KineticState:
-    """Class populations at one instant.
-
-    Attributes:
-        f: length-n vector of per-class densities, f[j-1] is class j.
-    """
-
-    f: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.f, dtype=float, copy=True)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("state must be a vector with at least two classes")
-        _check_states(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "f", arr)
-
-    @property
-    def n(self) -> int:
-        return self.f.size
-
-    @property
-    def rho(self) -> float:
-        return float(self.f.sum())
-
-
 @dataclass(frozen=True)
 class Observables:
     """Macroscopic readouts: density, flux and mean speed."""
@@ -262,6 +242,8 @@ class IntegrationConfig:
             raise ValueError(f"t_final must be a positive normal float, got {self.t_final}")
         if not self.steady_tol >= 0:
             raise ValueError("steady_tol must be nonnegative")
+        if not isinstance(self.record_stride, (int, np.integer)):
+            raise ValueError(f"record_stride must be an integer, got {self.record_stride}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
 
@@ -528,24 +510,24 @@ def integrate_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, BatchStats]:
     """Integrate every row of F0, shape (m, n), until it is steady or the horizon ends.
 
-    A single state is a batch of one row; every row must pass KineticState's rule.
+    A single state is a batch of one row; F0 must pass the state rule
+    (lattice._check_states) as a batch.
 
     Returns:
         (final rows, converged mask, accepted steps per row, integrity
         stats and work counts).
     """
-    F0 = np.asarray(F0, float)
-    if F0.ndim != 2:
-        raise ValueError("batch must be a 2-D array of row states")
-    _check_states(F0)
+    F0 = _check_states(F0, 2)
     config = config or IntegrationConfig()
     stats = BatchStats()
     F, conv, steps, *_ = _integrate_batch(F0, config.dt, config.t_final, config.steady_tol, stats)
     return F, conv, steps, stats
 
 
-def run_trajectory(state: KineticState, config: IntegrationConfig | None = None):
-    """Integrate to the horizon, sampling every record_stride multiples of dt.
+def run_trajectory(f: np.ndarray, config: IntegrationConfig | None = None):
+    """Integrate the state f to the horizon, sampling every record_stride multiples of dt.
+
+    f must pass the state rule (lattice._check_states) as a vector.
 
     Sample i lies at the time i dt, for the multiples i of record_stride,
     from the clamped continuous extension of the step that contains it,
@@ -561,11 +543,12 @@ def run_trajectory(state: KineticState, config: IntegrationConfig | None = None)
         A start that is already steady gives one sample.  Stops early
         once steady, else at exactly config.t_final.
     """
+    f = _check_states(f, 1)
     config = config or IntegrationConfig()
     dt = config.dt
     taken = []
     F, conv, _, t_end, *_ = _integrate_batch(
-        state.f[None, :], dt, config.t_final, config.steady_tol, record=lambda *s: taken.append(s)
+        f[None, :], dt, config.t_final, config.steady_tol, record=lambda *s: taken.append(s)
     )
     ts = np.zeros(0)
     if taken:
@@ -582,9 +565,9 @@ def run_trajectory(state: KineticState, config: IntegrationConfig | None = None)
         ts = ts[ts <= ends[-1]]
     # the final state replaces a sample taken at its time, else follows
     m = ts.size + 1 + ((ts[-1] if ts.size else 0.0) != t_end[0])
-    times, samples = np.empty(m), np.empty((m, state.n))
+    times, samples = np.empty(m), np.empty((m, f.size))
     times[0], times[1 : ts.size + 1], times[-1] = 0.0, ts, t_end[0]
-    samples[0] = state.f
+    samples[0] = f
     if ts.size:
         at = np.searchsorted(ends, ts)
         theta = ((ts - t[at]) / h[at])[:, None]
@@ -609,51 +592,40 @@ def _flux_speed(F: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def observables(f: np.ndarray) -> Observables:
-    """Density sum_j f_j, and flux and mean speed by _flux_speed, of the state vector f."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1:
-        raise ValueError("state must be a vector of class densities")
-    F = f[None, :]
+    """Density sum_j f_j, and flux and mean speed by _flux_speed, of the state vector f.
+
+    f must pass the state rule (lattice._check_states) as a vector.
+    """
+    F = _check_states(f, 1)[None, :]
     rho = F.sum(axis=1)
     q, u = _flux_speed(F, rho)
     return Observables(rho=float(rho[0]), q=float(q[0]), u=float(u[0]))
 
 
-def continuity_gap(
-    f0: KineticState,
-    g0: KineticState,
-    tau: float,
-    config: IntegrationConfig | None = None,
-) -> tuple[float, float]:
-    """A priori distance bound between two same-density trajectories.
+def continuity_gap(F0, G0, tau: float, config: IntegrationConfig | None = None):
+    """A priori distance bounds between same-density trajectories, one pair per row.
 
-    Evolves both initial states to the time tau and measures
+    Evolves the pairs (F0[i], G0[i]), as one batch, to the time tau and
+    measures each pair's
 
         gap = |g(tau) - f(tau)|_1 + |g'(tau) - f'(tau)|_1,
 
     which the well-posedness estimate of the model bounds by
-    4 exp(3 tau) |g0 - f0|_1.
+    4 exp(3 tau) |g0 - f0|_1.  Rows never interact, so each pair's gap and
+    bound are bit for bit those of the pair alone.
 
     Args:
-        f0, g0: initial states with equal density (within 1e-12).
+        F0, G0: batches of the same shape under the state rule
+            (lattice._check_states), each pair of equal density (within 1e-12).
         tau: comparison time, refused by IntegrationConfig as a horizon.
         config: optional stepper settings; dt is the first trial step.
 
     Returns:
-        (gap, bound).
+        (gaps, bounds), one value per pair.
     """
-    if f0.n != g0.n:
-        raise ValueError("states must have the same number of classes")
-    gap, bound = _continuity_gaps(f0.f[None, :], g0.f[None, :], tau, config)
-    return float(gap[0]), float(bound[0])
-
-
-def _continuity_gaps(F0, G0, tau, config=None):
-    """continuity_gap for the pairs (F0[i], G0[i]), stepped as one batch.
-
-    Rows never interact, so each pair's (gap, bound) is bit for bit its
-    one-pair value.  Returns the gaps and the bounds as arrays.
-    """
+    F0, G0 = _check_states(F0, 2), _check_states(G0, 2)
+    if F0.shape != G0.shape:
+        raise ValueError(f"pairs need batches of one shape, got {F0.shape} and {G0.shape}")
     rows = _continuity_rows(F0, G0)
     # no steady exit, so every row reaches tau
     config = replace(config or IntegrationConfig(), t_final=tau, steady_tol=0.0)
@@ -719,13 +691,14 @@ def _bound_above(tau: float, dist: float) -> float:
     return math.nextafter(out, math.inf) if decimal.Decimal(out) < hi else out
 
 
-def random_state(n: int, rho: float, seed: int = DEFAULT_SEED) -> KineticState:
-    """Uniformly random population split at density rho.
+def random_state(n: int, rho: float, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Uniformly random population split at density rho, as a state vector.
 
     Breaks the stick [0, rho] at n-1 sorted uniform cuts, so the vector of
-    pieces is uniform on the scaled simplex.
+    pieces is uniform on the scaled simplex; the first row of
+    random_state_batch(n, rho, 1, seed).
     """
-    return KineticState(f=random_state_batch(n, rho, 1, seed)[0])
+    return random_state_batch(n, rho, 1, seed)[0]
 
 
 def random_state_batch(n: int, rho: float, count: int, seed: int = DEFAULT_SEED):

@@ -357,7 +357,8 @@ def jacobian(f: np.ndarray) -> np.ndarray:
     L^-1 J_P L, where J_P is bidiagonal plus the density column.
 
     Args:
-        f: state vector under KineticState's rule; its sum is the density.
+        f: state vector under the state rule (lattice._check_states); its
+            sum is the density.
 
     Returns:
         n x n matrix J with J[j, i] = d (df_j/dtau) / d f_i.
@@ -365,8 +366,7 @@ def jacobian(f: np.ndarray) -> np.ndarray:
     # the partial derivatives of dP_j/dtau, j = 1 .. n-1, by P_j (the
     # hyperplane eigenvalues), by P_{j-1} (unused for j = 1, where P_0 = 0
     # is fixed) and by P_n, the response to the density itself
-    f = np.asarray(f, dtype=float)
-    _check_states(f)
+    f = _check_states(f, 1)
     C = np.zeros(f.size + 1)
     f.cumsum(out=C[1:])
     rho, P, P_prev, fj, n = float(C[-1]), C[1:-1], C[:-2], f[:-1], f.size
@@ -404,10 +404,11 @@ def stability_report(f: np.ndarray) -> StabilityReport:
     zero while the bidiagonal is not, so the restricted Jacobian is
     nilpotent; that is flagged and marginal.  An all-zero state has a
     frozen linearization (the encounter rate vanishes), which is flagged
-    instead of classified.  f must pass KineticState's rule.
+    instead of classified.  f must pass the state rule
+    (lattice._check_states) as a vector: a batch is refused, not read as
+    one wider state.
     """
-    f = np.asarray(f, dtype=float)
-    _check_states(f)
+    f = _check_states(f, 1)
     C = np.zeros(f.size + 1)
     f.cumsum(out=C[1:])
     s = float(C[-1])

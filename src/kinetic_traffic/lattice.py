@@ -50,17 +50,34 @@ def _check_rho(rho) -> None:
 
 _CLAMP_TOL = 1e-12  # a class may dip below zero by this much (the clamp window)
 
+# what a state must be, by its number of axes: one vector, or a batch of rows
+_STATE_SHAPES = {
+    1: "state must be a vector of class densities",
+    2: "batch must be a 2-D array of row states",
+}
 
-def _check_states(F: np.ndarray) -> None:
-    """KineticState's rule and _check_n, on one state or on every row of a batch."""
-    _check_n(F.shape[-1] if F.ndim else F.size)
+
+def _check_states(F, ndim: int) -> np.ndarray:
+    """The state rule: F as a float array of ndim axes (one vector or rows of states).
+
+    Every state has at least two classes (_check_n), finite entries, none
+    below the clamp window, and a density of at most 1 (to 1e-9).  Each way
+    to fail has one message.  Returns F as a float array, not a copy where
+    it already is one; no entry point writes to it.
+    """
+    F = np.asarray(F, dtype=float)
+    if F.ndim != ndim:
+        raise ValueError(_STATE_SHAPES[ndim])
+    _check_n(F.shape[-1])
     if not np.all(np.isfinite(F)):
         raise ValueError("state contains non-finite values")
-    if F.min(initial=0.0) < -_CLAMP_TOL:
-        raise ValueError(f"negative class population {F.min()!r}")
+    low = float(F.min(initial=0.0))
+    if low < -_CLAMP_TOL:
+        raise ValueError(f"negative class population {low!r}")
     s = float(F.sum(axis=-1).max(initial=0.0))
     if s > 1.0 + 1e-9:
         raise ValueError(f"total density {s} exceeds 1")
+    return F
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,7 @@ per-example deadline, so the suite stays deterministic and its time
 bounded.
 """
 
+import decimal
 import json
 import math
 
@@ -19,14 +20,13 @@ from kinetic_traffic import (
     IntegrationConfig,
     IntegrationDivergedError,
 )
-from kinetic_traffic import dynamics, integrate_batch, random_state_batch
+from kinetic_traffic import continuity_gap, dynamics, integrate_batch, random_state_batch
 from kinetic_traffic._pass import _STAB
 from kinetic_traffic.dynamics import (
     DEFAULT_SEED,
     _A,
     _D,
     _E,
-    _continuity_gaps,
 )
 from kinetic_traffic.equilibrium import _closed_form
 from kinetic_traffic.verify import VERIFY_DENSITIES
@@ -303,7 +303,7 @@ def dense_reference(F, Y, K, h, theta):
     return F + theta * (dy + (1.0 - theta) * (b + theta * (c + (1.0 - theta) * d)))
 
 
-def trajectory_reference(state, config):
+def trajectory_reference(f, config):
     """run_trajectory with the samples of each accepted step evaluated at that step.
 
     Each step's samples go through the reference continuous extension and
@@ -311,7 +311,7 @@ def trajectory_reference(state, config):
     once did itself.
     """
     stride, dt = config.record_stride, config.dt
-    times, samples = [np.zeros(1)], [state.f[None, :]]
+    times, samples = [np.zeros(1)], [f[None, :]]
     k_next = 1
 
     def record(rows, t, h, F, Y, K):
@@ -329,7 +329,7 @@ def trajectory_reference(state, config):
             k_next += ts.size
 
     F, conv, _, t_end, _, _ = integrate_batch_reference(
-        state.f[None, :], dt, config.t_final, config.steady_tol, record=record
+        f[None, :], dt, config.t_final, config.steady_tol, record=record
     )
     times, samples = np.concatenate(times), np.concatenate(samples)
     if times[-1] == t_end[0]:
@@ -340,13 +340,39 @@ def trajectory_reference(state, config):
     return times, samples, bool(conv[0])
 
 
-def continuity_gap_reference(f0, g0, tau, config=None):
-    """The growth estimate of one pair, stepped as a two-row batch by the reference loop."""
+def growth_bound_reference(tau, dist):
+    """4 exp(3 tau) dist: the float product where it is finite, else the exact value rounded up.
+
+    The exact value is taken at 100 digits; its nearest float is stepped
+    up one ulp if it falls below, and is inf only past the largest float.
+    """
+    try:
+        bound = 4.0 * math.exp(3.0 * tau) * dist
+    except OverflowError:
+        bound = math.inf
+    if math.isfinite(bound):
+        return bound
+    with decimal.localcontext(decimal.Context(prec=100)):
+        exact = 4 * (3 * decimal.Decimal(tau)).exp() * decimal.Decimal(dist)
+        out = float(exact)
+        return math.nextafter(out, math.inf) if decimal.Decimal(out) < exact else out
+
+
+def continuity_gap_reference(F0, G0, tau, config=None):
+    """The growth estimate of the pairs (F0[i], G0[i]), stepped by the reference loop.
+
+    Returns the gaps and the bounds as arrays, the bounds by
+    growth_bound_reference, one pair at a time.
+    """
     dt = (config or IntegrationConfig()).dt
-    F, _, _, _, D, _ = integrate_batch_reference(np.vstack([f0.f, g0.f]), dt, tau, 0.0)
-    gap = float(np.abs(F[1] - F[0]).sum() + np.abs(D[1] - D[0]).sum())
-    bound = 4.0 * math.exp(3.0 * tau) * float(np.abs(g0.f - f0.f).sum())
-    return gap, bound
+    F, _, _, _, D, _ = integrate_batch_reference(np.concatenate([F0, G0]), dt, tau, 0.0)
+    f, g = slice(len(F0)), slice(len(F0), None)
+    gaps = np.array([
+        float(np.abs(b - a).sum() + np.abs(db - da).sum())
+        for a, b, da, db in zip(F[f], F[g], D[f], D[g])
+    ])
+    dists = [float(np.abs(g0 - f0).sum()) for f0, g0 in zip(F0, G0)]
+    return gaps, np.array([growth_bound_reference(tau, d) for d in dists])
 
 
 def verify_groups_reference(n_max):
@@ -380,7 +406,7 @@ def verify_groups_reference(n_max):
                 [random_state_batch(n, rho, 6, seed=DEFAULT_SEED + 7 * n)
                  for rho in VERIFY_DENSITIES]
             )
-            gaps, bounds = _continuity_gaps(starts[0::2], starts[1::2], t)
+            gaps, bounds = continuity_gap(starts[0::2], starts[1::2], t)
             seen[n]["gaps"], seen[n]["bounds"] = gaps, bounds
             bad = np.flatnonzero(gaps > bounds)
             if bad.size:

@@ -24,6 +24,7 @@ from kinetic_traffic import (
     IntegrationConfig,
     METHOD_INTEGRATE,
     build_grid,
+    continuity_gap,
     equilibrium_bruteforce,
     equilibrium_recursive,
     integrate_batch,
@@ -33,7 +34,6 @@ from kinetic_traffic import (
     stability_report,
     sweep,
 )
-from kinetic_traffic.dynamics import _continuity_gaps
 
 ATTRACT_DENSITIES = (0.1, 0.3, 0.5, 0.7, 0.9)
 ATTRACT_SAMPLES = 20
@@ -191,7 +191,7 @@ def test_07_continuity_estimate():
         pairs = np.array(pairs)
         # all 100 pairs of one n stepped together, once per t
         for t in (0.5, 1.0, 2.0):
-            gaps, bounds = _continuity_gaps(pairs[:, 0], pairs[:, 1], t)
+            gaps, bounds = continuity_gap(pairs[:, 0], pairs[:, 1], t)
             for rho, gap, bound in zip(rhos, gaps.tolist(), bounds.tolist()):
                 assert gap <= bound, f"n={n} rho={rho} t={t}: gap {gap} > bound {bound}"
                 worst_ratio = max(worst_ratio, gap / bound)

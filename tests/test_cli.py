@@ -26,7 +26,6 @@ from kinetic_traffic import (
     BatchStats,
     GameTable,
     IntegrationConfig,
-    KineticState,
     build_game_table,
     build_grid,
     build_lattice,
@@ -123,7 +122,7 @@ class TestSimulate:
         # --eta0 c runs the eta0 = 1 dynamics on the clock t = tau / c; with
         # dt and the horizon scaled alike, the run turns steady at the same
         # model time tau = c t, up to the rounding of one accepted step
-        f0 = random_state(6, 0.7, seed=3).f
+        f0 = random_state(6, 0.7, seed=3)
 
         def run(eta0):
             times, _, out = simulate_run(
@@ -731,7 +730,7 @@ class TestBenchmarkTracer:
         # the tracer counts a writer's output as out.encode("utf-8"), which
         # the trajectory's blocks give whole without being used up
         times, samples, _ = run_trajectory(
-            KineticState(np.full(3, 0.2)), IntegrationConfig(t_final=1.0)
+            np.full(3, 0.2), IntegrationConfig(t_final=1.0)
         )
         blocks = trajectory_csv(times, samples)
         counts = {"serialize.trajectory_csv.bytes": 0}

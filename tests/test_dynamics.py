@@ -16,7 +16,6 @@ from kinetic_traffic import (
     IntegrationDivergedError,
     STABLE,
     UNSTABLE,
-    KineticState,
     build_game_table,
     build_grid,
     build_lattice,
@@ -72,14 +71,14 @@ def rk4_oracle(f: np.ndarray, h: float, per_sample: int, samples: int) -> np.nda
     return np.array(out)
 
 
-def one_step(state, dt):
-    """The row integrate_batch reaches from state at t = dt.
+def one_step(f, dt):
+    """The row integrate_batch reaches from the state f at t = dt.
 
     That is one step of dt under the error control, or several if the
     control rejects dt.
     """
     config = IntegrationConfig(dt=dt, t_final=dt, steady_tol=0.0)
-    return integrate_batch(state.f[None, :], config)[0][0]
+    return integrate_batch(f[None, :], config)[0][0]
 
 
 HALF_DOWN, HALF_UP = math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
@@ -129,7 +128,7 @@ class TestVectorField:
         for n in (2, 5, 9):
             for _ in range(20):
                 f = random_state(n, float(rng.uniform(0, 1)), seed=int(rng.integers(1 << 30)))
-                assert abs(_rhs_batch(f.f[None, :])[0].sum()) <= 1e-15
+                assert abs(_rhs_batch(f[None, :])[0].sum()) <= 1e-15
         # the stencil telescopes: at n = 200 the row sums measure at most
         # 5.6e-17 over these states
         densities = [*np.linspace(0.0, 1.0, 21), *EDGES]
@@ -172,49 +171,6 @@ class TestVectorField:
         with pytest.raises(ValueError, match="2-D"):
             integrate_batch(np.array([0.1, 0.2]))
 
-    @pytest.mark.parametrize(
-        "row", [[0.9, 0.9], [-0.5, 1.0], [math.inf, 0.0], [0.2, math.nan]],
-        ids=["dense", "negative", "inf", "nan"],
-    )
-    def test_start_rows_follow_the_state_rule(self, row):
-        # a start that KineticState refuses is an input error with its
-        # message, not a numerical failure of the loop
-        with pytest.raises(ValueError) as want:
-            KineticState(np.array(row))
-        F0 = np.array([[0.1, 0.2], row, [0.3, 0.3]])
-        with pytest.raises(ValueError) as got:
-            integrate_batch(F0)
-        assert str(got.value) == str(want.value)
-
-
-class TestKineticState:
-    def test_copies_and_freezes_input(self):
-        raw = np.array([0.2, 0.3])
-        st = KineticState(raw)
-        raw[0] = 0.9
-        assert st.f[0] == 0.2
-        with pytest.raises(ValueError):
-            st.f[0] = 0.5
-
-    def test_density_property(self):
-        st = KineticState(np.array([0.25, 0.3, 0.05]))
-        assert st.n == 3
-        assert abs(st.rho - 0.6) <= 1e-15
-
-    def test_rejects_bad_vectors(self):
-        with pytest.raises(ValueError):
-            KineticState(np.array([0.5]))
-        with pytest.raises(ValueError):
-            KineticState(np.array([0.2, np.nan]))
-        with pytest.raises(ValueError):
-            KineticState(np.array([-1e-11, 0.2]))
-        with pytest.raises(ValueError):
-            KineticState(np.array([0.7, 0.7]))
-
-    def test_tolerates_tiny_negative_rounding(self):
-        st = KineticState(np.array([-1e-13, 0.2]))
-        assert st.f[0] == -1e-13
-
 
 class TestStepper:
     @staticmethod
@@ -224,7 +180,7 @@ class TestStepper:
         The error weights are the difference of the two formulas, so the
         embedded order-4 solution is Y minus the error estimate.
         """
-        F = random_state(4, 0.6, seed=5).f[None, :]
+        F = random_state(4, 0.6, seed=5)[None, :]
         for _ in range(round(2.0 / h)):
             Y, K, _ = dynamics._dp_step(F, h, dynamics._rhs_batch(F))
             F = Y - h * sum(e * k for e, k in zip(dynamics._E, K)) if embedded else Y
@@ -249,7 +205,7 @@ class TestStepper:
     def test_step_preserves_mass(self):
         st = random_state(5, 0.8, seed=9)
         after = one_step(st, 0.01)
-        assert abs(after.sum() - st.rho) <= 1e-15
+        assert abs(after.sum() - st.sum()) <= 1e-15
 
     def test_steps_match_integrate_to_steady(self):
         # a step is the single loop run to t = dt, so walking the loop's own
@@ -258,15 +214,15 @@ class TestStepper:
         st = random_state(5, 0.8, seed=9)
         taken = []
         F, _, steps, t, _, _ = dynamics._integrate_batch(
-            st.f[None, :], 0.04, 6.0, 0.0,
+            st[None, :], 0.04, 6.0, 0.0,
             record=lambda rows, t, h, F, Y, K: taken.append(h[0]),
         )
         assert len(taken) == steps[0] > 5
-        walked, t_walked = st.f[None, :], 0.0
+        walked, t_walked = st[None, :], 0.0
         for h in taken:
             one, _, k, t_one, _, _ = dynamics._integrate_batch(walked, h, h, 0.0)
             assert k[0] == 1
-            assert np.all(one_step(KineticState(walked[0]), h) == one[0])
+            assert np.all(one_step(walked[0], h) == one[0])
             walked, t_walked = one, t_walked + t_one[0]
         assert np.all(walked[0] == F[0])
         assert abs(t_walked - t[0]) <= 1e-12
@@ -329,7 +285,7 @@ class TestIntegration:
         assert np.all(alone[0] == F[0])
 
     def test_trajectory_shapes_and_stride(self):
-        st = KineticState(np.full(3, 0.2))
+        st = np.full(3, 0.2)
         config = IntegrationConfig(dt=0.01, t_final=1.0, record_stride=10)
         times, samples, _ = run_trajectory(st, config)
         assert times[0] == 0.0
@@ -337,10 +293,10 @@ class TestIntegration:
         assert samples.shape[1] == 3
         assert np.all(np.diff(times) > 0)
         assert abs(times[-1] - 1.0) <= 1e-12
-        assert np.abs(samples[0] - st.f).max() == 0.0
+        assert np.abs(samples[0] - st).max() == 0.0
 
     def test_trajectory_stops_when_steady(self):
-        st = KineticState(np.array([0.05, 0.75]))
+        st = np.array([0.05, 0.75])
         config = IntegrationConfig(dt=0.02, t_final=500.0)
         times, samples, converged = run_trajectory(st, config)
         assert converged
@@ -355,17 +311,17 @@ class TestIntegration:
         # for stride 7) and t_final=500 turns steady between samples; 0.1 * 3
         # is simulate --eta0 3 --t-final 0.1, and a run that stops on its
         # horizon ends on it exactly
-        st = KineticState(random_state(6, 0.7, seed=11).f)
+        st = random_state(6, 0.7, seed=11)
         config = IntegrationConfig(dt=0.05, t_final=t_final, record_stride=stride)
         times, samples, converged = run_trajectory(st, config)
         F, conv, _, t, _, _ = dynamics._integrate_batch(
-            st.f[None, :], config.dt, config.t_final, config.steady_tol
+            st[None, :], config.dt, config.t_final, config.steady_tol
         )
         t_end = t[0]
         assert converged == conv[0] == (t_final == 500.0)
         assert converged or t_end == t_final
         assert np.all(samples[-1] == F[0])
-        assert np.all(samples[0] == st.f)
+        assert np.all(samples[0] == st)
         # samples sit at i dt for the multiples i of the stride before the
         # end, which follows as the last sample
         i = np.arange(stride, round(t_end / 0.05) + stride, stride)
@@ -375,7 +331,7 @@ class TestIntegration:
 
     @pytest.mark.parametrize(
         "start",
-        [KineticState(np.zeros(3)), KineticState(equilibrium_recursive(3, 0.7).f_inf)],
+        [np.zeros(3), equilibrium_recursive(3, 0.7).f_inf],
         ids=["empty", "closed-form"],
     )
     def test_a_steady_start_is_the_only_sample(self, start):
@@ -385,7 +341,7 @@ class TestIntegration:
         times, samples, converged = run_trajectory(start, config)
         assert converged
         assert np.array_equal(times, [0.0])
-        assert samples.shape == (1, 3) and np.all(samples[0] == start.f)
+        assert samples.shape == (1, 3) and np.all(samples[0] == start)
 
     @pytest.mark.parametrize(
         "n, rho, stride, t_final",
@@ -405,10 +361,9 @@ class TestIntegration:
     def test_clamped_samples_match_the_per_step_oracle(self, trajectory_oracle):
         # class 1 starts inside the clamp window and stays negative through
         # the first step, so its samples there are clamped to zero
-        f = random_state(5, 0.4, seed=3).f.copy()
-        f[-1] += f[0] + 5e-13
-        f[0] = -5e-13
-        start = KineticState(f)
+        start = random_state(5, 0.4, seed=3)
+        start[-1] += start[0] + 5e-13
+        start[0] = -5e-13
         config = IntegrationConfig(dt=0.01, t_final=5.0)
         times, samples, _ = run_trajectory(start, config)
         want_times, want, _ = trajectory_oracle(start, config)
@@ -438,8 +393,11 @@ class TestIntegration:
             IntegrationConfig(t_final=-1.0)
         with pytest.raises(ValueError):
             IntegrationConfig(steady_tol=-1e-9)
-        with pytest.raises(ValueError):
-            IntegrationConfig(record_stride=0)
+        # a stride between integers sampled at the truncated stride, and nan
+        # and inf failed inside run_trajectory
+        for bad in (0, -3, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                IntegrationConfig(dt=0.1, t_final=1.0, record_stride=bad)
         # an endless horizon never returned: the step loop ran forever; a
         # subnormal first step never grows
         for bad in (math.inf, math.nan, 5e-324, 1e-310):
@@ -451,7 +409,7 @@ class TestIntegration:
         with pytest.raises(ValueError):
             one_step(state, math.inf)
         with pytest.raises(ValueError):
-            continuity_gap(state, state, math.inf)
+            continuity_gap(state[None, :], state[None, :], math.inf)
 
 
 class TestConservationPolicy:
@@ -507,7 +465,7 @@ class TestWorkCounts:
 
     def test_continuity_gap_takes_the_derivative_from_the_loop(self, rhs_rows):
         pair = random_state_batch(4, 0.6, 2, seed=3)
-        continuity_gap(KineticState(pair[0]), KineticState(pair[1]), 2.0)
+        continuity_gap(pair[:1], pair[1:], 2.0)
         gap_calls = len(rhs_rows)
         stats = BatchStats()
         dynamics._integrate_batch(pair, 0.01, 2.0, 0.0, stats)
@@ -524,7 +482,7 @@ class TestWorkCounts:
         # restructure that changes the stepping work fails here
         start = random_state(6, 0.6, seed=11)
         config = IntegrationConfig(dt=0.01, t_final=500.0)
-        stats = integrate_batch(start.f[None, :], config)[3]
+        stats = integrate_batch(start[None, :], config)[3]
         assert (stats.rhs_evals, stats.accepted, stats.rejected) == (1045, 174, 0)
 
     @staticmethod
@@ -651,8 +609,8 @@ class TestPairProperties:
         config = IntegrationConfig(dt=0.1, t_final=30.0)
         times, samples, _ = run_trajectory(start, config)
         assert samples.min() >= 0.0
-        assert np.abs(samples.sum(axis=1) - start.rho).max() <= 1e-13
-        _, _, steps, stats = integrate_batch(start.f[None, :], config)
+        assert np.abs(samples.sum(axis=1) - start.sum()).max() <= 1e-13
+        _, _, steps, stats = integrate_batch(start[None, :], config)
         assert stats.min_preclamp >= -1e-12
         assert stats.max_drift <= 1e-13 * max(1, int(steps[0]))
 
@@ -667,7 +625,7 @@ class TestPairProperties:
         # partner already in it.  Row j - 1 starts with classes 1..j empty,
         # their mass moved to class j + 1, and every stage, step end and
         # final state and derivative keeps them exactly zero
-        f = random_state(n, rho, seed=seed).f
+        f = random_state(n, rho, seed=seed)
         face = np.arange(n) < np.arange(1, n)[:, None]
         F0 = np.where(face, 0.0, f)
         F0[np.arange(n - 1), np.arange(1, n)] = np.cumsum(f)[1:]
@@ -698,7 +656,7 @@ class TestPairProperties:
         F0, want = np.zeros((n - 2, n)), np.zeros((n - 2, n))
         for j in range(1, n - 1):
             m = n - j
-            F0[j - 1, j:] = random_state(m, rho, seed=seed + j).f
+            F0[j - 1, j:] = random_state(m, rho, seed=seed + j)
             want[j - 1, j:] = equilibrium_recursive(m, rho).f_inf
             # the extreme points of the hyperplane's unit ball are (e_i - e_k) / 2
             J, E = np.vstack([jacobian(want[j - 1, j:]), np.ones(m)]), np.eye(m + 1)
@@ -962,7 +920,7 @@ class TestOracle:
         start = random_state(n, rho, seed=seed)
         config = IntegrationConfig(dt=0.1, t_final=10.0, steady_tol=0.0)
         times, samples, _ = run_trajectory(start, config)
-        want = rk4_oracle(start.f, 0.005, 20, 100)
+        want = rk4_oracle(start, 0.005, 20, 100)
         assert times.shape == (101,)
         assert np.abs(samples - want).max() <= 1e-8
 
@@ -1005,8 +963,9 @@ class TestExactCascade:
         start = random_state(n, rho, seed=seed)
         config = IntegrationConfig(dt=0.5 * eta0, t_final=60.0 * eta0, steady_tol=0.0)
         tau, samples, _ = run_trajectory(start, config)
-        want = exact_p1(start.f[0], start.rho, tau)
-        assert np.abs(samples[:, 0] - want).max() <= self.bound(start.rho)
+        rho = float(start.sum())
+        want = exact_p1(start[0], rho, tau)
+        assert np.abs(samples[:, 0] - want).max() <= self.bound(rho)
 
     @pytest.mark.parametrize("rho", [0.1, 0.3, HALF_DOWN, 0.5, HALF_UP, 0.7, 0.9, 1.0])
     def test_two_classes_follow_the_logistic(self, exact_p1, rho):
@@ -1015,10 +974,11 @@ class TestExactCascade:
         start = random_state(2, rho, seed=2)
         config = IntegrationConfig(dt=0.25, t_final=100.0, steady_tol=0.0)
         tau, samples, _ = run_trajectory(start, config)
-        p1 = exact_p1(start.f[0], start.rho, tau)
-        want = np.column_stack([p1, start.rho - p1])
+        rho = float(start.sum())
+        p1 = exact_p1(start[0], rho, tau)
+        want = np.column_stack([p1, rho - p1])
         assert tau[-1] == 100.0
-        assert np.abs(samples - want).max() <= self.bound(start.rho)
+        assert np.abs(samples - want).max() <= self.bound(rho)
 
 
 class TestObservables:
@@ -1081,7 +1041,7 @@ class TestContinuity:
         pairs.append(pairs[0][[0, 0]])
         pairs = np.array(pairs)
         for t in (0.5, 1.0, 2.0, 300.0):
-            gaps, bounds = dynamics._continuity_gaps(pairs[:, 0], pairs[:, 1], t)
+            gaps, bounds = continuity_gap(pairs[:, 0], pairs[:, 1], t)
             for rho, gap, bound in zip(rhos, gaps, bounds):
                 assert gap <= bound, f"n=4 rho={rho} t={t}: {gap} > {bound}"
             assert gaps[-1] == bounds[-1] == 0.0
@@ -1093,49 +1053,65 @@ class TestContinuity:
         # a pair one subnormal apart, whose exact bound stays finite past
         # the overflow of 4 exp(3 tau): the bound is no smaller than it,
         # and the next float down is, checked at 100 digits
-        f0 = KineticState(np.array([0.0, 0.4]))
-        g0 = KineticState(np.array([5e-324, 0.4]))
-        _, bound = continuity_gap(f0, g0, tau)
+        f0, g0 = np.array([[0.0, 0.4]]), np.array([[5e-324, 0.4]])
+        bound = float(continuity_gap(f0, g0, tau)[1][0])
         with decimal.localcontext(decimal.Context(prec=100)):
             exact = 4 * (3 * decimal.Decimal(tau)).exp() * decimal.Decimal(5e-324)
             assert decimal.Decimal(math.nextafter(bound, 0.0)) < exact <= decimal.Decimal(bound)
-        assert continuity_gap(f0, f0, tau) == (0.0, 0.0)
+        assert [x.tolist() for x in continuity_gap(f0, f0, tau)] == [[0.0], [0.0]]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 40])
     def test_batched_core_matches_one_pair_calls(self, continuity_gap_oracle, n):
         starts = np.concatenate(
             [random_state_batch(n, rho, 4, seed=50 + n) for rho in (0.05, 0.3, 0.5, 0.7, 0.95)]
         )
-        F0, G0 = starts[0::2], starts[1::2]
-        for t in (0.5, 1.0, 2.0, 5.0):
-            gaps, bounds = dynamics._continuity_gaps(F0, G0, t)
-            for i, (f, g) in enumerate(zip(F0, G0)):
-                pair = (KineticState(f), KineticState(g), t)
-                one = np.array(continuity_gap(*pair))
+        # and a pair one subnormal apart and an identical pair, whose bounds
+        # stay finite past the float overflow of 4 exp(3 t)
+        f = starts[0].copy()
+        f[-1] += f[0]
+        f[0] = 0.0
+        g = f.copy()
+        g[0] = 5e-324
+        F0, G0 = np.vstack([starts[0::2], f, f]), np.vstack([starts[1::2], g, f])
+        # at t = 300 the oracle's bound is the exact value rounded up; it
+        # runs at three widths only, about 0.3 s each
+        long = (300.0,) if n in (2, 6, 40) else ()
+        for t in (0.5, 1.0, 2.0, 5.0, *long):
+            gaps, bounds = continuity_gap(F0, G0, t)
+            want_gaps, want_bounds = continuity_gap_oracle(F0, G0, t)
+            assert same_bits(gaps, want_gaps) and same_bits(bounds, want_bounds), f"n={n} t={t}"
+            for i in range(len(F0)):
+                one = np.concatenate(continuity_gap(F0[i : i + 1], G0[i : i + 1], t))
                 assert same_bits(np.array([gaps[i], bounds[i]]), one), f"n={n} t={t} pair {i}"
-                assert same_bits(one, np.array(continuity_gap_oracle(*pair)))
 
     def test_gap_shrinks_in_time(self):
         # trajectories contract toward the shared equilibrium, so the
         # measured gap at t=50 sits far below the exponential bound
         pair = random_state_batch(3, 0.8, 2, seed=23)
-        early, _ = continuity_gap(KineticState(pair[0]), KineticState(pair[1]), 0.5)
-        late, _ = continuity_gap(KineticState(pair[0]), KineticState(pair[1]), 50.0)
-        assert late < early * 1e-2
+        early, _ = continuity_gap(pair[:1], pair[1:], 0.5)
+        late, _ = continuity_gap(pair[:1], pair[1:], 50.0)
+        assert late[0] < early[0] * 1e-2
 
     def test_density_mismatch_rejected(self):
-        a = KineticState(np.array([0.2, 0.2]))
-        b = KineticState(np.array([0.2, 0.3]))
+        a = np.array([[0.2, 0.2]])
+        b = np.array([[0.2, 0.3]])
         with pytest.raises(ValueError):
             continuity_gap(a, b, 1.0)
         # one unequal pair among equal ones fails the whole batch
         F0, G0 = np.array([[0.2, 0.2], [0.2, 0.2]]), np.array([[0.3, 0.1], [0.2, 0.3]])
         with pytest.raises(ValueError, match="density mismatch"):
-            dynamics._continuity_gaps(F0, G0, 1.0)
+            continuity_gap(F0, G0, 1.0)
+
+    def test_pairs_take_batches_of_one_shape(self):
+        a = np.array([[0.2, 0.2], [0.1, 0.3]])
+        for b in (a[:1], np.array([[0.2, 0.1, 0.1], [0.1, 0.2, 0.1]])):
+            with pytest.raises(ValueError) as exc:
+                continuity_gap(a, b, 1.0)
+            assert str(exc.value) == f"pairs need batches of one shape, got {a.shape} and {b.shape}"
 
     def test_nonpositive_time_rejected(self):
-        a = KineticState(np.array([0.2, 0.2]))
-        b = KineticState(np.array([0.3, 0.1]))
+        a = np.array([[0.2, 0.2]])
+        b = np.array([[0.3, 0.1]])
         with pytest.raises(ValueError):
             continuity_gap(a, b, 0.0)
 
@@ -1160,7 +1136,7 @@ class TestRandomStates:
     def test_single_state_matches_batch_head(self):
         st = random_state(4, 0.5, seed=12)
         F = random_state_batch(4, 0.5, 1, seed=12)
-        assert np.all(st.f == F[0])
+        assert st.tobytes() == F[0].tobytes()
 
     # numpy's default_rng(seed).random() is the oracle for the package's
     # stream: small seeds, the seeds verify draws with, and seeds of one to

@@ -16,7 +16,6 @@ from kinetic_traffic import (
     STABLE,
     UNSTABLE,
     ConsistencyError,
-    KineticState,
     build_game_table,
     build_grid,
     build_lattice,
@@ -758,20 +757,6 @@ class TestStability:
         assert not rep.nilpotent_hyperplane
         assert rep.verdict == STABLE
 
-    @pytest.mark.parametrize(
-        "f", [[1.5, 0.0], [0.9, 0.9], [-0.5, 1.0], [math.inf, 0.0], [0.2, math.nan]],
-        ids=["top-over-one", "dense", "negative", "inf", "nan"],
-    )
-    def test_refuses_what_kinetic_state_refuses(self, f):
-        # no verdict on a state that no trajectory can reach: [1.5, 0.0]
-        # would be called stable and [0.9, 0.9] unstable
-        with pytest.raises(ValueError) as want:
-            KineticState(np.array(f))
-        for call in (stability_report, jacobian):
-            with pytest.raises(ValueError) as got:
-                call(np.array(f))
-            assert str(got.value) == str(want.value)
-
     def test_empty_road_is_degenerate(self):
         rep = stability_report(np.zeros(3))
         assert rep.degenerate_zero_density
@@ -893,13 +878,12 @@ class TestBruteForce:
 
 
 @pytest.mark.parametrize("build", [
-    lambda: KineticState(np.array([0.25, 0.25])),
     lambda: sweep(3, build_grid(11)),
     lambda: equilibrium_recursive(4, 0.7),
     lambda: equilibrium_bruteforce(3, 0.7)[0],
     lambda: build_lattice(3),
     lambda: build_game_table(3, 0.4),
-], ids=["KineticState", "Diagram", "EquilibriumResult", "EquilibriumCandidate",
+], ids=["Diagram", "EquilibriumResult", "EquilibriumCandidate",
         "SpeedLattice", "GameTable"])
 def test_array_records_compare_and_hash_by_identity(build):
     # each holds ndarray fields, so field-wise == would ask numpy for the

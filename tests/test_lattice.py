@@ -1,6 +1,7 @@
 """Speed lattice and interaction-table construction."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,19 @@ import pytest
 import kinetic_traffic
 from kinetic_traffic import (
     GameTable,
+    IntegrationConfig,
     build_game_table,
     build_lattice,
+    continuity_gap,
     equilibrium_bruteforce,
     equilibrium_recursive,
+    integrate_batch,
+    jacobian,
+    observables,
     random_state,
     random_state_batch,
+    run_trajectory,
+    stability_report,
     sweep,
 )
 
@@ -184,6 +192,41 @@ TAKES_RHO = {
     "random_state_batch": lambda rho: random_state_batch(3, rho, 2),
 }
 
+# every public function of states, by the number of axes it takes: one
+# state vector, or a batch of row states; continuity_gap checks either
+# side of its pairs, here against a valid partner
+SHORT = IntegrationConfig(dt=0.05, t_final=0.1)
+PARTNER = np.array([[0.1, 0.1]])
+TAKES_STATES = {
+    "run_trajectory": (1, lambda f: run_trajectory(f, SHORT)),
+    "observables": (1, observables),
+    "stability_report": (1, stability_report),
+    "jacobian": (1, jacobian),
+    "integrate_batch": (2, lambda F: integrate_batch(F, SHORT)),
+    "continuity_gap-F0": (2, lambda F: continuity_gap(F, PARTNER, 0.1, SHORT)),
+    "continuity_gap-G0": (2, lambda F: continuity_gap(PARTNER, F, 0.1, SHORT)),
+}
+# a bad state and its message, alone or as the middle row of a batch
+BAD_STATES = {
+    "top-over-one": ([1.5, 0.0], "total density 1.5 exceeds 1"),
+    "dense": ([0.9, 0.9], "total density 1.8 exceeds 1"),
+    "negative": ([-0.5, 1.0], "negative class population -0.5"),
+    "below-the-clamp-window": ([-1e-11, 0.2], "negative class population -1e-11"),
+    "inf": ([math.inf, 0.0], "state contains non-finite values"),
+    "nan": ([0.2, math.nan], "state contains non-finite values"),
+    "one-class": ([0.5], "need at least two speed classes, got n=1"),
+}
+SHAPE_MESSAGES = {
+    1: "state must be a vector of class densities",
+    2: "batch must be a 2-D array of row states",
+}
+
+
+def arrays_of(result):
+    """The arrays a function of states returns, alone or in a tuple."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return [x for x in parts if isinstance(x, np.ndarray)]
+
 
 class TestInputRules:
     # one rule per input, with one message, at every site that takes it
@@ -201,3 +244,39 @@ class TestInputRules:
         with pytest.raises(ValueError) as exc:
             take(rho)
         assert str(exc.value) == f"density {rho} outside [0, 1]"
+
+    @pytest.mark.parametrize("bad", BAD_STATES.values(), ids=BAD_STATES.keys())
+    @pytest.mark.parametrize("ndim, take", TAKES_STATES.values(), ids=TAKES_STATES.keys())
+    def test_states_follow_one_rule(self, ndim, take, bad):
+        # no verdict on a state that no trajectory can reach ([1.5, 0.0]
+        # was called stable), and a bad start row is an input error with
+        # the rule's message, not a numerical failure of the loop
+        row, message = np.array(bad[0]), bad[1]
+        if ndim == 2:
+            row = np.array([np.full(row.size, 0.1), row, np.full(row.size, 0.15)])
+        with pytest.raises(ValueError) as exc:
+            take(row)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("ndim, take", TAKES_STATES.values(), ids=TAKES_STATES.keys())
+    def test_states_have_one_shape(self, ndim, take):
+        # stability_report read two copies of this stable state as one
+        # 6-class state and called it unstable, and jacobian failed inside
+        # numpy's broadcasting
+        f = equilibrium_recursive(3, 0.3).f_inf
+        for wrong in (np.float64(0.5), f, np.vstack([f, f]), f[None, None, :]):
+            if wrong.ndim != ndim:
+                with pytest.raises(ValueError) as exc:
+                    take(wrong)
+                assert str(exc.value) == SHAPE_MESSAGES[ndim], wrong.shape
+
+    @pytest.mark.parametrize("ndim, take", TAKES_STATES.values(), ids=TAKES_STATES.keys())
+    def test_states_pass_unchanged_within_the_clamp_window(self, ndim, take):
+        # a class may dip below zero by up to 1e-12; the input is read-only,
+        # so a write to it raises, and no returned array shares its memory
+        given = np.array([-1e-13, 0.2]).reshape((1,) * (ndim - 1) + (2,))
+        want = given.copy()
+        given.setflags(write=False)
+        out = arrays_of(take(given))
+        assert given.tobytes() == want.tobytes()
+        assert not any(np.shares_memory(given, x) for x in out)
