@@ -11,9 +11,14 @@ Every elementwise call of a pass takes operands of its output's shape
 and layout: the density, the stage weights and the step are spread over
 full class-major blocks, since at these sizes numpy's per-call cost
 for a broadcast (m, 1) column is about twice that of a same-shape
-operand, and for a Python float about 40 % more.  The module stands
-alone, importing only numpy, because the dynamics module's loop and the
-equilibrium module both read it, and neither of those imports the other.
+operand.  A constant operand is a 0-d float64 array, never a Python
+float, which costs about half as much again per call.  A hot ufunc is
+called by its module-level name below with its output by position,
+which numpy parses faster than out=; np.maximum and np.minimum keep
+out=, since numpy 2.4 deprecates a third positional argument there.
+The module stands alone, importing only numpy, because the dynamics
+module's loop and the equilibrium module both read it, and neither of
+those imports the other.
 """
 
 from __future__ import annotations
@@ -25,7 +30,12 @@ import numpy as np
 # interval (-3.31, 0), so the fastest mode is damped (by 0.57 per step at
 # worst) instead of sitting undamped at the edge, where the error control
 # alone parks it at a distance from steady state set by the tolerance
-_STAB = 3.0
+_STAB = np.array(3.0)
+
+# the hot ufuncs of a pass, here and in the dynamics module's loop
+_add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
+_absolute, _square, _sqrt, _power = np.absolute, np.square, np.sqrt, np.power
+_less, _less_equal = np.less, np.less_equal
 
 
 def _stencil(m, n):
@@ -57,17 +67,17 @@ def _rhs_batch(F: np.ndarray, *, out=None, sums=None) -> np.ndarray:
     rho, P, R0, t, u, omr, one, rho_n, last, C1, C0, R, R1, dP, hi, lo, _ = (
         sums or _stencil(*F.shape)
     )
-    np.add.accumulate(F, axis=1, out=C1)
+    _add.accumulate(F, 1, None, C1)
     rho_n[...] = last
-    np.subtract(rho_n, C0, out=R)
-    np.multiply(rho, P, out=t)
-    np.multiply(t, R1, out=t)
-    np.subtract(one, rho, out=omr)
-    np.multiply(omr, F[:, :-1], out=u)
-    np.multiply(u, R0, out=u)
-    np.subtract(t, u, out=t)
-    np.multiply(rho, t, out=dP)
-    return np.subtract(hi, lo, out=out)
+    _subtract(rho_n, C0, R)
+    _multiply(rho, P, t)
+    _multiply(t, R1, t)
+    _subtract(one, rho, omr)
+    _multiply(omr, F[:, :-1], u)
+    _multiply(u, R0, u)
+    _subtract(t, u, t)
+    _multiply(rho, t, dP)
+    return _subtract(hi, lo, out)
 
 
 def _rates(rho, P, R0, omr, out=None, tmp=None):
@@ -76,12 +86,12 @@ def _rates(rho, P, R0, omr, out=None, tmp=None):
     omr = 1 - rho and R0 = rho - P_{j-1}; one operation at a time into
     out and tmp (new arrays if not given); P_j + P_j is 2 P_j exactly.
     """
-    t = np.add(P, P, out=out)
-    np.subtract(rho, t, out=t)
-    np.multiply(rho, t, out=t)
-    u = np.multiply(omr, R0, out=tmp)
-    np.subtract(t, u, out=t)
-    return np.multiply(rho, t, out=t)
+    t = _add(P, P, out)
+    _subtract(rho, t, t)
+    _multiply(rho, t, t)
+    u = _multiply(omr, R0, tmp)
+    _subtract(t, u, t)
+    return _multiply(rho, t, t)
 
 
 def _stable_step(sums):
@@ -90,37 +100,41 @@ def _stable_step(sums):
     _rates in the call's temporaries; the mass mode is 0.
     """
     rho, P, R0, t, u, omr = sums[:6]
-    return _STAB / np.abs(_rates(rho, P, R0, omr, t, u), out=t).max(axis=1)
+    return _STAB / np.maximum.reduce(_absolute(_rates(rho, P, R0, omr, t, u), t), 1)
 
 
 def _combine(w, K, prod=None, out=None):
-    """Weighted sum of the first len(w) stages of K, shape (7, m, n).
+    """Weighted sum of the k stages K, shape (k, m, n), by the k weights w.
 
-    w holds the k weights, as a (k, 1, 1) column or spread to (k, m, n).
-    One product and one reduce along the stage axis, which adds in stage
-    order from +0.0; prod and out, if given, receive the products and the
-    sum.  For finite stages this is bit for bit sum(w * k for w, k in
-    zip(row, K) if w): a sum that starts from +0.0 is never -0.0, since
-    x + y is -0.0 only when both are, and adding the +-0.0 of a zero
-    weight to anything but -0.0 leaves its bits.
+    w is a (k, 1, 1) column or spread to (k, m, n); a pass hands the
+    workspace's prefix K[:k] of its stage stack.  One product and one
+    reduce along the stage axis, which adds in stage order from +0.0;
+    prod and out, if given, receive the products and the sum.  For
+    finite stages this is bit for bit sum(w * k for w, k in zip(row, K)
+    if w): a sum that starts from +0.0 is never -0.0, since x + y is
+    -0.0 only when both are, and adding the +-0.0 of a zero weight to
+    anything but -0.0 leaves its bits.
     """
-    return np.add.reduce(np.multiply(w, K[: len(w)], out=prod), axis=0, initial=0.0, out=out)
+    # reduce's arguments by position: axis, dtype, out, keepdims, initial
+    return _add.reduce(_multiply(w, K, prod), 0, None, out, False, 0.0)
 
 
 class _Workspace:
     """The class-major buffers of a pass over m rows of n classes, and their views.
 
-    K is the stage stack, shape (7, m, n), with k1 = K[0]; prods[k - 1]
-    the products of a sum over k stages; weights[i] the (k, 1, 1)
-    column weights[i] of the caller spread to (k, m, n); step the step
-    of each row in every column; acc a sum; scale and absY the error
-    weights; sq, row-major, the squared error.
+    K is the stage stack, shape (7, m, n), with k1 = K[0]; stages[i]
+    = K[i], and prefixes[k - 1] = K[:k] and prods[k - 1] the stages and
+    products of a sum over k stages; weights[i] the (k, 1, 1) column
+    weights[i] of the caller spread to (k, m, n); step the step of each
+    row in every column; acc a sum; scale and absY the error weights;
+    sq, row-major, the squared error and the steady test's |k1|.
     """
 
     def __init__(self, m, n, weights):
         self.K, prod = np.empty((2, 7, n, m)).transpose(0, 1, 3, 2)
         self.stages = tuple(self.K)
         self.k1 = self.stages[0]
+        self.prefixes = tuple(self.K[:k] for k in range(1, 8))
         self.prods = tuple(prod[:k] for k in range(1, 8))
         self.weights = tuple(np.empty((len(w), n, m)).transpose(0, 2, 1) for w in weights)
         for wide, w in zip(self.weights, weights):

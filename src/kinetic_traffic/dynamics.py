@@ -91,14 +91,18 @@ step, or the run raises ConsistencyError.  The measured per-step drift
 is below 1e-15.  The loop also returns each row's largest drift from its
 start, so the rows of one group in a mixed batch read their own.  It
 raises its own errors on non-finite values and runs with numpy's
-floating-point warnings off.
+floating-point warnings off.  Its non-finite check, on each row's error
+estimate, runs only on a pass that rejects a row: a nan or inf estimate
+fails the acceptance test err <= 1, so a pass that accepts every row
+holds none, and the check still sees every one.
 
 The loop takes a batch of states as the rows of a matrix.  Rows evolve
 independently through elementwise arithmetic in a fixed order, so a
 row's result never depends on which other rows share its batch, and a
 row leaves the working array, with its settings, once it is steady or
 has reached its horizon.  A pass in which every row accepts keeps its new
-arrays whole; only a pass with rejections gathers and scatters rows.
+arrays whole; only a pass with rejections gathers and scatters rows, and
+only the pass after it caps the steps of rows that had been rejected.
 
 The working arrays are class-major: column j of an (m, n) array, class j
 of every row, is one contiguous run of m values.  A batch has few
@@ -111,7 +115,8 @@ the stage and error weights and the step spread to full blocks,
 _rhs_batch's sums, stencil, temporaries, density and ones, which also
 give the step bound, the error-norm buffers, and every view these are
 read through, built once, so every elementwise call of a pass takes
-operands of its output's shape (module _pass).  No array leaves a pass
+operands of its output's shape or 0-d constants, and its output by
+position where numpy allows (module _pass).  No array leaves a pass
 as a view of them: k1 is copied from the last stage, each stage's
 solution Y is a new array, and the recorder and the results get
 copies.  Boolean row indexing returns row-major arrays, so rows are
@@ -134,7 +139,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pass import _Workspace, _combine, _rhs_batch, _stable_step, _stencil
+from ._pass import (
+    _Workspace, _absolute, _add, _combine, _divide, _less, _less_equal, _multiply, _power,
+    _rhs_batch, _sqrt, _square, _stable_step, _stencil, _subtract,
+)
 from ._pcg64 import _uniform
 from .errors import ConsistencyError, IntegrationDivergedError
 from .lattice import _CLAMP_TOL, _check_n, _check_rho, _check_states, build_lattice
@@ -157,19 +165,28 @@ DEFAULT_SEED = 1729
 # positivity policy thresholds; the clamp window _CLAMP_TOL is the state rule's
 _DRIFT_TOL = 1e-13
 
+# the constants a pass takes as operands are 0-d float64 arrays (module
+# _pass); _FAC_MIN and _FAC_MAX, read only through _FAC_LO and _FAC_HI,
+# stay floats
+
 # error control: a step is accepted when the RMS over its row of
-# error / (_ATOL + _RTOL |f|) is at most one; trajectory samples then stay
-# within 1e-9 of a fine fixed-step solution
-_RTOL = 1e-8
-_ATOL = 1e-12
+# error / (_ATOL + _RTOL |f|) is at most _ONE; trajectory samples then
+# stay within 1e-9 of a fine fixed-step solution
+_RTOL = np.array(1e-8)
+_ATOL = np.array(1e-12)
+_ONE = np.array(1.0)
 
 # PI controller (Hairer, Norsett & Wanner's DOPRI5 defaults): safety
-# factor, step growth between 1/5 and 10 per step, and exponents
-_SAFE = 0.9
+# factor, step growth between 1/5 and 10 per step as the bounds _FAC_LO
+# and _FAC_HI on the factor a step is divided by, and exponents; the
+# previous error is taken as at least _ERR_MIN
+_SAFE = np.array(0.9)
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
-_BETA = 0.04
-_ALPHA = 0.2 - 0.75 * _BETA
+_FAC_LO, _FAC_HI = np.array(1.0 / _FAC_MAX), np.array(1.0 / _FAC_MIN)
+_BETA = np.array(0.04)
+_ALPHA = np.array(0.2 - 0.75 * _BETA)
+_ERR_MIN = np.array(1e-4)
 
 # Dormand-Prince 5(4): stage rows a_ij (the last row is the fifth-order
 # solution, whose derivative is the first stage of the next step), the
@@ -274,17 +291,21 @@ def _dp_step(F, h, k1, ws=None):
     K, shape (7, m, n), and running sums of Y in the buffers of ws, a
     _Workspace of F's shape with the weights _PASS_W (a new one if not
     given); K[6] is the derivative at Y, and ws.step holds h in every
-    column until the next call.
+    column until the next call.  k1 may be ws.k1 itself.
     """
     ws = ws or _Workspace(*F.shape, _PASS_W)
-    K, acc, step = ws.K, ws.acc, ws.step
-    K[0] = k1
+    stages, acc, step = ws.stages, ws.acc, ws.step
+    if k1 is not ws.k1:
+        ws.k1[...] = k1
     step[...] = h
-    # _rhs_batch is this module's name, so a hook set here sees every stage
-    for i, w, prod in zip(range(1, 7), ws.weights, ws.prods):
-        Y = F + np.multiply(step, _combine(w, K, prod, acc), out=acc)
-        K[i] = _rhs_batch(Y, out=ws.stages[i], sums=ws.sums)
-    return Y, K, ws.sums[-1]
+    # _rhs_batch is this module's name, so a hook set here sees every
+    # stage; a hook's result that is not the stage buffer is copied in
+    for i, w, K, prod in zip(range(1, 7), ws.weights, ws.prefixes, ws.prods):
+        Y = _add(F, _multiply(step, _combine(w, K, prod, acc), acc))
+        k = _rhs_batch(Y, out=stages[i], sums=ws.sums)
+        if k is not stages[i]:
+            stages[i][...] = k
+    return Y, ws.K, ws.sums[-1]
 
 
 def _dense(F, Y, K, h, at, theta, x=None):
@@ -327,7 +348,7 @@ def _clamp_batch(F: np.ndarray, stats: BatchStats) -> np.ndarray:
     Raises:
         IntegrationDivergedError: if any component is below -1e-12.
     """
-    m = float(F.min())
+    m = float(np.minimum.reduce(F, None))
     if m < stats.min_preclamp:
         stats.min_preclamp = m
     if m >= 0.0:
@@ -396,9 +417,10 @@ def _integrate_batch(
     t_out, drift_out = np.zeros(m), np.zeros(m)
 
     # working set: original row index, state, the workspace with its
-    # first stage, step bound, time, trial step, previous error, whether
-    # the last attempt was rejected, steps, row sum, largest drift from
-    # the start, horizon and steady tolerance
+    # first stage, step bound, time, trial step, previous error, steps,
+    # row sum, row sum at the start, largest drift from the start, horizon
+    # and steady tolerance; and whether each row's last attempt was
+    # rejected, None after a pass that rejected no row
     rows = np.arange(m)
     ws = _Workspace(m, n, _PASS_W)
     ws.K[0] = _rhs_batch(F, out=ws.k1, sums=ws.sums)
@@ -407,25 +429,28 @@ def _integrate_batch(
     t = np.zeros(m)
     h = np.full(m, dt, dtype=float)
     err_prev = np.full(m, 1e-4)
-    rejected = np.zeros(m, dtype=bool)
+    rejected = None
     steps = np.zeros(m, dtype=int)
     s_ref = F.copy(order="C").sum(axis=1)
     s = s_ref.copy()
     drift = np.zeros(m)
+    width = np.array(n, dtype=float)
     steady = leave = np.abs(ws.k1, out=ws.sq).sum(axis=1) < steady_tol
     while True:
-        if leave.any():
+        if np.count_nonzero(leave):
             done = rows[leave]
             F_out[done], D_out[done] = F[leave], ws.k1[leave]
             t_out[done], steps_out[done] = t[leave], steps[leave]
             conv_out[done], drift_out[done] = steady[leave], drift[leave]
             keep = (~leave).nonzero()[0]
-            rows, bound, t, h, err_prev, rejected, steps, s, drift, t_final, steady_tol = (
+            rows, bound, t, h, err_prev, steps, s, s_ref, drift, t_final, steady_tol = (
                 x[keep]
                 for x in (
-                    rows, bound, t, h, err_prev, rejected, steps, s, drift, t_final, steady_tol
+                    rows, bound, t, h, err_prev, steps, s, s_ref, drift, t_final, steady_tol
                 )
             )
+            if rejected is not None:
+                rejected = rejected[keep]
             # columns of the transposed base, so the rows stay class-major
             F = F.T.take(keep, axis=1).T
             k1, ws = ws.k1, _Workspace(rows.size, n, _PASS_W)
@@ -437,36 +462,46 @@ def _integrate_batch(
         hs = np.where(last, t_final - t, h)
         Y, K, _ = _dp_step(F, hs[:, None], ws.k1, ws)
         stats.rhs_evals += 6 * rows.size
-        E = np.multiply(ws.step, _combine(ws.weights[6], K, ws.prods[6], ws.acc), out=ws.acc)
-        scale = np.maximum(np.abs(F, out=ws.scale), np.abs(Y, out=ws.absY), out=ws.scale)
-        np.add(_ATOL, np.multiply(_RTOL, scale, out=scale), out=scale)
-        err = np.sqrt(np.square(np.divide(E, scale, out=E), out=ws.sq).sum(axis=1) / n)
-        if not np.isfinite(err).all():
-            raise IntegrationDivergedError("non-finite values in trajectory")
-        ok = err <= 1.0
+        E = _combine(ws.weights[6], ws.prefixes[6], ws.prods[6], ws.acc)
+        _multiply(ws.step, E, E)
+        scale = np.maximum(_absolute(F, ws.scale), _absolute(Y, ws.absY), out=ws.scale)
+        _add(_ATOL, _multiply(_RTOL, scale, scale), scale)
+        err = _add.reduce(_square(_divide(E, scale, E), ws.sq), 1)
+        err = _sqrt(_divide(err, width, err), err)
+        ok = _less_equal(err, _ONE)
         accepted = int(np.count_nonzero(ok))
         whole = accepted == rows.size
+        # a nan or inf err fails err <= 1, so a pass that accepts every
+        # row has none
+        if not whole and not np.isfinite(err).all():
+            raise IntegrationDivergedError("non-finite values in trajectory")
         stats.accepted += accepted
         stats.rejected += rows.size - accepted
 
         # PI step-size control (plain I control after a rejection); a step
         # right after a rejection may not grow
-        grow = err**_ALPHA
-        pi = grow / err_prev**_BETA
-        fac = (pi if whole else np.where(ok, pi, grow)) / _SAFE
-        h = hs / np.minimum(np.maximum(fac, 1.0 / _FAC_MAX), 1.0 / _FAC_MIN)
-        h = np.where(rejected if whole else ok & rejected, np.minimum(h, hs), h)
-        if not whole and ((t + h == t) & ~ok).any():
+        grow = _power(err, _ALPHA)
+        fac = _divide(grow, _power(err_prev, _BETA))
+        if not whole:
+            fac = np.where(ok, fac, grow)
+        _divide(fac, _SAFE, fac)
+        np.minimum(np.maximum(fac, _FAC_LO, out=fac), _FAC_HI, out=fac)
+        h = _divide(hs, fac, fac)
+        if rejected is not None:
+            h = np.where(rejected if whole else ok & rejected, np.minimum(h, hs), h)
+        rejected = None if whole else ~ok
+        if not whole and ((t + h == t) & rejected).any():
             raise IntegrationDivergedError("step size too small to advance time")
-        rejected = ~ok
 
         if accepted:
-            # a pass that accepts every row takes views, not gathered copies
-            acc = slice(None) if whole else ok.nonzero()[0]
-            Ya = Y[acc]
+            # a pass that accepts every row takes its arrays whole
+            if whole:
+                Ya, ka, ba, sb, sr = Y, K[6], _stable_step(ws.sums), s, s_ref
+            else:
+                acc = ok.nonzero()[0]
+                Ya, ka, ba = Y[acc], K[6][acc], _stable_step(ws.sums)[acc]
+                sb, sr = s[acc], s_ref[acc]
             Fa = _clamp_batch(Ya, stats)
-            ka = K[6][acc]
-            ba = _stable_step(ws.sums)[acc]
             if Fa is not Ya:
                 # the clamp moved these rows: their last stage and bound are
                 # stale (the stage is renewed on a copy, since the dense
@@ -477,30 +512,34 @@ def _integrate_batch(
                 ka[touched] = _rhs_batch(Fa[touched], sums=sums)
                 ba[touched] = _stable_step(sums)
                 stats.rhs_evals += touched.size
-            sa = Fa.copy(order="C").sum(axis=1)
-            moved = float(np.abs(sa - s[acc]).max())
+            sa = _add.reduce(Fa.copy(order="C"), 1)
+            moved = float(np.maximum.reduce(_absolute(_subtract(sa, sb))))
             if moved > _DRIFT_TOL:
                 raise ConsistencyError(f"density drift {moved!r} in a single step")
-            total = np.abs(sa - s_ref[rows[acc]])
+            total = _absolute(_subtract(sa, sr))
             if record is not None:
-                a = ok.nonzero()[0]
-                record(rows[a], t[a], hs[a], F[a], Y[a], K[:, a])
-            # the next pass overwrites K, so k1 takes a copy
-            ws.k1[acc] = ka
+                if whole:
+                    record(rows.copy(), t.copy(), hs.copy(), F.copy(), Y.copy(), K.copy())
+                else:
+                    record(rows[acc], t[acc], hs[acc], F[acc], Y[acc], K[:, acc])
             if whole:
-                # every row advanced: the new arrays replace the old ones
+                # every row advanced: the new arrays replace the old ones;
+                # the next pass overwrites K, so k1 takes a copy
+                ws.k1[...] = ka
                 F, bound, s = Fa, ba, sa
                 t = np.where(last, t_final, t + hs)
-                err_prev = np.maximum(err, 1e-4)
-                drift = np.maximum(drift, total)
+                err_prev = np.maximum(err, _ERR_MIN, out=err)
+                drift = np.maximum(drift, total, out=total)
+                steps += 1
             else:
+                ws.k1[acc] = ka
                 F[acc], bound[acc], s[acc] = Fa, ba, sa
                 t[acc] = np.where(last[acc], t_final[acc], t[acc] + hs[acc])
-                err_prev[acc] = np.maximum(err[acc], 1e-4)
+                err_prev[acc] = np.maximum(err[acc], _ERR_MIN)
                 drift[acc] = np.maximum(drift[acc], total)
-            steps[acc] += 1
-        steady = np.abs(ws.k1, out=ws.sq).sum(axis=1) < steady_tol
-        leave = steady | (ok & last)
+                steps[acc] += 1
+        steady = _less(_add.reduce(_absolute(ws.k1, ws.sq), 1), steady_tol)
+        leave = steady | (last if whole else ok & last)
     stats.max_drift = max(stats.max_drift, float(drift_out.max(initial=0.0)))
     return F_out, conv_out, steps_out, t_out, D_out, drift_out
 

@@ -449,6 +449,52 @@ class TestConservationPolicy:
             one_step(st, 0.01)
 
 
+class TestDivergence:
+    """The loop's own errors on a vector field gone wrong, through a hook on its field."""
+
+    @staticmethod
+    def poison(monkeypatch, after, row, value):
+        """From its call number after on, the field's row row reads value in every class."""
+        calls = []
+        exact = dynamics._rhs_batch
+
+        def poisoned(F, **buffers):
+            calls.append(None)
+            out = exact(F, **buffers)
+            if len(calls) >= after:
+                out[row] = value
+            return out
+
+        monkeypatch.setattr(dynamics, "_rhs_batch", poisoned)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_a_non_finite_stage_raises(self, monkeypatch, m, value):
+        # the 10th call, the second pass's fourth stage, puts a non-finite
+        # value in row 0; the other rows accept that pass, as they do
+        # without the hook, so the check runs on a pass that rejects one row
+        F0 = random_state_batch(5, 0.6, m, seed=8)
+        seen = []
+        dynamics._integrate_batch(F0, 0.01, 0.1, 0.0, record=lambda rows, *_: seen.append(rows))
+        assert len(seen) >= 2 and seen[1].tolist() == list(range(m))
+        self.poison(monkeypatch, 10, 0, value)
+        with pytest.raises(IntegrationDivergedError, match="non-finite values in trajectory"):
+            dynamics._integrate_batch(F0, 0.01, 0.1, 0.0)
+
+    def test_a_step_that_cannot_advance_time_raises(self, monkeypatch):
+        # from the third pass on every stage after the first is 1e100 in
+        # every class: finite, but the error estimate h e_1 (k1 - 1e100)
+        # stays over a thousand times the weights _ATOL + _RTOL |y| at
+        # any step, so every attempt is rejected and the step shrinks by
+        # five each pass until t + h == t
+        F0 = random_state_batch(5, 0.6, 1, seed=8)
+        self.poison(monkeypatch, 14, 0, 1e100)
+        stats = BatchStats()
+        with pytest.raises(IntegrationDivergedError, match="step size too small to advance time"):
+            dynamics._integrate_batch(F0, 0.01, 10.0, 0.0, stats)
+        assert stats.accepted == 2 and stats.rejected > 10
+
+
 class TestWorkCounts:
     @pytest.fixture
     def rhs_rows(self, monkeypatch):
@@ -545,8 +591,13 @@ class TestWorkCounts:
 
 
 class TestPairProperties:
-    @given(st.integers(2, 40), st.lists(DENSITIES, min_size=2, max_size=5), st.integers(0, 2**30))
+    @given(st.integers(2, 200), st.lists(DENSITIES, min_size=2, max_size=5), st.integers(0, 2**30))
+    @example(2, EDGES, 0)
+    @example(200, EDGES, 1)
     def test_batch_equals_rows_in_any_order(self, n, rhos, seed):
+        # each row alone is also the run whose clamp and drift monitors
+        # the conservation property below reads, so that one runs only
+        # its trajectory
         config = IntegrationConfig(dt=0.05, t_final=20.0)
         F0 = np.concatenate(
             [random_state_batch(n, r, 1, seed=seed + i) for i, r in enumerate(rhos)]
@@ -558,6 +609,8 @@ class TestPairProperties:
             alone, conv_a, steps_a, stats_a = integrate_batch(F0[i : i + 1], config)
             assert np.all(alone[0] == F[j])
             assert conv_a[0] == conv[j] and steps_a[0] == steps[j]
+            assert stats_a.min_preclamp >= -1e-12
+            assert stats_a.max_drift <= 1e-13 * max(1, int(steps_a[0]))
             counts += (stats_a.rhs_evals, stats_a.accepted, stats_a.rejected)
         assert tuple(counts) == (stats.rhs_evals, stats.accepted, stats.rejected)
 
@@ -603,16 +656,17 @@ class TestPairProperties:
         assert tuple(counts) == (stats.rhs_evals, stats.accepted, stats.rejected)
         assert stats.max_drift == batch[-1].max()
 
-    @given(st.integers(2, 40), DENSITIES, st.integers(0, 2**30))
+    @given(st.integers(2, 200), DENSITIES, st.integers(0, 2**30))
+    @example(2, HALF_UP, 0)
+    @example(200, 1.0, 1)
     def test_conservation_and_positivity_along_the_loop(self, n, rho, seed):
+        # the loop's own clamp and drift monitors are read on every row of
+        # test_batch_equals_rows_in_any_order, which runs each row alone
         start = random_state(n, rho, seed=seed)
         config = IntegrationConfig(dt=0.1, t_final=30.0)
         times, samples, _ = run_trajectory(start, config)
         assert samples.min() >= 0.0
         assert np.abs(samples.sum(axis=1) - start.sum()).max() <= 1e-13
-        _, _, steps, stats = integrate_batch(start[None, :], config)
-        assert stats.min_preclamp >= -1e-12
-        assert stats.max_drift <= 1e-13 * max(1, int(steps[0]))
 
     @given(st.integers(2, 40), DENSITIES, st.integers(0, 2**30))
     @example(2, 0.5, 1)
@@ -741,7 +795,7 @@ class TestPass:
         tables = (*dynamics._A, dynamics._E, dynamics._D)
         stacked = (*dynamics._A_W, dynamics._E_W, dynamics._D_W)
         for weights, w in zip(tables, stacked):
-            assert same_bits(dynamics._combine(w, K), combine_oracle(weights, K))
+            assert same_bits(dynamics._combine(w, K[: len(w)]), combine_oracle(weights, K))
 
     @given(
         st.integers(2, 40),
