@@ -22,6 +22,7 @@ from .diagrams import (
     UNITS_DIMENSIONLESS,
     UNITS_PHYSICAL,
     V_MAX,
+    _SWEEP_CONFIG,
     build_grid,
     rescale_dimensional,
     sweep,
@@ -38,7 +39,6 @@ from .lattice import _check_n, _check_states
 from .serialize import (
     diagram_csv,
     diagram_json,
-    diagram_numbers,
     diagram_svg,
     equilibrium_json,
     fmt15,
@@ -127,7 +127,7 @@ def _cmd_equilibrium(args) -> int:
 def _cmd_diagram(args) -> int:
     _check_n(args.n)
     grid = build_grid(args.rho_steps)
-    config = IntegrationConfig(dt=args.dt, t_final=args.t_final)
+    config = replace(_SWEEP_CONFIG, dt=args.dt, t_final=args.t_final)
     diagram = sweep(args.n, grid, args.method, config)
     flagged = int(np.count_nonzero(~diagram.converged))
     if args.units == UNITS_PHYSICAL:
@@ -139,15 +139,11 @@ def _cmd_diagram(args) -> int:
     print(f"sigma={fmt15(diagram.sigma)} q_max={fmt15(diagram.q_max)}")
     if flagged:
         print(f"unconverged points: {flagged} (kept, marked in the JSON output)")
-    # one %.15g pass serves both text writers
-    numbers = diagram_numbers(diagram) if args.out_csv or args.out_json else None
     for opt, write in (
-        (args.out_csv, lambda: diagram_csv(diagram, numbers)),
-        (args.out_json, lambda: diagram_json(diagram, numbers)),
-        (args.out_svg, lambda: diagram_svg(diagram)),
+        (args.out_csv, diagram_csv), (args.out_json, diagram_json), (args.out_svg, diagram_svg)
     ):
         if opt:
-            _write(opt, [write()])
+            _write(opt, [write(diagram)])
             print(f"wrote {opt}")
     return EXIT_OK
 
@@ -165,18 +161,23 @@ def _cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kinetic-traffic", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    # each default is the library's own, written out with :g
+    traj, relax = IntegrationConfig(), _SWEEP_CONFIG
 
     p = sub.add_parser("simulate", help="integrate one initial state to steady flow")
     _add_model_args(p)
     # the one command that reports a time, so the one that takes the clock
     p.add_argument("--eta0", type=float, default=1.0, help="interaction rate slope (default 1)")
-    p.add_argument("--t-final", type=float, default=200.0, help="time horizon (default 200)")
+    p.add_argument(
+        "--t-final", type=float, default=traj.t_final,
+        help=f"time horizon (default {traj.t_final:g})",
+    )
     p.add_argument(
         "--dt",
         type=float,
-        default=0.01,
+        default=traj.dt,
         help="first trial step and sample spacing; later steps are error-controlled "
-        "(default 0.01)",
+        f"(default {traj.dt:g})",
     )
     p.add_argument(
         "--seed",
@@ -185,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample a random initial split with this seed (default: uniform split)",
     )
     p.add_argument(
-        "--record-stride", type=int, default=1, help="keep every k-th sample (default 1)"
+        "--record-stride", type=int, default=traj.record_stride,
+        help=f"keep every k-th sample (default {traj.record_stride:g})",
     )
     p.add_argument("--out-csv", help="write the trajectory as CSV")
     p.set_defaults(func=_cmd_simulate)
@@ -215,16 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--t-final",
         type=float,
-        default=4000.0,
-        help="horizon per point for --method integrate (default 4000); "
+        default=relax.t_final,
+        help=f"horizon per point for --method integrate (default {relax.t_final:g}); "
         "no byte of the closed form's output depends on it",
     )
     p.add_argument(
         "--dt",
         type=float,
-        default=0.02,
+        default=relax.dt,
         help="first trial step for --method integrate; later steps are error-controlled "
-        "(default 0.02); no byte of the closed form's output depends on it",
+        f"(default {relax.dt:g}); no byte of the closed form's output depends on it",
     )
     p.add_argument(
         "--units",

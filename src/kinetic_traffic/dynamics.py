@@ -135,7 +135,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -284,19 +284,16 @@ class BatchStats:
     rejected: int = 0
 
 
-def _dp_step(F, h, k1, ws=None):
+def _dp_step(F, h, ws):
     """One Dormand-Prince attempt from every row of F with steps h (a column).
 
-    Returns the fifth-order solution Y, a new array, and the seven stages
-    K, shape (7, m, n), and running sums of Y in the buffers of ws, a
-    _Workspace of F's shape with the weights _PASS_W (a new one if not
-    given); K[6] is the derivative at Y, and ws.step holds h in every
-    column until the next call.  k1 may be ws.k1 itself.
+    ws is a _Workspace of F's shape with the weights _PASS_W, whose first
+    stage ws.k1 the caller has set to the derivative at F.  Returns the
+    fifth-order solution Y, a new array, and leaves the seven stages in
+    ws.K, shape (7, m, n), K[6] the derivative at Y, the running sums of
+    Y in ws.sums, and h in every column of ws.step, until the next call.
     """
-    ws = ws or _Workspace(*F.shape, _PASS_W)
     stages, acc, step = ws.stages, ws.acc, ws.step
-    if k1 is not ws.k1:
-        ws.k1[...] = k1
     step[...] = h
     # _rhs_batch is this module's name, so a hook set here sees every
     # stage; a hook's result that is not the stage buffer is copied in
@@ -305,26 +302,24 @@ def _dp_step(F, h, k1, ws=None):
         k = _rhs_batch(Y, out=stages[i], sums=ws.sums)
         if k is not stages[i]:
             stages[i][...] = k
-    return Y, ws.K, ws.sums[-1]
+    return Y
 
 
-def _dense(F, Y, K, h, at, theta, x=None):
+def _dense(F, Y, K, h, at, theta, x):
     """Fourth-order continuous extension of the steps F -> Y.
 
     Sample i lies in step at[i], at the fraction theta[i] of it (theta is
     a column).  The coefficients are formed once per step and gathered per
     sample, _DENSE_BLOCK values at a time into one reused buffer.  Each
     block of F + theta (dy + (1 - theta) (b + theta (c + (1 - theta) d)))
-    is evaluated from the inside out in its rows of the returned array x,
-    one operation at a time in the order of the nested expression; x is
-    a new array unless a C-contiguous (samples, n) one is given.
+    is evaluated from the inside out in its rows of x, a C-contiguous
+    (samples, n) array, one operation at a time in the order of the nested
+    expression; returns x.
     """
     dy = Y - F
     b = h * K[0] - dy
     c = dy - h * K[6] - b
     d = h * _combine(_D_W, K)
-    if x is None:
-        x = np.empty((at.size, F.shape[1]))
     size = max(1, _DENSE_BLOCK // F.shape[1])
     buf = np.empty((min(size, at.size), F.shape[1]))
     for lo in range(0, at.size, size):
@@ -428,7 +423,7 @@ def _integrate_batch(
     stats.rhs_evals += m
     t = np.zeros(m)
     h = np.full(m, dt, dtype=float)
-    err_prev = np.full(m, 1e-4)
+    err_prev = np.full(m, _ERR_MIN)
     rejected = None
     steps = np.zeros(m, dtype=int)
     s_ref = F.copy(order="C").sum(axis=1)
@@ -460,7 +455,7 @@ def _integrate_batch(
         h = np.minimum(h, bound)
         last = t + h >= t_final
         hs = np.where(last, t_final - t, h)
-        Y, K, _ = _dp_step(F, hs[:, None], ws.k1, ws)
+        Y, K = _dp_step(F, hs[:, None], ws), ws.K
         stats.rhs_evals += 6 * rows.size
         E = _combine(ws.weights[6], ws.prefixes[6], ws.prods[6], ws.acc)
         _multiply(ws.step, E, E)
@@ -641,7 +636,7 @@ def observables(f: np.ndarray) -> Observables:
     return Observables(rho=float(rho[0]), q=float(q[0]), u=float(u[0]))
 
 
-def continuity_gap(F0, G0, tau: float, config: IntegrationConfig | None = None):
+def continuity_gap(F0, G0, tau: float):
     """A priori distance bounds between same-density trajectories, one pair per row.
 
     Evolves the pairs (F0[i], G0[i]), as one batch, to the time tau and
@@ -656,8 +651,8 @@ def continuity_gap(F0, G0, tau: float, config: IntegrationConfig | None = None):
     Args:
         F0, G0: batches of the same shape under the state rule
             (lattice._check_states), each pair of equal density (within 1e-12).
-        tau: comparison time, refused by IntegrationConfig as a horizon.
-        config: optional stepper settings; dt is the first trial step.
+        tau: comparison time, refused by IntegrationConfig as a horizon;
+            the pairs are stepped from IntegrationConfig's default dt.
 
     Returns:
         (gaps, bounds), one value per pair.
@@ -667,7 +662,7 @@ def continuity_gap(F0, G0, tau: float, config: IntegrationConfig | None = None):
         raise ValueError(f"pairs need batches of one shape, got {F0.shape} and {G0.shape}")
     rows = _continuity_rows(F0, G0)
     # no steady exit, so every row reaches tau
-    config = replace(config or IntegrationConfig(), t_final=tau, steady_tol=0.0)
+    config = IntegrationConfig(t_final=tau, steady_tol=0.0)
     F, _, _, _, D, _ = _integrate_batch(rows, config.dt, config.t_final, config.steady_tol)
     return _continuity_bounds(F0, G0, F, D, config.t_final)
 

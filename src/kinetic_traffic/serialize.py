@@ -18,9 +18,9 @@ filled in by one % (_records): json.dumps would use repr, which
 switches digit counts from value to value.  Distinct strings (phases,
 rules) are encoded once per document and enter a template with
 every % doubled.  The diagram writers read the Diagram's columns: the
-CSV and the JSON can share one formatting of their numbers
-(diagram_numbers), and the SVG maps each panel's ticks and points with
-numpy.
+CSV and the JSON share one formatting of a diagram's numbers, kept
+while the diagram lives (_diagram_numbers), and the SVG maps each
+panel's ticks and points with numpy.
 
 The trajectory table comes as text blocks of at most _TABLE_BLOCK
 values, made one at a time as the caller writes them, so neither its
@@ -73,6 +73,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import weakref
 from collections.abc import Callable, Iterator
 
 import numpy as np
@@ -85,7 +86,6 @@ __all__ = [
     "fmt15",
     "texts15",
     "trajectory_csv",
-    "diagram_numbers",
     "diagram_csv",
     "diagram_json",
     "equilibrium_json",
@@ -328,23 +328,26 @@ def trajectory_csv(times: np.ndarray, samples: np.ndarray) -> _Blocks:
     return _Blocks(blocks)
 
 
-def diagram_numbers(diagram: Diagram) -> tuple[list[str], list[str]]:
-    """rho, q and u of every point as texts15 writes them, point by point.
-
-    diagram_csv and diagram_json take it as numbers, so both can share one.
-    """
-    return texts15(np.column_stack((diagram.rho, diagram.q, diagram.u)))
+# each diagram's numbers while it lives: a Diagram is frozen and hashes by identity
+_NUMBERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def diagram_csv(diagram: Diagram, numbers: tuple[list[str], list[str]] | None = None) -> str:
-    texts, _ = diagram_numbers(diagram) if numbers is None else numbers
+def _diagram_numbers(diagram: Diagram) -> tuple[list[str], list[str]]:
+    """rho, q and u of every point as texts15 writes them, point by point, once per diagram."""
+    if diagram not in _NUMBERS:
+        _NUMBERS[diagram] = texts15(np.column_stack((diagram.rho, diagram.q, diagram.u)))
+    return _NUMBERS[diagram]
+
+
+def diagram_csv(diagram: Diagram) -> str:
+    texts, _ = _diagram_numbers(diagram)
     templates = {p: "%s,%s,%s," + p.replace("%", "%%") for p in set(diagram.phase)}
     rows = _records(templates, diagram.phase, texts, "\n")
     return "rho,q,u,phase\n" + rows + "\n"
 
 
-def diagram_json(diagram: Diagram, numbers: tuple[list[str], list[str]] | None = None) -> str:
-    _, texts = diagram_numbers(diagram) if numbers is None else numbers
+def diagram_json(diagram: Diagram) -> str:
+    _, texts = _diagram_numbers(diagram)
     keys = list(zip(diagram.phase, diagram.converged.tolist()))
     templates = {
         (phase, conv): '{"rho": %s, "q": %s, "u": %s, "phase": '

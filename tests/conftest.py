@@ -358,13 +358,13 @@ def growth_bound_reference(tau, dist):
         return math.nextafter(out, math.inf) if decimal.Decimal(out) < exact else out
 
 
-def continuity_gap_reference(F0, G0, tau, config=None):
+def continuity_gap_reference(F0, G0, tau):
     """The growth estimate of the pairs (F0[i], G0[i]), stepped by the reference loop.
 
     Returns the gaps and the bounds as arrays, the bounds by
     growth_bound_reference, one pair at a time.
     """
-    dt = (config or IntegrationConfig()).dt
+    dt = IntegrationConfig().dt
     F, _, _, _, D, _ = integrate_batch_reference(np.concatenate([F0, G0]), dt, tau, 0.0)
     f, g = slice(len(F0)), slice(len(F0), None)
     gaps = np.array([

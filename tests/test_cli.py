@@ -39,7 +39,7 @@ from kinetic_traffic import (
 from kinetic_traffic.cli import main
 from kinetic_traffic.dynamics import random_state, random_state_batch, run_trajectory
 from kinetic_traffic.serialize import _TABLE_BLOCK, trajectory_csv
-from kinetic_traffic import dynamics, verify
+from kinetic_traffic import dynamics, serialize, verify
 from kinetic_traffic.verify import _check_attractivity, _check_uniqueness, _step, run_suite
 
 
@@ -341,6 +341,21 @@ class TestDiagram:
         payload = json.loads(out_file.read_text())
         assert payload["sigma"] == 100.0
         assert payload["q_max"] == 10000.0
+
+    def test_csv_and_json_format_the_points_once(self, capsys, tmp_path, monkeypatch):
+        # the two text writers share one texts15 call over rho, q and u;
+        # the JSON's sigma and q_max take the other
+        shapes = []
+        texts15 = serialize.texts15
+        monkeypatch.setattr(
+            serialize, "texts15", lambda v: shapes.append(np.shape(v)) or texts15(v)
+        )
+        code, _, _ = run_cli(
+            capsys, "diagram", "--n", "6", "--rho-steps", "101",
+            "--out-csv", str(tmp_path / "d.csv"), "--out-json", str(tmp_path / "d.json"),
+        )
+        assert code == 0
+        assert shapes == [(101, 3), (2,)]
 
 
 class TestColumnarResults:

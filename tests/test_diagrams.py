@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -598,6 +599,20 @@ class TestWriters:
         (values,) = calls
         bits = np.array(values, np.float64).view(np.int64)
         assert len(set(bits.tolist())) == len(values) < 20
+
+    def test_a_diagram_keeps_its_numbers_and_nothing_keeps_the_diagram(self, monkeypatch):
+        # the CSV and the JSON share one formatting of the points, made on
+        # first use, and the shared numbers hold no reference to the diagram
+        calls = []
+        texts15 = serialize.texts15
+        monkeypatch.setattr(serialize, "texts15", lambda v: calls.append(np.shape(v)) or texts15(v))
+        d = sweep(3, build_grid(11))
+        for write in (diagram_json, diagram_csv, diagram_json, diagram_csv):
+            write(d)
+        assert calls == [(11, 3), (2,), (2,)]
+        gone = weakref.ref(d)
+        del d
+        assert gone() is None
 
     def test_svg_is_wellformed_with_two_curves(self):
         d = sweep(3, build_grid(26))

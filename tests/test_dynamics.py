@@ -81,6 +81,17 @@ def one_step(f, dt):
     return integrate_batch(f[None, :], config)[0][0]
 
 
+def dp_pass(F, h, ws=None):
+    """One _dp_step from the rows of F on ws, a new workspace if not given.
+
+    The first stage is set from _rhs_batch, as the loop keeps it.  Returns
+    Y, and the stages and the running sums of Y that the pass leaves in ws.
+    """
+    ws = ws or dynamics._Workspace(*F.shape, dynamics._PASS_W)
+    ws.k1[...] = dynamics._rhs_batch(F)
+    return dynamics._dp_step(F, h, ws), ws.K, ws.sums[-1]
+
+
 HALF_DOWN, HALF_UP = math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
 EDGES = [0.0, HALF_DOWN, 0.5, HALF_UP, 1.0]
 
@@ -182,7 +193,7 @@ class TestStepper:
         """
         F = random_state(4, 0.6, seed=5)[None, :]
         for _ in range(round(2.0 / h)):
-            Y, K, _ = dynamics._dp_step(F, h, dynamics._rhs_batch(F))
+            Y, K, _ = dp_pass(F, h)
             F = Y - h * sum(e * k for e, k in zip(dynamics._E, K)) if embedded else Y
         return F[0]
 
@@ -752,7 +763,7 @@ class TestPass:
         h = rng.uniform(1e-3, 4.0, (F.shape[0], 1))
         k1 = dynamics._rhs_batch(F)
         assert same_bits(k1, rhs_batch_oracle(F))
-        Y, K, C = dynamics._dp_step(F, h, k1)
+        Y, K, C = dp_pass(F, h)
         Y_ref, K_ref = dp_step_oracle(F, h, k1)
         assert same_bits(Y, Y_ref)
         assert len(K) == len(K_ref) == 7
@@ -775,8 +786,8 @@ class TestPass:
             F[rng.random(F.shape) < 0.2] = 0.0
             h = rng.uniform(1e-3, 4.0, (m, 1))
             k1 = dynamics._rhs_batch(F)
-            Y, K, C = (x.copy() for x in dynamics._dp_step(F, h, k1, ws))
-            Y_new, K_new, C_new = dynamics._dp_step(F, h, k1)
+            Y, K, C = (x.copy() for x in dp_pass(F, h, ws))
+            Y_new, K_new, C_new = dp_pass(F, h)
             Y_ref, K_ref = dp_step_oracle(F, h, k1)
             assert same_bits(Y, Y_new) and same_bits(Y, Y_ref) and same_bits(C, C_new)
             assert all(
@@ -855,7 +866,7 @@ class TestPass:
         h = rng.uniform(1e-3, 4.0, (steps, 1))
         at = np.sort(rng.integers(0, steps, samples))
         theta = rng.random((samples, 1))
-        got = dynamics._dense(F, Y, K, h, at, theta)
+        got = dynamics._dense(F, Y, K, h, at, theta, np.empty((samples, n)))
         want = dense_oracle(F[at], Y[at], [k[at] for k in K], h[at], theta)
         assert same_bits(got, want)
 
@@ -891,7 +902,7 @@ class TestPass:
                 gathered.append(stats[-1].rejected > rejected_before[-1])
                 theta = ((t + h / 2 - t) / h)[:, None]
                 at = np.arange(rows.size)
-                dense = dynamics._dense(F, Y, K, h[:, None], at, theta)
+                dense = dynamics._dense(F, Y, K, h[:, None], at, theta, np.empty(F.shape))
                 for r, f in zip(rows, dynamics._clamp_batch(dense, stats[-1])):
                     mid[r].append(f)
 
@@ -1168,6 +1179,14 @@ class TestContinuity:
         b = np.array([[0.3, 0.1]])
         with pytest.raises(ValueError):
             continuity_gap(a, b, 0.0)
+
+    def test_takes_no_config(self):
+        # the pairs run from IntegrationConfig's first step to tau with no
+        # steady exit, so no setting is left to the caller
+        a = np.array([[0.2, 0.2]])
+        b = np.array([[0.3, 0.1]])
+        with pytest.raises(TypeError):
+            continuity_gap(a, b, 1.0, IntegrationConfig())
 
 
 class TestRandomStates:

@@ -203,8 +203,8 @@ TAKES_STATES = {
     "stability_report": (1, stability_report),
     "jacobian": (1, jacobian),
     "integrate_batch": (2, lambda F: integrate_batch(F, SHORT)),
-    "continuity_gap-F0": (2, lambda F: continuity_gap(F, PARTNER, 0.1, SHORT)),
-    "continuity_gap-G0": (2, lambda F: continuity_gap(PARTNER, F, 0.1, SHORT)),
+    "continuity_gap-F0": (2, lambda F: continuity_gap(F, PARTNER, 0.1)),
+    "continuity_gap-G0": (2, lambda F: continuity_gap(PARTNER, F, 0.1)),
 }
 # a bad state and its message, alone or as the middle row of a batch
 BAD_STATES = {
