@@ -645,8 +645,12 @@ def continuity_gap(F0, G0, tau: float):
         gap = |g(tau) - f(tau)|_1 + |g'(tau) - f'(tau)|_1,
 
     which the well-posedness estimate of the model bounds by
-    4 exp(3 tau) |g0 - f0|_1.  Rows never interact, so each pair's gap and
-    bound are bit for bit those of the pair alone.
+    4 exp(3 tau) |g0 - f0|_1, as a float: inf where it overflows (tau
+    above about 236.13), 0 for identical starts.  Rows never interact, so
+    each pair's gap and bound are bit for bit those of the pair alone.
+    At density rho, |g - f|_1 <= |g|_1 + |f|_1 = 2 rho, and class j loses
+    rho f_j times the density it meets (at most rho) to the others, so
+    |f'|_1 <= 2 rho^3: no gap exceeds 2 rho + 4 rho^3 <= 6.
 
     Args:
         F0, G0: batches of the same shape under the state rule
@@ -685,44 +689,20 @@ def _continuity_rows(F0, G0):
 
 
 def _continuity_bounds(F0, G0, F, D, tau):
-    """Each pair's gap |g - f|_1 + |g' - f'|_1 at the time tau, and its bound.
+    """Each pair's gap at the time tau, at most 2 rho + 4 rho^3, and its float bound.
 
-    The bound is 4 exp(3 tau) |g0 - f0|_1.  F and D are the states at tau
-    and their derivatives, of the rows of _continuity_rows in its order.
-    Where the float product overflows (tau above about 236), the bound
-    is _bound_above's instead.
+    F and D are the states at tau and their derivatives, of the rows of
+    _continuity_rows in its order.  The bound 4 exp(3 tau) |g0 - f0|_1 is
+    inf where the float overflows and 0 for identical starts.
     """
     f, g = slice(len(F0)), slice(len(F0), None)
     gap = np.abs(F[g] - F[f]).sum(axis=1) + np.abs(D[g] - D[f]).sum(axis=1)
     dist = np.abs(G0 - F0).sum(axis=1)
-    try:
-        grow = 4.0 * math.exp(3.0 * tau)
-    except OverflowError:
-        grow = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = grow * dist
-    over = ~np.isfinite(bound)
-    bound[over] = [_bound_above(tau, d) for d in dist[over].tolist()]
+    # 4 exp(709) is past the largest float, and math.exp raises past 709.78
+    grow = 4.0 * math.exp(min(3.0 * tau, 709.0))
+    with np.errstate(over="ignore"):
+        bound = np.multiply(grow, dist, out=np.zeros_like(dist), where=dist > 0.0)
     return gap, bound
-
-
-def _bound_above(tau: float, dist: float) -> float:
-    """4 exp(3 tau) dist rounded up to a float: 0 if dist is, inf only past the largest float.
-
-    At 60 digits the products round up and exp to nearest, so widening by
-    1e-50 bounds the exact value from above; its nearest float is stepped
-    up one ulp if it falls below (inf also within 1e-50 of the largest float).
-    """
-    if dist == 0.0:
-        return 0.0
-    import decimal  # the overflow case only, so no run pays the import
-
-    ctx = decimal.Context(prec=60, rounding=decimal.ROUND_CEILING, traps=[])
-    with decimal.localcontext(ctx):
-        exact = 4 * (3 * decimal.Decimal(tau)).exp() * decimal.Decimal(dist)
-        hi = exact * (1 + decimal.Decimal("1e-50"))
-    out = float(hi)
-    return math.nextafter(out, math.inf) if decimal.Decimal(out) < hi else out
 
 
 def random_state(n: int, rho: float, seed: int = DEFAULT_SEED) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Relaxation dynamics: vector field, stepper, trajectories."""
 
 import dataclasses
-import decimal
 import math
 
 import numpy as np
@@ -1113,17 +1112,41 @@ class TestContinuity:
         # 4 exp(900) |g0 - f0|_1 exceeds the largest float for every drawn pair
         assert np.all(bounds[:-1] == math.inf)
 
-    @pytest.mark.parametrize("tau", [236.2, 236.6, 300.0, 480.0])
+    @given(st.integers(2, 12), DENSITIES, st.integers(0, 2**30))
+    @example(40, 0.5, 0)
+    @example(2, 0.0, 1)
+    @example(6, 0.5, 2)
+    @example(12, 1.0, 3)
+    def test_gap_never_exceeds_the_ceiling(self, n, rho, seed):
+        # no gap exceeds 2 rho + 4 rho^3 (continuity_gap): two drawn pairs
+        # and the extreme one, all mass in class 1 against all in class n.
+        # The states at tau are clamped, so nonnegative, and their
+        # derivatives are taken there; a row's 1-norm is its density, off
+        # rho by at most the 1e-13 drift the conservation property allows,
+        # which moves the ceiling by at most 16 drifts, and the cumulative
+        # sums and 1-norms round by at most n ulps each, n^2 over a row
+        starts = random_state_batch(n, rho, 4, seed=seed)
+        extreme = np.zeros((2, n))
+        extreme[0, 0] = extreme[1, -1] = rho
+        F0, G0 = np.vstack([starts[:2], extreme[:1]]), np.vstack([starts[2:], extreme[1:]])
+        ceiling = 2 * rho + 4 * rho**3
+        slack = 16 * 1e-13 + n * n * np.finfo(float).eps * ceiling
+        for tau in (1e-4, 5.0, 300.0):
+            gaps, _ = continuity_gap(F0, G0, tau)
+            assert gaps.max() <= ceiling + slack, f"n={n} rho={rho} tau={tau}: {gaps}"
+
+    @pytest.mark.parametrize("tau", [236.1, 236.2, 236.6, 300.0, 480.0])
     def test_bound_past_the_float_overflow(self, tau):
-        # a pair one subnormal apart, whose exact bound stays finite past
-        # the overflow of 4 exp(3 tau): the bound is no smaller than it,
-        # and the next float down is, checked at 100 digits
-        f0, g0 = np.array([[0.0, 0.4]]), np.array([[5e-324, 0.4]])
-        bound = float(continuity_gap(f0, g0, tau)[1][0])
-        with decimal.localcontext(decimal.Context(prec=100)):
-            exact = 4 * (3 * decimal.Decimal(tau)).exp() * decimal.Decimal(5e-324)
-            assert decimal.Decimal(math.nextafter(bound, 0.0)) < exact <= decimal.Decimal(bound)
-        assert [x.tolist() for x in continuity_gap(f0, f0, tau)] == [[0.0], [0.0]]
+        # pairs one subnormal apart, 1.6 apart and identical: 4 exp(3 tau)
+        # is finite up to tau = 236.13, where only the far pair's product
+        # overflows; past it every pair that is apart has the bound inf,
+        # and at every tau the identical pair has 0 (an overflow warning
+        # would fail the test)
+        F0 = np.array([[0.0, 0.4], [0.0, 0.8], [0.3, 0.3]])
+        G0 = np.array([[5e-324, 0.4], [0.8, 0.0], [0.3, 0.3]])
+        bounds = continuity_gap(F0, G0, tau)[1].tolist()
+        near = 4.0 * math.exp(3.0 * tau) * 5e-324 if tau < 236.13 else math.inf
+        assert bounds == [near, math.inf, 0.0]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 40])
     def test_batched_core_matches_one_pair_calls(self, continuity_gap_oracle, n):
@@ -1131,15 +1154,15 @@ class TestContinuity:
             [random_state_batch(n, rho, 4, seed=50 + n) for rho in (0.05, 0.3, 0.5, 0.7, 0.95)]
         )
         # and a pair one subnormal apart and an identical pair, whose bounds
-        # stay finite past the float overflow of 4 exp(3 t)
+        # are inf and 0 past the float overflow of 4 exp(3 t)
         f = starts[0].copy()
         f[-1] += f[0]
         f[0] = 0.0
         g = f.copy()
         g[0] = 5e-324
         F0, G0 = np.vstack([starts[0::2], f, f]), np.vstack([starts[1::2], g, f])
-        # at t = 300 the oracle's bound is the exact value rounded up; it
-        # runs at three widths only, about 0.3 s each
+        # t = 300 is past that overflow; it runs at three widths only,
+        # about 0.3 s each
         long = (300.0,) if n in (2, 6, 40) else ()
         for t in (0.5, 1.0, 2.0, 5.0, *long):
             gaps, bounds = continuity_gap(F0, G0, t)
