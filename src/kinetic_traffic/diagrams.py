@@ -114,7 +114,7 @@ class Diagram:
                          self.phase, self.converged.tolist()))
 
 
-def build_grid(steps: int = 201) -> np.ndarray:
+def build_grid(steps: int) -> np.ndarray:
     """Uniform density grid on [0, 1] with the critical point inserted.
 
     The flux has a kink at density 1/2; sampling it exactly keeps the
@@ -130,7 +130,7 @@ def build_grid(steps: int = 201) -> np.ndarray:
 
 def sweep(
     n: int,
-    grid: np.ndarray | None = None,
+    grid: np.ndarray,
     method: str = METHOD_RECURSIVE,
     config: IntegrationConfig | None = None,
 ) -> Diagram:
@@ -138,7 +138,7 @@ def sweep(
 
     Args:
         n: number of speed classes, at least 2.
-        grid: densities to sample; defaults to build_grid().
+        grid: densities to sample, strictly increasing in [0, 1].
         method: "recursive" evaluates the closed form, running its level
             recursion class by class over all densities at once;
             "integrate" relaxes a uniform split at each density until
@@ -155,7 +155,7 @@ def sweep(
     if method not in (METHOD_RECURSIVE, METHOD_INTEGRATE):
         raise ValueError(f"unknown sweep method {method!r}")
     _check_n(n)
-    grid = build_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a vector of at least 2 densities")
     if not np.isfinite(grid).all() or grid.min() < 0.0 or grid.max() > 1.0:

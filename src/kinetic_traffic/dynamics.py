@@ -292,16 +292,16 @@ def _dp_step(F, h, ws):
     fifth-order solution Y, a new array, and leaves the seven stages in
     ws.K, shape (7, m, n), K[6] the derivative at Y, the running sums of
     Y in ws.sums, and h in every column of ws.step, until the next call.
+    _rhs_batch writes each stage into its buffer through out, and the
+    pass reads the buffer, not the returned array, so a substitute for
+    _rhs_batch must write its result into out, as _rhs_batch does.
     """
     stages, acc, step = ws.stages, ws.acc, ws.step
     step[...] = h
-    # _rhs_batch is this module's name, so a hook set here sees every
-    # stage; a hook's result that is not the stage buffer is copied in
+    # _rhs_batch is this module's name, so a hook set here sees every stage
     for i, w, K, prod in zip(range(1, 7), ws.weights, ws.prefixes, ws.prods):
         Y = _add(F, _multiply(step, _combine(w, K, prod, acc), acc))
-        k = _rhs_batch(Y, out=stages[i], sums=ws.sums)
-        if k is not stages[i]:
-            stages[i][...] = k
+        _rhs_batch(Y, out=stages[i], sums=ws.sums)
     return Y
 
 
@@ -418,7 +418,7 @@ def _integrate_batch(
     # rejected, None after a pass that rejected no row
     rows = np.arange(m)
     ws = _Workspace(m, n, _PASS_W)
-    ws.K[0] = _rhs_batch(F, out=ws.k1, sums=ws.sums)
+    _rhs_batch(F, out=ws.k1, sums=ws.sums)
     bound = _stable_step(ws.sums)
     stats.rhs_evals += m
     t = np.zeros(m)

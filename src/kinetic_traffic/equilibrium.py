@@ -142,6 +142,36 @@ u of these, relatively.  Measured over n = 2 .. 40 and 462 densities,
 the bands above and their ends included: at most n branches, and the
 smaller root of a non-zero head with C > 0 nearest the window is
 -1.05e-8, at rho = 1/2 + 2^-53.
+
+The stationary set is the n shifted closed forms: face j, j = 0 .. n-1,
+is j zeros, then equilibrium_recursive(n - j, rho).f_inf, or rho alone
+at j = n - 1.  In exact arithmetic with 0 < rho <= 1: while the head is
+all zero, C = 0 and B = rho (2 rho - 1), so the level's roots are 0 and
+2 rho - 1.  Let j count a stationary state's leading zeros.  If
+j < n - 1, class j + 1 is 2 rho - 1 > 0, so rho > 1/2, and every later
+level has one non-negative root, its larger: with C > 0 the roots
+multiply to -C / rho < 0, and with C = 0 they are 0 and B / rho, where
+S >= 2 rho - 1 and 1 - 3 rho < 0 give B <= -(2 rho - 1)^2 < 0.  The
+zeros add nothing to S and no level reads n, so the classes from j + 1
+on are the (n - j)-class closed form: face j.  For rho <= 1/2 the n
+faces are one state, all mass in the top class.  On face j,
+P_i = P_{i-1} = 0 for i <= j gives lambda_i = rho^2 (2 rho - 1), and for
+i > j lambda_i is the (n - j)-class form's rate i - j, <= 0 by the
+slope argument above (level 1's larger root 2 rho - 1 has rate
+rho^2 (1 - 2 rho)).  So above 1/2 face j has exactly j growing modes,
+all at the logistic's rate, and face 0 alone has none.  In floating
+point the leading +0.0 classes leave every prefix sum's bits, so the
+j rates are one number.
+
+The enumeration lists face n - 1 first and face 0 last, the zero head's
+root 0 before B / rho.  Faces j and j + 1 differ by 2 rho - 1 in class
+j + 1, so the 1e-10 duplicate rule, which keeps the first, merges faces
+only where 2 rho - 1 <= 1e-10 (measured at n = 3, 6, 12 and 40 from
+2e-14 to 8e-11: faces n - 1 and n - 2 alone).  Where
+0 < 2 rho - 1 <= 1e-14 the level-1 merge keeps no zero head, so face 0
+alone comes out, though the others are stationary and far from it: at
+rho = 1/2 + 2^-53 face n - 1 is 1.05e-8 from face 0 at n = 3 and 0.5
+at n = 12.
 """
 
 from __future__ import annotations

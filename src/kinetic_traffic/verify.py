@@ -17,16 +17,14 @@ eta0 = 1), and returns each row's result and density drift.  Rows never
 interact, so each row's result is the one its group would get alone.
 The three checks then read their rows of every n's result.  The
 uniqueness group enumerates candidates by brute force at every n, in at
-most n branches per density.
-
-The table builder is injectable so the stochasticity group can be pointed
-at a deliberately broken construction; it must then fail.
+most n branches per density.  The stochasticity group calls
+build_game_table by its module name, so a test that rebinds that name
+points the group at a broken construction, which must then fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,7 +39,7 @@ from .dynamics import (
     random_state_batch,
 )
 from .equilibrium import _closed_form, equilibrium_bruteforce, is_attracting
-from .lattice import GameTable, build_game_table
+from .lattice import build_game_table
 
 __all__ = ["CheckResult", "run_suite", "VERIFY_DENSITIES"]
 
@@ -66,8 +64,6 @@ _CONTINUITY = IntegrationConfig(t_final=5.0, steady_tol=0.0)
 _ATTRACTIVITY = IntegrationConfig(dt=0.02, t_final=1e5)
 _SAMPLES = 3
 
-TableBuilder = Callable[[int, float], GameTable]
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -76,13 +72,13 @@ class CheckResult:
     detail: str
 
 
-def _check_stochasticity(n_max: int, table_builder: TableBuilder) -> tuple[bool, str]:
+def _check_stochasticity(n_max: int) -> tuple[bool, str]:
     # eight uniform densities per n, one stream over all n
     u = _uniform(DEFAULT_SEED, 8 * (n_max - 1))
     for n in range(2, n_max + 1):
         densities = [0.0, 0.25, 0.5, 0.75, 1.0] + u[8 * (n - 2) : 8 * (n - 1)]
         for rho in densities:
-            A = table_builder(n, float(rho)).A
+            A = build_game_table(n, float(rho)).A
             if A.min() < 0.0 or A.max() > 1.0:
                 return False, f"entry outside [0, 1] at n={n}, rho={rho:g}"
             sums = A.sum(axis=2)
@@ -197,7 +193,7 @@ def _check_sigma(n_max: int) -> tuple[bool, str]:
     return True, "critical density 0.5 recovered for every n"
 
 
-def run_suite(n_max: int = 6, table_builder: TableBuilder = build_game_table) -> list[CheckResult]:
+def run_suite(n_max: int = 6) -> list[CheckResult]:
     """Run every invariant group for n = 2 .. n_max.
 
     Returns one CheckResult per group, in a fixed order.  Each _check_
@@ -208,7 +204,7 @@ def run_suite(n_max: int = 6, table_builder: TableBuilder = build_game_table) ->
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     runs = [_step(n) for n in range(2, n_max + 1)]
     return [
-        CheckResult("stochasticity", *_check_stochasticity(n_max, table_builder)),
+        CheckResult("stochasticity", *_check_stochasticity(n_max)),
         CheckResult("conservation", *_check_conservation(runs)),
         CheckResult("continuity", *_check_continuity(runs)),
         CheckResult("uniqueness", *_check_uniqueness(n_max)),

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -401,16 +402,19 @@ class TestVerifyCommand:
         assert out.count("PASS") == 6
         assert "FAIL" not in out
 
-    def test_corrupted_tables_fail_the_suite(self):
-        # negative control: a broken table builder must be caught by the
-        # stochasticity group
+    def test_corrupted_tables_fail_the_suite(self, monkeypatch):
+        # negative control: a broken table builder, set under the name the
+        # stochasticity group calls, must be caught by that group
         def broken(n, rho):
             good = build_game_table(n, rho)
             A = good.A.copy()
             A[0, 0, :] *= 0.5
             return GameTable(rho=rho, A=A)
 
-        results = run_suite(n_max=2, table_builder=broken)
+        with pytest.raises(TypeError):
+            run_suite(2, broken)
+        monkeypatch.setattr(verify, "build_game_table", broken)
+        results = run_suite(n_max=2)
         by_name = {r.name: r for r in results}
         assert not by_name["stochasticity"].passed
 
@@ -695,16 +699,34 @@ class TestConsoleEntry:
 
 
 class TestReadme:
+    @staticmethod
+    def block(heading, lang):
+        """The first ```lang block under "## heading" in the README."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+        return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
     def test_library_example_runs(self):
         # the python block under "## Library", as a reader would paste it
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-        code = section.split("```python\n", 1)[1].split("```", 1)[0]
         scope = {}
-        exec(code, scope)
+        exec(self.block("Library", "python"), scope)
         assert scope["steady"].all()
         assert scope["report"].verdict == "stable"
         assert scope["diagram"].sigma == 0.5
+
+    def test_cli_examples_run(self, monkeypatch, tmp_path):
+        # the sh block under "## CLI", one command per line after joining
+        # continuations: each exits 0 and writes the files it names
+        block = self.block("CLI", "sh").replace("\\\n", " ")
+        commands = [shlex.split(line) for line in block.splitlines()
+                    if line.strip() and not line.lstrip().startswith("#")]
+        assert len(commands) == 6 and all(c[0] == "kinetic-traffic" for c in commands)
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            files = [value for flag, value in zip(argv, argv[1:]) if flag.startswith("--out-")]
+            assert main(argv[1:]) == 0, argv
+            for name in files:
+                assert (tmp_path / name).stat().st_size > 0, (argv, name)
 
 
 class TestBenchmarkTracer:

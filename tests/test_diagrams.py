@@ -50,7 +50,8 @@ from kinetic_traffic.serialize import (
 
 class TestGrid:
     def test_default_contains_landmarks(self):
-        grid = build_grid()
+        # 201 points, the default of diagram --rho-steps
+        grid = build_grid(201)
         assert grid[0] == 0.0
         assert grid[-1] == 1.0
         assert 0.5 in grid
@@ -119,7 +120,9 @@ class TestRecursiveSweep:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            sweep(3, method="bisect")
+            sweep(3, build_grid(11), method="bisect")
+        with pytest.raises(TypeError):
+            sweep(3)
         with pytest.raises(ValueError):
             sweep(3, np.array([0.5]))
         with pytest.raises(ValueError):

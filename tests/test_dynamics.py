@@ -432,8 +432,11 @@ class TestConservationPolicy:
         exact = dynamics._rhs_batch
 
         def leaky(F, **buffers):
+            # in place: the stepping pass reads each stage from out
             calls.append(F.shape[0])
-            return exact(F, **buffers) + 1e-9
+            out = exact(F, **buffers)
+            out += 1e-9
+            return out
 
         monkeypatch.setattr(dynamics, "_rhs_batch", leaky)
         return calls

@@ -876,6 +876,57 @@ class TestBruteForce:
             k *= 2
         assert len(_bruteforce_levels(n, rho)) <= n
 
+    @given(st.integers(2, 60), st.floats(0.0, 1.0, exclude_min=True))
+    @example(200, 0.5)
+    @example(200, HALF_UP)
+    @example(200, 0.5 + 1e-8)
+    @example(200, 0.99)
+    @example(200, 1.0)
+    @example(12, 0.5 + 4e-11)  # faces 1e-10 apart merge
+    @example(12, 0.5 + 2e-14)  # just above the stopped class's merge band
+    def test_candidates_are_the_shifted_closed_forms(self, n, rho):
+        # the stationary set and its spectra (module docstring): face j
+        # is j zeros, then the (n - j)-class closed form, whose classes
+        # below the top are the n-class form's first n - j - 1
+        # (test_lower_classes_do_not_depend_on_n)
+        closed = _closed_form(n, np.array([rho]))[0]
+        faces = np.zeros((n, n))
+        for j in range(n):
+            faces[j, j : n - 1] = closed[: n - j - 1]
+            faces[j, n - 1] = max(rho - closed[: n - j - 1].sum(), 0.0)
+        cands = equilibrium_bruteforce(n, rho)
+        F = np.array([c.f for c in cands])
+        dist = np.abs(F[:, None, :] - faces[None, :, :]).max(axis=2)
+        # each candidate is the face of its leading zeros to a few ulps
+        lead = [int(np.argmax(f != 0.0)) for f in F]
+        assert dist[np.arange(len(F)), lead].max() <= 4 * np.spacing(rho)
+        # the duplicate rule keeps candidates over 1e-10 apart, and every
+        # face is one of them but in the band where the stopped class's
+        # two branches merge: there face 0 alone comes out
+        apart = np.abs(F[:, None, :] - F[None, :, :]).max(axis=2)
+        assert (apart[~np.eye(len(F), dtype=bool)] > 1e-10).all()
+        if 0.0 < 2.0 * rho - 1.0 <= 1e-14:
+            assert lead == [0]
+        else:
+            assert dist.min(axis=0).max() <= 1e-10 + 4 * np.spacing(rho)
+        # _rates on each candidate's prefix sums, as stability_report takes
+        # them; of its eight roundings its two terms a and b pass at most
+        # six, so each rate is within gamma_6 < 8u of s (|a| + |b|), plus
+        # 2^-1070 below the normals
+        C = np.zeros((len(F), n + 1))
+        F.cumsum(axis=1, out=C[:, 1:])
+        s = C[:, -1:]
+        lam = _rates(s, C[:, 1:-1], s - C[:, :-2], 1.0 - s)
+        a, b = s * (s - 2.0 * C[:, 1:-1]), (1.0 - s) * (s - C[:, :-2])
+        tol = 8 * 2.0**-53 * s * (np.abs(a) + np.abs(b)) + 2.0**-1070
+        # the rates of the classes under zeros read P = 0, so they are the
+        # logistic's s^2 (2 s - 1) at the candidate's own density s; every
+        # other rate is at most its rounding above 0
+        logistic = np.array([float(S * S * (2 * S - 1)) for S in map(Fraction, s[:, 0].tolist())])
+        zero = np.arange(n - 1) < np.array(lead)[:, None]
+        assert (np.abs(lam - logistic[:, None]) <= tol)[zero].all()
+        assert (lam <= tol)[~zero].all()
+
 
 @pytest.mark.parametrize("build", [
     lambda: sweep(3, build_grid(11)),

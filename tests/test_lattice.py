@@ -11,6 +11,7 @@ from kinetic_traffic import (
     GameTable,
     IntegrationConfig,
     build_game_table,
+    build_grid,
     build_lattice,
     continuity_gap,
     equilibrium_bruteforce,
@@ -183,7 +184,7 @@ TAKES_N = {
     "equilibrium_bruteforce": lambda n: equilibrium_bruteforce(n, 0.5),
     "random_state": lambda n: random_state(n, 0.5),
     "random_state_batch": lambda n: random_state_batch(n, 0.5, 2),
-    "sweep": sweep,
+    "sweep": lambda n: sweep(n, build_grid(11)),
 }
 TAKES_RHO = {
     "build_game_table": lambda rho: build_game_table(3, rho),
