@@ -102,25 +102,24 @@ P_{j-1}, it would return f_j as the difference P_j - P_{j-1}, which
 cancels when the classes are small: the residual at n = 200 grows from
 about 4e-16 to 4e-14 and about a quarter of the printed fluxes change.
 
-The brute-force enumeration (_bruteforce_levels) keeps at most n
-branches at every density, so it runs at every n.  Level 1 keeps at
-most two heads: the zero head, every class +0.0, and f_1 = 2 rho - 1
-(one head, max(0, 2 rho - 1), where the two lie within 1e-14).  A head
-has two children only if both roots survive: the smaller at least
--1e-12, the two more than 1e-14 apart and not clamping to one value.
-With C = 0 the roots are 0 and B / rho, so that needs B / rho > 1e-14;
-with C > 0 the roots multiply to -C / rho < 0, so it needs the smaller
-root in the clamp window [-1e-12, 0).  Only the zero head can branch,
-so level j ends with at most j + 1 heads, and the top class, one per
-head, leaves at most n vectors (pruned heads only lower the count):
+The brute-force enumeration (_bruteforce_levels) keeps exactly n
+branches above 1/2 and one at or below it, so it runs at every n.
+Level 1 keeps the zero head, every class +0.0, and f_1 = 2 rho - 1
+where that is positive.  A head has two children only if both roots
+survive: the smaller at least -1e-12 and not clamping to the larger's
+value, and for a head with S > 0 the two more than 1e-14 apart.  With
+C = 0 the roots are 0 and B / rho; with C > 0 they multiply to
+-C / rho < 0, so the smaller must lie in the clamp window [-1e-12, 0).
+Every head keeps its larger root, never negative, and only the zero
+head branches, so level j ends with j + 1 heads above 1/2 and one at or
+below it, and the top class, one per head, gives the count:
 
-- The zero head has last = 0, so C = 0 and B = rho (2 rho - 1): it
-  branches only above 1/2, into itself and the head ending in B / rho.
-- A head whose one non-zero class is f_1 = 2 rho - 1 in [-1e-12,
-  -1e-14) is kept just below 1/2.  On its next level C = (1 - rho) f_1
-  rho lies in [-1e-12, 0) and clamps to 0; above that last = 0.  Its B
-  is (1 - 2 rho) f_1 = -f_1^2 up to a rounding of about |f_1| u, far
-  below 1e-14 rho, so the two roots lie within 1e-14.
+- The zero head has S = last = 0, so C = 0 and B is rho (2 rho - 1)
+  exactly as _density_terms forms it.  At or below 1/2, B <= 0, and
+  the roots B / rho and 0 clamp to one value.  Above 1/2, 2 rho - 1 is
+  exact and at least 2^-52, so B / rho > 0 and the zero head branches
+  into itself and the head ending in B / rho, however close to 0: its B
+  is no rounding noise of a sum, so the 1e-14 merge skips it.
 - Any other head holds a positive class, and rho > 1/2.  Its first
   positive class x is 2 rho - 1 or the zero head's B / rho, so
   x = (2 rho - 1)(1 + t) with |t| < 3u, and x >= 2^-53.  With
@@ -128,18 +127,22 @@ head, leaves at most n vectors (pruned heads only lower the count):
 
       B = -(2 rho - 1)^2 - (3 rho - 1)(S - x) + e,   |e| < 2e-15,
 
-  so B / rho < 1e-14 and a level with C = 0 keeps one root.  With
-  C > 0 and B <= -2e-12 the smaller root is at most B / rho < -1e-12.
-  Otherwise (2 rho - 1)^2 and (S - x) / 2 are below 2.01e-12, so
-  1 - rho > 0.49.  The level right after x has S = last = x and
-  C = (1 - rho) x rho, and both roots (B +- sqrt(B^2 + 4 rho C)) /
-  (2 rho) are at least sqrt(C / rho) - |B| / (2 rho) > 7e-9 in size.
-  A class after x, over 7e-9, would break the bound on S - x, so the
-  head ends at x, and its smaller root lies below -7e-9.
+  so B / rho < 1e-14, and at a level with C = 0 the roots 0 and B / rho
+  merge or clamp to one.  With C > 0 and B <= -2e-12 the smaller root
+  is at most B / rho < -1e-12.  Otherwise (2 rho - 1)^2 and (S - x) / 2
+  are below 2.01e-12, so 1 - rho > 0.49.  The level right after x has
+  S = last = x and C = (1 - rho) x rho, and both roots
+  (B +- sqrt(B^2 + 4 rho C)) / (2 rho) are at least
+  sqrt(C / rho) - |B| / (2 rho) > 7e-9 in size.  A class after x, over
+  7e-9, would break the bound on S - x, so the head ends at x, and its
+  smaller root lies below -7e-9.
 
-The root formulas do not cancel, so each computed root is within a few
-u of these, relatively.  Measured over n = 2 .. 40 and 462 densities,
-the bands above and their ends included: at most n branches, and the
+No head is pruned: each is a prefix of a face below, whose exact sums
+P_j stay at most rho, as rho P_j (rho - P_j) = (1 - rho) f_j (rho -
+P_{j-1}) >= 0 level by level.  The roots do not cancel (the smaller is
+-C / (rho r_+)), so each is within a few u of these, relatively.
+Measured over n = 2 .. 40, 60, 100 and 200 and 282 densities, the bands
+above and their ends included: the exact count, no head pruned, and the
 smaller root of a non-zero head with C > 0 nearest the window is
 -1.05e-8, at rho = 1/2 + 2^-53.
 
@@ -167,11 +170,9 @@ The enumeration lists face n - 1 first and face 0 last, the zero head's
 root 0 before B / rho.  Faces j and j + 1 differ by 2 rho - 1 in class
 j + 1, so the 1e-10 duplicate rule, which keeps the first, merges faces
 only where 2 rho - 1 <= 1e-10 (measured at n = 3, 6, 12 and 40 from
-2e-14 to 8e-11: faces n - 1 and n - 2 alone).  Where
-0 < 2 rho - 1 <= 1e-14 the level-1 merge keeps no zero head, so face 0
-alone comes out, though the others are stationary and far from it: at
-rho = 1/2 + 2^-53 face n - 1 is 1.05e-8 from face 0 at n = 3 and 0.5
-at n = 12.
+2e-14 to 8e-11, and at n = 2 .. 40, 60, 100 and 200 from 2^-52 to
+5e-15: faces n - 1 and n - 2 alone), so n - 1 candidates come out
+there.
 """
 
 from __future__ import annotations
@@ -469,7 +470,11 @@ def is_attracting(verdict: str, from_larger_roots: bool) -> bool:
     direction is a double root of the level quadratic: the downward
     parabola still attracts from inside the admissible cone, so a
     marginal point built entirely from larger (or double) roots counts
-    as attracting.  The same resolution covers the empty road.
+    as attracting.  The same resolution covers the empty road, and the
+    band (1/2, 1/2 + 5e-10], where the faces' growing rate
+    rho^2 (2 rho - 1) is below the verdict tolerance 1e-9 rho^2: there
+    every face reads marginal, and from_larger_roots picks face 0, the
+    closed form.
     """
     return verdict == STABLE or (verdict == MARGINAL and from_larger_roots)
 
@@ -482,15 +487,10 @@ def _bruteforce_levels(n: int, rho: float):
     call serves them all and each row sum has the bits of the head's own
     .sum(); a head's children follow it in order, smaller root first.
     """
-    lo, hi = 0.0, 2.0 * rho - 1.0
-    # branches within 1e-14 merge into the closed form's max(0, 2 rho - 1)
-    if abs(hi - lo) <= 1e-14:
-        f1_branches = [(max(lo, hi), True)]
-    else:
-        f1_branches = [(lo, lo > hi), (hi, hi > lo)]
-    f1 = np.array(f1_branches)
-    kept = f1[f1[:, 0] >= -_TINY]
-    heads, larger = kept[:, :1], kept[:, 1] > 0.0
+    # the zero head, and the closed form's stopped class where it is positive
+    hi = 2.0 * rho - 1.0
+    heads = np.array([[0.0], [hi]]) if hi > 0.0 else np.zeros((1, 1))
+    larger = np.array([False, True]) if hi > 0.0 else np.array([True])
     terms = _density_terms(np.array([rho]))
 
     def pos(x):  # max(x, 0.0), as Python takes it
@@ -499,25 +499,22 @@ def _bruteforce_levels(n: int, rho: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(2, n):
             S, last = heads.sum(axis=1), heads[:, -1]
-            # drop the heads above rho and those whose C, as _level forms
-            # it, is below -1e-12, which _level refuses
-            C = terms[3] * last * (rho - (S - last))
-            live = ~(S > rho + _TINY) & ~(C < -_TINY)
+            # drop the heads above rho; every class is at least 0, so the
+            # rest have C >= -(1 - rho) last 1e-12, which _level accepts,
+            # and the zero head is always among them
+            live = ~(S > rho + _TINY)
             heads, larger, S, last = heads[live], larger[live], S[live], last[live]
-            if not larger.size:
-                break
-            r_plus, B, C, delta = _level(S, last, terms)
-            sq = np.sqrt(delta)
-            r_minus = np.where(
-                C == 0.0,
-                np.where(B / rho < 0.0, B / rho, 0.0),
-                np.where(B <= 0.0, (B - sq) / (2.0 * rho), -2.0 * C / (sq + B)),
-            )
-            double = np.abs(r_plus - r_minus) <= 1e-14
+            r_plus, B, C, _ = _level(S, last, terms)
+            # the roots multiply to -C / rho
+            r_minus = np.where(C == 0.0, np.minimum(B / rho, 0.0), -C / (rho * r_plus))
+            # roots within 1e-14 are one, as a B of rounding noise gives
+            # them, but only a sum carries that noise: the zero head's B is
+            # rho (2 rho - 1) itself
+            double = (S > 0.0) & (np.abs(r_plus - r_minus) <= 1e-14)
             # both roots clamp to one class value, which keeps one branch:
-            # just below 1/2, C = 0 and B / rho lies inside the clamp window
+            # at or below 1/2 the zero head's roots are B / rho <= 0 and 0
             single = double | (pos(r_minus) == pos(r_plus))
-            vals = np.stack([r_minus, np.where(double, pos(r_plus), r_plus)], axis=1)
+            vals = np.stack([r_minus, r_plus], axis=1)
             take = ~(vals < -_TINY)
             take[:, 0] &= ~single
             rows, cols = take.nonzero()
@@ -539,8 +536,8 @@ def equilibrium_bruteforce(n: int, rho: float) -> list[EquilibriumCandidate]:
     in the output as the single attracting candidate.
 
     Args:
-        n: number of classes, at least 2; the enumeration keeps at most
-            n branches (module docstring).
+        n: number of classes, at least 2; the enumeration keeps n
+            branches above 1/2 and one at or below it (module docstring).
         rho: density in (0, 1].
     """
     _check_n(n)

@@ -811,9 +811,9 @@ class TestBruteForce:
                 assert np.abs(att[0].f - want).max() <= 1e-10
 
     @given(st.integers(2, 40), st.floats(0.0, 1.0, exclude_min=True))
-    # just below 1/2 the clamped smaller root duplicates the larger one and
-    # is enumerated first; just above, the stopped class's two branches
-    # lie within 1e-14 and merge into one
+    # just below 1/2 the zero head's smaller root clamps to its larger
+    # one; just above, the zero head branches however close 2 rho - 1 is
+    # to 0, and every face but face 0 reads marginal with no larger roots
     @example(3, 0.5 - 1e-13)
     @example(12, 0.5 - 1e-13)
     @example(3, 0.5 - 3e-13)
@@ -831,14 +831,14 @@ class TestBruteForce:
         assert len(att) == 1, f"{len(att)} attracting"
         assert np.abs(att[0].f - equilibrium_recursive(n, rho).f_inf).max() <= 1e-10
 
-    def test_branch_count_is_at_most_n_just_below_half(self):
-        # within the clamp window below 1/2 every class under the top is 0,
-        # so C = 0 and the smaller root B / rho ~ 2 rho - 1 clamps to 0 like
-        # the larger; n rises in the inner loop, so a branch count that
-        # doubles per class fails at n = 4, before it grows
+    def test_branch_count_is_one_just_below_half(self):
+        # below 1/2 only the zero head is kept, C = 0 and its smaller root
+        # B / rho ~ 2 rho - 1 clamps to 0 like the larger; n rises in the
+        # inner loop, so a branch count that doubles per class fails at
+        # n = 3, before it grows
         for rho in (HALF_DOWN, 0.5 - 1e-15, 0.5 - 1e-13, 0.5 - 3e-13, 0.5 - 4.99e-13, 0.5 - 1e-12):
             for n in range(2, 41):
-                assert len(_bruteforce_levels(n, rho)) <= n, (n, rho)
+                assert len(_bruteforce_levels(n, rho)) == 1, (n, rho)
 
     def test_takes_no_time_scale(self):
         # eta0 only sets the clock, so it changes neither the stationary
@@ -853,9 +853,9 @@ class TestBruteForce:
         assert cands[0].from_larger_roots
 
     @given(st.integers(2, 60), st.floats(0.0, 1.0, exclude_min=True))
-    # the bands of the bound's proof (module docstring): the clamp window
-    # just below 1/2, the merged stopped class just above it, the zero
-    # head's widest branching and the ends
+    # the bands of the count's proof (module docstring): just below 1/2,
+    # where the zero head's roots clamp to one, just above it, where they
+    # lie within 1e-14 and still branch, the widest branching and the ends
     @example(2, 0.5 - 3e-13)
     @example(60, HALF_DOWN)
     @example(60, HALF_UP)
@@ -867,14 +867,29 @@ class TestBruteForce:
     @example(60, 0.50301)
     @example(60, 1.0)
     @example(60, 5e-324)
-    def test_branch_count_is_at_most_n(self, n, rho):
-        # k doubles up to n, so a count that doubles per class fails at a
+    def test_branch_count_is_n_above_half(self, n, rho):
+        # n vectors above 1/2, one per face, and one at or below it; k
+        # doubles up to n, so a count that doubles per class fails at a
         # small k, before it grows
         k = 2
         while k < n:
-            assert len(_bruteforce_levels(k, rho)) <= k, k
+            assert len(_bruteforce_levels(k, rho)) == (k if rho > 0.5 else 1), k
             k *= 2
-        assert len(_bruteforce_levels(n, rho)) <= n
+        assert len(_bruteforce_levels(n, rho)) == (n if rho > 0.5 else 1)
+
+    @pytest.mark.parametrize("rho", [HALF_UP, 0.5 + 1e-15])
+    @pytest.mark.parametrize("n", [3, 12, 40])
+    def test_every_face_just_above_half(self, n, rho):
+        # 2 rho - 1 <= 1e-14: the zero head branches at every level, faces
+        # n - 1 and n - 2 lie within 1e-10 and merge, and every face's
+        # growing rate is below the verdict tolerance, so only the larger
+        # roots leave the closed form attracting
+        cands = equilibrium_bruteforce(n, rho)
+        assert len(cands) == n - 1
+        assert {c.verdict for c in cands} == {MARGINAL}
+        att = [c for c in cands if is_attracting(c.verdict, c.from_larger_roots)]
+        assert len(att) == 1
+        assert np.abs(att[0].f - equilibrium_recursive(n, rho).f_inf).max() <= 1e-10
 
     @given(st.integers(2, 60), st.floats(0.0, 1.0, exclude_min=True))
     @example(200, 0.5)
@@ -883,7 +898,9 @@ class TestBruteForce:
     @example(200, 0.99)
     @example(200, 1.0)
     @example(12, 0.5 + 4e-11)  # faces 1e-10 apart merge
-    @example(12, 0.5 + 2e-14)  # just above the stopped class's merge band
+    @example(12, 0.5 + 2e-14)
+    @example(3, HALF_UP)  # the zero head's roots within 1e-14 still branch
+    @example(40, 0.5 + 1e-15)
     def test_candidates_are_the_shifted_closed_forms(self, n, rho):
         # the stationary set and its spectra (module docstring): face j
         # is j zeros, then the (n - j)-class closed form, whose classes
@@ -901,14 +918,10 @@ class TestBruteForce:
         lead = [int(np.argmax(f != 0.0)) for f in F]
         assert dist[np.arange(len(F)), lead].max() <= 4 * np.spacing(rho)
         # the duplicate rule keeps candidates over 1e-10 apart, and every
-        # face is one of them but in the band where the stopped class's
-        # two branches merge: there face 0 alone comes out
+        # face is one of them
         apart = np.abs(F[:, None, :] - F[None, :, :]).max(axis=2)
         assert (apart[~np.eye(len(F), dtype=bool)] > 1e-10).all()
-        if 0.0 < 2.0 * rho - 1.0 <= 1e-14:
-            assert lead == [0]
-        else:
-            assert dist.min(axis=0).max() <= 1e-10 + 4 * np.spacing(rho)
+        assert dist.min(axis=0).max() <= 1e-10 + 4 * np.spacing(rho)
         # _rates on each candidate's prefix sums, as stability_report takes
         # them; of its eight roundings its two terms a and b pass at most
         # six, so each rate is within gamma_6 < 8u of s (|a| + |b|), plus
