@@ -46,7 +46,6 @@ from .equilibrium import (
     StabilityReport,
     equilibrium_bruteforce,
     equilibrium_recursive,
-    is_attracting,
     jacobian,
     stability_report,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "StabilityReport",
     "equilibrium_bruteforce",
     "equilibrium_recursive",
-    "is_attracting",
     "jacobian",
     "stability_report",
     "ConsistencyError",

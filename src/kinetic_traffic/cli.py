@@ -33,7 +33,7 @@ from .dynamics import (
     random_state,
     run_trajectory,
 )
-from .equilibrium import equilibrium_recursive, is_attracting, stability_report
+from .equilibrium import UNSTABLE, equilibrium_recursive, stability_report
 from .errors import KineticModelError
 from .lattice import _check_n, _check_states
 from .serialize import (
@@ -108,9 +108,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_equilibrium(args) -> int:
     eq = equilibrium_recursive(args.n, args.rho)
     report = stability_report(eq.f_inf)
-    # the closed form always takes the larger quadratic root, which is
-    # the attracting branch even when the spectrum alone is marginal
-    stable = is_attracting(report.verdict, from_larger_roots=True)
+    # the closed form is the attractor (dynamics module docstring) also
+    # where its spectrum alone is marginal, so only unstable reads as no
+    stable = report.verdict != UNSTABLE
     obs = observables(eq.f_inf)
     scale_rho, scale_v = (RHO_MAX, V_MAX) if args.units == UNITS_PHYSICAL else (1.0, 1.0)
     q, u = obs.q * scale_rho * scale_v, obs.u * scale_v

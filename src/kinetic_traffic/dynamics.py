@@ -39,6 +39,41 @@ entrywise, so its solution operator, the Peano-Baker series of
 nonnegative matrices, is >= 0: P(0) <= P'(0) gives P(tau) <= P'(tau)
 for all tau >= 0.
 
+So every start with f_1 > 0 relaxes to the closed form, and above 1/2
+no other does; at or below 1/2 every start does.  Take two brackets at
+density rho: the upper, all mass in class 1 (P_j = rho for j < n), and
+the lower, f_1 = eps and the rest in class n (P_j = eps for j < n).  At
+the upper
+
+    dP_1/dtau = -rho^3 (1 - rho) <= 0,    dP_j/dtau = 0 for j >= 2,
+
+and above 1/2, at the lower with 0 < eps <= 2 rho - 1,
+
+    dP_1/dtau = rho^2 eps (2 rho - 1 - eps) >= 0,
+    dP_j/dtau = rho^2 eps (rho - eps) >= 0 for j >= 2.
+
+At or below 1/2 take eps = 0: the lower bracket, all mass in class n,
+is the closed form itself.  In a cooperative system the orbit of a state
+whose derivative is <= 0 falls monotonically in the order, and that of
+a state whose derivative is >= 0 rises (Smith, ch. 3); bounded and
+monotone, each converges, to a stationary state.  The closed form P*,
+stationary, has P*_1 = 2 rho - 1 >= eps and P*_j <= rho, so it lies
+between the brackets, and by order preservation the upper orbit stays
+above it and the lower orbit below it: both limits lie between the
+brackets.  The stationary states are the n shifted closed forms
+(equilibrium module docstring), and face j >= 1 has P_1 = 0 < eps, while
+at or below 1/2 there is one face.  So both limits are P*, and a start
+between the brackets, squeezed between their orbits, relaxes to P* too.
+Every start lies below the upper bracket, and above the lower one when
+f_1 >= eps, and eps can be any value in (0, 2 rho - 1]: that is every
+start with f_1 > 0, or every start at or below 1/2.  A start with
+f_1 = 0 stays on its face (above), and above 1/2 relaxes to a shifted
+closed form.  The attractor is thus face 0, the stationary state with
+the fewest leading zero classes, a rule that reads no stability verdict.
+verify checks the certificate in floating point at eps = (2 rho - 1) / 2,
+half the stopped class: the signs by _rhs_batch, the closed form between
+the brackets and no other stationary face there.
+
 eta0 only sets the clock: the run at eta0 = c is the eta0 = 1 run read
 at t = tau / c.  So the library has one clock, the model time: every
 entry point reads its IntegrationConfig's dt and t_final, and
@@ -79,10 +114,10 @@ integrate_batch, run_trajectory, continuity_gap and verify.  It takes
 the first step, horizon and steady tolerance as arguments, in model
 time, each one value or one value per row: the entry points pass their
 one IntegrationConfig's, continuity_gap steps the rows of all its pairs
-in one batch, and verify steps the conservation, continuity and
-attractivity rows of one n, each with its group's settings, as one
-batch.  The loop hands each accepted step (its time, size, start, end
-and stages) to a recorder callback; run_trajectory keeps them and
+in one batch, and verify steps the conservation and continuity rows of
+one n, each with its group's settings, as one batch.  The loop hands
+each accepted step (its time, size, start, end and stages) to a
+recorder callback; run_trajectory keeps them and
 evaluates the samples of all steps in one batch after the loop, so a
 sample below the clamp window raises when the loop has ended.  The loop
 applies one conservation policy: a row's density may move by at most

@@ -94,8 +94,9 @@ equal only at a double root.  The stopped class is level 1, whose roots
 are 0 and 2 rho - 1.  So the state of larger roots at every level, the
 closed form, has lambda_j <= 0 for every j, zero only at a double root,
 while a stationary state that takes a smaller simple root at some level
-has a growing mode there.  This is why is_attracting counts a marginal
-verdict as attracting when it comes from the larger roots.
+has a growing mode there.  Which stationary state attracts is not read
+from verdicts, though: the monotone brackets of the dynamics module name
+it as face 0 below, the one with the fewest leading zero classes.
 
 The level quadratic alone stays in f coordinates.  Solved for P_j from
 P_{j-1}, it would return f_j as the difference P_j - P_{j-1}, which
@@ -177,7 +178,7 @@ there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -248,7 +249,6 @@ class EquilibriumCandidate:
     f: np.ndarray = field(repr=False)
     residual: float
     verdict: str
-    from_larger_roots: bool
 
 
 @dataclass(frozen=True)
@@ -463,34 +463,17 @@ def stability_report(f: np.ndarray) -> StabilityReport:
     )
 
 
-def is_attracting(verdict: str, from_larger_roots: bool) -> bool:
-    """Resolve a linearization verdict into an attractivity flag.
-
-    A marginal verdict occurs at the critical density, where the slow
-    direction is a double root of the level quadratic: the downward
-    parabola still attracts from inside the admissible cone, so a
-    marginal point built entirely from larger (or double) roots counts
-    as attracting.  The same resolution covers the empty road, and the
-    band (1/2, 1/2 + 5e-10], where the faces' growing rate
-    rho^2 (2 rho - 1) is below the verdict tolerance 1e-9 rho^2: there
-    every face reads marginal, and from_larger_roots picks face 0, the
-    closed form.
-    """
-    return verdict == STABLE or (verdict == MARGINAL and from_larger_roots)
-
-
 def _bruteforce_levels(n: int, rho: float):
-    """(vector, from larger roots) for every real root combination.
+    """Every real root combination, one vector per row.
 
-    A double root and the remainder class count as larger roots.  Each
-    level's heads are the C-contiguous rows of one array, so one _level
-    call serves them all and each row sum has the bits of the head's own
-    .sum(); a head's children follow it in order, smaller root first.
+    Each level's heads are the C-contiguous rows of one array, so one
+    _level call serves them all and each row sum has the bits of the
+    head's own .sum(); a head's children follow it in order, smaller root
+    first.
     """
     # the zero head, and the closed form's stopped class where it is positive
     hi = 2.0 * rho - 1.0
     heads = np.array([[0.0], [hi]]) if hi > 0.0 else np.zeros((1, 1))
-    larger = np.array([False, True]) if hi > 0.0 else np.array([True])
     terms = _density_terms(np.array([rho]))
 
     def pos(x):  # max(x, 0.0), as Python takes it
@@ -503,7 +486,7 @@ def _bruteforce_levels(n: int, rho: float):
             # rest have C >= -(1 - rho) last 1e-12, which _level accepts,
             # and the zero head is always among them
             live = ~(S > rho + _TINY)
-            heads, larger, S, last = heads[live], larger[live], S[live], last[live]
+            heads, S, last = heads[live], S[live], last[live]
             r_plus, B, C, _ = _level(S, last, terms)
             # the roots multiply to -C / rho
             r_minus = np.where(C == 0.0, np.minimum(B / rho, 0.0), -C / (rho * r_plus))
@@ -519,11 +502,9 @@ def _bruteforce_levels(n: int, rho: float):
             take[:, 0] &= ~single
             rows, cols = take.nonzero()
             heads = np.concatenate([heads[rows], pos(vals[rows, cols])[:, None]], axis=1)
-            larger = larger[rows] & (cols == 1)
     tail = rho - heads.sum(axis=1)
     keep = ~(tail < -_TINY)
-    out = np.concatenate([heads[keep], pos(tail[keep])[:, None]], axis=1)
-    return list(zip(out, larger[keep].tolist()))
+    return np.concatenate([heads[keep], pos(tail[keep])[:, None]], axis=1)
 
 
 def equilibrium_bruteforce(n: int, rho: float) -> list[EquilibriumCandidate]:
@@ -533,7 +514,7 @@ def equilibrium_bruteforce(n: int, rho: float) -> list[EquilibriumCandidate]:
     level quadratic, keeps the nonnegative vectors whose derivative
     vanishes (1-norm below 1e-10), and attaches a stability verdict to
     each.  Independent of the closed-form recursion, which should appear
-    in the output as the single attracting candidate.
+    in the output as the attractor (_attractor).
 
     Args:
         n: number of classes, at least 2; the enumeration keeps n
@@ -546,18 +527,23 @@ def equilibrium_bruteforce(n: int, rho: float) -> list[EquilibriumCandidate]:
     candidates = []
     # the kept vectors as rows, so a new vector meets them all in one call
     kept = np.empty((0, int(n)))
-    for vec, larger in _bruteforce_levels(int(n), float(rho)):
+    for vec in _bruteforce_levels(int(n), float(rho)):
         residual = float(np.abs(_rhs_batch(vec[None, :])).sum())
-        if residual > 1e-10:
+        # the first of vectors within 1e-10 stays
+        if residual > 1e-10 or (np.abs(vec - kept).max(axis=1) <= 1e-10).any():
             continue
-        same = np.flatnonzero(np.abs(vec - kept).max(axis=1) <= 1e-10)
-        if same.size:
-            # the first vector stays; reached from the larger roots by any
-            # of its duplicates, it counts as reached from them
-            if larger:
-                candidates[same[0]] = replace(candidates[same[0]], from_larger_roots=True)
-            continue
-        verdict = stability_report(vec).verdict
-        candidates.append(EquilibriumCandidate(vec, residual, verdict, larger))
+        candidates.append(EquilibriumCandidate(vec, residual, stability_report(vec).verdict))
         kept = np.vstack((kept, vec))
     return candidates
+
+
+def _attractor(candidates: list[EquilibriumCandidate]) -> EquilibriumCandidate:
+    """The candidate with the fewest leading zero classes: face 0, the attractor.
+
+    The dynamics module docstring proves that every start with f_1 > 0
+    relaxes to face 0, and face j >= 1 lies on the invariant face
+    P_j = 0.  The rule reads no verdict, so it also holds where every
+    face reads marginal; where the duplicate rule keeps face 1's bits for
+    face 0 (n = 2 just above 1/2), it names that survivor.
+    """
+    return min(candidates, key=lambda c: int(np.argmax(c.f != 0.0)))

@@ -27,7 +27,6 @@ from kinetic_traffic.dynamics import (
     _D,
     _E,
 )
-from kinetic_traffic.equilibrium import _closed_form
 from kinetic_traffic.verify import VERIFY_DENSITIES
 
 settings.register_profile(
@@ -367,12 +366,12 @@ def continuity_gap_reference(F0, G0, tau):
 
 
 def verify_groups_reference(n_max):
-    """verify's conservation, continuity and attractivity groups, one loop call per group and n.
+    """verify's conservation and continuity groups, one loop call per group and n.
 
     The reference for the suite's one batch per n.  Returns
     {group: (passed, detail)} and, for each n, what the groups read:
-    the conservation rows' max drift, the continuity pairs' gaps and
-    bounds, and the attractivity rows' end states and steady flags.
+    the conservation rows' max drift and the continuity pairs' gaps and
+    bounds.
     """
     seen = {n: {} for n in range(2, n_max + 1)}
 
@@ -407,30 +406,9 @@ def verify_groups_reference(n_max):
                                f"at n={n}, rho={rho:g}")
         return True, f"all sampled pairs within the growth bound up to t={t:g}"
 
-    def attractivity():
-        config = IntegrationConfig(dt=0.02, t_final=1e5)
-        samples = 3
-        worst = 0.0
-        for n in range(2, n_max + 1):
-            F0 = np.concatenate(
-                [random_state_batch(n, rho, samples, seed=DEFAULT_SEED + 13 * n)
-                 for rho in VERIFY_DENSITIES]
-            )
-            F, conv, _, _ = integrate_batch(F0, config)
-            seen[n]["final"], seen[n]["converged"] = F, conv
-            if not conv.all():
-                return False, f"{int((~conv).sum())} runs never went steady at n={n}"
-            targets = np.repeat(_closed_form(n, np.array(VERIFY_DENSITIES)), samples, axis=0)
-            err = float(np.abs(F - targets).max())
-            worst = max(worst, err)
-            if err > 1e-6:
-                return False, f"final state off by {err:.3e} at n={n}"
-        return True, f"max distance to equilibrium {worst:.3e}"
-
     results = {
         "conservation": conservation(),
         "continuity": continuity(),
-        "attractivity": attractivity(),
     }
     return results, seen
 

@@ -23,16 +23,18 @@ from hypothesis import strategies as st
 import kinetic_traffic
 from kinetic_traffic import (
     RHO_MAX,
+    UNSTABLE,
     V_MAX,
     BatchStats,
+    EquilibriumCandidate,
     GameTable,
     IntegrationConfig,
     build_game_table,
     build_grid,
     build_lattice,
+    equilibrium_bruteforce,
     equilibrium_recursive,
     integrate_batch,
-    is_attracting,
     observables,
     stability_report,
     sweep,
@@ -41,7 +43,7 @@ from kinetic_traffic.cli import main
 from kinetic_traffic.dynamics import random_state, random_state_batch, run_trajectory
 from kinetic_traffic.serialize import _TABLE_BLOCK, trajectory_csv
 from kinetic_traffic import dynamics, serialize, verify
-from kinetic_traffic.verify import _check_attractivity, _check_uniqueness, _step, run_suite
+from kinetic_traffic.verify import VERIFY_DENSITIES, _check_uniqueness, run_suite
 
 
 _EDGE_DENSITIES = [0.0, 5e-324, 1e-300, math.nextafter(0.5, 0.0), 0.5,
@@ -273,7 +275,7 @@ class TestEquilibrium:
                 assert main(argv) == 0
             text = Path(path).read_bytes().decode()
         eq = equilibrium_recursive(n, rho)
-        stable = is_attracting(stability_report(eq.f_inf).verdict, from_larger_roots=True)
+        stable = stability_report(eq.f_inf).verdict != UNSTABLE
         obs = observables(eq.f_inf)
         scale_rho, scale_v = (RHO_MAX, V_MAX) if physical else (1.0, 1.0)
         q, u = obs.q * scale_rho * scale_v, obs.u * scale_v
@@ -389,9 +391,7 @@ class TestColumnarResults:
             eq = equilibrium_recursive(200, rho)
             verdict = stability_report(eq.f_inf).verdict
             obs = observables(eq.f_inf)
-            want = equilibrium_json_oracle(
-                eq, 1.0, obs.q, obs.u, is_attracting(verdict, from_larger_roots=True)
-            )
+            want = equilibrium_json_oracle(eq, 1.0, obs.q, obs.u, verdict != UNSTABLE)
             assert (tmp_path / f"eq{i}.json").read_bytes().decode() == want, rho
 
 
@@ -418,19 +418,50 @@ class TestVerifyCommand:
         by_name = {r.name: r for r in results}
         assert not by_name["stochasticity"].passed
 
-    def test_attractivity_covers_the_slow_free_phase_at_n_12(self):
-        # the free phase relaxes on one Jordan block of size n - 1, so the
-        # time to steady grows with n: at n = 12 the slowest run needs 1,777
-        passed, detail = _check_attractivity([_step(n) for n in range(2, 13)])
-        assert passed, detail
+    def test_every_group_passes_at_n_40(self):
+        # the attractivity group steps nothing, so the whole suite runs at
+        # n = 40 within the test budget
+        results = run_suite(40)
+        assert [r.name for r in results] == [
+            "stochasticity", "conservation", "continuity", "uniqueness", "attractivity", "sigma",
+        ]
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
 
     def test_uniqueness_checks_every_n(self):
         # brute force runs at every n, so the detail names no range
         for n_max in (12, 13, 20):
-            passed, detail = _check_uniqueness(n_max)
+            found = {n: [equilibrium_bruteforce(n, rho) for rho in VERIFY_DENSITIES]
+                     for n in range(2, n_max + 1)}
+            passed, detail = _check_uniqueness(found)
             assert passed and detail == (
-                "one attracting equilibrium per density, matching within 1e-10"
+                "every stationary face found; all but the closed form, within 1e-10, unstable"
             )
+
+    @pytest.mark.parametrize("rho", [math.nextafter(0.5, 1.0), 0.5 + 1e-15, 0.5 + 4e-11,
+                                     0.5 + 3e-10])
+    def test_equilibrium_groups_just_above_half(self, monkeypatch, rho):
+        # faces n - 1 and n - 2 merge where 2 rho - 1 <= 1e-10, and every
+        # face reads marginal where 2 rho - 1 <= 1e-9; at n = 2 one ulp
+        # above 1/2 the one survivor carries face 1's bits, 2.2e-16 from the
+        # closed form, and is the attractor
+        monkeypatch.setattr(verify, "VERIFY_DENSITIES", (rho,))
+        found = {n: [equilibrium_bruteforce(n, rho)] for n in (2, 3, 12, 40)}
+        assert verify._check_uniqueness(found)[0]
+        assert verify._check_attractivity(found)[0]
+
+    def test_equilibrium_groups_report_a_missing_or_extra_face(self):
+        # a broken enumeration is a FAIL detail, not an exception: no face
+        # at all, or a face with f_1 > 0 beside the closed form at rho = 0.8
+        assert verify._check_uniqueness({3: [[]] * 4}) == (
+            False, "0 faces, expected 1, at n=3, rho=0.2")
+        assert verify._check_attractivity({3: [[]] * 4}) == (
+            False, "no stationary face at n=3, rho=0.2")
+        found = {3: [equilibrium_bruteforce(3, rho) for rho in VERIFY_DENSITIES]}
+        extra = EquilibriumCandidate(np.array([0.8, 0.0, 0.0]), 0.0, UNSTABLE)
+        found[3][3] = found[3][3] + [extra]
+        assert not _check_uniqueness(found)[0]
+        assert verify._check_attractivity(found) == (
+            False, "the closed form is not the one face between the brackets at n=3, rho=0.8")
 
     @pytest.fixture
     def loop_stats(self, monkeypatch):
@@ -448,7 +479,7 @@ class TestVerifyCommand:
         return calls
 
     @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
-    def test_one_batch_per_n_equals_the_three_call_groups(
+    def test_one_batch_per_n_equals_the_two_call_groups(
         self, monkeypatch, loop_stats, verify_groups_oracle, n_max
     ):
         def work(calls):
@@ -456,7 +487,7 @@ class TestVerifyCommand:
             return [sum(getattr(stats, k) for stats in calls) for k in keys]
 
         want, want_seen = verify_groups_oracle(n_max)
-        assert len(loop_stats) == 3 * (n_max - 1)
+        assert len(loop_stats) == 2 * (n_max - 1)
         want_work = work(loop_stats)
         loop_stats.clear()
         runs = []
@@ -475,7 +506,7 @@ class TestVerifyCommand:
         for run in runs:
             seen = want_seen[run.n]
             assert run.drift == seen["drift"]
-            for name in ("gaps", "bounds", "final", "converged"):
+            for name in ("gaps", "bounds"):
                 got, expected = getattr(run, name), seen[name]
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from kinetic_traffic import (
 from kinetic_traffic import dynamics, verify
 from kinetic_traffic._pcg64 import _uniform
 from kinetic_traffic.dynamics import _rhs_batch
+from kinetic_traffic.equilibrium import _closed_form
 
 
 def dense_rhs(f: np.ndarray, eta0: float = 1.0) -> np.ndarray:
@@ -561,7 +563,7 @@ class TestWorkCounts:
         assert np.count_nonzero(~out[1]) == 9
 
     def test_verify_step_work_counts(self, monkeypatch):
-        # verify --n-max 2: the three stepping groups of n = 2 as one batch
+        # verify --n-max 2: the two stepping groups of n = 2, 40 rows, as one batch
         work = []
         exact = dynamics._integrate_batch
 
@@ -572,7 +574,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(verify, "_integrate_batch", counted)
         verify._step(2)
-        assert work == [(149, 12136, 2006, 8)]
+        assert work == [(66, 5242, 861, 6)]
 
     def test_counters_repeat_exactly(self):
         # a first trial step of 4 is rejected, so every counter moves
@@ -705,22 +707,25 @@ class TestPairProperties:
         assert not any(left)
         assert not F[face].any() and not D[face].any()
 
-    @given(st.integers(3, 8), st.integers(0, 2**30))
-    @example(4, 0)
-    def test_a_face_start_relaxes_to_the_shifted_closed_form(self, n, seed):
+    @given(st.integers(3, 8), st.integers(0, 2**30), st.floats(0.6, 1.0))
+    @example(8, 0, 0.7)
+    @example(8, 0, 0.6)
+    @example(8, 1, 1.0)
+    def test_a_face_start_relaxes_to_the_shifted_closed_form(self, n, seed, rho):
         # congested phase: a start with classes 1..j empty, j <= n - 2, stays
         # on that face, where the stencil is the (n - j)-class model's, so it
         # relaxes to j zeros and that model's closed form.  There P_1 = 0 and
         # lambda_1 = rho^2 (2 rho - 1) > 0: the state is an unstable
         # equilibrium, and only starts with f_1 > 0 reach the closed form.
         # To first order f - f* = J^-1 df/dtau on the face's hyperplane
-        # sum = 0, and at rho = 0.7 J^-1 has 1-norm 1 / mu there, mu = rho^2
-        # (2 rho - 1) the face's slowest rate (its mode moves mass out of the
-        # lowest occupied class); so a run that stops with |df/dtau|_1 below
-        # steady_tol is within steady_tol / mu, plus n ulps of rounding
-        rho, config = 0.7, IntegrationConfig()
-        mu = rho * rho * (2.0 * rho - 1.0)
-        F0, want = np.zeros((n - 2, n)), np.zeros((n - 2, n))
+        # sum = 0, so a run that stops with |df/dtau|_1 below steady_tol is
+        # within steady_tol times the 1-norm of J^-1 there, plus n ulps of
+        # rounding.  That norm depends on the density: 1 / mu at rho = 0.7,
+        # mu = rho^2 (2 rho - 1) the face's slowest rate, and 1.114 / mu at
+        # rho = 0.6, so each row takes its own.  The horizon, 4000, is 12
+        # times ln(1e10) / mu at rho = 0.6, the slowest density drawn
+        config = IntegrationConfig(t_final=4000.0)
+        F0, want, bound = np.zeros((n - 2, n)), np.zeros((n - 2, n)), np.zeros(n - 2)
         for j in range(1, n - 1):
             m = n - j
             F0[j - 1, j:] = random_state(m, rho, seed=seed + j)
@@ -731,13 +736,131 @@ class TestPairProperties:
                 np.abs(np.linalg.lstsq(J, E[i] - E[k], rcond=None)[0]).sum() / 2
                 for i in range(m) for k in range(i + 1, m)
             )
-            assert abs(norm * mu - 1.0) <= 1e-12, m
+            # the 1 / mu identity, at every m = 2..7 by the example at n = 8
+            if rho == 0.7:
+                assert abs(norm * rho * rho * (2.0 * rho - 1.0) - 1.0) <= 1e-12, m
+            bound[j - 1] = config.steady_tol * norm + n * 2.0**-52
         F, conv, _, _ = integrate_batch(F0, config)
         assert conv.all()
         assert not F[np.arange(n) < np.arange(1, n - 1)[:, None]].any()
-        assert np.abs(F - want).sum(axis=1).max() <= config.steady_tol / mu + n * 2.0**-52
+        assert (np.abs(F - want).sum(axis=1) <= bound).all()
         for f in F:
             assert stability_report(f).verdict == UNSTABLE
+
+
+# the densities verify's certificate is checked at here, both phases and
+# the slow layer on either side of 1/2
+BRACKET_DENSITIES = (0.2, 0.45, 0.55, 0.8)
+
+
+def brackets(n, rho, eps):
+    """Upper brackets, all mass in class 1, and lower, f_1 = eps and the rest in class n.
+
+    One row per density of rho, with its eps; each comes as an (m, n) batch.
+    """
+    rho, eps = np.atleast_1d(rho), np.atleast_1d(eps)
+    upper, lower = np.zeros((2, rho.size, n))
+    upper[:, 0] = rho
+    lower[:, 0], lower[:, -1] = eps, rho - eps
+    return upper, lower
+
+
+class TestBrackets:
+    @given(st.integers(2, 200), DENSITIES, st.floats(0.0, 1.0))
+    # eps = 2 rho - 1, where the exact dP_1 is 0, at the edges
+    @example(2, 0.0, 1.0)
+    @example(200, HALF_DOWN, 1.0)
+    @example(200, 0.5, 1.0)
+    @example(2, HALF_UP, 1.0)
+    @example(200, HALF_UP, 1.0)
+    @example(200, 0.6, 1.0)
+    @example(200, 1.0, 1.0)
+    # half the stopped class, verify's eps
+    @example(6, HALF_UP, 0.5)
+    @example(40, 0.6, 0.5)
+    # a tiny eps, subnormal at rho = 1
+    @example(12, 1.0, 5e-324)
+    @example(200, 0.75, 1e-300)
+    # where the closed form's float cumsum exceeds rho
+    @example(12, 0.75, 0.5)
+    @example(40, 0.5 + 1e-12, 0.5)
+    @example(200, 0.75, 0.5)
+    def test_bracket_signs_and_the_closed_form_between(self, n, rho, frac):
+        # the certificate of the dynamics module docstring in floating
+        # point, with the P derivatives taken as verify takes them, the
+        # cumsum of _rhs_batch; eps = frac (2 rho - 1) above 1/2, 0 below
+        eps = frac * (2.0 * rho - 1.0) if rho > 0.5 else 0.0
+        upper, lower = brackets(n, rho, eps)
+        dU, dL = np.cumsum(_rhs_batch(np.concatenate([upper, lower])), axis=1)[:, :-1]
+        # upper: dP_1 = rho (0 - (1 - rho) rho rho) and dP_2 = -dP_1 + dP_1
+        # is +0, as is every later entry, bit for bit
+        assert dU[0] <= 0.0 and not dU[1:].any()
+        # lower: dP_j = D >= 0 for 2 <= j < n, a product of non-negative
+        # factors, and the cumsum's D_1 + fl(D - D_1) >= D_1 + fl(-D_1) = 0
+        assert (dL[1:] >= 0.0).all()
+        # dP_1 at the bracket's running-sum density s, which _rhs_batch
+        # reads as rho, is s^2 eps (2 s - 1 - eps) exactly; its two terms
+        # a and b pass three roundings each and two more follow, so the
+        # float value is within gamma_5 < 8u of s (|a| + |b|), plus 2^-1070
+        # below the normals
+        s = eps + (rho - eps)
+        a, b = s * eps * (s - eps), (1.0 - s) * eps * s
+        tol = 8 * 2.0**-53 * s * (abs(a) + abs(b)) + 2.0**-1070
+        S, E = Fraction(s), Fraction(eps)
+        assert abs(Fraction(dL[0]) - S * S * E * (2 * S - 1 - E)) <= tol
+        if eps <= 2.0 * s - 1.0:
+            assert dL[0] >= -tol
+        # the closed form has P_1 = 2 rho - 1 >= eps and P_j <= rho; its
+        # top class is rho less the float sum of the rest, and the float
+        # cumsum adds n - 2 more roundings, so P_j exceeds rho by at most
+        # 2 n u relatively (where the rest's sum rounds above rho and the
+        # top class is 0, as verify notes, the margin is measured)
+        P = np.cumsum(equilibrium_recursive(n, rho).f_inf)[:-1]
+        assert (P >= eps).all() and (P <= rho * (1.0 + 2 * n * 2.0**-53)).all()
+
+    @pytest.mark.parametrize("n", [2, 6, 12, 40])
+    def test_bracket_orbits_are_monotone_and_ordered_pairs_stay_ordered(self, n):
+        # the brackets at verify's eps = (2 rho - 1) / 2 relax to steady,
+        # and pairs x <= x' in the P order, x' halfway from a random x to
+        # the upper bracket, run to the horizons 1, 10 and 100, in one batch
+        # with per-row settings.  A step departs from the exact flow by at
+        # most what its error control admits, every component within
+        # sqrt(n) (atol + rtol |f|), so sqrt(n) (n atol + 2 rtol rho) in P;
+        # the clamp moves P by at most n 1e-12, and the cumsums of two states
+        # differ from their exact values by at most 2 n u rho
+        rho = np.array(BRACKET_DENSITIES)
+        closed = _closed_form(n, rho)
+        upper, lower = brackets(n, rho, closed[:, 0] / 2.0)
+        x = np.array([random_state(n, r, seed=n) for r in rho])
+        pairs = np.concatenate([x, (x + upper) / 2.0])
+        horizons = (1.0, 10.0, 100.0)
+        F0 = np.concatenate([upper, lower] + [pairs] * len(horizons))
+        m = rho.size
+        t_final = np.concatenate([np.full(2 * m, 1e5), np.repeat(horizons, 2 * m)])
+        steady_tol = np.concatenate([np.full(2 * m, 1e-10), np.zeros(len(horizons) * 2 * m)])
+        states = [[f] for f in F0]
+
+        def record(rows, t, h, F, Y, K):
+            for r, f in zip(rows, F):
+                states[r].append(f)
+
+        F, conv, steps, *_ = dynamics._integrate_batch(F0, 0.02, t_final, steady_tol, record=record)
+        budget = math.sqrt(n) * (n * float(dynamics._ATOL) + 2.0 * float(dynamics._RTOL) * rho)
+        budget += n * 1e-12 + 2 * n * 2.0**-53 * rho
+        for i in range(2 * m):
+            # the upper orbit falls in every P_j, the lower rises, each step
+            # by at most the budget the wrong way, and both end steady at
+            # the closed form, within 1e-6 in every class
+            dP = np.diff(np.cumsum(states[i][1:] + [F[i]], axis=1)[:, :-1], axis=0)
+            sign = 1.0 if i < m else -1.0
+            assert (sign * dP <= budget[i % m]).all(), (i, float((sign * dP).max()))
+            assert conv[i] and np.abs(F[i] - closed[i % m]).max() <= 1e-6, i
+        # each pair stays ordered at each horizon, within the budgets of
+        # both rows' steps
+        P = np.cumsum(F[2 * m :], axis=1)[:, :-1].reshape(len(horizons), 2, m, n - 1)
+        k = steps[2 * m :].reshape(len(horizons), 2, m)
+        slack = (k[:, 0] + k[:, 1]) * budget
+        assert (P[:, 0] <= P[:, 1] + slack[..., None]).all()
 
 
 def same_bits(a, b):

@@ -1,5 +1,6 @@
 """Closed-form steady states, their Jacobian, and stability verdicts."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -16,12 +17,12 @@ from kinetic_traffic import (
     STABLE,
     UNSTABLE,
     ConsistencyError,
+    EquilibriumCandidate,
     build_game_table,
     build_grid,
     build_lattice,
     equilibrium_bruteforce,
     equilibrium_recursive,
-    is_attracting,
     jacobian,
     observables,
     stability_report,
@@ -32,6 +33,7 @@ from kinetic_traffic.dynamics import _rhs_batch
 from kinetic_traffic.equilibrium import (
     _RATE_TOL,
     _TINY,
+    _attractor,
     _bruteforce_levels,
     _closed_form,
     _density_terms,
@@ -769,12 +771,21 @@ class TestStability:
         assert np.abs(jacobian(f).sum(axis=0)).max() <= 1e-12
         assert max(stability_report(f).hyperplane_real_parts) < -1e-3
 
-    def test_attracting_rule(self):
-        assert is_attracting(STABLE, False)
-        assert is_attracting(STABLE, True)
-        assert is_attracting(MARGINAL, True)
-        assert not is_attracting(MARGINAL, False)
-        assert not is_attracting(UNSTABLE, True)
+    def test_attractor_rule(self):
+        # the candidate with the fewest leading zero classes, face 0, in any
+        # order and whatever the verdicts say
+        faces = [np.array([0.1, 0.2, 0.3]), np.array([0.0, 0.3, 0.3]), np.array([0.0, 0.0, 0.6])]
+        for verdicts in itertools.product((STABLE, MARGINAL, UNSTABLE), repeat=3):
+            cands = [EquilibriumCandidate(f, 0.0, v) for f, v in zip(faces, verdicts)]
+            for order in itertools.permutations(cands):
+                assert _attractor(list(order)) is cands[0]
+        # n = 2 one ulp above 1/2: faces 1 and 0 lie within 1e-10, and the
+        # one survivor carries face 1's bits, 2.2e-16 from the closed form
+        rho = HALF_UP
+        (survivor,) = equilibrium_bruteforce(2, rho)
+        assert survivor.f.tolist() == [0.0, rho]
+        assert _attractor([survivor]) is survivor
+        assert np.abs(survivor.f - equilibrium_recursive(2, rho).f_inf).max() <= 1e-10
 
 
 class TestBruteForce:
@@ -802,18 +813,19 @@ class TestBruteForce:
     def test_exactly_one_attracting_candidate(self):
         for n in (2, 3, 4):
             for rho in (0.15, 0.5, 0.7, 0.95):
+                # the attractor alone is not unstable
                 cands = equilibrium_bruteforce(n, rho)
-                att = [
-                    c for c in cands if is_attracting(c.verdict, c.from_larger_roots)
-                ]
-                assert len(att) == 1, f"n={n} rho={rho}: {len(att)} attracting"
+                att = _attractor(cands)
+                others = [c.verdict for c in cands if c is not att]
+                assert att.verdict != UNSTABLE, f"n={n} rho={rho}"
+                assert set(others) <= {UNSTABLE}, f"n={n} rho={rho}: {others}"
                 want = equilibrium_recursive(n, rho).f_inf
-                assert np.abs(att[0].f - want).max() <= 1e-10
+                assert np.abs(att.f - want).max() <= 1e-10
 
     @given(st.integers(2, 40), st.floats(0.0, 1.0, exclude_min=True))
     # just below 1/2 the zero head's smaller root clamps to its larger
     # one; just above, the zero head branches however close 2 rho - 1 is
-    # to 0, and every face but face 0 reads marginal with no larger roots
+    # to 0, and every face reads marginal
     @example(3, 0.5 - 1e-13)
     @example(12, 0.5 - 1e-13)
     @example(3, 0.5 - 3e-13)
@@ -824,12 +836,15 @@ class TestBruteForce:
     @example(40, 0.5 + 1e-15)
     @example(40, 0.50301)
     def test_one_attracting_candidate_is_the_closed_form(self, n, rho):
-        att = [
-            c for c in equilibrium_bruteforce(n, rho)
-            if is_attracting(c.verdict, c.from_larger_roots)
-        ]
-        assert len(att) == 1, f"{len(att)} attracting"
-        assert np.abs(att[0].f - equilibrium_recursive(n, rho).f_inf).max() <= 1e-10
+        # the attractor is the closed form and not unstable; every other
+        # face grows at rho^2 (2 rho - 1), which reads marginal only where
+        # it is within the verdict tolerance 1e-9 rho^2
+        cands = equilibrium_bruteforce(n, rho)
+        att = _attractor(cands)
+        assert np.abs(att.f - equilibrium_recursive(n, rho).f_inf).max() <= 1e-10
+        assert att.verdict != UNSTABLE
+        others = (UNSTABLE, MARGINAL) if 2 * rho - 1 <= _RATE_TOL else (UNSTABLE,)
+        assert all(c.verdict in others for c in cands if c is not att)
 
     def test_branch_count_is_one_just_below_half(self):
         # below 1/2 only the zero head is kept, C = 0 and its smaller root
@@ -850,7 +865,7 @@ class TestBruteForce:
         cands = equilibrium_bruteforce(4, 0.5)
         assert len(cands) == 1
         assert cands[0].verdict == MARGINAL
-        assert cands[0].from_larger_roots
+        assert _attractor(cands) is cands[0]
 
     @given(st.integers(2, 60), st.floats(0.0, 1.0, exclude_min=True))
     # the bands of the count's proof (module docstring): just below 1/2,
@@ -882,14 +897,14 @@ class TestBruteForce:
     def test_every_face_just_above_half(self, n, rho):
         # 2 rho - 1 <= 1e-14: the zero head branches at every level, faces
         # n - 1 and n - 2 lie within 1e-10 and merge, and every face's
-        # growing rate is below the verdict tolerance, so only the larger
-        # roots leave the closed form attracting
+        # growing rate is below the verdict tolerance, so the attractor is
+        # named by its face, not by its verdict
         cands = equilibrium_bruteforce(n, rho)
         assert len(cands) == n - 1
         assert {c.verdict for c in cands} == {MARGINAL}
-        att = [c for c in cands if is_attracting(c.verdict, c.from_larger_roots)]
-        assert len(att) == 1
-        assert np.abs(att[0].f - equilibrium_recursive(n, rho).f_inf).max() <= 1e-10
+        att = _attractor(cands)
+        assert att.f[0] > 0.0
+        assert np.abs(att.f - equilibrium_recursive(n, rho).f_inf).max() <= 1e-10
 
     @given(st.integers(2, 60), st.floats(0.0, 1.0, exclude_min=True))
     @example(200, 0.5)
