@@ -41,8 +41,8 @@ from .serialize import (
     diagram_json,
     diagram_svg,
     equilibrium_json,
+    f_inf_texts,
     fmt15,
-    texts15,
     trajectory_csv,
 )
 from .verify import run_suite
@@ -114,12 +114,13 @@ def _cmd_equilibrium(args) -> int:
     obs = observables(eq.f_inf)
     scale_rho, scale_v = (RHO_MAX, V_MAX) if args.units == UNITS_PHYSICAL else (1.0, 1.0)
     q, u = obs.q * scale_rho * scale_v, obs.u * scale_v
-    f_inf, _ = texts15(eq.f_inf * scale_rho)
+    # the record first, so the f_inf= line takes the texts it formatted
+    record = equilibrium_json(eq, scale_rho, q, u, stable) if args.out_json else None
     print(f"n={eq.n} rho={fmt15(eq.rho * scale_rho)} phase={eq.phase} stable={'yes' if stable else 'no'}")
-    print("f_inf=" + " ".join(f_inf))
+    print("f_inf=" + " ".join(f_inf_texts(eq, scale_rho)))
     print(f"q={fmt15(q)} u={fmt15(u)} verdict={report.verdict}")
-    if args.out_json:
-        _write(args.out_json, [equilibrium_json(eq, scale_rho, q, u, stable)])
+    if record is not None:
+        _write(args.out_json, [record])
         print(f"wrote {args.out_json}")
     return EXIT_OK
 

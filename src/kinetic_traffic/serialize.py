@@ -85,6 +85,7 @@ from .equilibrium import EquilibriumResult
 __all__ = [
     "fmt15",
     "texts15",
+    "f_inf_texts",
     "trajectory_csv",
     "diagram_csv",
     "diagram_json",
@@ -362,6 +363,16 @@ def diagram_json(diagram: Diagram) -> str:
     )
 
 
+# the f_inf key's scale and texts of each record equilibrium_json wrote, while the record lives
+_F_INF: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def f_inf_texts(eq: EquilibriumResult, scale_rho: float) -> list[str]:
+    """f_inf times scale_rho as %.15g texts, the record's own once equilibrium_json wrote it."""
+    scale, texts = _F_INF.get(eq, (None, None))
+    return texts if scale == scale_rho else texts15(eq.f_inf * scale_rho)[0]
+
+
 def equilibrium_json(
     eq: EquilibriumResult, scale_rho: float, q: float, u: float, stable: bool
 ) -> str:
@@ -375,7 +386,8 @@ def equilibrium_json(
     are nan, written null.  The level index j is written with %d, which
     for every j below 10**15 gives the text %.15g gives.  One texts15
     call formats the table, rho, q, u and the f_inf key, so with
-    scale_rho = 1 the key's numbers are the roots already formatted.
+    scale_rho = 1 the key's numbers are the roots already formatted, and
+    f_inf_texts hands the key's texts on.
     """
     n = eq.n
     rules = ["empty"] * n if eq.rho == 0.0 else [eq.phase] + ["quadratic"] * (n - 2) + ["remainder"]
@@ -383,7 +395,8 @@ def equilibrium_json(
     levels[0] = eq.f_inf
     levels[1:, 1 : 1 + eq.b.size] = (eq.delta, eq.b, eq.c)
     head = (eq.rho * scale_rho, q, u)
-    _, cells = texts15(np.concatenate((levels.ravel(), head, eq.f_inf * scale_rho)))
+    texts, cells = texts15(np.concatenate((levels.ravel(), head, eq.f_inf * scale_rho)))
+    _F_INF[eq] = scale_rho, texts[4 * n + 3 :]
     row = [None] * (5 * n)
     row[::5] = range(1, n + 1)
     for k in range(4):

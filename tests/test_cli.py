@@ -283,6 +283,23 @@ class TestEquilibrium:
         line = "f_inf=" + " ".join("%.15g" % float(x * scale_rho) for x in eq.f_inf)
         assert line in out.getvalue().splitlines()
 
+    @pytest.mark.parametrize("extra", [(), ("--units", "physical")])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_f_inf_is_formatted_once(self, capsys, tmp_path, monkeypatch, extra, record):
+        # the f_inf= line takes the texts of the record's one texts15 call,
+        # or makes its own one call when no record is written
+        shapes = []
+        texts15 = serialize.texts15
+        monkeypatch.setattr(
+            serialize, "texts15", lambda v: shapes.append(np.shape(v)) or texts15(v)
+        )
+        argv = ["equilibrium", "--n", "40", "--rho", "0.75", *extra]
+        if record:
+            argv += ["--out-json", str(tmp_path / "eq.json")]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert shapes == [(4 * 40 + 3 + 40,) if record else (40,)]
+
     def test_free_phase_stable_at_large_n(self, capsys):
         # the free-phase hyperplane eigenvalue is defective with
         # multiplicity n-1; a general eigensolver scattered it across zero

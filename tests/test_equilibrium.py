@@ -54,6 +54,13 @@ HALF_UP = math.nextafter(0.5, 1.0)
 
 # the edge densities, shuffled and with repeats, as one batch
 EDGE_BATCH = np.array([1.0, 0.5, 0.0, HALF_UP, 5e-324, 0.5, 1e-300, HALF_DOWN, 0.0, 1.0, 5e-324])
+# the densities at which one density's record meets every other route to
+# it: the edges of the density range and of the layer above 1/2
+ONE_DENSITY_EDGES = (0.0, -0.0, 5e-324, HALF_DOWN, 0.5, HALF_UP, 0.5 + 1e-15, 0.75, 0.99, 1.0)
+# batches whose rows all skip the level loop, all run it, or one runs it
+ALL_FREE = np.array([0.3, 0.0, 0.5, HALF_DOWN, 5e-324, 0.5, 0.1])
+ALL_CONGESTED = np.array([0.75, HALF_UP, 1.0, 0.5 + 1e-15, 0.99, 0.75, math.nextafter(1.0, 0.0)])
+ONE_CONGESTED = np.array([0.3, 0.0, HALF_DOWN, 0.75, 0.5, 0.3])
 # the edges of the layer above 1/2, where the classes grow like
 # fractional powers of rho - 1/2, and of the density range
 PREFIX_EDGES = np.array([HALF_DOWN, 0.5, HALF_UP, 0.5 + 1e-15, 0.5 + 1e-8,
@@ -124,6 +131,15 @@ def density_batches(draw):
     base = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     repeats = draw(st.lists(st.sampled_from(base), min_size=1, max_size=4))
     return np.array(draw(st.permutations(base + repeats)))
+
+
+def _every_example(ns, rhos):
+    """@example(n=n, rho=rho) for every n of ns and rho of rhos."""
+    def add(test):
+        for n, rho in itertools.product(ns, rhos):
+            test = example(n=n, rho=rho)(test)
+        return test
+    return add
 
 
 def _bits(x):
@@ -291,6 +307,12 @@ class TestRecursion:
     @example(n=2, rhos=EDGE_BATCH)
     @example(n=3, rhos=EDGE_BATCH)
     @example(n=200, rhos=EDGE_BATCH)
+    @example(n=3, rhos=ALL_FREE)
+    @example(n=200, rhos=ALL_FREE)
+    @example(n=3, rhos=ALL_CONGESTED)
+    @example(n=200, rhos=ALL_CONGESTED)
+    @example(n=3, rhos=ONE_CONGESTED)
+    @example(n=200, rhos=ONE_CONGESTED)
     def test_rows_match_the_scalar_recursion(self, closed_form_oracle, n, rhos):
         # the batch runs each level over all rows; row by row it must give
         # the one-density recursion bit for bit, whatever its neighbours
@@ -364,6 +386,27 @@ class TestRecursion:
         f, levels = closed_form_oracle(n, rho)
         assert _bits(eq.f_inf) == _bits(f), f"n={n} rho={rho!r}"
         assert _bits(np.column_stack((eq.b, eq.c, eq.delta))) == _bits(levels)
+
+    @given(n=st.integers(2, 200), rho=st.floats(0.0, 1.0))
+    @_every_example((2, 3, 200, 5000), ONE_DENSITY_EDGES)
+    def test_one_density_is_the_batch_row(self, closed_form_oracle, n, rho):
+        # one density runs its levels in Python floats and the batch in
+        # numpy: f_inf must be the batch's row and the scalar oracle's, and
+        # b, c and delta what _level gives on the row's prefix sums, whose
+        # roots are the row again, the levels past the exit included
+        eq = equilibrium_recursive(n, rho)
+        row = _closed_form(n, np.array([rho]))[0]
+        f, levels = closed_form_oracle(n, rho)
+        assert _bits(eq.f_inf) == _bits(row) == _bits(f), f"n={n} rho={rho!r}"
+        record = np.column_stack((eq.b, eq.c, eq.delta))
+        assert _bits(record) == _bits(levels)
+        if rho > 0.0 and n > 2:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                root, B, C, delta = _level(
+                    _prefix_sums(row[: n - 2]), row[: n - 2], _density_terms(np.array([rho]))
+                )
+            assert _bits(record) == _bits(np.column_stack((B, C, delta)))
+            assert _bits(root) == _bits(row[1 : n - 1])
 
     @given(
         head=st.lists(

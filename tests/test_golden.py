@@ -1,9 +1,9 @@
-"""Golden outputs: the bytes of ten CLI commands, as sha256 digests.
+"""Golden outputs: the bytes of sixteen CLI commands, as sha256 digests.
 
 Each command runs in process through cli.main in an empty directory.
 Its exit code, the digest of its stdout and the digest of every file it
 leaves there must equal the record in tests/golden/outputs.json.  The
-six commands of the README's CLI block are among the ten.
+six commands of the README's CLI block are among the sixteen.
 
 The closed form uses only + - * / and sqrt, which IEEE 754 rounds
 exactly, but the stepping outputs also pass through np.power in the step
@@ -52,6 +52,12 @@ COMMANDS = (
     "diagram --n 40 --rho-steps 2001 --out-csv d40.csv --out-json d40.json",
     "equilibrium --n 200 --rho 0.9 --out-json eq200.json",
     "simulate --n 6 --rho 0.6 --seed 11 --out-csv traj.csv",
+    "equilibrium --n 200 --rho 0.3 --out-json eq200free.json",
+    "equilibrium --n 40 --rho 0.75 --units physical --out-json eq40phys.json",
+    "equilibrium --n 2 --rho 0.5000000000000001 --out-json eq2half.json",
+    "equilibrium --n 200 --rho 1 --out-json eq200jam.json",
+    "equilibrium --n 5 --rho 0 --out-json eq5empty.json",
+    "diagram --n 200 --rho-steps 2001 --out-csv d200.csv --out-json d200.json",
 )
 
 
